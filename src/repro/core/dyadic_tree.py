@@ -530,6 +530,61 @@ class MultilevelDyadicTree:
         yield from walk(0, self._root)
 
 
+def frontier_children(nodes, comp: int) -> list:
+    """The tree nodes one level below ``nodes`` along prefixes of ``comp``.
+
+    One frontier level extended by a newly frozen component: parents in
+    list order, each one's stored prefixes of ``comp`` deepest first.
+    Shared by :class:`TraversalFrontier` and the generated Tetris kernel
+    (:mod:`repro.engine.codegen`), which keeps the frontier in locals.
+    """
+    nxt: list = []
+    append = nxt.append
+    shift = comp.bit_length() - 1
+    for node in nodes:
+        k = node[_MASK].bit_length() - 1
+        if k < 0:
+            continue
+        q = comp >> (shift - k) if k < shift else comp
+        get = node.get
+        while True:
+            child = get(q)
+            if child is not None:
+                append(child)
+            if q == 1:
+                break
+            q >>= 1
+    return nxt
+
+
+def frontier_note_add(root: dict, frozen, levels, level_ids, box) -> None:
+    """Register a freshly stored ``box`` with a frontier's node lists.
+
+    ``levels[j]`` holds the tree nodes reachable through prefixes of
+    ``frozen[:j]`` and ``level_ids[j]`` their identities — or ``None``
+    where the owner has not needed the set since it rebuilt the level;
+    it is built here on first use.  Only levels ``1..len(frozen)`` are
+    touched.
+    """
+    node = root
+    for j, comp_frozen in enumerate(frozen, 1):
+        comp = box[j - 1]
+        shift = comp_frozen.bit_length() - comp.bit_length()
+        if shift < 0 or (comp_frozen >> shift) != comp:
+            return
+        node = node.get(comp)
+        if node is None:
+            return
+        nodes = levels[j]
+        ids = level_ids[j]
+        if ids is None:
+            ids = level_ids[j] = set(map(id, nodes))
+        key = id(node)
+        if key not in ids:
+            ids.add(key)
+            nodes.append(node)
+
+
 class TraversalFrontier:
     """Shared-prefix containment probes for SAO-ordered traversal boxes.
 
@@ -565,49 +620,16 @@ class TraversalFrontier:
 
     def _freeze(self, comp: int) -> None:
         """Extend the frontier one level using a newly frozen component."""
-        levels = self._levels
-        nxt: list = []
-        append = nxt.append
-        for node in levels[-1]:
-            k = node[_MASK].bit_length() - 1
-            if k < 0:
-                continue
-            q = comp
-            shift = q.bit_length() - 1
-            if k < shift:
-                q >>= shift - k
-            get = node.get
-            while True:
-                child = get(q)
-                if child is not None:
-                    append(child)
-                if q == 1:
-                    break
-                q >>= 1
+        nxt = frontier_children(self._levels[-1], comp)
         self._comps.append(comp)
-        levels.append(nxt)
+        self._levels.append(nxt)
         self._level_ids.append({id(n) for n in nxt})
 
     def note_add(self, box: PackedBox) -> None:
         """Register a freshly stored box with the cached node sets."""
-        comps = self._comps
-        if not comps:
-            return
-        node = self.tree._root
-        levels = self._levels
-        for j, frozen in enumerate(comps):
-            comp = box[j]
-            shift = frozen.bit_length() - comp.bit_length()
-            if shift < 0 or (frozen >> shift) != comp:
-                return
-            node = node.get(comp)
-            if node is None:
-                return
-            ids = self._level_ids[j + 1]
-            key = id(node)
-            if key not in ids:
-                ids.add(key)
-                levels[j + 1].append(node)
+        frontier_note_add(
+            self.tree._root, self._comps, self._levels, self._level_ids, box
+        )
 
     def sync_and_probe(
         self,

@@ -72,6 +72,7 @@ never inside the loops.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
@@ -515,8 +516,9 @@ class TetrisEngine:
             kb = self.knowledge_base
             boxes = oracle.boxes()
             if not self._sao_identity:
-                to_internal = self.to_internal
-                boxes = [to_internal(b) for b in boxes]
+                # One C-level pass; a non-identity SAO has ndim >= 2, so
+                # the getter returns tuples.
+                boxes = map(itemgetter(*self.sao), boxes)
             add_many = getattr(kb, "add_many", None)
             if add_many is not None:
                 loaded = add_many(boxes)
@@ -541,10 +543,11 @@ class TetrisEngine:
         try:
             if compiled is not False:
                 # Resume mode runs as a per-configuration compiled kernel
-                # (mode flags, ndim/depth/SAO, KB capabilities folded to
-                # literals) when the shape is supported; the interpreted
-                # loop below stays the semantic reference and the
-                # fallback for exotic configurations.
+                # (mode flags and ndim/depth/SAO folded to literals, the
+                # dyadic tree's probe walk inlined) when the shape is
+                # supported; the interpreted loop below stays the
+                # semantic reference and the fallback for every other
+                # store and exotic configuration.
                 from repro.engine.codegen import tetris_kernel
 
                 kernel = tetris_kernel(

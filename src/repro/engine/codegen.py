@@ -26,18 +26,21 @@ Three kernel families:
   concatenating an accumulator tuple per row per stage.
 * :func:`tetris_kernel` — the frontier-resuming skeleton of
   :meth:`~repro.core.tetris.TetrisEngine._run_resuming` with ``ndim``,
-  ``depth``, the SAO permutation, the oracle discipline
-  (preloaded/on-demand) and the knowledge-base capability probes all
-  baked in as literals; box splits and SAO translations are unrolled
-  per axis and the stats counters run as locals, flushed once on exit.
+  ``depth``, the SAO permutation and the oracle discipline
+  (preloaded/on-demand) baked in as literals and the knowledge-base
+  probe of :class:`~repro.core.dyadic_tree.MultilevelDyadicTree`
+  inlined: the traversal frontier lives in kernel locals, the unwind
+  containment test is one int compare, box splits, resolvents and SAO
+  translations are unrolled per axis and the stats counters run as
+  locals, flushed once on exit.
 
 Cache keys include the *attribute names*, not just the shape — two
 schemas that differ only in naming never share a kernel (the EXPLAIN
 surface would otherwise lie about which query a cached kernel belongs
-to).  Unsupported shapes (generalized dimension specs, tracing
-resolvers, bounded resolvent admission, ``return_boxes``) return
-``None`` and the caller falls back to the interpreted loop, which
-remains the semantic reference.
+to).  Unsupported shapes (a knowledge base other than the dyadic tree,
+generalized dimension specs, tracing resolvers, bounded resolvent
+admission, ``return_boxes``) return ``None`` and the caller falls back
+to the interpreted loop, which remains the semantic reference.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.boxes import box_contains
-from repro.core.resolution import Resolver, is_ordered_pair
+from repro.core.dyadic_tree import (
+    MultilevelDyadicTree,
+    frontier_children,
+    frontier_note_add,
+)
+from repro.core.resolution import Resolver
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 
@@ -451,46 +459,55 @@ def _tetris_source(
     fetch: bool,
     capped: bool,
     cache_resolvents: bool,
-    has_frontier: bool,
-    has_pinned: bool,
-    versioned: bool,
-    has_shallowest: bool,
 ) -> str:
     """Generate the specialized frontier-resuming loop.
 
-    A literal transcription of
-    :meth:`~repro.core.tetris.TetrisEngine._run_resuming` with every
-    mode branch resolved at generation time: ``ndim``/``depth``/the unit
-    marker are literals, the box split is unrolled per axis, SAO
-    translation (oracle probes, output emission) is folded into literal
-    index tuples, stats counters are locals flushed once in ``finally``,
-    and no per-leaf result tuple is ever allocated.  ``fetch`` is the
-    on-demand (Reloaded) discipline — corner probing and sibling
-    prefetch included; without it an uncovered leaf is an output by
-    construction (preloaded runs, or no oracle at all).
+    The traversal of
+    :meth:`~repro.core.tetris.TetrisEngine._run_resuming` over a
+    :class:`~repro.core.dyadic_tree.MultilevelDyadicTree`, with every
+    mode branch resolved at generation time and the knowledge-base probe
+    *inlined*: what the interpreted loop delegates to
+    ``TraversalFrontier.sync_and_probe`` / ``box_contains`` /
+    ``ResolutionStats.record`` per step is straight-line code over
+    kernel locals here.
+
+    * **Frontier in locals.**  ``L1..L{n-1}`` are the frontier's node
+      lists (``Lj``: tree nodes reachable through prefixes of the
+      box's first ``j`` components, all unit below the cursor).  A
+      component below the cursor changes only at a split whose halves
+      are unit on the axis and at that frame's stage flip, so ``Lj`` is
+      rebuilt exactly there and no probe compares a frozen prefix.  The
+      probe is emitted once per cursor value: an exact ``get`` where the
+      split axis is pinned, ``get(1)`` on the components after the
+      cursor (they are λ), the band walk elsewhere — in the shipped
+      order (list order with move-to-front on the last two levels,
+      the LIFO order of the generic walk above them).
+    * **One-compare unwind.**  Every witness the loop produces contains
+      the half it answers, so it contains the frame box iff its axis
+      component differs from the half's; frames carry that component
+      (its low bit doubles as the stage flag).
+    * **Local bookkeeping.**  The resolvent is unrolled per axis, and
+      every stats counter — ``by_axis`` and ``ordered`` included — is a
+      local flushed once in ``finally``; a local ``version`` counts
+      stores for the second-half pin.
+
+    ``fetch`` is the on-demand (Reloaded) discipline — corner probing
+    and sibling prefetch included; without it an uncovered leaf is an
+    output by construction (preloaded runs, or no oracle at all).
     """
     unit = 1 << depth
     depth_bits = depth + 1
+    last = n - 1
     identity = sao == tuple(range(n))
     inv = [0] * n
     for pos, dim in enumerate(sao):
         inv[dim] = pos
 
     def tup(f) -> str:
-        items = [f(i) for i in range(n)]
-        return "(" + ", ".join(items) + ("," if n == 1 else "") + ")"
+        return _tuple_expr([f(i) for i in range(n)])
 
-    universe = tup(lambda i: "1")
-    emit_b = tup(
-        lambda i: f"b[{i}] ^ {unit}"
-        if identity
-        else f"b[{inv[i]}] ^ {unit}"
-    )
-    emit_corner = tup(
-        lambda i: f"corner[{i}] ^ {unit}"
-        if identity
-        else f"corner[{inv[i]}] ^ {unit}"
-    )
+    def emitted(var: str) -> str:
+        return tup(lambda i: f"{var}[{inv[i]}] ^ {unit}")
 
     def to_ext(var: str) -> str:
         return tup(lambda i: f"{var}[{inv[i]}]")
@@ -506,212 +523,382 @@ def _tetris_source(
 
     lines: List[str] = ["def kernel(engine, oracle, max_outputs):"]
 
-    def w(indent: int, text: str = "") -> None:
-        lines.append("    " * indent + text if text else "")
+    def w(indent: int, text: str) -> None:
+        lines.append("    " * indent + text)
 
+    def trimmed(q: str, s: str) -> str:
+        """``q`` (of string length ``s``) cut to the node's stored band."""
+        return f"{q} >> ({s} - k) if k < {s} else {q}"
+
+    def emit_freeze(ind: int, j: int, comp: str) -> None:
+        """Rebuild ``L{j+1}`` from ``L{j}`` for the unit component ``comp``."""
+        w(ind, f"L{j + 1} = freeze(L{j}, {comp})")
+        w(ind, f"ids[{j + 1}] = None")
+
+    def emit_probe(
+        ind: int, t: int, box: str, exact: bool, full: bool, unit_t: bool
+    ) -> None:
+        """Containment probe of ``box`` from frontier level ``t``.
+
+        Leaves the stored container in ``witness`` (``None`` on a miss;
+        the caller has set it to ``None``) and the frontier node it was
+        found under in ``node`` — see :func:`emit_move_to_front`.  Level
+        ``t`` is an exact ``get`` when ``exact``; later levels are
+        walked when ``full`` (corner probes: every component is unit)
+        and are λ otherwise.  ``unit_t`` says ``box[t]`` has full length.
+        """
+        # The interpreted probe walks the last two levels node by node,
+        # deepest prefix first, with move-to-front; above them it is a
+        # LIFO DFS: nodes from the back, shallowest child first.
+        ordered_walk = t >= last - 1
+
+        def length(j: int) -> str:
+            return str(depth) if (j > t or unit_t) else f"s{j}"
+
+        for j in range(t, n):
+            if j == t or full:
+                w(ind, f"q{j} = {box}[{j}]")
+                if not exact and length(j) == f"s{j}":
+                    w(ind, f"s{j} = q{j}.bit_length() - 1")
+
+        def level(ind: int, j: int, node: str) -> None:
+            if j == t and exact:
+                key = f"q{j}"
+            elif j > t and not full:
+                key = "1"
+            else:
+                key = None
+            if j == last:
+                if key is not None:
+                    w(ind, f"witness = {node}.get({key})")
+                    return
+                w(ind, f"k = {node}[0].bit_length() - 1")
+                w(ind, "if k >= 0:")
+                w(ind + 1, f"q = {trimmed(f'q{j}', length(j))}")
+                w(ind + 1, f"get = {node}.get")
+                w(ind + 1, "while True:")
+                w(ind + 2, "witness = get(q)")
+                w(ind + 2, "if witness is not None or q == 1:")
+                w(ind + 3, "break")
+                w(ind + 2, "q >>= 1")
+                return
+            child = f"c{j}"
+            if key is not None:
+                w(ind, f"{child} = {node}.get({key})")
+                w(ind, f"if {child} is not None:")
+                level(ind + 1, j + 1, child)
+                return
+            w(ind, f"k = {node}[0].bit_length() - 1")
+            w(ind, "if k >= 0:")
+            ind += 1
+            w(ind, f"x{j} = {trimmed(f'q{j}', length(j))}")
+            w(ind, f"g{j} = {node}.get")
+            if ordered_walk:
+                w(ind, "while True:")
+                w(ind + 1, f"{child} = g{j}(x{j})")
+            else:
+                w(ind, f"h{j} = x{j}.bit_length() - 1")
+                w(ind, f"while h{j} >= 0:")
+                w(ind + 1, f"{child} = g{j}(x{j} >> h{j})")
+            w(ind + 1, f"if {child} is not None:")
+            level(ind + 2, j + 1, child)
+            w(ind + 2, "if witness is not None:")
+            w(ind + 3, "break")
+            if ordered_walk:
+                w(ind + 1, f"if x{j} == 1:")
+                w(ind + 2, "break")
+                w(ind + 1, f"x{j} >>= 1")
+            else:
+                w(ind + 1, f"h{j} -= 1")
+
+        if t == 0:
+            level(ind, 0, "root")
+        else:
+            nodes = f"L{t}" if ordered_walk else f"reversed(L{t})"
+            w(ind, f"for node in {nodes}:")
+            level(ind + 1, t, "node")
+            w(ind + 1, "if witness is not None:")
+            w(ind + 2, "break")
+
+    def moves_to_front(t: int) -> bool:
+        return t >= max(1, last - 1)
+
+    def emit_move_to_front(ind: int, t: int) -> None:
+        """After a hit under ``node``: the interpreted walk of the last
+        two levels swaps the hit node to the head of its list —
+        consecutive probes tend to hit the same stored region."""
+        w(ind, f"if node is not L{t}[0]:")
+        w(ind + 1, "idx = 1")
+        w(ind + 1, f"while L{t}[idx] is not node:")
+        w(ind + 2, "idx += 1")
+        w(ind + 1, f"L{t}[idx] = L{t}[0]")
+        w(ind + 1, f"L{t}[0] = node")
+
+    all_levels = _tuple_expr([f"L{j}" for j in range(n)])
+
+    def emit_store(ind: int, box: str, frozen: int, count: bool) -> None:
+        """``kb.add(box)`` plus what an attached frontier would note.
+
+        ``frozen`` is how many leading components of the last probed
+        box ``b`` the frontier has frozen (``-1``: read the cursor).
+        """
+        w(ind, f"if kb_add({box}):")
+        if count:
+            w(ind + 1, "loaded += 1")
+        w(ind + 1, "version += 1")
+        if frozen:
+            upto = (
+                f"cursor if cursor < {last} else {last}" if frozen < 0
+                else str(frozen)
+            )
+            w(ind + 1,
+              f"note_add(root, b[:{upto}], {all_levels}, ids, {box})")
+
+    def emit_capped_return(ind: int) -> None:
+        if capped:
+            w(ind, "if max_outputs is not None and "
+                   "len(outputs) >= max_outputs:")
+            w(ind + 1, "return outputs")
+
+    def emit_oracle_lookup(ind: int, target: str, point: str) -> None:
+        w(ind, "oq += 1")
+        if identity:
+            w(ind, f"{target} = oracle_containing({point})")
+        else:
+            w(ind, f"{target} = [{to_int('g')} for g in "
+                   f"oracle_containing({to_ext(point)})]")
+
+    def emit_probe_b(ind: int, t: int, unit_t: bool) -> None:
+        """Probe the traversal box; a hit ends the descent."""
+        w(ind, "if exact:")
+        emit_probe(ind + 1, t, "b", True, False, unit_t)
+        w(ind, "else:")
+        emit_probe(ind + 1, t, "b", False, False, unit_t)
+        w(ind, "if witness is not None:")
+        if moves_to_front(t):
+            emit_move_to_front(ind + 1, t)
+        w(ind + 1, "hits += 1")
+        w(ind + 1, "res_w = witness")
+        w(ind + 1, "break")
+
+    def emit_leaf(ind: int) -> None:
+        """An uncovered unit box: the resume point."""
+        w(ind, "resumes += 1")
+        if fetch:
+            w(ind, "if prefetch_key == b:")
+            w(ind + 1, "gap_boxes = prefetch_boxes")
+            w(ind + 1, "prefetch_key = None")
+            w(ind, "elif stack and not stack[-1][1] & 1:")
+            # b is a first half; its sibling is a unit leaf of identical
+            # shape and the next box the traversal can visit.
+            w(ind + 1, "sibling = stack[-1][2]")
+            w(ind + 1, "oq += 2")
+            if identity:
+                w(ind + 1, "gap_boxes, prefetch_boxes = "
+                           "oracle_many((b, sibling))")
+            else:
+                w(ind + 1, f"found = oracle_many(({to_ext('b')}, "
+                           f"{to_ext('sibling')}))")
+                w(ind + 1, f"gap_boxes = [{to_int('g')} for g in found[0]]")
+                w(ind + 1, f"prefetch_boxes = [{to_int('g')} "
+                           "for g in found[1]]")
+            w(ind + 1, "prefetch_key = sibling")
+            w(ind, "else:")
+            emit_oracle_lookup(ind + 1, "gap_boxes", "b")
+            w(ind, "if gap_boxes:")
+            w(ind + 1, "for box in gap_boxes:")
+            emit_store(ind + 2, "box", last, True)
+            w(ind + 1, "res_w = find_shallowest(b)")
+            w(ind + 1, "if res_w is None:")
+            w(ind + 2, "res_w = gap_boxes[0]")
+            w(ind + 1, f"wdepth += {witness_depth('res_w')}")
+            w(ind + 1, "break")
+        # Preloaded runs (or no oracle) get here directly: an uncovered
+        # leaf is an output by construction.
+        w(ind, f"out_append({emitted('b')})")
+        emit_capped_return(ind)
+        emit_store(ind, "b", last, False)
+        w(ind, "loaded += 1")
+        w(ind, "res_w = b")
+        w(ind, "break")
+
+    def emit_corner(ind: int, t: int) -> None:
+        """Corner probing: the 0-half descent chain below b converges to
+        b's corner; probe it now so gap boxes land at the boundary."""
+        w(ind, "if corner is None:")
+        corner = tup(
+            lambda i: f"b[{i}] << ({depth_bits} - b[{i}].bit_length())"
+        )
+        w(ind + 1, f"corner = {corner}")
+        w(ind + 1, "corner_covered = False")
+        w(ind, "if not corner_covered:")
+        ind += 1
+        w(ind, "corner_covered = True")
+        w(ind, "cq += 1")
+        emit_probe(ind, t, "corner", False, True, True)
+        if moves_to_front(t):
+            w(ind, "if witness is not None:")
+            emit_move_to_front(ind + 1, t)
+            w(ind, "else:")
+        else:
+            w(ind, "if witness is None:")
+        ind += 1
+        emit_oracle_lookup(ind, "gap_boxes", "corner")
+        w(ind, "if gap_boxes:")
+        w(ind + 1, "for box in gap_boxes:")
+        emit_store(ind + 2, "box", t, True)
+        # Any container of b must be among the fresh boxes — everything
+        # older missed.
+        w(ind + 1, "for box in gap_boxes:")
+        w(ind + 2, "if box_contains(box, b):")
+        w(ind + 3, "witness = box")
+        w(ind + 3, "break")
+        w(ind + 1, "if witness is not None:")
+        w(ind + 2, "resumes += 1")
+        w(ind + 2, f"wdepth += {witness_depth('witness')}")
+        w(ind + 2, "res_w = witness")
+        w(ind + 2, "break")
+        w(ind, "else:")
+        w(ind + 1, f"out_append({emitted('corner')})")
+        emit_capped_return(ind + 1)
+        emit_store(ind + 1, "corner", t, False)
+        w(ind + 1, "loaded += 1")
+
+    def emit_split(ind: int, axis: int) -> None:
+        w(ind, f"half = b[{axis}] << 1")
+        halves = [
+            tup(lambda i, h=h: h if i == axis else f"b[{i}]")
+            for h in ("half", "half | 1")
+        ]
+        w(ind, f"push([{axis}, half, {halves[1]}, None, version, b])")
+        w(ind, f"b = {halves[0]}")
+        w(ind, f"if half >= {unit}:")
+        w(ind + 1, f"cursor = {axis + 1}")
+        if axis < last:
+            # The axis component is unit from here down: it joins the
+            # frozen prefix, so the pin no longer reaches the probe.
+            w(ind + 1, "exact = False")
+            emit_freeze(ind + 1, axis, "half")
+            w(ind, "else:")
+            w(ind + 1, "exact = True")
+        else:
+            w(ind, "exact = True")
+
+    # -- prologue ---------------------------------------------------------------
     w(1, "kb = engine.knowledge_base")
     w(1, "stats = engine.stats")
     w(1, "kb_add = kb.add")
-    w(1, "record = stats.record")
-    if has_frontier:
-        w(1, "frontier = kb.attach_frontier()")
-        w(1, "probe = frontier.sync_and_probe")
-    else:
-        w(1, "find_container = kb.find_container")
-        if has_pinned:
-            w(1, "find_pinned = kb.find_container_pinned")
+    w(1, "root = kb._root")
+    w(1, "L0 = (root,)")
+    for j in range(1, n):
+        w(1, f"L{j} = []")
+    w(1, f"ids = [None] * {n}")
+    w(1, "version = 0")
     if fetch:
         w(1, "oracle_containing = oracle.containing")
         w(1, "oracle_many = oracle.containing_many")
-        if has_shallowest:
-            w(1, "find_shallowest = kb.find_shallowest_container")
+        w(1, "find_shallowest = kb.find_shallowest_container")
         w(1, "prefetch_key = None")
         w(1, "prefetch_boxes = []")
         w(1, "corner = None")
         w(1, "corner_covered = False")
     w(1, "outputs = []")
     w(1, "out_append = outputs.append")
-    w(1, "cq = hits = resumes = loaded = wdepth = oq = 0")
+    w(1, "cq = hits = resumes = loaded = wdepth = oq = ordered = 0")
+    w(1, " = ".join(f"ba{a}" for a in range(n)) + " = 0")
+    w(1, "axes_seen = []")
     w(1, "stats.skeleton_calls += 1")
     w(1, "stack = []")
-    w(1, f"current = {universe}")
+    w(1, "push = stack.append")
+    w(1, "pop = stack.pop")
+    w(1, f"b = {tup(lambda i: '1')}")
     w(1, f"cursor = {n if depth == 0 else 0}")
-    w(1, "pinned = None")
-    w(1, "res_w = current")
+    w(1, "exact = False")
+    if depth == 0:
+        # The universe is the unit box: every component is frozen.
+        for j in range(last):
+            emit_freeze(1, j, "1")
     w(1, "try:")
     w(2, "while True:")
-    w(3, "if current is not None:")
-    w(4, "b = current")
+    # -- descend: probe, then split, until something answers ---------------------
+    w(3, "while True:")
     w(4, "cq += 1")
-    if has_frontier:
-        w(4, "witness = probe(b, cursor, pinned)")
-    elif has_pinned:
-        w(4, "if pinned is None:")
-        w(5, "witness = find_container(b)")
-        w(4, "else:")
-        w(5, "witness = find_pinned(b, pinned)")
-    else:
-        w(4, "witness = find_container(b)")
-    w(4, "if witness is not None:")
-    w(5, "hits += 1")
-    w(5, "res_w = witness")
-    w(5, "current = None")
-    w(5, "continue")
+    w(4, "witness = None")
+    # Deep cursors are the common case: test them first.
     w(4, f"if cursor == {n}:")
-    w(5, "resumes += 1")
-    if not fetch:
-        # Preloaded runs (or no oracle): an uncovered leaf is an output
-        # by construction — the oracle has nothing left to add.
-        w(5, "gap_boxes = ()")
-    else:
-        w(5, "if prefetch_key == b:")
-        w(6, "gap_boxes = prefetch_boxes")
-        w(6, "prefetch_key = None")
-        w(5, "else:")
-        w(6, "sibling = None")
-        w(6, "if stack:")
-        w(7, "frame = stack[-1]")
-        w(7, "if frame[4] == 0:")
-        w(8, "sibling = frame[1]")
-        w(6, "if sibling is not None:")
-        w(7, "oq += 2")
-        if identity:
-            w(7, "found = oracle_many((b, sibling))")
-            w(7, "gap_boxes = found[0]")
-            w(7, "prefetch_boxes = found[1]")
-        else:
-            w(7, f"found = oracle_many(({to_ext('b')}, "
-                 f"{to_ext('sibling')}))")
-            w(7, f"gap_boxes = [{to_int('g')} for g in found[0]]")
-            w(7, f"prefetch_boxes = [{to_int('g')} for g in found[1]]")
-        w(7, "prefetch_key = sibling")
-        w(6, "else:")
-        w(7, "oq += 1")
-        if identity:
-            w(7, "gap_boxes = oracle_containing(b)")
-        else:
-            w(7, f"gap_boxes = [{to_int('g')} for g in "
-                 f"oracle_containing({to_ext('b')})]")
-    w(5, "if gap_boxes:")
-    w(6, "for box in gap_boxes:")
-    w(7, "if kb_add(box):")
-    w(8, "loaded += 1")
-    if has_shallowest and fetch:
-        w(6, "witness = find_shallowest(b)")
-        w(6, "if witness is None:")
-        w(7, "witness = gap_boxes[0]")
-    else:
-        w(6, "witness = gap_boxes[0]")
-    w(6, f"wdepth += {witness_depth('witness')}")
-    w(6, "res_w = witness")
-    w(5, "else:")
-    w(6, f"out_append({emit_b})")
-    if capped:
-        w(6, "if max_outputs is not None and "
-             "len(outputs) >= max_outputs:")
-        w(7, "return outputs")
-    w(6, "kb_add(b)")
-    w(6, "loaded += 1")
-    w(6, "res_w = b")
-    w(5, "current = None")
+    emit_probe_b(5, last, True)
+    emit_leaf(5)
+    for axis in range(last, -1, -1):
+        w(4, f"elif cursor == {axis}:" if axis else "else:")
+        emit_probe_b(5, axis, False)
+        if fetch:
+            emit_corner(5, axis)
+        emit_split(5, axis)
+    # -- unwind: pop covered frames, flip or resolve the first that is not -------
+    w(3, "while True:")
+    w(4, "if not stack:")
+    w(5, "return outputs")
+    w(4, "frame = stack[-1]")
+    # res_w contains the half it answers, so it contains the frame box
+    # iff it is shorter than the half on the split axis.
+    w(4, "if res_w[frame[0]] != frame[1]:")
+    w(5, "pop()")
     w(5, "continue")
+    w(4, "axis, half, b2, w1, ver, fb = frame")
+    w(4, "if not half & 1:")
+    w(5, "frame[1] = half | 1")
+    w(5, "frame[3] = res_w")
+    w(5, "b = b2")
+    # The half b2 inherits fb's miss: if nothing was stored since the
+    # split, its probe can pin the axis too.
+    w(5, f"if half < {unit}:")
+    w(6, "cursor = axis")
+    w(6, "exact = ver == version")
+    for axis in range(last):
+        w(5, f"elif axis == {axis}:")
+        w(6, f"cursor = {axis + 1}")
+        w(6, "exact = False")
+        emit_freeze(6, axis, "half | 1")
+    w(5, "else:")
+    w(6, f"cursor = {n}")
+    w(6, "exact = ver == version")
     if fetch:
-        # Corner probing: the 0-half descent chain below b converges to
-        # b's corner; probe it now so gap boxes land at the boundary.
-        w(4, "if corner is None:")
-        w(5, f"corner = {tup(lambda i: f'b[{i}] << ({depth_bits} - b[{i}].bit_length())')}")
-        w(5, "corner_covered = False")
-        w(4, "if not corner_covered:")
-        w(5, "cq += 1")
-        if has_frontier:
-            w(5, "covered = probe(corner, cursor)")
+        w(5, "corner = None")
+    w(5, "break")
+    # Both halves covered, neither witness covers fb: resolve on axis.
+    # half is odd here, so half >> 1 is fb's own axis component.
+    w(4, f"{_tuple_expr([f'y{i}' for i in range(n)])} = w1")
+    w(4, f"{_tuple_expr([f'z{i}' for i in range(n)])} = res_w")
+    for axis in range(last, -1, -1):
+        if n > 1:
+            w(4, "else:" if axis == 0
+                 else f"{'if' if axis == last else 'elif'} axis == {axis}:")
+        ind = 5 if n > 1 else 4
+        for j in range(axis + 1, n):
+            w(ind, f"r{j} = y{j} if y{j} > z{j} else z{j}")
+        meet = tup(
+            lambda i, a=axis: "half >> 1" if i == a
+            else f"r{i}" if i > a
+            else f"y{i} if y{i} > z{i} else z{i}"
+        )
+        w(ind, f"res_w = {meet}")
+        if axis < last:
+            later = " | ".join(f"r{j}" for j in range(axis + 1, n))
+            w(ind, f"if {later} == 1:")
+            w(ind + 1, "ordered += 1")
         else:
-            w(5, "covered = find_container(corner)")
-        w(5, "if covered is not None:")
-        w(6, "corner_covered = True")
-        w(5, "else:")
-        w(6, "oq += 1")
-        if identity:
-            w(6, "gap_boxes = oracle_containing(corner)")
-        else:
-            w(6, f"gap_boxes = [{to_int('g')} for g in "
-                 f"oracle_containing({to_ext('corner')})]")
-        w(6, "corner_covered = True")
-        w(6, "if gap_boxes:")
-        w(7, "for box in gap_boxes:")
-        w(8, "if kb_add(box):")
-        w(9, "loaded += 1")
-        w(7, "witness = None")
-        w(7, "for box in gap_boxes:")
-        w(8, "if box_contains(box, b):")
-        w(9, "witness = box")
-        w(9, "break")
-        w(7, "if witness is not None:")
-        w(8, "resumes += 1")
-        w(8, f"wdepth += {witness_depth('witness')}")
-        w(8, "res_w = witness")
-        w(8, "current = None")
-        w(8, "continue")
-        w(6, "else:")
-        w(7, f"out_append({emit_corner})")
-        if capped:
-            w(7, "if max_outputs is not None and "
-                 "len(outputs) >= max_outputs:")
-            w(8, "return outputs")
-        w(7, "kb_add(corner)")
-        w(7, "loaded += 1")
-    # Split at the cursor axis, unrolled per ndim.
-    w(4, "half = b[cursor] << 1")
-    for axis in range(n):
-        head = "if" if axis == 0 else "elif"
-        cond = f"{head} cursor == {axis}:" if n > 1 else "if cursor == 0:"
-        w(4, cond)
-        b1 = tup(lambda i, a=axis: "half" if i == a else f"b[{i}]")
-        b2 = tup(lambda i, a=axis: "half | 1" if i == a else f"b[{i}]")
-        w(5, f"b1 = {b1}")
-        w(5, f"b2 = {b2}")
-    w(4, "child_cursor = cursor")
-    w(4, f"if half >= {unit}:")
-    w(5, "child_cursor = cursor + 1")
-    w(5, f"while child_cursor < {n} and b[child_cursor] >= {unit}:")
-    w(6, "child_cursor += 1")
-    ver = "kb.version" if versioned else "None"
-    w(4, f"stack.append([b, b2, cursor, None, 0, child_cursor, {ver}])")
-    w(4, "current = b1")
-    w(4, "pinned = cursor")
-    w(4, "cursor = child_cursor")
-    w(4, "continue")
-    w(3, "if not stack:")
-    w(4, "return outputs")
-    # The covering pop is the hot unwind path; it needs only frame[0],
-    # so the full 7-slot unpack is deferred until the frame survives.
-    w(3, "frame = stack[-1]")
-    w(3, "witness = res_w")
-    w(3, "if box_contains(witness, frame[0]):")
-    w(4, "stack.pop()")
-    w(4, "continue")
-    w(3, "b, b2, axis, w1, stage, child_cursor, ver = frame")
-    w(3, "if stage == 0:")
-    w(4, "frame[3] = witness")
-    w(4, "frame[4] = 1")
-    w(4, "current = b2")
-    w(4, "cursor = child_cursor")
-    if versioned:
-        w(4, "pinned = axis if ver == kb.version else None")
-    else:
-        w(4, "pinned = None")
-    if fetch:
-        w(4, "corner = None")
-    w(4, "continue")
-    w(3, "meet = list(map(max, w1, witness))")
-    w(3, "meet[axis] = w1[axis] >> 1")
-    w(3, "resolvent = tuple(meet)")
-    w(3, "record(axis, is_ordered_pair(w1, witness, axis))")
+            w(ind, "ordered += 1")
+        w(ind, f"if ba{axis}:")
+        w(ind + 1, f"ba{axis} += 1")
+        w(ind, "else:")
+        w(ind + 1, f"ba{axis} = 1")
+        w(ind + 1, f"axes_seen.append({axis})")
     if cache_resolvents:
-        w(3, "if resolvent != b:")
-        w(4, "kb_add(resolvent)")
-    w(3, "stack.pop()")
-    w(3, "res_w = resolvent")
+        # A resolvent no wider than its frame box can never be probed
+        # again — only witnesses reaching beyond the frame earn a slot.
+        w(4, "if res_w != fb:")
+        emit_store(5, "res_w", -1 if last else 0, False)
+    w(4, "pop()")
     w(1, "finally:")
     w(2, "stats.containment_queries += cq")
     w(2, "stats.cache_hits += hits")
@@ -719,6 +906,13 @@ def _tetris_source(
     w(2, "stats.boxes_loaded += loaded")
     w(2, "stats.witness_depth_sum += wdepth")
     w(2, "stats.oracle_queries += oq")
+    w(2, "stats.ordered_resolutions += ordered")
+    counts = _tuple_expr([f"ba{a}" for a in range(n)])
+    w(2, f"counts = {counts}")
+    w(2, "stats.resolutions += sum(counts)")
+    w(2, "by_axis = stats.by_axis")
+    w(2, "for axis in axes_seen:")
+    w(3, "by_axis[axis] = by_axis.get(axis, 0) + counts[axis]")
     return "\n".join(lines) + "\n"
 
 
@@ -731,12 +925,16 @@ def tetris_kernel(
 ) -> Optional[Callable]:
     """The compiled resume-mode kernel for one engine configuration.
 
-    Returns ``None`` for shapes the generator does not cover —
-    generalized dimension specs, tracing resolvers, bounded resolvent
-    admission, ``return_boxes`` output, oracles without a batched walk,
-    or ``ndim`` past the unroll cap — and the caller runs the
-    interpreted :meth:`~repro.core.tetris.TetrisEngine._run_resuming`.
+    Returns ``None`` for shapes the generator does not cover — a
+    knowledge base other than :class:`MultilevelDyadicTree` (the kernel
+    inlines its probe walk), generalized dimension specs, tracing
+    resolvers, bounded resolvent admission, ``return_boxes`` output,
+    oracles without a batched walk, or ``ndim`` past the unroll cap —
+    and the caller runs the interpreted
+    :meth:`~repro.core.tetris.TetrisEngine._run_resuming`.
     """
+    if type(engine.knowledge_base) is not MultilevelDyadicTree:
+        return None
     if engine.dims is not None:
         return None
     if engine.resolvent_limit is not None:
@@ -757,13 +955,6 @@ def tetris_kernel(
         or getattr(oracle, "containing_many", None) is None
     ):
         return None
-    kb = engine.knowledge_base
-    has_frontier = hasattr(kb, "attach_frontier")
-    has_pinned = getattr(kb, "find_container_pinned", None) is not None
-    versioned = hasattr(kb, "version")
-    has_shallowest = (
-        getattr(kb, "find_shallowest_container", None) is not None
-    )
     key = (
         engine.ndim,
         engine.depth,
@@ -771,30 +962,15 @@ def tetris_kernel(
         fetch,
         capped,
         engine.cache_resolvents,
-        has_frontier,
-        has_pinned,
-        versioned,
-        has_shallowest,
     )
 
     def build() -> Optional[Callable]:
-        source = _tetris_source(
-            engine.ndim,
-            engine.depth,
-            engine.sao,
-            fetch,
-            capped,
-            engine.cache_resolvents,
-            has_frontier,
-            has_pinned,
-            versioned,
-            has_shallowest,
-        )
         return _compile(
-            source,
+            _tetris_source(*key),
             {
                 "box_contains": box_contains,
-                "is_ordered_pair": is_ordered_pair,
+                "freeze": frontier_children,
+                "note_add": frontier_note_add,
             },
         )
 

@@ -24,7 +24,8 @@ re-sorts the data plane.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA
@@ -32,6 +33,18 @@ from repro.indexes.btree import BTreeIndex
 from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import Database, JoinQuery
+
+#: The one-component tail appended to an index box before lifting.
+_LAMBDA = (PLAMBDA,)
+
+
+def _tuple_getter(positions: Sequence[int]):
+    """``t -> tuple(t[i] for i in positions)`` as one C-level call."""
+    if len(positions) == 1:
+        # itemgetter with one index returns the bare item; slice instead.
+        (i,) = positions
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*positions)
 
 
 class QueryGapOracle:
@@ -47,16 +60,24 @@ class QueryGapOracle:
         self.attrs: Tuple[str, ...] = (
             tuple(attrs) if attrs is not None else query.variables
         )
-        self._axis = {a: i for i, a in enumerate(self.attrs)}
         self.indexes: List[object] = list(indexes)
         if not self.indexes:
             raise ValueError("at least one index is required")
         self._materialized: Optional[List[PackedBox]] = None
-        # Pre-compute per-index lifting info.
-        self._lift_axes: List[Tuple[int, ...]] = []
+        # Per index, computed once: ``restrict`` reads a probe point's
+        # components on the index's attributes, ``lift`` scatters an
+        # index box (with one λ appended) into the output space — every
+        # axis the index does not mention reads the appended λ.
+        axis_of = {a: i for i, a in enumerate(self.attrs)}
+        self._probes: List[tuple] = []
         for idx in self.indexes:
-            order = self._index_attr_order(idx)
-            self._lift_axes.append(tuple(self._axis[a] for a in order))
+            axes = [axis_of[a] for a in self._index_attr_order(idx)]
+            template = [len(axes)] * len(self.attrs)
+            for pos, axis in enumerate(axes):
+                template[axis] = pos
+            self._probes.append(
+                (idx, _tuple_getter(axes), _tuple_getter(template))
+            )
 
     @staticmethod
     def _index_attr_order(index: object) -> Tuple[str, ...]:
@@ -68,12 +89,6 @@ class QueryGapOracle:
     def ndim(self) -> int:
         return len(self.attrs)
 
-    def _lift(self, box, axes) -> PackedBox:
-        lifted = [PLAMBDA] * len(self.attrs)
-        for p, axis in zip(box, axes):
-            lifted[axis] = p
-        return tuple(lifted)
-
     def containing(self, unit_box: PackedBox) -> List[PackedBox]:
         """All gap boxes containing the probe point, straight off the indexes.
 
@@ -81,13 +96,12 @@ class QueryGapOracle:
         component with its marker bit cleared.
         """
         out: List[PackedBox] = []
-        for idx, axes in zip(self.indexes, self._lift_axes):
+        for idx, restrict, lift in self._probes:
             point = tuple(
-                [p ^ (1 << (p.bit_length() - 1))
-                 for p in [unit_box[a] for a in axes]]
+                [p ^ (1 << (p.bit_length() - 1)) for p in restrict(unit_box)]
             )
             for box in idx.gap_boxes_containing(point):
-                out.append(self._lift(box, axes))
+                out.append(lift(box + _LAMBDA))
         return out
 
     def containing_many(
@@ -101,35 +115,31 @@ class QueryGapOracle:
         lifting of its gap boxes.
         """
         results: List[List[PackedBox]] = [[] for _ in unit_boxes]
-        for idx, axes in zip(self.indexes, self._lift_axes):
+        for idx, restrict, lift in self._probes:
             memo: dict = {}
             for out, unit_box in zip(results, unit_boxes):
-                point = tuple(
-                    [p ^ (1 << (p.bit_length() - 1))
-                     for p in [unit_box[a] for a in axes]]
-                )
-                lifted = memo.get(point)
+                comps = restrict(unit_box)
+                lifted = memo.get(comps)
                 if lifted is None:
-                    lifted = [
-                        self._lift(box, axes)
+                    point = tuple(
+                        [p ^ (1 << (p.bit_length() - 1)) for p in comps]
+                    )
+                    lifted = memo[comps] = [
+                        lift(box + _LAMBDA)
                         for box in idx.gap_boxes_containing(point)
                     ]
-                    memo[point] = lifted
                 out.extend(lifted)
         return results
 
     def boxes(self) -> List[PackedBox]:
         """Materialize the full lifted gap-box set (cached)."""
         if self._materialized is None:
-            seen = set()
-            out: List[PackedBox] = []
-            for idx, axes in zip(self.indexes, self._lift_axes):
-                for box, _ in idx.gap_boxes():
-                    lifted = self._lift(box, axes)
-                    if lifted not in seen:
-                        seen.add(lifted)
-                        out.append(lifted)
-            self._materialized = out
+            # dict.fromkeys dedups in first-seen order in one pass.
+            self._materialized = list(dict.fromkeys(
+                lift(box + _LAMBDA)
+                for idx, _restrict, lift in self._probes
+                for box, _attrs in idx.gap_boxes()
+            ))
         return self._materialized
 
     def __len__(self) -> int:

@@ -1,0 +1,93 @@
+"""QueryGapOracle against a spelled-out lift of its indexes' boxes.
+
+The oracle restricts probe points and lifts index boxes through
+per-index getters computed once; the boxes it returns, and their
+order, must be what the obvious per-box loop produces.
+"""
+
+import random
+
+import pytest
+
+from repro.core.intervals import PLAMBDA
+from repro.joins.tetris_join import make_oracle
+from repro.relational.query import JoinQuery
+from repro.relational.schema import RelationSchema
+from repro.workloads.generators import db_from_tuples
+
+DEPTH = 4
+
+
+def _instance(seed):
+    rng = random.Random(seed)
+    query = JoinQuery([
+        RelationSchema("R", ("a",)),
+        RelationSchema("S", ("c", "a")),
+        RelationSchema("T", ("b", "c")),
+        RelationSchema("U", ("b",)),
+    ])
+    size = 1 << DEPTH
+    tuples = {
+        "R": sorted({(rng.randrange(size),) for _ in range(6)}),
+        "S": sorted({(rng.randrange(size), rng.randrange(size))
+                     for _ in range(20)}),
+        "T": sorted({(rng.randrange(size), rng.randrange(size))
+                     for _ in range(20)}),
+        "U": sorted({(rng.randrange(size),) for _ in range(9)}),
+    }
+    return query, db_from_tuples(query, tuples, DEPTH)
+
+
+def _lift(oracle, index, box):
+    lifted = [PLAMBDA] * len(oracle.attrs)
+    for comp, attr in zip(box, oracle._index_attr_order(index)):
+        lifted[oracle.attrs.index(attr)] = comp
+    return tuple(lifted)
+
+
+def _containing(oracle, unit_box):
+    unit = 1 << DEPTH
+    out = []
+    for index in oracle.indexes:
+        point = [
+            unit_box[oracle.attrs.index(attr)] ^ unit
+            for attr in oracle._index_attr_order(index)
+        ]
+        out += [
+            _lift(oracle, index, box)
+            for box in index.gap_boxes_containing(point)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("index_kind", ["btree", "dyadic", "kdtree"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_boxes_are_the_lifted_index_boxes(index_kind, seed):
+    query, db = _instance(seed)
+    oracle, _gao = make_oracle(query, db, index_kind=index_kind)
+    assert oracle.attrs == query.variables
+
+    expected = []
+    for index in oracle.indexes:
+        for box, _attrs in index.gap_boxes():
+            lifted = _lift(oracle, index, box)
+            if lifted not in expected:
+                expected.append(lifted)
+    assert oracle.boxes() == expected
+    assert oracle.boxes() is oracle.boxes()  # materialized once
+
+    rng = random.Random(seed)
+    unit = 1 << DEPTH
+    points = [
+        tuple(unit | rng.randrange(unit) for _ in oracle.attrs)
+        for _ in range(60)
+    ]
+    for point in points:
+        assert oracle.containing(point) == _containing(oracle, point)
+    # Batches share index walks between points; results must not.
+    siblings = [p[:-1] + (p[-1] ^ 1,) for p in points]
+    for pair in zip(points, siblings):
+        assert oracle.containing_many(pair) == [
+            _containing(oracle, p) for p in pair
+        ]
+    assert oracle.containing_many([]) == []
