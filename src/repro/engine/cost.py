@@ -38,6 +38,7 @@ from repro.engine.stats import (
     value_overlap_fraction,
 )
 from repro.obs.calibration import DEFAULT_UNIT_SECONDS, load_saved
+from repro.relational.agm import fhtw_of_order
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import JoinQuery
 
@@ -108,8 +109,6 @@ def structure_of(query: JoinQuery) -> StructureProfile:
         fhtw_upper = 1.0
     else:
         gao = tuple(order)
-        from repro.relational.agm import fhtw_of_order
-
         fhtw_upper = fhtw_of_order(h, order)
     return StructureProfile(
         acyclic=acyclic,

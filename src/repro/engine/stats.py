@@ -20,13 +20,13 @@ and invalidated purely by content, never by object identity.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.relational.agm import agm_from_sizes
 from repro.relational.query import Database, JoinQuery
 
 
@@ -176,23 +176,6 @@ def probe_certificate(
         complete=complete,
         budget=budget,
     )
-
-
-def _agm_from_sizes(
-    query: JoinQuery, sizes: Mapping[str, int]
-) -> float:
-    """Instance AGM bound 2^{ρ*} from per-relation cardinalities."""
-    from repro.relational.agm import fractional_edge_cover
-
-    if any(sizes[a.name] == 0 for a in query.atoms):
-        return 0.0
-    weights = [
-        math.log2(sizes[a.name]) if sizes[a.name] > 1 else 0.0
-        for a in query.atoms
-    ]
-    edges = [frozenset(a.attrs) for a in query.atoms]
-    value, _ = fractional_edge_cover(query.variables, edges, weights)
-    return 2.0 ** value
 
 
 def value_overlap_fraction(
@@ -370,7 +353,7 @@ def _collect_stats_uncached(
         relations=tuple(profiles),
         total_tuples=db.total_tuples,
         domain_depth=db.domain.depth,
-        agm=_agm_from_sizes(query, sizes),
+        agm=agm_from_sizes(query, sizes),
         independence_estimate=_independence_estimate(query, profiles),
         fingerprint=key,
         probe=probe_result,
@@ -411,7 +394,7 @@ def assumed_stats(
         relations=profiles,
         total_tuples=rows * len(profiles),
         domain_depth=depth,
-        agm=_agm_from_sizes(query, sizes),
+        agm=agm_from_sizes(query, sizes),
         independence_estimate=_independence_estimate(query, profiles),
         fingerprint=fingerprint,
         assumed=True,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 
 from repro.obs.metrics import (
@@ -103,45 +102,47 @@ def render_openmetrics(snap: Optional[MetricsSnapshot] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    def do_GET(self):  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0].rstrip("/") or "/metrics"
-        if path == "/metrics":
-            body = render_openmetrics().encode()
-            ctype = CONTENT_TYPE
-        elif path == "/flight":
-            import io
-
-            from repro.obs.flight import RECORDER
-
-            buf = io.StringIO()
-            RECORDER.dump(buf)
-            body = buf.getvalue().encode()
-            ctype = "application/x-ndjson; charset=utf-8"
-        else:
-            self.send_error(404)
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # silence per-request stderr noise
-        pass
-
-
-def start_metrics_server(
-    port: int = 0, host: str = "127.0.0.1"
-) -> ThreadingHTTPServer:
+def start_metrics_server(port: int = 0, host: str = "127.0.0.1"):
     """Serve ``/metrics`` (and ``/flight``) on a daemon thread.
 
-    Returns the live server — ``server.server_address[1]`` is the bound
-    port (pass ``port=0`` for an ephemeral one), ``server.shutdown()``
-    stops it.  The thread is a daemon: a process exit never hangs on
-    the scrape endpoint.
+    Returns the live ``ThreadingHTTPServer`` — ``server.server_address[1]``
+    is the bound port (pass ``port=0`` for an ephemeral one),
+    ``server.shutdown()`` stops it.  The thread is a daemon: a process
+    exit never hangs on the scrape endpoint.
     """
-    server = ThreadingHTTPServer((host, port), _MetricsHandler)
+    # Imported here, with the handler that subclasses it: ``http.server``
+    # pulls in http.client, email and ssl, which only this daemon needs
+    # and every ``import repro`` would otherwise pay for.
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 - http.server API
+            path = self.path.split("?", 1)[0].rstrip("/") or "/metrics"
+            if path == "/metrics":
+                body = render_openmetrics().encode()
+                ctype = CONTENT_TYPE
+            elif path == "/flight":
+                import io
+
+                from repro.obs.flight import RECORDER
+
+                buf = io.StringIO()
+                RECORDER.dump(buf)
+                body = buf.getvalue().encode()
+                ctype = "application/x-ndjson; charset=utf-8"
+            else:
+                self.send_error(404)
+                return
+            self.send_response(200)
+            self.send_header("Content-Type", ctype)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):  # silence per-request stderr noise
+            pass
+
+    server = ThreadingHTTPServer((host, port), MetricsHandler)
     thread = threading.Thread(
         target=server.serve_forever,
         name="repro-metrics-server",

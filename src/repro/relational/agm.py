@@ -1,6 +1,7 @@
 """AGM bounds and width measures built on fractional edge covers (App A).
 
-* :func:`fractional_edge_cover` — solve the covering LP with scipy;
+* :func:`fractional_edge_cover` — the covering LP, solved through its
+  packing dual by the small dense simplex in this module;
 * :func:`agm_bound` — the instance-specific AGM output-size bound
   ``∏ |R_F|^{x_F}`` (Definition A.1), minimized by weighting the LP
   objective with ``log |R_F|``;
@@ -15,12 +16,62 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.relational.hypergraph import Hypergraph
+
+#: Pivot / optimality tolerance of the simplex below.
+_EPS = 1e-12
+
+
+def _packing_simplex(
+    vertices: Sequence[str],
+    edges: Sequence[FrozenSet[str]],
+    w: Sequence[float],
+) -> Tuple[float, Tuple[float, ...], Tuple[float, ...]]:
+    """Solve ``max Σ y_v  s.t.  Σ_{v ∈ F} y_v ≤ w_F ∀F, y ≥ 0`` by simplex.
+
+    This packing LP is the dual of the edge-cover LP.  With every
+    ``w_F ≥ 0`` the all-slack basis is feasible, so there is no phase 1;
+    Bland's rule (lowest-index entering column, lowest-index leaving
+    basic variable among the ratio ties) keeps the degenerate unit- and
+    zero-weight instances from cycling.  Every vertex must lie in some
+    edge, or the LP is unbounded.  Returns ``(objective, x, y)``: ``x``
+    is the optimal cover, read off the slack columns' reduced costs.
+    """
+    n, m = len(vertices), len(edges)
+    # One row per edge: vertex columns, slack columns, right-hand side.
+    rows = []
+    for i, (edge, weight) in enumerate(zip(edges, w)):
+        row = [1.0 if v in edge else 0.0 for v in vertices] + [0.0] * (m + 1)
+        row[n + i] = 1.0
+        row[-1] = weight
+        rows.append(row)
+    cost = [-1.0] * n + [0.0] * (m + 1)  # reduced costs; cost[-1] = objective
+    basis = list(range(n, n + m))
+    tableau = rows + [cost]
+    while True:
+        col = next((j for j in range(n + m) if cost[j] < -_EPS), None)
+        if col is None:
+            break
+        _, _, leave = min(
+            (rows[i][-1] / rows[i][col], basis[i], i)
+            for i in range(m) if rows[i][col] > _EPS
+        )
+        pivot_row = rows[leave]
+        scale = pivot_row[col]
+        pivot_row[:] = [a / scale for a in pivot_row]
+        for row in tableau:
+            factor = row[col]
+            if factor and row is not pivot_row:
+                row[:] = [a - factor * b for a, b in zip(row, pivot_row)]
+        basis[leave] = col
+    y = [0.0] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            y[j] = rows[i][-1]
+    x = tuple(max(c, 0.0) for c in cost[n:n + m])
+    return cost[-1], x, tuple(y)
 
 
 def fractional_edge_cover(
@@ -31,7 +82,8 @@ def fractional_edge_cover(
     """Solve ``min Σ w_F x_F  s.t.  Σ_{F ∋ v} x_F ≥ 1 ∀v, x ≥ 0``.
 
     Returns ``(objective, x)``.  Vertices not covered by any edge make the
-    LP infeasible and raise ``ValueError``.
+    LP infeasible and raise ``ValueError``; so does a negative weight,
+    which makes it unbounded.
     """
     missing = [v for v in vertices if not any(v in e for e in edges)]
     if missing:
@@ -43,21 +95,10 @@ def fractional_edge_cover(
     w = list(weights) if weights is not None else [1.0] * len(edges)
     if len(w) != len(edges):
         raise ValueError("one weight per edge required")
-    # linprog minimizes c @ x with A_ub @ x <= b_ub; coverage constraints
-    # Σ x_F ≥ 1 become -Σ x_F ≤ -1.
-    a_ub = np.zeros((len(vertices), len(edges)))
-    for i, v in enumerate(vertices):
-        for j, e in enumerate(edges):
-            if v in e:
-                a_ub[i, j] = -1.0
-    b_ub = -np.ones(len(vertices))
-    result = linprog(
-        c=np.array(w), A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise ValueError(f"edge cover LP failed: {result.message}")
-    return float(result.fun), tuple(float(x) for x in result.x)
+    if min(w) < 0:
+        raise ValueError("edge cover LP failed: negative weight (unbounded)")
+    objective, x, _ = _packing_simplex(vertices, edges, w)
+    return objective, x
 
 
 def fractional_edge_cover_number(h: Hypergraph) -> float:
@@ -66,20 +107,27 @@ def fractional_edge_cover_number(h: Hypergraph) -> float:
     return value
 
 
-def agm_bound(query, db) -> float:
-    """The best AGM bound 2^{ρ*(Q, D)} for a query on a database instance.
+def agm_from_sizes(query, sizes: Mapping[str, int]) -> float:
+    """The best AGM bound 2^{ρ*(Q, D)} from per-relation cardinalities.
 
     Relations of size 0 make the output empty; we return 0 in that case
     (the LP weight log2(0) is -inf, which the paper's formulation sidesteps
     by the trivial bound |Q| ≤ 0).
     """
-    sizes = [len(db[a.name]) for a in query.atoms]
-    if any(s == 0 for s in sizes):
+    counts = [sizes[a.name] for a in query.atoms]
+    if any(s == 0 for s in counts):
         return 0.0
-    weights = [math.log2(s) if s > 1 else 0.0 for s in sizes]
+    weights = [math.log2(s) if s > 1 else 0.0 for s in counts]
     edges = [frozenset(a.attrs) for a in query.atoms]
     value, _ = fractional_edge_cover(query.variables, edges, weights)
     return 2.0 ** value
+
+
+def agm_bound(query, db) -> float:
+    """:func:`agm_from_sizes` for a query on a database instance."""
+    return agm_from_sizes(
+        query, {a.name: len(db[a.name]) for a in query.atoms}
+    )
 
 
 def bag_cover_number(
@@ -113,8 +161,15 @@ def fhtw(
     if n <= exact_limit:
         best = math.inf
         best_order: Tuple[str, ...] = tuple(h.vertices)
+        # The n! orders share a few dozen distinct bags: solve each once.
+        covers: Dict[FrozenSet[str], float] = {}
         for perm in itertools.permutations(h.vertices):
-            value = fhtw_of_order(h, perm)
+            value = 0.0
+            for bag in h.tree_decomposition(perm).bags.values():
+                cover = covers.get(bag)
+                if cover is None:
+                    cover = covers[bag] = bag_cover_number(bag, h.edges)
+                value = max(value, cover)
             if value < best - 1e-9:
                 best = value
                 best_order = perm

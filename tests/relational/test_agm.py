@@ -1,11 +1,16 @@
 """Tests for AGM bounds, fractional edge covers, and fhtw."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.relational.agm import (
+    _packing_simplex,
     agm_bound,
+    agm_from_sizes,
     agm_per_bag,
     bag_cover_number,
     fhtw,
@@ -49,15 +54,172 @@ class TestFractionalEdgeCover:
         h = Hypergraph.of_query(clique_query(4))
         assert fractional_edge_cover_number(h) == pytest.approx(2.0)
 
+    def test_cycle5_rho_star(self):
+        h = Hypergraph.of_query(cycle_query(5))
+        value, x = fractional_edge_cover(h.vertices, h.edges)
+        assert value == pytest.approx(2.5)
+        assert x == pytest.approx((0.5,) * 5)
+
     def test_uncoverable_vertex(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\['B'\] appear in no edge"):
             fractional_edge_cover(("A", "B"), [frozenset({"A"})])
 
+    def test_no_edges(self):
+        assert fractional_edge_cover((), []) == (0.0, ())
+        # A vertex with no edges at all is reported as uncovered first.
+        with pytest.raises(ValueError, match="appear in no edge"):
+            fractional_edge_cover(("A",), [])
+
     def test_weight_arity_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one weight per edge required"):
             fractional_edge_cover(
                 ("A",), [frozenset({"A"})], weights=[1.0, 2.0]
             )
+
+    def test_negative_weight_is_unbounded(self):
+        with pytest.raises(ValueError, match="edge cover LP failed"):
+            fractional_edge_cover(
+                ("A",), [frozenset({"A"})], weights=[-1.0]
+            )
+
+    def test_weight_zero_edge_is_free(self):
+        # A size-1 relation has weight log2(1) = 0: covering with it
+        # costs nothing, so only C is paid for, by the cheaper edge.
+        edges = [frozenset("AB"), frozenset("BC"), frozenset("AC")]
+        value, x = fractional_edge_cover("ABC", edges, [0.0, 3.0, 4.0])
+        assert value == pytest.approx(3.0)
+        assert x == pytest.approx((1.0, 1.0, 0.0))
+
+    def test_all_zero_weights(self):
+        h = Hypergraph.of_query(clique_query(4))
+        assert check_certificate(h.vertices, h.edges, [0.0] * 6) == 0.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_degenerate_unit_weight_inputs_terminate(self, n):
+        # Every subset of size ≥ 2 as an edge, each one twice (a
+        # self-join): dozens of tied ratios at every pivot, the setting
+        # in which a simplex without an anti-cycling rule can loop.
+        vertices = "ABCDEFG"[:n]
+        edges = [
+            frozenset(c)
+            for k in range(2, n + 1)
+            for c in itertools.combinations(vertices, k)
+        ] * 2
+        value, _ = fractional_edge_cover(vertices, edges)
+        assert value == pytest.approx(1.0)  # the full edge covers all
+        check_certificate(vertices, edges, [1.0] * len(edges))
+
+
+def check_certificate(vertices, edges, weights):
+    """The LP's own optimality certificate: a feasible cover ``x`` and a
+    feasible packing ``y`` with ``w·x == Σy`` — by weak duality both are
+    optimal, whatever solver produced them."""
+    objective, x, y = _packing_simplex(vertices, edges, weights)
+    assert fractional_edge_cover(vertices, edges, weights) == (objective, x)
+    assert len(x) == len(edges) and len(y) == len(vertices)
+    assert all(v >= 0.0 for v in x) and all(v >= -1e-9 for v in y)
+    for v in vertices:
+        assert sum(x[j] for j, e in enumerate(edges) if v in e) >= 1 - 1e-9
+    for e, w in zip(edges, weights):
+        assert sum(y[i] for i, v in enumerate(vertices) if v in e) <= w + 1e-9
+    assert sum(w * xj for w, xj in zip(weights, x)) == pytest.approx(
+        objective, abs=1e-9
+    )
+    assert sum(y) == pytest.approx(objective, abs=1e-9)
+    return objective
+
+
+def exact_cover_optimum(vertices, edges, weights) -> Fraction:
+    """min w·x over the basic feasible solutions of the cover LP, in
+    exact rational arithmetic: every choice of ``m`` tight constraints
+    out of the ``n`` coverage rows and ``m`` sign rows is solved by
+    Gauss-Jordan elimination.  The feasible region is pointed (x ≥ 0)
+    and w ≥ 0 bounds the objective, so some vertex is optimal."""
+    m = len(edges)
+    w = [Fraction(x) for x in weights]
+    constraints = [
+        ([Fraction(int(v in e)) for e in edges], Fraction(1))
+        for v in vertices
+    ] + [
+        ([Fraction(int(i == j)) for j in range(m)], Fraction(0))
+        for i in range(m)
+    ]
+    best = None
+    for tight in itertools.combinations(constraints, m):
+        rows = [list(a) + [b] for a, b in tight]
+        singular = False
+        for col in range(m):
+            pivot = next(
+                (r for r in range(col, m) if rows[r][col] != 0), None
+            )
+            if pivot is None:
+                singular = True
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [a / rows[col][col] for a in rows[col]]
+            for r in range(m):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+        if singular:
+            continue
+        x = [row[-1] for row in rows]
+        if all(sum(a * xj for a, xj in zip(coef, x)) >= rhs
+               for coef, rhs in constraints):
+            value = sum(wj * xj for wj, xj in zip(w, x))
+            if best is None or value < best:
+                best = value
+    return best
+
+
+@st.composite
+def cover_instances(draw, max_edges=8):
+    """Random hypergraphs over ≤ 6 vertices: duplicate edges (self-joins),
+    singletons and nested edges all occur; weights are the ones planning
+    produces — 0 (a size-1 relation), 1 (ρ*), log2 of a cardinality."""
+    universe = "ABCDEF"[: draw(st.integers(1, 6))]
+    edges = draw(st.lists(
+        st.frozensets(st.sampled_from(universe), min_size=1),
+        min_size=1, max_size=max_edges,
+    ))
+    vertices = sorted(set().union(*edges))
+    weight = st.one_of(
+        st.just(0.0), st.just(1.0),
+        st.integers(2, 100_000).map(math.log2),
+    )
+    weights = draw(st.lists(
+        weight, min_size=len(edges), max_size=len(edges)
+    ))
+    return vertices, edges, weights
+
+
+class TestSimplexProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(cover_instances())
+    def test_certificate(self, instance):
+        check_certificate(*instance)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances(max_edges=5))
+    def test_matches_exact_rational_oracle(self, instance):
+        objective = check_certificate(*instance)
+        assert objective == pytest.approx(
+            float(exact_cover_optimum(*instance)), abs=1e-9
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances())
+    def test_matches_scipy_linprog_where_installed(self, instance):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        vertices, edges, weights = instance
+        a_ub = [[-float(v in e) for e in edges] for v in vertices]
+        result = linprog(
+            c=weights, A_ub=a_ub, b_ub=[-1.0] * len(vertices),
+            bounds=(0, None), method="highs",
+        )
+        assert result.success
+        objective, _ = fractional_edge_cover(vertices, edges, weights)
+        assert objective == pytest.approx(result.fun, abs=1e-9)
 
 
 class TestAGMBound:
@@ -79,6 +241,21 @@ class TestAGMBound:
         pairs = [(i, j) for i in range(4) for j in range(4)]
         db = db_for(q, {"R": [(0, 0)], "S": pairs, "T": pairs})
         assert agm_bound(q, db) <= 16.0 + 1e-6
+
+    def test_size_one_relation_has_weight_zero(self):
+        q = triangle_query()
+        pairs = [(i, j) for i in range(4) for j in range(4)]
+        db = db_for(q, {"R": [(0, 0)], "S": pairs, "T": pairs})
+        # x_R = 1 is free and covers A, B; C costs one 16-tuple relation.
+        assert agm_bound(q, db) == pytest.approx(16.0)
+
+    def test_agm_bound_is_agm_from_sizes(self):
+        q = triangle_query()
+        pairs = [(i, j) for i in range(3) for j in range(4)]
+        db = db_for(q, {"R": pairs, "S": pairs[:5], "T": pairs[:7]})
+        sizes = {"R": 12, "S": 5, "T": 7}
+        assert agm_bound(q, db) == agm_from_sizes(q, sizes)
+        assert agm_from_sizes(q, {"R": 12, "S": 0, "T": 7}) == 0.0
 
     def test_monotone_in_relation_size(self):
         q = triangle_query()
@@ -106,6 +283,23 @@ class TestFHTW:
         h = Hypergraph.of_query(cycle_query(4))
         value, _ = fhtw(h)
         assert 1.0 < value <= 2.0 + 1e-9
+
+    def test_exact_search_solves_each_bag_once(self, monkeypatch):
+        from repro.relational import agm
+
+        solved = []
+        real = agm.bag_cover_number
+
+        def counting(bag, edges):
+            solved.append(bag)
+            return real(bag, edges)
+
+        monkeypatch.setattr(agm, "bag_cover_number", counting)
+        h = Hypergraph.of_query(cycle_query(5))
+        value, order = fhtw(h)
+        assert value == pytest.approx(2.0)
+        assert len(solved) == len(set(solved))  # 120 orders, no re-solve
+        assert value == pytest.approx(agm.fhtw_of_order(h, order))
 
     def test_bag_cover_number(self):
         h = Hypergraph.of_query(triangle_query())

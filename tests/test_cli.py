@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -163,3 +168,23 @@ class TestAnalyzeCommand:
         assert "α-acyclic    : True" in out
         assert "Õ(N + Z)" in out
         assert "Õ(|C| + Z)" in out
+
+
+class TestStartupImports:
+    def test_import_pulls_in_no_heavy_module(self):
+        """Every ``repro`` process pays for what ``import repro.cli``
+        loads: the LPs are solved in-repo (no numpy/scipy), networkx is
+        for the workload generators only, and ``http.server`` belongs to
+        ``repro metrics --serve``."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        heavy = ("numpy", "scipy", "networkx", "http.server")
+        code = (
+            "import repro.cli, sys; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, timeout=60,
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
