@@ -3,10 +3,12 @@
 Runs the engine's ``algorithm="auto"`` against each fixed backend on the
 five query-shape families (triangle / path / star / cycle / clique) the
 planner's Table 1 decision table distinguishes, and records the results
-to ``BENCH_planner.json``.  The headline number is the geometric mean of
-``auto_time / best_fixed_time`` across workloads — the price of adaptive
-selection, which must stay within 1.1× (plan caching amortizes the
-planning work across the repeated executions a served workload sees).
+to ``BENCH_planner.json`` (runs already in the file under other labels
+move to its ``history`` list).  The headline number is the geometric
+mean of ``auto_time / best_fixed_time`` across workloads — the price of
+adaptive selection, which must stay within 1.1× (plan caching amortizes
+the planning work across the repeated executions a served workload
+sees).
 
 Usage::
 
@@ -187,6 +189,17 @@ def run_suite(quick: bool, repeats: int) -> Dict[str, dict]:
     return results
 
 
+def previous_records(path: str, label: str) -> List[dict]:
+    """Earlier runs kept in ``path`` under other labels, oldest first."""
+    try:
+        with open(path) as fh:
+            old = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    records = old.pop("history", []) + [old]
+    return [r for r in records if r.get("label") != label]
+
+
 def geometric_mean(xs: List[float]) -> float:
     prod = 1.0
     for x in xs:
@@ -220,6 +233,7 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "results": results,
         "auto_vs_best_geomean": geomean,
+        "history": previous_records(args.output, args.label),
     }
     with open(args.output, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -2,10 +2,12 @@
 
 Each backend gets a cost estimate of the form
 
-    cost = calibration[backend] × quantity(structure, stats)
+    cost = calibration[backend] × quantity(structure, stats) + sort
 
 where *quantity* is the backend's asymptotic running-time expression
-evaluated on the instance's statistics:
+evaluated on the instance's statistics, and *sort* is what the final
+``sorted()`` costs when the backend's stream is not already in output
+order (zero for leapfrog run under ``query.variables``):
 
 * ``yannakakis`` / ``tetris-preloaded`` on α-acyclic queries — Õ(N + Z)
   (Table 1 row 1 / Theorem D.8);
@@ -15,7 +17,8 @@ evaluated on the instance's statistics:
 * ``tetris-reloaded`` — Õ(|C| + Z) at treewidth 1 (row 4 / Theorem 4.7)
   and Õ(|C|^{w+1} + Z) at treewidth w (row 5 / Theorem 4.9), using the
   certificate probe's |C| estimate when available and |C| ≤ N·d otherwise;
-* ``leapfrog`` — the AGM bound Õ(N^ρ*) (row 2, the [52]/[72] class);
+* ``leapfrog`` — candidates examined per GAO level, capped by the AGM
+  bound Õ(N^ρ*) (row 2, the [52]/[72] class);
 * ``hash`` / ``nested-loop`` — classical System-R style intermediate-size
   estimates under attribute independence.
 
@@ -30,17 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.stats import (
-    QueryStats,
-    apply_matching_selectivities,
-    value_overlap_fraction,
-)
+from repro.engine.stats import QueryStats, value_overlap_fraction
 from repro.obs.calibration import DEFAULT_UNIT_SECONDS, load_saved
 from repro.relational.agm import fhtw_of_order
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import JoinQuery
+
+#: Per variable ``(participants, selectivity, overlap)`` — see
+#: :meth:`CostModel._variable_tables`.
+VariableTables = Dict[str, Tuple[list, float, float]]
 
 #: Backends the unified engine can dispatch to, in preference order for
 #: cost ties (earlier wins).
@@ -54,16 +57,43 @@ BACKENDS: Tuple[str, ...] = (
 )
 
 #: Abstract-operation cost per backend, in units of one hash-join probe.
-#: Fitted on the bench_planner workloads (triangle / path / star / cycle /
-#: clique families at bench sizes); ``CostModel.calibrate`` refits.
-#: The Tetris constants were halved (12 → 6) after the frontier-resuming
-#: kernel overhaul (see BENCH_tetris_core.json: ~2× geomean over the old
-#: kernel), and Leapfrog's lowered for the galloping-seek rewrite, so
-#: ``algorithm="auto"`` prices the faster hot paths correctly.
+#: ``hash`` is the anchor.  ``leapfrog`` and ``yannakakis`` were refit in
+#: PR 14 with :meth:`CostModel.calibrate` from kernel-only timings
+#: (``list(iter_*)``, median of 5, sort excluded) over the benchmark's
+#: ``auto_mix`` shapes and the ``bench_planner`` shapes — measured µs per
+#: modelled unit, hash / leapfrog / yannakakis:
+#:
+#:     mix triangle_sparse    0.152 / 0.247 / —
+#:     mix triangle_agm_tight 0.109 / 0.133 / —
+#:     mix path3              0.146 / 0.265 / 0.670
+#:     mix star4              0.136 / 0.210 / 0.703
+#:     mix cycle4             0.101 / 0.204 / —
+#:     triangle_sparse        0.126 / 0.244 / —
+#:     triangle_agm_tight     0.151 / 0.159 / —
+#:     path3_random           0.117 / 0.158 / 0.477
+#:     path4_chained          0.138 / 0.147 / 0.627
+#:     path2_split_cert       0.112 / 0.286 / 0.165
+#:     star4_random           0.085 / 0.103 / 0.451
+#:     cycle4_dense           0.190 / 0.096 / —
+#:     clique4_random         0.120 / 0.181 / —
+#:     median                 0.126 / 0.181 / 0.552   → 1 : 1.44 : 4.4
+#:     median, kernel ≥ 5 ms  0.141 / 0.227 / 0.649   → 1 : 1.61 : 4.6
+#:
+#: Leapfrog's spread is 3× (it was 23× while the quantity counted
+#: surviving bindings, not candidates and seeks); the choices on all 21
+#: raced shapes are the same for any leapfrog constant in 1.0–2.5.
+#: Yannakakis is the one serial backend still running interpreted
+#: generator pipelines, hence 4–5× a compiled hash probe.  The sort
+#: charge :data:`CostModel.SORT` comes from the same runs: ``sorted()``
+#: over an unordered stream costs 13–30 ns per ``Z·log₂Z`` (star4 14.7,
+#: path3 23.4, Yannakakis' set-ordered streams 20–30) against 2–3 ns
+#: when the stream arrives in order — 0.10–0.21 hash units, shipped as
+#: 0.15.  The Tetris constants date from the frontier-resuming kernel
+#: overhaul (12 → 6, BENCH_tetris_core.json) and were not refit here.
 DEFAULT_CALIBRATION: Dict[str, float] = {
-    "yannakakis": 1.0,
+    "yannakakis": 4.5,
     "hash": 1.0,
-    "leapfrog": 1.3,
+    "leapfrog": 1.6,
     "tetris-reloaded": 6.0,
     "tetris-preloaded": 6.0,
     "nested-loop": 0.7,
@@ -162,6 +192,8 @@ class CostEstimate:
     reason: str = ""
     workers: int = 1
     parallel: bool = False
+    sort: float = 0.0
+    gao: Optional[Tuple[str, ...]] = None
 
 
 class CostModel:
@@ -218,6 +250,11 @@ class CostModel:
     #: per-step list allocation) on top of the tuple-proportional work.
     STEP_OVERHEAD = 120.0
 
+    #: Charge per comparison-ish unit ``Ẑ · log₂ Ẑ`` of the final
+    #: ``sorted()`` over a stream that is not in output order, in hash
+    #: units (fit with the table above ``DEFAULT_CALIBRATION``).
+    SORT = 0.15
+
     #: Parallel-plan pricing, in the same hash-probe units (measured at
     #: ~0.8µs each on the bench workloads).  Dispatching a shard costs a
     #: task pickle + pipe round trip (~0.2ms ≈ 250 units).  Input rows
@@ -244,56 +281,99 @@ class CostModel:
 
     # -- per-backend quantities ------------------------------------------------
 
+    @staticmethod
+    def _variable_tables(
+        query: JoinQuery, stats: QueryStats
+    ) -> VariableTables:
+        """Per variable, what every attribute order reads about it.
+
+        ``(participants, selectivity, overlap)``: the ``(relation index,
+        distinct count)`` of each relation mentioning the variable, the
+        System-R matching factor ``max distinct ^ -(occurrences - 1)``,
+        and the shared fraction of the relations' value ranges.
+        """
+        tables = {}
+        for v in query.variables:
+            parts = [
+                (i, p.distinct_of(v))
+                for i, p in enumerate(stats.relations)
+                if v in p.attrs
+            ]
+            top = max(max(d for _, d in parts), 1)
+            ranges = [
+                r
+                for r in (stats.relations[i].range_of(v) for i, _ in parts)
+                if r is not None
+            ]
+            overlap = (
+                value_overlap_fraction(ranges) if len(ranges) > 1 else 1.0
+            )
+            tables[v] = (parts, float(top) ** (1 - len(parts)), overlap)
+        return tables
+
     def _leapfrog_quantity(
         self,
         query: JoinQuery,
-        profile: StructureProfile,
         stats: QueryStats,
+        order: Sequence[str],
+        tables: VariableTables,
     ) -> float:
-        """Σ over GAO prefixes of estimated partial bindings.
+        """Σ over GAO levels of the candidates the intersection examines.
 
-        Leapfrog's work is the number of partial bindings it visits at
-        each level; under independence the bindings over a variable
-        prefix are the cross product of each relation's projection onto
-        the prefix divided by the matching selectivities — an
-        output-sensitive estimate the raw AGM bound (which stays the
-        provable cap, scaled by the [52]/[72] n·polylog) lacks.  Two
-        refinements track the galloping rewrite: there is no per-call
-        trie build (the cached sorted views are shared), so the old
-        Θ(N) setup term is gone, and each shared variable's bindings
-        are scaled by its value-range overlap across relations — the
-        seek gallops straight past disjoint ranges, which is what makes
-        the split-certificate family nearly free.
+        Under independence the bindings *surviving* a variable prefix
+        are the cross product of each relation's projection onto the
+        prefix times the matching selectivities — an output-sensitive
+        estimate the raw AGM bound (which stays the provable cap, scaled
+        by the [52]/[72] n·polylog) lacks.  But the kernel's work at a
+        level is what it *walks*, not what it keeps: every parent
+        binding leapfrogs through the smallest participating relation's
+        fan-out, so a level costs ``max(survivors, parent bindings ×
+        smallest fan-out × seeks)`` — on a sparse triangle the last
+        level walks ~250k candidates to keep ~16k.  ``seeks`` is the
+        galloping depth per candidate, ``Σ log₂(1 + fan-out / smallest
+        fan-out)`` over the participants: 1 for a lone relation (a run
+        is iterated, nothing is sought), 2 for two equal runs, and
+        ~log₂ of the column when a 4-row run is leapfrogged against an
+        unbound relation — what makes a path under a prefix order cost
+        several times a star of the same output.  Each shared
+        variable's bindings and candidates are scaled by its
+        value-range overlap across relations — the seek gallops
+        straight past disjoint ranges, which is what makes the
+        split-certificate family nearly free.  The cap is the AGM bound
+        with the [52]/[72] ``n·log N`` factor.  One pass over
+        ``order``; the per-variable ``tables`` are shared between the
+        orders a plan prices.
         """
-        prefix: set = set()
-        bindings_sum = 0.0
-        for v in profile.gao:
-            prefix.add(v)
-            factors = 1.0
-            occurrences: Dict[str, list] = {}
-            spans: Dict[str, list] = {}
-            for p in stats.relations:
-                shared = [a for a in p.attrs if a in prefix]
-                if not shared:
-                    continue
-                size = 1.0
-                for a in shared:
-                    size *= p.distinct_of(a)
-                factors *= min(float(p.cardinality), size)
-                for a in shared:
-                    occurrences.setdefault(a, []).append(p.distinct_of(a))
-                    r = p.range_of(a)
-                    if r is not None:
-                        spans.setdefault(a, []).append(r)
-            level = apply_matching_selectivities(factors, occurrences)
-            for a, ranges in spans.items():
-                if len(ranges) > 1:
-                    level *= value_overlap_fraction(ranges)
-            bindings_sum += level
-        cap = profile.num_vars * max(stats.agm, 1.0)
-        # Per-atom seek/cursor setup replaces the seed's trie build.
+        cards = [float(p.cardinality) for p in stats.relations]
+        spanned = [1.0] * len(cards)  # Π distinct over bound attributes
+        factor = [1.0] * len(cards)  # min(|R|, spanned) once bound
+        scale = 1.0
+        survivors = 1.0
+        total = 0.0
+        for v in order:
+            parts, selectivity, overlap = tables[v]
+            fans = []
+            for i, d in parts:
+                spanned[i] *= d
+                grown = min(cards[i], spanned[i])
+                fans.append(grown / factor[i] if factor[i] else 0.0)
+                factor[i] = grown
+            fan_out = min(fans)
+            seeks = (
+                sum(math.log2(1.0 + f / fan_out) for f in fans)
+                if fan_out
+                else 1.0
+            )
+            scale *= selectivity * overlap
+            candidates = survivors * fan_out * overlap * seeks
+            survivors = math.prod(factor) * scale
+            total += max(survivors, candidates)
+        cap = (
+            len(order) * max(stats.agm, 1.0) * max(stats.domain_depth, 1)
+        )
+        # Per-atom seek/cursor setup; the sorted views are cached.
         setup = len(query.atoms) * self.STEP_OVERHEAD
-        return setup + min(bindings_sum, cap)
+        return setup + min(total, cap)
 
     def _hash_plan_quantity(
         self, query: JoinQuery, stats: QueryStats
@@ -355,6 +435,22 @@ class CostModel:
 
     # -- the estimate API ------------------------------------------------------
 
+    def _sort_cost(
+        self,
+        stats: QueryStats,
+        tables: VariableTables,
+    ) -> float:
+        """What sorting the unordered output costs, in hash units.
+
+        Ẑ is scaled by every variable's value-range overlap first: the
+        independence estimate does not see that disjoint ranges join
+        to nothing, and an empty output sorts for free.
+        """
+        z = stats.output_estimate * math.prod(
+            overlap for _, _, overlap in tables.values()
+        )
+        return self.SORT * z * math.log2(z) if z > 1.0 else 0.0
+
     def estimate(
         self,
         backend: str,
@@ -362,6 +458,31 @@ class CostModel:
         profile: StructureProfile,
         stats: QueryStats,
     ) -> CostEstimate:
+        tables = self._variable_tables(query, stats)
+        return self._estimate(
+            backend, query, profile, stats,
+            self._sort_cost(stats, tables), tables,
+        )
+
+    def _estimate(
+        self,
+        backend: str,
+        query: JoinQuery,
+        profile: StructureProfile,
+        stats: QueryStats,
+        sort: float,
+        tables: VariableTables,
+    ) -> CostEstimate:
+        """One serial candidate, given the plan's :meth:`_sort_cost` and
+        :meth:`_variable_tables`.
+
+        Hash, Yannakakis and nested-loop streams come out in probe
+        order and always pay it.  The attribute-at-a-time backends emit
+        in GAO-lexicographic order, so they pay it unless their GAO is
+        ``query.variables`` — Tetris's is fixed by the structure
+        (Thm D.8/D.9), leapfrog is worst-case optimal under any order
+        and is priced on both, keeping the cheaper.
+        """
         n = float(stats.total_tuples)
         z = stats.output_estimate
         depth = max(stats.domain_depth, 1)
@@ -369,6 +490,8 @@ class CostModel:
         # the classical backends touch tuples, not dyadic levels.
         tetris_polylog = profile.num_vars * depth
         factor = self.calibration.get(backend, 1.0)
+        gao = None
+        structural_sort = 0.0 if profile.gao == query.variables else sort
 
         if backend == "yannakakis":
             if not profile.acyclic:
@@ -381,29 +504,27 @@ class CostModel:
             # hash tables the passes build.
             steps = 3 * len(query.atoms)
             q = 3 * n + z + steps * self.STEP_OVERHEAD
-            return CostEstimate(
-                backend, True, q, factor * q,
-                f"Õ(N + Z) = 3·{n:g} + {z:g} (+{steps} passes)",
+            formula = f"Õ(N + Z) = 3·{n:g} + {z:g} (+{steps} passes)"
+        elif backend == "leapfrog":
+            q = self._leapfrog_quantity(query, stats, profile.gao, tables)
+            gao, sort = profile.gao, structural_sort
+            if sort:
+                q_ordered = self._leapfrog_quantity(
+                    query, stats, query.variables, tables
+                )
+                if factor * q_ordered <= factor * q + sort:
+                    q, gao, sort = q_ordered, query.variables, 0.0
+            formula = (
+                f"Õ(N + Σ level candidates) ≈ {q:g} (AGM {stats.agm:g})"
             )
-        if backend == "leapfrog":
-            q = self._leapfrog_quantity(query, profile, stats)
-            return CostEstimate(
-                backend, True, q, factor * q,
-                f"Õ(N + Σ prefix bindings) ≈ {q:g} (AGM {stats.agm:g})",
-            )
-        if backend == "hash":
+        elif backend == "hash":
             q = self._hash_plan_quantity(query, stats)
-            return CostEstimate(
-                backend, True, q, factor * q,
-                f"N + Σ intermediates ≈ {q:g}",
-            )
-        if backend == "nested-loop":
+            formula = f"N + Σ intermediates ≈ {q:g}"
+        elif backend == "nested-loop":
             q = self._nested_loop_quantity(query, stats)
-            return CostEstimate(
-                backend, True, q, factor * q,
-                f"Σ prefix scans ≈ {q:g}",
-            )
-        if backend == "tetris-preloaded":
+            formula = f"Σ prefix scans ≈ {q:g}"
+        elif backend == "tetris-preloaded":
+            sort = structural_sort
             if profile.acyclic:
                 q = (n + z) * tetris_polylog
                 formula = f"Õ(N + Z) = ({n:g} + {z:g})·{tetris_polylog}"
@@ -414,8 +535,8 @@ class CostModel:
                     f"Õ(N^fhtw + Z) = ({n:g}^{profile.fhtw_upper:g} "
                     f"+ {z:g})·{tetris_polylog}"
                 )
-            return CostEstimate(backend, True, q, factor * q, formula)
-        if backend == "tetris-reloaded":
+        elif backend == "tetris-reloaded":
+            sort = structural_sort
             c, provenance = self._certificate_estimate(stats)
             w = max(profile.treewidth, 1)
             if w == 1:
@@ -429,8 +550,12 @@ class CostModel:
             # + N for the index build Tetris-Reloaded still pays even
             # when the certificate is O(1).
             q = n + (body + z) * tetris_polylog
-            return CostEstimate(backend, True, q, factor * q, formula)
-        raise ValueError(f"unknown backend {backend!r}")
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        return CostEstimate(
+            backend, True, q, factor * q + sort, formula,
+            sort=sort, gao=gao,
+        )
 
     # -- parallel-plan candidates ----------------------------------------------
 
@@ -527,15 +652,20 @@ class CostModel:
             + self.PARALLEL_SHIP_OUTPUT * z
         )
         factor = self.calibration.get(base.backend, 1.0)
+        # Workers sort their own shards; the parent's final sort then
+        # merges already-sorted runs.
+        sort = base.sort / p
         return CostEstimate(
             base.backend,
             True,
             quantity,
-            factor * quantity + overhead,
+            factor * quantity + overhead + sort,
             f"{base.formula} ∥ ×{p} workers "
             f"({num_shards} shards, {plane})",
             workers=workers,
             parallel=True,
+            sort=sort,
+            gao=base.gao,
         )
 
     def estimate_all(
@@ -550,8 +680,11 @@ class CostModel:
         """Every candidate: serial per backend, plus — when a worker
         count is on the table and the split produced > 1 shard — one
         parallel candidate per backend at that worker count."""
+        tables = self._variable_tables(query, stats)
+        sort = self._sort_cost(stats, tables)
         serial = tuple(
-            self.estimate(b, query, profile, stats) for b in BACKENDS
+            self._estimate(b, query, profile, stats, sort, tables)
+            for b in BACKENDS
         )
         if workers is None or workers < 1 or num_shards <= 1:
             return serial

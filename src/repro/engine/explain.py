@@ -67,6 +67,21 @@ def render_plan(plan: Plan) -> str:
     def display(c) -> str:
         return f"{c.backend} ∥{c.workers}" if c.parallel else c.backend
 
+    # query.variables: attributes in first-appearance order over atoms.
+    variables = tuple(
+        dict.fromkeys(a for p in st.relations for a in p.attrs)
+    )
+
+    def order_note(c) -> str:
+        """The sort term, and for a planner-picked GAO the order itself."""
+        note = f"  + sort {_fmt(c.sort)}"
+        if c.gao is not None:
+            suffix = (
+                ": emits in output order" if c.gao == variables else ""
+            )
+            note += f"  [GAO {', '.join(c.gao)}{suffix}]"
+        return note
+
     width = max(len(display(c)) for c in plan.candidates)
     ordered = sorted(plan.candidates, key=lambda c: c.cost)
     for i, c in enumerate(ordered):
@@ -75,7 +90,8 @@ def render_plan(plan: Plan) -> str:
         if c.applicable:
             lines.append(
                 f"│   {branch} {display(c):<{width}}  "
-                f"cost≈{_fmt(c.cost):>10}  {c.formula}{marker}"
+                f"cost≈{_fmt(c.cost):>10}  {c.formula}{order_note(c)}"
+                f"{marker}"
             )
         else:
             lines.append(

@@ -308,10 +308,17 @@ def _plan_query_impl(
                 f"backend {algorithm!r} is not applicable: {chosen.reason}"
             )
     parallel = chosen.parallel
+    # A caller's GAO is never overridden; otherwise the order the chosen
+    # estimate was priced on (leapfrog's may be ``query.variables``, so
+    # its rows arrive sorted), else the structural one.
+    if gao is not None:
+        plan_gao = tuple(gao)
+    else:
+        plan_gao = chosen.gao if chosen.gao is not None else profile.gao
     plan = Plan(
         backend=chosen.backend,
         index_kind=index_kind if index_kind is not None else "btree",
-        gao=tuple(gao) if gao is not None else profile.gao,
+        gao=plan_gao,
         predicted_cost=chosen.cost,
         chosen=chosen,
         candidates=candidates,

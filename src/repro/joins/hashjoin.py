@@ -102,9 +102,11 @@ def join_hash(
     ``atom_order`` names atoms in join order; defaults to the
     connectivity-aware size-ascending heuristic of :func:`_plan_order`.
     Materialized and sorted; :func:`iter_hash` is the streaming form.
+    The stream needs no de-duplication: relations are sets, and an output
+    row fixes the row it was built from in every atom.
     """
     return sorted(
-        set(iter_hash(query, db, atom_order=atom_order, compiled=compiled))
+        iter_hash(query, db, atom_order=atom_order, compiled=compiled)
     )
 
 

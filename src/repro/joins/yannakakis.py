@@ -148,6 +148,6 @@ def join_yannakakis(
     """Evaluate an α-acyclic join; output tuples follow query.variables.
 
     Materialized and sorted; :func:`iter_yannakakis` is the streaming
-    form.
+    form (duplicate-free: an output row fixes its row in every atom).
     """
-    return sorted(set(iter_yannakakis(query, db)))
+    return sorted(iter_yannakakis(query, db))

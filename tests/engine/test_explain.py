@@ -10,9 +10,10 @@ from repro.workloads.generators import split_path_instance
 
 #: The frozen `repro explain` output for a two-atom path under assumed
 #: uniform statistics.  Every quantity is exact integer arithmetic (64 is
-#: a power of two, so even the AGM LP result rounds cleanly) and the only
-#: fractional cost (leapfrog's 1.3 calibration × 432) is an exact binary
-#: product, which keeps the golden stable across platforms.
+#: a power of two, so even the AGM LP result rounds cleanly and every
+#: leapfrog seek depth is a whole log₂); the fractional constants (1.6,
+#: 4.5, the 0.15 sort charge on 64·log₂64) survive the 4-digit
+#: formatting, which keeps the golden stable across platforms.
 GOLDEN = textwrap.dedent("""\
     # query: R(A, B) ⋈ S(B, C)
     EXPLAIN
@@ -28,13 +29,13 @@ GOLDEN = textwrap.dedent("""\
     │   ├─ S: |S|=64  d(B)=64, d(C)=64
     │   └─ Ẑ ≈ 64  (AGM 4096, independence 64)
     ├─ candidates
-    │   ├─ hash              cost≈       312  N + Σ intermediates ≈ 312 ◀
-    │   ├─ leapfrog          cost≈     561.6  Õ(N + Σ prefix bindings) ≈ 432 (AGM 4096)
-    │   ├─ yannakakis        cost≈      1168  Õ(N + Z) = 3·128 + 64 (+6 passes)
-    │   ├─ nested-loop       cost≈      2912  Σ prefix scans ≈ 4160
-    │   ├─ tetris-preloaded  cost≈     20736  Õ(N + Z) = (128 + 64)·18
-    │   └─ tetris-reloaded   cost≈     90624  Õ(|C| + Z), |Ĉ|=768 (N·d bound)
-    └─ plan: hash  (index btree; predicted cost 312)
+    │   ├─ hash              cost≈     369.6  N + Σ intermediates ≈ 312  + sort 57.6 ◀
+    │   ├─ leapfrog          cost≈     851.2  Õ(N + Σ level candidates) ≈ 496 (AGM 4096)  + sort 57.6  [GAO B, C, A]
+    │   ├─ nested-loop       cost≈      2970  Σ prefix scans ≈ 4160  + sort 57.6
+    │   ├─ yannakakis        cost≈      5314  Õ(N + Z) = 3·128 + 64 (+6 passes)  + sort 57.6
+    │   ├─ tetris-preloaded  cost≈ 2.079e+04  Õ(N + Z) = (128 + 64)·18  + sort 57.6
+    │   └─ tetris-reloaded   cost≈ 9.068e+04  Õ(|C| + Z), |Ĉ|=768 (N·d bound)  + sort 57.6
+    └─ plan: hash  (index btree; predicted cost 369.6)
 """)
 
 
@@ -49,6 +50,23 @@ def test_explain_golden_output(capsys):
     rc = main(["explain", "R(A,B), S(B,C)", "--assume-rows", "64"])
     assert rc == 0
     assert capsys.readouterr().out == GOLDEN
+
+
+def test_explain_marks_the_output_order_gao(capsys):
+    """A star's leapfrog candidate is priced under ``query.variables``:
+    its line names that GAO, says so, and carries a zero sort term while
+    every probe-order candidate carries a positive one."""
+    rc = main([
+        "explain", "R(H,A), S(H,B), T(H,C)", "--assume-rows", "4096",
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    leapfrog = next(l for l in lines if "─ leapfrog " in l)
+    assert leapfrog.endswith(
+        "+ sort 0  [GAO H, A, B, C: emits in output order]"
+    )
+    hash_line = next(l for l in lines if "─ hash " in l)
+    assert "+ sort 7373" in hash_line and "GAO" not in hash_line
 
 
 def test_explain_with_data_and_execute(tmp_path, capsys):

@@ -2,10 +2,38 @@
 
 Each case pins the backend the cost model must choose on a concrete
 instance of one of the paper's query shapes.  The expectations encode
-*measured* reality on this codebase (see BENCH_planner.json), not just
-the asymptotic table — e.g. hash plans win small sparse instances
-despite worse worst-case bounds, and the skewed-hub star is exactly the
-regime where Yannakakis' semijoin reduction pays off.
+*measured* reality on this codebase, not just the asymptotic table:
+each was derived by racing the forced backends through ``execute()``
+on the compiled kernels (PR 14; median of 7, ms — hash / leapfrog /
+yannakakis, ``—`` where not applicable):
+
+    triangle_sparse      0.42 / 0.41 / —        hash (a tie)
+    triangle_agm_tight   0.50 / 0.49 / —        hash (a tie)
+    path3                0.44 / 0.47 / 0.67     hash
+    star4_uniform        0.46 / 0.42 / 0.82     hash (inside 1.1×)
+    cycle4_dense         0.46 / 0.49 / —        hash
+    clique4              0.89 / 1.51 / —        hash
+    star4_skewed_hub     plan-only (Ẑ ≈ 17M rows); the same generator
+                         at n = 60 / 90 (Z = 170k / 791k) races
+                         52.7 / 41.2 / 215.8 and 333 / 213 / 1066:
+                         leapfrog in output order, and the margin
+                         grows with Z — Yannakakis' semijoin passes
+                         keep intermediates at N + Z but its
+                         interpreted probe cascade and the final sort
+                         cost 5× the compiled kernels.
+
+The ``mix_*`` cases are the benchmark's ``auto_mix`` shapes at
+benchmark sizes, asserted plan-only (a 240k-row join is not a unit
+test) and raced once on these very instances:
+
+    mix_triangle_sparse      30.2 / 104.0 / —      hash
+    mix_triangle_agm_tight   16.7 / 20.0 / —       leapfrog (inside
+                             1.2× — hash's triangle stream happens to
+                             arrive sorted, which the model cannot see)
+    mix_path3                16.2 / 54.4 / 99.6    hash
+    mix_star4                125.6 / 81.8 / 294.0  leapfrog under
+                             ``query.variables``
+    mix_cycle4               2.3 / 10.3 / —        hash
 """
 
 import random
@@ -33,6 +61,8 @@ from repro.relational.schema import Domain
 from repro.workloads.generators import (
     agm_tight_triangle,
     dense_cycle_db,
+    graph_triangle_db,
+    random_graph_edges,
     split_path_instance,
 )
 
@@ -96,7 +126,7 @@ def _case_star_uniform():
 
 def _case_star_skewed_hub():
     q, db = skewed_star_db()
-    return q, db, "yannakakis"
+    return q, db, "leapfrog"
 
 
 def _case_cycle():
@@ -106,7 +136,32 @@ def _case_cycle():
 
 def _case_clique():
     q = clique_query(4)
-    return q, random_db(q, 13, n=80, depth=6), "leapfrog"
+    return q, random_db(q, 13, n=200, depth=6), "hash"
+
+
+def _case_mix_triangle_sparse():
+    q, db = graph_triangle_db(random_graph_edges(400, 5000, seed=1))
+    return q, db, "hash"
+
+
+def _case_mix_triangle_agm_tight():
+    q, db = agm_tight_triangle(40)
+    return q, db, "leapfrog"
+
+
+def _case_mix_path3():
+    q = path_query(3)
+    return q, random_db(q, 2, n=4000, depth=10), "hash"
+
+
+def _case_mix_star4():
+    q = star_query(4)
+    return q, random_db(q, 3, n=4000, depth=10), "leapfrog"
+
+
+def _case_mix_cycle4():
+    q = cycle_query(4)
+    return q, random_db(q, 5, n=900, depth=8), "hash"
 
 
 DECISION_CASES = {
@@ -117,6 +172,17 @@ DECISION_CASES = {
     "star4_skewed_hub": _case_star_skewed_hub,
     "cycle4_dense": _case_cycle,
     "clique4": _case_clique,
+    "mix_triangle_sparse": _case_mix_triangle_sparse,
+    "mix_triangle_agm_tight": _case_mix_triangle_agm_tight,
+    "mix_path3": _case_mix_path3,
+    "mix_star4": _case_mix_star4,
+    "mix_cycle4": _case_mix_cycle4,
+}
+
+#: Cases whose leapfrog plan must run under ``query.variables`` — the
+#: order that makes the final sort one O(n) pass.
+EMITS_IN_OUTPUT_ORDER = {
+    "star4_skewed_hub", "mix_triangle_agm_tight", "mix_star4",
 }
 
 
@@ -133,6 +199,9 @@ def test_backend_decisions(name):
     # The chosen estimate is the applicable minimum.
     applicable = [c for c in plan.candidates if c.applicable]
     assert plan.predicted_cost == min(c.cost for c in applicable)
+    if name in EMITS_IN_OUTPUT_ORDER:
+        assert plan.gao == query.variables
+        assert plan.chosen.sort == 0.0
 
 
 @pytest.mark.parametrize(

@@ -427,13 +427,14 @@ class TestCostModel:
         # Scanning input sizes: shm may go parallel where the blob wire
         # stays serial, never the reverse.  The cyclic query replicates
         # partially-covered atoms on the blob wire, so the break moves
-        # visibly (around 5k assumed rows the shm plan is parallel
-        # while the blob plan still prices serial cheaper).
+        # visibly (at 2k–2.5k assumed rows the shm plan is parallel
+        # while the blob plan still prices serial cheaper; it was ~5k
+        # before the serial candidates were charged for their sort).
         from repro.relational.query import triangle_query
 
         query = triangle_query()
         flipped = 0
-        for rows in (1_000, 5_000, 20_000, 80_000, 300_000):
+        for rows in (1_000, 2_000, 2_500, 5_000, 20_000, 80_000, 300_000):
             par = {}
             for flag in (True, False):
                 plan = plan_query(
