@@ -32,6 +32,7 @@ timings — the constant-factor calibration hook.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -150,6 +151,18 @@ def structure_of(query: JoinQuery) -> StructureProfile:
     )
 
 
+def usable_cores() -> int:
+    """Cores this process may run on — the one place the count is read.
+
+    The scheduling affinity, not the machine: under ``taskset`` or a
+    container CPU set, extra workers only time-slice the same cores.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on this platform
+        return os.cpu_count() or 1
+
+
 def _extend_left_deep(
     acc_size: float, acc_distinct: Dict[str, int], profile
 ) -> float:
@@ -255,20 +268,45 @@ class CostModel:
     #: units (fit with the table above ``DEFAULT_CALIBRATION``).
     SORT = 0.15
 
-    #: Parallel-plan pricing, in the same hash-probe units (measured at
-    #: ~0.8µs each on the bench workloads).  Dispatching a shard costs a
-    #: task pickle + pipe round trip (~0.2ms ≈ 250 units).  Input rows
-    #: now ship as flat ``array('q')`` column blobs (one memcpy per
-    #: column, no per-tuple pickling): ~8.5ns per row round trip
-    #: (≈ 0.01 units) on a 100k-row binary relation — priced above the
-    #: raw byte cost because the first ship also rebuilds worker-side
-    #: sorted views and indexes (amortized across repeats by the
-    #: per-worker relation cache).  Output rows still cross the wire as
-    #: tuple lists and pay the parent-side merge, so their charge is
-    #: unchanged.
+    #: Parallel-plan pricing, in the same hash-probe units.  Dispatching
+    #: a shard costs a task pickle + pipe round trip.  Input rows ship as
+    #: flat ``array('q')`` column blobs (one memcpy per column, no
+    #: per-tuple pickling) — priced above the raw byte cost because the
+    #: first ship also rebuilds worker-side sorted views and indexes
+    #: (amortized across repeats by the per-worker relation cache).
+    #: Both were fitted while a unit was ~0.8 µs (interpreted loops) and
+    #: were not refit here.
+    #:
+    #: Output rows are what a parallel run pays for.  A dispatched
+    #: shard's rows are pickled in the worker, piped, and unpickled in
+    #: the parent (≈ 0.42 µs of CPU per row, more than the ≈ 0.29 µs
+    #: that computing one costs); a shard the parent computes itself
+    #: while every worker is busy ships nothing, and ordered shard lists
+    #: concatenate without a sort.  :data:`PARALLEL_SHIP_OUTPUT` is the
+    #: net of that per output row on the critical path, refit as
+    #: ``(T_parallel − T_serial / p) / Z`` from a race of the forced
+    #: serial-best backend at ``workers=2`` on two usable cores, over
+    #: the ``bench_planner`` star and AGM-tight triangle shapes scaled
+    #: until Z matters (µs per row; one unit measured 0.09–0.155 µs on
+    #: the same runs):
+    #:
+    #:     star4   n=1500  Z= 38k   0.52
+    #:     star4   n=4000  Z=243k   0.26
+    #:     star4   n=8000  Z=480k   0.24–0.33
+    #:     agm     k=20    Z=  8k   0.32
+    #:     agm     k=40    Z= 64k   0.17–0.19
+    #:
+    #: 1.3–2.5 units at Z ≥ 64k, shipped as 1.9 (it was 0.25, from the
+    #: 0.8 µs era).  With it the model's parallel/serial ratio on those
+    #: shapes is 1.09–1.38 against 1.15–1.48 measured, so ``auto`` with
+    #: ``workers=2`` on two cores keeps output-bound star and AGM
+    #: queries serial.  Not captured: the hash backend re-builds its
+    #: tables over partially clipped atoms in every shard (Σ shard CPU
+    #: 1.7× serial on the sparse triangle), so its parallel candidates
+    #: are still priced too low.
     PARALLEL_SHARD_OVERHEAD = 250.0
     PARALLEL_SHIP_INPUT = 0.04
-    PARALLEL_SHIP_OUTPUT = 0.25
+    PARALLEL_SHIP_OUTPUT = 1.9
 
     #: Flat charge per (atom × worker) for the shared-memory data
     #: plane: one segment attach + header parse + zero-copy column
@@ -603,9 +641,11 @@ class CostModel:
         Speedup-aware: the backend's quantity splits into an
         input-proportional share and the rest (output/intermediate
         work, which partitions cleanly); both divide by the effective
-        parallelism ``min(workers, shards)``.  On top ride the flat
-        shard-dispatch charge and the output rows (returned and
-        merged).  The input side depends on the data plane: over the
+        parallelism ``min(workers, shards, usable cores)`` — workers
+        beyond the cores this process may run on add no speedup.  On
+        top ride the flat shard-dispatch charge and the output rows
+        (returned and merged).  The input side depends on the data
+        plane: over the
         pickle wire the input share pays the replication factor of
         partially-covered atoms plus per-row shipping; over shared
         memory the input is laid out once and mapped, so replication
@@ -623,7 +663,7 @@ class CostModel:
             from repro.parallel.shm import shm_enabled
 
             use_shm = shm_enabled()
-        p = max(1, min(workers, num_shards))
+        p = max(1, min(workers, num_shards, usable_cores()))
         n = float(stats.total_tuples)
         z = stats.output_estimate
         input_share = (

@@ -25,6 +25,7 @@ limits — its materialized output is truncated after the fact.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -48,7 +49,9 @@ from repro.relational.query import Database, JoinQuery
 
 Row = Tuple[int, ...]
 
-#: A backend runner: (query, db, plan) → (tuples, stats, gao).
+#: A backend runner: (query, db, plan) → (tuples, stats, gao).  The
+#: tuples come back sorted: a serial ``execute()`` returns them as they
+#: are, and a parallel one concatenates ordered shards without a sort.
 BackendRunner = Callable[
     [JoinQuery, Database, Plan],
     Tuple[List[Row], ResolutionStats, Tuple[str, ...]],
@@ -83,13 +86,18 @@ class ResultCursor:
     abandoned once the cap is hit) and an optional ``decode`` dictionary
     maps each row's codes back to original values on the way out.
 
+    A shard-parallel run passes ``batches`` in place of ``rows`` — an
+    iterator of per-shard row lists, each sorted, in completion order.
+    Iteration still yields each shard the moment it completes; only
+    :meth:`fetchall` gathers whole lists.
+
     ``stats`` (and Tetris resolution counters in particular) are filled
     in *during* iteration — read them after consuming the cursor.
     """
 
     def __init__(
         self,
-        rows: Iterator[Row],
+        rows: Optional[Iterator[Row]],
         variables: Tuple[str, ...],
         backend: str,
         plan: Plan,
@@ -97,6 +105,7 @@ class ResultCursor:
         gao: Tuple[str, ...],
         limit: Optional[int] = None,
         decode=None,
+        batches: Optional[Iterator[List[Row]]] = None,
     ):
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
@@ -115,7 +124,15 @@ class ResultCursor:
         #: gets its end time at exhaustion or abandonment.
         self.on_close: Optional[Callable[[], None]] = None
         self.rows_produced = 0
-        self._source = rows  # the backend pipeline itself, for close()
+        #: Whether the last :meth:`fetchall` returned its rows in sorted
+        #: order (a parallel run whose shards tile the leading variable).
+        self.ordered = False
+        if batches is not None:
+            rows = itertools.chain.from_iterable(batches)
+        # The backend pipeline itself, for close().
+        self._source = rows if batches is None else batches
+        # Whole-list gathering needs every row untouched on the way out.
+        self._batches = batches if limit is None and decode is None else None
         if limit is not None:
             rows = itertools.islice(rows, limit)
         if decode is not None:
@@ -147,16 +164,44 @@ class ResultCursor:
         return list(itertools.islice(self, k))
 
     def fetchall(self) -> List[Row]:
-        """Every remaining row, materialized."""
-        return list(self)
+        """Every remaining row, materialized; closes the cursor.
+
+        An untouched parallel cursor gathers its shards' row lists
+        whole, puts them in order of their first row and concatenates.
+        Each list is sorted, so when every boundary also ascends
+        (``prev[-1] < next[0]`` — the shards are ranges of the leading
+        variable) the result *is* the sorted output and :attr:`ordered`
+        says so.
+        """
+        if self._closed:
+            return []
+        if self._batches is not None and self.rows_produced == 0:
+            batches = sorted(
+                filter(None, self._batches), key=operator.itemgetter(0)
+            )
+            rows: List[Row] = []
+            self.ordered = True
+            for batch in batches:
+                if rows and not rows[-1] < batch[0]:
+                    self.ordered = False
+                rows += batch
+        else:
+            rows = list(self._rows)
+        self.rows_produced += len(rows)
+        self.close()
+        return rows
 
     def close(self) -> None:
         """Abandon the underlying pipeline; further iteration stops.
 
         Closes the backend generator itself, not the islice/decode
         wrappers around it, so suspended pipeline frames (and their
-        hash tables) are released immediately.
+        hash tables) are released immediately.  Idempotent: the source
+        is closed once however many paths (exhaustion, ``fetchall``, a
+        ``with`` block) end here.
         """
+        if self._closed:
+            return
         self._closed = True
         close = getattr(self._source, "close", None)
         if close is not None:
@@ -380,9 +425,9 @@ def _parallel_cursor(
     Shards are dealt to the persistent worker pool lazily as the cursor
     is consumed; per-shard ``ResolutionStats`` are absorbed into the
     cursor's aggregate as each shard completes (shards are disjoint in
-    output space, so rows concatenate without deduplication).  Closing
-    the cursor early — the ``limit`` path — stops dealing and drains
-    in-flight shards.
+    output space, so their row lists concatenate without
+    deduplication).  Closing the cursor early — the ``limit`` path —
+    stops dealing and drains in-flight shards.
     """
     from repro.parallel.merge import run_shards
 
@@ -392,7 +437,7 @@ def _parallel_cursor(
     outcomes, report = run_shards(query, db, plan, limit, timeout_ms)
     stats = ResolutionStats()
 
-    def rows() -> Iterator[Row]:
+    def batches() -> Iterator[List[Row]]:
         merge_span = (
             tracer.start("merge", shards=report.num_shards)
             if tracer is not None
@@ -403,7 +448,7 @@ def _parallel_cursor(
             for outcome in outcomes:
                 stats.absorb(outcome.stats)
                 produced += len(outcome.rows)
-                yield from outcome.rows
+                yield outcome.rows
         finally:
             close = getattr(outcomes, "close", None)
             if close is not None:
@@ -412,8 +457,9 @@ def _parallel_cursor(
                 tracer.finish(merge_span, rows=produced)
 
     cursor = ResultCursor(
-        rows(), variables=query.variables, backend=plan.backend,
-        plan=plan, stats=stats, gao=plan.gao, limit=limit, decode=decode,
+        None, variables=query.variables, backend=plan.backend, plan=plan,
+        stats=stats, gao=plan.gao, limit=limit, decode=decode,
+        batches=batches(),
     )
     cursor.parallel = report
     return cursor
@@ -518,7 +564,8 @@ def execute(
     processes: under ``algorithm="auto"`` the cost model decides
     serial-vs-parallel; a forced backend plus ``workers`` always runs
     parallel.  Parallel output is bit-for-bit the serial output (shards
-    partition the output space; the merged rows are re-sorted) — worker
+    partition the output space; their sorted row lists are put in order,
+    and re-sorted only where shard boundaries interleave) — worker
     crashes and hangs are survived by the pool's supervision (respawn,
     retry, serial quarantine), so it stays bit-for-bit under faults too.
     ``timeout_ms`` (default ``REPRO_QUERY_TIMEOUT_MS``) deadlines a
@@ -573,7 +620,9 @@ def execute(
                         query, db, plan=plan, limit=limit,
                         timeout_ms=timeout_ms,
                     ) as cursor:
-                        tuples = sorted(cursor.fetchall())
+                        tuples = cursor.fetchall()
+                        if not cursor.ordered:
+                            tuples.sort()
                         stats, ran_gao = cursor.stats, cursor.gao
                         report = cursor.parallel
                 else:

@@ -134,8 +134,9 @@ def _render_shard_tree(report) -> List[str]:
     )
     lines = [
         f"├─ parallel    : {report.workers} workers × "
-        f"{report.executed_shards} shards run, {report.pruned_shards} "
-        f"pruned (split on {split})",
+        f"{report.executed_shards} shards run "
+        f"({report.shards_in_parent} in parent), "
+        f"{report.pruned_shards} pruned (split on {split})",
         f"│   ├─ shipped  : {report.rows_shipped} rows{resh}, "
         f"{report.bytes_shipped} B wire "
         f"(nominal {report.bytes_nominal} B), ref hits "

@@ -3,19 +3,25 @@
 :func:`run_shards` is the orchestration entry the engine's executor
 calls: partition → clip (pruning shards with an empty relation before
 any dispatch) → deal to the persistent pool → yield
-:class:`ShardOutcome` objects in completion order.  The engine wraps the
-outcome stream into its ordinary :class:`ResultCursor` — ``limit``,
-``decode`` and ``close`` (which stops dealing and drains the pool) all
-keep their serial semantics — and aggregates per-shard
-``ResolutionStats`` with :meth:`ResolutionStats.merge`.
+:class:`ShardOutcome` objects in completion order, each carrying its
+shard's rows as one sorted list.  The engine hands those lists to its
+ordinary :class:`ResultCursor`: iteration streams them shard by shard,
+``fetchall`` puts them in order of their first row and concatenates —
+shards that are ranges of the leading variable *are* the sorted output,
+and only interleaving shards are sorted again.  ``limit``, ``decode``
+and ``close`` (which stops dealing and drains the pool) keep their
+serial semantics, and per-shard ``ResolutionStats`` aggregate with
+:meth:`ResolutionStats.merge`.
 
 The :class:`ParallelReport` filled along the way is the subsystem's
-instrumentation: per-shard compute seconds (measured inside the worker),
-per-worker busy time, rows shipped vs. reference hits, pruned shard
-count, and the **makespan** — partition time + parent-side coordination
-+ the busiest worker — which is the wall time a host with ≥ ``workers``
-free cores sees, and what ``repro explain`` and the parallel benchmark
-render.
+instrumentation: per-shard compute seconds (CPU, measured where the
+shard ran), per-process busy time — worker id ``-1`` is the parent,
+which computes shards itself while every worker is busy
+(``shards_in_parent``) as well as quarantined and degraded ones — rows
+shipped vs. reference hits, pruned shard count, and the **makespan** —
+partition time + parent-side coordination + the busiest process —
+which is the wall time a host with ≥ ``workers`` free cores sees, and
+what ``repro explain`` and the parallel benchmark render.
 """
 
 from __future__ import annotations
@@ -109,6 +115,13 @@ class ParallelReport:
     shards_quarantined: int = 0
     serial_fallback_shards: int = 0
     shm_export_errors: int = 0
+    #: Never-dispatched shards the parent computed itself because every
+    #: worker was busy and nothing was ready to receive.  Not a fault
+    #: and not a dispatch: ``had_faults`` ignores it.
+    shards_in_parent: int = 0
+    #: Wall seconds the deal loop spent executing shards in the parent
+    #: (taken, quarantined or degraded alike).
+    in_parent_seconds: float = 0.0
     #: Pipe dispatches attempted vs. answered clean.  Tallied apart so
     #: quarantine re-runs (in-parent, no pipe) inflate neither: in a
     #: fault-free run ``attempts == successes == executed shards dealt
@@ -118,9 +131,15 @@ class ParallelReport:
     dispatch_successes: int = 0
     #: The run aborted on its deadline (the report is partial).
     timed_out: bool = False
+    #: Wall seconds of partition + clip (zero-ish on a job-cache hit).
     partition_seconds: float = 0.0
-    #: Wall time of the deal/collect loop, parent side.
+    #: Wall seconds from the outcome stream's first pull to its close.
+    #: When the cursor *streams*, whatever the consumer does between
+    #: pulls is inside it; materialising paths (``fetchall``,
+    #: ``execute``) pull back to back.
     loop_seconds: float = 0.0
+    #: worker id → Σ CPU seconds (``process_time``) of the shards it
+    #: ran; ``-1`` is the parent.
     worker_busy: Dict[int, float] = field(default_factory=dict)
     #: (shard description, worker id, output rows, compute seconds),
     #: completion order — the EXPLAIN shard tree's rows.
@@ -146,27 +165,37 @@ class ParallelReport:
 
     @property
     def total_compute_seconds(self) -> float:
-        """Σ per-shard compute — the run's aggregate worker CPU time."""
+        """Σ per-shard compute — the run's aggregate shard CPU time,
+        parent-run shards included."""
         return sum(self.worker_busy.values())
 
     @property
     def max_worker_seconds(self) -> float:
-        """The busiest worker's total compute: the parallel critical path."""
+        """The busiest process's total shard CPU (the parent counts as
+        one): the parallel critical path."""
         return max(self.worker_busy.values(), default=0.0)
 
     @property
     def coordination_seconds(self) -> float:
-        """Parent-side work during the loop: dispatch pickling, receive,
-        merge.  Measured as loop wall minus worker compute; on a host
-        with enough free cores worker compute overlaps the loop and this
-        collapses toward the true (small) coordination cost, hence the
+        """Parent-side work during the loop that is not shard compute:
+        dispatch pickling, receive, unpickling results.
+
+        ``loop_seconds`` (wall) minus ``in_parent_seconds`` (wall: those
+        shards ran inside the loop, serially) minus the workers' shard
+        CPU seconds.  The last term is on another clock and another
+        core: it is exact when workers and parent share one core, and on
+        a host with free cores worker compute overlaps the loop and this
+        collapses toward the true (small) coordination cost — hence the
         clamp at zero."""
-        return max(0.0, self.loop_seconds - self.total_compute_seconds)
+        in_workers = sum(s for w, s in self.worker_busy.items() if w >= 0)
+        return max(
+            0.0, self.loop_seconds - self.in_parent_seconds - in_workers
+        )
 
     @property
     def makespan_seconds(self) -> float:
         """Critical-path wall time with ≥ ``workers`` free cores:
-        partition + serial coordination + the busiest worker."""
+        partition + serial coordination + the busiest process."""
         return (
             self.partition_seconds
             + self.coordination_seconds
@@ -219,6 +248,7 @@ class ParallelReport:
         return (
             f"workers={self.workers} shards={self.executed_shards}"
             f"+{self.pruned_shards} pruned "
+            f"({self.shards_in_parent} in parent) "
             f"shipped={self.rows_shipped} rows (ref hits {hit}){shm} "
             f"makespan={self.makespan_seconds:.4f}s "
             f"(busiest worker {self.max_worker_seconds:.4f}s)"
@@ -477,10 +507,12 @@ def run_shards(
                             "deadline",
                             report=report,
                         )
+                    t_job = time.perf_counter()
                     result = run_job_in_parent(
                         job, query.atoms, plan.backend, plan.index_kind,
                         plan.gao, limit, trace_ctx,
                     )
+                    report.in_parent_seconds += time.perf_counter() - t_job
                     report.serial_fallback_shards += 1
                     yield emit(result, -1, job)
                 return
@@ -527,6 +559,7 @@ def _publish_report(report: ParallelReport) -> None:
             "parallel.shards.executed": report.executed_shards,
             "parallel.shards.pruned": report.pruned_shards,
             "parallel.shards.stolen": report.shards_stolen,
+            "parallel.shards.in_parent": report.shards_in_parent,
             "parallel.ship.rows": report.rows_shipped,
             "parallel.ship.rows_reshipped": report.rows_reshipped,
             "parallel.ship.bytes": report.bytes_shipped,

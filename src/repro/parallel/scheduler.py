@@ -8,6 +8,23 @@ result arrives.  With the partitioner's oversharding (more shards than
 workers) this is classic LPT-style list scheduling — a skewed shard
 delays one worker by one shard, never the whole run.
 
+The parent **is a worker when it would otherwise sleep**.  Moving an
+output row to the parent (pickle, pipe, unpickle) costs more CPU than
+computing it, and the parent is the process that pays the unpickle — so
+when every worker is busy, shards are still pending and a zero-timeout
+look at the pipes finds nothing to receive, the parent pops the
+*lightest* pending shard and computes it itself through
+:func:`run_job_in_parent`: the same ``execute_shard``, no pipe, no
+pickle.  It takes only shards that were **never dispatched** (attempt
+0): a shard that already cost a worker stays on the retry → quarantine
+ladder below, and the heaviest shards — dealt first, LPT — are never the
+parent's.  It never takes one in degraded mode or past the deadline (a
+taken shard can overrun the deadline by one shard, as a quarantined one
+can).  Such a shard is yielded with worker id ``-1`` and tallied in
+``ParallelReport.shards_in_parent`` — not as a fault, not as a dispatch.
+So ``-1`` means "ran in the parent", for any of three reasons: taken
+while the workers were busy, quarantined, or degraded.
+
 Dealing is **cache-affine**: the pool mirrors each worker's relation
 cache (exactly — inserts are decided here, evictions are acknowledged on
 the next result from that worker, and a worker never holds two tasks, so
@@ -199,9 +216,12 @@ def run_job_in_parent(
 ) -> ShardResult:
     """Execute one clipped shard serially in the parent process.
 
-    The quarantine / degradation path: the clipped relations are already
-    parent-side (that's what :class:`PendingShard` carries), so the
-    shard runs through the exact worker code path —
+    How the parent computes a shard — one it took because every worker
+    was busy, a quarantined one, or all of them in degraded mode.  The
+    clipped relations are already parent-side (that's what
+    :class:`PendingShard` carries; a slice plan keeps its materialized
+    relation, so a repeated query finds it warm), so the shard runs
+    through the exact worker code path —
     :func:`~repro.parallel.workers.execute_shard` over bare relation
     payloads — with no pipes, no pickling, no shared memory.  Raises
     :class:`WorkerError` when the shard fails even here: a shard that
@@ -223,7 +243,10 @@ def run_job_in_parent(
         limit=limit,
         trace=trace,
     )
-    result = execute_shard(task, WorkerCache())
+    # As in a worker, no tracer is ambient: the shard reports exactly
+    # the spans it opens under ``trace``, whichever process ran it.
+    with _tracing.use(None):
+        result = execute_shard(task, WorkerCache())
     if result.error is not None:
         raise WorkerError(
             f"shard {job.shard_id} failed even in serial in-parent "
@@ -399,8 +422,9 @@ class WorkerPool:
         """Deal shards dynamically; yield results in completion order.
 
         Yields ``(result, worker_id, job)`` — ``worker_id`` is ``-1``
-        for shards executed serially in-parent (quarantine or degraded
-        mode).  ``deadline`` is a ``time.monotonic()`` instant; past it
+        for shards executed in the parent (taken while every worker was
+        busy, quarantined, or degraded mode).  ``deadline`` is a
+        ``time.monotonic()`` instant; past it
         the run aborts with :class:`QueryTimeout` (busy workers are
         killed and respawned so the pool stays serviceable).
 
@@ -443,14 +467,31 @@ class WorkerPool:
         degraded = False
 
         def serial(job: PendingShard, why: str) -> ShardResult:
-            if report is not None:
-                if why == "quarantine":
-                    report.shards_quarantined += 1
-                else:
-                    report.serial_fallback_shards += 1
-            return run_job_in_parent(
-                job, atoms, backend, index_kind, gao, limit, trace
-            )
+            t0 = time.perf_counter()
+            try:
+                return run_job_in_parent(
+                    job, atoms, backend, index_kind, gao, limit, trace
+                )
+            finally:
+                if report is not None:
+                    report.in_parent_seconds += time.perf_counter() - t0
+                    if why == "quarantine":
+                        report.shards_quarantined += 1
+                    elif why == "degraded":
+                        report.serial_fallback_shards += 1
+                    else:
+                        report.shards_in_parent += 1
+
+        def spare_job() -> Optional[PendingShard]:
+            """Pop the lightest never-dispatched pending shard, if any.
+
+            A shard that already cost a worker stays on the retry →
+            quarantine ladder; the parent only takes attempt-0 work.
+            """
+            for i in range(len(pending) - 1, -1, -1):
+                if pending[i].shard_id not in attempts:
+                    return pending.pop(i)
+            return None
 
         def fail(wid: int, reason: str) -> Optional[PendingShard]:
             """A busy worker died or hung: respawn it, decide the shard.
@@ -530,9 +571,19 @@ class WorkerPool:
                 # armed, timeout stays None — a plain blocking wait.
                 conns = {self._conns[w]: w for w in busy}
                 sentinels = {self._procs[w].sentinel: w for w in busy}
-                ready = mp_connection.wait(
-                    list(conns) + list(sentinels), timeout
-                )
+                waitable = list(conns) + list(sentinels)
+                # Shards still pending here means every worker is busy,
+                # and blocking would put to sleep a core the run could
+                # use.  So the parent only looks (zero timeout), and
+                # when nothing is ready it computes a shard itself.
+                look = bool(pending) and not degraded
+                ready = mp_connection.wait(waitable, 0 if look else timeout)
+                if look and not ready:
+                    job = spare_job()
+                    if job is None:
+                        ready = mp_connection.wait(waitable, timeout)
+                    else:
+                        yield serial(job, "in-parent"), -1, job
                 ready_wids: List[int] = []
                 dead_wids: List[int] = []
                 seen = set()

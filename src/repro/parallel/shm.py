@@ -41,6 +41,7 @@ Lifecycle safety is the hard part and is handled here:
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import pickle
 import time
@@ -244,7 +245,17 @@ class SlicePlan:
         return 8 * len(self) * self.base.schema.arity
 
     def materialize(self) -> Relation:
-        """The equivalent clipped relation (the pickle-fallback form)."""
+        """The equivalent clipped relation: the pickle-fallback form,
+        and what a shard executed in the parent reads.
+
+        Built once per plan.  Plans live in the prepared-job cache, so
+        a repeated query finds the relation — and the sorted views it
+        memoizes — already there, as a warm worker does.
+        """
+        return self._materialized
+
+    @functools.cached_property
+    def _materialized(self) -> Relation:
         rows = filter_rows(self.base.rows()[self.lo:self.hi], self.rest)
         return Relation.from_sorted_rows(
             self.base.schema, rows, self.base.domain

@@ -186,6 +186,100 @@ def test_close_releases_limited_pipeline():
     assert finalized == [True]
 
 
+class _CountedSource:
+    """An iterator that counts how often the cursor closes it."""
+
+    def __init__(self, items):
+        self._it = iter(items)
+        self.closes = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._it)
+
+    def close(self):
+        self.closes += 1
+
+
+def _bare_cursor(rows, **kwargs):
+    from repro.engine.executor import ResultCursor
+
+    query, db = WORKLOADS["graph_triangles"]
+    plan = execute(query, db, algorithm="hash").plan
+    return ResultCursor(
+        rows, variables=query.variables, backend="hash", plan=plan,
+        stats=plan.stats, gao=plan.gao, **kwargs,
+    )
+
+
+#: Three shards' worth of rows, sorted within and across the lists.
+_SHARDS = ([(0, 1), (0, 2)], [], [(3, 0)], [(5, 5), (6, 0), (7, 7)])
+_ROWS = [row for shard in _SHARDS for row in shard]
+
+
+@pytest.mark.parametrize("sharded", (False, True), ids=("serial", "shards"))
+class TestFetchallBookkeeping:
+    """``fetchall`` returns what is left, counts it, closes once —
+    whether the cursor reads a row stream or per-shard row lists."""
+
+    def _cursor(self, sharded, **kwargs):
+        if sharded:
+            source = _CountedSource(reversed(_SHARDS))  # completion order
+            return source, _bare_cursor(None, batches=source, **kwargs)
+        source = _CountedSource(_ROWS)
+        return source, _bare_cursor(source, **kwargs)
+
+    def test_untouched(self, sharded):
+        source, cursor = self._cursor(sharded)
+        assert cursor.fetchall() == _ROWS
+        assert cursor.ordered is sharded
+        assert cursor.rows_produced == len(_ROWS)
+        assert source.closes == 1
+
+    def test_after_partial_iteration(self, sharded):
+        source, cursor = self._cursor(sharded)
+        taken = [next(cursor), next(cursor)]
+        rest = cursor.fetchall()
+        assert sorted(taken + rest) == _ROWS
+        assert len(rest) == len(_ROWS) - 2
+        assert not cursor.ordered  # a remainder claims nothing
+        assert cursor.rows_produced == len(_ROWS)
+        assert source.closes == 1
+
+    def test_after_close(self, sharded):
+        source, cursor = self._cursor(sharded)
+        next(cursor)
+        cursor.close()
+        assert cursor.fetchall() == []
+        cursor.close()
+        assert cursor.rows_produced == 1
+        assert source.closes == 1
+
+    def test_exhaustion_then_fetchall_then_exit(self, sharded):
+        source, cursor = self._cursor(sharded)
+        with cursor:
+            assert sorted(cursor) == _ROWS
+            assert cursor.fetchall() == []
+        assert cursor.rows_produced == len(_ROWS)
+        assert source.closes == 1
+
+    def test_limit_and_decode(self, sharded):
+        dictionary = ValueDictionary()
+        for v in range(8):
+            dictionary.encode(f"v{v}")
+        source, cursor = self._cursor(sharded, limit=4, decode=dictionary)
+        first = next(cursor)
+        rest = cursor.fetchall()
+        assert len(rest) == 3
+        assert cursor.rows_produced == 4
+        assert not cursor.ordered
+        decoded = {tuple(f"v{v}" for v in row) for row in _ROWS}
+        assert {first, *rest} <= decoded
+        assert source.closes == 1
+
+
 def test_negative_limit_rejected():
     query, db = WORKLOADS["graph_triangles"]
     with pytest.raises(ValueError):

@@ -182,8 +182,11 @@ def test_worker_spans_carry_foreign_pids_and_stitch():
     assert len(shard_spans) == result.parallel.executed_shards > 0
     dispatch = next(s for s in tracer.spans if s.name == "parallel.dispatch")
     assert {s.parent_id for s in shard_spans} == {dispatch.span_id}
-    # Shards ran in worker processes, not the parent.
-    assert all(s.pid != tracer.pid for s in shard_spans)
+    # Shards ran in worker processes, except the ones the parent took
+    # while every worker was busy — those are its own spans.
+    local = [s for s in shard_spans if s.pid == tracer.pid]
+    assert len(local) == result.parallel.shards_in_parent
+    assert len(local) < len(shard_spans)
 
 
 def test_disabled_path_is_bit_identical():

@@ -128,6 +128,29 @@ class TestCrashRecovery:
         assert result.parallel.shards_quarantined == 0
         assert not result.parallel.timed_out
 
+    def test_parent_takes_only_never_dispatched_shards(
+        self, instance, workers, monkeypatch
+    ):
+        """The parent computes shards while the workers are busy (or
+        being respawned), but a shard that already cost a worker stays
+        on the retry ladder: it finishes on a worker, not under -1."""
+        query, db, serial = instance
+        plan = plan_query(query, db, algorithm="hash", workers=workers)
+        _, jobs, _ = prepare_jobs(query, db, plan)
+        victim = max(jobs, key=lambda j: j.weight)
+        _arm(monkeypatch, f"crash@{victim.shard_id}*2")
+        result = execute(query, db, algorithm="hash", workers=workers)
+        report = result.parallel
+        assert result.tuples == serial
+        assert report.worker_respawns >= 2
+        assert report.shard_retries >= 2
+        assert report.shards_quarantined == 0
+        ran_on = {cell: wid for cell, wid, _, _ in report.shard_details}
+        assert ran_on[victim.shard.describe()] >= 0
+        assert report.shards_in_parent == sum(
+            1 for wid in ran_on.values() if wid == -1
+        )
+
     def test_permanent_crash_quarantines_to_serial(
         self, instance, workers, monkeypatch
     ):

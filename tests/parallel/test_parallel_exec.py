@@ -9,7 +9,13 @@ result — same rows, same order (both sides sort), same multiplicity
 import pytest
 
 from repro.core.resolution import ResolutionStats
-from repro.engine import clear_plan_cache, execute, execute_cursor, plan_query
+from repro.engine import (
+    clear_plan_cache,
+    cost,
+    execute,
+    execute_cursor,
+    plan_query,
+)
 from repro.parallel import get_pool, shutdown_pools
 from repro.relational.io import ValueDictionary
 from repro.relational.query import star_query
@@ -173,6 +179,13 @@ class TestMergedCursorSemantics:
 
 
 class TestPlannerDecision:
+    @pytest.fixture(autouse=True)
+    def _four_usable_cores(self, monkeypatch):
+        # The decisions below are about workers=4; price them for a
+        # host with the cores to run four, whatever this one's
+        # affinity mask allows.
+        monkeypatch.setattr(cost, "usable_cores", lambda: 4)
+
     def test_tiny_instance_stays_serial_under_auto(self):
         query, db = graph_triangle_db([(0, 1), (1, 2), (0, 2)])
         plan = plan_query(query, db, workers=4, use_cache=False)

@@ -21,9 +21,10 @@ import signal
 
 import pytest
 
-from repro.engine import clear_plan_cache, execute, plan_query
+from repro.engine import clear_plan_cache, cost, execute, plan_query
 from repro.engine.cost import CostModel
 from repro.parallel import clear_job_cache, shutdown_pools
+from repro.parallel.merge import prepare_jobs
 from repro.parallel.scheduler import get_pool
 from repro.parallel.shm import (
     ARENA,
@@ -372,9 +373,27 @@ class TestShipAccounting:
         assert rep.bytes_shipped > 0
         assert rep.bytes_nominal > 0
         assert rep.shm_ships == 0
-        # First run from a fresh pool: nothing can be a re-ship yet.
-        later = execute(query, db, algorithm="hash", workers=2)
-        assert later.parallel.rows_shipped == 0  # only re-ships remain
+        # Only shards actually dispatched ship: one the parent computed
+        # itself never crossed the wire, so it first-ships whenever a
+        # later run deals it to a worker.
+        _, jobs, _ = prepare_jobs(query, db, result.plan)
+        by_cell = {job.shard.describe(): job for job in jobs}
+
+        def dispatched(report):
+            return {
+                key: len(piece)
+                for cell, worker, _rows, _s in report.shard_details
+                if worker >= 0
+                for _name, key, piece in by_cell[cell].relations
+            }
+
+        first = dispatched(rep)
+        assert rep.rows_shipped == sum(first.values())
+        later = execute(query, db, algorithm="hash", workers=2).parallel
+        assert later.rows_shipped == sum(
+            rows for key, rows in dispatched(later).items()
+            if key not in first
+        )
 
     def test_metrics_registry_carries_shm_counters(self):
         shutdown_pools()
@@ -399,6 +418,12 @@ class TestShipAccounting:
 
 
 class TestCostModel:
+    @pytest.fixture(autouse=True)
+    def _four_usable_cores(self, monkeypatch):
+        # These plans ask for workers=4; price them for a host with the
+        # cores to run four, whatever this one's affinity mask allows.
+        monkeypatch.setattr(cost, "usable_cores", lambda: 4)
+
     def test_shm_prices_parallel_cheaper(self):
         query = path_query(2)
         plans = {
