@@ -9,15 +9,16 @@ The paper stores the knowledge base in a multilevel dyadic tree so the
 scans — retained to measure exactly how much the data structure
 contributes (benchmarks/bench_ablation.py).  Both implement the full
 protocol :class:`~repro.core.tetris.TetrisEngine` expects of
-``knowledge_base``: ``add`` / ``discard`` / ``find_container`` /
-``find_shallowest_container`` / ``find_all_containers``, so every engine
+``knowledge_base``: ``add`` / ``add_many`` / ``discard`` /
+``find_container`` / ``find_shallowest_container`` /
+``find_all_containers``, so every engine
 mode (including frontier resumption and bounded resolvent admission)
 runs unchanged on either store.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.core.boxes import PackedBox, box_contains
 
@@ -54,6 +55,10 @@ class ListStore:
         self._boxes.append(box)
         self.version += 1
         return True
+
+    def add_many(self, boxes: Iterable[PackedBox]) -> int:
+        """Bulk insert (the preload path); returns how many were new."""
+        return sum(map(self.add, boxes))
 
     def discard(self, box: PackedBox) -> bool:
         """Remove a stored box; returns ``False`` when absent (O(n))."""

@@ -200,8 +200,17 @@ class BoxSetOracle:
         return self._tree.find_all_containers_many(unit_boxes)
 
     def boxes(self) -> Sequence[PackedBox]:
-        """The full box set (used by Tetris-Preloaded initialization)."""
+        """The full box set, in space order."""
         return self._boxes
+
+    def ordered_boxes(self, axes: Sequence[int]) -> Iterable[PackedBox]:
+        """The box set with component ``k`` taken from space axis
+        ``axes[k]`` — what Tetris-Preloaded loads, in the engine's SAO."""
+        if tuple(axes) == tuple(range(self.ndim)):
+            return self._boxes
+        # A non-identity permutation has ndim >= 2: the getter
+        # returns tuples.
+        return map(itemgetter(*axes), self._boxes)
 
 
 class TetrisEngine:
@@ -250,7 +259,7 @@ class TetrisEngine:
         self.cache_resolvents = cache_resolvents
         self.stats = stats if stats is not None else ResolutionStats()
         # The store behind Algorithm 1's A; any object with
-        # add / find_container / find_all_containers works
+        # add / add_many / find_container / find_all_containers works
         # (see repro.core.stores for the linear-scan ablation).
         self.knowledge_base = (
             knowledge_base
@@ -488,14 +497,19 @@ class TetrisEngine:
     ):
         """Solve the box cover problem, returning all uncovered points.
 
-        ``oracle`` supplies the input gap boxes in space order; with
-        ``preload=True`` they are all loaded into the knowledge base up
-        front (Tetris-Preloaded), otherwise they are pulled on demand
-        (Tetris-Reloaded).  ``mode`` selects the traversal: ``"resume"``
-        (default) is the frontier-resuming skeleton, ``"onepass"`` the
-        TetrisSkeleton2 variant, ``"faithful"`` the restart-per-output
-        Algorithm 2.  The legacy ``one_pass`` flag maps to
-        ``"onepass"``/``"faithful"`` when given explicitly.
+        ``oracle`` supplies the input gap boxes.  With ``preload=True``
+        they are all loaded into the knowledge base up front
+        (Tetris-Preloaded): one ``add_many`` pass over
+        ``oracle.ordered_boxes(sao)``, which streams them already in
+        this engine's SAO order and leaves duplicates for the knowledge
+        base to skip.  Otherwise they are pulled on demand through
+        ``oracle.containing``, in space order (Tetris-Reloaded).
+
+        ``mode`` selects the traversal: ``"resume"`` (default) is the
+        frontier-resuming skeleton, ``"onepass"`` the TetrisSkeleton2
+        variant, ``"faithful"`` the restart-per-output Algorithm 2.  The
+        legacy ``one_pass`` flag maps to ``"onepass"``/``"faithful"``
+        when given explicitly.
 
         ``return_boxes=True`` yields each output as a full packed unit
         box (space order) rather than a tuple of values — required for
@@ -513,22 +527,9 @@ class TetrisEngine:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if oracle is not None and preload:
-            kb = self.knowledge_base
-            boxes = oracle.boxes()
-            if not self._sao_identity:
-                # One C-level pass; a non-identity SAO has ndim >= 2, so
-                # the getter returns tuples.
-                boxes = map(itemgetter(*self.sao), boxes)
-            add_many = getattr(kb, "add_many", None)
-            if add_many is not None:
-                loaded = add_many(boxes)
-            else:
-                kb_add = kb.add
-                loaded = 0
-                for box in boxes:
-                    if kb_add(box):
-                        loaded += 1
-            self.stats.boxes_loaded += loaded
+            self.stats.boxes_loaded += self.knowledge_base.add_many(
+                oracle.ordered_boxes(self.sao)
+            )
         self._return_boxes = return_boxes
         if mode == "onepass":
             return self._run_one_pass(oracle, max_outputs)

@@ -129,8 +129,8 @@ class _BudgetedOracle:
             raise ProbeBudgetExceeded()
         return boxes
 
-    def boxes(self):
-        return self._oracle.boxes()
+    def ordered_boxes(self, axes):
+        return self._oracle.ordered_boxes(axes)
 
 
 def probe_certificate(

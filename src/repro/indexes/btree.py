@@ -16,17 +16,31 @@ example).
 Gap boxes are emitted directly in **packed** marker-bit form (see
 :mod:`repro.core.intervals`): the Tetris oracle consumes them without a
 pair-tuple round-trip.
+
+All of this is **per-relation geometry**: the trie and its gap boxes
+depend on the stored relation and σ alone.  The index extracts the boxes
+once, in one walk of the trie, into flat columns — one ``array('Q')``
+per attribute of ``attr_order`` (:class:`~repro.indexes.gaps.GapColumns`)
+— and serves ``gap_columns()`` / ``gap_boxes()`` / ``count_gap_boxes()``
+from them; :mod:`repro.indexes.oracle` keeps the index itself on the
+relation's sorted view for σ.  Lifting a box into a query's output space
+is the per-query part and happens in the oracle, not here.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core import intervals as dy
 from repro.core.boxes import PackedBox
-from repro.core.intervals import PLAMBDA, Packed
-from repro.indexes.gaps import pdyadic_gaps, pgap_piece_containing
+from repro.core.intervals import PLAMBDA
+from repro.indexes.gaps import (
+    GAP_TYPECODE,
+    GapColumns,
+    pdyadic_gaps_sorted,
+    pgap_piece_containing,
+)
 from repro.relational.relation import Relation
 
 
@@ -51,7 +65,7 @@ class _TrieNode:
 _LEAF = _TrieNode()
 
 
-class BTreeIndex:
+class BTreeIndex(GapColumns):
     """A trie index on a relation with a fixed attribute search order.
 
     ``attr_order`` must be a permutation of the relation's attributes; the
@@ -113,30 +127,39 @@ class BTreeIndex:
 
     # -- gap boxes -------------------------------------------------------------
 
-    def gap_boxes(self) -> Iterator[Tuple[PackedBox, Tuple[str, ...]]]:
-        """All dyadic gap boxes, as (packed box in attr_order, attrs).
+    def _extract_gap_columns(self) -> Tuple[array, ...]:
+        """One pre-order walk of the trie, appending to the columns.
 
-        Yields packed boxes over the *relation's* attributes (in
-        ``attr_order``); callers lift them into the query space.  The
-        union of the yielded boxes is exactly the complement of the
-        relation in its own space — the B(R) property of Section 3.3.
+        A node at level ``k`` with ``m`` gap pieces between its keys
+        contributes ``m`` boxes ``⟨path, piece, λ, ..., λ⟩``: the path's
+        unit components repeated down columns ``< k``, the pieces
+        themselves into column ``k`` and λ into the rest.  A node's own
+        gaps precede its children's.
         """
         depth = self.depth
         arity = self.arity
         unit = 1 << depth
-
-        def walk(node: _TrieNode, prefix: PackedBox, level: int):
-            tail = (PLAMBDA,) * (arity - level - 1)
-            for gap in pdyadic_gaps(node.keys, depth):
-                yield prefix + (gap,) + tail
+        cols = tuple(array(GAP_TYPECODE) for _ in range(arity))
+        wild = array(GAP_TYPECODE, (PLAMBDA,))
+        stack: List[Tuple[_TrieNode, PackedBox]] = [(self._root, ())]
+        while stack:
+            node, path = stack.pop()
+            level = len(path)
+            pieces = pdyadic_gaps_sorted(node.keys, depth)
+            count = len(pieces)
+            for col, comp in zip(cols, path):
+                col.extend(array(GAP_TYPECODE, (comp,)) * count)
+            cols[level].extend(pieces)
+            for col in cols[level + 1:]:
+                col.extend(wild * count)
             if level + 1 < arity:
-                for key, child in zip(node.keys, node.children):
-                    yield from walk(
-                        child, prefix + (unit | key,), level + 1
+                stack.extend(
+                    (child, path + (unit | key,))
+                    for key, child in zip(
+                        reversed(node.keys), reversed(node.children)
                     )
-
-        for box in walk(self._root, (), 0):
-            yield box, self.attr_order
+                )
+        return cols
 
     def gap_boxes_containing(
         self, point_in_order: Sequence[int]
@@ -163,7 +186,3 @@ class BTreeIndex:
                 return [prefix + (piece,) + tail]
             node = node.child(value)
         return []
-
-    def count_gap_boxes(self) -> int:
-        """Total number of dyadic gap boxes this index generates."""
-        return sum(1 for _ in self.gap_boxes())

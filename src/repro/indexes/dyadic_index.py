@@ -19,23 +19,34 @@ the Tetris oracle.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA
+from repro.indexes.gaps import GapColumns, gap_columns_of
 from repro.relational.relation import Relation
 
 
-class DyadicTreeIndex:
-    """Quadtree-like index: all components subdivide in lock-step."""
+class _CellIndex(GapColumns):
+    """What the cell-subdivision indexes share: an order-free index over
+    the relation's canonical rows whose gap boxes are its empty cells."""
 
     def __init__(self, relation: Relation):
         self.relation = relation
+        self.attr_order = relation.attrs
         self.depth = relation.domain.depth
         self.arity = relation.arity
         # The canonical sorted rows, shared zero-copy with the relation
         # (and every other schema-order consumer) — no per-build sort.
         self._tuples = relation.rows()
+
+    def _extract_gap_columns(self) -> Tuple[array, ...]:
+        return gap_columns_of(self._empty_cells(), self.arity)
+
+
+class DyadicTreeIndex(_CellIndex):
+    """Quadtree-like index: all components subdivide in lock-step."""
 
     def _cell_tuples(
         self, cell: PackedBox, level: int, tuples: Sequence[Tuple[int, ...]]
@@ -52,11 +63,10 @@ class DyadicTreeIndex:
                 out.append(t)
         return out
 
-    def gap_boxes(self) -> Iterator[Tuple[PackedBox, Tuple[str, ...]]]:
+    def _empty_cells(self) -> Iterator[PackedBox]:
         """Empty cells of the recursive 2^k-ary subdivision, maximal first."""
         depth = self.depth
         arity = self.arity
-        attrs = self.relation.attrs
 
         def walk(cell: PackedBox, level: int, tuples):
             if not tuples:
@@ -73,12 +83,7 @@ class DyadicTreeIndex:
                 sub = self._cell_tuples(child, level + 1, tuples)
                 yield from walk(child, level + 1, sub)
 
-        root = (PLAMBDA,) * arity
-        if not self._tuples and depth == 0:
-            yield root, attrs
-            return
-        for box in walk(root, 0, self._tuples):
-            yield box, attrs
+        yield from walk((PLAMBDA,) * arity, 0, self._tuples)
 
     def gap_boxes_containing(
         self, point: Sequence[int]
@@ -100,11 +105,8 @@ class DyadicTreeIndex:
             )
         return []
 
-    def count_gap_boxes(self) -> int:
-        return sum(1 for _ in self.gap_boxes())
 
-
-class KDTreeIndex:
+class KDTreeIndex(_CellIndex):
     """KD-tree index: subdivide one dimension at a time, round-robin.
 
     Cells are dyadic boxes whose component lengths differ by at most one;
@@ -112,12 +114,6 @@ class KDTreeIndex:
     dimension) and the quadtree (all dimensions at once) in the index
     taxonomy of Section 1.
     """
-
-    def __init__(self, relation: Relation):
-        self.relation = relation
-        self.depth = relation.domain.depth
-        self.arity = relation.arity
-        self._tuples = relation.rows()  # shared zero-copy canonical view
 
     def _in_cell(self, cell: PackedBox, t) -> bool:
         depth = self.depth
@@ -127,8 +123,8 @@ class KDTreeIndex:
                 return False
         return True
 
-    def gap_boxes(self) -> Iterator[Tuple[PackedBox, Tuple[str, ...]]]:
-        attrs = self.relation.attrs
+    def _empty_cells(self) -> Iterator[PackedBox]:
+        """Empty cells of the round-robin halving, maximal first."""
         depth = self.depth
         arity = self.arity
         total = depth * arity
@@ -148,9 +144,7 @@ class KDTreeIndex:
                 sub = [t for t in tuples if self._in_cell(child, t)]
                 yield from walk(child, level + 1, sub)
 
-        root = (PLAMBDA,) * arity
-        for box in walk(root, 0, self._tuples):
-            yield box, attrs
+        yield from walk((PLAMBDA,) * arity, 0, self._tuples)
 
     def gap_boxes_containing(
         self, point: Sequence[int]
@@ -174,6 +168,3 @@ class KDTreeIndex:
                 + cell[axis + 1:]
             )
         return []
-
-    def count_gap_boxes(self) -> int:
-        return sum(1 for _ in self.gap_boxes())

@@ -16,11 +16,60 @@ ranges to the BCP machinery).
 from __future__ import annotations
 
 import bisect
-
-from typing import Iterable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
+from repro.core.boxes import PackedBox
 from repro.core.intervals import Interval, Packed
+
+#: The array typecode of a gap-box column.  A packed component is
+#: ``>= 1`` and ``< 2^(depth+1)``, so unsigned 64-bit holds every depth a
+#: relation's own signed ``'q'`` value columns can (depth <= 63).
+GAP_TYPECODE = "Q"
+
+
+def gap_columns_of(
+    boxes: Iterable[PackedBox], arity: int
+) -> Tuple[array, ...]:
+    """Flat per-attribute columns for a stream of arity-``arity`` boxes."""
+    cols = tuple(zip(*boxes)) or ((),) * arity
+    return tuple(array(GAP_TYPECODE, col) for col in cols)
+
+
+class GapColumns:
+    """An index's gap boxes, extracted once and kept as flat columns.
+
+    B(R) is a property of the stored relation and the index's order,
+    not of any query (Section 3.3), so each index extracts it on first
+    use and keeps it: one ``array('Q')`` per index attribute, aligned,
+    in the index's own emission order — the representation
+    :class:`~repro.relational.relation.Relation` uses for its values.
+    Subclasses provide ``attr_order`` and ``_extract_gap_columns``.
+    """
+
+    _gap_cols: Optional[Tuple[array, ...]] = None
+
+    def gap_columns(self) -> Tuple[array, ...]:
+        """The gap boxes as aligned columns in ``attr_order`` (memoized)."""
+        if self._gap_cols is None:
+            self._gap_cols = self._extract_gap_columns()
+        return self._gap_cols
+
+    def gap_boxes(self) -> Iterator[Tuple[PackedBox, Tuple[str, ...]]]:
+        """All dyadic gap boxes, as (packed box in attr_order, attrs).
+
+        Boxes range over the *relation's* attributes; callers lift them
+        into the query space.  Their union is exactly the complement of
+        the relation in its own space — the B(R) property of Section 3.3.
+        """
+        attrs = self.attr_order
+        for box in zip(*self.gap_columns()):
+            yield box, attrs
+
+    def count_gap_boxes(self) -> int:
+        """Total number of dyadic gap boxes this index generates."""
+        return len(self.gap_columns()[0])
 
 
 def complement_ranges(
@@ -90,9 +139,18 @@ def gap_piece_containing(
 
 def pdyadic_gaps(values: Iterable[int], depth: int) -> List[Packed]:
     """Packed dyadic intervals covering everything *not* in ``values``."""
-    ordered = sorted(set(values))
+    return pdyadic_gaps_sorted(sorted(set(values)), depth)
+
+
+def pdyadic_gaps_sorted(values: Sequence[int], depth: int) -> List[Packed]:
+    """:func:`pdyadic_gaps` for ``values`` already sorted and distinct.
+
+    What an index calls on its own keys: a trie node's children are
+    sorted and distinct by construction, so the sort and the set are
+    skipped.
+    """
     pieces: List[Packed] = []
-    for lo, hi in complement_ranges(ordered, depth):
+    for lo, hi in complement_ranges(values, depth):
         pieces.extend(dy.pdecompose_range(lo, hi, depth))
     return pieces
 

@@ -10,20 +10,31 @@ the query's output space with λ wildcards on the missing attributes
   answered *lazily* by the underlying indexes in Õ(1) per index;
 * ``boxes()`` — the full materialized set B(Q), used by Tetris-Preloaded.
 
+* ``ordered_boxes(axes)`` — the bulk side: the same boxes as one lazy
+  stream laid out in the caller's axis order, which is how
+  ``TetrisEngine.run(preload=True)`` loads them (``boxes()`` is that
+  stream in space order, de-duplicated and kept as a list).
+
 Everything is **packed** end to end: the indexes emit packed gap boxes,
 lifting pads with the packed λ (``1``), and probe coordinates are read
 straight off the packed unit components — no pair tuples between the
 index layer and the Tetris engine.
 
-Index *builds* ride the relation's order-cached columnar core: every
-B-tree build reads the memoized sorted view for its attribute order and
-the dyadic/kd trees share the canonical rows zero-copy, so constructing
-the same oracle for repeated executions of a served workload never
-re-sorts the data plane.
+**Per relation, not per query.**  An index and the gap boxes it exposes
+depend only on the stored relation and the index's attribute order, so
+the ``build_*`` functions fetch each index through the relation's
+memoized :class:`~repro.relational.relation.SortedView` for that order
+(the pinned canonical view for the order-free dyadic/kd indexes), and
+each index keeps its gap boxes as flat columns once extracted
+(:class:`~repro.indexes.gaps.GapColumns`).  A repeated execution over
+the same :class:`Database` builds no index and decomposes no gap.  The
+only per-query work left here is the **lift**: which output axis each
+index column lands on, with λ everywhere else.
 """
 
 from __future__ import annotations
 
+from itertools import chain, permutations, repeat
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -33,6 +44,7 @@ from repro.indexes.btree import BTreeIndex
 from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import Database, JoinQuery
+from repro.relational.relation import Relation
 
 #: The one-component tail appended to an index box before lifting.
 _LAMBDA = (PLAMBDA,)
@@ -81,9 +93,7 @@ class QueryGapOracle:
 
     @staticmethod
     def _index_attr_order(index: object) -> Tuple[str, ...]:
-        if hasattr(index, "attr_order"):
-            return tuple(index.attr_order)
-        return tuple(index.relation.attrs)
+        return tuple(index.attr_order)
 
     @property
     def ndim(self) -> int:
@@ -131,44 +141,78 @@ class QueryGapOracle:
                 out.extend(lifted)
         return results
 
+    def ordered_boxes(self, axes: Sequence[int]) -> Iterable[PackedBox]:
+        """Every index's gap boxes lifted into the output space, in one pass.
+
+        The bulk side of the oracle protocol: component ``k`` of each
+        streamed box lies on space axis ``axes[k]`` (the engine passes
+        its SAO and loads the stream as is).  Per index this is one
+        ``zip`` of its memoized gap columns with λ on the axes it does
+        not mention; a box exposed by several indexes appears once per
+        index — ``add_many`` skips what it already holds.
+        """
+        wild = repeat(PLAMBDA)
+        attrs = [self.attrs[axis] for axis in axes]
+        streams = []
+        for idx in self.indexes:
+            column_of = dict(
+                zip(self._index_attr_order(idx), idx.gap_columns())
+            )
+            streams.append(zip(*[column_of.get(a, wild) for a in attrs]))
+        return chain.from_iterable(streams)
+
     def boxes(self) -> List[PackedBox]:
-        """Materialize the full lifted gap-box set (cached)."""
+        """The full lifted gap-box set in space order, de-duplicated (cached)."""
         if self._materialized is None:
             # dict.fromkeys dedups in first-seen order in one pass.
-            self._materialized = list(dict.fromkeys(
-                lift(box + _LAMBDA)
-                for idx, _restrict, lift in self._probes
-                for box, _attrs in idx.gap_boxes()
-            ))
+            self._materialized = list(
+                dict.fromkeys(self.ordered_boxes(range(self.ndim)))
+            )
         return self._materialized
 
     def __len__(self) -> int:
         return len(self.boxes())
 
 
+def _index(cls, relation: Relation, order: Optional[Sequence[str]] = None):
+    """The relation's one ``cls`` index (under ``order``, for B-trees).
+
+    Built on first request and kept on the relation's sorted view for
+    that order — the canonical view for the order-free dyadic and kd
+    indexes — so it, and the gap boxes it memoizes, are shared by every
+    later query and evicted with the view.
+    """
+    if order is None:
+        view = relation.view(relation.attrs)
+        return view.derived(cls, lambda: cls(relation))
+    return relation.view(order).derived(cls, lambda: cls(relation, order))
+
+
 def build_btree_indexes(
     query: JoinQuery, db: Database, gao: Sequence[str]
 ) -> List[BTreeIndex]:
     """One GAO-consistent B-tree per atom (the Minesweeper setting)."""
-    indexes = []
-    for atom in query.atoms:
-        order = tuple(a for a in gao if a in atom.attrs)
-        indexes.append(BTreeIndex(db[atom.name], order))
-    return indexes
+    return [
+        _index(
+            BTreeIndex, db[atom.name],
+            tuple(a for a in gao if a in atom.attrs),
+        )
+        for atom in query.atoms
+    ]
 
 
 def build_dyadic_indexes(
     query: JoinQuery, db: Database
 ) -> List[DyadicTreeIndex]:
     """One quadtree-style dyadic index per atom."""
-    return [DyadicTreeIndex(db[atom.name]) for atom in query.atoms]
+    return [_index(DyadicTreeIndex, db[atom.name]) for atom in query.atoms]
 
 
 def build_kdtree_indexes(
     query: JoinQuery, db: Database
 ) -> List[KDTreeIndex]:
     """One KD-tree index per atom."""
-    return [KDTreeIndex(db[atom.name]) for atom in query.atoms]
+    return [_index(KDTreeIndex, db[atom.name]) for atom in query.atoms]
 
 
 def build_all_order_btrees(
@@ -180,13 +224,11 @@ def build_all_order_btrees(
     paper's examples, where multiple indexes per relation shrink the box
     certificate.
     """
-    import itertools
-
-    indexes = []
-    for atom in query.atoms:
-        for order in itertools.permutations(atom.attrs):
-            indexes.append(BTreeIndex(db[atom.name], order))
-    return indexes
+    return [
+        _index(BTreeIndex, db[atom.name], order)
+        for atom in query.atoms
+        for order in permutations(atom.attrs)
+    ]
 
 
 def default_gao(query: JoinQuery) -> Tuple[str, ...]:

@@ -10,6 +10,7 @@ absorbs them all behind dotted names::
 
     engine.queries                    engine.plan_cache.hits
     kernels.compile.misses            relation.view.evictions
+    relation.view.builds              relation.index.builds
     tetris.resolutions.by_axis.0      parallel.ship.bytes
 
 Two ingestion paths keep the hot loops honest:

@@ -19,7 +19,10 @@ directly, and ``multiprocessing.shared_memory`` can attach to the same
 byte layout without a translation step.  The view cache is bounded
 (:data:`Relation.VIEW_CACHE_CAP`, LRU) so long-lived server processes
 holding many relations cannot grow a per-permutation cache without
-bound; the canonical schema-order view is pinned.
+bound; the canonical schema-order view is pinned.  Each view also holds
+what is derived from its order — the index over it and that index's
+gap boxes (:meth:`SortedView.derived`) — so a relation's geometry is
+built once per (relation, order) and lives and dies with the view.
 """
 
 from __future__ import annotations
@@ -29,7 +32,16 @@ import pickle
 import struct
 from array import array
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.schema import Domain, RelationSchema
@@ -75,14 +87,23 @@ class SortedView:
     lazily, memoized): the per-level arrays the compiled leapfrog
     kernels gallop over.  Both are **shared** by every consumer of the
     owning relation: treat them as read-only.
+
+    The view also carries whatever else is **derived from this order**
+    (:meth:`derived`): the index built over these rows and, inside it,
+    the gap-box geometry it exposes.  Such an artifact has the view's
+    lifetime exactly — it is reached only through the view, so it is
+    evicted with it (:data:`Relation.VIEW_CACHE_CAP`, no second cap),
+    never shipped (pickling and shm attach start with no views) and
+    never invalidated (relations are immutable).
     """
 
-    __slots__ = ("attr_order", "rows", "_cols")
+    __slots__ = ("attr_order", "rows", "_cols", "_derived")
 
     def __init__(self, attr_order: Tuple[str, ...], rows: List[Tuple_]):
         self.attr_order = attr_order
         self.rows = rows
         self._cols: Optional[Tuple[array, ...]] = None
+        self._derived: Dict[object, object] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -99,6 +120,20 @@ class SortedView:
     def column(self, k: int) -> array:
         """The k-th attribute's flat buffer in this view's sort order."""
         return self.columns()[k]
+
+    def derived(self, key, build: Callable[[], object]):
+        """The artifact ``build()`` makes of this order, built once.
+
+        ``key`` names the kind of artifact (the index classes key by
+        themselves); every later request for it under this view returns
+        the same object.  Indexes are what is derived today, hence the
+        counter's name.
+        """
+        artifact = self._derived.get(key)
+        if artifact is None:
+            artifact = self._derived[key] = build()
+            _METRICS.inc("relation.index.builds")
+        return artifact
 
     def prefix_range(self, prefix: Sequence[int]) -> Tuple[int, int]:
         """``[lo, hi)`` row range whose tuples extend ``prefix``.

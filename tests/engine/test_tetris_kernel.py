@@ -148,6 +148,59 @@ def test_unwind_containment_is_one_compare(preload, monkeypatch):
         assert box_contains(witness, b) == (witness[axis] != child_component)
 
 
+# -- the preload: one ordered stream, any oracle, any store --------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=bcp_instances())
+def test_ordered_boxes_are_the_boxes_in_sao_order(instance):
+    """The bulk side of the oracle protocol is ``boxes()``, permuted."""
+    ndim, depth, sao, boxes = instance
+    oracle = BoxSetOracle(boxes, ndim)
+    engine = TetrisEngine(ndim, depth, sao=sao)
+    want = [engine.to_internal(b) for b in oracle.boxes()]
+    assert list(oracle.ordered_boxes(sao)) == want
+    assert list(oracle.ordered_boxes(range(ndim))) == list(oracle.boxes())
+    engine.run(oracle, preload=True, max_outputs=0)
+    assert set(want) <= set(engine.knowledge_base)
+    assert engine.stats.boxes_loaded >= len(want)
+
+
+@pytest.mark.parametrize("sao", [(0, 1, 2), (2, 0, 1)])
+def test_every_store_preloads_through_add_many(sao):
+    """One preload branch: the list store takes the same stream."""
+    boxes = random_boxes(11, 20, 3, 3)
+    boxes += boxes[:5]  # duplicates are the store's to skip
+    runs = []
+    for store in (None, ListStore(3)):
+        engine = TetrisEngine(3, 3, sao=sao, knowledge_base=store)
+        points = engine.run(BoxSetOracle(boxes, 3), preload=True)
+        runs.append((sorted(points), engine.stats.boxes_loaded))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == brute_force_uncovered(boxes, 3, 3)
+    assert ListStore(3).add_many(
+        BoxSetOracle(boxes, 3).ordered_boxes(sao)
+    ) == len(set(boxes))
+
+
+def test_query_oracle_kernel_repeats_on_cached_indexes():
+    """A second run over the same database — indexes and gap columns now
+    cached on the relations — takes the steps the first run took, compiled
+    and interpreted, preloaded and on demand."""
+    from repro.joins.tetris_join import join_tetris
+    from repro.workloads.generators import graph_triangle_db, random_graph_edges
+
+    query, db = graph_triangle_db(random_graph_edges(12, 30, seed=5))
+    for variant in ("preloaded", "reloaded"):
+        runs = [
+            join_tetris(query, db, variant=variant, compiled=compiled)
+            for compiled in (True, False, True, False)
+        ]
+        for run in runs[1:]:
+            assert run.tuples == runs[0].tuples
+            assert asdict(run.stats) == asdict(runs[0].stats)
+
+
 # -- fallbacks -------------------------------------------------------------------
 
 

@@ -218,3 +218,55 @@ class TestViewCacheLRU:
             rel.view(perm)
             rel.view(hot)  # refresh recency on every insertion
         assert hot in rel.cached_view_orders()
+
+
+class TestDerivedArtifacts:
+    """``SortedView.derived``: built once, gone with the view, never shipped."""
+
+    def test_built_once_per_view_and_key(self):
+        rel = _random_relation(13)
+        order = ("A2", "A1", "A0")
+        made = []
+
+        def build():
+            made.append(object())
+            return made[-1]
+
+        first = rel.view(order).derived("trie", build)
+        assert rel.view(order).derived("trie", build) is first
+        assert rel.view(order).derived("other", build) is not first
+        assert rel.view(rel.attrs).derived("trie", build) is not first
+        assert len(made) == 3
+
+    def test_builds_are_counted(self):
+        from repro.obs.metrics import REGISTRY
+
+        if not REGISTRY.enabled:
+            pytest.skip("metrics registry disabled")
+        view = _random_relation(14).view(("A1", "A0", "A2"))
+        before = REGISTRY.value("relation.index.builds")
+        view.derived("trie", object)
+        view.derived("trie", object)
+        assert REGISTRY.value("relation.index.builds") == before + 1
+
+    def test_evicted_with_the_view_and_rebuilt_on_return(self):
+        import itertools
+
+        rel = _random_relation(15, n=20, arity=4, depth=5)
+        perms = list(itertools.permutations(rel.schema.attrs))
+        pinned = rel.view(perms[0]).derived("trie", object)
+        first = rel.view(perms[1]).derived("trie", object)
+        for perm in perms[2:]:
+            rel.view(perm)
+        assert perms[1] not in rel.cached_view_orders()
+        assert rel.view(perms[1]).derived("trie", object) is not first
+        assert rel.view(perms[0]).derived("trie", object) is pinned
+
+    def test_pickling_drops_it(self):
+        import pickle
+
+        rel = _random_relation(16)
+        made = rel.view(rel.attrs).derived("trie", object)
+        clone = pickle.loads(pickle.dumps(rel))
+        assert clone.cached_view_orders() == ()
+        assert clone.view(rel.attrs).derived("trie", object) is not made
