@@ -5,9 +5,10 @@
   true; with a flat list each containment query costs O(|A|) and the
   engine slows superlinearly as the knowledge base grows.
 * **One-pass vs restarting outer loop** (TetrisSkeleton2, Theorem D.2's
-  proof): both produce identical output; one-pass avoids the per-output
-  root restart.  Resolution counts must match exactly — the difference
-  is pure traversal overhead.
+  proof): ``mode="resume"`` handles each uncovered point in place,
+  ``mode="faithful"`` restarts Algorithm 1 from the root after every
+  one.  Both produce identical output; the restarts cost one
+  root-to-leaf re-descent (containment queries) per output.
 * **Resolvent caching** is ablated in bench_fig2_tree_ordered.
 """
 
@@ -24,13 +25,13 @@ from tests.helpers import random_boxes
 NDIM, DEPTH = 3, 4
 
 
-def _run(boxes, store=None, one_pass=True, stats=None):
+def _run(boxes, store=None, mode="resume", stats=None):
     engine = TetrisEngine(
         NDIM, DEPTH, stats=stats,
         knowledge_base=store,
     )
     oracle = BoxSetOracle(boxes, NDIM)
-    return engine.run(oracle, preload=True, one_pass=one_pass)
+    return engine.run(oracle, preload=True, mode=mode)
 
 
 def test_store_ablation(benchmark):
@@ -57,17 +58,13 @@ def test_store_ablation(benchmark):
         engine_kwargs = dict(ndim=3, depth=depth)
         t0 = time.perf_counter()
         tree_engine = TetrisEngine(**engine_kwargs)
-        tree_out = tree_engine.run(
-            BoxSetOracle(boxes, 3), preload=True, one_pass=True
-        )
+        tree_out = tree_engine.run(BoxSetOracle(boxes, 3), preload=True)
         t_tree = time.perf_counter() - t0
         t0 = time.perf_counter()
         list_engine = TetrisEngine(
             **engine_kwargs, knowledge_base=ListStore(3)
         )
-        list_out = list_engine.run(
-            BoxSetOracle(boxes, 3), preload=True, one_pass=True
-        )
+        list_out = list_engine.run(BoxSetOracle(boxes, 3), preload=True)
         t_list = time.perf_counter() - t0
         assert sorted(tree_out) == sorted(list_out)
         rows.append(
@@ -82,9 +79,7 @@ def test_store_ablation(benchmark):
     assert rows[-1][4] > 3.0, "dyadic tree shows no advantage"
     boxes = shared_suffix_instance(4)
     benchmark(
-        lambda: TetrisEngine(3, 4).run(
-            BoxSetOracle(boxes, 3), preload=True, one_pass=True
-        )
+        lambda: TetrisEngine(3, 4).run(BoxSetOracle(boxes, 3), preload=True)
     )
 
 
@@ -95,8 +90,8 @@ def test_one_pass_ablation(benchmark):
         boxes = random_boxes(count + 1, count, NDIM, DEPTH)
         s_one = ResolutionStats()
         s_restart = ResolutionStats()
-        one = _run(boxes, one_pass=True, stats=s_one)
-        restart = _run(boxes, one_pass=False, stats=s_restart)
+        one = _run(boxes, mode="resume", stats=s_one)
+        restart = _run(boxes, mode="faithful", stats=s_restart)
         assert sorted(one) == sorted(restart)
         rows.append(
             (count, len(one), s_one.resolutions, s_restart.resolutions,
@@ -109,7 +104,7 @@ def test_one_pass_ablation(benchmark):
         rows,
     )
     boxes = random_boxes(9, 150, NDIM, DEPTH)
-    benchmark(lambda: _run(boxes, one_pass=False))
+    benchmark(lambda: _run(boxes, mode="faithful"))
 
 
 def test_sao_choice_matters(benchmark):

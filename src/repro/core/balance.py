@@ -225,9 +225,7 @@ def tetris_preloaded_lb(
         dims=mapping.dimension_specs(),
     )
     oracle = BoxSetOracle(lifted, mapping.lifted_ndim)
-    outputs = engine.run(
-        oracle, preload=True, one_pass=True, return_boxes=True
-    )
+    outputs = engine.run(oracle, preload=True, return_boxes=True)
     return sorted(mapping.lower_point(b) for b in outputs)
 
 

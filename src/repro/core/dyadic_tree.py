@@ -60,17 +60,14 @@ _UNROLL_CAP = 8
 _FINDER_CACHE: dict = {}
 
 
-def _emit_walker(ndim: int, collect: bool, pinned: Optional[int]) -> str:
+def _emit_walker(ndim: int, collect: bool) -> str:
     """Source of a specialized containment walker over node dicts.
 
     The DFS over per-level prefix walks is written out as nested
     ``while`` loops — no stack tuples, no per-node push/pop — with each
     level's walk trimmed to the node's stored band by the length mask
     (interior nodes always hold at least one real key, so only the root
-    needs an emptiness check).  With ``pinned`` set, that level probes
-    the exact query component once instead of walking its prefixes —
-    the first-half query of a split whose parent just missed (see
-    :meth:`MultilevelDyadicTree.find_container_pinned`).
+    needs an emptiness check).
     """
     empty = "        return []" if collect else "        return None"
     lines = [
@@ -84,20 +81,6 @@ def _emit_walker(ndim: int, collect: bool, pinned: Optional[int]) -> str:
     closers = []
     for i in range(ndim):
         node = "root" if i == 0 else f"n{i}"
-        if i == pinned:
-            # Exact probe: one get, no walk, nothing to close.
-            lines.append(f"{indent}n_{i} = {node}.get(box[{i}])")
-            lines.append(f"{indent}if n_{i} is not None:")
-            if i == ndim - 1:
-                lines.append(
-                    f"{indent}    out.append(n_{i})" if collect
-                    else f"{indent}    return n_{i}"
-                )
-            else:
-                lines.append(f"{indent}    n{i + 1} = n_{i}")
-            indent += "    "
-            closers.append(None)
-            continue
         lines += [
             f"{indent}q{i} = box[{i}]",
             f"{indent}k = {node}[0].bit_length() - 1",
@@ -124,23 +107,20 @@ def _emit_walker(ndim: int, collect: bool, pinned: Optional[int]) -> str:
         )
         indent = inner + "    "
     # Close the loops from the innermost outward: each level's tail
-    # advances its own walk and breaks at λ; pinned levels have none.
-    for tail in reversed(closers):
-        if tail is not None:
-            lines.append(tail)
+    # advances its own walk and breaks at λ.
+    lines.extend(reversed(closers))
     lines.append("    return out" if collect else "    return None")
     return "\n".join(lines)
 
 
-def _compiled_walker(ndim: int, collect: bool = False,
-                     pinned: Optional[int] = None):
+def _compiled_walker(ndim: int, collect: bool = False):
     """Compile (and cache) one specialized walker."""
-    key = (ndim, collect, pinned)
+    key = (ndim, collect)
     cached = _FINDER_CACHE.get(key)
     if cached is None:
         namespace: dict = {}
         exec(  # noqa: S102 - source is generated from static templates
-            _emit_walker(ndim, collect, pinned), namespace
+            _emit_walker(ndim, collect), namespace
         )
         cached = _FINDER_CACHE[key] = namespace["find"]
     return cached
@@ -150,8 +130,8 @@ class MultilevelDyadicTree:
     """A set of packed dyadic boxes with Õ(1) ``find_container`` queries."""
 
     __slots__ = (
-        "ndim", "_root", "_size", "_find", "_findall", "_pinned",
-        "version", "_frontier",
+        "ndim", "_root", "_size", "_find", "_findall", "version",
+        "_frontier",
     )
 
     def __init__(self, ndim: int):
@@ -161,17 +141,15 @@ class MultilevelDyadicTree:
         self._root: dict = {_MASK: 0}
         self._size = 0
         #: Monotone mutation counter (adds and discards); lets the engine
-        #: prove "no box stored since" for second-half pinned probes.
+        #: prove "no box stored since" for the frontier's second-half
+        #: pinned probes.
         self.version = 0
         self._frontier: Optional["TraversalFrontier"] = None
         if ndim <= _UNROLL_CAP:
             self._find = _compiled_walker(ndim)
             self._findall = _compiled_walker(ndim, collect=True)
-            self._pinned = tuple(
-                _compiled_walker(ndim, pinned=axis) for axis in range(ndim)
-            )
         else:
-            self._find = self._findall = self._pinned = None
+            self._find = self._findall = None
 
     def attach_frontier(self) -> "TraversalFrontier":
         """Create and register the traversal frontier for one engine run.
@@ -355,26 +333,6 @@ class MultilevelDyadicTree:
                         break
                     q >>= 1
         return None
-
-    def find_container_pinned(
-        self, box: PackedBox, axis: int
-    ) -> Optional[PackedBox]:
-        """Containment probe for the first half of a split that missed.
-
-        When a box ``b`` has no stored container and is split on
-        ``axis``, a container of the half ``b1`` that is *not* a
-        container of ``b`` must carry exactly ``b1[axis]`` on the split
-        axis (a shorter component would make it contain ``b`` too).  As
-        long as no box was stored in between, the ``b1`` probe can
-        therefore pin the split axis to one exact dict probe instead of
-        walking its prefixes — the axis fan-out of the DFS collapses to
-        one.  The engine uses this for every first-half descent, which
-        is half of all containment queries on the hot path.
-        """
-        pinned = self._pinned
-        if pinned is not None:
-            return pinned[axis](self._root, box)
-        return self.find_container(box)
 
     def find_shallowest_container(
         self, box: PackedBox
@@ -641,9 +599,12 @@ class TraversalFrontier:
 
         ``cursor`` is the box's first non-unit axis (``ndim`` for unit
         leaves); components below it are treated as frozen.  ``pinned``
-        marks a level whose probe may use the exact component only (the
-        first-half invariant of
-        :meth:`MultilevelDyadicTree.find_container_pinned`).
+        marks a level whose probe may use the exact component only —
+        the split axis of a half whose parent just missed: a container
+        of the half that is *not* a container of the parent must carry
+        exactly the half's component there (a shorter one would contain
+        the parent too), so as long as no box was stored in between,
+        one exact dict probe replaces the prefix walk on that axis.
         """
         tree = self.tree
         last = tree.ndim - 1

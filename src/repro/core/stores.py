@@ -75,17 +75,6 @@ class ListStore:
                 return stored
         return None
 
-    def find_container_pinned(
-        self, box: PackedBox, axis: int
-    ) -> Optional[PackedBox]:
-        """First-half containment probe (protocol parity with the tree).
-
-        The linear scan gains nothing from pinning the split axis, so
-        this is the plain scan — returning any container is always a
-        correct answer to the pinned query.
-        """
-        return self.find_container(box)
-
     def find_shallowest_container(
         self, box: PackedBox
     ) -> Optional[PackedBox]:

@@ -9,28 +9,36 @@ point of ``b``.
 The outer Tetris loop drives the skeleton over the universal box
 ⟨λ,...,λ⟩; every false witness is either a fresh output tuple (no input
 gap box contains it) or triggers loading the containing gap boxes from the
-input oracle into ``A``.  Three traversal **modes** implement that loop:
+input oracle into ``A``.  Two traversal **modes** implement that loop:
 
-* ``mode="faithful"`` — Algorithm 2 verbatim: after every uncovered
-  point the skeleton restarts from the universe.  Kept for paper-parity
-  tests; the restart costs a full root-to-leaf re-descent per output.
-* ``mode="onepass"`` — the TetrisSkeleton2 optimization from the proof
-  of Theorem D.2: outputs are reported inside the skeleton so the
-  traversal never restarts.
-* ``mode="resume"`` (the default) — the frontier-resuming skeleton: the
-  explicit stack is *snapshotted at the uncovered leaf*, the new gap or
-  output boxes are patched into the knowledge base in place, and the
-  traversal resumes from the frontier.  On top of one-pass semantics it
-  picks the **shallowest** stored container as the resolution witness
-  (``find_shallowest_container``) — big witnesses cover whole subtrees
-  of the traversal at once — and, in on-demand (Reloaded) runs, it
-  **corner-probes**: an uncovered region's corner point is checked
-  against the oracle *before* descending, so gap boxes land at the
-  witness boundary instead of after a depth-``n·d`` needle descent,
-  and the pending sibling leaf is prefetched through the oracle's
-  batched ``containing_many`` walk.
+* ``mode="resume"`` (the default, and what every caller in the repo
+  runs) — the one-pass traversal, TetrisSkeleton2 from the proof of
+  Theorem D.2 made frontier-resuming: outputs are handled inside the
+  skeleton, the explicit stack is *left in place at the uncovered
+  leaf*, the new gap or output boxes are patched into the knowledge
+  base, and the traversal resumes from the frontier — it never
+  restarts.  It picks the **shallowest** stored container as the
+  resolution witness (``find_shallowest_container``) — big witnesses
+  cover whole subtrees of the traversal at once — and, in on-demand
+  (Reloaded) runs, it **corner-probes**: an uncovered region's corner
+  point is checked against the oracle *before* descending, so gap boxes
+  land at the witness boundary instead of after a depth-``n·d`` needle
+  descent, and the pending sibling leaf is prefetched through the
+  oracle's batched ``containing_many`` walk.  It runs as the generated
+  kernel of :func:`repro.engine.codegen.tetris_kernel` where that
+  covers the engine's shape and as the interpreted
+  :meth:`TetrisEngine._run_resuming` — the same traversal, the
+  reference the kernel is pinned to — everywhere else.
+* ``mode="faithful"`` — Algorithms 1 and 2 as printed:
+  :meth:`TetrisEngine.skeleton` answers one Boolean box-cover question
+  and the outer loop restarts it from the universe after every
+  uncovered point.  It is the paper-parity reference (and what
+  Theorem D.2's one-pass refinement is measured against in
+  ``benchmarks/bench_ablation.py``): plain probes, the resolver's own
+  ``resolve``, every resolvent cached — nothing tuned, a full
+  root-to-leaf re-descent per output.
 
-All three modes emit the same output set; the parity matrix in
+Both modes emit the same output set; the parity matrix in
 ``tests/core/test_tetris_modes.py`` proves it over random instances.
 
 Variant flags (Sections 4.3–4.4, 5.1) compose with any mode:
@@ -87,7 +95,7 @@ from repro.core.resolution import (
 Point = Tuple[int, ...]
 
 #: The traversal modes of the outer loop, in preference order.
-MODES: Tuple[str, ...] = ("resume", "onepass", "faithful")
+MODES: Tuple[str, ...] = ("resume", "faithful")
 
 
 class DimensionSpec:
@@ -380,20 +388,13 @@ class TetrisEngine:
         """
         kb = self.knowledge_base
         find_container = kb.find_container
-        find_pinned = getattr(kb, "find_container_pinned", None)
-        versioned = hasattr(kb, "version")
         stats = self.stats
         unit = self._unit_marker
         cache = self.cache_resolvents
         cache_resolvent = (
             kb.add if self.resolvent_limit is None else self._cache_resolvent
         )
-        resolver = self._resolver
-        # Plain Resolver has no proof-recording side channel, so the
-        # resolution rule can run inline; a TracingResolver (or any
-        # subclass) keeps the full call path.
-        fast_resolve = type(resolver) is Resolver
-        record = self.stats.record
+        resolve = self._resolver.resolve
         uniform = self.dims is None
         n = self.ndim
         stats.skeleton_calls += 1
@@ -401,20 +402,13 @@ class TetrisEngine:
         stack: list = []
         current: Optional[PackedBox] = target
         cursor = self._initial_cursor(target) if uniform else 0
-        # Split axis of the parent when ``current`` is a first half whose
-        # parent just missed — collapses that level's probe fan-out.
-        pinned: Optional[int] = None
         result: Tuple[bool, PackedBox] = (False, target)
 
         while True:
             if current is not None:
                 b = current
                 stats.containment_queries += 1
-                witness = (
-                    find_container(b)
-                    if pinned is None or find_pinned is None
-                    else find_pinned(b, pinned)
-                )
+                witness = find_container(b)
                 if witness is not None:
                     stats.cache_hits += 1
                     result = (True, witness)
@@ -437,13 +431,9 @@ class TetrisEngine:
                     child_cursor = axis + 1
                     while child_cursor < n and b[child_cursor] >= unit:
                         child_cursor += 1
-                stack.append([
-                    b, b2, axis, None, 0, child_cursor,
-                    kb.version if versioned else None,
-                ])
+                stack.append([b, b2, axis, None, 0, child_cursor])
                 current = b1
                 cursor = child_cursor
-                pinned = axis
                 continue
 
             if not stack:
@@ -456,7 +446,7 @@ class TetrisEngine:
                 # (Algorithm 1, lines 9–10 and 14–15).
                 stack.pop()
                 continue
-            b, b2, axis, w1, stage, child_cursor, ver = frame
+            b, b2, axis, w1, stage, child_cursor = frame
             if box_contains(witness, b):
                 # Lines 11–12 / 16–17: the half's witness already covers b.
                 stack.pop()
@@ -466,18 +456,9 @@ class TetrisEngine:
                 frame[4] = 1
                 current = b2
                 cursor = child_cursor
-                # The half b2 inherits b's miss: if nothing was stored
-                # since the split, its probe can pin the axis too.
-                pinned = axis if ver is not None and ver == kb.version else None
                 continue
             # Both halves covered but neither witness covers b: resolve.
-            if fast_resolve:
-                meet = list(map(max, w1, witness))
-                meet[axis] = w1[axis] >> 1
-                resolvent = tuple(meet)
-                record(axis, is_ordered_pair(w1, witness, axis))
-            else:
-                resolvent = resolver.resolve(w1, witness, axis)
+            resolvent = resolve(w1, witness, axis)
             if cache:
                 cache_resolvent(resolvent)
             stack.pop()
@@ -489,11 +470,9 @@ class TetrisEngine:
         self,
         oracle: Optional[BoxSetOracle] = None,
         preload: bool = False,
-        one_pass: Optional[bool] = None,
         max_outputs: Optional[int] = None,
         return_boxes: bool = False,
-        mode: Optional[str] = None,
-        compiled: Optional[bool] = None,
+        mode: str = "resume",
     ):
         """Solve the box cover problem, returning all uncovered points.
 
@@ -506,24 +485,17 @@ class TetrisEngine:
         ``oracle.containing``, in space order (Tetris-Reloaded).
 
         ``mode`` selects the traversal: ``"resume"`` (default) is the
-        frontier-resuming skeleton, ``"onepass"`` the TetrisSkeleton2
-        variant, ``"faithful"`` the restart-per-output Algorithm 2.  The
-        legacy ``one_pass`` flag maps to ``"onepass"``/``"faithful"``
-        when given explicitly.
+        one-pass frontier-resuming skeleton, ``"faithful"`` the
+        restart-per-output Algorithm 2 kept as the paper-parity
+        reference.  Resume runs as the generated kernel when
+        :func:`repro.engine.codegen.tetris_kernel` covers this engine's
+        shape and as the interpreted :meth:`_run_resuming` otherwise;
+        nothing but the shape chooses between the two.
 
         ``return_boxes=True`` yields each output as a full packed unit
         box (space order) rather than a tuple of values — required for
         generalized spaces where components have varying lengths.
         """
-        if one_pass is not None:
-            legacy = "onepass" if one_pass else "faithful"
-            if mode is not None and mode != legacy:
-                raise ValueError(
-                    f"conflicting mode={mode!r} and one_pass={one_pass!r}"
-                )
-            mode = legacy
-        elif mode is None:
-            mode = "resume"
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if oracle is not None and preload:
@@ -531,8 +503,6 @@ class TetrisEngine:
                 oracle.ordered_boxes(self.sao)
             )
         self._return_boxes = return_boxes
-        if mode == "onepass":
-            return self._run_one_pass(oracle, max_outputs)
         if mode == "faithful":
             return self._run_restarting(oracle, max_outputs)
         # Corner probing and sibling prefetch pay when the oracle is
@@ -542,21 +512,19 @@ class TetrisEngine:
         # (corner construction, sibling unit-ness).
         on_demand = oracle is not None and not preload and self.dims is None
         try:
-            if compiled is not False:
-                # Resume mode runs as a per-configuration compiled kernel
-                # (mode flags and ndim/depth/SAO folded to literals, the
-                # dyadic tree's probe walk inlined) when the shape is
-                # supported; the interpreted loop below stays the
-                # semantic reference and the fallback for every other
-                # store and exotic configuration.
-                from repro.engine.codegen import tetris_kernel
+            # The per-configuration kernel (mode flags and ndim/depth/SAO
+            # folded to literals, the dyadic tree's probe walk inlined)
+            # where the shape is supported; the interpreted loop below
+            # is the same traversal for every other store and
+            # configuration.
+            from repro.engine.codegen import tetris_kernel
 
-                kernel = tetris_kernel(
-                    self, oracle, on_demand, preload,
-                    capped=max_outputs is not None,
-                )
-                if kernel is not None:
-                    return kernel(self, oracle, max_outputs)
+            kernel = tetris_kernel(
+                self, oracle, on_demand, preload,
+                capped=max_outputs is not None,
+            )
+            if kernel is not None:
+                return kernel(self, oracle, max_outputs)
             return self._run_resuming(
                 oracle, max_outputs, on_demand, trust_kb=preload
             )
@@ -655,123 +623,6 @@ class TetrisEngine:
             covered, witness = self.skeleton(universe)
         return outputs
 
-    def _run_one_pass(
-        self, oracle: Optional[BoxSetOracle], max_outputs: Optional[int]
-    ) -> List[Point]:
-        """TetrisSkeleton2: handle uncovered points in place, never restart."""
-        kb = self.knowledge_base
-        find_container = kb.find_container
-        find_pinned = getattr(kb, "find_container_pinned", None)
-        versioned = hasattr(kb, "version")
-        kb_add = kb.add
-        stats = self.stats
-        unit = self._unit_marker
-        cache = self.cache_resolvents
-        cache_resolvent = (
-            kb_add if self.resolvent_limit is None else self._cache_resolvent
-        )
-        resolver = self._resolver
-        # Plain Resolver has no proof-recording side channel, so the
-        # resolution rule can run inline; a TracingResolver (or any
-        # subclass) keeps the full call path.
-        fast_resolve = type(resolver) is Resolver
-        record = self.stats.record
-        uniform = self.dims is None
-        n = self.ndim
-        outputs: List[Point] = []
-        stats.skeleton_calls += 1
-
-        stack: list = []
-        current: Optional[PackedBox] = self._universe
-        cursor = self._initial_cursor(current) if uniform else 0
-        # Split axis of the parent when ``current`` is a first half whose
-        # parent just missed — collapses that level's probe fan-out.
-        pinned: Optional[int] = None
-        result: Tuple[bool, PackedBox] = (True, self._universe)
-
-        while True:
-            if current is not None:
-                b = current
-                stats.containment_queries += 1
-                witness = (
-                    find_container(b)
-                    if pinned is None or find_pinned is None
-                    else find_pinned(b, pinned)
-                )
-                if witness is not None:
-                    stats.cache_hits += 1
-                    result = (True, witness)
-                    current = None
-                    continue
-                if (cursor == n) if uniform else self._is_unit_box(b):
-                    gap_boxes = self._oracle_lookup(oracle, b)
-                    if gap_boxes:
-                        for box in gap_boxes:
-                            if kb_add(box):
-                                stats.boxes_loaded += 1
-                        result = (True, gap_boxes[0])
-                    else:
-                        outputs.append(self._emit(b))
-                        if (
-                            max_outputs is not None
-                            and len(outputs) >= max_outputs
-                        ):
-                            return outputs
-                        kb_add(b)
-                        stats.boxes_loaded += 1
-                        result = (True, b)
-                    current = None
-                    continue
-                axis = cursor if uniform else self._first_thick_generalized(b)
-                head = b[:axis]
-                tail = b[axis + 1:]
-                half = b[axis] << 1
-                b1 = head + (half,) + tail
-                b2 = head + (half | 1,) + tail
-                child_cursor = cursor
-                if uniform and half >= unit:
-                    child_cursor = axis + 1
-                    while child_cursor < n and b[child_cursor] >= unit:
-                        child_cursor += 1
-                stack.append([
-                    b, b2, axis, None, 0, child_cursor,
-                    kb.version if versioned else None,
-                ])
-                current = b1
-                cursor = child_cursor
-                pinned = axis
-                continue
-
-            if not stack:
-                return outputs
-
-            frame = stack[-1]
-            _, witness = result
-            b, b2, axis, w1, stage, child_cursor, ver = frame
-            if box_contains(witness, b):
-                stack.pop()
-                continue
-            if stage == 0:
-                frame[3] = witness
-                frame[4] = 1
-                current = b2
-                cursor = child_cursor
-                # The half b2 inherits b's miss: if nothing was stored
-                # since the split, its probe can pin the axis too.
-                pinned = axis if ver is not None and ver == kb.version else None
-                continue
-            if fast_resolve:
-                meet = list(map(max, w1, witness))
-                meet[axis] = w1[axis] >> 1
-                resolvent = tuple(meet)
-                record(axis, is_ordered_pair(w1, witness, axis))
-            else:
-                resolvent = resolver.resolve(w1, witness, axis)
-            if cache:
-                cache_resolvent(resolvent)
-            stack.pop()
-            result = (True, resolvent)
-
     def _run_resuming(
         self,
         oracle: Optional[BoxSetOracle],
@@ -779,7 +630,9 @@ class TetrisEngine:
         on_demand: bool,
         trust_kb: bool = False,
     ) -> List[Point]:
-        """The frontier-resuming skeleton (the default outer loop).
+        """The frontier-resuming skeleton (the default outer loop),
+        interpreted: the reference the generated kernel is pinned to and
+        the path for every shape :func:`tetris_kernel` declines.
 
         Structurally a one-pass traversal, but each uncovered leaf is a
         *resume point*: the stack is left in place, the gap or output
@@ -811,8 +664,6 @@ class TetrisEngine:
         """
         kb = self.knowledge_base
         find_container = kb.find_container
-        find_pinned = getattr(kb, "find_container_pinned", None)
-        versioned = hasattr(kb, "version")
         find_shallowest = getattr(kb, "find_shallowest_container", None)
         kb_add = kb.add
         stats = self.stats
@@ -849,8 +700,9 @@ class TetrisEngine:
         stack: list = []
         current: Optional[PackedBox] = self._universe
         cursor = self._initial_cursor(current) if uniform else 0
-        # Split axis of the parent when ``current`` is a first half whose
-        # parent just missed — collapses that level's probe fan-out.
+        # Split axis of the parent when ``current`` is a half whose parent
+        # just missed with nothing stored since — collapses that level of
+        # the frontier's probe to one exact lookup.
         pinned: Optional[int] = None
         result: Tuple[bool, PackedBox] = (True, self._universe)
 
@@ -861,11 +713,7 @@ class TetrisEngine:
                 if frontier is not None:
                     witness = probe(b, cursor, pinned)
                 else:
-                    witness = (
-                        find_container(b)
-                        if pinned is None or find_pinned is None
-                        else find_pinned(b, pinned)
-                    )
+                    witness = find_container(b)
                 if witness is not None:
                     stats.cache_hits += 1
                     result = (True, witness)
@@ -1009,7 +857,7 @@ class TetrisEngine:
                         child_cursor += 1
                 stack.append([
                     b, b2, axis, None, 0, child_cursor,
-                    kb.version if versioned else None,
+                    kb.version if frontier is not None else None,
                 ])
                 current = b1
                 cursor = child_cursor
@@ -1046,8 +894,8 @@ class TetrisEngine:
                 # A resolvent no wider than its frame box can never be
                 # probed again — the resuming traversal never revisits a
                 # resolved region — so only witnesses that extend beyond
-                # the frame earn a slot in A.  (The restarting modes must
-                # keep every resolvent: their re-descents depend on it.)
+                # the frame earn a slot in A.  (The restarting mode must
+                # keep every resolvent: its re-descents depend on it.)
                 cache_resolvent(resolvent)
             stack.pop()
             result = (True, resolvent)
@@ -1063,9 +911,8 @@ def solve_bcp(
     sao: Optional[Sequence[int]] = None,
     preload: bool = True,
     cache_resolvents: bool = True,
-    one_pass: Optional[bool] = None,
     stats: Optional[ResolutionStats] = None,
-    mode: Optional[str] = None,
+    mode: str = "resume",
     resolvent_limit: Optional[int] = None,
 ) -> List[Point]:
     """Solve a Box Cover Problem instance: list points not covered by ``boxes``.
@@ -1074,15 +921,14 @@ def solve_bcp(
     or packed ints (converted once at this boundary).  Defaults to the
     frontier-resuming preloaded configuration; pass ``mode="faithful"``
     (optionally with ``preload=False``) for the restart-per-output
-    Algorithm 2, or ``mode="onepass"`` for TetrisSkeleton2.  The legacy
-    ``one_pass`` boolean is still honored when given explicitly.
+    Algorithm 2.
     """
     oracle = BoxSetOracle(boxes, ndim)
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents, stats=stats,
         resolvent_limit=resolvent_limit,
     )
-    return engine.run(oracle, preload=preload, one_pass=one_pass, mode=mode)
+    return engine.run(oracle, preload=preload, mode=mode)
 
 
 def tetris_preloaded(
@@ -1091,13 +937,11 @@ def tetris_preloaded(
     depth: int,
     sao: Optional[Sequence[int]] = None,
     stats: Optional[ResolutionStats] = None,
-    one_pass: Optional[bool] = None,
-    mode: Optional[str] = None,
+    mode: str = "resume",
 ) -> List[Point]:
     """Tetris-Preloaded (Section 4.3): worst-case-optimal configuration."""
     return solve_bcp(
-        boxes, ndim, depth, sao=sao, preload=True, one_pass=one_pass,
-        stats=stats, mode=mode,
+        boxes, ndim, depth, sao=sao, preload=True, stats=stats, mode=mode,
     )
 
 
@@ -1107,13 +951,11 @@ def tetris_reloaded(
     depth: int,
     sao: Optional[Sequence[int]] = None,
     stats: Optional[ResolutionStats] = None,
-    one_pass: Optional[bool] = None,
-    mode: Optional[str] = None,
+    mode: str = "resume",
 ) -> List[Point]:
     """Tetris-Reloaded (Section 4.4): certificate-based configuration."""
     return solve_bcp(
-        boxes, ndim, depth, sao=sao, preload=False, one_pass=one_pass,
-        stats=stats, mode=mode,
+        boxes, ndim, depth, sao=sao, preload=False, stats=stats, mode=mode,
     )
 
 

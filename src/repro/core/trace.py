@@ -152,13 +152,13 @@ class ResolutionProof:
 class TracingResolver(Resolver):
     """A resolver that additionally records every step into a proof.
 
-    The engine's run loops inline the resolution rule only when the
-    attached resolver is exactly :class:`Resolver`; any subclass — this
-    tracer above all — keeps the full ``resolve`` call path, so every
-    traversal mode (including the default frontier-resuming one) yields
-    a complete recorded proof.  Counters shared through
-    :class:`ResolutionStats` (resolutions, resumes, evictions, witness
-    depth) accumulate identically either way.
+    The resume loop inlines the resolution rule — and the generated
+    kernel takes the run — only when the attached resolver is exactly
+    :class:`Resolver`; any subclass, this tracer above all, gets the
+    interpreted loop and the full ``resolve`` call path, so both
+    traversal modes yield a complete recorded proof.  Counters shared
+    through :class:`ResolutionStats` (resolutions, resumes, evictions,
+    witness depth) accumulate identically either way.
     """
 
     def __init__(self, stats: Optional[ResolutionStats] = None):
@@ -195,5 +195,5 @@ def traced_solve_bcp(
     tracer = TracingResolver(engine.stats)
     engine._resolver = tracer
     oracle = BoxSetOracle(boxes, ndim)
-    outputs = engine.run(oracle, preload=True, one_pass=True)
+    outputs = engine.run(oracle, preload=True)
     return outputs, tracer.proof

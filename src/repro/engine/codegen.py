@@ -1,19 +1,24 @@
 """Per-plan compiled kernels over flat columnar buffers.
 
-Every hot join loop in the repo is an interpreter: the leapfrog
-recursion re-reads ``relevant[level]`` participant lists per node, the
-hash pipeline threads each row through a chain of generator frames, and
-the Tetris resume skeleton re-tests mode flags (``uniform``,
-``on_demand``, ``trust_kb``, frontier presence) on every traversal
-step.  PR 4 showed the cure in miniature — the per-ndim ``exec``-compiled
-probe walks of :class:`~repro.core.dyadic_tree.MultilevelDyadicTree` —
-and this module generalizes it to whole backends: for each plan shape a
-specialized Python source is generated with the per-level dispatch,
+A hand-written join loop is an interpreter of its plan: a leapfrog
+recursion re-reads per-level participant lists at every node, a hash
+pipeline threads each row through a chain of generator frames, and the
+Tetris resume skeleton re-tests mode flags (``uniform``, ``on_demand``,
+``trust_kb``, frontier presence) on every traversal step.  PR 4 showed
+the cure in miniature — the per-ndim ``exec``-compiled probe walks of
+:class:`~repro.core.dyadic_tree.MultilevelDyadicTree` — and this module
+generalizes it to whole backends: for each plan shape a specialized
+Python source is generated with the per-level dispatch,
 attribute-position lookups, packed-box bit arithmetic and mode branches
 **constant-folded**, then ``exec``-compiled once and memoized in a
 bounded LRU keyed by the plan's identity.
 
-Three kernel families:
+Three kernel families.  The first two are the *only* implementation of
+their algorithm — :mod:`repro.joins.leapfrog` and
+:mod:`repro.joins.hashjoin` validate their arguments and run the kernel,
+every valid query gets one, and the tests compare them to
+:func:`~repro.joins.nested_loop.join_nested_loop` /
+``evaluate_reference``:
 
 * :func:`leapfrog_kernel` — the generic-WCOJ intersection unrolled into
   literal nested ``while`` loops, one per GAO level, galloping directly
@@ -37,10 +42,17 @@ Three kernel families:
 Cache keys include the *attribute names*, not just the shape — two
 schemas that differ only in naming never share a kernel (the EXPLAIN
 surface would otherwise lie about which query a cached kernel belongs
-to).  Unsupported shapes (a knowledge base other than the dyadic tree,
-generalized dimension specs, tracing resolvers, bounded resolvent
-admission, ``return_boxes``) return ``None`` and the caller falls back
-to the interpreted loop, which remains the semantic reference.
+to).
+
+:func:`tetris_kernel` alone may decline: for a knowledge base other
+than the dyadic tree (``ListStore``), generalized dimension specs
+(the load-balanced lift), a tracing resolver, bounded resolvent
+admission, ``return_boxes`` output, an oracle without the batched walk
+or ``ndim`` past the unroll cap it returns ``None`` and
+:meth:`~repro.core.tetris.TetrisEngine.run` falls back to the
+interpreted ``_run_resuming`` — the same traversal, which
+``tests/engine/test_tetris_kernel.py`` pins the kernel to field for
+field.
 """
 
 from __future__ import annotations
@@ -59,8 +71,9 @@ from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 
 #: Compiled kernels kept per family cache before LRU eviction.  Small
-#: enough that a long-lived ``repro serve`` process stays bounded, large
-#: enough that a benchmark sweep over every Table-1 family never thrashes.
+#: enough that a process streaming never-seen query shapes stays bounded,
+#: large enough that a benchmark sweep over every Table-1 family never
+#: thrashes.
 KERNEL_CACHE_CAP = 256
 
 #: Tetris kernels are specialized per ndim with unrolled per-axis splits;
@@ -69,12 +82,7 @@ _TETRIS_NDIM_CAP = 8
 
 
 class KernelCache:
-    """A bounded LRU of compiled kernels with hit/miss/eviction counters.
-
-    Negative results (``None`` — shape unsupported, caller should use
-    the interpreted loop) are cached too, so repeated dispatch of an
-    uncompilable plan costs one dict probe, not a re-analysis.
-    """
+    """A bounded LRU of compiled kernels with hit/miss/eviction counters."""
 
     __slots__ = ("name", "capacity", "hits", "misses", "evictions",
                  "_entries")
@@ -87,11 +95,9 @@ class KernelCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: "OrderedDict[tuple, Optional[Callable]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[tuple, Callable]" = OrderedDict()
 
-    def lookup(self, key: tuple, build: Callable[[], Optional[Callable]]):
+    def lookup(self, key: tuple, build: Callable[[], Callable]) -> Callable:
         entries = self._entries
         if key in entries:
             self.hits += 1
@@ -118,9 +124,7 @@ class KernelCache:
 
     def cached_sources(self) -> Tuple[str, ...]:
         """The generated source of every live compiled kernel (LRU order)."""
-        return tuple(
-            fn.source for fn in self._entries.values() if fn is not None
-        )
+        return tuple(fn.source for fn in self._entries.values())
 
     def info(self) -> dict:
         return {
@@ -161,7 +165,7 @@ def kernel_cache_summary() -> str:
 
 
 def clear_kernel_caches() -> None:
-    """Drop every compiled kernel and reset the counters (tests, serve)."""
+    """Drop every compiled kernel and reset the counters (tests, benchmarks)."""
     for cache in _CACHES:
         cache.clear()
 
@@ -205,9 +209,10 @@ def _compile(source: str, namespace: dict) -> Callable:
 def _seek(col, lo: int, hi: int, v: int) -> int:
     """First index in ``[lo, hi)`` with ``col[idx] >= v`` (gallop + bisect).
 
-    The flat-column twin of :func:`repro.joins.leapfrog._seek` — same
-    exponential-probe-then-bisect shape, minus the per-row tuple
-    indexing.
+    Doubling steps from ``lo`` find a window whose far edge passes
+    ``v``, then a bisection inside the window finds the boundary —
+    O(log d) comparisons for a seek that lands ``d`` rows ahead, never
+    a linear scan.
     """
     if lo >= hi or col[lo] >= v:
         return lo
@@ -232,13 +237,13 @@ def _leapfrog_source(
     atoms: Sequence[Tuple[str, Tuple[str, ...]]],
     gao: Tuple[str, ...],
     variables: Tuple[str, ...],
-) -> Optional[str]:
+) -> str:
     """Generate the nested-loop leapfrog kernel for one (query, GAO).
 
     ``kernel(views)`` takes the per-atom GAO-restricted
     :class:`~repro.relational.relation.SortedView` objects (in atom
-    order) and streams output rows in exactly the interpreted
-    enumeration order.
+    order) and streams output rows in GAO-lexicographic order,
+    duplicate-free.
     """
     n = len(gao)
     orders = [
@@ -252,7 +257,8 @@ def _leapfrog_source(
             if var in order
         ]
         if not parts:
-            return None  # unconstrained attribute: not a natural join
+            # Not a natural join; JoinQuery cannot express it.
+            raise ValueError(f"GAO attribute {var!r} occurs in no atom")
         parts_by_level.append(parts)
 
     lines: List[str] = ["def kernel(views):"]
@@ -334,8 +340,8 @@ def _leapfrog_source(
     return "\n".join(lines) + "\n"
 
 
-def leapfrog_kernel(query, gao: Tuple[str, ...]) -> Optional[Callable]:
-    """The compiled leapfrog kernel for ``(query, gao)``, or ``None``.
+def leapfrog_kernel(query, gao: Tuple[str, ...]) -> Callable:
+    """The compiled leapfrog kernel for ``(query, gao)``.
 
     Keyed by the atoms' names *and* attribute tuples plus the GAO and
     output variable order — renaming an attribute is a different kernel.
@@ -346,12 +352,10 @@ def leapfrog_kernel(query, gao: Tuple[str, ...]) -> Optional[Callable]:
         tuple((a.name, a.attrs) for a in query.atoms),
     )
 
-    def build() -> Optional[Callable]:
+    def build() -> Callable:
         source = _leapfrog_source(
             [(a.name, a.attrs) for a in query.atoms], gao, query.variables
         )
-        if source is None:
-            return None
         return _compile(source, {"_seek": _seek})
 
     return _LEAPFROG_CACHE.lookup(key, build)
@@ -372,8 +376,8 @@ def _hash_source(
 
     ``kernel(rels)`` takes the per-atom row lists in plan order, builds
     each stage's table inline (scalar-keyed when the join key is one
-    attribute), and yields the projected output rows — the same stream,
-    in the same order, as the interpreted pipeline.
+    attribute), and yields the projected output rows — in the order a
+    left-deep probe pipeline over the same atom order produces them.
     """
     first_attrs = list(atom_specs[0][1])
     acc = list(first_attrs)
@@ -435,15 +439,15 @@ def _hash_source(
 def hash_kernel(
     atom_specs: Sequence[Tuple[str, Tuple[str, ...]]],
     variables: Tuple[str, ...],
-) -> Optional[Callable]:
-    """The compiled hash-cascade kernel for one ordered plan, or ``None``.
+) -> Callable:
+    """The compiled hash-cascade kernel for one ordered plan.
 
     ``atom_specs`` is the plan-ordered ``(name, attrs)`` sequence; the
     key carries names and attributes, so renamed schemas never collide.
     """
     key = (tuple((n, tuple(a)) for n, a in atom_specs), tuple(variables))
 
-    def build() -> Optional[Callable]:
+    def build() -> Callable:
         return _compile(_hash_source(atom_specs, tuple(variables)), {})
 
     return _HASH_CACHE.lookup(key, build)
@@ -964,7 +968,7 @@ def tetris_kernel(
         engine.cache_resolvents,
     )
 
-    def build() -> Optional[Callable]:
+    def build() -> Callable:
         return _compile(
             _tetris_source(*key),
             {

@@ -5,17 +5,20 @@ given (or size-ascending) atom order.  On cyclic queries this is the
 algorithm the AGM line of work beats: intermediate results can blow up to
 Θ(N²) on triangle instances whose output is far smaller.
 
-:func:`iter_hash` runs the plan as a **lazy generator pipeline**: every
-probe side streams, only the per-stage hash tables (built from base
-relations, O(N) total) are materialized — intermediate results never
-are, so taking k rows does O(k)-ish probe work beyond the table builds.
+:func:`iter_hash` runs the plan lazily: every probe side streams, only
+the per-stage hash tables (built from base relations, O(N) total) are
+materialized — intermediate results never are, so taking k rows does
+O(k)-ish probe work beyond the table builds.  The cascade is the
+per-plan kernel generated by :func:`repro.engine.codegen.hash_kernel`;
+this module picks the atom order and runs it, and
+:func:`~repro.joins.nested_loop.join_nested_loop` is the oracle the
+tests compare it to.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.joins.pipeline import hash_stage, probe
 from repro.relational.query import Database, JoinQuery
 
 
@@ -52,50 +55,28 @@ def iter_hash(
     query: JoinQuery,
     db: Database,
     atom_order: Optional[Sequence[str]] = None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Stream the left-deep plan's output lazily (unsorted).
 
     Hash tables for every non-leading atom are built up front (they hash
     base relations, never intermediates); the probe cascade then streams,
-    so no intermediate result is ever materialized.  By default the
-    whole cascade — table builds included — runs as one compiled kernel
+    so no intermediate result is ever materialized.  The whole cascade —
+    table builds included — is one generated kernel
     (:func:`repro.engine.codegen.hash_kernel`) with scalar join keys and
-    constant-folded projections; ``compiled=False`` forces the
-    interpreted generator pipeline, the semantic reference.
+    constant-folded projections.
     """
-    order = _plan_order(query, db, atom_order)
-    if compiled is not False:
-        from repro.engine.codegen import hash_kernel
+    from repro.engine.codegen import hash_kernel
 
-        specs = [
-            (name, query.atom(name).attrs) for name in order
-        ]
-        kernel = hash_kernel(specs, query.variables)
-        if kernel is not None:
-            rels = [db[name].rows() for name in order]
-            yield from kernel(rels)
-            return
-    first = query.atom(order[0])
-    acc_attrs: List[str] = list(first.attrs)
-    stream: Iterator[tuple] = iter(db[first.name].rows())
-    for name in order[1:]:
-        atom = query.atom(name)
-        table, lpos_common, new_attrs = hash_stage(
-            acc_attrs, atom.attrs, db[name]
-        )
-        stream = probe(stream, table, lpos_common)
-        acc_attrs = acc_attrs + new_attrs
-    positions = [acc_attrs.index(v) for v in query.variables]
-    for t in stream:
-        yield tuple(t[i] for i in positions)
+    order = _plan_order(query, db, atom_order)
+    specs = [(name, query.atom(name).attrs) for name in order]
+    kernel = hash_kernel(specs, query.variables)
+    yield from kernel([db[name].rows() for name in order])
 
 
 def join_hash(
     query: JoinQuery,
     db: Database,
     atom_order: Optional[Sequence[str]] = None,
-    compiled: Optional[bool] = None,
 ) -> List[Tuple[int, ...]]:
     """Left-deep binary hash-join plan; outputs follow query.variables.
 
@@ -105,9 +86,7 @@ def join_hash(
     The stream needs no de-duplication: relations are sets, and an output
     row fixes the row it was built from in every atom.
     """
-    return sorted(
-        iter_hash(query, db, atom_order=atom_order, compiled=compiled)
-    )
+    return sorted(iter_hash(query, db, atom_order=atom_order))
 
 
 def intermediate_sizes(

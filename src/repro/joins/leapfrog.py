@@ -17,8 +17,16 @@ inside the window pins the exact row.  Skewed inputs, where one atom's
 cursor must leap over long runs, cost logarithmic instead of linear
 time, and repeated joins over the same database never rebuild anything
 — the sorted views are shared, zero-copy, for the lifetime of the
-relations.  :func:`iter_leapfrog` streams output rows lazily for the
-engine's cursor API.
+relations.
+
+The intersection itself is the per-(query, GAO) kernel generated by
+:func:`repro.engine.codegen.leapfrog_kernel` — literal nested loops
+over the views' flat columns; this module validates the GAO, fetches
+the views and runs it.  There is no second implementation:
+:func:`~repro.joins.nested_loop.join_nested_loop` and
+``evaluate_reference`` are the oracles the tests compare it to.
+:func:`iter_leapfrog` streams output rows lazily for the engine's
+cursor API.
 """
 
 from __future__ import annotations
@@ -29,47 +37,16 @@ from repro.indexes.oracle import default_gao
 from repro.relational.query import Database, JoinQuery
 
 
-def _seek(rows, k: int, lo: int, hi: int, v: int) -> int:
-    """First index in ``[lo, hi)`` whose row has ``row[k] >= v``.
-
-    Galloping (exponential) search from ``lo``: doubling steps find a
-    window whose far edge passes ``v``, then a bisection inside the
-    window finds the boundary — O(log d) comparisons for a seek that
-    lands ``d`` rows ahead, never a linear scan.
-    """
-    if lo >= hi or rows[lo][k] >= v:
-        return lo
-    step = 1
-    pos = lo
-    while pos + step < hi and rows[pos + step][k] < v:
-        pos += step
-        step <<= 1
-    lo = pos + 1
-    hi = pos + step if pos + step < hi else hi
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if rows[mid][k] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def iter_leapfrog(
     query: JoinQuery,
     db: Database,
     gao: Optional[Sequence[str]] = None,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Stream the join output lazily (unsorted, duplicate-free).
 
     Rows follow ``query.variables`` component order but are produced in
-    GAO enumeration order; consuming a prefix does only the work needed
-    for that prefix.  By default the intersection runs as a per-plan
-    compiled kernel over the views' flat columns
-    (:func:`repro.engine.codegen.leapfrog_kernel`); ``compiled=False``
-    forces the interpreted recursion below, which is the semantic
-    reference the parity tests pin the kernel against.
+    GAO enumeration order (lexicographic in the GAO); consuming a prefix
+    does only the work needed for that prefix.
     """
     gao = tuple(gao) if gao is not None else default_gao(query)
     if sorted(gao) != sorted(query.variables):
@@ -79,102 +56,25 @@ def iter_leapfrog(
     # Per-atom cached sorted views in GAO-restricted order.  The rows
     # come from the relation's shared view cache — one sort per
     # (relation, order) for the lifetime of the database, not per join.
-    n = len(gao)
     views = [
         db.sorted_view(
             atom.name, tuple(a for a in gao if a in atom.attrs)
         )
         for atom in query.atoms
     ]
-    if compiled is not False:
-        from repro.engine.codegen import leapfrog_kernel
+    from repro.engine.codegen import leapfrog_kernel
 
-        kernel = leapfrog_kernel(query, gao)
-        if kernel is not None:
-            yield from kernel(views)
-            return
-    atom_rows: List[list] = [view.rows for view in views]
-    atom_depth: List[dict] = []  # gao level -> column index in the atom
-    for view in views:
-        order = view.attr_order
-        atom_depth.append({gao.index(a): d for d, a in enumerate(order)})
-
-    binding: List[int] = [0] * n
-    # Positions permuting a GAO-ordered binding into variables order.
-    positions = [gao.index(v) for v in query.variables]
-    # relevant[level] = (atom index, column depth) pairs for the atoms
-    # constraining this GAO level.
-    relevant = [
-        [(i, depths[level]) for i, depths in enumerate(atom_depth)
-         if level in depths]
-        for level in range(n)
-    ]
-    for level, atoms_here in enumerate(relevant):
-        if not atoms_here:
-            # Cannot happen for natural joins — every variable occurs in
-            # some atom.
-            raise AssertionError("unconstrained attribute in generic join")
-
-    def recurse(level: int, ranges: List[Tuple[int, int]]):
-        if level == n:
-            yield tuple(binding[i] for i in positions)
-            return
-        atoms_here = relevant[level]
-        # Leapfrog intersection over the participating atoms' columns.
-        pos = {i: ranges[i][0] for i, _ in atoms_here}
-        while True:
-            # v = current max over participants; everyone gallops to it.
-            v = None
-            aligned = True
-            for i, k in atoms_here:
-                p = pos[i]
-                if p >= ranges[i][1]:
-                    return
-                val = atom_rows[i][p][k]
-                if v is None or val > v:
-                    if v is not None:
-                        aligned = False
-                    v = val
-                elif val < v:
-                    aligned = False
-            if not aligned:
-                progressed = False
-                for i, k in atoms_here:
-                    lo, hi = ranges[i]
-                    p = _seek(atom_rows[i], k, pos[i], hi, v)
-                    if p != pos[i]:
-                        progressed = True
-                    pos[i] = p
-                    if p >= hi:
-                        return
-                if not progressed:  # pragma: no cover - defensive
-                    raise AssertionError("leapfrog failed to advance")
-                continue
-            # All participants agree on v: narrow each to its v-run.
-            binding[level] = v
-            nxt = list(ranges)
-            ends = {}
-            for i, k in atoms_here:
-                lo, hi = ranges[i]
-                end = _seek(atom_rows[i], k, pos[i], hi, v + 1)
-                nxt[i] = (pos[i], end)
-                ends[i] = end
-            yield from recurse(level + 1, nxt)
-            for i, _ in atoms_here:
-                pos[i] = ends[i]
-
-    yield from recurse(0, [(0, len(rows)) for rows in atom_rows])
+    yield from leapfrog_kernel(query, gao)(views)
 
 
 def join_leapfrog(
     query: JoinQuery,
     db: Database,
     gao: Optional[Sequence[str]] = None,
-    compiled: Optional[bool] = None,
 ) -> List[Tuple[int, ...]]:
     """Evaluate a join with the generic WCOJ algorithm, materialized.
 
     Output tuples follow ``query.variables`` order regardless of the GAO
     and are sorted; :func:`iter_leapfrog` is the streaming form.
     """
-    return sorted(iter_leapfrog(query, db, gao=gao, compiled=compiled))
+    return sorted(iter_leapfrog(query, db, gao=gao))

@@ -78,21 +78,18 @@ def join_tetris(
     index_kind: str = "btree",
     gao: Optional[Sequence[str]] = None,
     stats: Optional[ResolutionStats] = None,
-    one_pass: Optional[bool] = None,
     cache_resolvents: bool = True,
     max_outputs: Optional[int] = None,
-    mode: Optional[str] = None,
+    mode: str = "resume",
     resolvent_limit: Optional[int] = None,
-    compiled: Optional[bool] = None,
 ) -> JoinResult:
     """Evaluate a natural join with Tetris.
 
     ``variant`` is ``'preloaded'`` (Section 4.3 worst-case configuration)
     or ``'reloaded'`` (Section 4.4 certificate-based configuration).
-    ``mode`` selects the traversal — the frontier-resuming skeleton
-    (``"resume"``, the default), TetrisSkeleton2 (``"onepass"``), or the
-    paper-faithful restart-per-output loop (``"faithful"``); the legacy
-    ``one_pass`` boolean maps onto the latter two when given explicitly.
+    ``mode`` selects the traversal — the one-pass frontier-resuming
+    skeleton (``"resume"``, the default) or the paper-faithful
+    restart-per-output loop (``"faithful"``, the parity reference).
     ``resolvent_limit`` bounds the cached-resolvent working set (FIFO
     eviction — always safe, resolvents are derived facts).
     ``max_outputs`` caps the engine's enumeration — it stops after that
@@ -113,8 +110,7 @@ def join_tetris(
     )
     preload = variant == "preloaded"
     points = engine.run(
-        oracle, preload=preload, one_pass=one_pass, max_outputs=max_outputs,
-        mode=mode, compiled=compiled,
+        oracle, preload=preload, max_outputs=max_outputs, mode=mode,
     )
     return JoinResult(sorted(points), attrs, stats, gao)
 
@@ -127,8 +123,7 @@ def iter_tetris(
     gao: Optional[Sequence[str]] = None,
     stats: Optional[ResolutionStats] = None,
     max_outputs: Optional[int] = None,
-    mode: Optional[str] = None,
-    compiled: Optional[bool] = None,
+    mode: str = "resume",
 ):
     """Cursor-friendly Tetris: defer all work until first consumption.
 
@@ -140,6 +135,6 @@ def iter_tetris(
     """
     result = join_tetris(
         query, db, variant=variant, index_kind=index_kind, gao=gao,
-        stats=stats, max_outputs=max_outputs, mode=mode, compiled=compiled,
+        stats=stats, max_outputs=max_outputs, mode=mode,
     )
     yield from result.tuples

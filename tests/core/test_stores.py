@@ -62,7 +62,5 @@ class TestEngineWithListStore:
             boxes = random_boxes(seed, 25, 3, 4)
             expected = brute_force_uncovered(boxes, 3, 4)
             engine = TetrisEngine(3, 4, knowledge_base=ListStore(3))
-            got = engine.run(
-                BoxSetOracle(boxes, 3), preload=True, one_pass=True
-            )
+            got = engine.run(BoxSetOracle(boxes, 3), preload=True)
             assert sorted(got) == expected

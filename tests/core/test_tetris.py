@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.boxes import Box
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import (
+    MODES,
     BoxSetOracle,
     TetrisEngine,
     boolean_box_cover,
@@ -34,7 +35,7 @@ def box_tuples(ndim=NDIM, depth=DEPTH):
 
 
 ALL_VARIANTS = list(
-    itertools.product([True, False], [True, False], [True, False])
+    itertools.product([True, False], MODES, [True, False])
 )
 
 
@@ -117,12 +118,12 @@ class TestAgainstBruteForce:
     )
     def test_all_variants_agree_3d(self, boxes, sao):
         expected = brute_force_uncovered(boxes, 3, 2)
-        for preload, one_pass, cache in ALL_VARIANTS:
+        for preload, mode, cache in ALL_VARIANTS:
             got = solve_bcp(
                 boxes, 3, 2, sao=tuple(sao), preload=preload,
-                one_pass=one_pass, cache_resolvents=cache,
+                mode=mode, cache_resolvents=cache,
             )
-            assert sorted(got) == expected, (preload, one_pass, cache)
+            assert sorted(got) == expected, (preload, mode, cache)
 
     def test_randomized_bigger(self):
         for seed in range(5):

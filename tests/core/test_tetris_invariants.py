@@ -81,9 +81,9 @@ class TestEngineReuse:
         boxes = random_boxes(1, 15, 2, DEPTH)
         oracle = BoxSetOracle(boxes, 2)
         engine = TetrisEngine(2, DEPTH)
-        first = engine.run(oracle, preload=True, one_pass=True)
+        first = engine.run(oracle, preload=True)
         # Running again on the saturated knowledge base finds nothing new.
-        second = engine.run(oracle, preload=True, one_pass=True)
+        second = engine.run(oracle, preload=True)
         assert second == []
         assert sorted(first) == brute_force_uncovered(boxes, 2, DEPTH)
 
@@ -91,8 +91,7 @@ class TestEngineReuse:
         boxes = [Box.from_bits("0", "").ivs]
         engine = TetrisEngine(2, 1)
         out = engine.run(
-            BoxSetOracle(boxes, 2), preload=True, one_pass=True,
-            return_boxes=True,
+            BoxSetOracle(boxes, 2), preload=True, return_boxes=True,
         )
         # Packed unit boxes: '1','0' and '1','1'.
         assert sorted(out) == [

@@ -1,11 +1,11 @@
 """Parity matrix for the Tetris traversal modes and kernel hot-path features.
 
-The frontier-resuming skeleton (``mode="resume"``), TetrisSkeleton2
-(``mode="onepass"``) and the faithful restart-per-output loop
-(``mode="faithful"``) must emit identical output sets on every instance
-— over random packed box sets, every dimensionality 1–4, uniform and
-generalized (per-axis depth) spaces, both knowledge-base stores, with
-and without the bounded resolvent-admission policy.
+The one-pass frontier-resuming skeleton (``mode="resume"``) and the
+faithful restart-per-output loop (``mode="faithful"``) must emit
+identical output sets on every instance — over random packed box sets,
+every dimensionality 1–4, uniform and generalized (per-axis depth)
+spaces, both knowledge-base stores, with and without the bounded
+resolvent-admission policy.
 """
 
 import itertools
@@ -136,21 +136,29 @@ class TestBoundedResolventAdmission:
                 assert got == expected, (mode, limit)
 
     def test_evictions_counted_and_kb_bounded(self):
-        # The one-pass mode caches every resolvent (the resume mode
-        # skips ones no wider than their frame), so it must overflow a
-        # tight bound and evict.
-        ndim, depth = 3, 4
-        boxes = random_boxes(3, 30, ndim, depth)
-        stats = ResolutionStats()
-        oracle = BoxSetOracle(boxes, ndim)
-        engine = TetrisEngine(ndim, depth, stats=stats, resolvent_limit=8)
-        baseline = len(oracle)
-        engine.run(oracle, preload=True, mode="onepass")
-        assert stats.evictions > 0
-        # Inputs + outputs + at most `limit` cached resolvents.
-        assert len(engine.knowledge_base) <= baseline + 8 + (
-            stats.boxes_loaded
-        )
+        # Resume admits only resolvents wider than their frame, so it
+        # takes the tightest bound to overflow (2 evictions here);
+        # faithful caches every resolvent and re-derives the evicted
+        # ones on each restart, so a small instance evicts >1000 times.
+        cases = [
+            ("resume", 1, (3, 30, 3, 4)),
+            ("faithful", 8, (3, 12, 3, 3)),
+        ]
+        for mode, limit, (seed, count, ndim, depth) in cases:
+            boxes = random_boxes(seed, count, ndim, depth)
+            stats = ResolutionStats()
+            oracle = BoxSetOracle(boxes, ndim)
+            engine = TetrisEngine(
+                ndim, depth, stats=stats, resolvent_limit=limit
+            )
+            baseline = len(oracle)
+            got = engine.run(oracle, preload=True, mode=mode)
+            assert sorted(got) == brute_force_uncovered(boxes, ndim, depth)
+            assert stats.evictions > 0, mode
+            # Inputs + outputs + at most `limit` cached resolvents.
+            assert len(engine.knowledge_base) <= baseline + limit + (
+                stats.boxes_loaded
+            ), mode
 
     def test_list_store_eviction(self):
         ndim, depth = 2, 4
@@ -167,23 +175,7 @@ class TestBoundedResolventAdmission:
             TetrisEngine(2, 3, resolvent_limit=0)
 
 
-class TestLegacyOnePassFlag:
-    def test_one_pass_maps_to_modes(self):
-        boxes = random_boxes(2, 10, 2, 3)
-        expected = brute_force_uncovered(boxes, 2, 3)
-        oracle = BoxSetOracle(boxes, 2)
-        for one_pass in (True, False):
-            engine = TetrisEngine(2, 3)
-            got = sorted(
-                engine.run(oracle, preload=True, one_pass=one_pass)
-            )
-            assert got == expected
-
-    def test_conflicting_flags_rejected(self):
-        engine = TetrisEngine(2, 3)
-        with pytest.raises(ValueError):
-            engine.run(BoxSetOracle([], 2), one_pass=True, mode="faithful")
-
+class TestModeValidation:
     def test_unknown_mode_rejected(self):
         engine = TetrisEngine(2, 3)
         with pytest.raises(ValueError):

@@ -88,29 +88,6 @@ class TestProbeVariants:
             if got is not None:
                 assert box_contains(got, p)
 
-    def test_pinned_probe_complete_under_invariant(self):
-        # After a miss on the parent, the pinned probe must find every
-        # container of the first half.
-        ndim, depth = 3, 4
-        boxes = random_packed_boxes(9, 50, ndim, depth)
-        tree = tree_of(boxes, ndim)
-        rng = random.Random(5)
-        checked = 0
-        for _ in range(300):
-            axis = rng.randrange(ndim)
-            parent = list(
-                random_packed_boxes(rng.randrange(10_000), 1, ndim, depth - 1)[0]
-            )
-            b = tuple(parent)
-            if tree.find_container(b) is not None:
-                continue
-            half = b[:axis] + (b[axis] << 1,) + b[axis + 1:]
-            assert (
-                tree.find_container_pinned(half, axis) is None
-            ) == (tree.find_container(half) is None)
-            checked += 1
-        assert checked > 10
-
     def test_shallowest_container_is_container(self):
         boxes = random_packed_boxes(4, 60, 3, 4)
         tree = tree_of(boxes, 3)

@@ -1,11 +1,13 @@
 """Compiled-kernel tests: parity matrix, cache isolation, LRU bounds.
 
 The compiled kernels of :mod:`repro.engine.codegen` must be invisible
-except for speed: every (backend × Table-1 family × worker count ×
-Tetris mode) cell is checked byte-identical against the interpreted
-loops (``compiled=False``), cache keys must keep attribute-renamed
-schemas apart, and the per-family LRU must stay bounded with honest
-hit/miss/eviction counters.
+except for speed: every (backend × Table-1 family × worker count) cell
+is checked against a reference that shares no code with it — the
+nested-loop join for leapfrog and hash, whose kernels are their only
+implementation, and the interpreted resume loop for Tetris (reached by
+making the kernel builder decline, ``tests.helpers.interpreted_tetris``)
+— cache keys must keep attribute-renamed schemas apart, and the
+per-family LRU must stay bounded with honest hit/miss/eviction counters.
 """
 
 import functools
@@ -25,9 +27,11 @@ from repro.engine.codegen import (
     _LEAPFROG_CACHE,
     _TETRIS_CACHE,
     KernelCache,
+    _leapfrog_source,
 )
 from repro.joins.hashjoin import join_hash
 from repro.joins.leapfrog import join_leapfrog
+from repro.joins.nested_loop import join_nested_loop
 from repro.joins.tetris_join import join_tetris
 from repro.relational.query import JoinQuery, star_query
 from repro.relational.schema import RelationSchema
@@ -37,6 +41,7 @@ from repro.workloads.generators import (
     random_graph_edges,
     random_path_db,
 )
+from tests.helpers import interpreted_tetris
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,14 +69,17 @@ def _family(name):
 FAMILIES = ("triangle", "tw1", "star")
 
 
+def _interpreted_tetris(query, db, **kwargs):
+    with interpreted_tetris():
+        return join_tetris(query, db, **kwargs)
+
+
 def _interpreted(algorithm, query, db):
-    """The semantic reference: the interpreted loop, kernels forced off."""
-    if algorithm == "leapfrog":
-        return join_leapfrog(query, db, compiled=False)
-    if algorithm == "hash":
-        return join_hash(query, db, compiled=False)
+    """The semantic reference: no generated kernel anywhere in it."""
+    if algorithm in ("leapfrog", "hash"):
+        return join_nested_loop(query, db)
     variant = algorithm.split("-", 1)[1]
-    return join_tetris(query, db, variant=variant, compiled=False).tuples
+    return _interpreted_tetris(query, db, variant=variant).tuples
 
 
 # -- parity matrix --------------------------------------------------------------
@@ -97,8 +105,8 @@ def test_compiled_matches_interpreted(algorithm, family, workers):
 def test_tetris_kernel_stats_are_bit_identical(variant, family):
     """Not just the output: every ResolutionStats counter must match."""
     query, db = _family(family)
-    interp = join_tetris(query, db, variant=variant, compiled=False)
-    comp = join_tetris(query, db, variant=variant, compiled=True)
+    interp = _interpreted_tetris(query, db, variant=variant)
+    comp = join_tetris(query, db, variant=variant)
     assert comp.tuples == interp.tuples
     assert asdict(comp.stats) == asdict(interp.stats)
 
@@ -106,24 +114,23 @@ def test_tetris_kernel_stats_are_bit_identical(variant, family):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"mode": "onepass"},
         {"mode": "faithful"},
         {"resolvent_limit": 10_000},
     ],
-    ids=["onepass", "faithful", "resolvent-limit"],
+    ids=["faithful", "resolvent-limit"],
 )
 def test_unsupported_tetris_shapes_fall_back_correctly(kwargs):
     """Shapes the codegen declines still answer through the interpreter."""
     query, db = _family("triangle")
-    expected = join_tetris(query, db, compiled=False).tuples
-    got = join_tetris(query, db, compiled=True, **kwargs)
+    expected = _interpreted_tetris(query, db).tuples
+    got = join_tetris(query, db, **kwargs)
     assert got.tuples == expected
 
 
 def test_capped_tetris_run_matches_interpreted_prefix():
     query, db = _family("tw1")
-    interp = join_tetris(query, db, max_outputs=5, compiled=False)
-    comp = join_tetris(query, db, max_outputs=5, compiled=True)
+    interp = _interpreted_tetris(query, db, max_outputs=5)
+    comp = join_tetris(query, db, max_outputs=5)
     assert comp.tuples == interp.tuples
     assert len(comp.tuples) <= 5
 
@@ -149,10 +156,10 @@ def test_attribute_renaming_gets_distinct_kernels():
     db_star = db_from_tuples(star, tuples, 3)
 
     clear_kernel_caches()
-    assert join_hash(path, db_path, compiled=True) == [(1, 2, 3)]
-    assert join_hash(star, db_star, compiled=True) == []
-    assert join_leapfrog(path, db_path, compiled=True) == [(1, 2, 3)]
-    assert join_leapfrog(star, db_star, compiled=True) == []
+    assert join_hash(path, db_path) == [(1, 2, 3)]
+    assert join_hash(star, db_star) == []
+    assert join_leapfrog(path, db_path) == [(1, 2, 3)]
+    assert join_leapfrog(star, db_star) == []
 
     info = kernel_cache_info()
     assert info["hash"]["entries"] == 2
@@ -164,9 +171,9 @@ def test_attribute_renaming_gets_distinct_kernels():
 def test_repeat_plans_hit_the_kernel_cache():
     query, db = _family("triangle")
     clear_kernel_caches()
-    first = join_leapfrog(query, db, compiled=True)
+    first = join_leapfrog(query, db)
     before = kernel_cache_info()["leapfrog"]
-    again = join_leapfrog(query, db, compiled=True)
+    again = join_leapfrog(query, db)
     after = kernel_cache_info()["leapfrog"]
     assert again == first
     assert after["entries"] == before["entries"]
@@ -199,14 +206,12 @@ def test_kernel_cache_lru_evicts_least_recent():
     assert cache.info()["evictions"] == 2  # rebuilding "b" evicted "a"
 
 
-def test_kernel_cache_negative_results_are_cached():
-    cache = KernelCache("test", capacity=4)
-    assert cache.lookup(("no",), lambda: None) is None
-    assert cache.lookup(("no",), lambda: pytest.fail("re-analyzed")) is None
-    info = cache.info()
-    assert (info["hits"], info["misses"]) == (1, 1)
-    # None entries hold no source.
-    assert cache.cached_sources() == ()
+def test_leapfrog_builder_rejects_an_unconstrained_attribute():
+    """The builders are total over ``JoinQuery``; a GAO attribute that
+    occurs in no atom (not expressible as one) is an error, never a
+    declined kernel."""
+    with pytest.raises(ValueError, match="occurs in no atom"):
+        _leapfrog_source([("R", ("a", "b"))], ("a", "b", "c"), ("a", "b"))
 
 
 def test_kernel_cache_clear_resets_entries_and_counters():
@@ -222,9 +227,9 @@ def test_kernel_cache_clear_resets_entries_and_counters():
 def test_generated_sources_are_inspectable():
     query, db = _family("triangle")
     clear_kernel_caches()
-    join_leapfrog(query, db, compiled=True)
-    join_hash(query, db, compiled=True)
-    join_tetris(query, db, compiled=True)
+    join_leapfrog(query, db)
+    join_hash(query, db)
+    join_tetris(query, db)
     for cache in (_LEAPFROG_CACHE, _HASH_CACHE, _TETRIS_CACHE):
         sources = cache.cached_sources()
         assert len(sources) == 1

@@ -6,7 +6,10 @@ containment test of ``TetrisEngine._run_resuming``.  The fence is
 exactness: same outputs in the same order *and* every
 ``ResolutionStats`` field equal — cheaper steps, not different steps —
 over random box cover instances, both disciplines, capped and uncapped.
-Shapes the generator declines must fall back and still answer.
+The reference is reached the way production reaches it — the kernel
+builder declines (``tests.helpers.interpreted_tetris``); there is no
+keyword that selects it.  Shapes the generator declines on its own must
+fall back and still answer.
 """
 
 import sys
@@ -23,7 +26,11 @@ from repro.core.tetris import BoxSetOracle, FixedDepth, TetrisEngine
 from repro.core.trace import TracingResolver
 from repro.engine import clear_kernel_caches, kernel_cache_info
 from repro.engine.codegen import tetris_kernel
-from tests.helpers import brute_force_uncovered, random_boxes
+from tests.helpers import (
+    brute_force_uncovered,
+    interpreted_tetris,
+    random_boxes,
+)
 
 
 @st.composite
@@ -45,19 +52,23 @@ def bcp_instances(draw):
     return ndim, depth, sao, boxes
 
 
-def _run(instance, preload, compiled, max_outputs, cache_resolvents):
+def _run(instance, preload, max_outputs, cache_resolvents):
     ndim, depth, sao, boxes = instance
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents,
         stats=ResolutionStats(),
     )
     points = engine.run(
-        BoxSetOracle(boxes, ndim), preload=preload,
-        max_outputs=max_outputs, compiled=compiled,
+        BoxSetOracle(boxes, ndim), preload=preload, max_outputs=max_outputs,
     )
     # Tree iteration follows insertion order: equal lists mean the same
     # boxes were stored in the same order, witness choices included.
     return points, asdict(engine.stats), list(engine.knowledge_base)
+
+
+def _run_interpreted(*args):
+    with interpreted_tetris():
+        return _run(*args)
 
 
 @settings(max_examples=250, deadline=None)
@@ -71,10 +82,10 @@ def test_kernel_takes_the_interpreted_steps(
     instance, preload, max_outputs, cache_resolvents
 ):
     got, got_stats, got_kb = _run(
-        instance, preload, True, max_outputs, cache_resolvents
+        instance, preload, max_outputs, cache_resolvents
     )
-    want, want_stats, want_kb = _run(
-        instance, preload, False, max_outputs, cache_resolvents
+    want, want_stats, want_kb = _run_interpreted(
+        instance, preload, max_outputs, cache_resolvents
     )
     assert got == want  # same points in the same order
     assert got_stats == want_stats
@@ -95,8 +106,8 @@ def test_walk_order_above_the_last_two_levels(seed, preload):
     resolvents.  (Random search rarely builds such a frontier.)
     """
     instance = (5, 2, (0, 1, 2, 3, 4), random_boxes(seed, 60, 5, 2))
-    assert _run(instance, preload, True, None, True) == _run(
-        instance, preload, False, None, True
+    assert _run(instance, preload, None, True) == _run_interpreted(
+        instance, preload, None, True
     )
 
 
@@ -140,7 +151,8 @@ def test_unwind_containment_is_one_compare(preload, monkeypatch):
     for seed in range(5):
         engine = TetrisEngine(3, 4, sao=(1, 2, 0))
         oracle = BoxSetOracle(random_boxes(seed, 14, 3, 4), 3)
-        engine.run(oracle, preload=preload, compiled=False)
+        with interpreted_tetris():
+            engine.run(oracle, preload=preload)
     assert len(steps) > 100
     for witness, b, axis, child_component in steps:
         child = b[:axis] + (child_component,) + b[axis + 1:]
@@ -192,10 +204,11 @@ def test_query_oracle_kernel_repeats_on_cached_indexes():
 
     query, db = graph_triangle_db(random_graph_edges(12, 30, seed=5))
     for variant in ("preloaded", "reloaded"):
-        runs = [
-            join_tetris(query, db, variant=variant, compiled=compiled)
-            for compiled in (True, False, True, False)
-        ]
+        runs = []
+        for _repeat in range(2):
+            runs.append(join_tetris(query, db, variant=variant))
+            with interpreted_tetris():
+                runs.append(join_tetris(query, db, variant=variant))
         for run in runs[1:]:
             assert run.tuples == runs[0].tuples
             assert asdict(run.stats) == asdict(runs[0].stats)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
+from unittest import mock
 
 from repro.core.boxes import BoxTuple
 from repro.core.intervals import Interval
@@ -62,3 +64,25 @@ def random_packed_boxes(seed: int, count: int, ndim: int, depth: int):
         tuple((1 << length) | value for value, length in box)
         for box in random_boxes(seed, count, ndim, depth)
     ]
+
+
+@contextlib.contextmanager
+def interpreted_tetris() -> Iterator[None]:
+    """Run Tetris resume mode on the interpreted reference loop.
+
+    ``TetrisEngine.run`` takes ``_run_resuming`` exactly when
+    ``tetris_kernel`` declines the engine's shape; inside this block it
+    declines every shape.  A context manager rather than a fixture so
+    that it can wrap single calls inside ``@given`` bodies.  The kernel
+    cache must sit untouched meanwhile — were ``run`` ever to bind the
+    builder before this patch lands, the parity tests would compare the
+    kernel with itself and pass.
+    """
+    from repro.engine.codegen import _TETRIS_CACHE
+
+    lookups = _TETRIS_CACHE.hits + _TETRIS_CACHE.misses
+    with mock.patch(
+        "repro.engine.codegen.tetris_kernel", lambda *args, **kwargs: None
+    ):
+        yield
+    assert _TETRIS_CACHE.hits + _TETRIS_CACHE.misses == lookups

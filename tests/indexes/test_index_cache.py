@@ -49,6 +49,7 @@ from repro.workloads.generators import (
     random_path_db,
     split_path_instance,
 )
+from tests.helpers import interpreted_tetris
 
 INDEX_KINDS = ("btree", "dyadic", "kdtree")
 INDEX_CLASSES = (BTreeIndex, DyadicTreeIndex, KDTreeIndex)
@@ -158,11 +159,11 @@ def _reference_run(oracle, depth, sao):
     return sorted(points), asdict(engine.stats)
 
 
-def _run(oracle, depth, sao, compiled=None):
+def _run(oracle, depth, sao):
     engine = TetrisEngine(
         len(oracle.attrs), depth, sao=sao, stats=ResolutionStats()
     )
-    points = engine.run(oracle, preload=True, compiled=compiled)
+    points = engine.run(oracle, preload=True)
     return sorted(points), asdict(engine.stats)
 
 
@@ -258,10 +259,11 @@ def test_second_execution_builds_and_decomposes_nothing(
         assert built == len(query.atoms)
 
     fresh = execute(query, _triangle(1)[1], **kwargs)
-    interpreted = join_tetris(
-        query, db, variant=variant, index_kind=index_kind,
-        gao=first.gao, compiled=False,
-    )
+    with interpreted_tetris():
+        interpreted = join_tetris(
+            query, db, variant=variant, index_kind=index_kind,
+            gao=first.gao,
+        )
     for other in (second, fresh, interpreted):
         assert other.tuples == first.tuples
         assert asdict(other.stats) == asdict(first.stats)
@@ -290,7 +292,8 @@ def test_boxes_and_load_match_the_per_query_pipeline(name, index_kind):
         ]
         points, stats = _run(oracle, depth, sao)
         assert (points, stats) == _reference_run(oracle, depth, sao)
-        assert (points, stats) == _run(oracle, depth, sao, compiled=False)
+        with interpreted_tetris():
+            assert (points, stats) == _run(oracle, depth, sao)
         assert stats["boxes_loaded"] == len(want) + len(points)
 
 

@@ -2,12 +2,14 @@
 and the join-level mode knob."""
 
 import random
+from array import array
 
 import pytest
 
-from repro.core.tetris import BoxSetOracle
+from repro.core.tetris import MODES, BoxSetOracle
+from repro.engine.codegen import _seek
 from repro.joins.hashjoin import join_hash
-from repro.joins.leapfrog import _seek, iter_leapfrog, join_leapfrog
+from repro.joins.leapfrog import iter_leapfrog, join_leapfrog
 from repro.joins.tetris_join import join_tetris, make_oracle
 from repro.workloads.generators import (
     graph_triangle_db,
@@ -52,17 +54,17 @@ class TestBoxSetOracleBatch:
 
 class TestLeapfrogGallop:
     def test_seek_boundaries(self):
-        rows = [(v,) for v in [1, 1, 2, 5, 5, 5, 9, 12]]
-        assert _seek(rows, 0, 0, len(rows), 0) == 0
-        assert _seek(rows, 0, 0, len(rows), 1) == 0
-        assert _seek(rows, 0, 0, len(rows), 2) == 2
-        assert _seek(rows, 0, 0, len(rows), 3) == 3
-        assert _seek(rows, 0, 0, len(rows), 5) == 3
-        assert _seek(rows, 0, 0, len(rows), 6) == 6
-        assert _seek(rows, 0, 0, len(rows), 13) == len(rows)
+        col = array("q", [1, 1, 2, 5, 5, 5, 9, 12])
+        assert _seek(col, 0, len(col), 0) == 0
+        assert _seek(col, 0, len(col), 1) == 0
+        assert _seek(col, 0, len(col), 2) == 2
+        assert _seek(col, 0, len(col), 3) == 3
+        assert _seek(col, 0, len(col), 5) == 3
+        assert _seek(col, 0, len(col), 6) == 6
+        assert _seek(col, 0, len(col), 13) == len(col)
         # Restricted window.
-        assert _seek(rows, 0, 2, 6, 5) == 3
-        assert _seek(rows, 0, 4, 6, 9) == 6
+        assert _seek(col, 2, 6, 5) == 3
+        assert _seek(col, 4, 6, 9) == 6
 
     def test_triangle_parity_with_hash(self):
         query, db = graph_triangle_db(random_graph_edges(60, 200, seed=5))
@@ -106,19 +108,22 @@ class TestJoinModeKnob:
         query, db = graph_triangle_db(random_graph_edges(50, 150, seed=6))
         results = {
             mode: join_tetris(query, db, variant=variant, mode=mode).tuples
-            for mode in ("resume", "onepass", "faithful")
+            for mode in MODES
         }
-        assert results["resume"] == results["onepass"] == results["faithful"]
+        assert results["resume"] == results["faithful"]
 
     def test_resolvent_limit_at_join_level(self):
         query, db = graph_triangle_db(random_graph_edges(50, 150, seed=6))
         base = join_tetris(query, db).tuples
         capped = join_tetris(query, db, resolvent_limit=16)
         assert capped.tuples == base
-        # The one-pass mode caches every resolvent, so a tight bound
-        # must evict; the resume default may cache too few to overflow.
-        capped_onepass = join_tetris(
-            query, db, mode="onepass", resolvent_limit=16
+        # Resume admits only resolvents wider than their frame and
+        # caches too few here to overflow any bound; the faithful loop
+        # caches every one, so a tight bound must evict.  It re-derives
+        # what it evicts on every restart, hence the small instance.
+        query, db = graph_triangle_db(random_graph_edges(12, 30, seed=6))
+        capped_faithful = join_tetris(
+            query, db, mode="faithful", resolvent_limit=16
         )
-        assert capped_onepass.tuples == base
-        assert capped_onepass.stats.evictions > 0
+        assert capped_faithful.tuples == join_tetris(query, db).tuples
+        assert capped_faithful.stats.evictions > 0

@@ -85,7 +85,7 @@ class TestIndexInterchangeability:
         from repro.core.tetris import TetrisEngine
 
         engine = TetrisEngine(3, depth)
-        out = engine.run(oracle, preload=True, one_pass=True)
+        out = engine.run(oracle, preload=True)
         assert sorted(out) == expected
 
     def test_richer_indexes_shrink_certificate(self):
@@ -130,7 +130,7 @@ class TestIndexInterchangeability:
         from repro.core.tetris import TetrisEngine
 
         engine = TetrisEngine(3, depth)
-        out = engine.run(multi, preload=True, one_pass=True)
+        out = engine.run(multi, preload=True)
         assert sorted(out) == expected
 
 
@@ -157,7 +157,7 @@ class TestProofPipeline:
         )
         tracer = TracingResolver(engine.stats)
         engine._resolver = tracer
-        out = engine.run(oracle, preload=True, one_pass=True)
+        out = engine.run(oracle, preload=True)
         assert sorted(out) == evaluate_reference(query, db)
         tracer.proof.verify()
         assert tracer.proof.is_ordered()
