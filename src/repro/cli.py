@@ -10,7 +10,6 @@ Subcommands::
     python -m repro sat formula.cnf [--enumerate]
     python -m repro analyze "R(A,B), S(B,C), T(A,C)"
     python -m repro metrics ["R(A,B), S(B,C)" --csv ... --workers 4]
-    python -m repro metrics --serve 9100
 
 ``join`` evaluates an arbitrary natural join over CSV files through the
 adaptive engine (``--algorithm auto`` picks the cost-optimal backend;
@@ -23,8 +22,7 @@ Tetris-as-DPLL; ``analyze`` prints a query's structural profile
 (acyclicity, treewidth, fhtw, recommended GAO) and which Table 1 runtime
 row applies; ``metrics`` dumps the process metrics registry — optionally
 after running a query to populate it — as aligned text (quantiles
-included) or OpenMetrics (``--openmetrics``), serves it for scraping
-(``--serve PORT``), or prints the flight-recorder ring (``--last N``).
+included) or OpenMetrics (``--openmetrics``).
 """
 
 from __future__ import annotations
@@ -138,16 +136,13 @@ def _write_trace(tracer, path: str) -> None:
 
 
 def _write_profile(path: str) -> None:
-    """Export the process profiler's samples as a flamegraph file."""
+    """Export the process profiler's samples as collapsed stacks."""
     from repro.obs import profiler as _profiler
 
     prof = _profiler.active()
     if prof is None:
         return
-    if path.endswith((".folded", ".txt")):
-        prof.write_folded(path)
-    else:
-        prof.write_speedscope(path)
+    prof.write_folded(path)
     print(f"# profile written to {path}", file=sys.stderr)
 
 
@@ -216,9 +211,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.obs.flight import RECORDER
     from repro.obs.metrics import REGISTRY, render_metrics
 
     _apply_shm_flag(args)
@@ -245,26 +237,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         except (ValueError, QueryTimeout) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.last is not None:
-        for rec in RECORDER.last(args.last):
-            print(_json.dumps(rec.to_dict()))
-        return 0
-    if args.serve is not None:
-        from repro.obs.export import start_metrics_server
-
-        server = start_metrics_server(args.serve)
-        host, port = server.server_address[:2]
-        print(
-            f"# serving OpenMetrics on http://{host}:{port}/metrics "
-            f"(flight ring at /flight; Ctrl-C to stop)",
-            file=sys.stderr,
-        )
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            server.shutdown()
-        return 0
     if args.openmetrics:
         from repro.obs.export import render_openmetrics
 
@@ -508,15 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--profile", action="store_true",
-        help="run the sampling wall-clock profiler during the query "
-             "(same as REPRO_PROFILE=1); with --analyze the report "
-             "gains sampled per-stage self-time",
+        help="run the sampling wall-clock profiler during the query; "
+             "with --analyze the report gains sampled per-stage "
+             "self-time",
     )
     p_explain.add_argument(
         "--profile-out", default=None, metavar="PATH",
-        help="write the profile as a flamegraph (.folded/.txt → "
-             "collapsed stacks, anything else → speedscope JSON); "
-             "implies --profile",
+        help="write the profile as collapsed stacks, the input of "
+             "every flamegraph renderer; implies --profile",
     )
     p_explain.set_defaults(func=_cmd_explain)
 
@@ -558,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_met = sub.add_parser(
         "metrics",
-        help="dump or serve the process metrics registry "
-             "(quantile histograms, worker counters, flight records)",
+        help="dump the process metrics registry "
+             "(quantile histograms, worker counters)",
     )
     add_query_options(p_met, query_required=False)
     p_met.add_argument(
@@ -571,16 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--openmetrics", action="store_true",
         help="emit OpenMetrics/Prometheus exposition text instead of "
              "the aligned human-readable dump",
-    )
-    p_met.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="serve GET /metrics (OpenMetrics) and /flight (JSON "
-             "lines) on PORT until interrupted",
-    )
-    p_met.add_argument(
-        "--last", type=int, default=None, metavar="N",
-        help="print the newest N flight-recorder records as JSON lines "
-             "(run a query in the same invocation to populate the ring)",
     )
     p_met.set_defaults(func=_cmd_metrics)
     return parser

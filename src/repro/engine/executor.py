@@ -40,9 +40,6 @@ from typing import (
 
 from repro.core.resolution import ResolutionStats
 from repro.engine.planner import Plan, plan_query
-from repro.obs import flight as _flight
-from repro.obs import profiler as _profiler
-from repro.obs import slowlog as _slowlog
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.query import Database, JoinQuery
@@ -239,9 +236,6 @@ class ExecutionResult:
     decode: Optional[object] = field(default=None, repr=False)
     #: The shard-parallel run's ParallelReport; None for serial plans.
     parallel: Optional[object] = field(default=None, repr=False)
-    #: This query's metrics delta (a MetricsSnapshot), when the registry
-    #: is enabled — what EXPLAIN's consolidated metrics block renders.
-    metrics: Optional[object] = field(default=None, repr=False)
     #: The query's Tracer when it ran traced; None otherwise.
     trace: Optional[object] = field(default=None, repr=False)
 
@@ -572,23 +566,18 @@ def execute(
     parallel run with :class:`~repro.parallel.QueryTimeout`; serial
     plans ignore it.
 
-    Observability happens here, once per query: with tracing on (or the
-    slow-query log armed) the whole run executes under a ``query`` span;
-    with the metrics registry enabled the result carries the query's
-    metrics delta.  Both checks are per-query flag reads — disabled,
-    this function is the PR-6 code path.
+    Observability happens here, once per query, and is O(1) in the
+    registry: with tracing on the whole run executes under a ``query``
+    span; with the metrics registry enabled the query's wall time lands
+    in ``query.latency`` / ``query.latency.backend.<b>`` and one
+    ``inc_many`` adds ``engine.queries``, ``engine.rows.returned`` and
+    the run's ``ResolutionStats``.  Both checks are per-query flag
+    reads; a caller that wants this query's registry delta brackets the
+    call with ``REGISTRY.snapshot()`` / ``MetricsSnapshot.since``.
     """
     tracer = _tracing.current_tracer()
-    owns_tracer = tracer is None and (
-        _tracing.enabled() or _slowlog.armed()
-    )
-    if owns_tracer:
+    if tracer is None and _tracing.enabled():
         tracer = _tracing.Tracer()
-    # Honor REPRO_PROFILE lazily: one env read per process, then a
-    # global check — the disabled path stays bit-identical.
-    _profiler.maybe_start()
-    metrics_on = _METRICS.enabled
-    before = _METRICS.snapshot() if metrics_on else None
     wall0 = time.perf_counter()
     with _tracing.use(tracer):
         qspan = (
@@ -638,23 +627,12 @@ def execute(
         finally:
             if tracer is not None:
                 tracer.finish(qspan)
-    wall_s = time.perf_counter() - wall0
-    stage_seconds: Dict[str, float] = {}
-    if metrics_on:
+    if _METRICS.enabled:
+        wall_s = time.perf_counter() - wall0
         _METRICS.observe("query.latency", wall_s)
         _METRICS.observe(
             f"query.latency.backend.{plan.backend}", wall_s
         )
-        if tracer is not None:
-            # Span durations feed the per-stage latency histograms:
-            # the name's bracket suffix (shard[3]) is stripped so all
-            # shards of a stage share one distribution.
-            for s in tracer.spans:
-                base = s.name.split("[", 1)[0]
-                _METRICS.observe(f"stage.{base}.seconds", s.duration)
-                stage_seconds[base] = (
-                    stage_seconds.get(base, 0.0) + s.duration
-                )
         _METRICS.inc_many(
             {
                 "engine.queries": 1,
@@ -662,10 +640,7 @@ def execute(
                 **stats.as_metrics(),
             }
         )
-        delta = _METRICS.snapshot().since(before)
-    else:
-        delta = None
-    result = ExecutionResult(
+    return ExecutionResult(
         tuples=tuples,
         variables=query.variables,
         stats=stats,
@@ -676,26 +651,5 @@ def execute(
         limit=limit,
         decode=decode,
         parallel=report,
-        metrics=delta,
         trace=tracer,
     )
-    description = (
-        f"{' ⋈ '.join(a.name for a in query.atoms)} "
-        f"backend={plan.backend} workers={plan.workers} "
-        f"rows={len(tuples)}"
-    )
-    flight_rec = (
-        _flight.record_query(
-            description, wall_s, result, delta, stage_seconds
-        )
-        if metrics_on
-        else None
-    )
-    _slowlog.maybe_report(
-        description,
-        wall_s,
-        tracer=tracer,
-        metrics_delta=delta.nonzero() if delta is not None else None,
-        flight=flight_rec,
-    )
-    return result

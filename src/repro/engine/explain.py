@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import List
 
+from repro.engine.codegen import kernel_cache_summary
 from repro.engine.executor import ExecutionResult
 from repro.engine.planner import Plan
 
@@ -205,22 +206,8 @@ def render_execution(result: ExecutionResult) -> str:
         f"├─ backend     : {result.backend}",
         f"├─ tuples      : {tuple_note}",
         f"├─ wall time   : {result.elapsed:.4f}s",
+        f"├─ kernels     : {kernel_cache_summary()}",
     ]
-    if result.metrics is not None:
-        # The consolidated metrics block: this query's registry delta —
-        # plan/stats/kernel cache traffic, view churn, resolution
-        # counters, shard shipping — one namespace instead of the old
-        # per-subsystem summary lines.
-        lines.append("├─ metrics")
-        from repro.obs.metrics import render_metrics
-
-        lines.extend(
-            render_metrics(result.metrics.nonzero(), indent="│   ")
-        )
-    else:
-        from repro.engine.codegen import kernel_cache_summary
-
-        lines.append(f"├─ kernels     : {kernel_cache_summary()}")
     if result.parallel is not None:
         lines.extend(_render_shard_tree(result.parallel))
     if result.decode is None:

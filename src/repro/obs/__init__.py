@@ -1,7 +1,7 @@
 """Observability: metrics, tracing, profiling, exposition, ANALYZE loop.
 
-Submodules (import order matters — all of these are stdlib-only, so
-every engine layer can instrument itself without import cycles):
+Importing this package loads what every query uses — both stdlib-only,
+so every engine layer can instrument itself without import cycles:
 
 * :mod:`repro.obs.metrics` — the process-wide :data:`~repro.obs.metrics.REGISTRY`
   of counters/gauges/quantile histograms under dotted names, with
@@ -9,33 +9,23 @@ every engine layer can instrument itself without import cycles):
 * :mod:`repro.obs.tracing` — span trees over the query lifecycle,
   propagated across the multiprocess pipe protocol; JSONL and Chrome
   trace-event export.
-* :mod:`repro.obs.profiler` — the sampling wall-clock profiler
-  (``REPRO_PROFILE``), with folded-stack / speedscope flamegraph
-  export and per-span-stage self-time.
-* :mod:`repro.obs.export` — OpenMetrics text exposition and the
-  ``repro metrics --serve`` scrape endpoint.
-* :mod:`repro.obs.flight` — the bounded per-query flight-recorder
-  ring, dumped on slow queries, fault runs and ``SIGUSR2``.
-* :mod:`repro.obs.calibration` — the ANALYZE log and the cost-model
-  refit behind ``repro calibrate``.
-* :mod:`repro.obs.slowlog` — the ``REPRO_SLOW_QUERY_MS`` triage dump
-  (and the shared rotating-append helper behind ``REPRO_LOG_MAX_BYTES``).
 
-:mod:`repro.obs.analyze` (EXPLAIN ANALYZE orchestration) imports the
-engine and is therefore *not* imported here — reach it explicitly.
+The rest answers a question somebody asked and is imported by whoever
+asks it — reach these explicitly:
+
+* :mod:`repro.obs.calibration` — the ANALYZE log and the cost-model
+  refit behind ``repro calibrate`` (the cost model loads the saved
+  constants through it).
+* :mod:`repro.obs.analyze` — EXPLAIN ANALYZE orchestration (imports
+  the engine).
+* :mod:`repro.obs.profiler` — the sampling wall-clock profiler behind
+  ``repro explain --profile``, with collapsed-stack export and
+  per-span-stage self-time.
+* :mod:`repro.obs.export` — OpenMetrics text exposition
+  (``repro metrics --openmetrics``).
 """
 
-from repro.obs import (
-    calibration,
-    export,
-    flight,
-    metrics,
-    profiler,
-    slowlog,
-    tracing,
-)
-from repro.obs.export import render_openmetrics, start_metrics_server
-from repro.obs.flight import FlightRecord, FlightRecorder
+from repro.obs import metrics, tracing
 from repro.obs.metrics import (
     REGISTRY,
     MetricsRegistry,
@@ -43,7 +33,6 @@ from repro.obs.metrics import (
     QuantileHistogram,
     render_metrics,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.tracing import (
     Span,
     SpanNode,
@@ -57,27 +46,17 @@ from repro.obs.tracing import (
 
 __all__ = [
     "REGISTRY",
-    "FlightRecord",
-    "FlightRecorder",
     "MetricsRegistry",
     "MetricsSnapshot",
     "QuantileHistogram",
-    "SamplingProfiler",
     "Span",
     "SpanNode",
     "Tracer",
-    "calibration",
     "chrome_trace_events",
     "current_tracer",
-    "export",
-    "flight",
     "metrics",
-    "profiler",
     "render_metrics",
-    "render_openmetrics",
     "render_tree",
-    "slowlog",
-    "start_metrics_server",
     "tracing",
     "write_chrome_trace",
     "write_jsonl",

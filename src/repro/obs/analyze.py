@@ -23,6 +23,8 @@ from typing import Dict, List, Optional
 from repro.obs import calibration as _calibration
 from repro.obs import profiler as _profiler
 from repro.obs import tracing as _tracing
+from repro.obs.metrics import REGISTRY as _METRICS
+from repro.obs.metrics import MetricsSnapshot, render_metrics
 
 
 @dataclass
@@ -48,6 +50,9 @@ class AnalyzeReport:
     profile_stage_seconds: Optional[Dict[str, float]] = None
     #: Sampling rate behind those numbers, for the rendering.
     profile_hz: Optional[int] = None
+    #: The registry delta across this run (``None`` with the registry
+    #: off): ``MetricsSnapshot.since`` bracketed around ``execute()``.
+    metrics: Optional[MetricsSnapshot] = None
 
 
 def _stage_seconds(tracer) -> Dict[str, float]:
@@ -86,14 +91,20 @@ def analyze(
     tracer = _tracing.current_tracer()
     if tracer is None:
         tracer = _tracing.Tracer()
-    prof = _profiler.maybe_start()
+    prof = _profiler.active()
     prof_before = prof.snapshot_samples() if prof is not None else None
+    metrics_before = _METRICS.snapshot() if _METRICS.enabled else None
     with _tracing.use(tracer):
         result = execute(
             query, db, algorithm=algorithm, index_kind=index_kind,
             gao=gao, workers=workers, limit=limit, decode=decode,
             probe_certificate=probe_certificate, cost_model=model,
         )
+    metrics = (
+        _METRICS.snapshot().since(metrics_before)
+        if metrics_before is not None
+        else None
+    )
     profile_stages: Optional[Dict[str, float]] = None
     if prof is not None:
         # Only this query's samples: diff the sample table around the
@@ -142,6 +153,7 @@ def analyze(
         record=record,
         profile_stage_seconds=profile_stages,
         profile_hz=prof.hz if prof is not None else None,
+        metrics=metrics,
     )
     if append_log:
         report.log_path = _calibration.append_run(record, path=log_path)
@@ -157,12 +169,11 @@ def _ratio(actual: float, predicted: float) -> str:
 
 def render_analyze(report: AnalyzeReport) -> str:
     """The ANALYZE postscript: stages, cardinality, cost, metrics."""
-    from repro.obs.metrics import render_metrics
-    from repro.obs.tracing import render_tree
-
     lines: List[str] = ["analyze"]
     lines.append("├─ stages (wall time)")
-    lines.extend(render_tree(report.tracer.tree(), indent="│   "))
+    lines.extend(
+        _tracing.render_tree(report.tracer.tree(), indent="│   ")
+    )
     lines.append(
         f"├─ cardinality : actual {report.actual_rows} vs "
         f"predicted Ẑ ≈ {report.predicted_rows:.4g}  "
@@ -186,10 +197,11 @@ def render_analyze(report: AnalyzeReport) -> str:
             lines.append(f"│   {stage:<20} {seconds * 1e3:9.1f} ms")
         if not by_time:
             lines.append("│   (no samples landed in this query)")
-    metrics = getattr(report.result, "metrics", None)
-    if metrics is not None:
+    if report.metrics is not None:
         lines.append("├─ metrics")
-        lines.extend(render_metrics(metrics.nonzero(), indent="│   "))
+        lines.extend(
+            render_metrics(report.metrics.nonzero(), indent="│   ")
+        )
     if report.log_path is not None:
         lines.append(f"└─ calibration log : appended to {report.log_path}")
     else:

@@ -40,6 +40,10 @@ _DEFAULT_DIR = ".repro"
 _DEFAULT_LOG = "analyze_log.jsonl"
 _DEFAULT_CALIBRATION = "calibration.json"
 
+#: Size cap of the append-forever calibration log: crossing it rotates
+#: ``path`` → ``path.1`` (one generation kept) before the append.
+LOG_MAX_BYTES = 10 * 1024 * 1024
+
 #: Wall seconds of one abstract cost unit before any fit: one hash-table
 #: probe, ~0.8µs on the bench hosts (see the CostModel constants).
 DEFAULT_UNIT_SECONDS = 8e-7
@@ -63,17 +67,28 @@ def default_calibration_path() -> str:
 def append_run(record: Mapping, path: Optional[str] = None) -> str:
     """Append one ANALYZE record to the calibration log; returns the path.
 
-    Appends rotate at ``REPRO_LOG_MAX_BYTES`` (``path`` → ``path.1``),
-    so analyzing in a loop is disk-bounded; ``repro calibrate`` fits
-    from the newest cap's worth of runs, which is also the freshest
-    signal for the constants.
+    When the file's size plus this write would cross
+    :data:`LOG_MAX_BYTES` the existing file first moves to ``path.1``
+    (replacing any previous generation), so analyzing in a loop is
+    disk-bounded; ``repro calibrate`` fits from the newest cap's worth
+    of runs, which is also the freshest signal for the constants.
     """
-    from repro.obs.slowlog import rotating_append
-
     path = path or default_log_path()
-    rotating_append(
-        path, json.dumps(dict(record), sort_keys=True) + "\n"
-    )
+    text = json.dumps(dict(record), sort_keys=True) + "\n"
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        size = 0
+    if size and size + len(text.encode()) > LOG_MAX_BYTES:
+        try:
+            os.replace(path, path + ".1")
+        except OSError:
+            pass
+    with open(path, "a") as fh:
+        fh.write(text)
     return path
 
 

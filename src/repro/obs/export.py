@@ -8,17 +8,12 @@ boundaries are exposed exactly, so PromQL ``histogram_quantile`` agrees
 with the in-process estimates up to the same bounded error) — ending
 with the mandatory ``# EOF``.
 
-:func:`start_metrics_server` serves it live: a stdlib
-``ThreadingHTTPServer`` on a daemon thread, ``GET /metrics`` for the
-exposition and ``GET /flight`` for the flight-recorder ring as JSON
-lines.  One snapshot per scrape; no state beyond the registry itself.
-Wire it up with ``repro metrics --serve PORT``.
+``repro metrics --openmetrics`` prints the live registry this way.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from typing import List, Optional
 
 from repro.obs.metrics import (
@@ -32,10 +27,6 @@ from repro.obs.metrics import (
 PREFIX = "repro_"
 
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-
-CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
 
 
 def _name(dotted: str) -> str:
@@ -100,53 +91,3 @@ def render_openmetrics(snap: Optional[MetricsSnapshot] = None) -> str:
         lines.extend(_hist_lines(_name(dotted), h))
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def start_metrics_server(port: int = 0, host: str = "127.0.0.1"):
-    """Serve ``/metrics`` (and ``/flight``) on a daemon thread.
-
-    Returns the live ``ThreadingHTTPServer`` — ``server.server_address[1]``
-    is the bound port (pass ``port=0`` for an ephemeral one),
-    ``server.shutdown()`` stops it.  The thread is a daemon: a process
-    exit never hangs on the scrape endpoint.
-    """
-    # Imported here, with the handler that subclasses it: ``http.server``
-    # pulls in http.client, email and ssl, which only this daemon needs
-    # and every ``import repro`` would otherwise pay for.
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class MetricsHandler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            path = self.path.split("?", 1)[0].rstrip("/") or "/metrics"
-            if path == "/metrics":
-                body = render_openmetrics().encode()
-                ctype = CONTENT_TYPE
-            elif path == "/flight":
-                import io
-
-                from repro.obs.flight import RECORDER
-
-                buf = io.StringIO()
-                RECORDER.dump(buf)
-                body = buf.getvalue().encode()
-                ctype = "application/x-ndjson; charset=utf-8"
-            else:
-                self.send_error(404)
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", ctype)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):  # silence per-request stderr noise
-            pass
-
-    server = ThreadingHTTPServer((host, port), MetricsHandler)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        name="repro-metrics-server",
-        daemon=True,
-    )
-    thread.start()
-    return server

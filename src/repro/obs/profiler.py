@@ -18,15 +18,12 @@ Exports:
 * :meth:`SamplingProfiler.folded` — classic collapsed-stack lines
   (``stage;frame;frame count``), the input format of every flamegraph
   renderer;
-* :meth:`SamplingProfiler.speedscope` — a `speedscope
-  <https://www.speedscope.app>`_ JSON document, openable directly in a
-  browser;
 * :meth:`SamplingProfiler.stage_self_seconds` — per-span-stage sampled
   time, which ``repro explain --analyze`` renders next to the measured
   span durations.
 
-Enablement: ``REPRO_PROFILE=1`` (default rate) or ``REPRO_PROFILE=500``
-(rate in Hz), or programmatically / via ``--profile`` on the CLI.  The
+Enablement: :func:`install` — what ``repro explain --profile`` calls —
+samples at :data:`DEFAULT_HZ`; nothing on the query path starts it.  The
 profiler samples only its own process — worker processes would need
 their own instance, and a ``fork`` does not carry the sampler thread —
 so its scope is the parent: planning, merging, coordination, serial
@@ -42,10 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import tracing as _tracing
 
-#: Environment switch: unset/0/off → disabled; ``1``/``true`` → enabled
-#: at :data:`DEFAULT_HZ`; any other integer → that sampling rate in Hz.
-PROFILE_ENV = "REPRO_PROFILE"
-
 #: Default sampling rate (ticks per second).
 DEFAULT_HZ = 200
 
@@ -55,20 +48,6 @@ MAX_DEPTH = 64
 
 #: Stage label for samples taken while no tracer span is open.
 UNTRACED = "(untraced)"
-
-
-def _env_hz() -> int:
-    """The configured sampling rate, or 0 when profiling is off."""
-    raw = os.environ.get(PROFILE_ENV, "").strip().lower()
-    if raw in ("", "0", "false", "off", "no"):
-        return 0
-    if raw in ("1", "true", "on", "yes"):
-        return DEFAULT_HZ
-    try:
-        hz = int(raw)
-    except ValueError:
-        return DEFAULT_HZ
-    return hz if hz > 0 else 0
 
 
 class SamplingProfiler:
@@ -178,59 +157,13 @@ class SamplingProfiler:
             lines.append(";".join((stage,) + stack) + f" {count}")
         return lines
 
-    def speedscope(self, name: str = "repro profile") -> dict:
-        """The profile as a speedscope-JSON document (sampled type)."""
-        frame_index: Dict[str, int] = {}
-        frames: List[dict] = []
-
-        def fid(label: str) -> int:
-            i = frame_index.get(label)
-            if i is None:
-                i = frame_index[label] = len(frames)
-                frames.append({"name": label})
-            return i
-
-        samples: List[List[int]] = []
-        weights: List[float] = []
-        for (stage, stack), count in sorted(self.samples.items()):
-            samples.append([fid(f) for f in (stage,) + stack])
-            weights.append(count / self.hz)
-        total = sum(weights)
-        return {
-            "$schema": "https://www.speedscope.app/file-format-schema.json",
-            "shared": {"frames": frames},
-            "profiles": [
-                {
-                    "type": "sampled",
-                    "name": name,
-                    "unit": "seconds",
-                    "startValue": 0,
-                    "endValue": total,
-                    "samples": samples,
-                    "weights": weights,
-                }
-            ],
-            "exporter": "repro-profiler",
-            "name": name,
-        }
-
     def write_folded(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write("\n".join(self.folded()) + "\n")
 
-    def write_speedscope(self, path: str, name: str = "repro profile"):
-        import json
-
-        with open(path, "w") as fh:
-            json.dump(self.speedscope(name), fh)
-
 
 #: The process profiler, when one has been installed.
 _PROFILER: Optional[SamplingProfiler] = None
-
-#: Whether the environment has been consulted yet (one getenv, ever,
-#: on the query path).
-_ENV_CHECKED = False
 
 
 def active() -> Optional[SamplingProfiler]:
@@ -241,8 +174,7 @@ def active() -> Optional[SamplingProfiler]:
 
 def install(hz: int = DEFAULT_HZ) -> SamplingProfiler:
     """Start (or return) the process-wide profiler."""
-    global _PROFILER, _ENV_CHECKED
-    _ENV_CHECKED = True
+    global _PROFILER
     if _PROFILER is not None and _PROFILER.running:
         return _PROFILER
     _PROFILER = SamplingProfiler(hz=hz)
@@ -252,27 +184,7 @@ def install(hz: int = DEFAULT_HZ) -> SamplingProfiler:
 
 def uninstall() -> Optional[SamplingProfiler]:
     """Stop the process profiler; returns it (samples intact)."""
-    global _ENV_CHECKED
-    _ENV_CHECKED = False
     p = _PROFILER
     if p is not None:
         p.stop()
     return p
-
-
-def maybe_start() -> Optional[SamplingProfiler]:
-    """Honor ``REPRO_PROFILE`` lazily, at most one getenv per process.
-
-    Called from the executor's query path: after the first call the
-    fast path is two global reads, so an unset environment costs
-    effectively nothing (bit-identical execution is asserted in
-    ``tests/obs/test_profiler.py``).
-    """
-    global _ENV_CHECKED
-    if _ENV_CHECKED:
-        return active()
-    _ENV_CHECKED = True
-    hz = _env_hz()
-    if hz <= 0:
-        return None
-    return install(hz)

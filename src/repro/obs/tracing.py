@@ -35,9 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Environment switch: set ``REPRO_TRACE=1`` to trace every query (the
-#: CLI's ``--trace`` / ``--analyze`` and the slow-query log force it per
-#: query regardless).
+#: Environment switch: set ``REPRO_TRACE=1`` to trace every query
+#: (``repro explain --analyze`` traces its query regardless).
 TRACE_ENV = "REPRO_TRACE"
 
 
@@ -360,7 +359,7 @@ def write_chrome_trace(
 def render_tree(
     roots: Sequence[SpanNode], indent: str = ""
 ) -> List[str]:
-    """The span tree as aligned text lines (slow-query log, ANALYZE)."""
+    """The span tree as aligned text lines (EXPLAIN ANALYZE)."""
     lines: List[str] = []
 
     def visit(node: SpanNode, prefix: str, last: bool) -> None:

@@ -29,6 +29,7 @@ from repro.engine.codegen import (
     KernelCache,
     _leapfrog_source,
 )
+from repro.obs.metrics import REGISTRY
 from repro.joins.hashjoin import join_hash
 from repro.joins.leapfrog import join_leapfrog
 from repro.joins.nested_loop import join_nested_loop
@@ -238,13 +239,12 @@ def test_generated_sources_are_inspectable():
 
 def test_explain_surfaces_kernel_cache_stats():
     query, db = _family("tw1")
+    before = REGISTRY.snapshot()
     result = execute(query, db, algorithm="leapfrog")
-    text = render_execution(result)
-    # Kernel cache traffic surfaces through the consolidated metrics
-    # block (kernels.* names); with the registry disabled the old
-    # summary line is the fallback.
-    assert "kernels" in text
-    if result.metrics is None:
-        assert kernel_cache_summary() in text
-    else:
-        assert "kernels.cache.entries" in text
+    delta = REGISTRY.snapshot().since(before)
+    # Kernel cache traffic surfaces twice: as EXPLAIN's summary line
+    # and under the registry's kernels.* names.
+    assert f"├─ kernels     : {kernel_cache_summary()}" in (
+        render_execution(result)
+    )
+    assert delta["kernels.cache.entries"] >= 1

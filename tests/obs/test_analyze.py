@@ -1,4 +1,4 @@
-"""EXPLAIN ANALYZE, the calibration loop, and the slow-query log."""
+"""EXPLAIN ANALYZE, the calibration loop and its rotating log."""
 
 import json
 import os
@@ -137,34 +137,43 @@ def test_malformed_log_lines_are_skipped(obs_paths):
     assert saved_path is not None
 
 
-# -- slow-query log ------------------------------------------------------------
+# -- log rotation --------------------------------------------------------------
 
 
-def test_slow_query_log_dumps_spans_and_metrics(tmp_path, monkeypatch):
-    from repro.engine import execute
-    from repro.obs import slowlog
+def test_calibration_log_rotates_at_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(calibration, "LOG_MAX_BYTES", 120)
+    path = tmp_path / "logs" / "analyze.jsonl"
+    rotated = tmp_path / "logs" / "analyze.jsonl.1"
+    first, second, third = (
+        {"pad": letter * 80} for letter in "abc"
+    )
 
-    out = tmp_path / "slow.log"
-    monkeypatch.setenv(slowlog.SLOW_QUERY_MS_ENV, "0")
-    monkeypatch.setenv(slowlog.SLOW_QUERY_LOG_ENV, str(out))
-    query, db = _instance()
-    result = execute(query, db)
-    assert result.trace is not None  # arming the budget forces tracing
-    text = out.read_text()
-    assert "SLOW QUERY" in text
-    assert "query" in text and "execute" in text  # span tree lines
-    assert "engine.queries" in text  # metrics delta
+    def line(record):
+        return json.dumps(record, sort_keys=True) + "\n"
+
+    calibration.append_run(first, path=str(path))
+    assert path.read_text() == line(first)  # under the cap: no rotation
+    assert not rotated.exists()
+    calibration.append_run(second, path=str(path))
+    assert rotated.read_text() == line(first)
+    assert path.read_text() == line(second)
+    calibration.append_run(third, path=str(path))
+    # One generation kept: the oldest cap's worth is gone.
+    assert rotated.read_text() == line(second)
+    assert path.read_text() == line(third)
 
 
-def test_slow_query_log_quiet_under_budget(tmp_path, monkeypatch, capsys):
-    from repro.engine import execute
-    from repro.obs import slowlog
-
-    monkeypatch.setenv(slowlog.SLOW_QUERY_MS_ENV, "60000")
-    monkeypatch.delenv(slowlog.SLOW_QUERY_LOG_ENV, raising=False)
-    query, db = _instance()
-    execute(query, db)
-    assert "SLOW QUERY" not in capsys.readouterr().err
+def test_calibration_log_rotates(tmp_path, monkeypatch):
+    monkeypatch.setattr(calibration, "LOG_MAX_BYTES", 120)
+    path = tmp_path / "analyze_log.jsonl"
+    record = {"backend": "hash", "seconds": 1.0, "quantity": 2.0,
+              "pad": "x" * 60}
+    for _ in range(3):
+        calibration.append_run(record, path=str(path))
+    assert (tmp_path / "analyze_log.jsonl.1").exists()
+    # The newest generation still parses for the fitter.
+    runs = calibration.load_runs(str(path))
+    assert runs and runs[-1]["backend"] == "hash"
 
 
 # -- CLI surface ---------------------------------------------------------------
@@ -198,7 +207,10 @@ def test_cli_explain_analyze_and_calibrate(obs_paths, cli_csvs, capsys):
     assert "EXPLAIN" in out
     assert "analyze" in out
     assert "stages (wall time)" in out
-    assert "├─ metrics" in out
+    # The registry delta is printed once, by the analyze section.
+    assert out.count("├─ metrics") == 1
+    assert out.count("engine.queries") == 1
+    assert out.index("├─ metrics") > out.index("\nanalyze\n")
     assert "cost        :" in out
     trace = json.loads((cli_csvs / "trace.json").read_text())
     assert trace["traceEvents"]
@@ -227,11 +239,12 @@ def test_cli_calibrate_empty_log(obs_paths, capsys):
     assert "nothing to fit" in err
 
 
-def test_explain_text_has_consolidated_metrics_block():
+def test_explain_text_has_kernels_line_and_no_metrics_block():
     from repro.engine import execute, explain_text
 
     query, db = _instance()
     result = execute(query, db)
     text = explain_text(result.plan, result)
-    assert "├─ metrics" in text
-    assert "engine.queries" in text
+    assert "├─ kernels     :" in text
+    assert "├─ metrics" not in text
+    assert "engine.queries" not in text

@@ -1,11 +1,6 @@
-"""OpenMetrics exposition: golden format and the scrape endpoint."""
+"""OpenMetrics exposition: the golden text format."""
 
-import urllib.request
-
-from repro.obs.export import (
-    render_openmetrics,
-    start_metrics_server,
-)
+from repro.obs.export import render_openmetrics
 from repro.obs.metrics import MetricsRegistry, QuantileHistogram
 
 
@@ -69,28 +64,3 @@ def test_histogram_flat_scalars_are_not_doubled():
     assert "# TYPE repro_lat_count" not in text
     assert "repro_lat_count_total" not in text
     assert text.count("repro_lat_count 3") == 1
-
-
-def test_metrics_server_serves_scrapes_and_flight():
-    from repro.obs.flight import RECORDER
-
-    server = start_metrics_server(port=0)
-    try:
-        port = server.server_address[1]
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/metrics", timeout=10
-        ) as resp:
-            body = resp.read().decode()
-            assert resp.headers["Content-Type"].startswith(
-                "application/openmetrics-text"
-            )
-        assert body.endswith("# EOF\n")
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/flight", timeout=10
-        ) as resp:
-            flight = resp.read().decode()
-        # The ring may be empty; the endpoint must still answer.
-        assert flight.count("\n") == len(RECORDER)
-    finally:
-        server.shutdown()
-        server.server_close()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.metrics import (
+    REGISTRY,
     MetricsRegistry,
     MetricsSnapshot,
     render_metrics,
@@ -123,15 +124,17 @@ def test_engine_counters_flow_into_registry(workload):
 
     clear_plan_cache()
     query, db = graph_triangle_db(random_graph_edges(30, 70, seed=11))
+    before = REGISTRY.snapshot()
     result = execute(query, db)
-    assert result.metrics is not None
-    delta = result.metrics
+    delta = REGISTRY.snapshot().since(before)
     assert delta["engine.queries"] == 1
     assert delta["engine.rows.returned"] == len(result.tuples)
     assert "engine.plan_cache.misses" in delta
     assert "engine.stats_cache.misses" in delta
     # A second, plan-cached run: hit counters move, misses don't.
-    again = execute(query, db).metrics
+    before = REGISTRY.snapshot()
+    execute(query, db)
+    again = REGISTRY.snapshot().since(before)
     assert again["engine.plan_cache.hits"] >= 1
     assert again["engine.plan_cache.misses"] == 0
 
@@ -144,9 +147,54 @@ def test_tetris_resolution_counters_surface():
     )
 
     query, db = graph_triangle_db(random_graph_edges(24, 60, seed=5))
+    before = REGISTRY.snapshot()
     result = execute(query, db, algorithm="tetris-preloaded")
+    delta = REGISTRY.snapshot().since(before)
     assert result.stats.resolutions > 0
-    delta = result.metrics
     assert delta["tetris.resolutions"] == result.stats.resolutions
     by_axis = delta.group("tetris.resolutions.by_axis")
     assert sum(by_axis.values()) == result.stats.resolutions
+
+
+def test_execute_takes_no_snapshot(monkeypatch):
+    """A query's telemetry is O(1) in the registry: counters and the
+    latency histograms move, nothing copies the registry."""
+    from repro.engine import execute
+    from repro.relational.query import evaluate_reference
+    from repro.workloads.generators import (
+        graph_triangle_db,
+        random_graph_edges,
+    )
+
+    query, db = graph_triangle_db(random_graph_edges(24, 60, seed=7))
+    queries = REGISTRY.value("engine.queries")
+
+    def no_snapshot(*args, **kwargs):
+        raise AssertionError("execute() snapshotted the registry")
+
+    monkeypatch.setattr(REGISTRY, "snapshot", no_snapshot)
+    result = execute(query, db)
+    assert result.tuples == sorted(evaluate_reference(query, db))
+    assert REGISTRY.value("engine.queries") == queries + 1
+
+
+def test_execute_leaves_signal_handlers_alone():
+    """A library call must not take over a process signal."""
+    import signal
+
+    from repro.engine import execute
+    from repro.workloads.generators import (
+        graph_triangle_db,
+        random_graph_edges,
+    )
+
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGUSR2, handler)
+    try:
+        query, db = graph_triangle_db(random_graph_edges(24, 60, seed=7))
+        execute(query, db)
+        assert signal.getsignal(signal.SIGUSR2) is handler
+    finally:
+        signal.signal(signal.SIGUSR2, previous)

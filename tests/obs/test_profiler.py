@@ -1,12 +1,10 @@
 """The sampling profiler: off by default, harmless when on.
 
-The contract the executor relies on: with ``REPRO_PROFILE`` unset the
-query path never starts a thread and never changes a result; with it
-set, samples accumulate, attribute to the ambient span stage, and
-export in both flamegraph formats.
+The contract: the query path never starts a thread and never changes a
+result; once :func:`profiler.install` has run, samples accumulate,
+attribute to the ambient span stage, and export as collapsed stacks.
 """
 
-import json
 import time
 
 import pytest
@@ -16,11 +14,9 @@ from repro.obs import profiler, tracing
 
 @pytest.fixture(autouse=True)
 def _pristine_profiler(monkeypatch):
-    """No profiler before or after, and a fresh env-check latch."""
-    monkeypatch.delenv(profiler.PROFILE_ENV, raising=False)
+    """No profiler before or after."""
     profiler.uninstall()
     monkeypatch.setattr(profiler, "_PROFILER", None)
-    monkeypatch.setattr(profiler, "_ENV_CHECKED", False)
     yield
     profiler.uninstall()
 
@@ -30,34 +26,6 @@ def _spin(prof, min_ticks=3, timeout_s=10.0):
     while prof.ticks < min_ticks and time.monotonic() < deadline:
         sum(i * i for i in range(2000))
     return prof.ticks
-
-
-def test_disabled_env_never_installs():
-    assert profiler.maybe_start() is None
-    # The latch: later calls are two global reads, still None.
-    assert profiler.maybe_start() is None
-    assert profiler.active() is None
-
-
-def test_env_hz_parsing(monkeypatch):
-    cases = {
-        "": 0, "0": 0, "off": 0, "no": 0, "false": 0,
-        "1": profiler.DEFAULT_HZ, "true": profiler.DEFAULT_HZ,
-        "500": 500, "-3": 0, "wat": profiler.DEFAULT_HZ,
-    }
-    for raw, want in cases.items():
-        monkeypatch.setenv(profiler.PROFILE_ENV, raw)
-        assert profiler._env_hz() == want, raw
-
-
-def test_maybe_start_honors_env(monkeypatch):
-    monkeypatch.setenv(profiler.PROFILE_ENV, "400")
-    prof = profiler.maybe_start()
-    assert prof is not None and prof.running
-    assert prof.hz == 400
-    assert profiler.maybe_start() is prof  # idempotent fast path
-    profiler.uninstall()
-    assert profiler.active() is None
 
 
 def test_disabled_profiler_leaves_execution_identical():
@@ -109,19 +77,6 @@ def test_folded_and_speedscope_exports(tmp_path):
     out = tmp_path / "prof.folded"
     prof.write_folded(str(out))
     assert out.read_text().strip().splitlines() == folded
-
-    doc = prof.speedscope()
-    assert doc["$schema"].startswith("https://www.speedscope.app/")
-    profile = doc["profiles"][0]
-    assert profile["type"] == "sampled"
-    assert len(profile["samples"]) == len(profile["weights"]) == 2
-    assert abs(sum(profile["weights"]) - 4 / 1000) < 1e-12
-    labels = [doc["shared"]["frames"][i]["name"]
-              for i in profile["samples"][0]]
-    assert labels[0] in ("plan", profiler.UNTRACED)
-    ss = tmp_path / "prof.speedscope.json"
-    prof.write_speedscope(str(ss))
-    assert json.loads(ss.read_text())["profiles"][0]["type"] == "sampled"
 
 
 def test_analyze_reports_profile_stage_seconds():

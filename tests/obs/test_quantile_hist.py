@@ -4,8 +4,7 @@ The two properties everything downstream leans on:
 
 * ``quantile(q)`` is within :data:`~repro.obs.metrics.
   HIST_RELATIVE_ERROR` of the true sample quantile (the render path
-  prints p50/p95/p99 from it, the flight recorder contextualizes
-  queries with it);
+  prints p50/p95/p99 from it);
 * merging — across snapshots (``since``/``absorb``) or across
   processes (``to_wire``/``from_wire`` + ``merge_wire_delta``) — is
   *exact* bucket-wise addition, so a parent that folds worker deltas in

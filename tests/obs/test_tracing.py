@@ -200,14 +200,19 @@ def test_disabled_path_is_bit_identical():
     try:
         obs_metrics.set_enabled(False)
         tracing.set_enabled(False)
+        before = obs_metrics.REGISTRY.snapshot()
         plain = execute(query, db, algorithm="tetris-preloaded")
-        assert plain.metrics is None
+        delta = obs_metrics.REGISTRY.snapshot().since(before)
+        assert delta.get("engine.queries", 0) == 0
         assert plain.trace is None
 
         obs_metrics.set_enabled(True)
         tracing.set_enabled(True)
+        before = obs_metrics.REGISTRY.snapshot()
         fancy = execute(query, db, algorithm="tetris-preloaded")
-        assert fancy.metrics is not None
+        delta = obs_metrics.REGISTRY.snapshot().since(before)
+        assert delta["engine.queries"] == 1
+        assert delta["tetris.resolutions"] == fancy.stats.resolutions
         assert fancy.trace is not None
     finally:
         tracing.set_enabled(False)

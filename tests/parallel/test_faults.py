@@ -26,6 +26,7 @@ import signal
 import pytest
 
 from repro.engine import clear_plan_cache, execute, plan_query
+from repro.obs.metrics import REGISTRY
 from repro.parallel import QueryTimeout, get_pool, shutdown_pools
 from repro.parallel import faults
 from repro.parallel.merge import prepare_jobs
@@ -336,10 +337,9 @@ class TestHygiene:
         query, db, _serial = instance
         sid = _victim(query, db, 2)
         _arm(monkeypatch, f"crash@{sid}*inf")
-        result = execute(query, db, algorithm="hash", workers=2)
-        if result.metrics is None:
-            pytest.skip("metrics disabled")
-        delta = result.metrics
+        before = REGISTRY.snapshot()
+        execute(query, db, algorithm="hash", workers=2)
+        delta = REGISTRY.snapshot().since(before)
         assert delta["parallel.faults.respawns"] >= 1
         assert delta["parallel.faults.retries"] >= 1
         assert delta["parallel.faults.quarantined"] >= 1

@@ -23,6 +23,7 @@ import pytest
 
 from repro.engine import clear_plan_cache, cost, execute, plan_query
 from repro.engine.cost import CostModel
+from repro.obs.metrics import REGISTRY
 from repro.parallel import clear_job_cache, shutdown_pools
 from repro.parallel.merge import prepare_jobs
 from repro.parallel.scheduler import get_pool
@@ -398,10 +399,9 @@ class TestShipAccounting:
     def test_metrics_registry_carries_shm_counters(self):
         shutdown_pools()
         query, db = _triangle(seed=37)
-        result = execute(query, db, algorithm="hash", workers=2)
-        if result.metrics is None:
-            pytest.skip("metrics registry disabled")
-        snap = result.metrics
+        before = REGISTRY.snapshot()
+        execute(query, db, algorithm="hash", workers=2)
+        snap = REGISTRY.snapshot().since(before)
         assert snap["parallel.shm.ships"] > 0
         assert snap["parallel.shm.attached_bytes"] > 0
         assert snap["parallel.ship.bytes_nominal"] > 0

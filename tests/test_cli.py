@@ -174,10 +174,14 @@ class TestStartupImports:
     def test_import_pulls_in_no_heavy_module(self):
         """Every ``repro`` process pays for what ``import repro.cli``
         loads: the LPs are solved in-repo (no numpy/scipy), networkx is
-        for the workload generators only, and ``http.server`` belongs to
-        ``repro metrics --serve``."""
+        for the workload generators only, nothing serves HTTP, and the
+        profiler, the exporter and ANALYZE load when a subcommand asks
+        for them."""
         src = os.path.dirname(os.path.dirname(repro.__file__))
-        heavy = ("numpy", "scipy", "networkx", "http.server")
+        heavy = (
+            "numpy", "scipy", "networkx", "http.server",
+            "repro.obs.profiler", "repro.obs.export", "repro.obs.analyze",
+        )
         code = (
             "import repro.cli, sys; "
             f"print([m for m in {heavy!r} if m in sys.modules])"
