@@ -137,8 +137,7 @@ def run_suite(quick: bool, repeats: int) -> Dict[str, dict]:
         for backend in FIXED_BACKENDS:
             t0 = time.perf_counter()
             try:
-                probe = execute(query, db, algorithm=backend,
-                                use_cache=False)
+                probe = execute(query, db, algorithm=backend)
             except ValueError:
                 entry["backends"][backend] = None  # not applicable
                 continue

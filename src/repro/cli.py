@@ -33,11 +33,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Algorithm names the engine-backed subcommands accept.
-_ALGORITHMS = (
-    "auto", "tetris", "tetris-preloaded", "tetris-reloaded",
-    "leapfrog", "yannakakis", "hash", "nested-loop",
-)
+from repro.engine.planner import ALGORITHM_ALIASES
 
 
 def _parse_gao(spec: Optional[str]) -> Optional[Tuple[str, ...]]:
@@ -74,9 +70,30 @@ def _apply_shm_flag(args: argparse.Namespace) -> None:
         os.environ[NO_SHM_ENV] = "1"
 
 
+def _run_query(run):
+    """Run a subcommand's query: ``(run(), 0)``, or ``(None, status)``.
+
+    Every query-running subcommand fails the same way: a query the
+    engine rejects (``ValueError``) prints the error and exits 2; a
+    parallel run past its ``--timeout-ms`` deadline prints the error
+    and what the run had done so far, and exits 3.
+    """
+    from repro.parallel import QueryTimeout
+
+    try:
+        return run(), 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+    except QueryTimeout as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if exc.report is not None:
+            print(f"# partial: {exc.report.summary()}", file=sys.stderr)
+        return None, 3
+
+
 def _cmd_join(args: argparse.Namespace) -> int:
     from repro.engine import execute
-    from repro.parallel import QueryTimeout
 
     _apply_shm_flag(args)
     try:
@@ -88,26 +105,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
         print("error: join needs --csv NAME=PATH for every relation",
               file=sys.stderr)
         return 2
-    algorithm = args.algorithm
-    if args.variant is not None and algorithm in ("auto", "tetris"):
-        # Backwards-compatible alias for the pre-engine interface.
-        algorithm = f"tetris-{args.variant}"
     t0 = time.perf_counter()
-    try:
-        result = execute(
-            query, db, algorithm=algorithm,
-            index_kind=args.index_kind, gao=_parse_gao(args.gao),
-            limit=args.limit, decode=dictionary, workers=args.workers,
-            timeout_ms=args.timeout_ms,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QueryTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            print(f"# partial: {exc.report.summary()}", file=sys.stderr)
-        return 3
+    result, status = _run_query(lambda: execute(
+        query, db, algorithm=args.algorithm,
+        index_kind=args.index_kind, gao=_parse_gao(args.gao),
+        limit=args.limit, decode=dictionary, workers=args.workers,
+        timeout_ms=args.timeout_ms,
+    ))
+    if status:
+        return status
     elapsed = time.perf_counter() - t0
     print(f"# query: {query}")
     print(f"# variables: {', '.join(result.variables)}")
@@ -159,49 +165,47 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
+    if (args.analyze or args.execute) and db is None:
+        flag = "--analyze" if args.analyze else "--execute"
+        print(f"error: {flag} needs --csv data", file=sys.stderr)
+        return 2
+
+    def run():
         if args.analyze:
-            if db is None:
-                print("error: --analyze needs --csv data", file=sys.stderr)
-                return 2
-            from repro.obs.analyze import analyze, render_analyze
+            from repro.obs.analyze import analyze
 
             report = analyze(
                 query, db, algorithm=args.algorithm,
                 index_kind=args.index_kind, gao=_parse_gao(args.gao),
                 workers=args.workers, decode=dictionary,
                 probe_certificate=args.probe_certificate,
+                timeout_ms=args.timeout_ms,
             )
-            print(f"# query: {query}")
-            print(explain_text(report.result.plan, report.result))
-            print(render_analyze(report))
-            if args.trace_out:
-                _write_trace(report.tracer, args.trace_out)
-                print(f"# trace written to {args.trace_out}",
-                      file=sys.stderr)
-            if args.profile_out:
-                _write_profile(args.profile_out)
-            return 0
+            return report.result.plan, report.result, report
         plan = plan_query(
             query, db, algorithm=args.algorithm,
             index_kind=args.index_kind, gao=_parse_gao(args.gao),
             probe_certificate=args.probe_certificate and db is not None,
             assumed_rows=args.assume_rows, workers=args.workers,
         )
-        result = None
-        if args.execute:
-            if db is None:
-                print("error: --execute needs --csv data", file=sys.stderr)
-                return 2
-            result = execute(
-                query, db, plan=plan, decode=dictionary,
-                timeout_ms=args.timeout_ms,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if not args.execute:
+            return plan, None, None
+        result = execute(
+            query, db, plan=plan, decode=dictionary,
+            timeout_ms=args.timeout_ms,
+        )
+        return plan, result, None
+
+    ran, status = _run_query(run)
+    if status:
+        return status
+    plan, result, report = ran
     print(f"# query: {query}")
     print(explain_text(plan, result))
+    if report is not None:
+        from repro.obs.analyze import render_analyze
+
+        print(render_analyze(report))
     if args.trace_out and result is not None and result.trace is not None:
         _write_trace(result.trace, args.trace_out)
         print(f"# trace written to {args.trace_out}", file=sys.stderr)
@@ -216,7 +220,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     _apply_shm_flag(args)
     if args.query:
         from repro.engine import execute
-        from repro.parallel import QueryTimeout
 
         try:
             query, db, dictionary = _load_join_db(args)
@@ -227,16 +230,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             print("error: a query needs --csv NAME=PATH for every "
                   "relation", file=sys.stderr)
             return 2
-        try:
+
+        def run():
             for _ in range(max(1, args.repeat)):
                 execute(
                     query, db, algorithm=args.algorithm,
                     index_kind=args.index_kind, gao=_parse_gao(args.gao),
                     workers=args.workers, timeout_ms=args.timeout_ms,
                 )
-        except (ValueError, QueryTimeout) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+
+        _, status = _run_query(run)
+        if status:
+            return status
     if args.openmetrics:
         from repro.obs.export import render_openmetrics
 
@@ -279,11 +284,11 @@ def _cmd_triangles(args: argparse.Namespace) -> int:
     edges = [dictionary.encode_row(e) for e in raw_edges]
     query, db = graph_triangle_db(edges)
     t0 = time.perf_counter()
-    try:
-        result = execute(query, db, algorithm=args.algorithm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result, status = _run_query(
+        lambda: execute(query, db, algorithm=args.algorithm)
+    )
+    if status:
+        return status
     tuples = result.tuples
     elapsed = time.perf_counter() - t0
     # Each undirected triangle appears as 6 ordered tuples.
@@ -389,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joins via geometric resolutions (Tetris, PODS 2015)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    algorithms = sorted(ALGORITHM_ALIASES)
 
     def add_query_options(
         p: argparse.ArgumentParser, query_required: bool = True
@@ -405,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="CSV file for a relation (repeatable)",
         )
         p.add_argument(
-            "--algorithm", default="auto", choices=_ALGORITHMS,
+            "--algorithm", default="auto", choices=algorithms,
             help="backend to run ('auto' lets the planner choose)",
         )
         p.add_argument(
@@ -433,18 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeout-ms", type=int, default=None, metavar="MS",
             help="per-query deadline for parallel runs: past it the "
                  "query aborts with a timeout error and hung workers "
-                 "are killed and respawned (default "
-                 "REPRO_QUERY_TIMEOUT_MS; serial plans ignore it)",
+                 "are killed and respawned, what ran is summarised "
+                 "and the exit status is 3 (serial plans ignore it)",
         )
         p.add_argument("--delimiter", default=",")
         p.add_argument("--skip-header", action="store_true")
 
     p_join = sub.add_parser("join", help="evaluate a natural join on CSVs")
     add_query_options(p_join)
-    p_join.add_argument(
-        "--variant", default=None, choices=("preloaded", "reloaded"),
-        help="deprecated alias for --algorithm tetris-{preloaded,reloaded}",
-    )
     p_join.add_argument(
         "--limit", type=int, default=None, metavar="K",
         help="stop after K output rows (streamed early termination)",
@@ -511,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.add_argument("edges", help="edge-list file (u v per line)")
     p_tri.add_argument(
         "--algorithm", default="auto",
-        choices=_ALGORITHMS,
+        choices=algorithms,
         help="backend to run ('auto' lets the planner choose)",
     )
     p_tri.add_argument("--count-only", action="store_true")

@@ -4,9 +4,9 @@ Turns the paper's Table 1 into code: :func:`plan_query` inspects a
 query's structure (acyclicity, treewidth, fhtw) and data statistics
 (cardinalities, distinct counts, AGM bound, optional certificate probe),
 prices every backend with a calibrated cost model, and
-:func:`execute` dispatches the winner over a registry wrapping all of
-:mod:`repro.joins` behind one result shape.  Results stream:
-:func:`execute_cursor` returns a lazy :class:`ResultCursor`, and
+:func:`execute` runs the winner — one of the six :mod:`repro.joins`
+backends declared in ``BACKEND_TABLE`` — behind one result shape.
+Results stream: :func:`execute_cursor` returns a lazy :class:`ResultCursor`, and
 ``execute(..., limit=k, decode=dictionary)`` early-terminates after O(k)
 rows and decodes them through a ValueDictionary.
 
@@ -35,13 +35,13 @@ from repro.engine.cost import (
     structure_of,
 )
 from repro.engine.executor import (
+    BACKEND_TABLE,
     BackendSpec,
     ExecutionResult,
     ResultCursor,
     execute,
     execute_cursor,
-    register_backend,
-    registered_backends,
+    run_backend,
 )
 from repro.engine.explain import explain_text, render_execution, render_plan
 from repro.engine.planner import (
@@ -65,6 +65,7 @@ from repro.engine.stats import (
 __all__ = [
     "ALGORITHM_ALIASES",
     "BACKENDS",
+    "BACKEND_TABLE",
     "BackendSpec",
     "CertificateProbe",
     "CostEstimate",
@@ -91,9 +92,8 @@ __all__ = [
     "plan_cache_info",
     "plan_query",
     "probe_certificate",
-    "register_backend",
-    "registered_backends",
     "render_execution",
     "render_plan",
+    "run_backend",
     "structure_of",
 ]

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.stats import QueryStats, value_overlap_fraction
+from repro.joins.hashjoin import left_deep_order
 from repro.obs.calibration import DEFAULT_UNIT_SECONDS, load_saved
 from repro.relational.agm import fhtw_of_order
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
@@ -45,17 +46,6 @@ from repro.relational.query import JoinQuery
 #: Per variable ``(participants, selectivity, overlap)`` — see
 #: :meth:`CostModel._variable_tables`.
 VariableTables = Dict[str, Tuple[list, float, float]]
-
-#: Backends the unified engine can dispatch to, in preference order for
-#: cost ties (earlier wins).
-BACKENDS: Tuple[str, ...] = (
-    "yannakakis",
-    "hash",
-    "leapfrog",
-    "tetris-reloaded",
-    "tetris-preloaded",
-    "nested-loop",
-)
 
 #: Abstract-operation cost per backend, in units of one hash-join probe.
 #: ``hash`` is the anchor.  ``leapfrog`` and ``yannakakis`` were refit in
@@ -99,6 +89,11 @@ DEFAULT_CALIBRATION: Dict[str, float] = {
     "tetris-preloaded": 6.0,
     "nested-loop": 0.7,
 }
+
+#: Backends the unified engine can dispatch to, in preference order for
+#: cost ties (earlier wins) — the order the constants above are listed
+#: in, which is also the order of the executor's ``BACKEND_TABLE``.
+BACKENDS: Tuple[str, ...] = tuple(DEFAULT_CALIBRATION)
 
 
 @dataclass(frozen=True)
@@ -418,33 +413,21 @@ class CostModel:
     ) -> float:
         """Σ (build + probe + intermediate) of the default left-deep plan.
 
-        Mirrors ``join_hash``'s connectivity-aware size-ascending atom
-        order and estimates each intermediate under independence:
-        joining on shared variables divides the cross product by the
-        larger distinct count per variable.
+        The plan is :func:`repro.joins.hashjoin.left_deep_order` over
+        the profiled cardinalities — the function ``iter_hash`` orders
+        its atoms with — and each intermediate is estimated under
+        independence: joining on shared variables divides the cross
+        product by the larger distinct count per variable.
         """
-        remaining = {a.name: a for a in query.atoms}
-        first = min(
-            remaining,
-            key=lambda n: (stats.relation(n).cardinality, n),
+        order = left_deep_order(
+            query.atoms, lambda name: stats.relation(name).cardinality
         )
-        order = [remaining.pop(first)]
-        bound = set(order[0].attrs)
-        while remaining:
-            connected = [
-                n for n, a in remaining.items() if bound & set(a.attrs)
-            ]
-            pool = connected if connected else list(remaining)
-            nxt = min(
-                pool, key=lambda n: (stats.relation(n).cardinality, n)
-            )
-            order.append(remaining.pop(nxt))
-            bound |= set(order[-1].attrs)
-        acc_size = float(stats.relation(order[0].name).cardinality)
-        acc_distinct = dict(stats.relation(order[0].name).distinct)
+        first = stats.relation(order[0])
+        acc_size = float(first.cardinality)
+        acc_distinct = dict(first.distinct)
         total = acc_size
-        for atom in order[1:]:
-            p = stats.relation(atom.name)
+        for name in order[1:]:
+            p = stats.relation(name)
             acc_size = _extend_left_deep(acc_size, acc_distinct, p)
             total += p.cardinality + acc_size + self.STEP_OVERHEAD
         return total

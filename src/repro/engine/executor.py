@@ -1,25 +1,24 @@
 """The unified execution engine: one entry point over every join backend.
 
-``execute(query, db, algorithm="auto")`` plans (or honors a forced
-backend), dispatches over the backend registry, and returns an
+``execute(query, db, algorithm="auto")`` plans (or takes the caller's
+``plan=``), opens the plan's cursor, drains and sorts it, and returns an
 :class:`ExecutionResult` — the same shape as
 :class:`repro.joins.tetris_join.JoinResult` (``tuples`` / ``variables`` /
 ``stats`` / ``gao``) plus the :class:`~repro.engine.planner.Plan` and the
 measured wall time, so EXPLAIN can show predicted vs. actual.
 
-On top of the materialized path sits the **streaming cursor API**:
-``execute_cursor(...)`` returns a :class:`ResultCursor` that pulls rows
-lazily from the backend's streaming runner (all six built-ins have one),
-``execute(..., limit=k)`` terminates early after materializing at most
-O(k) output rows, and ``decode=`` threads a
+``execute_cursor(...)`` is the same path stopped one step earlier: it
+returns the :class:`ResultCursor`, which pulls rows lazily from the
+backend, ``limit=k`` terminates early after materializing at most O(k)
+output rows, and ``decode=`` threads a
 :class:`~repro.relational.io.ValueDictionary` so results come back as
 the original values instead of dictionary codes.
 
-The registry wraps all six existing join implementations; new backends
-register with :func:`register_backend` and become visible to forced
-dispatch immediately (the cost model prices only the built-ins it knows).
-A backend registered without a ``streamer`` still works with cursors and
-limits — its materialized output is truncated after the fact.
+The six backends are declared once, in :data:`BACKEND_TABLE` (in the
+cost model's tie-break order), each as a single ``run`` function, and
+:func:`run_backend` is the only place one is entered — by a serial
+cursor here and by :func:`repro.parallel.workers.execute_shard` for
+every shard of a parallel run, whichever process computes it.
 """
 
 from __future__ import annotations
@@ -46,32 +45,25 @@ from repro.relational.query import Database, JoinQuery
 
 Row = Tuple[int, ...]
 
-#: A backend runner: (query, db, plan) → (tuples, stats, gao).  The
-#: tuples come back sorted: a serial ``execute()`` returns them as they
-#: are, and a parallel one concatenates ordered shards without a sort.
-BackendRunner = Callable[
-    [JoinQuery, Database, Plan],
-    Tuple[List[Row], ResolutionStats, Tuple[str, ...]],
-]
-
-#: A streaming runner: (query, db, plan, limit) → (row iterator, stats,
-#: gao).  ``limit`` is a materialization hint (Tetris uses it to cap the
-#: engine's enumeration); the cursor enforces the exact cut-off.
-StreamRunner = Callable[
-    [JoinQuery, Database, Plan, Optional[int]],
-    Tuple[Iterator[Row], ResolutionStats, Tuple[str, ...]],
-]
-
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """A registered execution backend."""
+    """One execution backend: a name and the function that runs it.
+
+    ``run(query, db, index_kind, gao, limit)`` returns ``(rows,
+    stats)``: ``rows`` iterates the join output in the backend's own
+    enumeration order and does no work before the first pull; ``limit``
+    is a materialization hint (Tetris caps its enumeration with it) —
+    the caller enforces the exact cut-off and does any sorting.
+    """
 
     name: str
-    runner: BackendRunner
+    run: Callable[
+        [JoinQuery, Database, str, Optional[Tuple[str, ...]], Optional[int]],
+        Tuple[Iterator[Row], ResolutionStats],
+    ]
     description: str
     requires_acyclic: bool = False
-    streamer: Optional[StreamRunner] = None
 
 
 class ResultCursor:
@@ -254,156 +246,129 @@ class ExecutionResult:
         return self.decode.decode_rows(self.tuples)
 
 
-# -- the built-in backends -----------------------------------------------------
+# -- the backends --------------------------------------------------------------
 
 
-def _run_tetris(variant: str) -> BackendRunner:
-    def runner(query, db, plan):
+def _tetris(variant: str):
+    def run(query, db, index_kind, gao, limit):
         from repro.joins.tetris_join import join_tetris
 
-        result = join_tetris(
-            query, db, variant=variant,
-            index_kind=plan.index_kind, gao=plan.gao,
-        )
-        return result.tuples, result.stats, result.gao
-
-    return runner
-
-
-def _stream_tetris(variant: str) -> StreamRunner:
-    def streamer(query, db, plan, limit):
-        from repro.joins.tetris_join import iter_tetris
-
         stats = ResolutionStats()
-        rows = iter_tetris(
-            query, db, variant=variant, index_kind=plan.index_kind,
-            gao=plan.gao, stats=stats, max_outputs=limit,
-        )
-        return rows, stats, plan.gao
 
-    return streamer
+        def rows() -> Iterator[Row]:
+            # The engine enumerates uncovered points as one resolution
+            # fixpoint, so rows cannot stream mid-resolution; the
+            # ``limit`` cap bounds materialization instead, and being a
+            # generator defers all of it to the first pull.
+            yield from join_tetris(
+                query, db, variant=variant, index_kind=index_kind,
+                gao=gao, stats=stats, max_outputs=limit,
+            ).tuples
+
+        return rows(), stats
+
+    return run
 
 
-def _run_leapfrog(query, db, plan):
-    from repro.joins.leapfrog import join_leapfrog
-
-    return join_leapfrog(query, db, gao=plan.gao), ResolutionStats(), plan.gao
-
-
-def _stream_leapfrog(query, db, plan, limit):
+def _leapfrog(query, db, index_kind, gao, limit):
     from repro.joins.leapfrog import iter_leapfrog
 
-    rows = iter_leapfrog(query, db, gao=plan.gao)
-    return rows, ResolutionStats(), plan.gao
+    return iter_leapfrog(query, db, gao=gao), ResolutionStats()
 
 
-def _run_yannakakis(query, db, plan):
-    from repro.joins.yannakakis import join_yannakakis
-
-    return join_yannakakis(query, db), ResolutionStats(), plan.gao
-
-
-def _stream_yannakakis(query, db, plan, limit):
+def _yannakakis(query, db, index_kind, gao, limit):
     from repro.joins.yannakakis import iter_yannakakis
 
-    return iter_yannakakis(query, db), ResolutionStats(), plan.gao
+    return iter_yannakakis(query, db), ResolutionStats()
 
 
-def _run_hash(query, db, plan):
-    from repro.joins.hashjoin import join_hash
-
-    return join_hash(query, db), ResolutionStats(), plan.gao
-
-
-def _stream_hash(query, db, plan, limit):
+def _hash(query, db, index_kind, gao, limit):
     from repro.joins.hashjoin import iter_hash
 
-    return iter_hash(query, db), ResolutionStats(), plan.gao
+    return iter_hash(query, db), ResolutionStats()
 
 
-def _run_nested_loop(query, db, plan):
-    from repro.joins.nested_loop import join_nested_loop
-
-    return join_nested_loop(query, db), ResolutionStats(), plan.gao
-
-
-def _stream_nested_loop(query, db, plan, limit):
+def _nested_loop(query, db, index_kind, gao, limit):
     from repro.joins.nested_loop import iter_nested_loop
 
-    return iter_nested_loop(query, db), ResolutionStats(), plan.gao
+    return iter_nested_loop(query, db), ResolutionStats()
 
 
-_REGISTRY: Dict[str, BackendSpec] = {}
+#: Every backend, declared once, in the cost model's preference order
+#: for ties (:data:`repro.engine.cost.BACKENDS` is this table's keys;
+#: the algorithm aliases and the CLI's ``--algorithm`` choices derive
+#: from those).
+BACKEND_TABLE: Dict[str, BackendSpec] = {
+    spec.name: spec
+    for spec in (
+        BackendSpec(
+            "yannakakis", _yannakakis,
+            "Yannakakis semijoin reduction (α-acyclic only, Õ(N + Z))",
+            requires_acyclic=True,
+        ),
+        BackendSpec(
+            "hash", _hash,
+            "left-deep binary hash-join plan (connectivity-aware "
+            "size-ascending order)",
+        ),
+        BackendSpec(
+            "leapfrog", _leapfrog,
+            "generic worst-case-optimal join (Leapfrog/NPRR, AGM bound)",
+        ),
+        BackendSpec(
+            "tetris-reloaded", _tetris("reloaded"),
+            "Tetris, gap boxes on demand (certificate-based, Thm 4.7/4.9)",
+        ),
+        BackendSpec(
+            "tetris-preloaded", _tetris("preloaded"),
+            "Tetris, gap boxes preloaded (worst-case-optimal, Thm D.8/D.9)",
+        ),
+        BackendSpec(
+            "nested-loop", _nested_loop,
+            "block nested loops (baseline floor)",
+        ),
+    )
+}
 
 
-def register_backend(spec: BackendSpec) -> None:
-    """Add (or replace) a backend in the dispatch registry."""
-    _REGISTRY[spec.name] = spec
-
-
-def registered_backends() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-for _spec in (
-    BackendSpec(
-        "tetris-preloaded", _run_tetris("preloaded"),
-        "Tetris, gap boxes preloaded (worst-case-optimal, Thm D.8/D.9)",
-        streamer=_stream_tetris("preloaded"),
-    ),
-    BackendSpec(
-        "tetris-reloaded", _run_tetris("reloaded"),
-        "Tetris, gap boxes on demand (certificate-based, Thm 4.7/4.9)",
-        streamer=_stream_tetris("reloaded"),
-    ),
-    BackendSpec(
-        "leapfrog", _run_leapfrog,
-        "generic worst-case-optimal join (Leapfrog/NPRR, AGM bound)",
-        streamer=_stream_leapfrog,
-    ),
-    BackendSpec(
-        "yannakakis", _run_yannakakis,
-        "Yannakakis semijoin reduction (α-acyclic only, Õ(N + Z))",
-        requires_acyclic=True,
-        streamer=_stream_yannakakis,
-    ),
-    BackendSpec(
-        "hash", _run_hash,
-        "left-deep binary hash-join plan (connectivity-aware "
-        "size-ascending order)",
-        streamer=_stream_hash,
-    ),
-    BackendSpec(
-        "nested-loop", _run_nested_loop,
-        "block nested loops (baseline floor)",
-        streamer=_stream_nested_loop,
-    ),
-):
-    register_backend(_spec)
-
-
-def _resolve_plan(
+def run_backend(
+    backend: str,
     query: JoinQuery,
     db: Database,
-    plan: Optional[Plan],
-    algorithm: str,
-    index_kind: Optional[str],
-    gao: Optional[Sequence[str]],
-    probe_certificate: bool,
-    use_cache: bool,
-    workers: Optional[int],
-    plan_kwargs: dict,
-) -> Tuple[Plan, BackendSpec]:
-    if plan is None:
-        plan = plan_query(
-            query, db, algorithm=algorithm, index_kind=index_kind,
-            gao=gao, probe_certificate=probe_certificate,
-            use_cache=use_cache, workers=workers, **plan_kwargs,
-        )
-    spec = _REGISTRY.get(plan.backend)
+    index_kind: str,
+    gao: Optional[Tuple[str, ...]],
+    limit: Optional[int],
+) -> Tuple[Iterator[Row], ResolutionStats]:
+    """Enter a backend — the only place one is.
+
+    Returns the backend's lazy row stream (its own enumeration order,
+    uncut) and the :class:`ResolutionStats` the stream fills as it is
+    consumed.  Callers cut at ``limit`` and sort.
+    """
+    spec = BACKEND_TABLE.get(backend)
     if spec is None:
-        raise ValueError(f"no registered backend named {plan.backend!r}")
-    return plan, spec
+        raise ValueError(f"no backend named {backend!r}")
+    return spec.run(query, db, index_kind, gao, limit)
+
+
+def _open_cursor(
+    query: JoinQuery,
+    db: Database,
+    plan: Plan,
+    limit: Optional[int],
+    decode,
+    timeout_ms: Optional[int],
+) -> ResultCursor:
+    """The cursor of a plan: shard-parallel, or one backend's stream."""
+    if plan.num_shards > 1:
+        return _parallel_cursor(query, db, plan, limit, decode, timeout_ms)
+    rows, stats = run_backend(
+        plan.backend, query, db, plan.index_kind, plan.gao, limit
+    )
+    return ResultCursor(
+        rows, variables=query.variables, backend=plan.backend, plan=plan,
+        stats=stats, gao=plan.gao, limit=limit, decode=decode,
+    )
 
 
 def _parallel_cursor(
@@ -412,7 +377,7 @@ def _parallel_cursor(
     plan: Plan,
     limit: Optional[int],
     decode,
-    timeout_ms: Optional[int] = None,
+    timeout_ms: Optional[int],
 ) -> ResultCursor:
     """The merged streaming cursor over a shard-parallel run.
 
@@ -466,13 +431,10 @@ def execute_cursor(
     index_kind: Optional[str] = None,
     gao: Optional[Sequence[str]] = None,
     plan: Optional[Plan] = None,
+    workers: Optional[int] = None,
     limit: Optional[int] = None,
     decode=None,
-    probe_certificate: bool = False,
-    use_cache: bool = True,
-    workers: Optional[int] = None,
     timeout_ms: Optional[int] = None,
-    **plan_kwargs,
 ) -> ResultCursor:
     """Plan a join and return a lazy :class:`ResultCursor` over its rows.
 
@@ -482,18 +444,19 @@ def execute_cursor(
     Aggregates should consume cursors — no intermediate result set is
     materialized on the way.  With ``workers=N`` (and a plan that went
     parallel) rows stream shard by shard off the worker pool instead.
+    Anything else a plan is made from — a cost model, the certificate
+    probe, bypassing the plan cache — goes through
+    :func:`~repro.engine.planner.plan_query` and arrives as ``plan=``.
 
-    ``timeout_ms`` (default ``REPRO_QUERY_TIMEOUT_MS``) deadlines a
-    *parallel* run: past it, consumption raises
-    :class:`~repro.parallel.QueryTimeout` (hung workers are killed and
-    respawned; the exception carries the partial parallel report).
-    Serial plans ignore it — single-process backends have no supervisor
-    to interrupt them.
+    ``timeout_ms`` deadlines a *parallel* run: past it, consumption
+    raises :class:`~repro.parallel.QueryTimeout` (hung workers are
+    killed and respawned; the exception carries the partial parallel
+    report).  Serial plans ignore it — single-process backends have no
+    supervisor to interrupt them.
     """
     # A directly-opened cursor under REPRO_TRACE gets its own tracer
     # (ambient only while planning — the caller drives consumption);
-    # inside execute() the ambient tracer is already installed and the
-    # cursor's spans nest under the query's.
+    # under an ambient tracer its spans nest where the caller stands.
     tracer = _tracing.current_tracer()
     owns_tracer = tracer is None and _tracing.enabled()
     if owns_tracer:
@@ -504,25 +467,12 @@ def execute_cursor(
             if owns_tracer
             else None
         )
-        plan, spec = _resolve_plan(
-            query, db, plan, algorithm, index_kind, gao,
-            probe_certificate, use_cache, workers, plan_kwargs,
-        )
-        if plan.num_shards > 1:
-            cursor = _parallel_cursor(
-                query, db, plan, limit, decode, timeout_ms
+        if plan is None:
+            plan = plan_query(
+                query, db, algorithm=algorithm, index_kind=index_kind,
+                gao=gao, workers=workers,
             )
-        else:
-            if spec.streamer is not None:
-                rows, stats, ran_gao = spec.streamer(query, db, plan, limit)
-            else:
-                tuples, stats, ran_gao = spec.runner(query, db, plan)
-                rows = iter(tuples)
-            cursor = ResultCursor(
-                rows, variables=query.variables, backend=plan.backend,
-                plan=plan, stats=stats, gao=ran_gao, limit=limit,
-                decode=decode,
-            )
+        cursor = _open_cursor(query, db, plan, limit, decode, timeout_ms)
     if owns_tracer:
         cursor.trace = tracer
         cursor.on_close = lambda: tracer.finish(qspan)
@@ -536,21 +486,21 @@ def execute(
     index_kind: Optional[str] = None,
     gao: Optional[Sequence[str]] = None,
     plan: Optional[Plan] = None,
+    workers: Optional[int] = None,
     limit: Optional[int] = None,
     decode=None,
-    probe_certificate: bool = False,
-    use_cache: bool = True,
-    workers: Optional[int] = None,
     timeout_ms: Optional[int] = None,
-    **plan_kwargs,
 ) -> ExecutionResult:
     """Plan (unless a plan is supplied) and run a join query.
 
-    The single entry point the CLI and benchmarks dispatch through;
-    ``algorithm="auto"`` selects the cost-optimal backend, any registered
-    backend name forces it.  ``limit=k`` terminates early through the
-    backend's streaming runner, materializing at most O(k) output rows;
-    ``decode=dictionary`` attaches a
+    The single entry point the CLI and benchmarks dispatch through:
+    plan, open the plan's cursor, ``fetchall()``, and sort unless the
+    rows arrived in order.  ``algorithm="auto"`` selects the
+    cost-optimal backend, any backend name forces it; whatever else a
+    plan is made from goes through
+    :func:`~repro.engine.planner.plan_query` and arrives as ``plan=``.
+    ``limit=k`` terminates early, materializing at most O(k) output
+    rows; ``decode=dictionary`` attaches a
     :class:`~repro.relational.io.ValueDictionary` so callers can read
     ``result.decoded_rows()`` lazily.
 
@@ -562,9 +512,8 @@ def execute(
     and re-sorted only where shard boundaries interleave) — worker
     crashes and hangs are survived by the pool's supervision (respawn,
     retry, serial quarantine), so it stays bit-for-bit under faults too.
-    ``timeout_ms`` (default ``REPRO_QUERY_TIMEOUT_MS``) deadlines a
-    parallel run with :class:`~repro.parallel.QueryTimeout`; serial
-    plans ignore it.
+    ``timeout_ms`` deadlines a parallel run with
+    :class:`~repro.parallel.QueryTimeout`; serial plans ignore it.
 
     Observability happens here, once per query, and is O(1) in the
     registry: with tracing on the whole run executes under a ``query``
@@ -579,54 +528,34 @@ def execute(
     if tracer is None and _tracing.enabled():
         tracer = _tracing.Tracer()
     wall0 = time.perf_counter()
-    with _tracing.use(tracer):
-        qspan = (
-            tracer.start("query", algorithm=algorithm)
-            if tracer is not None
-            else None
-        )
-        try:
-            plan, spec = _resolve_plan(
-                query, db, plan, algorithm, index_kind, gao,
-                probe_certificate, use_cache, workers, plan_kwargs,
+    with _tracing.use(tracer), _tracing.span(
+        "query", algorithm=algorithm
+    ) as qspan:
+        if plan is None:
+            plan = plan_query(
+                query, db, algorithm=algorithm, index_kind=index_kind,
+                gao=gao, workers=workers,
             )
-            t0 = time.perf_counter()
-            report = None
-            espan = (
-                tracer.start(
-                    "execute", backend=plan.backend, workers=plan.workers
-                )
-                if tracer is not None
-                else None
-            )
-            try:
-                if plan.num_shards > 1 or limit is not None:
-                    # Close once materialized: with a limit the
-                    # underlying pipeline is abandoned mid-stream, and a
-                    # parallel cursor must release its worker pool
-                    # (draining in-flight shards) for the next run.
-                    with execute_cursor(
-                        query, db, plan=plan, limit=limit,
-                        timeout_ms=timeout_ms,
-                    ) as cursor:
-                        tuples = cursor.fetchall()
-                        if not cursor.ordered:
-                            tuples.sort()
-                        stats, ran_gao = cursor.stats, cursor.gao
-                        report = cursor.parallel
-                else:
-                    tuples, stats, ran_gao = spec.runner(query, db, plan)
-                if espan is not None:
-                    espan.attrs["rows"] = len(tuples)
-            finally:
-                if tracer is not None:
-                    tracer.finish(espan)
-            elapsed = time.perf_counter() - t0
-            if qspan is not None:
-                qspan.attrs["backend"] = plan.backend
-        finally:
-            if tracer is not None:
-                tracer.finish(qspan)
+        t0 = time.perf_counter()
+        with _tracing.span(
+            "execute", backend=plan.backend, workers=plan.workers
+        ) as espan:
+            # Close once materialized: with a limit the backend's
+            # pipeline is abandoned mid-stream, and a parallel cursor
+            # must release its worker pool (draining in-flight shards)
+            # for the next run.
+            with _open_cursor(
+                query, db, plan, limit, None, timeout_ms
+            ) as cursor:
+                tuples = cursor.fetchall()
+                if not cursor.ordered:
+                    tuples.sort()
+            if espan is not None:
+                espan.attrs["rows"] = len(tuples)
+        elapsed = time.perf_counter() - t0
+        if qspan is not None:
+            qspan.attrs["backend"] = plan.backend
+    stats = cursor.stats
     if _METRICS.enabled:
         wall_s = time.perf_counter() - wall0
         _METRICS.observe("query.latency", wall_s)
@@ -644,12 +573,12 @@ def execute(
         tuples=tuples,
         variables=query.variables,
         stats=stats,
-        gao=ran_gao,
+        gao=cursor.gao,
         backend=plan.backend,
         plan=plan,
         elapsed=elapsed,
         limit=limit,
         decode=decode,
-        parallel=report,
+        parallel=cursor.parallel,
         trace=tracer,
     )

@@ -14,11 +14,11 @@ the cache is content-keyed, so reloading identical data hits it too.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.cost import (
+    BACKENDS,
     CostEstimate,
     CostModel,
     StructureProfile,
@@ -27,23 +27,15 @@ from repro.engine.cost import (
 from repro.engine.stats import QueryStats, assumed_stats, collect_stats
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.relational.query import Database, JoinQuery
+from repro.relational.query import ContentLRU, Database, JoinQuery
 
-#: Aliases accepted wherever an algorithm name is expected.
+#: Every spelling accepted wherever an algorithm name is expected: the
+#: backends themselves, ``auto`` (the cost model chooses) and ``tetris``
+#: (the worst-case-optimal variant).
 ALGORITHM_ALIASES: Dict[str, str] = {
     "auto": "auto",
     "tetris": "tetris-preloaded",
-    "tetris-preloaded": "tetris-preloaded",
-    "tetris_preloaded": "tetris-preloaded",
-    "preloaded": "tetris-preloaded",
-    "tetris-reloaded": "tetris-reloaded",
-    "tetris_reloaded": "tetris-reloaded",
-    "reloaded": "tetris-reloaded",
-    "leapfrog": "leapfrog",
-    "yannakakis": "yannakakis",
-    "hash": "hash",
-    "nested-loop": "nested-loop",
-    "nested_loop": "nested-loop",
+    **{name: name for name in BACKENDS},
 }
 
 
@@ -54,7 +46,7 @@ def normalize_algorithm(name: str) -> str:
     except KeyError:
         raise ValueError(
             f"unknown algorithm {name!r}; expected one of "
-            f"{sorted(set(ALGORITHM_ALIASES))}"
+            f"{sorted(ALGORITHM_ALIASES)}"
         ) from None
 
 
@@ -92,40 +84,7 @@ class Plan:
         return None
 
 
-class _PlanCache:
-    """A small content-keyed LRU for plans."""
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, Plan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple) -> Optional[Plan]:
-        plan = self._entries.get(key)
-        if plan is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return plan
-
-    def put(self, key: Tuple, plan: Plan) -> None:
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_PLAN_CACHE = _PlanCache()
+_PLAN_CACHE = ContentLRU(256)
 
 
 def clear_plan_cache() -> None:

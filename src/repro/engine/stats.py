@@ -20,14 +20,13 @@ and invalidated purely by content, never by object identity.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.agm import agm_from_sizes
-from repro.relational.query import Database, JoinQuery
+from repro.relational.query import ContentLRU, Database, JoinQuery
 
 
 @dataclass(frozen=True)
@@ -146,32 +145,24 @@ def probe_certificate(
     is small — the Theorem 4.7 regime — complete outright and return an
     exact cost, everything else reports the bound was exceeded.
     """
-    from repro.core.resolution import ResolutionStats
-    from repro.core.tetris import TetrisEngine
-    from repro.joins.tetris_join import make_oracle
+    from repro.joins.tetris_join import tetris_engine
 
-    oracle, gao = make_oracle(query, db, index_kind="btree", gao=gao)
+    engine, oracle, _ = tetris_engine(query, db, "btree", gao)
     budgeted = _BudgetedOracle(oracle, budget)
-    run_stats = ResolutionStats()
-    attrs = oracle.attrs
-    sao = tuple(attrs.index(a) for a in gao)
-    engine = TetrisEngine(
-        len(attrs), db.domain.depth, sao=sao, stats=run_stats
-    )
     try:
         outputs = engine.run(
             budgeted, preload=False, mode="resume", max_outputs=budget
         )
     except ProbeBudgetExceeded:
         return CertificateProbe(
-            boxes_loaded=run_stats.boxes_loaded,
+            boxes_loaded=engine.stats.boxes_loaded,
             outputs_found=0,
             complete=False,
             budget=budget,
         )
     complete = len(outputs) < budget
     return CertificateProbe(
-        boxes_loaded=run_stats.boxes_loaded,
+        boxes_loaded=engine.stats.boxes_loaded,
         outputs_found=len(outputs),
         complete=complete,
         budget=budget,
@@ -230,37 +221,8 @@ def _independence_estimate(
     return apply_matching_selectivities(estimate, occurrences)
 
 
-class _StatsCache:
-    """Content-keyed LRU so repeated executions skip the AGM LP."""
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, QueryStats]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple) -> Optional[QueryStats]:
-        stats = self._entries.get(key)
-        if stats is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return stats
-
-    def put(self, key: Tuple, stats: QueryStats) -> None:
-        self._entries[key] = stats
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_STATS_CACHE = _StatsCache()
+#: Content-keyed, so repeated executions skip the AGM LP.
+_STATS_CACHE = ContentLRU(256)
 
 
 def clear_stats_cache() -> None:
@@ -272,7 +234,7 @@ def _collect_stats_cache_metrics() -> Dict[str, int]:
     return {
         "engine.stats_cache.hits": _STATS_CACHE.hits,
         "engine.stats_cache.misses": _STATS_CACHE.misses,
-        "engine.stats_cache.entries": len(_STATS_CACHE._entries),
+        "engine.stats_cache.entries": len(_STATS_CACHE),
     }
 
 

@@ -7,8 +7,9 @@ Two layers:
   engine stops at the first uncovered point, so an early witness exits
   without enumerating Z tuples.  ``join_count`` counts output tuples;
   with Tetris this is free model counting (the same mechanism as #SAT in
-  :mod:`repro.sat`).  Both ride the packed gap-box pipeline of
-  :mod:`repro.joins.tetris_join` end to end.
+  :mod:`repro.sat`).  Both run the engine that
+  :func:`repro.joins.tetris_join.tetris_engine` builds, so they ride
+  the packed gap-box pipeline end to end.
 * **Cursor-consuming** — ``count_rows`` / ``any_rows`` / ``group_counts``
   work over *any* engine backend by draining a streaming
   :class:`~repro.engine.executor.ResultCursor`: the aggregate itself
@@ -24,25 +25,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.resolution import ResolutionStats
-from repro.core.tetris import TetrisEngine
-from repro.joins.tetris_join import make_oracle
+from repro.joins.tetris_join import tetris_engine
 from repro.relational.query import Database, JoinQuery
-
-
-def _engine_for(
-    query: JoinQuery,
-    db: Database,
-    index_kind: str,
-    gao: Optional[Sequence[str]],
-    stats: Optional[ResolutionStats],
-):
-    oracle, gao = make_oracle(query, db, index_kind=index_kind, gao=gao)
-    attrs = oracle.attrs
-    sao = tuple(attrs.index(a) for a in gao)
-    engine = TetrisEngine(
-        len(attrs), db.domain.depth, sao=sao, stats=stats
-    )
-    return engine, oracle
 
 
 def join_exists(
@@ -57,9 +41,8 @@ def join_exists(
     Equivalent to the Boolean BCP (Definition 3.5) being *uncovered*;
     stops at the first output tuple found.
     """
-    engine, oracle = _engine_for(query, db, index_kind, gao, stats)
-    found = engine.run(oracle, preload=True, max_outputs=1)
-    return bool(found)
+    engine, oracle, _ = tetris_engine(query, db, index_kind, gao, stats=stats)
+    return bool(engine.run(oracle, preload=True, max_outputs=1))
 
 
 def join_count(
@@ -70,7 +53,7 @@ def join_count(
     stats: Optional[ResolutionStats] = None,
 ) -> int:
     """Number of output tuples of the join (full enumeration count)."""
-    engine, oracle = _engine_for(query, db, index_kind, gao, stats)
+    engine, oracle, _ = tetris_engine(query, db, index_kind, gao, stats=stats)
     return len(engine.run(oracle, preload=True))
 
 
@@ -82,7 +65,7 @@ def count_rows(
 ) -> int:
     """Output cardinality via a streaming cursor.
 
-    Works over any registered backend; rows are counted as they stream
+    Works over any backend; rows are counted as they stream
     off the cursor, never collected — the count itself is O(1) state on
     top of whatever the chosen backend buffers internally.
     """

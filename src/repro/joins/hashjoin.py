@@ -10,22 +10,24 @@ the per-stage hash tables (built from base relations, O(N) total) are
 materialized — intermediate results never are, so taking k rows does
 O(k)-ish probe work beyond the table builds.  The cascade is the
 per-plan kernel generated by :func:`repro.engine.codegen.hash_kernel`;
-this module picks the atom order and runs it, and
+this module picks the atom order (:func:`left_deep_order`, the same
+function the cost model prices the plan with) and runs it, and
 :func:`~repro.joins.nested_loop.join_nested_loop` is the oracle the
 tests compare it to.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.query import Database, JoinQuery
+from repro.relational.schema import RelationSchema
 
 
-def _plan_order(
-    query: JoinQuery, db: Database, atom_order: Optional[Sequence[str]]
+def left_deep_order(
+    atoms: Sequence[RelationSchema], size_of: Callable[[str], int]
 ) -> List[str]:
-    """Default join order: size-ascending, but connectivity-aware.
+    """The default join order: size-ascending, but connectivity-aware.
 
     Start from the smallest atom, then repeatedly take the smallest
     atom sharing an attribute with what's joined so far — a pure
@@ -33,22 +35,37 @@ def _plan_order(
     cross-product stage (clipped shard databases, where relative sizes
     shift, hit this hard).  A cross product only happens when the query
     hypergraph itself is disconnected.
+
+    ``size_of`` maps an atom name to its size: :func:`iter_hash` passes
+    the relations' row counts, the cost model the profiled
+    cardinalities — one function, so the order that is priced is the
+    order that runs.
     """
-    if atom_order is not None:
-        if sorted(atom_order) != sorted(a.name for a in query.atoms):
-            raise ValueError(f"{atom_order} does not enumerate the atoms")
-        return list(atom_order)
-    remaining = {a.name: set(a.attrs) for a in query.atoms}
-    first = min(remaining, key=lambda n: (len(db[n]), n))
+    remaining = {a.name: set(a.attrs) for a in atoms}
+
+    def key(name: str):
+        return size_of(name), name
+
+    first = min(remaining, key=key)
     order = [first]
-    bound = set(remaining.pop(first))
+    bound = remaining.pop(first)
     while remaining:
         connected = [n for n, attrs in remaining.items() if attrs & bound]
-        pool = connected if connected else list(remaining)
-        nxt = min(pool, key=lambda n: (len(db[n]), n))
+        nxt = min(connected or remaining, key=key)
         order.append(nxt)
         bound |= remaining.pop(nxt)
     return order
+
+
+def _plan_order(
+    query: JoinQuery, db: Database, atom_order: Optional[Sequence[str]]
+) -> List[str]:
+    """The caller's atom order, validated, or :func:`left_deep_order`."""
+    if atom_order is None:
+        return left_deep_order(query.atoms, lambda name: len(db[name]))
+    if sorted(atom_order) != sorted(a.name for a in query.atoms):
+        raise ValueError(f"{atom_order} does not enumerate the atoms")
+    return list(atom_order)
 
 
 def iter_hash(
@@ -81,7 +98,7 @@ def join_hash(
     """Left-deep binary hash-join plan; outputs follow query.variables.
 
     ``atom_order`` names atoms in join order; defaults to the
-    connectivity-aware size-ascending heuristic of :func:`_plan_order`.
+    connectivity-aware size-ascending :func:`left_deep_order`.
     Materialized and sorted; :func:`iter_hash` is the streaming form.
     The stream needs no de-duplication: relations are sets, and an output
     row fixes the row it was built from in every atom.

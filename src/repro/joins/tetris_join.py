@@ -1,9 +1,11 @@
 """Join evaluation via Tetris (Proposition 3.6).
 
 Wires a :class:`~repro.relational.query.JoinQuery` over an indexed database
-into a Box Cover Problem instance and runs the requested Tetris variant.
-The BCP output — the points covered by *no* gap box — is exactly the join
-output.
+into a Box Cover Problem instance (:func:`tetris_engine` — the one place
+a query becomes an oracle, an SAO and a :class:`TetrisEngine`; the
+aggregates and the planner's certificate probe run what it builds) and
+runs the requested Tetris variant (:func:`join_tetris`).  The BCP output
+— the points covered by *no* gap box — is exactly the join output.
 
 The splitting attribute order defaults to the theorem-appropriate choice:
 reverse GYO elimination for α-acyclic queries (Theorem D.8), a minimum
@@ -71,6 +73,31 @@ def make_oracle(
     return QueryGapOracle(query, indexes), gao
 
 
+def tetris_engine(
+    query: JoinQuery,
+    db: Database,
+    index_kind: str = "btree",
+    gao: Optional[Sequence[str]] = None,
+    **engine_kwargs,
+) -> Tuple[TetrisEngine, QueryGapOracle, Tuple[str, ...]]:
+    """The one place a query becomes a :class:`TetrisEngine`.
+
+    Builds the gap-box oracle, turns the GAO into the engine's SAO (the
+    permutation of space order into GAO order) and constructs the engine
+    over the query's variables at the database's domain depth;
+    ``engine_kwargs`` (``stats``, ``cache_resolvents``,
+    ``resolvent_limit``) go to the engine as given.  Returns ``(engine,
+    oracle, gao)`` — run it with ``engine.run(oracle, ...)``.
+    """
+    oracle, gao = make_oracle(query, db, index_kind=index_kind, gao=gao)
+    attrs = oracle.attrs
+    sao = tuple(attrs.index(a) for a in gao)
+    engine = TetrisEngine(
+        len(attrs), db.domain.depth, sao=sao, **engine_kwargs
+    )
+    return engine, oracle, gao
+
+
 def join_tetris(
     query: JoinQuery,
     db: Database,
@@ -98,43 +125,12 @@ def join_tetris(
     """
     if variant not in ("preloaded", "reloaded"):
         raise ValueError(f"unknown variant {variant!r}")
-    oracle, gao = make_oracle(query, db, index_kind=index_kind, gao=gao)
-    stats = stats if stats is not None else ResolutionStats()
-    depth = db.domain.depth
-    attrs = oracle.attrs
-    # The SAO permutes space order into GAO order.
-    sao = tuple(attrs.index(a) for a in gao)
-    engine = TetrisEngine(
-        len(attrs), depth, sao=sao, cache_resolvents=cache_resolvents,
+    engine, oracle, gao = tetris_engine(
+        query, db, index_kind, gao, cache_resolvents=cache_resolvents,
         stats=stats, resolvent_limit=resolvent_limit,
     )
-    preload = variant == "preloaded"
     points = engine.run(
-        oracle, preload=preload, max_outputs=max_outputs, mode=mode,
+        oracle, preload=variant == "preloaded", max_outputs=max_outputs,
+        mode=mode,
     )
-    return JoinResult(sorted(points), attrs, stats, gao)
-
-
-def iter_tetris(
-    query: JoinQuery,
-    db: Database,
-    variant: str = "preloaded",
-    index_kind: str = "btree",
-    gao: Optional[Sequence[str]] = None,
-    stats: Optional[ResolutionStats] = None,
-    max_outputs: Optional[int] = None,
-    mode: str = "resume",
-):
-    """Cursor-friendly Tetris: defer all work until first consumption.
-
-    The geometric engine enumerates uncovered points as one resolution
-    fixpoint, so rows cannot stream mid-resolution the way the pipeline
-    backends do; instead the ``max_outputs`` cap bounds *materialization*
-    — ``iter_tetris(..., max_outputs=k)`` does the engine work for k
-    witnesses and holds at most O(k) output rows at any moment.
-    """
-    result = join_tetris(
-        query, db, variant=variant, index_kind=index_kind, gao=gao,
-        stats=stats, max_outputs=max_outputs, mode=mode,
-    )
-    yield from result.tuples
+    return JoinResult(sorted(points), oracle.attrs, engine.stats, gao)

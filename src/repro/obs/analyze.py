@@ -74,18 +74,21 @@ def analyze(
     limit: Optional[int] = None,
     decode=None,
     probe_certificate: bool = False,
+    timeout_ms: Optional[int] = None,
     log_path: Optional[str] = None,
     append_log: bool = True,
 ) -> AnalyzeReport:
-    """Execute a query traced and measure the plan against reality.
+    """Plan and execute a query traced; measure the plan against reality.
 
     The run always traces (ANALYZE is the one mode where span overhead
     is the product, not a tax) and, with ``append_log`` (the default),
     appends its measurement to the calibration log so ``repro
-    calibrate`` can refit from it.
+    calibrate`` can refit from it.  ``timeout_ms`` is ``execute()``'s
+    deadline for a parallel run.
     """
     from repro.engine.cost import CostModel
     from repro.engine.executor import execute
+    from repro.engine.planner import plan_query
 
     model = cost_model if cost_model is not None else CostModel()
     tracer = _tracing.current_tracer()
@@ -95,10 +98,14 @@ def analyze(
     prof_before = prof.snapshot_samples() if prof is not None else None
     metrics_before = _METRICS.snapshot() if _METRICS.enabled else None
     with _tracing.use(tracer):
-        result = execute(
+        plan = plan_query(
             query, db, algorithm=algorithm, index_kind=index_kind,
-            gao=gao, workers=workers, limit=limit, decode=decode,
-            probe_certificate=probe_certificate, cost_model=model,
+            gao=gao, workers=workers, cost_model=model,
+            probe_certificate=probe_certificate,
+        )
+        result = execute(
+            query, db, plan=plan, limit=limit, decode=decode,
+            timeout_ms=timeout_ms,
         )
     metrics = (
         _METRICS.snapshot().since(metrics_before)
@@ -118,7 +125,6 @@ def analyze(
                     profile_stages.get(stage, 0.0)
                     + delta_ticks / prof.hz
                 )
-    plan = result.plan
     stages = _stage_seconds(tracer)
     # The execute stage is the window the cost model prices: planning
     # and stats collection are pipeline overhead, not Table 1 work.

@@ -26,9 +26,7 @@ what ``repro explain`` and the parallel benchmark render.
 
 from __future__ import annotations
 
-import os
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -49,7 +47,7 @@ from repro.parallel.scheduler import (
     run_job_in_parent,
 )
 from repro.parallel.shm import SlicePlan, shm_enabled, shm_min_bytes
-from repro.relational.query import Database, JoinQuery
+from repro.relational.query import ContentLRU, Database, JoinQuery
 
 Row = Tuple[int, ...]
 
@@ -256,38 +254,14 @@ class ParallelReport:
         )
 
 
-class _JobCache:
-    """Content-keyed LRU over prepared (partitioned + clipped) jobs.
-
-    Partitioning probes and clipping slices are pure functions of the
-    relations' content and the plan's shard parameters, and relations
-    are immutable — so a served workload re-running the same parallel
-    query skips the whole prepare step: same shards, same clipped
-    relation objects (hence the same worker cache keys: repeats still
-    ship no rows), near-zero partition time in the report.
-    """
-
-    def __init__(self, capacity: int = 32):
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-
-    def get(self, key: Tuple):
-        hit = self._entries.get(key)
-        if hit is not None:
-            self._entries.move_to_end(key)
-        return hit
-
-    def put(self, key: Tuple, value: Tuple) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-_JOB_CACHE = _JobCache()
+#: Prepared (partitioned + clipped) jobs, keyed on content.
+#: Partitioning probes and clipping slices are pure functions of the
+#: relations' content and the plan's shard parameters, and relations
+#: are immutable — so a served workload re-running the same parallel
+#: query skips the whole prepare step: same shards, same clipped
+#: relation objects (hence the same worker cache keys: repeats still
+#: ship no rows), near-zero partition time in the report.
+_JOB_CACHE = ContentLRU(32)
 
 
 def clear_job_cache() -> None:
@@ -376,21 +350,6 @@ def prepare_jobs(
     return prepared
 
 
-#: Default per-query deadline, milliseconds; unset/0 = no deadline.
-QUERY_TIMEOUT_ENV = "REPRO_QUERY_TIMEOUT_MS"
-
-
-def _env_timeout_ms() -> Optional[int]:
-    raw = os.environ.get(QUERY_TIMEOUT_ENV)
-    if raw is None:
-        return None
-    try:
-        ms = int(raw)
-    except ValueError:
-        return None
-    return ms if ms > 0 else None
-
-
 def run_shards(
     query: JoinQuery,
     db: Database,
@@ -406,9 +365,8 @@ def run_shards(
     every shard as a per-shard cap (no shard can contribute more than
     ``limit`` rows; the merged cursor enforces the global cut-off).
 
-    ``timeout_ms`` (default: ``REPRO_QUERY_TIMEOUT_MS``; ``None``/≤0 =
-    unbounded) arms a per-query deadline, counted from first
-    consumption: past it the run aborts with
+    ``timeout_ms`` (``None``/≤0 = unbounded) arms a per-query deadline,
+    counted from first consumption: past it the run aborts with
     :class:`~repro.parallel.scheduler.QueryTimeout` carrying this
     (partial) report, and any hung workers are killed and respawned.
 
@@ -435,8 +393,6 @@ def run_shards(
         return iter(()), report
 
     by_id = {job.shard_id: job for job in jobs}
-    if timeout_ms is None:
-        timeout_ms = _env_timeout_ms()
     if timeout_ms is not None and timeout_ms <= 0:
         timeout_ms = None
     # Capture the dispatch span's parent *now*, while the caller's span

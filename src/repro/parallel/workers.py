@@ -27,10 +27,10 @@ leaving the unmap to the garbage collector).  Evictions are reported
 back with each result so the scheduler's cache mirror and the arena's
 segment ref-counts never drift.
 
-Workers execute through the engine's backend registry directly (the
-parent already planned: backend, index kind and GAO arrive in the task),
-skipping the per-shard planning pass — no treewidth search, no AGM LP in
-the hot loop.
+Workers enter a backend the way a serial cursor does, through
+:func:`repro.engine.executor.run_backend` (the parent already planned:
+backend, index kind and GAO arrive in the task), skipping the per-shard
+planning pass — no treewidth search, no AGM LP in the hot loop.
 """
 
 from __future__ import annotations
@@ -269,20 +269,15 @@ def _ship_delta() -> Optional[tuple]:
     return wire
 
 
-class _ShardPlan:
-    """The minimal plan shape the registered backend runners read."""
-
-    __slots__ = ("index_kind", "gao")
-
-    def __init__(self, index_kind: str, gao: Optional[Tuple[str, ...]]):
-        self.index_kind = index_kind
-        self.gao = gao
-
-
 def execute_shard(task: ShardTask, cache: WorkerCache) -> ShardResult:
-    """Run one shard against the backend registry; never raises."""
+    """Run one shard through ``run_backend``; never raises.
+
+    The rows come back sorted when the task has no ``limit`` —
+    ``ResultCursor.fetchall`` concatenates ordered shard lists without
+    a sort — and as the first ``limit`` the backend produced otherwise.
+    """
     from repro.core.resolution import ResolutionStats
-    from repro.engine.executor import _REGISTRY
+    from repro.engine.executor import run_backend
     from repro.parallel.shm import ShmRef, ShmSlice
     from repro.relational.query import Database, JoinQuery
 
@@ -357,20 +352,14 @@ def execute_shard(task: ShardTask, cache: WorkerCache) -> ShardResult:
             _faults.maybe_fire(fault_plan, task.shard_id, task.attempt)
         query = JoinQuery(task.atoms)
         db = Database(relations)
-        spec = _REGISTRY[task.backend]
-        plan = _ShardPlan(task.index_kind, task.gao)
-        if task.limit is not None and spec.streamer is not None:
-            rows_iter, stats, _gao = spec.streamer(
-                query, db, plan, task.limit
-            )
-            rows = list(itertools.islice(rows_iter, task.limit))
-            close = getattr(rows_iter, "close", None)
-            if close is not None:
-                close()
+        stream, stats = run_backend(
+            task.backend, query, db, task.index_kind, task.gao, task.limit
+        )
+        if task.limit is None:
+            rows = sorted(stream)
         else:
-            rows, stats, _gao = spec.runner(query, db, plan)
-            if task.limit is not None:
-                rows = rows[: task.limit]
+            rows = list(itertools.islice(stream, task.limit))
+            stream.close()
         if tracer is not None:
             tracer.finish(span, rows=len(rows), ref_hits=hits)
         return ShardResult(

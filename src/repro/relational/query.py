@@ -10,6 +10,7 @@ join algorithms in tests.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.relational.relation import Relation
@@ -66,6 +67,46 @@ class Database:
             self._relations[name].stats_fingerprint()
             for name in sorted(self._relations)
         )
+
+
+class ContentLRU:
+    """A small LRU keyed on content, with hit and miss counters.
+
+    The plan, statistics and prepared-shard caches are instances: their
+    keys combine a query's signature with
+    :meth:`Database.stats_fingerprint`, so identical data reloaded hits
+    them and nothing is ever invalidated by object identity.  ``None``
+    is not a storable value — :meth:`get` returns it for a miss.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Tuple):
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return value
+
+    def put(self, key: Tuple, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class JoinQuery:

@@ -12,10 +12,10 @@ import types
 import pytest
 
 from repro.engine import (
+    BACKENDS,
     clear_plan_cache,
     execute,
     execute_cursor,
-    registered_backends,
 )
 from repro.joins.aggregates import any_rows, count_rows, group_counts
 from repro.joins.hashjoin import iter_hash
@@ -92,7 +92,7 @@ def fresh_cache():
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-@pytest.mark.parametrize("backend", sorted(registered_backends()))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_cursor_parity_with_reference(name, backend):
     """Cursors reproduce seed semantics on every family × backend."""
     query, db = WORKLOADS[name]
@@ -122,18 +122,42 @@ def test_limit_materializes_at_most_k(name):
         assert set(result.tuples) <= set(full)
 
 
-@pytest.mark.parametrize("backend", sorted(registered_backends()))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_cursor_limit_early_termination(backend):
     query, db = WORKLOADS["graph_triangles"]
     if backend == "yannakakis":
         return  # triangle query is cyclic
     full = evaluate_reference(query, db)
     assert len(full) > 2
-    cursor = execute_cursor(query, db, algorithm=backend, limit=2)
-    rows = cursor.fetchall()
-    assert len(rows) == 2
-    assert cursor.rows_produced == 2
-    assert set(rows) <= set(full)
+    for k in (0, 2):
+        cursor = execute_cursor(query, db, algorithm=backend, limit=k)
+        rows = cursor.fetchall()
+        assert len(rows) == k
+        assert cursor.rows_produced == k
+        assert set(rows) <= set(full)
+        assert execute(
+            query, db, algorithm=backend, limit=k
+        ).tuples == sorted(rows)
+
+
+@pytest.mark.parametrize("workers", (None, 2))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_execute_is_its_cursor_drained_and_sorted(backend, workers):
+    """One path: ``execute()`` returns what ``execute_cursor()`` streams,
+    serial or sharded — rows, stats, GAO and plan alike."""
+    query, db = WORKLOADS["random_path"]  # acyclic: Yannakakis applies
+    result = execute(query, db, algorithm=backend, workers=workers)
+    assert result.tuples == evaluate_reference(query, db)
+    with execute_cursor(
+        query, db, algorithm=backend, workers=workers
+    ) as cursor:
+        assert result.tuples == sorted(cursor)
+    assert (cursor.parallel is None) == (workers is None)
+    assert (result.parallel is None) == (workers is None)
+    assert result.stats == cursor.stats
+    assert result.gao == cursor.gao == result.plan.gao
+    assert result.backend == cursor.backend == backend
+    assert result.plan.num_shards == cursor.plan.num_shards
 
 
 def test_streaming_backends_are_generators():

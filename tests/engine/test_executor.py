@@ -10,13 +10,7 @@ import random
 
 import pytest
 
-from repro.engine import (
-    BackendSpec,
-    clear_plan_cache,
-    execute,
-    register_backend,
-    registered_backends,
-)
+from repro.engine import BACKENDS, clear_plan_cache, execute
 from repro.core.resolution import ResolutionStats
 from repro.relational.hypergraph import Hypergraph
 from repro.relational.query import (
@@ -96,7 +90,7 @@ def test_auto_matches_reference_on_generators(name):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-@pytest.mark.parametrize("backend", sorted(registered_backends()))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_forced_backends_agree(name, backend):
     query, db = WORKLOADS[name]
     if backend == "yannakakis" and not (
@@ -132,28 +126,3 @@ def test_index_kind_and_gao_are_honored():
         assert result.tuples == expected, kind
         assert result.gao == ("B", "A", "C")
         assert result.plan.index_kind == kind
-
-
-def test_register_custom_backend():
-    query, db = WORKLOADS["random_path"]
-    expected = evaluate_reference(query, db)
-
-    def runner(q, d, plan):
-        return evaluate_reference(q, d), ResolutionStats(), plan.gao
-
-    register_backend(
-        BackendSpec("reference", runner, "the test oracle itself")
-    )
-    try:
-        assert "reference" in registered_backends()
-        plan = execute(query, db, algorithm="hash").plan
-        import dataclasses
-
-        forced = dataclasses.replace(plan, backend="reference")
-        result = execute(query, db, plan=forced)
-        assert result.tuples == expected
-        assert result.backend == "reference"
-    finally:
-        from repro.engine import executor
-
-        executor._REGISTRY.pop("reference", None)

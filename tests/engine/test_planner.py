@@ -40,6 +40,7 @@ import random
 
 import pytest
 
+from repro.engine import codegen, cost
 from repro.engine import (
     CostModel,
     clear_plan_cache,
@@ -48,8 +49,10 @@ from repro.engine import (
     plan_query,
     structure_of,
 )
+from repro.joins.hashjoin import iter_hash, left_deep_order
 from repro.relational.query import (
     Database,
+    JoinQuery,
     clique_query,
     cycle_query,
     path_query,
@@ -57,7 +60,7 @@ from repro.relational.query import (
     triangle_query,
 )
 from repro.relational.relation import Relation
-from repro.relational.schema import Domain
+from repro.relational.schema import Domain, RelationSchema
 from repro.workloads.generators import (
     agm_tight_triangle,
     dense_cycle_db,
@@ -202,6 +205,51 @@ def test_backend_decisions(name):
     if name in EMITS_IN_OUTPUT_ORDER:
         assert plan.gao == query.variables
         assert plan.chosen.sort == 0.0
+
+
+def _case_disconnected():
+    """R(A,B) ⋈ S(B,C) beside an unrelated T(D,E) of middling size: a
+    pure size sort would cross R with T before reaching S."""
+    rng = random.Random(4)
+    schemas = [
+        RelationSchema("R", ("A", "B")),
+        RelationSchema("S", ("B", "C")),
+        RelationSchema("T", ("D", "E")),
+    ]
+    rels = [
+        Relation(
+            schema, {(rng.randrange(16), rng.randrange(16))
+                     for _ in range(n)}, Domain(4),
+        )
+        for schema, n in zip(schemas, (5, 60, 20))
+    ]
+    return JoinQuery(schemas), Database(rels), None
+
+
+@pytest.mark.parametrize("name", sorted(DECISION_CASES) + ["disconnected"])
+def test_priced_hash_order_is_the_order_that_runs(name, monkeypatch):
+    """The cost model and ``iter_hash`` order atoms with one function,
+    over sizes that agree — so the plan priced is the plan run."""
+    case = DECISION_CASES.get(name, _case_disconnected)
+    query, db, _ = case()
+    priced, ran = [], []
+
+    def pricing(atoms, size_of):
+        priced.append(left_deep_order(atoms, size_of))
+        return priced[-1]
+
+    def building(specs, variables):
+        ran.append([atom for atom, _ in specs])
+        return hash_kernel(specs, variables)
+
+    hash_kernel = codegen.hash_kernel
+    monkeypatch.setattr(cost, "left_deep_order", pricing)
+    monkeypatch.setattr(codegen, "hash_kernel", building)
+    plan_query(query, db, algorithm="hash")
+    next(iter_hash(query, db), None)
+    assert priced == ran and len(ran) == 1
+    if name == "disconnected":
+        assert ran == [["R", "S", "T"]]
 
 
 @pytest.mark.parametrize(

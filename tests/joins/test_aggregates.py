@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.resolution import ResolutionStats
 from repro.joins.aggregates import join_count, join_exists, triangle_count
+from repro.joins.tetris_join import join_tetris
 from repro.relational.query import evaluate_reference, triangle_query
 from repro.workloads.generators import (
     agm_tight_triangle,
@@ -29,6 +30,22 @@ class TestJoinExists:
         assert join_exists(query, db, stats=s_bool)
         assert join_count(query, db, stats=s_full) == 512
         assert s_bool.containment_queries < s_full.containment_queries / 4
+
+    @pytest.mark.parametrize("index_kind", ("btree", "dyadic", "kdtree"))
+    def test_callers_stats_are_the_tetris_runs(self, index_kind):
+        """Both aggregates run the engine ``join_tetris`` runs, so a
+        caller's ``stats=`` reads field for field like the join's."""
+        query, db = agm_tight_triangle(4)
+        gao = ("B", "A", "C")
+        found, counted = ResolutionStats(), ResolutionStats()
+        assert join_exists(query, db, index_kind, gao, stats=found)
+        assert join_count(query, db, index_kind, gao, stats=counted) == 64
+        first = join_tetris(
+            query, db, index_kind=index_kind, gao=gao, max_outputs=1
+        )
+        full = join_tetris(query, db, index_kind=index_kind, gao=gao)
+        assert found == first.stats and found.containment_queries > 0
+        assert counted == full.stats and counted.resolutions > 0
 
 
 class TestJoinCount:

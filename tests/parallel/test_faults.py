@@ -38,7 +38,6 @@ WORKER_COUNTS = (2, 4)
 #: Every knob a chaos test may set; scrubbed before and after each test.
 _CHAOS_ENV = (
     faults.FAULTS_ENV,
-    "REPRO_QUERY_TIMEOUT_MS",
     "REPRO_SHARD_TIMEOUT_MS",
     "REPRO_DRAIN_TIMEOUT_MS",
     "REPRO_SHM_MIN_BYTES",
@@ -265,19 +264,6 @@ class TestHangs:
         shutdown_pools()
         follow = execute(query, db, algorithm="hash", workers=workers)
         assert follow.tuples == serial
-
-    def test_env_deadline_is_the_default(
-        self, instance, workers, monkeypatch
-    ):
-        query, db, _serial = instance
-        sid = _victim(query, db, workers)
-        _arm(
-            monkeypatch,
-            f"hang@{sid}*inf",
-            REPRO_QUERY_TIMEOUT_MS=500,
-        )
-        with pytest.raises(QueryTimeout):
-            execute(query, db, algorithm="hash", workers=workers)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -30,7 +30,6 @@ from repro.workloads.generators import graph_triangle_db, random_graph_edges
 
 _CHAOS_ENV = (
     faults.FAULTS_ENV,
-    "REPRO_QUERY_TIMEOUT_MS",
     "REPRO_SHARD_TIMEOUT_MS",
     "REPRO_DRAIN_TIMEOUT_MS",
 )

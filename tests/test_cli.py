@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import signal
 import subprocess
 import sys
 
@@ -33,7 +34,7 @@ class TestJoinCommand:
     def test_join_reloaded_variant(self, triangle_csvs, capsys):
         rc = main([
             "join", "R(A,B), S(B,C), T(A,C)",
-            "--variant", "reloaded",
+            "--algorithm", "tetris-reloaded",
             "--csv", f"R={triangle_csvs / 'r.csv'}",
             "--csv", f"S={triangle_csvs / 's.csv'}",
             "--csv", f"T={triangle_csvs / 't.csv'}",
@@ -91,6 +92,83 @@ class TestJoinCommand:
         ])
         assert rc == 2
         assert "not applicable" in capsys.readouterr().err
+
+    def test_join_variant_flag_is_gone(self, triangle_csvs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "join", "R(A,B)", "--variant", "reloaded",
+                "--csv", f"R={triangle_csvs / 'r.csv'}",
+            ])
+        assert exc.value.code == 2
+        assert "--variant" in capsys.readouterr().err
+
+
+class TestDeadline:
+    """Every query-running subcommand meets a passed ``--timeout-ms``
+    the same way: the error and the partial run on stderr, status 3."""
+
+    @pytest.fixture
+    def hung_shard(self, tmp_path, monkeypatch):
+        """Triangle CSVs plus a worker that hangs on the heaviest shard
+        (armed the way ``tests/parallel/test_faults.py::TestHangs`` does)."""
+        from repro.engine import clear_plan_cache, plan_query
+        from repro.parallel import faults, shutdown_pools
+        from repro.parallel.merge import prepare_jobs
+        from repro.relational.io import database_from_csvs, parse_query
+        from repro.workloads.generators import random_graph_edges
+
+        edges = random_graph_edges(40, 100, seed=7)
+        edges += [(b, a) for a, b in edges]
+        path = tmp_path / "e.csv"
+        path.write_text("".join(f"{a},{b}\n" for a, b in edges))
+        text = "R(A,B), S(B,C), T(A,C)"
+        csvs = [f"--csv={name}={path}" for name in "RST"]
+        query = parse_query(text)
+        db, _ = database_from_csvs(query, dict.fromkeys("RST", str(path)))
+        plan = plan_query(query, db, algorithm="hash", workers=2)
+        _, jobs, _ = prepare_jobs(query, db, plan)
+        victim = max(jobs, key=lambda j: j.weight).shard_id
+        shutdown_pools()
+        clear_plan_cache()
+        monkeypatch.setenv(faults.FAULTS_ENV, f"hang@{victim}*inf")
+        faults.reset()
+
+        def boom(signum, frame):  # pragma: no cover - only on regression
+            raise TimeoutError("the deadline was ignored: 60s backstop")
+
+        # A subcommand that drops --timeout-ms would wait on the hung
+        # worker forever; fail instead of wedging the suite.
+        old = signal.signal(signal.SIGALRM, boom)
+        signal.alarm(60)
+        yield [
+            text, *csvs, "--algorithm", "hash", "--workers", "2",
+            "--timeout-ms", "300",
+        ]
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+        monkeypatch.delenv(faults.FAULTS_ENV)
+        faults.reset()
+        shutdown_pools()
+
+    @pytest.mark.parametrize("command", [
+        ("join",),
+        ("explain", "--execute"),
+        ("explain", "--analyze"),
+        ("metrics",),
+    ], ids=" ".join)
+    def test_deadline_exits_3_with_partial_summary(
+        self, hung_shard, command, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_ANALYZE_LOG", str(tmp_path / "analyze_log.jsonl")
+        )
+        rc = main([command[0], *hung_shard, *command[1:]])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error:" in err
+        assert "# partial:" in err
+        assert "TIMED OUT" in err
+        assert "Traceback" not in err
 
 
 class TestTrianglesCommand:

@@ -5,9 +5,13 @@ resume mode runs the kernel or the interpreted loop according to the
 engine's shape alone.  This fence keeps a ``compiled=`` / ``one_pass=``
 keyword, a third traversal mode or a frozen ``benchmarks/_*.py`` copy
 from coming back — and the serving-era telemetry surfaces with their
-``REPRO_*`` knobs.
+``REPRO_*`` knobs.  One way in: a backend is one function, declared in
+one table, entered from one place by front doors that take exactly what
+callers pass.
 """
 
+import argparse
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -16,21 +20,41 @@ from pathlib import Path
 
 import repro
 import repro.core.tetris
+import repro.engine
 import repro.joins
+import repro.joins.tetris_join
 import repro.obs
+from repro.cli import build_parser
+from repro.engine import (
+    ALGORITHM_ALIASES,
+    BACKEND_TABLE,
+    BACKENDS,
+    DEFAULT_CALIBRATION,
+    BackendSpec,
+    execute,
+    execute_cursor,
+)
 
 REMOVED_SELECTORS = {"compiled", "one_pass"}
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Every environment variable the program reads; a twelfth needs two
+#: Every environment variable the program reads; an eleventh needs two
 #: callers that want different values (and a README row).
 KNOBS = {
     "REPRO_METRICS", "REPRO_TRACE", "REPRO_ANALYZE_LOG",
     "REPRO_CALIBRATION", "REPRO_NO_SHM", "REPRO_SHM_MIN_BYTES",
-    "REPRO_SHM_CAPACITY_BYTES", "REPRO_QUERY_TIMEOUT_MS",
-    "REPRO_SHARD_TIMEOUT_MS", "REPRO_DRAIN_TIMEOUT_MS", "REPRO_FAULTS",
+    "REPRO_SHM_CAPACITY_BYTES", "REPRO_SHARD_TIMEOUT_MS",
+    "REPRO_DRAIN_TIMEOUT_MS", "REPRO_FAULTS",
 }
+
+#: What ``execute`` / ``execute_cursor`` take, in order.  Anything else
+#: a plan is made from goes through ``plan_query`` and arrives as
+#: ``plan=``.
+FRONT_DOOR = (
+    "query", "db", "algorithm", "index_kind", "gao", "plan", "workers",
+    "limit", "decode", "timeout_ms",
+)
 
 
 def _public_callables(module):
@@ -68,7 +92,7 @@ def test_no_frozen_baseline_modules_in_benchmarks():
     assert sorted(p.name for p in benchmarks.glob("_*.py")) == []
 
 
-def test_knobs_are_the_documented_eleven():
+def test_knobs_are_the_documented_set():
     in_src = set()
     for path in (ROOT / "src").rglob("*.py"):
         in_src |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
@@ -79,3 +103,47 @@ def test_knobs_are_the_documented_eleven():
     assert in_src == documented == KNOBS
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
     assert not {"flight", "slowlog"} & submodules
+
+
+def test_a_backend_is_one_function():
+    fields = [f.name for f in dataclasses.fields(BackendSpec)]
+    assert fields == ["name", "run", "description", "requires_acyclic"]
+    assert not hasattr(repro.engine, "register_backend")
+    assert not hasattr(repro.engine, "registered_backends")
+    assert not hasattr(repro.joins.tetris_join, "iter_tetris")
+    workers = (ROOT / "src/repro/parallel/workers.py").read_text()
+    assert "runner" not in workers and "streamer" not in workers
+
+
+def test_front_doors_take_what_callers_pass():
+    for fn in (execute, execute_cursor):
+        params = inspect.signature(fn).parameters
+        assert tuple(params) == FRONT_DOOR, fn.__name__
+        kinds = {p.kind for p in params.values()}
+        assert kinds == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def _algorithm_choices(parser):
+    """``--algorithm``'s choices on every subcommand that has the flag."""
+    subparsers = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: action.choices
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if "--algorithm" in action.option_strings
+    }
+
+
+def test_backends_are_declared_once():
+    assert tuple(BACKEND_TABLE) == BACKENDS
+    assert all(name == spec.name for name, spec in BACKEND_TABLE.items())
+    assert set(DEFAULT_CALIBRATION) == set(BACKENDS)
+    assert set(ALGORITHM_ALIASES.values()) == set(BACKENDS) | {"auto"}
+    assert len(ALGORITHM_ALIASES) == 8
+    choices = _algorithm_choices(build_parser())
+    assert set(choices) == {"join", "explain", "metrics", "triangles"}
+    for command, offered in choices.items():
+        assert list(offered) == sorted(ALGORITHM_ALIASES), command
