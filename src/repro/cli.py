@@ -31,9 +31,11 @@ import argparse
 import os
 import sys
 import time
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.planner import ALGORITHM_ALIASES
+from repro.errors import QueryTimeout
 
 
 def _parse_gao(spec: Optional[str]) -> Optional[Tuple[str, ...]]:
@@ -47,11 +49,22 @@ def _load_join_db(args: argparse.Namespace):
     from repro.relational.io import database_from_csvs, parse_query
 
     query = parse_query(args.query)
+    names = [atom.name for atom in query.atoms]
     paths: Dict[str, str] = {}
     for item in args.csv:
         name, _, path = item.partition("=")
         if not path:
             raise ValueError(f"--csv expects NAME=PATH, got {item!r}")
+        if name not in names:
+            raise ValueError(
+                f"--csv {item}: the query has no relation {name} "
+                f"(it names {', '.join(names)})"
+            )
+        if name in paths:
+            raise ValueError(
+                f"--csv gives relation {name} twice "
+                f"({paths[name]} and {path})"
+            )
         paths[name] = path
     if not paths:
         return query, None, None
@@ -78,8 +91,6 @@ def _run_query(run):
     parallel run past its ``--timeout-ms`` deadline prints the error
     and what the run had done so far, and exits 3.
     """
-    from repro.parallel import QueryTimeout
-
     try:
         return run(), 0
     except ValueError as exc:
@@ -94,6 +105,7 @@ def _run_query(run):
 
 def _cmd_join(args: argparse.Namespace) -> int:
     from repro.engine import execute
+    from repro.relational.io import BLOCK_ROWS
 
     _apply_shm_flag(args)
     try:
@@ -117,8 +129,11 @@ def _cmd_join(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
     print(f"# query: {query}")
     print(f"# variables: {', '.join(result.variables)}")
-    for row in result.decoded_rows():  # lazy: decode as rows print
-        print(args.delimiter.join(str(v) for v in row))
+    rows = result.decoded_rows()  # lazy: decode as blocks are written
+    while block := list(islice(rows, BLOCK_ROWS)):
+        # CSV cells decode to the strings they were read as.
+        lines = map(args.delimiter.join, block)
+        sys.stdout.write("\n".join(lines) + "\n")
     limited = f" (limit {args.limit})" if args.limit is not None else ""
     print(
         f"# {len(result)} tuples{limited} in {elapsed:.3f}s "
@@ -279,9 +294,8 @@ def _cmd_triangles(args: argparse.Namespace) -> int:
     from repro.relational.io import ValueDictionary, read_edge_list
     from repro.workloads.generators import graph_triangle_db
 
-    raw_edges = read_edge_list(args.edges)
     dictionary = ValueDictionary()
-    edges = [dictionary.encode_row(e) for e in raw_edges]
+    edges = dictionary.encode_rows(read_edge_list(args.edges))
     query, db = graph_triangle_db(edges)
     t0 = time.perf_counter()
     result, status = _run_query(
@@ -552,7 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader (`| head`) has what it wanted: not a failure.
+        # Interpreter shutdown flushes stdout once more; give it
+        # somewhere to go.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

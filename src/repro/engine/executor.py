@@ -125,7 +125,7 @@ class ResultCursor:
         if limit is not None:
             rows = itertools.islice(rows, limit)
         if decode is not None:
-            rows = decode.decode_rows(rows)  # lazy per-row decoding
+            rows = decode.decode_rows(rows)  # lazy, a bounded block at a time
         self._rows = rows
         self._closed = False
 

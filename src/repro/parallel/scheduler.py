@@ -85,6 +85,7 @@ from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import QueryTimeout, WorkerError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.parallel import faults as _faults
@@ -114,24 +115,6 @@ SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT_MS"
 #: instead of wedging the parent.
 DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT_MS"
 DEFAULT_DRAIN_TIMEOUT_MS = 5000
-
-
-class WorkerError(RuntimeError):
-    """A shard failed for real (carries the worker's traceback) or the
-    pipe protocol desynchronized beyond repair."""
-
-
-class QueryTimeout(RuntimeError):
-    """A parallel query exceeded its deadline.
-
-    ``report`` holds the partial :class:`~repro.parallel.merge.
-    ParallelReport` at abort time — shards executed so far, respawns,
-    ship accounting — so callers can see how far the run got.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class _WorkerDied(Exception):

@@ -11,6 +11,7 @@ delimited files.
 from __future__ import annotations
 
 import csv
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import (
     Dict,
@@ -28,11 +29,29 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
 
 
+#: Rows :meth:`ValueDictionary.decode_rows` decodes (and ``repro join``
+#: writes) at a time: large enough that the per-block work is noise,
+#: small enough that a cursor reader is never more than this far ahead.
+BLOCK_ROWS = 4096
+
+
+def _regroup(cells: Iterator, rows: Sequence[Sequence]) -> List[Tuple]:
+    """Cut a flat cell stream back into tuples shaped like ``rows``."""
+    widths = set(map(len, rows))
+    if len(widths) == 1 and 0 not in widths:
+        return list(zip(*[cells] * widths.pop()))
+    return [tuple(islice(cells, len(row))) for row in rows]
+
+
 class ValueDictionary:
     """Dictionary encoding: arbitrary hashable values ↔ dense integers.
 
     Every attribute shares one dictionary by default, which keeps natural
     joins meaningful (equal values encode equally across relations).
+    ``encode`` / ``encode_row`` / ``decode`` / ``decode_row`` are the
+    single-value API; whole relations and results go through
+    :meth:`encode_rows` / :meth:`decode_rows`, which do the same work
+    without a Python frame per cell.
     """
 
     def __init__(self):
@@ -53,6 +72,23 @@ class ValueDictionary:
     def encode_row(self, row: Sequence[Hashable]) -> Tuple[int, ...]:
         return tuple(self.encode(v) for v in row)
 
+    def encode_rows(
+        self, rows: Iterable[Sequence[Hashable]]
+    ) -> List[Tuple[int, ...]]:
+        """Encode many rows at once.
+
+        New values get their codes in row-major first-seen order —
+        exactly the codes :meth:`encode_row` hands out row by row.
+        """
+        if not isinstance(rows, list):
+            rows = list(rows)
+        cells = list(chain.from_iterable(rows))
+        codes = self._encode
+        fresh = [v for v in dict.fromkeys(cells) if v not in codes]
+        codes.update(zip(fresh, count(len(self._decode))))
+        self._decode.extend(fresh)
+        return _regroup(map(codes.__getitem__, cells), rows)
+
     def decode(self, code: int) -> Hashable:
         if not 0 <= code < len(self._decode):
             raise KeyError(f"code {code} not in dictionary")
@@ -64,9 +100,23 @@ class ValueDictionary:
     def decode_rows(
         self, rows: Iterable[Sequence[int]]
     ) -> Iterator[Tuple[Hashable, ...]]:
-        """Lazily decode a stream of rows (cursor-friendly: no list)."""
-        for row in rows:
-            yield self.decode_row(row)
+        """Lazily decode a stream of rows, :data:`BLOCK_ROWS` at a time.
+
+        Cursor-friendly: never more than one block of ``rows`` is pulled
+        ahead of the consumer, and no list of the whole result is held.
+        """
+        rows = iter(rows)
+        while block := list(islice(rows, BLOCK_ROWS)):
+            codes = list(chain.from_iterable(block))
+            if codes and 0 <= min(codes) and max(codes) < len(self._decode):
+                yield from _regroup(
+                    map(self._decode.__getitem__, codes), block
+                )
+            else:
+                # Row by row, so that the rows before a code the
+                # dictionary never issued still come out and
+                # ``decode`` raises its KeyError at that code.
+                yield from map(self.decode_row, block)
 
     def domain(self) -> Domain:
         """The smallest power-of-two domain holding every code."""
@@ -85,7 +135,7 @@ def relation_from_rows(
     When ``domain`` is omitted the caller must finish feeding the
     dictionary first (the domain is sized to the dictionary at call time).
     """
-    encoded = [dictionary.encode_row(row) for row in rows]
+    encoded = dictionary.encode_rows(rows)
     dom = domain if domain is not None else dictionary.domain()
     return Relation(RelationSchema(name, tuple(attrs)), encoded, dom)
 
@@ -93,17 +143,17 @@ def relation_from_rows(
 def read_csv_rows(
     path: str | Path, delimiter: str = ",", skip_header: bool = False
 ) -> List[Tuple[str, ...]]:
-    """Raw string rows of a delimited file (blank lines skipped)."""
-    out: List[Tuple[str, ...]] = []
+    """Raw string rows of a delimited file: cells stripped of
+    surrounding whitespace, blank lines skipped."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        for i, row in enumerate(reader):
-            if skip_header and i == 0:
-                continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            out.append(tuple(cell.strip() for cell in row))
-    return out
+        rows = list(map(tuple, csv.reader(handle, delimiter=delimiter)))
+    if skip_header:
+        del rows[:1]
+    cells = list(chain.from_iterable(rows))
+    if all(map(any, rows)) and cells == list(map(str.strip, cells)):
+        return rows  # the usual file: nothing to strip, nothing to drop
+    stripped = (tuple(map(str.strip, row)) for row in rows)
+    return [row for row in stripped if any(row)]
 
 
 def database_from_csvs(
@@ -116,29 +166,28 @@ def database_from_csvs(
 
     Column order in each file must match the atom's attribute order.
     Returns the database and the dictionary for decoding results.
+    Each file is read, checked and encoded once, in atom order; the
+    domain is sized when the last file has fed the dictionary.
     """
     dictionary = ValueDictionary()
-    raw: Dict[str, List[Tuple[str, ...]]] = {}
+    encoded: List[List[Tuple[int, ...]]] = []
     for atom in query.atoms:
         if atom.name not in paths:
             raise ValueError(f"no file given for relation {atom.name}")
         rows = read_csv_rows(
             paths[atom.name], delimiter=delimiter, skip_header=skip_header
         )
-        for row in rows:
-            if len(row) != atom.arity:
-                raise ValueError(
-                    f"{atom.name}: row {row} has {len(row)} columns, "
-                    f"schema expects {atom.arity}"
-                )
-            dictionary.encode_row(row)
-        raw[atom.name] = rows
+        if set(map(len, rows)) - {atom.arity}:
+            row = next(r for r in rows if len(r) != atom.arity)
+            raise ValueError(
+                f"{atom.name}: row {row} has {len(row)} columns, "
+                f"schema expects {atom.arity}"
+            )
+        encoded.append(dictionary.encode_rows(rows))
     domain = dictionary.domain()
     relations = [
-        relation_from_rows(
-            atom.name, atom.attrs, raw[atom.name], dictionary, domain
-        )
-        for atom in query.atoms
+        Relation(atom, codes, domain)
+        for atom, codes in zip(query.atoms, encoded)
     ]
     return Database(relations), dictionary
 

@@ -32,6 +32,7 @@ import pickle
 import struct
 from array import array
 from collections import OrderedDict
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -199,23 +200,40 @@ class Relation:
     ):
         self.schema = schema
         self.domain = domain
-        seen = set()
+        # Insertion-ordered and duplicate-free, so the first offending
+        # tuple of the input is the first offending key.
+        seen = dict.fromkeys(map(tuple, tuples))
+        cells = chain.from_iterable
+        if seen and not (
+            set(map(len, seen)) == {schema.arity}
+            and set(map(type, cells(seen))) == {int}
+            and 0 <= min(cells(seen))
+            and max(cells(seen)) < domain.size
+        ):
+            self._reject(seen)
+        rows: List[Tuple_] = sorted(seen)
+        self._init_from_rows(rows, tuples_set=frozenset(seen))
+
+    def _reject(self, tuples: Iterable[Tuple_]) -> None:
+        """Raise for the first tuple the schema or the domain rules out.
+
+        The value-at-a-time check behind the constructor's bulk one;
+        returns only when every value is an in-domain integer of some
+        ``int`` subclass (``bool``), which the bulk check does not know.
+        """
+        schema, domain = self.schema, self.domain
         for t in tuples:
-            t = tuple(t)
             if len(t) != schema.arity:
                 raise ValueError(
                     f"tuple {t} has arity {len(t)}, schema {schema} expects "
                     f"{schema.arity}"
                 )
             for v in t:
-                if v not in domain:
+                if not isinstance(v, int) or v not in domain:
                     raise ValueError(
                         f"value {v} outside domain [0, {domain.size}) "
                         f"in relation {schema.name}"
                     )
-            seen.add(t)
-        rows: List[Tuple_] = sorted(seen)
-        self._init_from_rows(rows, tuples_set=frozenset(seen))
 
     def _init_from_rows(
         self,
@@ -251,8 +269,8 @@ class Relation:
 
         ``rows`` must be schema-order tuples, sorted, duplicate-free and
         inside ``domain`` — the invariants every bisect slice of an
-        existing relation's canonical view satisfies.  Skips the per-value
-        validation pass of ``__init__``; used by shard clipping, where
+        existing relation's canonical view satisfies.  Skips the
+        validation passes of ``__init__``; used by shard clipping, where
         the rows come from a relation that was already validated once.
         """
         rel = cls.__new__(cls)

@@ -361,6 +361,29 @@ def test_cursor_decode_streams_values():
     assert sorted(rows) == [("u", "v", "z"), ("x", "y", "q")]
 
 
+@pytest.mark.parametrize("limit", [0, 1, 5])
+def test_limit_with_decode_pulls_no_more_than_limit(monkeypatch, limit):
+    """Decoding reads ahead in blocks, but only of what the limit lets
+    through: the backend is still asked for at most ``limit`` rows."""
+    from repro.engine import executor
+
+    query, db = WORKLOADS["graph_triangles"]
+    dictionary = ValueDictionary()
+    dictionary.encode_rows([[f"v{i}" for i in range(db.domain.size)]])
+    pulled = []
+    run_backend = executor.run_backend
+
+    def counted(*args):
+        rows, stats = run_backend(*args)
+        return (pulled.append(row) or row for row in rows), stats
+
+    monkeypatch.setattr(executor, "run_backend", counted)
+    cursor = execute_cursor(query, db, limit=limit, decode=dictionary)
+    got = cursor.fetchall()
+    assert len(got) == limit and len(pulled) <= limit
+    assert got == [dictionary.decode_row(row) for row in pulled]
+
+
 def test_decode_rows_is_lazy():
     dictionary = ValueDictionary()
     codes = [dictionary.encode_row(("a", "b"))]

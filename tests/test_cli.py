@@ -93,6 +93,48 @@ class TestJoinCommand:
         assert rc == 2
         assert "not applicable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ("join",), ("explain",), ("metrics",),
+    ], ids=" ".join)
+    def test_csv_must_name_each_query_relation_once(
+        self, triangle_csvs, capsys, command
+    ):
+        r, s = triangle_csvs / "r.csv", triangle_csvs / "s.csv"
+        rc = main([
+            *command, "R(A,B), S(B,C)",
+            "--csv", f"R={r}", "--csv", f"S={s}", "--csv", f"Q={s}",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "no relation Q" in captured.err
+        rc = main([
+            *command, "R(A,B), S(B,C)",
+            "--csv", f"R={r}", "--csv", f"S={s}", "--csv", f"R={s}",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "relation R twice" in captured.err
+
+    def test_join_output_is_the_decoded_rows(self, triangle_csvs, capsys):
+        """Block decode + block write print what row-at-a-time printed."""
+        big = triangle_csvs / "big.csv"
+        big.write_text("".join(f"k{i % 3},v{i}\n" for i in range(9000)))
+        keys = triangle_csvs / "keys.csv"
+        keys.write_text("k0\nk1\nk2\n")
+        rc = main([
+            "join", "K(A), R(A,B)", "--delimiter", ",",
+            "--csv", f"K={keys}", "--csv", f"R={big}",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["# query: K(A) ⋈ R(A, B)", "# variables: A, B"]
+        assert len(out) == 2 + 9000  # more than two write blocks
+        assert sorted(out[2:]) == sorted(
+            f"k{i % 3},v{i}" for i in range(9000)
+        )
+
     def test_join_variant_flag_is_gone(self, triangle_csvs, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -101,6 +143,31 @@ class TestJoinCommand:
             ])
         assert exc.value.code == 2
         assert "--variant" in capsys.readouterr().err
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this tree."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+class TestClosedPipe:
+    def test_reader_that_stops_early_is_not_an_error(self, tmp_path):
+        """``repro join ... | head -1``: exit 0, no traceback."""
+        path = tmp_path / "r.csv"
+        # Far more output than a pipe buffers, so the write must fail.
+        path.write_text("".join(f"u{i},v{i}\n" for i in range(40000)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "join", "R(A,B)",
+             "--csv", f"R={path}"],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"# query: R(A, B)\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert all(line.startswith("#") for line in err.splitlines()), err
 
 
 class TestDeadline:
@@ -249,24 +316,52 @@ class TestAnalyzeCommand:
 
 
 class TestStartupImports:
+    @staticmethod
+    def _loaded(code, candidates):
+        """Which of ``candidates`` a fresh interpreter holds after ``code``."""
+        code = (
+            f"import sys; {code}; print("
+            f"[m for m in {candidates!r} if m in sys.modules], "
+            "file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), timeout=60,
+            capture_output=True, text=True, check=True,
+        )
+        return proc.stderr.splitlines()[-1]
+
     def test_import_pulls_in_no_heavy_module(self):
         """Every ``repro`` process pays for what ``import repro.cli``
         loads: the LPs are solved in-repo (no numpy/scipy), networkx is
         for the workload generators only, nothing serves HTTP, and the
         profiler, the exporter and ANALYZE load when a subcommand asks
         for them."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
         heavy = (
             "numpy", "scipy", "networkx", "http.server",
             "repro.obs.profiler", "repro.obs.export", "repro.obs.analyze",
         )
-        code = (
-            "import repro.cli, sys; "
-            f"print([m for m in {heavy!r} if m in sys.modules])"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, timeout=60,
-            capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "[]"
+        assert self._loaded("import repro.cli", heavy) == "[]"
+
+    def test_serial_join_never_loads_the_parallel_subsystem(
+        self, triangle_csvs
+    ):
+        """A plan that runs in this process pays for no worker pool:
+        the errors the CLI catches live in ``repro.errors``."""
+        argv = ["join", "R(A,B), S(B,C), T(A,C)"] + [
+            f"--csv={name}={triangle_csvs / name.lower()}.csv"
+            for name in "RST"
+        ]
+        code = f"from repro.cli import main; assert main({argv!r}) == 0"
+        assert self._loaded(
+            code, ("repro.parallel", "multiprocessing")
+        ) == "[]"
+
+    def test_parallel_reexports_the_same_errors(self):
+        import repro.errors
+        import repro.parallel
+        import repro.parallel.scheduler as scheduler
+
+        for name in ("QueryTimeout", "WorkerError"):
+            leaf = getattr(repro.errors, name)
+            assert getattr(repro.parallel, name) is leaf
+            assert getattr(scheduler, name) is leaf
