@@ -31,7 +31,6 @@ import argparse
 import os
 import sys
 import time
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.planner import ALGORITHM_ALIASES
@@ -105,7 +104,7 @@ def _run_query(run):
 
 def _cmd_join(args: argparse.Namespace) -> int:
     from repro.engine import execute
-    from repro.relational.io import BLOCK_ROWS
+    from repro.relational.io import row_blocks
 
     _apply_shm_flag(args)
     try:
@@ -129,8 +128,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
     print(f"# query: {query}")
     print(f"# variables: {', '.join(result.variables)}")
-    rows = result.decoded_rows()  # lazy: decode as blocks are written
-    while block := list(islice(rows, BLOCK_ROWS)):
+    # Lazy: decoded a block at a time, as the blocks are written.
+    for block in row_blocks(result.decoded_rows()):
         # CSV cells decode to the strings they were read as.
         lines = map(args.delimiter.join, block)
         sys.stdout.write("\n".join(lines) + "\n")

@@ -24,11 +24,12 @@ every valid query gets one, and the tests compare them to
   literal nested ``while`` loops, one per GAO level, galloping directly
   over the relations' flat ``array('q')`` columns (no row-tuple
   indexing, no recursion, no generator frames between levels).
-* :func:`hash_kernel` — the left-deep probe cascade as literal nested
-  ``for`` loops: stage tables are built with scalar keys when the join
-  key is a single attribute, and the final projection reads its
-  component references straight out of the stage tuples instead of
-  concatenating an accumulator tuple per row per stage.
+* :func:`hash_kernel` — the left-deep probe cascade as one lazy
+  expression: stage tables are built with scalar keys when the join
+  key is a single attribute and scalar values when the stage adds one,
+  a stage that adds none is a set-membership test, and the projection
+  reads its components straight out of the stage variables.
+  Yannakakis' join phase runs this kernel too.
 * :func:`tetris_kernel` — the frontier-resuming skeleton of
   :meth:`~repro.core.tetris.TetrisEngine._run_resuming` with ``ndim``,
   ``depth``, the SAO permutation and the oracle discipline
@@ -38,6 +39,15 @@ every valid query gets one, and the tests compare them to
   containment test is one int compare, box splits, resolvents and SAO
   translations are unrolled per axis and the stats counters run as
   locals, flushed once on exit.
+
+**The block contract.**  The leapfrog and hash kernels are generators
+called as ``kernel(inputs, block_rows)`` that yield *lists* of rows,
+never a row: every block but the last holds at least ``block_rows``
+rows, none reaches ``2 × block_rows``, each is a fresh list the consumer
+owns, and their concatenation is the same stream whatever ``block_rows``
+is (GAO-lexicographic for leapfrog, probe order for hash).  Nothing runs
+before the first pull and a pull does one block's work, so ``limit=k``
+(``block_rows = min(k, BLOCK_ROWS)``) still costs O(k).
 
 Cache keys include the *attribute names*, not just the shape — two
 schemas that differ only in naming never share a kernel (the EXPLAIN
@@ -58,6 +68,7 @@ field.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain, islice, product
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.boxes import box_contains
@@ -203,6 +214,15 @@ def _compile(source: str, namespace: dict) -> Callable:
     return fn
 
 
+def _tuple_expr(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _scalar_or_tuple(items: Sequence[str]) -> str:
+    """One item bare (scalar keys and values), several as a tuple."""
+    return items[0] if len(items) == 1 else _tuple_expr(items)
+
+
 # -- leapfrog -------------------------------------------------------------------
 
 
@@ -233,6 +253,11 @@ def _seek(col, lo: int, hi: int, v: int) -> int:
     return lo
 
 
+#: What the generated leapfrog / hash sources may name.
+_JOIN_GLOBALS = {
+    "_seek": _seek, "chain": chain, "islice": islice, "product": product,
+}
+
 def _leapfrog_source(
     atoms: Sequence[Tuple[str, Tuple[str, ...]]],
     gao: Tuple[str, ...],
@@ -240,10 +265,24 @@ def _leapfrog_source(
 ) -> str:
     """Generate the nested-loop leapfrog kernel for one (query, GAO).
 
-    ``kernel(views)`` takes the per-atom GAO-restricted
+    ``kernel(views, block_rows)`` takes the per-atom GAO-restricted
     :class:`~repro.relational.relation.SortedView` objects (in atom
-    order) and streams output rows in GAO-lexicographic order,
-    duplicate-free.
+    order) and yields the output in blocks (the module's block
+    contract), duplicate-free and in GAO-lexicographic order.
+
+    Two facts about a view shape the code.  A view is a *set* of rows
+    sorted in its own column order, so under a fixed prefix the values
+    of an atom's **last** column are distinct: a participant reading its
+    last column has runs of length 1 and advances by ``+= 1`` with no
+    run-narrowing test — at the innermost level that is every
+    participant.  And a GAO level whose variable occurs in one atom
+    only, as that atom's last column, constrains nothing else: the
+    maximal suffix of such levels (star rays, path ends — the acyclic
+    fringe) is the Cartesian product of column slices the bound prefix
+    already delimits — ``itertools.product`` over them, with singletons
+    for the prefix, when the fringe keeps its GAO order in ``variables``
+    (the product then enumerates in GAO order), one nested generator
+    expression otherwise.
     """
     n = len(gao)
     orders = [
@@ -261,7 +300,17 @@ def _leapfrog_source(
             raise ValueError(f"GAO attribute {var!r} occurs in no atom")
         parts_by_level.append(parts)
 
-    lines: List[str] = ["def kernel(views):"]
+    def last_column(ai: int, k: int) -> bool:
+        return k == len(orders[ai]) - 1
+
+    # Levels cut..n-1 are the product fringe.
+    cut = n
+    while cut and len(parts_by_level[cut - 1]) == 1 and last_column(
+        *parts_by_level[cut - 1][0]
+    ):
+        cut -= 1
+
+    lines: List[str] = ["def kernel(views, block_rows):"]
     w = lines.append
     w("    seek = _seek")
     needed = sorted({p for parts in parts_by_level for p in parts})
@@ -269,6 +318,7 @@ def _leapfrog_source(
         w(f"    c{ai}_{k} = views[{ai}].column({k})")
     for ai in sorted({ai for ai, _ in needed}):
         w(f"    n{ai} = len(views[{ai}].rows)")
+    w("    out = []")
 
     def lo(ai: int, k: int) -> str:
         return "0" if k == 0 else f"p{ai}_{k - 1}"
@@ -276,10 +326,9 @@ def _leapfrog_source(
     def hi(ai: int, k: int) -> str:
         return f"n{ai}" if k == 0 else f"e{ai}_{k - 1}"
 
-    refs = [f"v{gao.index(v)}" for v in variables]
-    yield_expr = "(" + ", ".join(refs) + ("," if len(refs) == 1 else "") + ")"
-
     def emit_level(level: int, ind: str) -> None:
+        if level == cut:
+            return emit_fringe(ind)
         parts = parts_by_level[level]
         for ai, k in parts:
             w(f"{ind}p{ai}_{k} = {lo(ai, k)}")
@@ -317,9 +366,10 @@ def _leapfrog_source(
     def emit_runs_and_inner(
         level: int, parts: List[Tuple[int, int]], ind: str
     ) -> None:
-        # Narrow each participant to its run of v (run-length-1 fast
-        # path: keys are near-unique in practice, skip the gallop).
-        for ai, k in parts:
+        # Narrow each participant with deeper columns to its run of v
+        # (keys are near-unique in practice: test before galloping).
+        runs = [(ai, k) for ai, k in parts if not last_column(ai, k)]
+        for ai, k in runs:
             w(f"{ind}e{ai}_{k} = p{ai}_{k} + 1")
             w(
                 f"{ind}if e{ai}_{k} < {hi(ai, k)} and "
@@ -330,13 +380,51 @@ def _leapfrog_source(
                 f"{hi(ai, k)}, v{level} + 1)"
             )
         if level + 1 == n:
-            w(f"{ind}yield {yield_expr}")
+            refs = [f"v{gao.index(v)}" for v in variables]
+            w(f"{ind}out.append({_tuple_expr(refs)})")
+            w(f"{ind}if len(out) >= block_rows:")
+            w(f"{ind}    yield out")
+            w(f"{ind}    out = []")
         else:
             emit_level(level + 1, ind)
         for ai, k in parts:
-            w(f"{ind}p{ai}_{k} = e{ai}_{k}")
+            step = f"= e{ai}_{k}" if (ai, k) in runs else "+= 1"
+            w(f"{ind}p{ai}_{k} {step}")
+
+    def emit_fringe(ind: str) -> None:
+        """Levels ``cut..n-1``: independent given the bound prefix."""
+        slices = {}
+        for level in range(cut, n):
+            (ai, k), = parts_by_level[level]
+            slices[gao[level]] = (
+                f"c{ai}_{k}" if k == 0
+                else f"c{ai}_{k}[{lo(ai, k)}:{hi(ai, k)}]"
+            )
+        fringe = gao[cut:]
+        if tuple(v for v in variables if v in slices) == fringe:
+            args = [
+                slices.get(v) or f"(v{gao.index(v)},)" for v in variables
+            ]
+            w(f"{ind}rest = product({', '.join(args)})")
+        else:
+            refs = [
+                f"{'x' if v in slices else 'v'}{gao.index(v)}"
+                for v in variables
+            ]
+            loops = " ".join(
+                f"for x{gao.index(v)} in {slices[v]}" for v in fringe
+            )
+            w(f"{ind}rest = ({_tuple_expr(refs)} {loops})")
+        # Top ``out`` (< block_rows rows) up by at most one block, hand
+        # over every full block, keep the remainder: none reaches 2×.
+        w(f"{ind}out += islice(rest, block_rows)")
+        w(f"{ind}while len(out) >= block_rows:")
+        w(f"{ind}    yield out")
+        w(f"{ind}    out = list(islice(rest, block_rows))")
 
     emit_level(0, "    ")
+    w("    if out:")
+    w("        yield out")
     return "\n".join(lines) + "\n"
 
 
@@ -356,16 +444,12 @@ def leapfrog_kernel(query, gao: Tuple[str, ...]) -> Callable:
         source = _leapfrog_source(
             [(a.name, a.attrs) for a in query.atoms], gao, query.variables
         )
-        return _compile(source, {"_seek": _seek})
+        return _compile(source, _JOIN_GLOBALS)
 
     return _LEAPFROG_CACHE.lookup(key, build)
 
 
 # -- hash -----------------------------------------------------------------------
-
-
-def _tuple_expr(items: Sequence[str]) -> str:
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
 def _hash_source(
@@ -374,65 +458,94 @@ def _hash_source(
 ) -> str:
     """Generate the probe-cascade kernel for one ordered left-deep plan.
 
-    ``kernel(rels)`` takes the per-atom row lists in plan order, builds
-    each stage's table inline (scalar-keyed when the join key is one
-    attribute), and yields the projected output rows — in the order a
+    ``kernel(rels, block_rows)`` takes the per-atom row collections in
+    plan order, builds each stage's table inline and yields the
+    projected output in blocks of ``block_rows`` rows, in the order a
     left-deep probe pipeline over the same atom order produces them.
+
+    The cascade is **one lazy expression** drained through ``islice``: a
+    generator expression with a ``for`` clause per stage that adds
+    attributes (over a table of scalars when it adds one, of tuples when
+    more) and an ``if key in set`` clause per stage that adds none
+    (exact: relations are sets and the key covers the whole atom).  The
+    maximal suffix of one-attribute stages keyed only on what the stages
+    before it bound — every ray of a star probed from its hub, both ends
+    of a path probed from the middle — is independent given that
+    binding and becomes one ``itertools.product`` per binding, chained.
     """
     first_attrs = list(atom_specs[0][1])
     acc = list(first_attrs)
-    # acc position -> (stage level, index into that stage's tuple).
-    src_of: List[Tuple[int, int]] = [
-        (0, j) for j in range(len(first_attrs))
-    ]
-    lines: List[str] = ["def kernel(rels):"]
+    # Per acc position: the expression that reads it, the stage binding it.
+    ref = [f"x0[{j}]" for j in range(len(first_attrs))]
+    bound_at = [0] * len(first_attrs)
+    lines: List[str] = ["def kernel(rels, block_rows):"]
     w = lines.append
     w("    E = ()")
-    probe_loops: List[str] = []  # one loop header per stage, in order
+    #: Per stage: (clause, table lookup when it adds exactly one
+    #: attribute, the stages its key reads).
+    stages: List[Tuple[str, Optional[str], set]] = [
+        ("for x0 in rels[0]", None, set())
+    ]
     for s, (_name, attrs) in enumerate(atom_specs[1:], start=1):
         right = list(attrs)
         common = [a for a in acc if a in right]
         new = [a for a in right if a not in acc]
-        rpos_common = [right.index(a) for a in common]
-        rpos_new = [right.index(a) for a in new]
-        key_srcs = [src_of[acc.index(a)] for a in common]
-        val_expr = _tuple_expr([f"r[{i}]" for i in rpos_new])
-        if common:
-            if len(rpos_common) == 1:
-                rkey = f"r[{rpos_common[0]}]"
-                lkey = f"x{key_srcs[0][0]}[{key_srcs[0][1]}]"
-            else:
-                rkey = _tuple_expr([f"r[{i}]" for i in rpos_common])
-                lkey = _tuple_expr(
-                    [f"x{lvl}[{idx}]" for lvl, idx in key_srcs]
-                )
+        rkey = _scalar_or_tuple([f"r[{right.index(a)}]" for a in common])
+        lkey = _scalar_or_tuple([ref[acc.index(a)] for a in common])
+        val = _scalar_or_tuple([f"r[{right.index(a)}]" for a in new])
+        if not new:
+            keys = (
+                f"set(rels[{s}])" if common == right and len(right) > 1
+                else f"{{{rkey} for r in rels[{s}]}}"
+            )
+            w(f"    s{s} = {keys}")
+            clause, source = f"if {lkey} in s{s}", None
+        elif common:
             w(f"    t{s} = {{}}")
             w(f"    for r in rels[{s}]:")
             w(f"        k = {rkey}")
             w(f"        l = t{s}.get(k)")
             w("        if l is None:")
-            w(f"            t{s}[k] = [{val_expr}]")
+            w(f"            t{s}[k] = [{val}]")
             w("        else:")
-            w(f"            l.append({val_expr})")
+            w(f"            l.append({val})")
             w(f"    g{s} = t{s}.get")
-            probe_loops.append(f"for x{s} in g{s}({lkey}, E):")
+            source = f"g{s}({lkey}, E)"
         else:
             # Disconnected hypergraph: a genuine cross-product stage.
-            w(f"    a{s} = [{val_expr} for r in rels[{s}]]")
-            probe_loops.append(f"for x{s} in a{s}:")
+            w(f"    a{s} = [{val} for r in rels[{s}]]")
+            source = f"a{s}"
+        if new:
+            clause = f"for x{s} in {source}"
+        key_levels = {bound_at[acc.index(a)] for a in common}
+        stages.append((clause, source if len(new) == 1 else None, key_levels))
         acc.extend(new)
-        src_of.extend((s, j) for j in range(len(new)))
-    out_refs = []
-    for v in variables:
-        lvl, idx = src_of[acc.index(v)]
-        out_refs.append(f"x{lvl}[{idx}]")
-    ind = "    "
-    w(f"{ind}for x0 in rels[0]:")
-    ind += "    "
-    for loop in probe_loops:
-        w(ind + loop)
-        ind += "    "
-    w(ind + "yield " + _tuple_expr(out_refs))
+        bound_at.extend([s] * len(new))
+        ref.extend(
+            [f"x{s}"] if len(new) == 1
+            else [f"x{s}[{j}]" for j in range(len(new))]
+        )
+    # Stages tail.. are the product suffix.
+    tail = len(stages)
+    while tail > 1 and stages[tail - 1][1] is not None and all(
+        level < tail - 1
+        for _clause, _source, levels in stages[tail - 1:]
+        for level in levels
+    ):
+        tail -= 1
+    clauses = " ".join(clause for clause, _s, _l in stages[:tail])
+    if tail == len(stages):
+        row = _tuple_expr([ref[acc.index(v)] for v in variables])
+        w(f"    rows = ({row} {clauses})")
+    else:
+        args = [
+            stages[bound_at[i]][1] if bound_at[i] >= tail else f"({ref[i]},)"
+            for i in map(acc.index, variables)
+        ]
+        w("    rows = chain.from_iterable(")
+        w(f"        product({', '.join(args)}) {clauses})")
+    w("    while block := list(islice(rows, block_rows)):")
+    w("        yield block")
     return "\n".join(lines) + "\n"
 
 
@@ -448,7 +561,9 @@ def hash_kernel(
     key = (tuple((n, tuple(a)) for n, a in atom_specs), tuple(variables))
 
     def build() -> Callable:
-        return _compile(_hash_source(atom_specs, tuple(variables)), {})
+        return _compile(
+            _hash_source(atom_specs, tuple(variables)), _JOIN_GLOBALS
+        )
 
     return _HASH_CACHE.lookup(key, build)
 

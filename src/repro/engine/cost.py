@@ -49,42 +49,46 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 
 #: Abstract-operation cost per backend, in units of one hash-join probe.
 #: ``hash`` is the anchor.  ``leapfrog`` and ``yannakakis`` were refit in
-#: PR 14 with :meth:`CostModel.calibrate` from kernel-only timings
+#: PR 22 (block kernels; Yannakakis' join phase on the generated hash
+#: cascade) with :meth:`CostModel.calibrate` from kernel-only timings
 #: (``list(iter_*)``, median of 5, sort excluded) over the benchmark's
 #: ``auto_mix`` shapes and the ``bench_planner`` shapes — measured µs per
 #: modelled unit, hash / leapfrog / yannakakis:
 #:
-#:     mix triangle_sparse    0.152 / 0.247 / —
-#:     mix triangle_agm_tight 0.109 / 0.133 / —
-#:     mix path3              0.146 / 0.265 / 0.670
-#:     mix star4              0.136 / 0.210 / 0.703
-#:     mix cycle4             0.101 / 0.204 / —
-#:     triangle_sparse        0.126 / 0.244 / —
-#:     triangle_agm_tight     0.151 / 0.159 / —
-#:     path3_random           0.117 / 0.158 / 0.477
-#:     path4_chained          0.138 / 0.147 / 0.627
-#:     path2_split_cert       0.112 / 0.286 / 0.165
-#:     star4_random           0.085 / 0.103 / 0.451
-#:     cycle4_dense           0.190 / 0.096 / —
-#:     clique4_random         0.120 / 0.181 / —
-#:     median                 0.126 / 0.181 / 0.552   → 1 : 1.44 : 4.4
-#:     median, kernel ≥ 5 ms  0.141 / 0.227 / 0.649   → 1 : 1.61 : 4.6
+#:     mix triangle_sparse    0.115 / 0.321 / —
+#:     mix triangle_agm_tight 0.096 / 0.136 / —
+#:     mix path3              0.173 / 0.214 / 0.292
+#:     mix star4              0.110 / 0.090 / 0.179
+#:     mix cycle4             0.060 / 0.173 / —
+#:     triangle_sparse        0.068 / 0.222 / —
+#:     triangle_agm_tight     0.118 / 0.143 / —
+#:     path3_random           0.140 / 0.183 / 0.318
+#:     path4_chained          0.147 / 0.201 / 0.433
+#:     path2_split_cert       0.124 / 0.267 / 0.179
+#:     star4_random           0.072 / 0.086 / 0.233
+#:     cycle4_dense           0.114 / 0.105 / —
+#:     clique4_random         0.079 / 0.202 / —
+#:     median                 0.114 / 0.183 / 0.262   → 1 : 1.60 : 2.30
+#:     median, kernel ≥ 5 ms  0.112 / 0.173 / 0.236   → 1 : 1.54 : 2.10
 #:
-#: Leapfrog's spread is 3× (it was 23× while the quantity counted
-#: surviving bindings, not candidates and seeks); the choices on all 21
-#: raced shapes are the same for any leapfrog constant in 1.0–2.5.
-#: Yannakakis is the one serial backend still running interpreted
-#: generator pipelines, hence 4–5× a compiled hash probe.  The sort
-#: charge :data:`CostModel.SORT` comes from the same runs: ``sorted()``
-#: over an unordered stream costs 13–30 ns per ``Z·log₂Z`` (star4 14.7,
-#: path3 23.4, Yannakakis' set-ordered streams 20–30) against 2–3 ns
-#: when the stream arrives in order — 0.10–0.21 hash units, shipped as
-#: 0.15.  The Tetris constants date from the frontier-resuming kernel
-#: overhaul (12 → 6, BENCH_tetris_core.json) and were not refit here.
+#: Five repeats of the table on a noisy host put the two ratios at
+#: 1.45–1.78 / 2.20–2.73 (medians 1.62 / 2.44) over all shapes and at
+#: 1.54–2.17 / 2.10–2.97 (1.93 / 2.85) at kernel ≥ 5 ms; shipped as 1.7
+#: and 2.6.  Leapfrog's spread is 3.7× — the acyclic fringe is now one
+#: ``itertools.product`` per prefix (star4 0.210 → 0.090) that the
+#: quantity still charges per candidate; the 12 choices raced in
+#: ``tests/engine/test_planner.py`` hold for any leapfrog constant in
+#: 1.4–2.0 with Yannakakis at 2.2–4.5.  :data:`CostModel.SORT`:
+#: ``sorted()`` over an unordered stream costs 22–30 ns per ``Z·log₂Z``
+#: (path3 22.5, cycle4 30.2) against 2–4 ns over one in or near order —
+#: as hash's star and triangle streams now are — 0.19–0.26 of the
+#: 0.114 µs hash unit; 0.15 still ranks every raced shape and is kept.
+#: The Tetris constants date from the frontier-resuming kernel overhaul
+#: (12 → 6, BENCH_tetris_core.json) and were not refit here.
 DEFAULT_CALIBRATION: Dict[str, float] = {
-    "yannakakis": 4.5,
+    "yannakakis": 2.6,
     "hash": 1.0,
-    "leapfrog": 1.6,
+    "leapfrog": 1.7,
     "tetris-reloaded": 6.0,
     "tetris-preloaded": 6.0,
     "nested-loop": 0.7,
@@ -260,7 +264,8 @@ class CostModel:
 
     #: Charge per comparison-ish unit ``Ẑ · log₂ Ẑ`` of the final
     #: ``sorted()`` over a stream that is not in output order, in hash
-    #: units (fit with the table above ``DEFAULT_CALIBRATION``).
+    #: units (see the table above ``DEFAULT_CALIBRATION``; a stream that
+    #: declares itself in order is never handed to ``sort()`` at all).
     SORT = 0.15
 
     #: Parallel-plan pricing, in the same hash-probe units.  Dispatching

@@ -14,6 +14,11 @@ output rows, and ``decode=`` threads a
 :class:`~repro.relational.io.ValueDictionary` so results come back as
 the original values instead of dictionary codes.
 
+Rows cross every boundary on the way — kernel to backend to cursor,
+shard to parent — a **block** at a time: a list of fewer than ``2 ×``
+:data:`~repro.relational.io.BLOCK_ROWS` rows (``limit``, if smaller).
+A backend that emits in output order says so, and is not sorted again.
+
 The six backends are declared once, in :data:`BACKEND_TABLE` (in the
 cost model's tie-break order), each as a single ``run`` function, and
 :func:`run_backend` is the only place one is entered — by a serial
@@ -41,6 +46,7 @@ from repro.core.resolution import ResolutionStats
 from repro.engine.planner import Plan, plan_query
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
+from repro.relational.io import block_rows_for, concat_blocks, row_blocks
 from repro.relational.query import Database, JoinQuery
 
 Row = Tuple[int, ...]
@@ -50,17 +56,19 @@ Row = Tuple[int, ...]
 class BackendSpec:
     """One execution backend: a name and the function that runs it.
 
-    ``run(query, db, index_kind, gao, limit)`` returns ``(rows,
-    stats)``: ``rows`` iterates the join output in the backend's own
-    enumeration order and does no work before the first pull; ``limit``
-    is a materialization hint (Tetris caps its enumeration with it) —
-    the caller enforces the exact cut-off and does any sorting.
+    ``run(query, db, index_kind, gao, limit)`` returns ``(blocks,
+    stats, sorted_runs)``: ``blocks`` iterates the join output as lists
+    of rows in the backend's own enumeration order and does no work
+    before the first pull; ``sorted_runs`` declares the stream already
+    in output order; ``limit`` is a materialization hint (it sizes the
+    blocks, Tetris caps its enumeration with it) — the caller enforces
+    the exact cut-off and sorts what needs it.
     """
 
     name: str
     run: Callable[
         [JoinQuery, Database, str, Optional[Tuple[str, ...]], Optional[int]],
-        Tuple[Iterator[Row], ResolutionStats],
+        Tuple[Iterator[List[Row]], ResolutionStats, bool],
     ]
     description: str
     requires_acyclic: bool = False
@@ -69,16 +77,18 @@ class BackendSpec:
 class ResultCursor:
     """A lazily-evaluated join result: rows stream, nothing pre-sorts.
 
-    Iterating pulls rows straight off the backend's generator pipeline;
-    ``fetchmany``/``fetchall`` batch the pulls.  An optional ``limit``
-    caps the row count (early termination: the underlying pipeline is
-    abandoned once the cap is hit) and an optional ``decode`` dictionary
-    maps each row's codes back to original values on the way out.
-
-    A shard-parallel run passes ``batches`` in place of ``rows`` — an
-    iterator of per-shard row lists, each sorted, in completion order.
-    Iteration still yields each shard the moment it completes; only
-    :meth:`fetchall` gathers whole lists.
+    The source is ``batches`` — an iterator of row lists: a serial
+    backend's blocks, or a shard-parallel run's per-shard lists in
+    completion order (a bare ``rows`` iterator is cut into blocks
+    first).  Iterating hands out each list's rows as it arrives,
+    :meth:`blocks` the lists themselves, ``fetchmany`` / ``fetchall``
+    batch the pulls.  An optional ``limit`` caps the row count (early
+    termination: the underlying pipeline is abandoned once the cap is
+    hit) and an optional ``decode`` dictionary maps each row's codes
+    back to original values on the way out.  ``sorted_runs`` declares
+    every list sorted and the lists tiling the output (leapfrog under
+    ``gao == variables``; shard lists): :meth:`fetchall` then
+    concatenates, and :attr:`ordered` says whether the boundaries rose.
 
     ``stats`` (and Tetris resolution counters in particular) are filled
     in *during* iteration — read them after consuming the cursor.
@@ -95,6 +105,7 @@ class ResultCursor:
         limit: Optional[int] = None,
         decode=None,
         batches: Optional[Iterator[List[Row]]] = None,
+        sorted_runs: bool = False,
     ):
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
@@ -114,76 +125,92 @@ class ResultCursor:
         self.on_close: Optional[Callable[[], None]] = None
         self.rows_produced = 0
         #: Whether the last :meth:`fetchall` returned its rows in sorted
-        #: order (a parallel run whose shards tile the leading variable).
+        #: order (sorted runs whose boundaries all ascended).
         self.ordered = False
-        if batches is not None:
-            rows = itertools.chain.from_iterable(batches)
         # The backend pipeline itself, for close().
         self._source = rows if batches is None else batches
-        # Whole-list gathering needs every row untouched on the way out.
-        self._batches = batches if limit is None and decode is None else None
+        if batches is None:
+            batches = row_blocks(rows, block_rows_for(limit))
         if limit is not None:
-            rows = itertools.islice(rows, limit)
+            # Cut in C: the first ``limit`` rows, re-blocked.
+            flat = itertools.chain.from_iterable(batches)
+            batches = row_blocks(itertools.islice(flat, limit))
         if decode is not None:
-            rows = decode.decode_rows(rows)  # lazy, a bounded block at a time
-        self._rows = rows
+            # A block at a time; decoded values sort differently.
+            batches = (list(decode.decode_rows(b)) for b in batches)
+            sorted_runs = False
+        self._sorted_runs = sorted_runs
+        self._blocks = batches
+        #: The unread rows of the block row iteration is inside.
+        self._head: Iterator[Row] = iter(())
         self._closed = False
 
     def __iter__(self) -> "ResultCursor":
         return self
 
+    def _next_block(self) -> Optional[List[Row]]:
+        """The source's next block; ``None`` (and closed) at its end."""
+        block = next(self._blocks, None)
+        if block is None:
+            # The stream ended — by exhaustion or by the limit cutting
+            # it off.  Close the underlying pipeline either way: a limit
+            # cut-off leaves it suspended (holding hash tables, and for
+            # parallel runs the worker pool's active slot) with nothing
+            # left to pull it.
+            self.close()
+        return block
+
     def __next__(self):
         if self._closed:
             raise StopIteration
-        try:
-            row = next(self._rows)
-        except StopIteration:
-            # The stream ended — by exhaustion or by the limit's islice
-            # cutting it off.  Close the underlying pipeline either way:
-            # a limit cut-off leaves it suspended (holding hash tables,
-            # and for parallel runs the worker pool's active slot) with
-            # nothing left to pull it.
-            self.close()
-            raise
+        row = next(self._head, None)  # rows are tuples, never None
+        while row is None:
+            block = self._next_block()
+            if block is None:
+                raise StopIteration
+            self._head = iter(block)
+            row = next(self._head, None)
         self.rows_produced += 1
         return row
 
+    def blocks(self) -> Iterator[List[Row]]:
+        """The remaining rows as lists — the rest of the block row
+        iteration is inside, then the source's — honouring ``limit``,
+        ``decode`` and :meth:`close`; no row is touched on the way."""
+        while not self._closed:
+            block = list(self._head) or self._next_block()
+            if block is None:
+                return
+            self.rows_produced += len(block)
+            yield block
+
     def fetchmany(self, k: int) -> List[Row]:
         """Up to ``k`` more rows (fewer at exhaustion)."""
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         return list(itertools.islice(self, k))
 
     def fetchall(self) -> List[Row]:
         """Every remaining row, materialized; closes the cursor.
 
-        An untouched parallel cursor gathers its shards' row lists
-        whole, puts them in order of their first row and concatenates.
-        Each list is sorted, so when every boundary also ascends
-        (``prev[-1] < next[0]`` — the shards are ranges of the leading
-        variable) the result *is* the sorted output and :attr:`ordered`
-        says so.
+        An untouched cursor over sorted runs concatenates them and
+        :attr:`ordered` says whether the result *is* the sorted output;
+        anything else claims nothing.  Serial blocks are appended as
+        they arrive; shard lists arrive in completion order and are put
+        in order of their first row first.
         """
-        if self._closed:
-            return []
-        if self._batches is not None and self.rows_produced == 0:
-            batches = sorted(
-                filter(None, self._batches), key=operator.itemgetter(0)
-            )
-            rows: List[Row] = []
-            self.ordered = True
-            for batch in batches:
-                if rows and not rows[-1] < batch[0]:
-                    self.ordered = False
-                rows += batch
-        else:
-            rows = list(self._rows)
-        self.rows_produced += len(rows)
+        blocks = self.blocks()
+        sorted_runs = self._sorted_runs and self.rows_produced == 0
+        if sorted_runs and self.parallel is not None:
+            blocks = sorted(filter(None, blocks), key=operator.itemgetter(0))
+        rows, self.ordered = concat_blocks(blocks, sorted_runs)
         self.close()
         return rows
 
     def close(self) -> None:
         """Abandon the underlying pipeline; further iteration stops.
 
-        Closes the backend generator itself, not the islice/decode
+        Closes the backend generator itself, not the limit/decode
         wrappers around it, so suspended pipeline frames (and their
         hash tables) are released immediately.  Idempotent: the source
         is closed once however many paths (exhaustion, ``fetchall``, a
@@ -255,43 +282,49 @@ def _tetris(variant: str):
 
         stats = ResolutionStats()
 
-        def rows() -> Iterator[Row]:
+        def blocks() -> Iterator[List[Row]]:
             # The engine enumerates uncovered points as one resolution
-            # fixpoint, so rows cannot stream mid-resolution; the
-            # ``limit`` cap bounds materialization instead, and being a
-            # generator defers all of it to the first pull.
-            yield from join_tetris(
+            # fixpoint, so rows cannot stream mid-resolution: the one
+            # block is the list it builds, the ``limit`` cap bounds its
+            # materialization instead, and being a generator defers all
+            # of it to the first pull.
+            yield join_tetris(
                 query, db, variant=variant, index_kind=index_kind,
                 gao=gao, stats=stats, max_outputs=limit,
             ).tuples
 
-        return rows(), stats
+        return blocks(), stats, False
 
     return run
 
 
 def _leapfrog(query, db, index_kind, gao, limit):
-    from repro.joins.leapfrog import iter_leapfrog
+    from repro.joins.leapfrog import leapfrog_blocks
 
-    return iter_leapfrog(query, db, gao=gao), ResolutionStats()
+    blocks = leapfrog_blocks(query, db, gao, block_rows_for(limit))
+    # GAO-lexicographic *is* sorted when the GAO is the output order.
+    return blocks, ResolutionStats(), gao == query.variables
 
 
 def _yannakakis(query, db, index_kind, gao, limit):
-    from repro.joins.yannakakis import iter_yannakakis
+    from repro.joins.yannakakis import yannakakis_blocks
 
-    return iter_yannakakis(query, db), ResolutionStats()
+    blocks = yannakakis_blocks(query, db, block_rows_for(limit))
+    return blocks, ResolutionStats(), False
 
 
 def _hash(query, db, index_kind, gao, limit):
-    from repro.joins.hashjoin import iter_hash
+    from repro.joins.hashjoin import hash_blocks
 
-    return iter_hash(query, db), ResolutionStats()
+    blocks = hash_blocks(query, db, block_rows=block_rows_for(limit))
+    return blocks, ResolutionStats(), False
 
 
 def _nested_loop(query, db, index_kind, gao, limit):
     from repro.joins.nested_loop import iter_nested_loop
 
-    return iter_nested_loop(query, db), ResolutionStats()
+    blocks = row_blocks(iter_nested_loop(query, db), block_rows_for(limit))
+    return blocks, ResolutionStats(), False
 
 
 #: Every backend, declared once, in the cost model's preference order
@@ -338,12 +371,13 @@ def run_backend(
     index_kind: str,
     gao: Optional[Tuple[str, ...]],
     limit: Optional[int],
-) -> Tuple[Iterator[Row], ResolutionStats]:
+) -> Tuple[Iterator[List[Row]], ResolutionStats, bool]:
     """Enter a backend — the only place one is.
 
-    Returns the backend's lazy row stream (its own enumeration order,
-    uncut) and the :class:`ResolutionStats` the stream fills as it is
-    consumed.  Callers cut at ``limit`` and sort.
+    Returns the backend's lazy block stream (its own enumeration order,
+    uncut), the :class:`ResolutionStats` the stream fills as it is
+    consumed, and whether it is in output order already.  Callers cut
+    at ``limit`` and sort what is not.
     """
     spec = BACKEND_TABLE.get(backend)
     if spec is None:
@@ -362,12 +396,13 @@ def _open_cursor(
     """The cursor of a plan: shard-parallel, or one backend's stream."""
     if plan.num_shards > 1:
         return _parallel_cursor(query, db, plan, limit, decode, timeout_ms)
-    rows, stats = run_backend(
+    blocks, stats, sorted_runs = run_backend(
         plan.backend, query, db, plan.index_kind, plan.gao, limit
     )
     return ResultCursor(
-        rows, variables=query.variables, backend=plan.backend, plan=plan,
+        None, variables=query.variables, backend=plan.backend, plan=plan,
         stats=stats, gao=plan.gao, limit=limit, decode=decode,
+        batches=blocks, sorted_runs=sorted_runs,
     )
 
 
@@ -418,7 +453,7 @@ def _parallel_cursor(
     cursor = ResultCursor(
         None, variables=query.variables, backend=plan.backend, plan=plan,
         stats=stats, gao=plan.gao, limit=limit, decode=decode,
-        batches=batches(),
+        batches=batches(), sorted_runs=limit is None,  # else unsorted
     )
     cursor.parallel = report
     return cursor

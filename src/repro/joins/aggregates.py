@@ -12,9 +12,10 @@ Two layers:
   the packed gap-box pipeline end to end.
 * **Cursor-consuming** — ``count_rows`` / ``any_rows`` / ``group_counts``
   work over *any* engine backend by draining a streaming
-  :class:`~repro.engine.executor.ResultCursor`: the aggregate itself
-  holds O(1) state (O(groups) for the group-by) and never collects the
-  result set.  What the *backend* buffers is its own affair — the
+  :class:`~repro.engine.executor.ResultCursor` block by block
+  (``cursor.blocks()``): the aggregate itself holds O(1) state
+  (O(groups) for the group-by) and never collects the result set — a
+  count sums block lengths and never touches a row.  What the *backend* buffers is its own affair — the
   pipeline backends buffer only base-relation hash tables, while the
   Tetris backends materialize their output inside the engine before the
   cursor streams it (``any_rows`` caps that via ``limit=1``).
@@ -65,18 +66,15 @@ def count_rows(
 ) -> int:
     """Output cardinality via a streaming cursor.
 
-    Works over any backend; rows are counted as they stream
-    off the cursor, never collected — the count itself is O(1) state on
-    top of whatever the chosen backend buffers internally.
+    Works over any backend; blocks are measured as they stream off the
+    cursor, never collected — the count itself is O(1) state on top of
+    whatever the chosen backend buffers internally.
     """
     from repro.engine.executor import execute_cursor
 
     cursor = execute_cursor(query, db, algorithm=algorithm,
                             **execute_kwargs)
-    count = 0
-    for _ in cursor:
-        count += 1
-    return count
+    return sum(map(len, cursor.blocks()))
 
 
 def any_rows(
@@ -121,9 +119,10 @@ def group_counts(
     cursor = execute_cursor(query, db, algorithm=algorithm,
                             **execute_kwargs)
     counts: Dict[Tuple[int, ...], int] = {}
-    for row in cursor:
-        key = tuple(row[i] for i in positions)
-        counts[key] = counts.get(key, 0) + 1
+    for block in cursor.blocks():
+        for row in block:
+            key = tuple(row[i] for i in positions)
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 

@@ -5,21 +5,25 @@ given (or size-ascending) atom order.  On cyclic queries this is the
 algorithm the AGM line of work beats: intermediate results can blow up to
 Θ(N²) on triangle instances whose output is far smaller.
 
-:func:`iter_hash` runs the plan lazily: every probe side streams, only
-the per-stage hash tables (built from base relations, O(N) total) are
-materialized — intermediate results never are, so taking k rows does
+:func:`hash_blocks` runs the plan lazily: every probe side streams,
+only the per-stage hash tables (built from base relations, O(N) total)
+are materialized — intermediate results never are, so taking k rows does
 O(k)-ish probe work beyond the table builds.  The cascade is the
-per-plan kernel generated by :func:`repro.engine.codegen.hash_kernel`;
+per-plan kernel generated by :func:`repro.engine.codegen.hash_kernel`,
+which hands rows over a block (a list of ``block_rows`` rows) at a time;
 this module picks the atom order (:func:`left_deep_order`, the same
-function the cost model prices the plan with) and runs it, and
+function the cost model prices the plan with) and runs it,
+:func:`iter_hash` chains the blocks back into a row iterator, and
 :func:`~repro.joins.nested_loop.join_nested_loop` is the oracle the
 tests compare it to.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.relational.io import BLOCK_ROWS
 from repro.relational.query import Database, JoinQuery
 from repro.relational.schema import RelationSchema
 
@@ -68,26 +72,35 @@ def _plan_order(
     return list(atom_order)
 
 
-def iter_hash(
+def hash_blocks(
     query: JoinQuery,
     db: Database,
     atom_order: Optional[Sequence[str]] = None,
-) -> Iterator[Tuple[int, ...]]:
-    """Stream the left-deep plan's output lazily (unsorted).
+    block_rows: int = BLOCK_ROWS,
+) -> Iterator[List[Tuple[int, ...]]]:
+    """The left-deep plan's output as blocks of rows, lazily (unsorted).
 
-    Hash tables for every non-leading atom are built up front (they hash
-    base relations, never intermediates); the probe cascade then streams,
-    so no intermediate result is ever materialized.  The whole cascade —
-    table builds included — is one generated kernel
-    (:func:`repro.engine.codegen.hash_kernel`) with scalar join keys and
-    constant-folded projections.
+    Hash tables for every non-leading atom are built at the first pull
+    (they hash base relations, never intermediates); the probe cascade
+    then streams ``block_rows`` rows per pull.  Builds and probes are one
+    generated kernel (:func:`repro.engine.codegen.hash_kernel`).
     """
     from repro.engine.codegen import hash_kernel
 
     order = _plan_order(query, db, atom_order)
     specs = [(name, query.atom(name).attrs) for name in order]
     kernel = hash_kernel(specs, query.variables)
-    yield from kernel([db[name].rows() for name in order])
+    yield from kernel([db[name].rows() for name in order], block_rows)
+
+
+def iter_hash(
+    query: JoinQuery,
+    db: Database,
+    atom_order: Optional[Sequence[str]] = None,
+) -> Iterator[Tuple[int, ...]]:
+    """Stream the left-deep plan's output lazily, row by row (unsorted):
+    :func:`hash_blocks`, chained."""
+    return chain.from_iterable(hash_blocks(query, db, atom_order))
 
 
 def join_hash(

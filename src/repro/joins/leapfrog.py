@@ -25,28 +25,41 @@ over the views' flat columns; this module validates the GAO, fetches
 the views and runs it.  There is no second implementation:
 :func:`~repro.joins.nested_loop.join_nested_loop` and
 ``evaluate_reference`` are the oracles the tests compare it to.
-:func:`iter_leapfrog` streams output rows lazily for the engine's
-cursor API.
+
+**Rows leave the kernel in blocks** (the contract is in
+:mod:`repro.engine.codegen`): :func:`leapfrog_blocks` yields lists of at
+least ``block_rows`` and fewer than ``2 × block_rows`` rows whose
+concatenation is the output in GAO-lexicographic order — under ``gao ==
+query.variables`` sorted runs ascending across their boundaries, which
+:func:`join_leapfrog` (like ``execute()``) concatenates without a sort.
+A view is a set, so an atom's last column has runs of length 1 under a
+fixed prefix: the innermost level never narrows a run, and trailing
+levels that touch one atom each are one ``itertools.product``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.indexes.oracle import default_gao
+from repro.relational.io import BLOCK_ROWS, sorted_rows
 from repro.relational.query import Database, JoinQuery
 
+Row = Tuple[int, ...]
 
-def iter_leapfrog(
+
+def leapfrog_blocks(
     query: JoinQuery,
     db: Database,
     gao: Optional[Sequence[str]] = None,
-) -> Iterator[Tuple[int, ...]]:
-    """Stream the join output lazily (unsorted, duplicate-free).
+    block_rows: int = BLOCK_ROWS,
+) -> Iterator[List[Row]]:
+    """The join output as blocks of rows, lazily (see the module text).
 
-    Rows follow ``query.variables`` component order but are produced in
-    GAO enumeration order (lexicographic in the GAO); consuming a prefix
-    does only the work needed for that prefix.
+    Rows follow ``query.variables`` component order, in GAO enumeration
+    order, duplicate-free; nothing — GAO validation included — runs
+    before the first pull, and a pull does only its block's work.
     """
     gao = tuple(gao) if gao is not None else default_gao(query)
     if sorted(gao) != sorted(query.variables):
@@ -64,17 +77,31 @@ def iter_leapfrog(
     ]
     from repro.engine.codegen import leapfrog_kernel
 
-    yield from leapfrog_kernel(query, gao)(views)
+    yield from leapfrog_kernel(query, gao)(views, block_rows)
+
+
+def iter_leapfrog(
+    query: JoinQuery,
+    db: Database,
+    gao: Optional[Sequence[str]] = None,
+) -> Iterator[Row]:
+    """Stream the join output lazily, row by row:
+    :func:`leapfrog_blocks`, chained."""
+    return chain.from_iterable(leapfrog_blocks(query, db, gao))
 
 
 def join_leapfrog(
     query: JoinQuery,
     db: Database,
     gao: Optional[Sequence[str]] = None,
-) -> List[Tuple[int, ...]]:
+) -> List[Row]:
     """Evaluate a join with the generic WCOJ algorithm, materialized.
 
     Output tuples follow ``query.variables`` order regardless of the GAO
-    and are sorted; :func:`iter_leapfrog` is the streaming form.
+    and are sorted — by construction when the GAO is ``query.variables``
+    (the blocks are concatenated), by ``sort()`` otherwise.
     """
-    return sorted(iter_leapfrog(query, db, gao=gao))
+    gao = tuple(gao) if gao is not None else default_gao(query)
+    return sorted_rows(
+        leapfrog_blocks(query, db, gao), gao == query.variables
+    )

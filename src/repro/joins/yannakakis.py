@@ -11,18 +11,21 @@ for a *full* join query the intermediate results never exceed the output
 — the Õ(N + Z) guarantee that Table 1's first row credits to [73] and
 that Tetris-Preloaded matches (Theorem D.8).
 
-:func:`iter_yannakakis` streams phase 3 as a lazy generator pipeline:
-the semijoin passes stay O(N) and eager, but the final join cascade
-materializes nothing — after full reduction every streamed prefix is
-output-bound work, making this the natural Õ(N + k) backend for
+:func:`yannakakis_blocks` streams phase 3 lazily: the semijoin passes
+stay O(N) and eager, but the final join cascade — the same generated
+kernel the hash backend runs (:func:`repro.engine.codegen.hash_kernel`),
+over the reduced relations in join-tree order — materializes nothing
+but the block it is filling.  After full reduction every streamed prefix
+is output-bound work, making this the natural Õ(N + k) backend for
 ``execute(..., limit=k)`` on acyclic queries.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.joins.pipeline import hash_stage, probe
+from repro.relational.io import BLOCK_ROWS
 from repro.relational.query import Database, JoinQuery
 from repro.relational.schema import RelationSchema
 
@@ -99,15 +102,17 @@ def _semijoin(
     return {t for t in left if tuple(t[i] for i in lpos) in keys}
 
 
-def iter_yannakakis(
-    query: JoinQuery, db: Database
-) -> Iterator[Tuple[int, ...]]:
-    """Stream an α-acyclic join's output lazily (unsorted).
+def yannakakis_blocks(
+    query: JoinQuery, db: Database, block_rows: int = BLOCK_ROWS
+) -> Iterator[List[Tuple[int, ...]]]:
+    """An α-acyclic join's output as blocks of rows, lazily (unsorted).
 
-    Phases 1–2 (the semijoin reduction) run eagerly in O(N); phase 3 is
-    a generator cascade over the fully-reduced relations, so no
-    intermediate join result is ever materialized.
+    Phases 1–2 (the semijoin reduction) run eagerly in O(N) at the first
+    pull; phase 3 is the hash cascade over the fully-reduced relations,
+    so no intermediate join result is ever materialized.
     """
+    from repro.engine.codegen import hash_kernel
+
     tree = build_join_tree(query)
     # The frozenset of each relation is shared zero-copy; semijoins
     # rebind names to fresh (smaller) sets, never mutate.
@@ -126,20 +131,21 @@ def iter_yannakakis(
         tuples[name] = _semijoin(
             tuples[name], tree.attrs[name], tuples[par], tree.attrs[par]
         )
-    # Phase 3 — lazy join cascade (children folded into parents, root
-    # last).  Hash tables are built per reduced relation up front; the
-    # probe chain streams.
-    acc_attrs: List[str] = list(tree.attrs[tree.root])
-    stream: Iterator[tuple] = iter(tuples[tree.root])
-    for name in reversed(tree.order[:-1]):
-        table, lpos_common, new_attrs = hash_stage(
-            acc_attrs, tree.attrs[name], tuples[name]
-        )
-        stream = probe(stream, table, lpos_common)
-        acc_attrs = acc_attrs + new_attrs
-    positions = [acc_attrs.index(v) for v in query.variables]
-    for t in stream:
-        yield tuple(t[i] for i in positions)
+    # Phase 3 — the join cascade, root first, every child after its
+    # parent: each stage probes a table built from a reduced relation.
+    order = [tree.root, *reversed(tree.order[:-1])]
+    kernel = hash_kernel(
+        [(name, tree.attrs[name]) for name in order], query.variables
+    )
+    yield from kernel([tuples[name] for name in order], block_rows)
+
+
+def iter_yannakakis(
+    query: JoinQuery, db: Database
+) -> Iterator[Tuple[int, ...]]:
+    """Stream an α-acyclic join's output lazily, row by row (unsorted):
+    :func:`yannakakis_blocks`, chained."""
+    return chain.from_iterable(yannakakis_blocks(query, db))
 
 
 def join_yannakakis(

@@ -272,13 +272,15 @@ def _ship_delta() -> Optional[tuple]:
 def execute_shard(task: ShardTask, cache: WorkerCache) -> ShardResult:
     """Run one shard through ``run_backend``; never raises.
 
-    The rows come back sorted when the task has no ``limit`` —
-    ``ResultCursor.fetchall`` concatenates ordered shard lists without
-    a sort — and as the first ``limit`` the backend produced otherwise.
+    The rows come back sorted when the task has no ``limit`` — by
+    concatenation alone when the backend's blocks are sorted runs, the
+    way ``ResultCursor.fetchall`` then joins the shard lists — and as
+    the first ``limit`` the backend produced otherwise.
     """
     from repro.core.resolution import ResolutionStats
     from repro.engine.executor import run_backend
     from repro.parallel.shm import ShmRef, ShmSlice
+    from repro.relational.io import sorted_rows
     from repro.relational.query import Database, JoinQuery
 
     tracer = None
@@ -352,14 +354,16 @@ def execute_shard(task: ShardTask, cache: WorkerCache) -> ShardResult:
             _faults.maybe_fire(fault_plan, task.shard_id, task.attempt)
         query = JoinQuery(task.atoms)
         db = Database(relations)
-        stream, stats = run_backend(
+        blocks, stats, sorted_runs = run_backend(
             task.backend, query, db, task.index_kind, task.gao, task.limit
         )
         if task.limit is None:
-            rows = sorted(stream)
+            rows = sorted_rows(blocks, sorted_runs)
         else:
-            rows = list(itertools.islice(stream, task.limit))
-            stream.close()
+            rows = list(itertools.islice(
+                itertools.chain.from_iterable(blocks), task.limit
+            ))
+            blocks.close()
         if tracer is not None:
             tracer.finish(span, rows=len(rows), ref_hits=hits)
         return ShardResult(

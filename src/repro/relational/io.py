@@ -29,10 +29,55 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
 
 
-#: Rows :meth:`ValueDictionary.decode_rows` decodes (and ``repro join``
-#: writes) at a time: large enough that the per-block work is noise,
-#: small enough that a cursor reader is never more than this far ahead.
+#: Rows per block — the unit in which rows leave a join kernel, cross
+#: the cursor, are decoded (:meth:`ValueDictionary.decode_rows`) and
+#: written by ``repro join``: large enough that the per-block work is
+#: noise, small enough that a reader is never two of these ahead.
 BLOCK_ROWS = 4096
+
+
+def block_rows_for(limit: Optional[int]) -> int:
+    """The block size of a stream cut at ``limit``: never more than the
+    limit, so ``limit=k`` does O(k) work, and never less than one row."""
+    return BLOCK_ROWS if limit is None else max(1, min(limit, BLOCK_ROWS))
+
+
+def row_blocks(rows: Iterable, block_rows: int = BLOCK_ROWS) -> Iterator[List]:
+    """Cut a row stream into lists of ``block_rows`` (the last shorter),
+    pulling no further ahead than the block being filled."""
+    rows = iter(rows)
+    while block := list(islice(rows, block_rows)):
+        yield block
+
+
+def concat_blocks(
+    blocks: Iterable[List], sorted_runs: bool
+) -> Tuple[List, bool]:
+    """Every row of a block stream in one list; the flag says it is sorted.
+
+    Only a stream that declares its blocks **sorted runs** can earn the
+    flag: each is appended as it arrives (no list of lists is held), and
+    when every boundary ascends (``prev[-1] < next[0]``) the result *is*
+    the sorted output — otherwise the runs interleave: the caller sorts.
+    """
+    if not sorted_runs:
+        return list(chain.from_iterable(blocks)), False
+    rows: List = []
+    ordered = True
+    for run in blocks:
+        if rows and run and not rows[-1] < run[0]:
+            ordered = False
+        rows += run
+    return rows, ordered
+
+
+def sorted_rows(blocks: Iterable[List], sorted_runs: bool) -> List:
+    """Every row of a block stream, sorted (by concatenation alone when
+    its sorted runs tile the output in order)."""
+    rows, ordered = concat_blocks(blocks, sorted_runs)
+    if not ordered:
+        rows.sort()
+    return rows
 
 
 def _regroup(cells: Iterator, rows: Sequence[Sequence]) -> List[Tuple]:
@@ -105,8 +150,7 @@ class ValueDictionary:
         Cursor-friendly: never more than one block of ``rows`` is pulled
         ahead of the consumer, and no list of the whole result is held.
         """
-        rows = iter(rows)
-        while block := list(islice(rows, BLOCK_ROWS)):
+        for block in row_blocks(rows):
             codes = list(chain.from_iterable(block))
             if codes and 0 <= min(codes) and max(codes) < len(self._decode):
                 yield from _regroup(

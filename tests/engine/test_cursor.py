@@ -13,15 +13,17 @@ import pytest
 
 from repro.engine import (
     BACKENDS,
+    clear_kernel_caches,
     clear_plan_cache,
     execute,
     execute_cursor,
+    kernel_cache_info,
 )
 from repro.joins.aggregates import any_rows, count_rows, group_counts
-from repro.joins.hashjoin import iter_hash
-from repro.joins.leapfrog import iter_leapfrog
+from repro.joins.hashjoin import hash_blocks, iter_hash
+from repro.joins.leapfrog import iter_leapfrog, leapfrog_blocks
 from repro.joins.nested_loop import iter_nested_loop
-from repro.joins.yannakakis import iter_yannakakis
+from repro.joins.yannakakis import iter_yannakakis, yannakakis_blocks
 from repro.relational.hypergraph import Hypergraph
 from repro.relational.io import ValueDictionary, relation_from_rows
 from repro.relational.query import (
@@ -161,15 +163,32 @@ def test_execute_is_its_cursor_drained_and_sorted(backend, workers):
 
 
 def test_streaming_backends_are_generators():
-    """The pipeline backends defer all probe work until consumption."""
+    """The pipeline backends defer all probe work until consumption:
+    the block form is a generator, the row form chains it lazily."""
     query, db = WORKLOADS["random_path"]
-    for it in (
+    clear_kernel_caches()
+    streams = (
         iter_hash(query, db),
         iter_leapfrog(query, db),
         iter_nested_loop(query, db),
         iter_yannakakis(query, db),
+    )
+    for it in streams:
+        assert iter(it) is it
+    for blocks in (
+        hash_blocks(query, db),
+        leapfrog_blocks(query, db),
+        yannakakis_blocks(query, db),
     ):
-        assert isinstance(it, types.GeneratorType)
+        assert isinstance(blocks, types.GeneratorType)
+    # Nothing ran yet: not even a kernel lookup.
+    assert all(
+        info["hits"] == info["misses"] == 0
+        for info in kernel_cache_info().values()
+    )
+    expected = evaluate_reference(query, db)
+    for it in streams:
+        assert sorted(it) == expected
 
 
 def test_cursor_fetchmany_and_close():
@@ -251,7 +270,11 @@ class TestFetchallBookkeeping:
     def _cursor(self, sharded, **kwargs):
         if sharded:
             source = _CountedSource(reversed(_SHARDS))  # completion order
-            return source, _bare_cursor(None, batches=source, **kwargs)
+            cursor = _bare_cursor(
+                None, batches=source, sorted_runs=True, **kwargs
+            )
+            cursor.parallel = object()  # any report: lists arrive out of turn
+            return source, cursor
         source = _CountedSource(_ROWS)
         return source, _bare_cursor(source, **kwargs)
 
@@ -363,9 +386,11 @@ def test_cursor_decode_streams_values():
 
 @pytest.mark.parametrize("limit", [0, 1, 5])
 def test_limit_with_decode_pulls_no_more_than_limit(monkeypatch, limit):
-    """Decoding reads ahead in blocks, but only of what the limit lets
-    through: the backend is still asked for at most ``limit`` rows."""
+    """Rows leave the backend in blocks sized by the limit, and decoding
+    reads only what the limit lets through: the backend materializes
+    fewer than ``limit + 2 × block_rows`` rows."""
     from repro.engine import executor
+    from repro.relational.io import block_rows_for
 
     query, db = WORKLOADS["graph_triangles"]
     dictionary = ValueDictionary()
@@ -374,14 +399,54 @@ def test_limit_with_decode_pulls_no_more_than_limit(monkeypatch, limit):
     run_backend = executor.run_backend
 
     def counted(*args):
-        rows, stats = run_backend(*args)
-        return (pulled.append(row) or row for row in rows), stats
+        blocks, stats, sorted_runs = run_backend(*args)
+        return (
+            (pulled.extend(b) or b for b in blocks), stats, sorted_runs
+        )
 
     monkeypatch.setattr(executor, "run_backend", counted)
     cursor = execute_cursor(query, db, limit=limit, decode=dictionary)
     got = cursor.fetchall()
-    assert len(got) == limit and len(pulled) <= limit
-    assert got == [dictionary.decode_row(row) for row in pulled]
+    assert len(got) == limit
+    assert len(pulled) < limit + 2 * block_rows_for(limit)
+    assert got == [dictionary.decode_row(row) for row in pulled[:limit]]
+
+
+def test_fetchmany_rejects_a_negative_count():
+    query, db = WORKLOADS["graph_triangles"]
+    with execute_cursor(query, db) as cursor:
+        with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+            cursor.fetchmany(-1)
+        assert cursor.fetchmany(0) == []
+        assert len(cursor.fetchmany(2)) == 2
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_blocks_are_the_remaining_row_lists(backend):
+    query, db = WORKLOADS["random_path"]
+    expected = evaluate_reference(query, db)
+    cursor = execute_cursor(query, db, algorithm=backend)
+    first = next(cursor)
+    blocks = list(cursor.blocks())
+    assert all(type(block) is list for block in blocks)
+    assert sorted([first] + [r for b in blocks for r in b]) == expected
+    assert cursor.rows_produced == len(expected)
+    assert list(cursor.blocks()) == [] and cursor.fetchall() == []
+    # limit and decode apply to blocks as they do to rows.
+    dictionary = ValueDictionary()
+    dictionary.encode_rows([[f"v{i}" for i in range(db.domain.size)]])
+    limited = execute_cursor(
+        query, db, algorithm=backend, limit=3, decode=dictionary
+    )
+    rows = [r for b in limited.blocks() for r in b]
+    assert len(rows) == 3 and limited.rows_produced == 3
+    assert all(cell.startswith("v") for row in rows for cell in row)
+    # close() ends the block stream.
+    closing = execute_cursor(query, db, algorithm=backend)
+    stream = closing.blocks()
+    assert next(stream)
+    closing.close()
+    assert list(stream) == []
 
 
 def test_decode_rows_is_lazy():

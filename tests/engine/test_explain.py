@@ -11,8 +11,8 @@ from repro.workloads.generators import split_path_instance
 #: The frozen `repro explain` output for a two-atom path under assumed
 #: uniform statistics.  Every quantity is exact integer arithmetic (64 is
 #: a power of two, so even the AGM LP result rounds cleanly and every
-#: leapfrog seek depth is a whole log₂); the fractional constants (1.6,
-#: 4.5, the 0.15 sort charge on 64·log₂64) survive the 4-digit
+#: leapfrog seek depth is a whole log₂); the fractional constants (1.7,
+#: 2.6, the 0.15 sort charge on 64·log₂64) survive the 4-digit
 #: formatting, which keeps the golden stable across platforms.
 GOLDEN = textwrap.dedent("""\
     # query: R(A, B) ⋈ S(B, C)
@@ -30,9 +30,9 @@ GOLDEN = textwrap.dedent("""\
     │   └─ Ẑ ≈ 64  (AGM 4096, independence 64)
     ├─ candidates
     │   ├─ hash              cost≈     369.6  N + Σ intermediates ≈ 312  + sort 57.6 ◀
-    │   ├─ leapfrog          cost≈     851.2  Õ(N + Σ level candidates) ≈ 496 (AGM 4096)  + sort 57.6  [GAO B, C, A]
+    │   ├─ leapfrog          cost≈     900.8  Õ(N + Σ level candidates) ≈ 496 (AGM 4096)  + sort 57.6  [GAO B, C, A]
     │   ├─ nested-loop       cost≈      2970  Σ prefix scans ≈ 4160  + sort 57.6
-    │   ├─ yannakakis        cost≈      5314  Õ(N + Z) = 3·128 + 64 (+6 passes)  + sort 57.6
+    │   ├─ yannakakis        cost≈      3094  Õ(N + Z) = 3·128 + 64 (+6 passes)  + sort 57.6
     │   ├─ tetris-preloaded  cost≈ 2.079e+04  Õ(N + Z) = (128 + 64)·18  + sort 57.6
     │   └─ tetris-reloaded   cost≈ 9.068e+04  Õ(|C| + Z), |Ĉ|=768 (N·d bound)  + sort 57.6
     └─ plan: hash  (index btree; predicted cost 369.6)

@@ -4,36 +4,38 @@ Each case pins the backend the cost model must choose on a concrete
 instance of one of the paper's query shapes.  The expectations encode
 *measured* reality on this codebase, not just the asymptotic table:
 each was derived by racing the forced backends through ``execute()``
-on the compiled kernels (PR 14; median of 7, ms — hash / leapfrog /
-yannakakis, ``—`` where not applicable):
+on the compiled kernels, and re-derived in PR 22 on the block kernels
+(median of 7, ms — hash / leapfrog / yannakakis, ``—`` where not
+applicable):
 
-    triangle_sparse      0.42 / 0.41 / —        hash (a tie)
-    triangle_agm_tight   0.50 / 0.49 / —        hash (a tie)
-    path3                0.44 / 0.47 / 0.67     hash
-    star4_uniform        0.46 / 0.42 / 0.82     hash (inside 1.1×)
-    cycle4_dense         0.46 / 0.49 / —        hash
-    clique4              0.89 / 1.51 / —        hash
+    triangle_sparse      0.25 / 0.28 / —        hash (a tie)
+    triangle_agm_tight   0.28 / 0.33 / —        hash
+    path3                0.30 / 0.30 / 0.46     hash (a tie)
+    star4_uniform        0.30 / 0.29 / 0.59     hash (a tie)
+    cycle4_dense         0.35 / 0.33 / —        hash (a tie)
+    clique4              0.75 / 1.90 / —        hash
     star4_skewed_hub     plan-only (Ẑ ≈ 17M rows); the same generator
                          at n = 60 / 90 (Z = 170k / 791k) races
-                         52.7 / 41.2 / 215.8 and 333 / 213 / 1066:
-                         leapfrog in output order, and the margin
-                         grows with Z — Yannakakis' semijoin passes
-                         keep intermediates at N + Z but its
-                         interpreted probe cascade and the final sort
-                         cost 5× the compiled kernels.
+                         33.8 / 18.2 / 78.4 and 176 / 130 / 508:
+                         leapfrog in output order — its rays are one
+                         ``itertools.product`` per hub value and the
+                         stream needs no sort; Yannakakis runs the
+                         same generated cascade as hash after its
+                         semijoin passes, and then sorts a set-ordered
+                         stream.
 
 The ``mix_*`` cases are the benchmark's ``auto_mix`` shapes at
 benchmark sizes, asserted plan-only (a 240k-row join is not a unit
 test) and raced once on these very instances:
 
-    mix_triangle_sparse      30.2 / 104.0 / —      hash
-    mix_triangle_agm_tight   16.7 / 20.0 / —       leapfrog (inside
-                             1.2× — hash's triangle stream happens to
-                             arrive sorted, which the model cannot see)
-    mix_path3                16.2 / 54.4 / 99.6    hash
-    mix_star4                125.6 / 81.8 / 294.0  leapfrog under
+    mix_triangle_sparse      28.0 / 118.6 / —      hash
+    mix_triangle_agm_tight   16.1 / 15.3 / —       leapfrog (a tie —
+                             hash's triangle stream happens to arrive
+                             sorted, which the model cannot see)
+    mix_path3                19.9 / 65.5 / 96.9    hash
+    mix_star4                71.8 / 33.7 / 201.9   leapfrog under
                              ``query.variables``
-    mix_cycle4               2.3 / 10.3 / —        hash
+    mix_cycle4               2.2 / 12.7 / —        hash
 """
 
 import random

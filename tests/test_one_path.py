@@ -147,3 +147,35 @@ def test_backends_are_declared_once():
     assert set(choices) == {"join", "explain", "metrics", "triangles"}
     for command, offered in choices.items():
         assert list(offered) == sorted(ALGORITHM_ALIASES), command
+
+
+def test_rows_leave_the_join_kernels_in_blocks_only():
+    """No generated leapfrog / hash kernel yields a row: the block is
+    the only unit that crosses a kernel's frame, and the interpreted
+    probe pipeline Yannakakis used to run is gone with its module."""
+    from repro.engine.codegen import hash_kernel, leapfrog_kernel
+    from repro.relational.query import (
+        clique_query,
+        cycle_query,
+        path_query,
+        star_query,
+        triangle_query,
+    )
+
+    sources = []
+    for query in (
+        triangle_query(), path_query(3), star_query(4), cycle_query(4),
+        clique_query(4),
+    ):
+        specs = [(a.name, a.attrs) for a in query.atoms]
+        sources.append(hash_kernel(specs, query.variables).source)
+        sources.append(hash_kernel(specs[::-1], query.variables).source)
+        for gao in (query.variables, query.variables[::-1]):
+            sources.append(leapfrog_kernel(query, gao).source)
+    for source in sources:
+        assert "yield (" not in source, source
+        assert re.findall(r"yield (\w+)", source) in (
+            ["out", "out"], ["block"]
+        ), source
+    submodules = {m.name for m in pkgutil.iter_modules(repro.joins.__path__)}
+    assert "pipeline" not in submodules
