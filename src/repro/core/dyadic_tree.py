@@ -27,18 +27,11 @@ components are ``>= 1``, so the key is free): no wrapper object, no
 extra indirection on the hot path.  After :meth:`discard` the mask is
 recomputed exactly, so it is never stale.
 
-Beyond the classic ``find_container`` the store answers:
-
-* :meth:`find_shallowest_container` — a container chosen greedily for
-  *short* (large) components, the witness-quality query the
-  frontier-resuming Tetris engine uses so resolutions happen against
-  big witnesses;
-* :meth:`find_all_containers_many` — a batched oracle query that walks
-  the tree once for a whole batch of probe points, sharing every common
-  prefix of the walk (used by ``BoxSetOracle.containing_many``);
-* :meth:`discard` — exact removal with upward pruning, enabling the
-  engine's bounded resolvent-admission policy (resolvents are derived
-  facts, so evicting them is always safe).
+Beyond the classic ``find_container`` the store answers
+:meth:`find_all_containers` (the point oracle query of Section 3.4) and
+:meth:`discard` — exact removal with upward pruning, enabling the
+engine's bounded resolvent-admission policy (resolvents are derived
+facts, so evicting them is always safe).
 
 On the last level a node maps each packed component to the stored box
 itself; on interior levels it maps to the next level's node dict.
@@ -46,7 +39,7 @@ itself; on interior levels it maps to the next level's node dict.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.core.boxes import PackedBox
 
@@ -334,46 +327,6 @@ class MultilevelDyadicTree:
                     q >>= 1
         return None
 
-    def find_shallowest_container(
-        self, box: PackedBox
-    ) -> Optional[PackedBox]:
-        """A container biased toward *short* components (a big witness).
-
-        Greedy shallow-first DFS: at every level the shortest stored
-        prefix of the query component is explored first, so the first
-        hit tends to be a box covering a large region around ``box``.
-        The frontier-resuming engine resolves against these witnesses —
-        bigger witnesses cover whole subtrees of the traversal at once,
-        which means fewer resolution steps and a smaller knowledge base.
-        """
-        last = self.ndim - 1
-        stack = [(0, self._root)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            level, node = pop()
-            q = box[level]
-            shift = q.bit_length() - 1
-            m = node[_MASK] & ((2 << shift) - 1)
-            get = node.get
-            if level == last:
-                while m:
-                    low = m & -m
-                    m ^= low
-                    hit = get(q >> (shift - low.bit_length() + 1))
-                    if hit is not None:
-                        return hit
-            else:
-                nxt = level + 1
-                # Push deepest-first so the shallowest child pops first.
-                while m:
-                    k = m.bit_length() - 1
-                    m ^= 1 << k
-                    child = get(q >> (shift - k))
-                    if child is not None:
-                        push((nxt, child))
-        return None
-
     def find_all_containers(self, box: PackedBox) -> List[PackedBox]:
         """All stored boxes containing ``box`` (the oracle query of §3.4)."""
         findall = self._findall
@@ -410,67 +363,6 @@ class MultilevelDyadicTree:
                         break
                     q >>= 1
         return out
-
-    def find_all_containers_many(
-        self, boxes: Sequence[PackedBox]
-    ) -> List[List[PackedBox]]:
-        """Per-point container lists for a batch, in one shared tree walk.
-
-        Probe points that agree on a component prefix share the dict
-        probes and node visits for it: at every node the batch's live
-        points are grouped by the child key they reach, so each distinct
-        key is probed once per node regardless of how many points need
-        it.  Sibling unit boxes — the frontier-resuming engine's prefetch
-        batch — differ in a single trailing bit, so they share essentially
-        the entire walk.
-        """
-        results: List[List[PackedBox]] = [[] for _ in boxes]
-        if not boxes:
-            return results
-        last = self.ndim - 1
-        stack = [(0, self._root, range(len(boxes)))]
-        while stack:
-            level, node, idxs = stack.pop()
-            get = node.get
-            kmax = node[_MASK].bit_length() - 1
-            if kmax < 0:
-                continue
-            if level == last:
-                for i in idxs:
-                    q = boxes[i][level]
-                    shift = q.bit_length() - 1
-                    if kmax < shift:
-                        q >>= shift - kmax
-                    out = results[i]
-                    while True:
-                        hit = get(q)
-                        if hit is not None:
-                            out.append(hit)
-                        if q == 1:
-                            break
-                        q >>= 1
-            else:
-                groups: dict = {}
-                for i in idxs:
-                    q = boxes[i][level]
-                    shift = q.bit_length() - 1
-                    if kmax < shift:
-                        q >>= shift - kmax
-                    while True:
-                        g = groups.get(q)
-                        if g is None:
-                            groups[q] = [i]
-                        else:
-                            g.append(i)
-                        if q == 1:
-                            break
-                        q >>= 1
-                nxt = level + 1
-                for key, sub in groups.items():
-                    child = get(key)
-                    if child is not None:
-                        stack.append((nxt, child, sub))
-        return results
 
     def __iter__(self) -> Iterator[PackedBox]:
         """Iterate over all stored boxes (test/debug helper)."""

@@ -116,12 +116,21 @@ class ResolutionStats:
     ``by_axis`` buckets resolutions by the resolved dimension, which is what
     the per-attribute witness counting arguments of Appendix D–F track.
 
-    The frontier-resuming engine adds three counters: ``resumes`` (leaves
-    handled in place, where the faithful variant would restart from the
-    universe), ``evictions`` (resolvents dropped by the bounded admission
-    policy), and ``witness_depth_sum`` (total component bits of the
-    witnesses chosen at resumed leaves — lower means bigger witnesses,
-    hence fewer resolution steps; divide by ``resumes`` for the mean).
+    ``containment_queries`` counts knowledge-base probes (one per
+    traversal box; ``cache_hits`` of them found a container) and
+    ``oracle_queries`` counts oracle probes — one ``container(box)``
+    per knowledge-base miss in resume-mode Reloaded runs, one
+    ``containing(point)`` per uncovered point in faithful ones.
+    ``boxes_loaded`` counts every input gap box and output box stored.
+
+    The frontier-resuming engine adds three counters: ``resumes`` (every
+    point where the traversal continues in place after the knowledge
+    base was amended — an oracle box or an output box stored — where
+    the faithful variant would restart from the universe),
+    ``evictions`` (resolvents dropped by the bounded admission policy),
+    and ``witness_depth_sum`` (total component bits of the gap boxes the
+    oracle returned — lower means bigger witnesses, hence fewer
+    resolution steps).
     """
 
     resolutions: int = 0
@@ -191,7 +200,8 @@ class ResolutionStats:
 
     @property
     def mean_witness_depth(self) -> float:
-        """Mean total component bits of resumed-leaf witnesses (0 if none)."""
+        """``witness_depth_sum`` per resume (0 if none); output boxes
+        count as resumes and add no depth."""
         if self.resumes == 0:
             return 0.0
         return self.witness_depth_sum / self.resumes

@@ -10,8 +10,7 @@ scans — retained to measure exactly how much the data structure
 contributes (benchmarks/bench_ablation.py).  Both implement the full
 protocol :class:`~repro.core.tetris.TetrisEngine` expects of
 ``knowledge_base``: ``add`` / ``add_many`` / ``discard`` /
-``find_container`` / ``find_shallowest_container`` /
-``find_all_containers``, so every engine
+``find_container`` / ``find_all_containers``, so every engine
 mode (including frontier resumption and bounded resolvent admission)
 runs unchanged on either store.
 """
@@ -75,29 +74,5 @@ class ListStore:
                 return stored
         return None
 
-    def find_shallowest_container(
-        self, box: PackedBox
-    ) -> Optional[PackedBox]:
-        """The container with the fewest total component bits (biggest).
-
-        The linear scan can afford the exact optimum; the dyadic tree
-        approximates it greedily.
-        """
-        best = None
-        best_depth = -1
-        for stored in self._boxes:
-            if box_contains(stored, box):
-                depth = sum(c.bit_length() for c in stored)
-                if best is None or depth < best_depth:
-                    best = stored
-                    best_depth = depth
-        return best
-
     def find_all_containers(self, box: PackedBox) -> List[PackedBox]:
         return [s for s in self._boxes if box_contains(s, box)]
-
-    def find_all_containers_many(
-        self, boxes: List[PackedBox]
-    ) -> List[List[PackedBox]]:
-        """Batched oracle query (protocol parity with the dyadic tree)."""
-        return [self.find_all_containers(b) for b in boxes]

@@ -14,19 +14,22 @@ input oracle into ``A``.  Two traversal **modes** implement that loop:
 * ``mode="resume"`` (the default, and what every caller in the repo
   runs) — the one-pass traversal, TetrisSkeleton2 from the proof of
   Theorem D.2 made frontier-resuming: outputs are handled inside the
-  skeleton, the explicit stack is *left in place at the uncovered
-  leaf*, the new gap or output boxes are patched into the knowledge
-  base, and the traversal resumes from the frontier — it never
-  restarts.  It picks the **shallowest** stored container as the
-  resolution witness (``find_shallowest_container``) — big witnesses
-  cover whole subtrees of the traversal at once — and, in on-demand
-  (Reloaded) runs, it **corner-probes**: an uncovered region's corner
-  point is checked against the oracle *before* descending, so gap boxes
-  land at the witness boundary instead of after a depth-``n·d`` needle
-  descent, and the pending sibling leaf is prefetched through the
-  oracle's batched ``containing_many`` walk.  It runs as the generated
-  kernel of :func:`repro.engine.codegen.tetris_kernel` where that
-  covers the engine's shape and as the interpreted
+  skeleton, the explicit stack is *left in place* where the knowledge
+  base is amended, and the traversal resumes from the frontier — it
+  never restarts.  In on-demand (Reloaded) runs it asks the oracle
+  about **boxes, not points**: after a knowledge-base miss on the
+  traversal box ``b`` it issues one ``oracle.container(b)`` probe — "a
+  gap box of B(Q) containing all of ``b``, else ``None``", the same
+  O(log N + d) index walk a point probe pays (Section 3.4 / App. B.3).
+  A hit is stored and is the witness, so a gap box lands where the
+  traversal first fits inside it instead of after a depth-``n·d``
+  needle descent; a miss on a unit box is an output; a miss on a thick
+  box splits.  Every box ``container(b)`` returns is one
+  ``containing`` would return for a point of ``b``, so the loaded set
+  is a subset of Algorithm 2's and Theorem 4.7's accounting carries
+  over.  It runs as the generated kernel of
+  :func:`repro.engine.codegen.tetris_kernel` where that covers the
+  engine's shape and as the interpreted
   :meth:`TetrisEngine._run_resuming` — the same traversal, the
   reference the kernel is pinned to — everywhere else.
 * ``mode="faithful"`` — Algorithms 1 and 2 as printed:
@@ -172,9 +175,10 @@ class RemainderDimension(DimensionSpec):
 class BoxSetOracle:
     """Oracle access to a set of gap boxes ``B`` (Section 3.4).
 
-    Given a unit box (a point of the output space), returns all boxes of
-    ``B`` containing it in Õ(1) via a multilevel dyadic tree.  This models
-    "the pre-built database indices of the input relations".
+    Given a dyadic box, returns a box of ``B`` containing it — or, for a
+    unit box (a point of the output space), all of them — in Õ(1) via a
+    multilevel dyadic tree.  This models "the pre-built database indices
+    of the input relations".
 
     Input boxes may be in pair or packed form (packed once here, at the
     boundary); all queries and results are packed.
@@ -196,16 +200,10 @@ class BoxSetOracle:
         """All gap boxes containing the given point (Algorithm 2, line 4)."""
         return self._tree.find_all_containers(unit_box)
 
-    def containing_many(
-        self, unit_boxes: Sequence[PackedBox]
-    ) -> List[List[PackedBox]]:
-        """Per-point container lists for a batch of probe points.
-
-        One shared tree walk serves the whole batch — points that agree
-        on a component prefix share its node visits and dict probes (see
-        :meth:`MultilevelDyadicTree.find_all_containers_many`).
-        """
-        return self._tree.find_all_containers_many(unit_boxes)
+    def container(self, box: PackedBox) -> Optional[PackedBox]:
+        """A gap box containing all of ``box``, else ``None`` — the one
+        question resume-mode Reloaded asks."""
+        return self._tree.find_container(box)
 
     def boxes(self) -> Sequence[PackedBox]:
         """The full box set, in space order."""
@@ -481,8 +479,10 @@ class TetrisEngine:
         (Tetris-Preloaded): one ``add_many`` pass over
         ``oracle.ordered_boxes(sao)``, which streams them already in
         this engine's SAO order and leaves duplicates for the knowledge
-        base to skip.  Otherwise they are pulled on demand through
-        ``oracle.containing``, in space order (Tetris-Reloaded).
+        base to skip.  Otherwise they are pulled on demand, in space
+        order (Tetris-Reloaded): one ``oracle.container(box)`` probe per
+        knowledge-base miss in resume mode, ``oracle.containing(point)``
+        per uncovered point in faithful mode.
 
         ``mode`` selects the traversal: ``"resume"`` (default) is the
         one-pass frontier-resuming skeleton, ``"faithful"`` the
@@ -505,12 +505,7 @@ class TetrisEngine:
         self._return_boxes = return_boxes
         if mode == "faithful":
             return self._run_restarting(oracle, max_outputs)
-        # Corner probing and sibling prefetch pay when the oracle is
-        # pulled on demand; in preloaded runs a leaf probe almost always
-        # answers "no gaps", so speculative probes would be pure
-        # overhead.  Both also assume uniform fixed-depth dimensions
-        # (corner construction, sibling unit-ness).
-        on_demand = oracle is not None and not preload and self.dims is None
+        on_demand = oracle is not None and not preload
         try:
             # The per-configuration kernel (mode flags and ndim/depth/SAO
             # folded to literals, the dyadic tree's probe walk inlined)
@@ -525,8 +520,10 @@ class TetrisEngine:
             )
             if kernel is not None:
                 return kernel(self, oracle, max_outputs)
+            # Preloaded runs hold every input gap box in A, so an
+            # uncovered leaf is an output by construction: no oracle.
             return self._run_resuming(
-                oracle, max_outputs, on_demand, trust_kb=preload
+                oracle if on_demand else None, max_outputs
             )
         finally:
             # The run attaches a traversal frontier to the knowledge
@@ -562,45 +559,15 @@ class TetrisEngine:
         to_internal = self.to_internal
         return [to_internal(b) for b in oracle.containing(external)]
 
-    def _oracle_lookup_many(
-        self, oracle: Optional[BoxSetOracle], points: Sequence[PackedBox]
-    ) -> List[List[PackedBox]]:
-        """Batched oracle query on internal unit boxes.
-
-        Uses the oracle's shared-walk ``containing_many`` when available
-        (falling back to per-point probes) and converts each distinct
-        returned gap box into SAO order once for the whole batch.
-        """
-        if oracle is None:
-            return [[] for _ in points]
-        self.stats.oracle_queries += len(points)
-        identity = self._sao_identity
-        externals = (
-            list(points)
-            if identity
-            else [self.to_external(p) for p in points]
-        )
-        many = getattr(oracle, "containing_many", None)
-        if many is not None:
-            found = many(externals)
-        else:
-            containing = oracle.containing
-            found = [containing(p) for p in externals]
-        if identity:
-            return found
-        to_internal = self.to_internal
-        memo: dict = {}
-        out: List[List[PackedBox]] = []
-        for boxes in found:
-            conv = []
-            for b in boxes:
-                ib = memo.get(b)
-                if ib is None:
-                    ib = to_internal(b)
-                    memo[b] = ib
-                conv.append(ib)
-            out.append(conv)
-        return out
+    def _oracle_container(
+        self, oracle: BoxSetOracle, box_internal: PackedBox
+    ) -> Optional[PackedBox]:
+        """Probe the oracle with an internal (SAO-order) box."""
+        self.stats.oracle_queries += 1
+        if self._sao_identity:
+            return oracle.container(box_internal)
+        found = oracle.container(self.to_external(box_internal))
+        return None if found is None else self.to_internal(found)
 
     def _run_restarting(
         self, oracle: Optional[BoxSetOracle], max_outputs: Optional[int]
@@ -624,47 +591,26 @@ class TetrisEngine:
         return outputs
 
     def _run_resuming(
-        self,
-        oracle: Optional[BoxSetOracle],
-        max_outputs: Optional[int],
-        on_demand: bool,
-        trust_kb: bool = False,
+        self, oracle: Optional[BoxSetOracle], max_outputs: Optional[int]
     ) -> List[Point]:
         """The frontier-resuming skeleton (the default outer loop),
         interpreted: the reference the generated kernel is pinned to and
         the path for every shape :func:`tetris_kernel` declines.
 
-        Structurally a one-pass traversal, but each uncovered leaf is a
-        *resume point*: the stack is left in place, the gap or output
-        boxes are patched into the knowledge base, and the traversal
-        continues with the best witness the amended base can offer — the
-        shallowest stored container of the leaf, not merely the first
-        gap box the oracle happened to return.
+        Structurally a one-pass traversal, but every point where the
+        knowledge base is amended is a *resume point*: the stack is left
+        in place, the gap or output box is patched in, and the traversal
+        continues with that box as the witness.
 
-        With ``on_demand`` (Reloaded runs over uniform spaces) two more
-        frontier tricks apply:
-
-        * **Corner probing** — before splitting an uncovered interior
-          box, its corner point (all components extended by zeros — the
-          exact point the 0-half descent chain converges to) is checked
-          against the knowledge base; if uncovered, the oracle is probed
-          *there and then*.  Any gap box containing the corner would
-          otherwise only be discovered after descending all the way to
-          the unit leaf, so the probe lands the same knowledge at the
-          box boundary instead of the bottom of a depth-``n·d`` needle:
-          the descent short-circuits where the witness starts, and the
-          resolutions that would have rebuilt the sub-box from its
-          leaves never happen.  Every such probe is productive — it
-          either loads a new gap box or discovers a new output point —
-          so the probe count stays within the Õ(|C| + Z) budget.
-        * **Sibling prefetch** — at an uncovered first-half leaf the
-          pending sibling is probed in the same batched oracle walk
-          (``containing_many``) and served from a one-slot cache when
-          the traversal reaches it.
+        ``oracle`` is the on-demand (Reloaded) source, ``None`` when the
+        knowledge base already holds every input gap box (or there are
+        none).  After a knowledge-base miss on the traversal box ``b``
+        it is asked ``container(b)`` once: a hit is stored and answers
+        ``b`` without descending; a miss on a unit box makes ``b`` an
+        output; a miss on a thick box splits.
         """
         kb = self.knowledge_base
         find_container = kb.find_container
-        find_shallowest = getattr(kb, "find_shallowest_container", None)
         kb_add = kb.add
         stats = self.stats
         unit = self._unit_marker
@@ -682,14 +628,6 @@ class TetrisEngine:
         n = self.ndim
         outputs: List[Point] = []
         stats.skeleton_calls += 1
-        # One-slot sibling prefetch cache (see docstring).
-        prefetch_key: Optional[PackedBox] = None
-        prefetch_boxes: List[PackedBox] = []
-        # Shift turning a packed component into its 0-extended unit form,
-        # and the memoized corner of the current 0-half descent chain.
-        depth_bits = self.depth + 1
-        corner: Optional[PackedBox] = None
-        corner_covered = False
         # Shared-prefix probe cache for the frozen traversal prefix; the
         # tree keeps it complete while attached (every add is noted).
         frontier = None
@@ -704,11 +642,12 @@ class TetrisEngine:
         # just missed with nothing stored since — collapses that level of
         # the frontier's probe to one exact lookup.
         pinned: Optional[int] = None
-        result: Tuple[bool, PackedBox] = (True, self._universe)
+        witness: PackedBox = self._universe
 
         while True:
             if current is not None:
                 b = current
+                current = None
                 stats.containment_queries += 1
                 if frontier is not None:
                     witness = probe(b, cursor, pinned)
@@ -716,134 +655,32 @@ class TetrisEngine:
                     witness = find_container(b)
                 if witness is not None:
                     stats.cache_hits += 1
-                    result = (True, witness)
-                    current = None
                     continue
-                if (cursor == n) if uniform else self._is_unit_box(b):
-                    # Resume point: patch A at the frontier, never restart.
-                    stats.resumes += 1
-                    if trust_kb:
-                        # Preloaded runs hold every input gap box in A, so
-                        # an uncovered leaf is an output by construction —
-                        # the oracle has nothing to add (the probe the
-                        # faithful loop pays here is pure overhead).
-                        gap_boxes = ()
-                    elif prefetch_key == b:
-                        gap_boxes = prefetch_boxes
-                        prefetch_key = None
-                    else:
-                        sibling = None
-                        if on_demand and stack:
-                            frame = stack[-1]
-                            if frame[4] == 0:
-                                # b is the first half; its sibling is a
-                                # unit leaf of identical shape and the
-                                # next box the traversal can visit.
-                                sibling = frame[1]
-                        if sibling is not None:
-                            batch = self._oracle_lookup_many(
-                                oracle, (b, sibling)
-                            )
-                            gap_boxes = batch[0]
-                            prefetch_key = sibling
-                            prefetch_boxes = batch[1]
-                        else:
-                            gap_boxes = self._oracle_lookup(oracle, b)
-                    if gap_boxes:
-                        loaded = 0
-                        for box in gap_boxes:
-                            if kb_add(box):
-                                loaded += 1
-                        stats.boxes_loaded += loaded
-                        witness = (
-                            find_shallowest(b)
-                            if find_shallowest is not None
-                            else None
-                        )
-                        if witness is None:
-                            witness = gap_boxes[0]
+                if oracle is not None:
+                    witness = self._oracle_container(oracle, b)
+                    if witness is not None:
+                        # Resume point: a gap box around all of b.
+                        if kb_add(witness):
+                            stats.boxes_loaded += 1
+                        stats.resumes += 1
                         stats.witness_depth_sum += (
                             sum(p.bit_length() for p in witness) - n
                         )
-                        result = (True, witness)
-                    else:
-                        outputs.append(self._emit(b))
-                        if (
-                            max_outputs is not None
-                            and len(outputs) >= max_outputs
-                        ):
-                            return outputs
-                        kb_add(b)
-                        stats.boxes_loaded += 1
-                        result = (True, b)
-                    current = None
+                        continue
+                if (cursor == n) if uniform else self._is_unit_box(b):
+                    # Resume point: no gap box holds the point — an
+                    # output, stored so the traversal never restarts.
+                    stats.resumes += 1
+                    outputs.append(self._emit(b))
+                    if (
+                        max_outputs is not None
+                        and len(outputs) >= max_outputs
+                    ):
+                        return outputs
+                    kb_add(b)
+                    stats.boxes_loaded += 1
+                    witness = b
                     continue
-                if on_demand:
-                    # Frontier witness probe: the 0-half descent chain
-                    # below b converges to b's corner point.  If the
-                    # knowledge base does not cover the corner yet, pull
-                    # its gap boxes now — the same boxes the leaf probe
-                    # would fetch after a full-depth descent — so the
-                    # chain short-circuits at the witness boundary.  The
-                    # corner is invariant along a 0-half descent, so its
-                    # covered state is memoized until the traversal
-                    # turns into a second half (coverage is monotone:
-                    # the knowledge base only grows mid-run).
-                    if corner is None:
-                        corner = tuple(
-                            [p << (depth_bits - p.bit_length()) for p in b]
-                        )
-                        corner_covered = False
-                    if not corner_covered:
-                        stats.containment_queries += 1
-                        covered = (
-                            probe(corner, cursor)
-                            if frontier is not None
-                            else find_container(corner)
-                        )
-                        if covered is not None:
-                            corner_covered = True
-                        else:
-                            gap_boxes = self._oracle_lookup(oracle, corner)
-                            corner_covered = True
-                            if gap_boxes:
-                                loaded = 0
-                                for box in gap_boxes:
-                                    if kb_add(box):
-                                        loaded += 1
-                                stats.boxes_loaded += loaded
-                                # Any container of b must be among the
-                                # fresh boxes — everything older missed.
-                                witness = None
-                                for box in gap_boxes:
-                                    if box_contains(box, b):
-                                        witness = box
-                                        break
-                                if witness is not None:
-                                    # A corner box covers all of b:
-                                    # resume without descending at all.
-                                    stats.resumes += 1
-                                    stats.witness_depth_sum += (
-                                        sum(
-                                            p.bit_length()
-                                            for p in witness
-                                        )
-                                        - n
-                                    )
-                                    result = (True, witness)
-                                    current = None
-                                    continue
-                            else:
-                                # The corner is an output point, found
-                                # a whole descent early.
-                                outputs.append(self._emit(corner))
-                                if (
-                                    max_outputs is not None
-                                    and len(outputs) >= max_outputs
-                                ):
-                                    return outputs
-                                kb_add(corner)
-                                stats.boxes_loaded += 1
                 axis = cursor if uniform else self._first_thick_generalized(b)
                 head = b[:axis]
                 tail = b[axis + 1:]
@@ -868,7 +705,6 @@ class TetrisEngine:
                 return outputs
 
             frame = stack[-1]
-            _, witness = result
             b, b2, axis, w1, stage, child_cursor, ver = frame
             if box_contains(witness, b):
                 stack.pop()
@@ -881,7 +717,6 @@ class TetrisEngine:
                 # The half b2 inherits b's miss: if nothing was stored
                 # since the split, its probe can pin the axis too.
                 pinned = axis if ver is not None and ver == kb.version else None
-                corner = None
                 continue
             if fast_resolve:
                 meet = list(map(max, w1, witness))
@@ -898,7 +733,7 @@ class TetrisEngine:
                 # keep every resolvent: its re-descents depend on it.)
                 cache_resolvent(resolvent)
             stack.pop()
-            result = (True, resolvent)
+            witness = resolvent
 
 
 # -- Convenience entry points ---------------------------------------------------

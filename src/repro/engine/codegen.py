@@ -3,8 +3,8 @@
 A hand-written join loop is an interpreter of its plan: a leapfrog
 recursion re-reads per-level participant lists at every node, a hash
 pipeline threads each row through a chain of generator frames, and the
-Tetris resume skeleton re-tests mode flags (``uniform``, ``on_demand``,
-``trust_kb``, frontier presence) on every traversal step.  PR 4 showed
+Tetris resume skeleton re-tests mode flags (``uniform``, oracle and
+frontier presence) on every traversal step.  PR 4 showed
 the cure in miniature — the per-ndim ``exec``-compiled probe walks of
 :class:`~repro.core.dyadic_tree.MultilevelDyadicTree` — and this module
 generalizes it to whole backends: for each plan shape a specialized
@@ -57,8 +57,8 @@ to).
 :func:`tetris_kernel` alone may decline: for a knowledge base other
 than the dyadic tree (``ListStore``), generalized dimension specs
 (the load-balanced lift), a tracing resolver, bounded resolvent
-admission, ``return_boxes`` output, an oracle without the batched walk
-or ``ndim`` past the unroll cap it returns ``None`` and
+admission, ``return_boxes`` output, an oracle without a ``container``
+probe or ``ndim`` past the unroll cap it returns ``None`` and
 :meth:`~repro.core.tetris.TetrisEngine.run` falls back to the
 interpreted ``_run_resuming`` — the same traversal, which
 ``tests/engine/test_tetris_kernel.py`` pins the kernel to field for
@@ -71,7 +71,6 @@ from collections import OrderedDict
 from itertools import chain, islice, product
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.boxes import box_contains
 from repro.core.dyadic_tree import (
     MultilevelDyadicTree,
     frontier_children,
@@ -610,12 +609,14 @@ def _tetris_source(
       local flushed once in ``finally``; a local ``version`` counts
       stores for the second-half pin.
 
-    ``fetch`` is the on-demand (Reloaded) discipline — corner probing
-    and sibling prefetch included; without it an uncovered leaf is an
-    output by construction (preloaded runs, or no oracle at all).
+    ``fetch`` is the on-demand (Reloaded) discipline: every
+    knowledge-base miss on the traversal box ``b`` is followed by one
+    ``oracle.container(b)`` probe — a hit is stored and is the witness,
+    a miss on a unit box is an output, a miss on a thick box splits.
+    Without it an uncovered leaf is an output by construction
+    (preloaded runs, or no oracle at all).
     """
     unit = 1 << depth
-    depth_bits = depth + 1
     last = n - 1
     identity = sao == tuple(range(n))
     inv = [0] * n
@@ -654,17 +655,14 @@ def _tetris_source(
         w(ind, f"L{j + 1} = freeze(L{j}, {comp})")
         w(ind, f"ids[{j + 1}] = None")
 
-    def emit_probe(
-        ind: int, t: int, box: str, exact: bool, full: bool, unit_t: bool
-    ) -> None:
-        """Containment probe of ``box`` from frontier level ``t``.
+    def emit_probe(ind: int, t: int, exact: bool, unit_t: bool) -> None:
+        """Containment probe of ``b`` from frontier level ``t``.
 
         Leaves the stored container in ``witness`` (``None`` on a miss;
         the caller has set it to ``None``) and the frontier node it was
         found under in ``node`` — see :func:`emit_move_to_front`.  Level
-        ``t`` is an exact ``get`` when ``exact``; later levels are
-        walked when ``full`` (corner probes: every component is unit)
-        and are λ otherwise.  ``unit_t`` says ``box[t]`` has full length.
+        ``t`` is an exact ``get`` when ``exact``; later levels are λ.
+        ``unit_t`` says ``b[t]`` has full length.
         """
         # The interpreted probe walks the last two levels node by node,
         # deepest prefix first, with move-to-front; above them it is a
@@ -674,19 +672,15 @@ def _tetris_source(
         def length(j: int) -> str:
             return str(depth) if (j > t or unit_t) else f"s{j}"
 
-        for j in range(t, n):
-            if j == t or full:
-                w(ind, f"q{j} = {box}[{j}]")
-                if not exact and length(j) == f"s{j}":
-                    w(ind, f"s{j} = q{j}.bit_length() - 1")
+        w(ind, f"q{t} = b[{t}]")
+        if not exact and not unit_t:
+            w(ind, f"s{t} = q{t}.bit_length() - 1")
 
         def level(ind: int, j: int, node: str) -> None:
-            if j == t and exact:
-                key = f"q{j}"
-            elif j > t and not full:
+            if j > t:
                 key = "1"
             else:
-                key = None
+                key = f"q{j}" if exact else None
             if j == last:
                 if key is not None:
                     w(ind, f"witness = {node}.get({key})")
@@ -779,20 +773,12 @@ def _tetris_source(
                    "len(outputs) >= max_outputs:")
             w(ind + 1, "return outputs")
 
-    def emit_oracle_lookup(ind: int, target: str, point: str) -> None:
-        w(ind, "oq += 1")
-        if identity:
-            w(ind, f"{target} = oracle_containing({point})")
-        else:
-            w(ind, f"{target} = [{to_int('g')} for g in "
-                   f"oracle_containing({to_ext(point)})]")
-
     def emit_probe_b(ind: int, t: int, unit_t: bool) -> None:
         """Probe the traversal box; a hit ends the descent."""
         w(ind, "if exact:")
-        emit_probe(ind + 1, t, "b", True, False, unit_t)
+        emit_probe(ind + 1, t, True, unit_t)
         w(ind, "else:")
-        emit_probe(ind + 1, t, "b", False, False, unit_t)
+        emit_probe(ind + 1, t, False, unit_t)
         w(ind, "if witness is not None:")
         if moves_to_front(t):
             emit_move_to_front(ind + 1, t)
@@ -800,88 +786,32 @@ def _tetris_source(
         w(ind + 1, "res_w = witness")
         w(ind + 1, "break")
 
+    def emit_fetch(ind: int, t: int) -> None:
+        """The knowledge base missed ``b``: ask the oracle for a gap
+        box around all of it.  A hit is stored and is the witness."""
+        w(ind, "oq += 1")
+        w(ind, f"res_w = oracle_container({'b' if identity else to_ext('b')})")
+        w(ind, "if res_w is not None:")
+        if not identity:
+            w(ind + 1, f"res_w = {to_int('res_w')}")
+        emit_store(ind + 1, "res_w", t, True)
+        w(ind + 1, "resumes += 1")
+        w(ind + 1, f"wdepth += {witness_depth('res_w')}")
+        w(ind + 1, "break")
+
     def emit_leaf(ind: int) -> None:
-        """An uncovered unit box: the resume point."""
-        w(ind, "resumes += 1")
+        """An uncovered unit box: an oracle hit or an output."""
         if fetch:
-            w(ind, "if prefetch_key == b:")
-            w(ind + 1, "gap_boxes = prefetch_boxes")
-            w(ind + 1, "prefetch_key = None")
-            w(ind, "elif stack and not stack[-1][1] & 1:")
-            # b is a first half; its sibling is a unit leaf of identical
-            # shape and the next box the traversal can visit.
-            w(ind + 1, "sibling = stack[-1][2]")
-            w(ind + 1, "oq += 2")
-            if identity:
-                w(ind + 1, "gap_boxes, prefetch_boxes = "
-                           "oracle_many((b, sibling))")
-            else:
-                w(ind + 1, f"found = oracle_many(({to_ext('b')}, "
-                           f"{to_ext('sibling')}))")
-                w(ind + 1, f"gap_boxes = [{to_int('g')} for g in found[0]]")
-                w(ind + 1, f"prefetch_boxes = [{to_int('g')} "
-                           "for g in found[1]]")
-            w(ind + 1, "prefetch_key = sibling")
-            w(ind, "else:")
-            emit_oracle_lookup(ind + 1, "gap_boxes", "b")
-            w(ind, "if gap_boxes:")
-            w(ind + 1, "for box in gap_boxes:")
-            emit_store(ind + 2, "box", last, True)
-            w(ind + 1, "res_w = find_shallowest(b)")
-            w(ind + 1, "if res_w is None:")
-            w(ind + 2, "res_w = gap_boxes[0]")
-            w(ind + 1, f"wdepth += {witness_depth('res_w')}")
-            w(ind + 1, "break")
+            emit_fetch(ind, last)
         # Preloaded runs (or no oracle) get here directly: an uncovered
         # leaf is an output by construction.
+        w(ind, "resumes += 1")
         w(ind, f"out_append({emitted('b')})")
         emit_capped_return(ind)
         emit_store(ind, "b", last, False)
         w(ind, "loaded += 1")
         w(ind, "res_w = b")
         w(ind, "break")
-
-    def emit_corner(ind: int, t: int) -> None:
-        """Corner probing: the 0-half descent chain below b converges to
-        b's corner; probe it now so gap boxes land at the boundary."""
-        w(ind, "if corner is None:")
-        corner = tup(
-            lambda i: f"b[{i}] << ({depth_bits} - b[{i}].bit_length())"
-        )
-        w(ind + 1, f"corner = {corner}")
-        w(ind + 1, "corner_covered = False")
-        w(ind, "if not corner_covered:")
-        ind += 1
-        w(ind, "corner_covered = True")
-        w(ind, "cq += 1")
-        emit_probe(ind, t, "corner", False, True, True)
-        if moves_to_front(t):
-            w(ind, "if witness is not None:")
-            emit_move_to_front(ind + 1, t)
-            w(ind, "else:")
-        else:
-            w(ind, "if witness is None:")
-        ind += 1
-        emit_oracle_lookup(ind, "gap_boxes", "corner")
-        w(ind, "if gap_boxes:")
-        w(ind + 1, "for box in gap_boxes:")
-        emit_store(ind + 2, "box", t, True)
-        # Any container of b must be among the fresh boxes — everything
-        # older missed.
-        w(ind + 1, "for box in gap_boxes:")
-        w(ind + 2, "if box_contains(box, b):")
-        w(ind + 3, "witness = box")
-        w(ind + 3, "break")
-        w(ind + 1, "if witness is not None:")
-        w(ind + 2, "resumes += 1")
-        w(ind + 2, f"wdepth += {witness_depth('witness')}")
-        w(ind + 2, "res_w = witness")
-        w(ind + 2, "break")
-        w(ind, "else:")
-        w(ind + 1, f"out_append({emitted('corner')})")
-        emit_capped_return(ind + 1)
-        emit_store(ind + 1, "corner", t, False)
-        w(ind + 1, "loaded += 1")
 
     def emit_split(ind: int, axis: int) -> None:
         w(ind, f"half = b[{axis}] << 1")
@@ -914,13 +844,7 @@ def _tetris_source(
     w(1, f"ids = [None] * {n}")
     w(1, "version = 0")
     if fetch:
-        w(1, "oracle_containing = oracle.containing")
-        w(1, "oracle_many = oracle.containing_many")
-        w(1, "find_shallowest = kb.find_shallowest_container")
-        w(1, "prefetch_key = None")
-        w(1, "prefetch_boxes = []")
-        w(1, "corner = None")
-        w(1, "corner_covered = False")
+        w(1, "oracle_container = oracle.container")
     w(1, "outputs = []")
     w(1, "out_append = outputs.append")
     w(1, "cq = hits = resumes = loaded = wdepth = oq = ordered = 0")
@@ -951,7 +875,7 @@ def _tetris_source(
         w(4, f"elif cursor == {axis}:" if axis else "else:")
         emit_probe_b(5, axis, False)
         if fetch:
-            emit_corner(5, axis)
+            emit_fetch(5, axis)
         emit_split(5, axis)
     # -- unwind: pop covered frames, flip or resolve the first that is not -------
     w(3, "while True:")
@@ -981,8 +905,6 @@ def _tetris_source(
     w(5, "else:")
     w(6, f"cursor = {n}")
     w(6, "exact = ver == version")
-    if fetch:
-        w(5, "corner = None")
     w(5, "break")
     # Both halves covered, neither witness covers fb: resolve on axis.
     # half is odd here, so half >> 1 is fb's own axis component.
@@ -1048,7 +970,8 @@ def tetris_kernel(
     knowledge base other than :class:`MultilevelDyadicTree` (the kernel
     inlines its probe walk), generalized dimension specs, tracing
     resolvers, bounded resolvent admission, ``return_boxes`` output,
-    oracles without a batched walk, or ``ndim`` past the unroll cap —
+    oracles without a ``container`` probe, or ``ndim`` past the unroll
+    cap —
     and the caller runs the interpreted
     :meth:`~repro.core.tetris.TetrisEngine._run_resuming`.
     """
@@ -1064,15 +987,12 @@ def tetris_kernel(
         return None
     if not 1 <= engine.ndim <= _TETRIS_NDIM_CAP:
         return None
-    # Preloaded runs never consult the oracle at a leaf; on-demand runs
-    # need the batched containing_many walk the generator binds.
+    # Preloaded runs never consult the oracle; on-demand runs need the
+    # box-level container probe the generator binds.
     fetch = on_demand and oracle is not None
     if not fetch and not trust_kb and oracle is not None:
         return None  # interpreted fallback for exotic flag combinations
-    if fetch and (
-        getattr(oracle, "containing", None) is None
-        or getattr(oracle, "containing_many", None) is None
-    ):
+    if fetch and getattr(oracle, "container", None) is None:
         return None
     key = (
         engine.ndim,
@@ -1087,7 +1007,6 @@ def tetris_kernel(
         return _compile(
             _tetris_source(*key),
             {
-                "box_contains": box_contains,
                 "freeze": frontier_children,
                 "note_add": frontier_note_add,
             },

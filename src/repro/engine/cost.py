@@ -83,13 +83,31 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: (path3 22.5, cycle4 30.2) against 2–4 ns over one in or near order —
 #: as hash's star and triangle streams now are — 0.19–0.26 of the
 #: 0.114 µs hash unit; 0.15 still ranks every raced shape and is kept.
-#: The Tetris constants date from the frontier-resuming kernel overhaul
-#: (12 → 6, BENCH_tetris_core.json) and were not refit here.
+#: ``tetris-reloaded`` was refit in PR 23 (one ``container(box)`` oracle
+#: probe per knowledge-base miss) by the same procedure — kernel-only
+#: ``engine.run(oracle, preload=False)`` on warm indexes against
+#: ``list(iter_hash)``, µs per modelled unit — over the treewidth-1
+#: shapes, where the Õ(|C| + Z) row prices with the N·d certificate
+#: bound (at treewidth ≥ 2 the |C|^{w+1} bound is orders of magnitude
+#: from any measured run and no constant fits it), hash / reloaded:
+#:
+#:     path3_random           0.096 / 0.334
+#:     path4_chained          0.090 / 0.265
+#:     star4_random           0.074 / 0.306
+#:     e2e tetris_reloaded_path 0.095 / 0.081
+#:     mix path3              0.156 / 0.512
+#:
+#: Per-shape ratios 0.8–5.1, median 2.65 / 3.28 / 3.49 over three
+#: repeats (the parent commit read 5.01 / 6.75 — the 6.0 it shipped);
+#: shipped as 3.0.  ``auto`` picks the same backend on every raced
+#: fixture for any value in 1–12.  ``tetris-preloaded`` keeps the
+#: constant of the frontier-resuming kernel overhaul (12 → 6,
+#: BENCH_tetris_core.json).
 DEFAULT_CALIBRATION: Dict[str, float] = {
     "yannakakis": 2.6,
     "hash": 1.0,
     "leapfrog": 1.7,
-    "tetris-reloaded": 6.0,
+    "tetris-reloaded": 3.0,
     "tetris-preloaded": 6.0,
     "nested-loop": 0.7,
 }

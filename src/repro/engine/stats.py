@@ -108,7 +108,8 @@ class ProbeBudgetExceeded(Exception):
 
 
 class _BudgetedOracle:
-    """Wraps a QueryGapOracle, aborting once it has served ``budget`` boxes."""
+    """Wraps a QueryGapOracle, aborting once it has answered ``budget``
+    probes."""
 
     def __init__(self, oracle, budget: int):
         self._oracle = oracle
@@ -119,14 +120,13 @@ class _BudgetedOracle:
     def attrs(self):
         return self._oracle.attrs
 
-    def containing(self, unit_box):
-        boxes = self._oracle.containing(unit_box)
-        # Every probe costs at least one unit even when it finds nothing
-        # (those misses are exactly the output tuples).
-        self.served += max(len(boxes), 1)
+    def container(self, box):
+        # Every probe costs one unit, hit (a certificate box) or miss
+        # (an output tuple, or a split on the way to either).
+        self.served += 1
         if self.served > self._budget:
             raise ProbeBudgetExceeded()
-        return boxes
+        return self._oracle.container(box)
 
     def ordered_boxes(self, axes):
         return self._oracle.ordered_boxes(axes)
@@ -141,7 +141,7 @@ def probe_certificate(
     """Estimate |C| with a budget-bounded Tetris-Reloaded prefix run.
 
     Runs the on-demand (Reloaded) configuration against an oracle that
-    aborts after serving ``budget`` gap boxes; instances whose certificate
+    aborts after answering ``budget`` probes; instances whose certificate
     is small — the Theorem 4.7 regime — complete outright and return an
     exact cost, everything else reports the bound was exceeded.
     """

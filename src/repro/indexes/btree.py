@@ -29,8 +29,8 @@ is the per-query part and happens in the oracle, not here.
 
 from __future__ import annotations
 
-import bisect
 from array import array
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.boxes import PackedBox
@@ -39,7 +39,7 @@ from repro.indexes.gaps import (
     GAP_TYPECODE,
     GapColumns,
     pdyadic_gaps_sorted,
-    pgap_piece_containing,
+    pmaximal_piece,
 )
 from repro.relational.relation import Relation
 
@@ -54,7 +54,7 @@ class _TrieNode:
         self.children: List[Optional["_TrieNode"]] = []
 
     def child(self, value: int) -> Optional["_TrieNode"]:
-        i = bisect.bisect_left(self.keys, value)
+        i = bisect_left(self.keys, value)
         if i < len(self.keys) and self.keys[i] == value:
             return self.children[i]
         return None
@@ -161,28 +161,39 @@ class BTreeIndex(GapColumns):
                 )
         return cols
 
-    def gap_boxes_containing(
-        self, point_in_order: Sequence[int]
-    ) -> List[PackedBox]:
-        """The maximal dyadic gap box around a probe point, lazily.
+    def gap_box_around(self, comps: PackedBox) -> Optional[PackedBox]:
+        """The maximal dyadic gap box around the box ``comps``, lazily.
 
-        ``point_in_order`` gives values in ``attr_order``.  Returns ``[]``
-        when the point is a tuple of the relation.  For a σ-consistent
-        index there is exactly one maximal gap box containing any non-tuple
-        (Appendix B.3); we return the dyadic piece of it that contains the
-        probe, computed in O(arity · (log N + d)) without materializing
-        anything.  Boxes are packed.
+        ``comps`` gives packed components in ``attr_order``.  Returns
+        ``None`` when no gap box of this index contains all of it: a
+        unit box that is a tuple of the relation, or a box with a thick
+        component that straddles a stored key — every gap box is unit
+        before its gap interval, so nothing deeper can contain it.  For
+        a σ-consistent index there is exactly one maximal gap box around
+        a non-tuple point (Appendix B.3); the walk returns the dyadic
+        piece of it around ``comps`` in O(arity · (log N + d)) — one
+        ``bisect`` per level — without materializing anything.
         """
         depth = self.depth
         unit = 1 << depth
         node = self._root
-        for level, value in enumerate(point_in_order):
-            piece = pgap_piece_containing(node.keys, value, depth)
-            if piece is not None:
-                prefix = tuple(
-                    unit | v for v in point_in_order[:level]
+        for level, p in enumerate(comps):
+            keys = node.keys
+            shift = depth + 1 - p.bit_length()
+            lo = (p << shift) ^ unit
+            i = bisect_left(keys, lo)
+            if i == len(keys) or keys[i] >= lo + (1 << shift):
+                # No key inside the component: it lies in the gap
+                # before keys[i].
+                piece = pmaximal_piece(
+                    p,
+                    keys[i - 1] + 1 if i else 0,
+                    keys[i] - 1 if i < len(keys) else unit - 1,
+                    depth,
                 )
-                tail = (PLAMBDA,) * (self.arity - level - 1)
-                return [prefix + (piece,) + tail]
-            node = node.child(value)
-        return []
+                tail = (PLAMBDA,) * (len(comps) - level - 1)
+                return comps[:level] + (piece,) + tail
+            if shift:
+                return None
+            node = node.children[i]
+        return None

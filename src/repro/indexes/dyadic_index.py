@@ -7,8 +7,9 @@ ternary, ...).  A cell containing no tuples is emitted as a single gap box
 boxes than either B-tree order, and how Example B.8's "non-B-tree gap
 boxes" arise.
 
-The index also answers lazy probes: the gap box containing a non-tuple
-point is the *largest* empty cell on the point's root-to-leaf path.
+The index also answers lazy probes: the gap box around a dyadic box (a
+non-tuple point included) is the *largest* empty cell on the
+root-to-leaf path that contains it.
 
 Cells and gap boxes are **packed** marker-bit tuples (see
 :mod:`repro.core.intervals`): descending into a child cell is one shift
@@ -20,7 +21,7 @@ the Tetris oracle.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA
@@ -85,25 +86,20 @@ class DyadicTreeIndex(_CellIndex):
 
         yield from walk((PLAMBDA,) * arity, 0, self._tuples)
 
-    def gap_boxes_containing(
-        self, point: Sequence[int]
-    ) -> List[PackedBox]:
-        """The maximal empty cell containing the probe point, or ``[]``."""
-        depth = self.depth
-        cell: PackedBox = (PLAMBDA,) * self.arity
+    def gap_box_around(self, comps: PackedBox) -> Optional[PackedBox]:
+        """The maximal empty cell containing the box ``comps``, or ``None``.
+
+        The descent follows ``comps`` cell by cell and stops where the
+        lock-step cell stops containing it — past its shortest
+        component.
+        """
         tuples = self._tuples
-        for level in range(depth + 1):
+        for level in range(min(p.bit_length() for p in comps)):
+            cell = tuple([p >> (p.bit_length() - 1 - level) for p in comps])
             tuples = self._cell_tuples(cell, level, tuples)
             if not tuples:
-                return [cell]
-            if level == depth:
-                return []
-            shift = depth - level - 1
-            cell = tuple(
-                (p << 1) | ((point[i] >> shift) & 1)
-                for i, p in enumerate(cell)
-            )
-        return []
+                return cell
+        return None
 
 
 class KDTreeIndex(_CellIndex):
@@ -146,25 +142,26 @@ class KDTreeIndex(_CellIndex):
 
         yield from walk((PLAMBDA,) * arity, 0, self._tuples)
 
-    def gap_boxes_containing(
-        self, point: Sequence[int]
-    ) -> List[PackedBox]:
-        depth = self.depth
+    def gap_box_around(self, comps: PackedBox) -> Optional[PackedBox]:
+        """The maximal empty cell containing the box ``comps``, or ``None``.
+
+        The round-robin descent stops where halving the next axis would
+        cut ``comps`` (or, at a unit cell, where nothing is left to
+        halve: the cell is a stored tuple).
+        """
         arity = self.arity
         cell: PackedBox = (PLAMBDA,) * arity
-        tuples = list(self._tuples)
-        for level in range(depth * arity + 1):
+        tuples = self._tuples
+        level = 0
+        while True:
             tuples = [t for t in tuples if self._in_cell(cell, t)]
             if not tuples:
-                return [cell]
-            if level == depth * arity:
-                return []
+                return cell
             axis = level % arity
-            length = cell[axis].bit_length() - 1
-            bit = (point[axis] >> (depth - length - 1)) & 1
+            spare = comps[axis].bit_length() - cell[axis].bit_length()
+            if spare == 0:
+                return None
             cell = (
-                cell[:axis]
-                + ((cell[axis] << 1) | bit,)
-                + cell[axis + 1:]
+                cell[:axis] + (comps[axis] >> (spare - 1),) + cell[axis + 1:]
             )
-        return []
+            level += 1

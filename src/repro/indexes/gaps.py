@@ -45,7 +45,12 @@ class GapColumns:
     use and keeps it: one ``array('Q')`` per index attribute, aligned,
     in the index's own emission order — the representation
     :class:`~repro.relational.relation.Relation` uses for its values.
-    Subclasses provide ``attr_order`` and ``_extract_gap_columns``.
+    Subclasses provide ``attr_order``, ``depth``,
+    ``_extract_gap_columns`` and the lazy probe
+    ``gap_box_around(comps)``: a gap box (packed, in ``attr_order``)
+    containing the whole dyadic box ``comps``, or ``None`` — the index
+    walk of Section 3.4 / Appendix B.3 asked about a box, answered in
+    the time the same walk takes for a point.
     """
 
     _gap_cols: Optional[Tuple[array, ...]] = None
@@ -66,6 +71,16 @@ class GapColumns:
         attrs = self.attr_order
         for box in zip(*self.gap_columns()):
             yield box, attrs
+
+    def gap_boxes_containing(
+        self, point: Sequence[int]
+    ) -> List[PackedBox]:
+        """The gap box around a probe point (values in ``attr_order``),
+        or ``[]`` for a tuple of the relation: the unit-box case of
+        :meth:`gap_box_around`."""
+        unit = 1 << self.depth
+        box = self.gap_box_around(tuple([unit | v for v in point]))
+        return [] if box is None else [box]
 
     def count_gap_boxes(self) -> int:
         """Total number of dyadic gap boxes this index generates."""
@@ -127,11 +142,15 @@ def gap_piece_containing(
     """The dyadic gap interval containing ``point``, or ``None`` if stored.
 
     ``values`` must be sorted.  This is the O(log N + d) probe that lazy
-    index oracles use: binary-search the neighbours of ``point``, decompose
-    the single surrounding gap, and pick the piece containing the point.
+    index oracles use: binary-search the neighbours of ``point`` and grow
+    its unit interval to the maximal dyadic piece of the surrounding gap.
     """
-    p = pgap_piece_containing(values, point, depth)
-    return None if p is None else dy.unpack(p)
+    i = bisect.bisect_left(values, point)
+    if i < len(values) and values[i] == point:
+        return None
+    lo = values[i - 1] + 1 if i > 0 else 0
+    hi = values[i] - 1 if i < len(values) else (1 << depth) - 1
+    return dy.unpack(pmaximal_piece((1 << depth) | point, lo, hi, depth))
 
 
 # -- packed emission (hot path) ----------------------------------------------
@@ -155,25 +174,21 @@ def pdyadic_gaps_sorted(values: Sequence[int], depth: int) -> List[Packed]:
     return pieces
 
 
-def pgap_piece_containing(
-    values: Sequence[int], point: int, depth: int
-) -> Optional[Packed]:
-    """Packed variant of :func:`gap_piece_containing` (sorted ``values``).
+def pmaximal_piece(p: Packed, lo: int, hi: int, depth: int) -> Packed:
+    """The maximal dyadic interval around ``p`` inside the gap ``[lo, hi]``.
 
-    The canonical decomposition's pieces are exactly the maximal dyadic
-    intervals inside the gap, so the piece containing the probe is found
-    directly: grow the probe's unit interval parent by parent while it
-    still fits between the neighbouring stored values — O(piece length)
-    int steps, no materialized decomposition.
+    ``p`` is a packed interval lying inside the inclusive value range
+    ``[lo, hi]`` (the gap between two stored neighbours).  The canonical
+    decomposition's pieces are exactly the maximal dyadic intervals
+    inside the gap, so the piece containing ``p`` is found directly:
+    grow ``p`` parent by parent while it still fits between the
+    neighbouring stored values — O(piece length) int steps, no
+    materialized decomposition.
     """
-    i = bisect.bisect_left(values, point)
-    if i < len(values) and values[i] == point:
-        return None
-    lo = values[i - 1] + 1 if i > 0 else 0
-    hi = values[i] - 1 if i < len(values) else (1 << depth) - 1
-    p = (1 << depth) | point
-    plo = phi = point
-    size = 1
+    shift = depth + 1 - p.bit_length()
+    size = 1 << shift
+    plo = (p << shift) ^ (1 << depth)
+    phi = plo + size - 1
     while p > 1:
         if p & 1:
             nlo = plo - size

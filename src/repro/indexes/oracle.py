@@ -6,8 +6,13 @@ the Appendix B.2 generalization the paper advertises) and lifts them into
 the query's output space with λ wildcards on the missing attributes
 (Section 3.3).  It implements the interface the Tetris engine expects:
 
+* ``container(box)`` — a gap box containing all of a dyadic probe box
+  (or ``None``), answered *lazily* by the first index whose walk finds
+  one, in Õ(1) per index — the one question resume-mode
+  Tetris-Reloaded asks;
 * ``containing(unit_box)`` — all gap boxes containing a probe point,
-  answered *lazily* by the underlying indexes in Õ(1) per index;
+  one per index that has one (Algorithm 2 as printed: ``mode="faithful"``
+  and Tetris-LB);
 * ``boxes()`` — the full materialized set B(Q), used by Tetris-Preloaded.
 
 * ``ordered_boxes(axes)`` — the bulk side: the same boxes as one lazy
@@ -16,9 +21,9 @@ the query's output space with λ wildcards on the missing attributes
   stream in space order, de-duplicated and kept as a list).
 
 Everything is **packed** end to end: the indexes emit packed gap boxes,
-lifting pads with the packed λ (``1``), and probe coordinates are read
-straight off the packed unit components — no pair tuples between the
-index layer and the Tetris engine.
+lifting pads with the packed λ (``1``), and the indexes walk the packed
+probe components as they come — no pair tuples between the index layer
+and the Tetris engine.
 
 **Per relation, not per query.**  An index and the gap boxes it exposes
 depend only on the stored relation and the index's attribute order, so
@@ -76,10 +81,11 @@ class QueryGapOracle:
         if not self.indexes:
             raise ValueError("at least one index is required")
         self._materialized: Optional[List[PackedBox]] = None
-        # Per index, computed once: ``restrict`` reads a probe point's
-        # components on the index's attributes, ``lift`` scatters an
-        # index box (with one λ appended) into the output space — every
-        # axis the index does not mention reads the appended λ.
+        # Per index, computed once: its ``gap_box_around`` probe,
+        # ``restrict`` reading a probe box's components on the index's
+        # attributes, and ``lift`` scattering an index box (with one λ
+        # appended) into the output space — every axis the index does
+        # not mention reads the appended λ.
         axis_of = {a: i for i, a in enumerate(self.attrs)}
         self._probes: List[tuple] = []
         for idx in self.indexes:
@@ -88,7 +94,11 @@ class QueryGapOracle:
             for pos, axis in enumerate(axes):
                 template[axis] = pos
             self._probes.append(
-                (idx, _tuple_getter(axes), _tuple_getter(template))
+                (
+                    idx.gap_box_around,
+                    _tuple_getter(axes),
+                    _tuple_getter(template),
+                )
             )
 
     @staticmethod
@@ -100,46 +110,28 @@ class QueryGapOracle:
         return len(self.attrs)
 
     def containing(self, unit_box: PackedBox) -> List[PackedBox]:
-        """All gap boxes containing the probe point, straight off the indexes.
-
-        ``unit_box`` is packed; each probe coordinate is the packed unit
-        component with its marker bit cleared.
-        """
+        """All gap boxes containing the probe point, straight off the
+        indexes: each index's one gap box around it (Algorithm 2,
+        line 4)."""
         out: List[PackedBox] = []
-        for idx, restrict, lift in self._probes:
-            point = tuple(
-                [p ^ (1 << (p.bit_length() - 1)) for p in restrict(unit_box)]
-            )
-            for box in idx.gap_boxes_containing(point):
+        for around, restrict, lift in self._probes:
+            box = around(restrict(unit_box))
+            if box is not None:
                 out.append(lift(box + _LAMBDA))
         return out
 
-    def containing_many(
-        self, unit_boxes: Sequence[PackedBox]
-    ) -> List[List[PackedBox]]:
-        """Per-point container lists for a batch of probe points.
+    def container(self, box: PackedBox) -> Optional[PackedBox]:
+        """A gap box of B(Q) containing all of ``box``, else ``None``.
 
-        Each index is visited once per *distinct* restricted probe point:
-        batch points that agree on an index's attributes (sibling unit
-        boxes differ in one attribute only) share the index walk and the
-        lifting of its gap boxes.
+        Restrict ``box`` to each index's attributes, take the first
+        index whose walk answers, lift its gap box.  Every box returned
+        is one ``containing`` would return for a point of ``box``.
         """
-        results: List[List[PackedBox]] = [[] for _ in unit_boxes]
-        for idx, restrict, lift in self._probes:
-            memo: dict = {}
-            for out, unit_box in zip(results, unit_boxes):
-                comps = restrict(unit_box)
-                lifted = memo.get(comps)
-                if lifted is None:
-                    point = tuple(
-                        [p ^ (1 << (p.bit_length() - 1)) for p in comps]
-                    )
-                    lifted = memo[comps] = [
-                        lift(box + _LAMBDA)
-                        for box in idx.gap_boxes_containing(point)
-                    ]
-                out.extend(lifted)
-        return results
+        for around, restrict, lift in self._probes:
+            found = around(restrict(box))
+            if found is not None:
+                return lift(found + _LAMBDA)
+        return None
 
     def ordered_boxes(self, axes: Sequence[int]) -> Iterable[PackedBox]:
         """Every index's gap boxes lifted into the output space, in one pass.

@@ -1,5 +1,5 @@
 """The dyadic tree's kernel-support features: masks after discard,
-pinned and shallowest probes, batched walks, and the traversal frontier."""
+pinned probes, and the traversal frontier."""
 
 import random
 
@@ -87,43 +87,6 @@ class TestProbeVariants:
             assert (got is None) == (expected is None)
             if got is not None:
                 assert box_contains(got, p)
-
-    def test_shallowest_container_is_container(self):
-        boxes = random_packed_boxes(4, 60, 3, 4)
-        tree = tree_of(boxes, 3)
-        store = ListStore(3)
-        for b in boxes:
-            store.add(b)
-        rng = random.Random(2)
-        for p in unit_points(rng, 60, 3, 4):
-            got = tree.find_shallowest_container(p)
-            best = store.find_shallowest_container(p)
-            assert (got is None) == (best is None)
-            if got is not None:
-                assert box_contains(got, p)
-                # The ListStore optimum is a lower bound on total depth;
-                # the greedy tree answer must still be a genuine witness.
-                assert sum(c.bit_length() for c in best) <= sum(
-                    c.bit_length() for c in got
-                )
-
-    def test_batched_walk_matches_single_probes(self):
-        for ndim in (1, 2, 3, 4):
-            boxes = random_packed_boxes(ndim + 20, 50, ndim, 4)
-            tree = tree_of(boxes, ndim)
-            rng = random.Random(ndim)
-            points = unit_points(rng, 25, ndim, 4)
-            # Include a sibling pair — the engine's prefetch shape.
-            sib = points[0][:-1] + (points[0][-1] ^ 1,)
-            points.append(sib)
-            batch = tree.find_all_containers_many(points)
-            assert len(batch) == len(points)
-            for p, got in zip(points, batch):
-                assert sorted(got) == sorted(tree.find_all_containers(p))
-
-    def test_empty_batch(self):
-        tree = tree_of(random_packed_boxes(1, 5, 2, 3), 2)
-        assert tree.find_all_containers_many([]) == []
 
 
 class TestTraversalFrontier:

@@ -248,3 +248,62 @@ def test_explain_surfaces_kernel_cache_stats():
         render_execution(result)
     )
     assert delta["kernels.cache.entries"] >= 1
+
+
+# -- the box-probe protocol of resume-mode Reloaded -----------------------------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reloaded_probe_budget(family):
+    """One knowledge-base probe per traversal box and one oracle probe
+    per miss: a small constant per resolution and per output, where the
+    point-probe descent paid ≈ 22 per resolution."""
+    query, db = _family(family)
+    result = join_tetris(query, db, variant="reloaded")
+    stats = result.stats
+    budget = 4 * stats.resolutions + 4 * len(result.tuples) + 4
+    assert stats.containment_queries <= budget
+    assert stats.oracle_queries <= stats.containment_queries
+    assert stats.resumes <= stats.oracle_queries
+
+
+def test_split_path_certificate_does_not_grow_with_n():
+    """Theorem 4.7 on the O(1)-certificate family: the work is the
+    certificate's, whatever N is."""
+    from repro.workloads.generators import split_path_instance
+
+    runs = []
+    for m in (800, 12_800):  # N = 1,600 and 25,600
+        query, db, gao = split_path_instance(m, depth=16, seed=3)
+        result = join_tetris(query, db, variant="reloaded", gao=gao)
+        assert result.tuples == []
+        stats = result.stats
+        runs.append(
+            (stats.resolutions, stats.oracle_queries, stats.boxes_loaded)
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][2] <= 8
+
+
+def test_preloaded_kernel_source_is_untouched():
+    """The box-probe protocol is the ``fetch`` branch alone: the
+    Preloaded source is byte for byte what it was before it landed."""
+    import hashlib
+
+    from repro.engine.codegen import _tetris_source
+
+    pinned = {
+        (3, 9, (0, 1, 2), False, False, True):
+            "fbd94a4acdb9e88a33356d3dc63c267816154eaeb94e722c2c3ebad603c297da",
+        (3, 9, (1, 0, 2), False, False, True):
+            "186a75efa00fd644943de9864a51f0abb211d3cc726ae633c51ac392b19ccc96",
+        (2, 4, (1, 0), False, True, False):
+            "b0bd48c4c6b3ec3c1b104e2546e3d7454551c1c6c000076e1cd8b67cdd4bba7c",
+        (1, 5, (0,), False, False, True):
+            "81ec0408b4d405e884de3882595039439341f684f32fcf1e94e2e8a7b1250aff",
+        (4, 0, (3, 1, 0, 2), False, True, True):
+            "118a331c23f5ad9848189da76dff28a183ca657c378b5ee80ffac23760f23269",
+    }
+    for key, digest in pinned.items():
+        source = _tetris_source(*key)
+        assert hashlib.sha256(source.encode()).hexdigest() == digest, key

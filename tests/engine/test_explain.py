@@ -34,7 +34,7 @@ GOLDEN = textwrap.dedent("""\
     │   ├─ nested-loop       cost≈      2970  Σ prefix scans ≈ 4160  + sort 57.6
     │   ├─ yannakakis        cost≈      3094  Õ(N + Z) = 3·128 + 64 (+6 passes)  + sort 57.6
     │   ├─ tetris-preloaded  cost≈ 2.079e+04  Õ(N + Z) = (128 + 64)·18  + sort 57.6
-    │   └─ tetris-reloaded   cost≈ 9.068e+04  Õ(|C| + Z), |Ĉ|=768 (N·d bound)  + sort 57.6
+    │   └─ tetris-reloaded   cost≈ 4.537e+04  Õ(|C| + Z), |Ĉ|=768 (N·d bound)  + sort 57.6
     └─ plan: hash  (index btree; predicted cost 369.6)
 """)
 

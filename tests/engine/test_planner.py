@@ -323,6 +323,37 @@ def test_certificate_probe_feeds_the_cost_model():
     assert stats.probe.outputs_found == 0  # the join is empty
 
 
+def test_certificate_probe_charges_one_unit_per_oracle_probe():
+    """Hit or miss, a ``container`` probe costs one budget unit: a large
+    certificate aborts the probe, an O(1) one completes within it."""
+    from repro.engine.stats import (
+        ProbeBudgetExceeded,
+        _BudgetedOracle,
+        probe_certificate,
+    )
+    from repro.joins.tetris_join import make_oracle
+
+    query, db, gao = split_path_instance(400, depth=12, seed=1)
+    oracle, _ = make_oracle(query, db, gao=gao)
+    budgeted = _BudgetedOracle(oracle, budget=3)
+    universe = (1,) * len(oracle.attrs)
+    # ⟨upper half⟩ on B: R0 stores no such value.
+    upper_b = tuple(3 if a == "A1" else 1 for a in oracle.attrs)
+    assert budgeted.container(universe) is None  # a miss is charged
+    assert budgeted.container(upper_b) == oracle.container(upper_b) == upper_b
+    assert budgeted.container(universe) is None
+    assert budgeted.served == 3
+    with pytest.raises(ProbeBudgetExceeded):
+        budgeted.container(upper_b)
+
+    small = probe_certificate(query, db, gao=gao, budget=8)
+    assert small.complete and small.outputs_found == 0
+    query, db = graph_triangle_db(random_graph_edges(40, 110, seed=3))
+    large = probe_certificate(query, db, budget=64)
+    assert not large.complete
+    assert large.boxes_loaded <= 64
+
+
 def test_calibration_hook_changes_the_decision():
     """Recalibrating Tetris's constant flips the probed split instance."""
     query, db, gao = split_path_instance(400, depth=12, seed=1)

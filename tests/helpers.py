@@ -66,6 +66,19 @@ def random_packed_boxes(seed: int, count: int, ndim: int, depth: int):
     ]
 
 
+def check_container_answer(found, probe, boxes) -> None:
+    """What a ``container`` / ``gap_box_around`` answer must be: ``None``
+    iff no box of ``boxes`` (packed) contains ``probe``, otherwise a box
+    that contains ``probe`` and lies inside one of them."""
+    from repro.core.boxes import box_contains
+
+    if found is None:
+        assert not any(box_contains(b, probe) for b in boxes)
+    else:
+        assert box_contains(found, probe)
+        assert any(box_contains(b, found) for b in boxes)
+
+
 @contextlib.contextmanager
 def interpreted_tetris() -> Iterator[None]:
     """Run Tetris resume mode on the interpreted reference loop.

@@ -14,8 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core import intervals as dy
 from repro.indexes.btree import BTreeIndex
 from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
+from repro.joins.tetris_join import tetris_engine
+from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
+from repro.workloads.generators import db_from_tuples
+from tests.helpers import check_container_answer
 
 DEPTH = 3
 DOMAIN = 1 << DEPTH
@@ -188,3 +192,89 @@ class TestKDTreeIndex:
         idx = KDTreeIndex(rel)
         pts = covered_points(idx.gap_boxes(), 1, DEPTH)
         assert pts == {(v,) for v in range(DOMAIN) if v != 3}
+
+
+# -- the box probe, all three kinds -------------------------------------------------
+
+
+@st.composite
+def relation_and_boxes(draw):
+    """A small relation (empty, single-row and the domain's end values
+    included) and dyadic probe boxes over its index's attributes: every
+    component length from λ to unit."""
+    arity = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4))
+    top = (1 << depth) - 1
+    value = st.one_of(st.integers(0, top), st.sampled_from([0, top]))
+    rows = draw(st.sets(st.tuples(*[value] * arity), max_size=12))
+    order = tuple(draw(st.permutations("ABC"[:arity])))
+    component = st.integers(0, depth).flatmap(
+        lambda length: st.integers(1 << length, (2 << length) - 1)
+    )
+    unit_box = st.tuples(*[st.integers(1 << depth, (2 << depth) - 1)] * arity)
+    boxes = draw(st.lists(
+        st.one_of(st.tuples(*[component] * arity), unit_box),
+        min_size=1, max_size=12,
+    ))
+    return make_relation(sorted(rows), arity, depth), order, boxes
+
+
+@pytest.mark.parametrize("kind", ["btree", "dyadic", "kdtree"])
+@settings(max_examples=120, deadline=None)
+@given(case=relation_and_boxes())
+def test_gap_box_around_against_the_materialised_gap_boxes(kind, case):
+    """``gap_box_around(b)`` is ``None`` iff no materialised gap box
+    contains ``b``; otherwise it contains ``b`` and lies inside one."""
+    rel, order, boxes = case
+    idx = {
+        "btree": lambda: BTreeIndex(rel, order),
+        "dyadic": lambda: DyadicTreeIndex(rel),
+        "kdtree": lambda: KDTreeIndex(rel),
+    }[kind]()
+    gap_boxes = [box for box, _attrs in idx.gap_boxes()]
+    for b in boxes:
+        check_container_answer(idx.gap_box_around(b), b, gap_boxes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(["btree", "dyadic", "kdtree"]),
+    probes=st.lists(
+        st.lists(st.integers(0, DEPTH), min_size=3, max_size=3),
+        min_size=1, max_size=10,
+    ),
+)
+def test_oracle_container_under_a_non_identity_sao(seed, kind, probes):
+    """``QueryGapOracle.container`` through the engine's SAO translation:
+    atoms list their attributes out of space order and the GAO is not
+    the variable order, so restrict, lift and both SAO maps permute."""
+    rng = random.Random(seed)
+    query = JoinQuery([
+        RelationSchema("R", ("b", "a")),
+        RelationSchema("S", ("c", "b")),
+        RelationSchema("T", ("c", "a")),
+    ])
+    rows = {
+        name: sorted({
+            (rng.randrange(DOMAIN), rng.randrange(DOMAIN))
+            for _ in range(rng.randrange(8))
+        })
+        for name in "RST"
+    }
+    db = db_from_tuples(query, rows, DEPTH)
+    engine, oracle, _gao = tetris_engine(
+        query, db, index_kind=kind, gao=("c", "a", "b")
+    )
+    assert engine.sao != tuple(range(3))
+    gap_boxes = oracle.boxes()
+    for lengths in probes:
+        box = tuple(
+            (1 << length) | rng.getrandbits(length) for length in lengths
+        )
+        found = oracle.container(box)
+        check_container_answer(found, box, gap_boxes)
+        internal = engine._oracle_container(oracle, engine.to_internal(box))
+        assert internal == (
+            None if found is None else engine.to_internal(found)
+        )

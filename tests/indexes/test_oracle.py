@@ -1,6 +1,6 @@
 """QueryGapOracle against a spelled-out lift of its indexes' boxes.
 
-The oracle restricts probe points and lifts index boxes through
+The oracle restricts probe boxes and lifts index boxes through
 per-index getters computed once; the boxes it returns, and their
 order, must be what the obvious per-box loop produces.
 """
@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core.boxes import box_contains
 from repro.core.intervals import PLAMBDA
 from repro.joins.tetris_join import make_oracle
 from repro.relational.query import JoinQuery
@@ -84,10 +85,19 @@ def test_oracle_boxes_are_the_lifted_index_boxes(index_kind, seed):
     ]
     for point in points:
         assert oracle.containing(point) == _containing(oracle, point)
-    # Batches share index walks between points; results must not.
-    siblings = [p[:-1] + (p[-1] ^ 1,) for p in points]
-    for pair in zip(points, siblings):
-        assert oracle.containing_many(pair) == [
-            _containing(oracle, p) for p in pair
+    # A box probe answers with a box the point probe at the box's
+    # corner returns — the loaded set can only shrink.
+    for point in points:
+        cut = rng.randrange(len(point))
+        box = point[:cut] + tuple(
+            p >> rng.randint(0, DEPTH) for p in point[cut:]
+        )
+        found = oracle.container(box)
+        corner = tuple(p << (DEPTH + 1 - p.bit_length()) for p in box)
+        containers = [
+            b for b in oracle.containing(corner) if box_contains(b, box)
         ]
-    assert oracle.containing_many([]) == []
+        if found is None:
+            assert not containers
+        else:
+            assert found == containers[0]

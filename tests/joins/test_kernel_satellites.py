@@ -1,7 +1,6 @@
-"""Satellite coverage: batched oracle APIs, galloping Leapfrog seeks,
+"""Satellite coverage: box-level oracle probes, galloping Leapfrog seeks,
 and the join-level mode knob."""
 
-import random
 from array import array
 
 import pytest
@@ -16,40 +15,27 @@ from repro.workloads.generators import (
     random_graph_edges,
     random_path_db,
 )
-from tests.helpers import random_packed_boxes
+from tests.helpers import check_container_answer, random_packed_boxes
 
 
-class TestBoxSetOracleBatch:
-    def test_containing_many_matches_containing(self):
+class TestOracleContainer:
+    def test_box_set_container_is_a_stored_container(self):
         boxes = random_packed_boxes(8, 40, 3, 4)
         oracle = BoxSetOracle(boxes, 3)
-        rng = random.Random(4)
-        points = [
-            tuple((1 << 4) | rng.getrandbits(4) for _ in range(3))
-            for _ in range(20)
-        ]
-        batch = oracle.containing_many(points)
-        assert len(batch) == len(points)
-        for p, got in zip(points, batch):
-            assert sorted(got) == sorted(oracle.containing(p))
+        for probe in random_packed_boxes(4, 60, 3, 4):
+            found = oracle.container(probe)
+            check_container_answer(found, probe, boxes)
+            assert found is None or found in boxes
 
-    def test_query_gap_oracle_batch(self):
+    def test_query_gap_oracle_container(self):
         query, db = graph_triangle_db(random_graph_edges(40, 120, seed=2))
         oracle, _ = make_oracle(query, db)
         depth = db.domain.depth
-        rng = random.Random(9)
-        points = [
-            tuple(
-                (1 << depth) | rng.getrandbits(depth)
-                for _ in range(len(oracle.attrs))
-            )
-            for _ in range(15)
-        ]
-        # Sibling pair, the engine's prefetch shape.
-        points.append(points[0][:-1] + (points[0][-1] ^ 1,))
-        batch = oracle.containing_many(points)
-        for p, got in zip(points, batch):
-            assert sorted(got) == sorted(oracle.containing(p))
+        gap_boxes = oracle.boxes()
+        for probe in random_packed_boxes(9, 60, len(oracle.attrs), depth):
+            found = oracle.container(probe)
+            check_container_answer(found, probe, gap_boxes)
+            assert found is None or found in gap_boxes
 
 
 class TestLeapfrogGallop:

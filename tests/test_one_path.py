@@ -179,3 +179,17 @@ def test_rows_leave_the_join_kernels_in_blocks_only():
         ), source
     submodules = {m.name for m in pkgutil.iter_modules(repro.joins.__path__)}
     assert "pipeline" not in submodules
+
+
+def test_reloaded_asks_about_boxes_only():
+    """Resume-mode Reloaded has one oracle question, ``container(box)``:
+    the point-probe scaffolding it replaced is gone, not kept beside it."""
+    deleted = (
+        "containing_many", "_oracle_lookup_many", "find_all_containers_many",
+        "find_shallowest_container", "emit_corner", "emit_oracle_lookup",
+        "prefetch",
+    )
+    for path in (ROOT / "src").rglob("*.py"):
+        text = path.read_text()
+        for name in deleted:
+            assert name not in text, f"{name} in {path}"
