@@ -600,10 +600,13 @@ def _tetris_source(
       cursor (they are λ), the band walk elsewhere — in the shipped
       order (list order with move-to-front on the last two levels,
       the LIFO order of the generic walk above them).
-    * **One-compare unwind.**  Every witness the loop produces contains
-      the half it answers, so it contains the frame box iff its axis
-      component differs from the half's; frames carry that component
-      (its low bit doubles as the stage flag).
+    * **One-compare unwind.**  Split frame box ``b`` on axis ``a`` into
+      half ``c``, answered by witness ``w ⊇ c``.  For ``j ≠ a``, ``w[j] ⪯
+      c[j] = b[j]``; the prefixes of ``c[a]`` are itself and those of
+      ``b[a] = c[a] >> 1``; so ``w ⊇ b`` iff ``w[a] ≠ c[a]``.  Every
+      witness contains its half (a stored container, the output half, a
+      ``container(c)`` answer, a resolvent of the frame), so frames carry
+      ``c[a]`` (its low bit doubles as the stage flag).
     * **Local bookkeeping.**  The resolvent is unrolled per axis, and
       every stats counter — ``by_axis`` and ``ordered`` included — is a
       local flushed once in ``finally``; a local ``version`` counts

@@ -52,8 +52,8 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: PR 22 (block kernels; Yannakakis' join phase on the generated hash
 #: cascade) with :meth:`CostModel.calibrate` from kernel-only timings
 #: (``list(iter_*)``, median of 5, sort excluded) over the benchmark's
-#: ``auto_mix`` shapes and the ``bench_planner`` shapes — measured µs per
-#: modelled unit, hash / leapfrog / yannakakis:
+#: ``auto_mix`` shapes and ``tests/engine/test_planner.py``'s — measured µs
+#: per modelled unit, hash / leapfrog / yannakakis:
 #:
 #:     mix triangle_sparse    0.115 / 0.321 / —
 #:     mix triangle_agm_tight 0.096 / 0.136 / —
@@ -76,7 +76,7 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: 1.54–2.17 / 2.10–2.97 (1.93 / 2.85) at kernel ≥ 5 ms; shipped as 1.7
 #: and 2.6.  Leapfrog's spread is 3.7× — the acyclic fringe is now one
 #: ``itertools.product`` per prefix (star4 0.210 → 0.090) that the
-#: quantity still charges per candidate; the 12 choices raced in
+#: quantity still charges per candidate; the 14 choices raced in
 #: ``tests/engine/test_planner.py`` hold for any leapfrog constant in
 #: 1.4–2.0 with Yannakakis at 2.2–4.5.  :data:`CostModel.SORT`:
 #: ``sorted()`` over an unordered stream costs 22–30 ns per ``Z·log₂Z``
@@ -101,8 +101,8 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: repeats (the parent commit read 5.01 / 6.75 — the 6.0 it shipped);
 #: shipped as 3.0.  ``auto`` picks the same backend on every raced
 #: fixture for any value in 1–12.  ``tetris-preloaded`` keeps the
-#: constant of the frontier-resuming kernel overhaul (12 → 6,
-#: BENCH_tetris_core.json).
+#: constant of the frontier-resuming kernel overhaul (12 → 6; the e2e
+#: ``tetris.ns_per_resolution`` on ``tetris_preloaded_triangle``).
 DEFAULT_CALIBRATION: Dict[str, float] = {
     "yannakakis": 2.6,
     "hash": 1.0,
@@ -304,9 +304,9 @@ class CostModel:
     #: net of that per output row on the critical path, refit as
     #: ``(T_parallel − T_serial / p) / Z`` from a race of the forced
     #: serial-best backend at ``workers=2`` on two usable cores, over
-    #: the ``bench_planner`` star and AGM-tight triangle shapes scaled
+    #: the planner tests' star and AGM-tight triangle shapes scaled
     #: until Z matters (µs per row; one unit measured 0.09–0.155 µs on
-    #: the same runs):
+    #: the same runs; the e2e ``parallel.auto_w2_vs_best`` watches it):
     #:
     #:     star4   n=1500  Z= 38k   0.52
     #:     star4   n=4000  Z=243k   0.26

@@ -195,19 +195,6 @@ class QuantileHistogram:
                 return max(self.lo, min(self.hi, estimate))
         return self.hi
 
-    def rank(self, value: float) -> float:
-        """Approximate fraction of samples ≤ ``value`` (for "this query
-        sat at ~pNN of the process distribution" context lines)."""
-        if self.count <= 0:
-            return 0.0
-        below = self.zero if value >= 0.0 else 0
-        if value > 0.0:
-            vi = int(math.floor(math.log(value) / _LOG_BASE))
-            for i, c in self.buckets.items():
-                if i <= vi:
-                    below += c
-        return min(1.0, below / self.count)
-
     def bucket_items(self) -> List[Tuple[int, int]]:
         """Sorted ``(bucket index, count)`` pairs (exposition format)."""
         return sorted(self.buckets.items())

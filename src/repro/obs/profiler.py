@@ -9,9 +9,8 @@ tracer span** when one is open (``plan``, ``backend[...]``,
 span tree alone cannot: *within* a stage, which frames burned the
 time.  Sampling is statistical — the cost is one stack walk per tick
 on a thread the GIL schedules like any other — so a disabled profiler
-is exactly zero code on the query path, and an enabled one is a few
-percent (2.3 % when last measured: ``geomean_profiled_overhead`` in the
-committed ``BENCH_obs.json``).
+is exactly zero code on the query path, and an enabled one costs a few
+percent of a query's wall time.
 
 Exports:
 

@@ -21,7 +21,7 @@ which computes shards itself while every worker is busy
 shipped vs. reference hits, pruned shard count, and the **makespan** —
 partition time + parent-side coordination + the busiest process —
 which is the wall time a host with ≥ ``workers`` free cores sees, and
-what ``repro explain`` and the parallel benchmark render.
+what ``repro explain`` renders.
 """
 
 from __future__ import annotations

@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.relational.query import (
     Database,
     JoinQuery,
@@ -89,9 +87,22 @@ def random_graph_edges(
 def power_law_graph_edges(
     n_vertices: int, attach: int, seed: int
 ) -> List[Tuple[int, int]]:
-    """Barabási–Albert preferential-attachment edges (skewed degrees)."""
-    g = nx.barabasi_albert_graph(n_vertices, attach, seed=seed)
-    return sorted((min(a, b), max(a, b)) for a, b in g.edges())
+    """Barabási–Albert preferential attachment: each vertex from ``attach``
+    on joins ``attach`` distinct earlier vertices drawn in proportion to
+    degree — a simple graph of ``(n_vertices - attach) * attach`` edges."""
+    if not 1 <= attach < n_vertices:
+        raise ValueError(f"need 1 <= attach < n_vertices, got {attach}")
+    rng = random.Random(seed)
+    targets = list(range(attach))
+    edges, ends = [], []  # ends: every edge endpoint, a degree-weighted urn
+    for v in range(attach, n_vertices):
+        edges.extend((t, v) for t in targets)
+        ends += targets + [v] * attach
+        chosen = set()
+        while len(chosen) < attach:
+            chosen.add(rng.choice(ends))
+        targets = sorted(chosen)
+    return sorted(edges)
 
 
 def random_path_db(

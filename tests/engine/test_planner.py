@@ -14,6 +14,10 @@ applicable):
     star4_uniform        0.30 / 0.29 / 0.59     hash (a tie)
     cycle4_dense         0.35 / 0.33 / —        hash (a tie)
     clique4              0.75 / 1.90 / —        hash
+    path4_chained        0.70 / 4.53 / 4.52     hash
+    path2_split_cert     0.83 / 0.06 / 2.66     leapfrog under the
+                         certificate's order (tetris-reloaded 0.10:
+                         both touch O(1) of the N = 4,000 rows)
     star4_skewed_hub     plan-only (Ẑ ≈ 17M rows); the same generator
                          at n = 60 / 90 (Z = 170k / 791k) races
                          33.8 / 18.2 / 78.4 and 176 / 130 / 508:
@@ -65,6 +69,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
 from repro.workloads.generators import (
     agm_tight_triangle,
+    chained_path_db,
     dense_cycle_db,
     graph_triangle_db,
     random_graph_edges,
@@ -144,6 +149,16 @@ def _case_clique():
     return q, random_db(q, 13, n=200, depth=6), "hash"
 
 
+def _case_chained_path():
+    q, db = chained_path_db(4, 700, depth=10)
+    return q, db, "hash"
+
+
+def _case_split_certificate():
+    q, db, _ = split_path_instance(2000, depth=12, seed=1)
+    return q, db, "leapfrog"
+
+
 def _case_mix_triangle_sparse():
     q, db = graph_triangle_db(random_graph_edges(400, 5000, seed=1))
     return q, db, "hash"
@@ -177,6 +192,8 @@ DECISION_CASES = {
     "star4_skewed_hub": _case_star_skewed_hub,
     "cycle4_dense": _case_cycle,
     "clique4": _case_clique,
+    "path4_chained": _case_chained_path,
+    "path2_split_cert": _case_split_certificate,
     "mix_triangle_sparse": _case_mix_triangle_sparse,
     "mix_triangle_agm_tight": _case_mix_triangle_agm_tight,
     "mix_path3": _case_mix_path3,

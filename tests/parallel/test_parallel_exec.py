@@ -3,7 +3,10 @@
 The parity matrix is the subsystem's correctness contract: every
 backend × workload × worker count must produce *exactly* the serial
 result — same rows, same order (both sides sort), same multiplicity
-(shards are disjoint, so no dedup happens anywhere).
+(shards are disjoint, so no dedup happens anywhere).  The workloads
+are the Table 1 families the planner prices — sparse and AGM-tight
+triangle, acyclic path, star, dense cycle — plus the split-certificate
+instance whose shards all prune.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.parallel import get_pool, shutdown_pools
 from repro.relational.io import ValueDictionary
 from repro.relational.query import star_query
 from repro.workloads.generators import (
+    agm_tight_triangle,
     dense_cycle_db,
     graph_triangle_db,
     random_graph_edges,
@@ -62,6 +66,8 @@ def _workloads():
     out = []
     query, db = graph_triangle_db(random_graph_edges(40, 100, seed=7))
     out.append(("triangle", query, db))
+    query, db = agm_tight_triangle(6)
+    out.append(("triangle_agm_tight", query, db))
     query, db = random_path_db(3, 120, seed=5, depth=7)
     out.append(("path3", query, db))
     query, db = _star_db(3, 100, seed=9, depth=7)

@@ -332,12 +332,11 @@ class TestStartupImports:
 
     def test_import_pulls_in_no_heavy_module(self):
         """Every ``repro`` process pays for what ``import repro.cli``
-        loads: the LPs are solved in-repo (no numpy/scipy), networkx is
-        for the workload generators only, nothing serves HTTP, and the
-        profiler, the exporter and ANALYZE load when a subcommand asks
-        for them."""
+        loads: the LPs are solved in-repo (no numpy/scipy), nothing
+        serves HTTP, and the profiler, the exporter and ANALYZE load
+        when a subcommand asks for them."""
         heavy = (
-            "numpy", "scipy", "networkx", "http.server",
+            "numpy", "scipy", "http.server",
             "repro.obs.profiler", "repro.obs.export", "repro.obs.analyze",
         )
         assert self._loaded("import repro.cli", heavy) == "[]"

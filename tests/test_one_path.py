@@ -5,17 +5,20 @@ resume mode runs the kernel or the interpreted loop according to the
 engine's shape alone.  This fence keeps a ``compiled=`` / ``one_pass=``
 keyword, a third traversal mode or a frozen ``benchmarks/_*.py`` copy
 from coming back — and the serving-era telemetry surfaces with their
-``REPRO_*`` knobs.  One way in: a backend is one function, declared in
-one table, entered from one place by front doors that take exactly what
-callers pass.
+``REPRO_*`` knobs, a second benchmark, a committed ``BENCH_*.json`` or
+a third-party import.  One way in: a backend is one function, declared
+in one table, entered from one place by front doors that take exactly
+what callers pass.
 """
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import repro
@@ -86,10 +89,45 @@ def test_no_path_selector_on_the_public_api():
     assert repro.core.tetris.MODES == ("resume", "faithful")
 
 
+#: The fourteen paper-shape scripts: Table 1's bounds and Figure 2's
+#: separations as scaling assertions.  Beside them ``benchmarks/`` holds
+#: the one benchmark, ``e2e/``, and nothing that races a backend.
+PAPER_SHAPE_SCRIPTS = {
+    "bench_ablation.py", "bench_certificates.py", "bench_crossover.py",
+    "bench_fig2_loadbalance.py", "bench_fig2_ordered_lb.py",
+    "bench_fig2_tree_ordered.py", "bench_fig_gap_boxes.py", "bench_klee.py",
+    "bench_sat.py", "bench_table1_acyclic.py", "bench_table1_agm.py",
+    "bench_table1_fhtw.py", "bench_table1_tw1.py", "bench_table1_tw_cert.py",
+}
+
+
 def test_no_frozen_baseline_modules_in_benchmarks():
-    benchmarks = ROOT / "benchmarks"
-    assert benchmarks.is_dir()
-    assert sorted(p.name for p in benchmarks.glob("_*.py")) == []
+    """One benchmark and nothing beside it: no frozen ``_*.py`` copy, no
+    script racing backends, no committed ``BENCH_*.json`` record."""
+    held = {
+        p.name for p in (ROOT / "benchmarks").iterdir()
+        if not p.name.startswith((".", "__pycache__"))
+    }
+    assert held == PAPER_SHAPE_SCRIPTS | {"e2e", "conftest.py"}
+    assert sorted(p.name for p in ROOT.glob("BENCH_*.json")) == []
+
+
+def test_runtime_is_standard_library_only():
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "repro" or top in sys.stdlib_module_names, (
+                    f"{path}: import {name}"
+                )
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r"^dependencies\s*=\s*(.*)$", pyproject, re.M) == ["[]"]
 
 
 def test_knobs_are_the_documented_set():
@@ -103,6 +141,15 @@ def test_knobs_are_the_documented_set():
     assert in_src == documented == KNOBS
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
     assert not {"flight", "slowlog"} & submodules
+
+
+def test_backend_table_is_the_documented_set():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("### Backends", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `([a-z-]+)` \| (.+) \|$", table, re.M)
+    assert documented == [
+        (name, spec.description) for name, spec in BACKEND_TABLE.items()
+    ]
 
 
 def test_a_backend_is_one_function():

@@ -1,5 +1,7 @@
 """Tests for workload generators and hard instances."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.certificates import minimal_certificate
@@ -112,7 +114,17 @@ class TestGenerators:
 
     def test_power_law_edges(self):
         edges = power_law_graph_edges(30, 2, seed=1)
-        assert len(edges) >= 28
+        assert len(edges) == (30 - 2) * 2
+        assert all(a < b for a, b in edges)  # no self-loop
+        assert len(set(edges)) == len(edges)  # no duplicate
+        assert power_law_graph_edges(30, 2, seed=1) == edges
+        assert power_law_graph_edges(30, 2, seed=2) != edges
+        n = 2000
+        degree = Counter(v for edge in power_law_graph_edges(n, 3, seed=5)
+                         for v in edge)
+        # Preferential attachment reads 18-24x here; uniform attachment
+        # of the same edge count reads 4-6x.
+        assert max(degree.values()) >= 10 * (sum(degree.values()) / n)
 
     def test_random_path_db(self):
         query, db = random_path_db(3, 10, seed=0, depth=5)
