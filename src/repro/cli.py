@@ -5,7 +5,7 @@ Subcommands::
     python -m repro join "R(A,B), S(B,C)" --csv R=r.csv --csv S=s.csv
     python -m repro explain "R(A,B), S(B,C)" [--csv ...] [--execute]
     python -m repro explain "..." --csv ... --analyze [--trace-out t.json]
-    python -m repro calibrate [--log PATH] [--out PATH]
+    python -m repro calibrate [--log PATH]
     python -m repro triangles edges.txt [--algorithm auto|tetris|...]
     python -m repro sat formula.cnf [--enumerate]
     python -m repro analyze "R(A,B), S(B,C), T(A,C)"
@@ -74,14 +74,6 @@ def _load_join_db(args: argparse.Namespace):
     return query, db, dictionary
 
 
-def _apply_shm_flag(args: argparse.Namespace) -> None:
-    """``--no-shm`` is sugar for the ``REPRO_NO_SHM`` escape hatch."""
-    if getattr(args, "no_shm", False):
-        from repro.parallel.shm import NO_SHM_ENV
-
-        os.environ[NO_SHM_ENV] = "1"
-
-
 def _run_query(run):
     """Run a subcommand's query: ``(run(), 0)``, or ``(None, status)``.
 
@@ -106,7 +98,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
     from repro.engine import execute
     from repro.relational.io import row_blocks
 
-    _apply_shm_flag(args)
     try:
         query, db, dictionary = _load_join_db(args)
     except ValueError as exc:
@@ -169,7 +160,6 @@ def _write_profile(path: str) -> None:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.engine import execute, explain_text, plan_query
 
-    _apply_shm_flag(args)
     if args.profile or args.profile_out:
         from repro.obs import profiler as _profiler
 
@@ -231,7 +221,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.metrics import REGISTRY, render_metrics
 
-    _apply_shm_flag(args)
     if args.query:
         from repro.engine import execute
 
@@ -266,16 +255,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import calibrate_from_log
+    from repro.obs import calibration
 
-    model, info, saved = calibrate_from_log(args.log, args.out)
+    model, info = calibration.fit(calibration.load_runs(args.log))
     print(
         f"calibration log : {info['usable_runs']} usable of "
         f"{info['runs']} runs"
     )
     for backend, count in info["samples_per_backend"].items():
         print(f"  {backend:<18s} {count} samples")
-    if saved is None:
+    if not info["usable_runs"]:
         print("nothing to fit — run `repro explain --analyze` first",
               file=sys.stderr)
         return 1
@@ -283,8 +272,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         f"cost error      : {info['error_before']:.3f} → "
         f"{info['error_after']:.3f} bits (mean |log₂ actual/predicted|)"
     )
-    print(f"unit_seconds    : {model.unit_seconds:.3e}")
-    print(f"saved           : {saved}")
+    print("\n".join(calibration.diff_lines(model)))
     return 0
 
 
@@ -443,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "serial vs. parallel; a named backend forces parallel)",
         )
         p.add_argument(
-            "--no-shm", action="store_true",
-            help="disable the shared-memory data plane for parallel "
-                 "execution (ship relations by value instead; same as "
-                 "REPRO_NO_SHM=1)",
-        )
-        p.add_argument(
             "--timeout-ms", type=int, default=None, metavar="MS",
             help="per-query deadline for parallel runs: past it the "
                  "query aborts with a timeout error and hung workers "
@@ -508,17 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser(
         "calibrate",
-        help="refit the cost model from accumulated --analyze runs",
+        help="refit the cost model from accumulated --analyze runs and "
+             "print it as a diff of engine/cost.py's constants (nothing "
+             "is written)",
     )
     p_cal.add_argument(
         "--log", default=None, metavar="PATH",
         help="calibration log to replay (default .repro/analyze_log.jsonl "
              "or $REPRO_ANALYZE_LOG)",
-    )
-    p_cal.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="where to save the fitted constants (default "
-             ".repro/calibration.json or $REPRO_CALIBRATION)",
     )
     p_cal.set_defaults(func=_cmd_calibrate)
 

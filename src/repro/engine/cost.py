@@ -26,7 +26,10 @@ The *calibration* vector absorbs constant factors the asymptotics hide
 (CPython dict probes vs. packed-int resolutions differ by orders of
 magnitude).  Defaults were fitted on this repository's benchmark
 workloads; :meth:`CostModel.calibrate` re-fits them from measured
-timings — the constant-factor calibration hook.
+timings — the constant-factor calibration hook — and ``repro calibrate``
+prints such a refit as a diff against :data:`DEFAULT_CALIBRATION`.
+Nothing is loaded at run time: the constants below are the only ones a
+default ``CostModel()`` plans with, wherever the process runs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.stats import QueryStats, value_overlap_fraction
 from repro.joins.hashjoin import left_deep_order
-from repro.obs.calibration import DEFAULT_UNIT_SECONDS, load_saved
 from repro.relational.agm import fhtw_of_order
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import JoinQuery
@@ -111,6 +113,10 @@ DEFAULT_CALIBRATION: Dict[str, float] = {
     "tetris-preloaded": 6.0,
     "nested-loop": 0.7,
 }
+
+#: Wall seconds of one abstract cost unit (one hash-table probe, ~0.8µs
+#: on the bench hosts): turns a predicted cost into predicted seconds.
+DEFAULT_UNIT_SECONDS = 8e-7
 
 #: Backends the unified engine can dispatch to, in preference order for
 #: cost ties (earlier wins) — the order the constants above are listed
@@ -229,20 +235,17 @@ class CostEstimate:
 class CostModel:
     """Calibrated Table 1 cost estimates over query statistics.
 
-    Constants resolve in three layers: the fitted defaults shipped with
-    the repo, then the **saved calibration file** the ANALYZE feedback
-    loop writes (``repro calibrate``; skipped with ``use_saved=False``),
-    then any explicit ``calibration`` mapping.  ``unit_seconds`` — the
-    measured wall time of one abstract cost unit — turns predicted
-    costs into predicted seconds (:meth:`predicted_seconds`), which is
-    what EXPLAIN ANALYZE holds against the measured run.
+    Constants are the fitted :data:`DEFAULT_CALIBRATION`, updated by any
+    explicit ``calibration`` mapping.  ``unit_seconds`` — the measured
+    wall time of one abstract cost unit — turns predicted costs into
+    predicted seconds (:meth:`predicted_seconds`), which is what
+    EXPLAIN ANALYZE holds against the measured run.
     """
 
     def __init__(
         self,
         calibration: Optional[Mapping[str, float]] = None,
-        unit_seconds: Optional[float] = None,
-        use_saved: bool = True,
+        unit_seconds: float = DEFAULT_UNIT_SECONDS,
         shm: Optional[bool] = None,
     ):
         #: Whether parallel candidates are priced for the shared-memory
@@ -252,25 +255,9 @@ class CostModel:
         #: estimate time, so ``REPRO_NO_SHM`` flips the pricing too.
         self.shm = shm
         self.calibration = dict(DEFAULT_CALIBRATION)
-        self.unit_seconds = DEFAULT_UNIT_SECONDS
-        if use_saved:
-            saved = load_saved()
-            if saved is not None:
-                self.calibration.update(
-                    {
-                        b: float(v)
-                        for b, v in saved["calibration"].items()
-                        if isinstance(v, (int, float)) and v > 0
-                    }
-                )
-                try:
-                    self.unit_seconds = float(saved["unit_seconds"])
-                except (KeyError, TypeError, ValueError):
-                    pass
         if calibration:
             self.calibration.update(calibration)
-        if unit_seconds is not None:
-            self.unit_seconds = unit_seconds
+        self.unit_seconds = unit_seconds
 
     def predicted_seconds(self, cost: float) -> float:
         """A predicted cost in wall seconds, via the calibrated unit."""
@@ -759,11 +746,7 @@ class CostModel:
             if quantity > 0 and seconds > 0
         }
         if not per_unit:
-            return CostModel(
-                self.calibration,
-                unit_seconds=self.unit_seconds,
-                use_saved=False,
-            )
+            return CostModel(self.calibration, unit_seconds=self.unit_seconds)
         anchor = per_unit.get("hash")
         scale = (
             self.calibration["hash"] / anchor
@@ -772,6 +755,4 @@ class CostModel:
         )
         updated = dict(self.calibration)
         updated.update({b: v * scale for b, v in per_unit.items()})
-        return CostModel(
-            updated, unit_seconds=self.unit_seconds, use_saved=False
-        )
+        return CostModel(updated, unit_seconds=self.unit_seconds)

@@ -201,11 +201,9 @@ def _plan_query_impl(
             stats = assumed_stats(query, rows=assumed_rows)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # Resolve the model before keying: calibration content (including
-    # the ANALYZE loop's saved refits, which a default-built model picks
-    # up) is part of the plan's identity — a recycled object id or a
-    # ``repro calibrate`` run must never resurrect a plan priced under
-    # different constants.
+    # Resolve the model before keying: calibration content is part of
+    # the plan's identity — a caller's refit model (or a recycled object
+    # id) must never resurrect a plan priced under different constants.
     model = cost_model if cost_model is not None else CostModel()
     # The shm data plane changes parallel pricing (attach charge vs.
     # replication), so a flipped REPRO_NO_SHM must never resurrect a

@@ -14,8 +14,8 @@ The rest answers a question somebody asked and is imported by whoever
 asks it — reach these explicitly:
 
 * :mod:`repro.obs.calibration` — the ANALYZE log and the cost-model
-  refit behind ``repro calibrate`` (the cost model loads the saved
-  constants through it).
+  refit ``repro calibrate`` prints as a diff (planning never imports
+  it).
 * :mod:`repro.obs.analyze` — EXPLAIN ANALYZE orchestration (imports
   the engine).
 * :mod:`repro.obs.profiler` — the sampling wall-clock profiler behind

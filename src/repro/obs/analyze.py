@@ -6,11 +6,15 @@ the span tree, actual-vs-predicted cardinality and cost (the cost model
 prices a plan in seconds via
 :meth:`~repro.engine.cost.CostModel.predicted_seconds`), and the record
 appended to the calibration log.  ``repro explain --analyze`` renders
-the report under the ordinary EXPLAIN tree; ``repro calibrate``
-(:func:`calibrate_from_log`) replays the accumulated log through
-:func:`repro.obs.calibration.fit` and saves constants every later
-``CostModel()`` picks up — the feedback loop that shrinks the very error
-ANALYZE prints.
+the report under the ordinary EXPLAIN tree.
+
+The logged ``seconds`` is kernel time: the ``execute`` span less the
+``sort`` span ``execute()`` runs an unordered stream's sort under
+(logged apart as ``sort_seconds``), because the backend's quantity
+excludes the sort that ``CostEstimate.sort`` prices separately.  ``repro
+calibrate`` fits the constants from these records
+(:func:`repro.obs.calibration.fit`) and prints them as a diff; nothing
+is saved or loaded back.
 """
 
 from __future__ import annotations
@@ -129,6 +133,7 @@ def analyze(
     # The execute stage is the window the cost model prices: planning
     # and stats collection are pipeline overhead, not Table 1 work.
     actual_seconds = stages.get("execute", result.elapsed)
+    sort_seconds = stages.get("sort", 0.0)
     predicted_seconds = model.predicted_seconds(plan.predicted_cost)
     if actual_seconds > 0 and predicted_seconds > 0:
         error_bits = abs(math.log2(actual_seconds / predicted_seconds))
@@ -139,7 +144,8 @@ def analyze(
         "query": str(query),
         "backend": result.backend,
         "workers": plan.workers,
-        "seconds": actual_seconds,
+        "seconds": actual_seconds - sort_seconds,
+        "sort_seconds": sort_seconds,
         "quantity": plan.chosen.quantity,
         "predicted_cost": plan.predicted_cost,
         "predicted_seconds": predicted_seconds,
@@ -214,23 +220,3 @@ def render_analyze(report: AnalyzeReport) -> str:
         lines.append("└─ calibration log : not written")
     return "\n".join(lines)
 
-
-def calibrate_from_log(
-    log_path: Optional[str] = None,
-    calibration_path: Optional[str] = None,
-    base_model=None,
-):
-    """Replay the ANALYZE log into a refit, saved cost model.
-
-    Returns ``(model, info, saved_path)``; ``info`` carries run counts
-    and the before/after :func:`~repro.obs.calibration.cost_error`.
-    With an empty log nothing is saved and ``saved_path`` is ``None``.
-    """
-    runs = _calibration.load_runs(log_path)
-    model, info = _calibration.fit(runs, base_model=base_model)
-    if info["usable_runs"] == 0:
-        return model, info, None
-    saved = _calibration.save_calibration(
-        model, path=calibration_path, info=info
-    )
-    return model, info, saved

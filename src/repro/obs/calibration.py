@@ -1,29 +1,22 @@
-"""The cost-model feedback loop: measured runs → refit calibration.
-
-:class:`~repro.engine.cost.CostModel` has had a ``calibrate`` hook since
-PR 2 — ``{backend: (seconds, quantity)}`` measurements refit the
-constant factors — but nothing produced measurements automatically.
-This module closes the loop:
+"""The cost-model refit: measured ANALYZE runs → new shipped constants.
 
 * every ``repro explain --analyze`` run appends one JSON line to the
-  **calibration log** (:func:`append_run`): the backend that ran, its
-  measured wall seconds, the cost model's abstract quantity and
-  predicted cost, and actual vs. predicted cardinality;
+  **calibration log** (:func:`append_run`; ``REPRO_ANALYZE_LOG``, or per
+  call): the backend that ran, its kernel seconds (the ``execute`` span
+  less its ``sort`` span, which the cost model prices apart), the cost
+  model's abstract quantity and predicted cost, and actual vs.
+  predicted cardinality;
 * ``repro calibrate`` replays the log (:func:`fit`): per-backend
   constants come from the median measured seconds-per-unit (medians
-  shrug off the stray cold-cache outlier a mean would chase), pass
-  through :meth:`CostModel.calibrate`, and land in the **saved
-  calibration file** together with ``unit_seconds`` — the wall-clock
-  value of one abstract cost unit, which turns predicted costs into
-  predicted seconds;
-* :func:`load_saved` feeds the saved file back into every
-  ``CostModel()`` the planner builds (memoized on file mtime), so the
-  next query is planned — and its ANALYZE error measured — under the
-  refit constants.
+  shrug off the stray cold-cache outlier a mean would chase) and pass
+  through :meth:`CostModel.calibrate`, with ``unit_seconds`` — the
+  wall-clock value of one abstract cost unit — refit beside them.
+  :func:`diff_lines` prints the result as an old → new diff of
+  ``DEFAULT_CALIBRATION`` / ``DEFAULT_UNIT_SECONDS`` in
+  ``engine/cost.py``.
 
-Paths default to a ``.repro/`` directory under the working directory and
-are overridable with ``REPRO_ANALYZE_LOG`` / ``REPRO_CALIBRATION`` (or
-per call), which is also how the tests isolate themselves.
+The refit is written nowhere: a constant changes when someone pastes it
+into ``engine/cost.py``, so a query plans the same wherever it runs.
 """
 
 from __future__ import annotations
@@ -33,32 +26,11 @@ import math
 import os
 from typing import Dict, List, Mapping, Optional, Tuple
 
-ANALYZE_LOG_ENV = "REPRO_ANALYZE_LOG"
-CALIBRATION_ENV = "REPRO_CALIBRATION"
-
-_DEFAULT_DIR = ".repro"
-_DEFAULT_LOG = "analyze_log.jsonl"
-_DEFAULT_CALIBRATION = "calibration.json"
+from repro import config
 
 #: Size cap of the append-forever calibration log: crossing it rotates
 #: ``path`` → ``path.1`` (one generation kept) before the append.
 LOG_MAX_BYTES = 10 * 1024 * 1024
-
-#: Wall seconds of one abstract cost unit before any fit: one hash-table
-#: probe, ~0.8µs on the bench hosts (see the CostModel constants).
-DEFAULT_UNIT_SECONDS = 8e-7
-
-
-def default_log_path() -> str:
-    return os.environ.get(
-        ANALYZE_LOG_ENV, os.path.join(_DEFAULT_DIR, _DEFAULT_LOG)
-    )
-
-
-def default_calibration_path() -> str:
-    return os.environ.get(
-        CALIBRATION_ENV, os.path.join(_DEFAULT_DIR, _DEFAULT_CALIBRATION)
-    )
 
 
 # -- the run log ---------------------------------------------------------------
@@ -73,7 +45,7 @@ def append_run(record: Mapping, path: Optional[str] = None) -> str:
     disk-bounded; ``repro calibrate`` fits from the newest cap's worth
     of runs, which is also the freshest signal for the constants.
     """
-    path = path or default_log_path()
+    path = path or config.ANALYZE_LOG.get()
     text = json.dumps(dict(record), sort_keys=True) + "\n"
     parent = os.path.dirname(path)
     if parent:
@@ -94,7 +66,7 @@ def append_run(record: Mapping, path: Optional[str] = None) -> str:
 
 def load_runs(path: Optional[str] = None) -> List[Dict]:
     """Every well-formed record in the log (missing file → empty)."""
-    path = path or default_log_path()
+    path = path or config.ANALYZE_LOG.get()
     runs: List[Dict] = []
     try:
         with open(path) as fh:
@@ -203,55 +175,34 @@ def cost_error(runs: List[Dict], model) -> float:
     return sum(errors) / len(errors)
 
 
-# -- the saved calibration file ------------------------------------------------
-
-_LOAD_CACHE: Dict[str, Tuple[int, Optional[Dict]]] = {}
+# -- the refit as a diff ------------------------------------------------------
 
 
-def save_calibration(model, path: Optional[str] = None, info=None) -> str:
-    """Persist a fitted model's constants; returns the path written."""
-    path = path or default_calibration_path()
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    payload = {
-        "calibration": dict(model.calibration),
-        "unit_seconds": model.unit_seconds,
-    }
-    if info:
-        payload["fit_info"] = info
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _LOAD_CACHE.pop(path, None)
-    return path
+def diff_lines(model) -> List[str]:
+    """A fitted model against the shipped constants, as a unified diff.
 
-
-def load_saved(path: Optional[str] = None) -> Optional[Dict]:
-    """The saved calibration payload, or ``None`` when absent/invalid.
-
-    Memoized on the file's mtime: the planner builds a ``CostModel`` per
-    uncached plan, and a stat call is all the steady state should pay.
+    One line per backend of ``DEFAULT_CALIBRATION`` plus
+    ``DEFAULT_UNIT_SECONDS``, each value rounded to three significant
+    digits: unchanged ones as context, changed ones as a ``-`` / ``+``
+    pair to paste into ``engine/cost.py``.
     """
-    path = path or default_calibration_path()
-    try:
-        mtime = os.stat(path).st_mtime_ns
-    except OSError:
-        return None
-    cached = _LOAD_CACHE.get(path)
-    if cached is not None and cached[0] == mtime:
-        return cached[1]
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload.get("calibration"), dict):
-            payload = None
-    except (OSError, json.JSONDecodeError, ValueError):
-        payload = None
-    _LOAD_CACHE[path] = (mtime, payload)
-    return payload
+    from repro.engine.cost import DEFAULT_CALIBRATION, DEFAULT_UNIT_SECONDS
 
-
-def clear_saved_cache() -> None:
-    """Forget memoized calibration loads (tests flipping env paths)."""
-    _LOAD_CACHE.clear()
+    pairs = [
+        (f'    "{backend}": {{!r}},', old, model.calibration[backend])
+        for backend, old in DEFAULT_CALIBRATION.items()
+    ]
+    pairs.append(
+        ("DEFAULT_UNIT_SECONDS = {!r}", DEFAULT_UNIT_SECONDS,
+         model.unit_seconds)
+    )
+    lines = ["--- src/repro/engine/cost.py", "+++ refit"]
+    for template, old, new in pairs:
+        before, after = (
+            template.format(float(f"{value:.3g}")) for value in (old, new)
+        )
+        if before == after:
+            lines.append(" " + before)
+        else:
+            lines += ["-" + before, "+" + after]
+    return lines

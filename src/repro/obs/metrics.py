@@ -48,7 +48,6 @@ aggregate names and a ``worker.<wid>.*`` breakdown.
 from __future__ import annotations
 
 import math
-import os
 from typing import (
     Callable,
     Dict,
@@ -59,10 +58,7 @@ from typing import (
     Tuple,
 )
 
-#: Environment switch for the whole registry.  Metrics default ON: every
-#: instrument sits at per-query granularity, so the steady-state cost is
-#: a handful of dict increments per query, not per tuple.
-METRICS_ENV = "REPRO_METRICS"
+from repro import config
 
 _COUNTER = "c"
 _GAUGE = "g"
@@ -79,12 +75,6 @@ HIST_BASE = 1.2
 HIST_RELATIVE_ERROR = HIST_BASE ** 0.5 - 1
 
 _LOG_BASE = math.log(HIST_BASE)
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(METRICS_ENV, "1").lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 class QuantileHistogram:
@@ -332,7 +322,9 @@ class MetricsRegistry:
     """Counters, gauges and histograms under one dotted namespace."""
 
     def __init__(self, enabled: Optional[bool] = None):
-        self.enabled = _env_enabled() if enabled is None else enabled
+        # ``REPRO_METRICS`` defaults on: every instrument sits at
+        # per-query granularity, a handful of dict updates per query.
+        self.enabled = config.METRICS.get() if enabled is None else enabled
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._hists: Dict[str, QuantileHistogram] = {}

@@ -35,16 +35,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Environment switch: set ``REPRO_TRACE=1`` to trace every query
-#: (``repro explain --analyze`` traces its query regardless).
-TRACE_ENV = "REPRO_TRACE"
+from repro import config
 
-
-def _env_enabled() -> bool:
-    return os.environ.get(TRACE_ENV, "").lower() in ("1", "true", "on", "yes")
-
-
-_ENABLED = _env_enabled()
+#: Ambient tracing, latched from ``REPRO_TRACE`` at import (``repro
+#: explain --analyze`` traces its query regardless).
+_ENABLED = config.TRACE.get()
 
 #: Process-wide span id source (ids are ``"<pid hex>.<n>"``).
 _SPAN_IDS = itertools.count(1)

@@ -56,7 +56,6 @@ from repro.parallel.shm import (
     ShmSlice,
     SlicePlan,
     shm_enabled,
-    shm_min_bytes,
 )
 from repro.parallel.workers import ShardResult, ShardTask
 
@@ -88,6 +87,5 @@ __all__ = [
     "run_job_in_parent",
     "run_shards",
     "shm_enabled",
-    "shm_min_bytes",
     "shutdown_pools",
 ]

@@ -37,8 +37,8 @@ never re-poisoned by the fault that quarantined it — mirroring reality,
 where the parent does not share the worker's failure.
 
 Everything here is test/benchmark machinery: with ``REPRO_FAULTS``
-unset, :func:`plan` returns ``None`` after one cached ``os.environ``
-read and no hook does anything.
+unset, :func:`plan` returns ``None`` after one environment read (per
+call, through :mod:`repro.config`) and no hook does anything.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-#: The environment variable carrying the fault spec.
-FAULTS_ENV = "REPRO_FAULTS"
+from repro import config
 
 #: Sentinel repeat count for ``*inf`` — effectively "every attempt".
 ALWAYS = 1 << 30
@@ -143,7 +142,8 @@ def parse_faults(spec: str) -> FaultPlan:
         if kind in ("crash", "hang", "error", "unpicklable"):
             if not at:
                 raise ValueError(
-                    f"fault {kind!r} needs a shard: {kind}@K in {FAULTS_ENV}"
+                    f"fault {kind!r} needs a shard: {kind}@K in "
+                    f"{config.FAULTS.name}"
                 )
             getattr(fp, kind.replace("-", "_"))[int(shard_s)] = count
         elif kind == "spawn":
@@ -152,13 +152,14 @@ def parse_faults(spec: str) -> FaultPlan:
             fp.shm_export = count
         else:
             raise ValueError(
-                f"unknown fault kind {kind!r} in {FAULTS_ENV}={spec!r}"
+                f"unknown fault kind {kind!r} in "
+                f"{config.FAULTS.name}={spec!r}"
             )
     return fp
 
 
 # The plan is cached per spec string so the fault-free path costs one
-# environ read; take_* countdowns mutate the cached plan, which is what
+# knob read; take_* countdowns mutate the cached plan, which is what
 # makes "spawn*1" mean one failure per process, not one per call site.
 _CACHED_SPEC: Optional[str] = None
 _CACHED_PLAN: Optional[FaultPlan] = None
@@ -167,7 +168,7 @@ _CACHED_PLAN: Optional[FaultPlan] = None
 def plan() -> Optional[FaultPlan]:
     """The active fault plan, or ``None`` when ``REPRO_FAULTS`` is unset."""
     global _CACHED_SPEC, _CACHED_PLAN
-    spec = os.environ.get(FAULTS_ENV)
+    spec = config.FAULTS.get()
     if spec != _CACHED_SPEC:
         _CACHED_SPEC = spec
         _CACHED_PLAN = parse_faults(spec) if spec else None

@@ -46,7 +46,8 @@ from repro.parallel.scheduler import (
     get_pool,
     run_job_in_parent,
 )
-from repro.parallel.shm import SlicePlan, shm_enabled, shm_min_bytes
+from repro.parallel import shm as _shm
+from repro.parallel.shm import SlicePlan, shm_enabled
 from repro.relational.query import ContentLRU, Database, JoinQuery
 
 Row = Tuple[int, ...]
@@ -288,7 +289,7 @@ def prepare_jobs(
     never builds the clipped rows at all.
     """
     use_shm = shm_enabled()
-    min_bytes = shm_min_bytes() if use_shm else 0
+    min_bytes = _shm.MIN_BYTES if use_shm else 0
     key = (
         tuple((a.name, a.attrs) for a in query.atoms),
         db.stats_fingerprint(),

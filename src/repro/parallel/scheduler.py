@@ -60,13 +60,14 @@ recoverable, and this module exploits it:
 * A per-query **deadline** (``run_shards(..., deadline=)``) bounds the
   wait; on expiry busy workers are killed-and-respawned and
   :class:`QueryTimeout` carries the partial report out.  A per-shard
-  stall budget (``REPRO_SHARD_TIMEOUT_MS``) treats a silent worker as
-  hung — kill, respawn, retry — without failing the query.
+  stall budget (``REPRO_SHARD_TIMEOUT_MS``, read per run) treats a
+  silent worker as hung — kill, respawn, retry — without failing the
+  query.
 * Exceeding the run's **respawn budget** flips the run into degraded
   mode: remaining shards execute serially in-parent.  ``workers=N`` is
   a performance hint, never a correctness risk.
 * The abandoned-cursor drain in the ``finally`` block is **bounded**
-  (``REPRO_DRAIN_TIMEOUT_MS``): a dead or hung worker can no longer
+  (:data:`DRAIN_TIMEOUT_MS`): a dead or hung worker can no longer
   wedge the parent; it is respawned and the pool stays serviceable.
 
 Pools persist for the process lifetime (:func:`get_pool` memoizes per
@@ -78,13 +79,13 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import os
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.errors import QueryTimeout, WorkerError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -104,17 +105,10 @@ from repro.parallel.workers import (
 #: in-parent execution (first try + retries).
 SHARD_RETRY_LIMIT = 3
 
-#: Per-shard stall budget, milliseconds.  Unset/0 disables the check
-#: (the fault-free wait then blocks with no timeout at all — zero
-#: supervision overhead).  A busy worker silent past the budget is
-#: treated as hung: killed, respawned, its shard retried.
-SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT_MS"
-
 #: Bound on the abandoned-run drain (cursor closed with shards still in
 #: flight).  A worker that doesn't answer within the budget is respawned
 #: instead of wedging the parent.
-DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT_MS"
-DEFAULT_DRAIN_TIMEOUT_MS = 5000
+DRAIN_TIMEOUT_MS = 5000
 
 
 class _WorkerDied(Exception):
@@ -156,28 +150,6 @@ def _preferred_start_method() -> str:
 def _wire_size(payload) -> int:
     """The payload's actual pickled size on the task wire."""
     return len(ForkingPickler.dumps(payload))
-
-
-def _env_ms(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _shard_stall_seconds() -> Optional[float]:
-    ms = _env_ms(SHARD_TIMEOUT_ENV, 0)
-    return ms / 1000.0 if ms > 0 else None
-
-
-def _drain_timeout_seconds() -> float:
-    ms = _env_ms(DRAIN_TIMEOUT_ENV, DEFAULT_DRAIN_TIMEOUT_MS)
-    if ms <= 0:
-        ms = DEFAULT_DRAIN_TIMEOUT_MS
-    return ms / 1000.0
 
 
 def _instant_span(name: str, **attrs) -> None:
@@ -435,8 +407,13 @@ class WorkerPool:
                 "worker pool is already running a shard set "
                 "(acquire pools via get_pool)"
             )
+        # Per-shard stall budget; 0 disables the check (the fault-free
+        # wait then blocks with no timeout at all).  A busy worker silent
+        # past it is treated as hung: killed, respawned, shard retried.
+        # Read before the pool goes active: a malformed value raises.
+        stall_ms = config.SHARD_TIMEOUT_MS.get()
+        stall_s = stall_ms / 1000.0 if stall_ms > 0 else None
         self.active = True
-        stall_s = _shard_stall_seconds()
         pending = sorted(jobs, key=lambda j: -j.weight)
         free = list(range(self.num_workers))
         busy: Dict[int, _InFlight] = {}
@@ -672,11 +649,11 @@ class WorkerPool:
         the next run starts from a synchronized protocol state.
 
         Bounded: a worker that doesn't answer within
-        ``REPRO_DRAIN_TIMEOUT_MS`` — dead, or hung mid-shard — is
+        :data:`DRAIN_TIMEOUT_MS` — dead, or hung mid-shard — is
         respawned instead of wedging the parent forever (the failure
         mode of the old unbounded drain).
         """
-        drain_deadline = time.monotonic() + _drain_timeout_seconds()
+        drain_deadline = time.monotonic() + DRAIN_TIMEOUT_MS / 1000.0
         for wid in list(busy):
             busy.pop(wid)
             drained = False
@@ -723,7 +700,7 @@ class WorkerPool:
             ship = ship.materialize()
         if (
             _shm.shm_enabled()
-            and ship.nominal_bytes() >= _shm.shm_min_bytes()
+            and ship.nominal_bytes() >= _shm.MIN_BYTES
         ):
             try:
                 ref = _shm.ARENA.export(ship, owner=owner)

@@ -15,10 +15,13 @@ canonical order (:class:`SlicePlan` → :class:`ShmSlice`) instead of a
 materialized copy.
 
 Fallback, not failure: anything that can't go through shared memory —
-the platform lacks it, the relation is below :func:`shm_min_bytes`,
-segment creation fails, or the ``REPRO_NO_SHM`` escape hatch is set —
-ships as a pickled blob exactly as before.  Parity is bit-exact either
-way.
+the platform lacks it, the relation is below :data:`MIN_BYTES`, segment
+creation fails, or the ``REPRO_NO_SHM`` escape hatch is set — ships as
+a pickled blob exactly as before.  Parity is bit-exact either way.  The
+escape hatch is the one knob here, read per call: a tmpfs ``/dev/shm``
+smaller than a segment turns the write into SIGBUS, a signal the
+fallback cannot catch.  The size floor and the arena budget are module
+constants (tests patch them).
 
 Lifecycle safety is the hard part and is handled here:
 
@@ -49,6 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
+from repro import config
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.parallel import faults as _faults
 from repro.relational.relation import Relation
@@ -59,20 +63,13 @@ class ShmExportError(OSError):
     platform state) rather than by the ordinary ``None`` fallback; the
     scheduler treats it exactly like the fallback — ship a blob."""
 
-#: Escape hatch: set ``REPRO_NO_SHM=1`` to force the pickle-blob wire
-#: everywhere (tests, platforms with constrained /dev/shm, debugging).
-NO_SHM_ENV = "REPRO_NO_SHM"
-
 #: Relations whose nominal payload (8 bytes × rows × attrs) is below
 #: this ship as pickle blobs: segment create + attach has a fixed cost
-#: that tiny relations never amortize.  Override with
-#: ``REPRO_SHM_MIN_BYTES`` (``0`` shares everything — tests use this).
-MIN_BYTES_ENV = "REPRO_SHM_MIN_BYTES"
-DEFAULT_MIN_BYTES = 8192
+#: that tiny relations never amortize (tests set ``0`` to share all).
+MIN_BYTES = 8192
 
 #: Arena byte budget before unowned segments are unlinked LRU-first.
-CAPACITY_ENV = "REPRO_SHM_CAPACITY_BYTES"
-DEFAULT_CAPACITY_BYTES = 1 << 28  # 256 MiB
+CAPACITY_BYTES = 1 << 28  # 256 MiB
 
 
 def _shared_memory_module():
@@ -91,23 +88,12 @@ def shm_available() -> bool:
 def shm_enabled() -> bool:
     """Shared-memory shipping is on: available and not escape-hatched.
 
-    Read dynamically (not cached at import) so tests and the CLI's
-    ``--no-shm`` can flip ``REPRO_NO_SHM`` per run.
+    ``REPRO_NO_SHM`` is read per call (not latched at import), so a
+    test can flip it between runs.
     """
-    if os.environ.get(NO_SHM_ENV, "").lower() in ("1", "true", "on", "yes"):
+    if config.NO_SHM.get():
         return False
     return shm_available()
-
-
-def shm_min_bytes() -> int:
-    """The nominal-size threshold below which relations ship as blobs."""
-    raw = os.environ.get(MIN_BYTES_ENV)
-    if raw is None:
-        return DEFAULT_MIN_BYTES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MIN_BYTES
 
 
 class _MappedSegment:
@@ -290,13 +276,7 @@ class ShmArena:
     shard.
     """
 
-    def __init__(self, capacity_bytes: Optional[int] = None):
-        if capacity_bytes is None:
-            raw = os.environ.get(CAPACITY_ENV)
-            try:
-                capacity_bytes = int(raw) if raw else DEFAULT_CAPACITY_BYTES
-            except ValueError:
-                capacity_bytes = DEFAULT_CAPACITY_BYTES
+    def __init__(self, capacity_bytes: int = CAPACITY_BYTES):
         self.capacity_bytes = capacity_bytes
         self._segments: "OrderedDict[Tuple, _Segment]" = OrderedDict()
         self._generation = 0

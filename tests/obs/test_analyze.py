@@ -1,26 +1,24 @@
 """EXPLAIN ANALYZE, the calibration loop and its rotating log."""
 
 import json
-import os
 
 import pytest
 
+from repro import config
+from repro.engine.cost import DEFAULT_CALIBRATION, CostModel
 from repro.obs import calibration
 
 
 @pytest.fixture()
 def obs_paths(tmp_path, monkeypatch):
-    """Isolate the calibration log + saved file under tmp_path."""
+    """Run in tmp_path with the calibration log isolated there."""
     log = tmp_path / "analyze_log.jsonl"
-    saved = tmp_path / "calibration.json"
-    monkeypatch.setenv(calibration.ANALYZE_LOG_ENV, str(log))
-    monkeypatch.setenv(calibration.CALIBRATION_ENV, str(saved))
-    calibration.clear_saved_cache()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(config.ANALYZE_LOG.name, str(log))
     from repro.engine import clear_plan_cache
 
     clear_plan_cache()
-    yield log, saved
-    calibration.clear_saved_cache()
+    yield log
     clear_plan_cache()
 
 
@@ -34,7 +32,7 @@ def _instance():
 
 
 def test_analyze_measures_and_logs(obs_paths):
-    log, _ = obs_paths
+    log = obs_paths
     from repro.obs.analyze import analyze, render_analyze
 
     query, db = _instance()
@@ -49,7 +47,9 @@ def test_analyze_measures_and_logs(obs_paths):
     (line,) = log.read_text().strip().splitlines()
     record = json.loads(line)
     assert record["backend"] == report.result.backend
-    assert record["seconds"] == report.actual_seconds
+    assert record["seconds"] + record["sort_seconds"] == pytest.approx(
+        report.actual_seconds
+    )
     assert record["quantity"] > 0
     text = render_analyze(report)
     assert "stages (wall time)" in text
@@ -58,8 +58,35 @@ def test_analyze_measures_and_logs(obs_paths):
     assert "metrics" in text
 
 
+def test_analyze_logs_kernel_time_without_the_sort(obs_paths):
+    """The backend's quantity excludes the output sort (the cost model
+    prices it as ``CostEstimate.sort``), so the fitted ``seconds`` must
+    too: a hash plan's unordered path3 stream is sorted under its own
+    span, and the record keeps that time apart."""
+    from repro.obs.analyze import analyze
+    from repro.workloads.generators import random_path_db
+
+    query, db = random_path_db(3, 200, seed=5)
+    report = analyze(query, db, algorithm="hash")
+    record = report.record
+    assert report.stage_seconds["sort"] > 0
+    assert record["sort_seconds"] == report.stage_seconds["sort"]
+    assert 0 < record["seconds"] < report.stage_seconds["execute"]
+
+
+def test_leapfrog_in_output_order_records_no_sort(obs_paths):
+    from repro.obs.analyze import analyze
+    from repro.workloads.generators import random_path_db
+
+    query, db = random_path_db(3, 200, seed=5)
+    report = analyze(query, db, algorithm="leapfrog", gao=query.variables)
+    assert "sort" not in report.stage_seconds
+    assert report.record["sort_seconds"] == 0.0
+    assert report.record["seconds"] == report.stage_seconds["execute"]
+
+
 def test_analyze_without_logging(obs_paths):
-    log, _ = obs_paths
+    log = obs_paths
     from repro.obs.analyze import analyze
 
     query, db = _instance()
@@ -69,57 +96,52 @@ def test_analyze_without_logging(obs_paths):
 
 
 def test_calibrate_shrinks_cost_error(obs_paths):
-    log, saved = obs_paths
-    from repro.engine.cost import CostModel
-    from repro.obs.analyze import analyze, calibrate_from_log
+    from repro.obs.analyze import analyze
 
     query, db = _instance()
     for _ in range(3):
         analyze(query, db)
-    model, info, saved_path = calibrate_from_log()
-    assert saved_path == str(saved)
+    runs = calibration.load_runs()
+    model, info = calibration.fit(runs)
     assert info["usable_runs"] == 3
     assert info["error_after"] <= info["error_before"]
-    # The saved constants feed back into every default-built model.
-    fresh = CostModel()
-    assert fresh.unit_seconds == model.unit_seconds
-    assert fresh.calibration == model.calibration
-    # And the refit error over the logged runs is what info reported.
-    runs = calibration.load_runs()
-    assert calibration.cost_error(runs, fresh) == pytest.approx(
+    assert calibration.cost_error(runs, model) == pytest.approx(
         info["error_after"]
     )
+    # The refit is printed, never fed back: a default model still plans
+    # with the shipped constants.
+    assert CostModel().calibration == DEFAULT_CALIBRATION
 
 
-def test_calibrate_empty_log_saves_nothing(obs_paths):
-    _, saved = obs_paths
-    from repro.obs.analyze import calibrate_from_log
-
-    model, info, saved_path = calibrate_from_log()
-    assert saved_path is None
+def test_calibrate_empty_log_saves_nothing(obs_paths, tmp_path):
+    model, info = calibration.fit(calibration.load_runs())
     assert info["usable_runs"] == 0
-    assert not saved.exists()
+    assert model.calibration == DEFAULT_CALIBRATION
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_saved_calibration_invalidates_plan_cache(obs_paths):
-    """A calibrate run must not resurrect plans priced under old constants."""
-    from repro.engine import execute
-    from repro.obs.analyze import analyze, calibrate_from_log
+def test_refit_model_never_reuses_a_default_plan(obs_paths):
+    """Plans are keyed on the calibration vector: a refit model must not
+    resurrect a plan priced under the shipped constants."""
+    from repro.engine import execute, plan_query
 
-    # Force a non-anchor backend: fitting only the anchor ("hash")
-    # leaves the relative factors untouched by construction, and an
-    # unchanged calibration legitimately keeps its cached plans.
+    # Fit a non-anchor backend: fitting only the anchor ("hash") leaves
+    # the relative factors untouched by construction, and an unchanged
+    # calibration legitimately keeps its cached plans.
     query, db = _instance()
-    analyze(query, db, algorithm="leapfrog")
     first = execute(query, db, algorithm="leapfrog")
-    assert first.plan.cache_hit  # warmed by the analyze run
-    calibrate_from_log()
-    after = execute(query, db, algorithm="leapfrog")
-    assert not after.plan.cache_hit  # new calibration → new plan key
+    assert execute(query, db, algorithm="leapfrog").plan.cache_hit
+    refit = CostModel().calibrate(
+        {"hash": (1.0, 1.0), "leapfrog": (5.0, 1.0)}
+    )
+    assert refit.calibration != DEFAULT_CALIBRATION
+    after = plan_query(query, db, algorithm="leapfrog", cost_model=refit)
+    assert not after.cache_hit
+    assert first.plan.predicted_cost != after.predicted_cost
 
 
 def test_malformed_log_lines_are_skipped(obs_paths):
-    log, _ = obs_paths
+    log = obs_paths
     log.write_text(
         "not json\n"
         + json.dumps({"backend": "leapfrog", "seconds": 0.5,
@@ -130,11 +152,8 @@ def test_malformed_log_lines_are_skipped(obs_paths):
     )
     runs = calibration.load_runs()
     assert len(runs) == 2  # parseable dicts
-    from repro.obs.analyze import calibrate_from_log
-
-    _, info, saved_path = calibrate_from_log()
+    _, info = calibration.fit(runs)
     assert info["usable_runs"] == 1
-    assert saved_path is not None
 
 
 # -- log rotation --------------------------------------------------------------
@@ -219,9 +238,14 @@ def test_cli_explain_analyze_and_calibrate(obs_paths, cli_csvs, capsys):
     assert main(["calibrate"]) == 0
     out = capsys.readouterr().out
     assert "cost error" in out
-    assert "saved" in out
-    log, saved = obs_paths
-    assert saved.exists()
+    # The refit is a diff of the shipped constants, and nothing else.
+    assert "--- src/repro/engine/cost.py\n+++ refit\n" in out
+    for backend in DEFAULT_CALIBRATION:
+        assert f'"{backend}": ' in out
+    assert "DEFAULT_UNIT_SECONDS = " in out
+    assert sorted(p.name for p in cli_csvs.iterdir()) == [
+        "analyze_log.jsonl", "r.csv", "s.csv", "t.csv", "trace.json",
+    ]
 
 
 def test_cli_analyze_needs_data(capsys):

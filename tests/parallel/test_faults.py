@@ -25,11 +25,13 @@ import signal
 
 import pytest
 
+from repro import config
 from repro.engine import clear_plan_cache, execute, plan_query
 from repro.obs.metrics import REGISTRY
 from repro.parallel import QueryTimeout, get_pool, shutdown_pools
 from repro.parallel import faults
 from repro.parallel.merge import prepare_jobs
+from repro.parallel import shm
 from repro.parallel.shm import ARENA
 from repro.workloads.generators import graph_triangle_db, random_graph_edges
 
@@ -37,11 +39,9 @@ WORKER_COUNTS = (2, 4)
 
 #: Every knob a chaos test may set; scrubbed before and after each test.
 _CHAOS_ENV = (
-    faults.FAULTS_ENV,
-    "REPRO_SHARD_TIMEOUT_MS",
-    "REPRO_DRAIN_TIMEOUT_MS",
-    "REPRO_SHM_MIN_BYTES",
-    "REPRO_NO_SHM",
+    config.FAULTS.name,
+    config.SHARD_TIMEOUT_MS.name,
+    config.NO_SHM.name,
 )
 
 
@@ -83,7 +83,7 @@ def _arm(monkeypatch, spec=None, **env):
     """Install a fault spec (and knobs), then recycle pools so the next
     pool's workers fork with this environment."""
     if spec is not None:
-        monkeypatch.setenv(faults.FAULTS_ENV, spec)
+        monkeypatch.setenv(config.FAULTS.name, spec)
     for key, value in env.items():
         monkeypatch.setenv(key, str(value))
     faults.reset()
@@ -93,7 +93,7 @@ def _arm(monkeypatch, spec=None, **env):
 def _disarm(monkeypatch):
     """Clear the fault spec *without* recycling pools — follow-up
     queries then exercise the same (possibly fault-scarred) pool."""
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+    monkeypatch.delenv(config.FAULTS.name, raising=False)
     faults.reset()
 
 
@@ -293,9 +293,8 @@ class TestGracefulDegradation:
         query, db, serial = instance
         # Force every relation through the arena so the injected
         # export failures actually fire.
-        _arm(
-            monkeypatch, "shm-export*2", REPRO_SHM_MIN_BYTES=1
-        )
+        monkeypatch.setattr(shm, "MIN_BYTES", 1)
+        _arm(monkeypatch, "shm-export*2")
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.shm_export_errors >= 1
@@ -308,9 +307,8 @@ class TestHygiene:
     ):
         query, db, serial = instance
         sid = _victim(query, db, 2)
-        _arm(
-            monkeypatch, f"crash@{sid}*2", REPRO_SHM_MIN_BYTES=1
-        )
+        monkeypatch.setattr(shm, "MIN_BYTES", 1)
+        _arm(monkeypatch, f"crash@{sid}*2")
         result = execute(query, db, algorithm="hash", workers=2)
         assert result.tuples == serial
         assert result.parallel.worker_respawns >= 2
@@ -389,6 +387,6 @@ class TestFaultSpecParsing:
             faults.parse_faults("crash*2")
 
     def test_empty_spec_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+        monkeypatch.delenv(config.FAULTS.name, raising=False)
         faults.reset()
         assert faults.plan() is None

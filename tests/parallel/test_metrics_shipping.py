@@ -21,6 +21,7 @@ import signal
 
 import pytest
 
+from repro import config
 from repro.engine import clear_plan_cache, execute, plan_query
 from repro.obs.metrics import REGISTRY
 from repro.parallel import faults, shutdown_pools
@@ -44,12 +45,12 @@ def _backstop():
 
 @pytest.fixture(autouse=True)
 def _isolation(monkeypatch):
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+    monkeypatch.delenv(config.FAULTS.name, raising=False)
     faults.reset()
     shutdown_pools()
     clear_plan_cache()
     yield
-    os.environ.pop(faults.FAULTS_ENV, None)
+    os.environ.pop(config.FAULTS.name, None)
     faults.reset()
     shutdown_pools()
 
@@ -169,7 +170,7 @@ def test_quarantine_does_not_double_count_dispatches(
     plan = plan_query(query, db, algorithm="hash", workers=workers)
     _, jobs, _ = prepare_jobs(query, db, plan)
     sid = max(jobs, key=lambda j: j.weight).shard_id
-    monkeypatch.setenv(faults.FAULTS_ENV, f"error@{sid}*inf")
+    monkeypatch.setenv(config.FAULTS.name, f"error@{sid}*inf")
     faults.reset()
     shutdown_pools()
     result = execute(query, db, algorithm="hash", workers=workers)
@@ -191,7 +192,7 @@ def test_crash_respawn_keeps_accounting_consistent(
     plan = plan_query(query, db, algorithm="hash", workers=workers)
     _, jobs, _ = prepare_jobs(query, db, plan)
     sid = max(jobs, key=lambda j: j.weight).shard_id
-    monkeypatch.setenv(faults.FAULTS_ENV, f"crash@{sid}*2")
+    monkeypatch.setenv(config.FAULTS.name, f"crash@{sid}*2")
     faults.reset()
     shutdown_pools()
     result, delta = _delta_around(

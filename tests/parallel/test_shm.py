@@ -27,6 +27,7 @@ from repro.obs.metrics import REGISTRY
 from repro.parallel import clear_job_cache, shutdown_pools
 from repro.parallel.merge import prepare_jobs
 from repro.parallel.scheduler import get_pool
+from repro.parallel import shm
 from repro.parallel.shm import (
     ARENA,
     ShmArena,
@@ -67,7 +68,7 @@ def _rel(name="R", n=50, seed=0, depth=7, arity=2):
 def _fresh(monkeypatch):
     # Share everything: the default 8 KiB floor would route these small
     # test relations onto the blob path and test nothing.
-    monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+    monkeypatch.setattr(shm, "MIN_BYTES", 0)
     monkeypatch.delenv("REPRO_NO_SHM", raising=False)
     clear_plan_cache()
     clear_job_cache()

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro import config
 from repro.engine import clear_plan_cache, execute, execute_cursor, plan_query
 from repro.parallel import (
     ShardTask,
@@ -22,17 +23,13 @@ from repro.parallel import (
     run_job_in_parent,
     shutdown_pools,
 )
-from repro.parallel import faults
+from repro.parallel import faults, scheduler
 from repro.parallel.merge import prepare_jobs
 from repro.parallel.scheduler import PendingShard
 from repro.parallel.shm import SlicePlan
 from repro.workloads.generators import graph_triangle_db, random_graph_edges
 
-_CHAOS_ENV = (
-    faults.FAULTS_ENV,
-    "REPRO_SHARD_TIMEOUT_MS",
-    "REPRO_DRAIN_TIMEOUT_MS",
-)
+_CHAOS_ENV = (config.FAULTS.name, config.SHARD_TIMEOUT_MS.name)
 
 
 @pytest.fixture(autouse=True)
@@ -93,8 +90,8 @@ class TestAbandonedCursorDrain:
         query, db, serial = instance
         _plan, jobs = _jobs(query, db)
         sid = max(jobs, key=lambda j: j.weight).shard_id
-        monkeypatch.setenv(faults.FAULTS_ENV, f"hang@{sid}*inf")
-        monkeypatch.setenv("REPRO_DRAIN_TIMEOUT_MS", "300")
+        monkeypatch.setenv(config.FAULTS.name, f"hang@{sid}*inf")
+        monkeypatch.setattr(scheduler, "DRAIN_TIMEOUT_MS", 300)
         faults.reset()
         shutdown_pools()
         cursor = execute_cursor(query, db, algorithm="hash", workers=2)
@@ -110,8 +107,8 @@ class TestAbandonedCursorDrain:
         # Same pool, next query: workers forked under the standing hang
         # spec may still honour it, so a stall budget must be armed —
         # the fault is then recovered, not avoided.
-        monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT_MS", "400")
+        monkeypatch.delenv(config.FAULTS.name, raising=False)
+        monkeypatch.setenv(config.SHARD_TIMEOUT_MS.name, "400")
         faults.reset()
         follow = execute(query, db, algorithm="hash", workers=2)
         assert follow.tuples == serial

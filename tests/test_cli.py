@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import repro
+from repro import config
 from repro.cli import main
 
 
@@ -197,7 +198,7 @@ class TestDeadline:
         victim = max(jobs, key=lambda j: j.weight).shard_id
         shutdown_pools()
         clear_plan_cache()
-        monkeypatch.setenv(faults.FAULTS_ENV, f"hang@{victim}*inf")
+        monkeypatch.setenv(config.FAULTS.name, f"hang@{victim}*inf")
         faults.reset()
 
         def boom(signum, frame):  # pragma: no cover - only on regression
@@ -213,7 +214,7 @@ class TestDeadline:
         ]
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-        monkeypatch.delenv(faults.FAULTS_ENV)
+        monkeypatch.delenv(config.FAULTS.name)
         faults.reset()
         shutdown_pools()
 
@@ -334,11 +335,14 @@ class TestStartupImports:
         """Every ``repro`` process pays for what ``import repro.cli``
         loads: the LPs are solved in-repo (no numpy/scipy), nothing
         serves HTTP, and the profiler, the exporter and ANALYZE load
-        when a subcommand asks for them."""
+        when a subcommand asks for them.  Planning imports nothing from
+        the calibration refit: its constants live in ``engine/cost.py``."""
         heavy = (
             "numpy", "scipy", "http.server",
             "repro.obs.profiler", "repro.obs.export", "repro.obs.analyze",
+            "repro.obs.calibration",
         )
+        assert self._loaded("import repro", heavy) == "[]"
         assert self._loaded("import repro.cli", heavy) == "[]"
 
     def test_serial_join_never_loads_the_parallel_subsystem(

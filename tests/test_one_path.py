@@ -16,6 +16,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 import sys
@@ -27,6 +28,7 @@ import repro.engine
 import repro.joins
 import repro.joins.tetris_join
 import repro.obs
+from repro import config
 from repro.cli import build_parser
 from repro.engine import (
     ALGORITHM_ALIASES,
@@ -34,21 +36,22 @@ from repro.engine import (
     BACKENDS,
     DEFAULT_CALIBRATION,
     BackendSpec,
+    CostModel,
     execute,
     execute_cursor,
+    plan_query,
 )
 
 REMOVED_SELECTORS = {"compiled", "one_pass"}
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Every environment variable the program reads; an eleventh needs two
-#: callers that want different values (and a README row).
+#: Every environment variable the program reads, as ``repro.config``
+#: declares them; a seventh needs two callers that want different values
+#: (and a README row).
 KNOBS = {
-    "REPRO_METRICS", "REPRO_TRACE", "REPRO_ANALYZE_LOG",
-    "REPRO_CALIBRATION", "REPRO_NO_SHM", "REPRO_SHM_MIN_BYTES",
-    "REPRO_SHM_CAPACITY_BYTES", "REPRO_SHARD_TIMEOUT_MS",
-    "REPRO_DRAIN_TIMEOUT_MS", "REPRO_FAULTS",
+    "REPRO_METRICS", "REPRO_TRACE", "REPRO_ANALYZE_LOG", "REPRO_NO_SHM",
+    "REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS",
 }
 
 #: What ``execute`` / ``execute_cursor`` take, in order.  Anything else
@@ -137,10 +140,55 @@ def test_knobs_are_the_documented_set():
     readme = (ROOT / "README.md").read_text()
     table = readme.split("### Environment variables", 1)[1]
     table = table.split("\n## ", 1)[0]
-    documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table, re.M))
-    assert in_src == documented == KNOBS
+    rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \| .+ \| (.+) \|$", table, re.M)
+    assert set(config.KNOBS) == in_src == set(dict(rows)) == KNOBS
+    # The README's effect column is each knob's declared doc.
+    assert dict(rows) == {k.name: k.doc for k in config.KNOBS.values()}
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
     assert not {"flight", "slowlog"} & submodules
+
+
+def test_only_config_reads_the_environment():
+    for path in (ROOT / "src").rglob("*.py"):
+        if path.name == "config.py" and path.parent.name == "repro":
+            continue
+        text = path.read_text()
+        assert not re.search(r"\benviron\b|\bgetenv\b", text), path
+
+
+def test_no_cli_option_duplicates_a_knob():
+    """``--no-shm`` was a second spelling of ``REPRO_NO_SHM`` and
+    ``calibrate --out`` wrote the constants a planner then loaded."""
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: {o for a in sub._actions for o in a.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert "--out" not in options["calibrate"]
+    assert all("--no-shm" not in opts for opts in options.values())
+
+
+def test_planning_reads_nothing_from_the_working_directory(
+    tmp_path, monkeypatch
+):
+    """A ``.repro/calibration.json`` in cwd — however absurd — changes
+    neither the constants a default model plans with nor the plan."""
+    from repro.workloads.generators import graph_triangle_db, random_graph_edges
+
+    query, db = graph_triangle_db(random_graph_edges(30, 80, seed=21))
+    monkeypatch.chdir(tmp_path)
+    chosen = plan_query(query, db, use_cache=False).backend
+    absurd = {b: 1e-9 for b in BACKENDS}
+    absurd[chosen] = 1e9
+    (tmp_path / ".repro").mkdir()
+    (tmp_path / ".repro" / "calibration.json").write_text(
+        json.dumps({"calibration": absurd, "unit_seconds": 1e3})
+    )
+    assert CostModel().calibration == DEFAULT_CALIBRATION
+    assert plan_query(query, db, use_cache=False).backend == chosen
 
 
 def test_backend_table_is_the_documented_set():
