@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the engine design choices the paper's bounds rest on.
 
 * **Multilevel dyadic tree vs linear scan** (Appendix C.1): the Õ(1)
   containment query is what makes Lemma 4.5's "runtime ≈ #resolutions"

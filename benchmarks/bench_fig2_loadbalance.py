@@ -21,7 +21,7 @@ from repro.core.balance import (
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import solve_bcp
 from repro.workloads.hard_instances import staircase_instance
-from tests.helpers import random_boxes, random_packed_boxes
+from tests.helpers import random_boxes
 
 
 def test_lb_correct_in_4d(benchmark):
@@ -63,7 +63,7 @@ def test_partitions_stay_balanced(benchmark):
     """Definition 4.13 invariants hold as the box count scales."""
     rows = []
     for count in (50, 200, 800):
-        boxes = random_packed_boxes(count, count, 3, 8)
+        boxes = random_boxes(count, count, 3, 8)
         parts = balanced_partition(boxes, 0, 8)
         threshold = count ** 0.5
         components = [b[0] for b in boxes]
@@ -82,5 +82,5 @@ def test_partitions_stay_balanced(benchmark):
         ("boxes", "parts", "√|C|", "heavy parts"),
         rows,
     )
-    boxes = random_packed_boxes(800, 800, 3, 8)
+    boxes = random_boxes(800, 800, 3, 8)
     benchmark(lambda: balanced_partition(boxes, 0, 8))

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from benchmarks.conftest import print_sweep
-from repro.core.intervals import decompose_range
+from repro.core.intervals import pdecompose_range
 from repro.indexes.btree import BTreeIndex
 from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
 from repro.relational.relation import Relation
@@ -93,11 +93,11 @@ def test_dyadic_decomposition_bound(benchmark):
             a = rng.randrange(1 << depth)
             b = rng.randrange(1 << depth)
             lo, hi = min(a, b), max(a, b)
-            worst = max(worst, len(decompose_range(lo, hi, depth)))
+            worst = max(worst, len(pdecompose_range(lo, hi, depth)))
         print(f"depth {depth}: worst decomposition {worst} ≤ {2 * depth}")
         assert worst <= 2 * depth
     benchmark(
         lambda: [
-            decompose_range(1, (1 << 16) - 2, 16) for _ in range(100)
+            pdecompose_range(1, (1 << 16) - 2, 16) for _ in range(100)
         ]
     )

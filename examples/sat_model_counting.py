@@ -8,6 +8,7 @@ against a classic DPLL counter and brute force.
 Run:  python examples/sat_model_counting.py
 """
 
+from repro.core.intervals import pto_bits
 from repro.core.resolution import ResolutionStats
 from repro.sat import (
     CNF,
@@ -27,7 +28,8 @@ def main() -> None:
         pretty = " ∨ ".join(
             (f"x{l}" if l > 0 else f"¬x{-l}") for l in sorted(clause, key=abs)
         )
-        print(f"  ({pretty})  ↦  box {clause_to_box(clause, 4)}")
+        box = ", ".join(map(pto_bits, clause_to_box(clause, 4)))
+        print(f"  ({pretty})  ↦  box ⟨{box}⟩")
 
     stats = ResolutionStats()
     tetris_count = count_models_tetris(cnf, stats=stats)

@@ -33,10 +33,8 @@ Quickstart::
 """
 
 from repro.core import (
-    Box,
     BoxSetOracle,
     ResolutionStats,
-    Space,
     TetrisEngine,
     boolean_box_cover,
     solve_bcp,
@@ -78,7 +76,6 @@ from repro.relational import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Box",
     "BoxSetOracle",
     "Database",
     "Domain",
@@ -89,7 +86,6 @@ __all__ = [
     "Relation",
     "RelationSchema",
     "ResolutionStats",
-    "Space",
     "TetrisEngine",
     "agm_bound",
     "boolean_box_cover",

@@ -1,14 +1,13 @@
 """Core geometric machinery: dyadic boxes, resolution, and Tetris.
 
-Hot paths run on the packed marker-bit interval encoding; the boundary
-converters :func:`~repro.core.intervals.pack_box` /
-:func:`~repro.core.intervals.unpack_box` are re-exported here.
+A box is a tuple of packed marker-bit intervals (see
+:mod:`repro.core.intervals`); :func:`pbox_from_bits` writes one from
+bitstrings.
 """
 
-from repro.core.boxes import Box, Space, pbox_from_bits
+from repro.core.boxes import pbox_from_bits
 from repro.core.dyadic_tree import MultilevelDyadicTree
-from repro.core.intervals import pack_box, unpack_box
-from repro.core.resolution import ResolutionStats, Resolver, resolve
+from repro.core.resolution import ResolutionStats, Resolver
 from repro.core.tetris import (
     BoxSetOracle,
     TetrisEngine,
@@ -19,19 +18,14 @@ from repro.core.tetris import (
 )
 
 __all__ = [
-    "Box",
     "BoxSetOracle",
     "MultilevelDyadicTree",
     "ResolutionStats",
     "Resolver",
-    "Space",
     "TetrisEngine",
     "boolean_box_cover",
-    "pack_box",
     "pbox_from_bits",
-    "resolve",
     "solve_bcp",
-    "unpack_box",
     "tetris_preloaded",
     "tetris_reloaded",
 ]

@@ -24,8 +24,8 @@ losslessly.
 
 The partition / lifting machinery works on **packed** marker-bit
 intervals throughout (splitting a component at a code boundary is two
-shifts); the two public solvers accept boxes in pair or packed form and
-convert once at entry.
+shifts); the two public solvers check that every input component is an
+int at entry.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
-from repro.core.boxes import PackedBox
+from repro.core.boxes import PackedBox, check_packed
 from repro.core.intervals import PLAMBDA, Packed
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import (
@@ -197,7 +197,7 @@ class BalanceMap:
 
 
 def tetris_preloaded_lb(
-    boxes: Sequence,
+    boxes: Sequence[PackedBox],
     ndim: int,
     depth: int,
     stats: Optional[ResolutionStats] = None,
@@ -207,9 +207,9 @@ def tetris_preloaded_lb(
 
     Solves BCP in Õ(|C|^{n/2} + Z) when handed a box certificate (the
     offline setting of Section 4.5.1); on arbitrary box sets the bound is
-    in terms of |input| instead.  Accepts pair or packed boxes.
+    in terms of |input| instead.
     """
-    boxes = [dy.pack_box(b) for b in boxes]
+    boxes = [check_packed(b) for b in boxes]
     if ndim <= 2:
         # Nothing to balance below 3 dimensions; plain Tetris is already
         # within the bound (Theorem E.11 gives Õ(|C|^{n-1}) = Õ(|C|)).
@@ -230,7 +230,7 @@ def tetris_preloaded_lb(
 
 
 def tetris_reloaded_lb(
-    boxes: Sequence,
+    boxes: Sequence[PackedBox],
     ndim: int,
     depth: int,
     stats: Optional[ResolutionStats] = None,
@@ -243,9 +243,8 @@ def tetris_reloaded_lb(
     balanced partitions whenever the number of *loaded* boxes grows by
     ``rebuild_factor`` — total rebalancing work stays within a log factor
     of the final run (each restart's work is dominated by the next).
-    Accepts pair or packed boxes.
     """
-    boxes = [dy.pack_box(b) for b in boxes]
+    boxes = [check_packed(b) for b in boxes]
     if ndim <= 2:
         from repro.core.tetris import tetris_reloaded
 

@@ -1,30 +1,20 @@
-"""Dyadic boxes and the output space they live in.
+"""Dyadic boxes: tuples of packed intervals.
 
 A *dyadic box* (Definition 3.3) is an n-tuple of dyadic intervals, one per
-attribute of the output space.  A box whose components are all unit
-intervals is a point (a potential output tuple).  Boxes form a poset under
-component-wise prefix containment.
-
-``Box`` is a thin immutable wrapper over a tuple of
-:data:`repro.core.intervals.Interval`; the hot paths of Tetris operate on
-raw **packed** tuples — one marker-bit int per attribute (see the packed
-encoding section of :mod:`repro.core.intervals`) — obtained via
-``Box.packed`` / :func:`repro.core.intervals.pack_box` at the boundary.
-``Space`` pins down the ambient output space — the attribute names and
-the shared bit-depth ``d`` of every domain.
+attribute of the output space — here a plain tuple of packed marker-bit
+ints (see :mod:`repro.core.intervals`).  A box whose components are all
+unit intervals is a point (a potential output tuple).  Boxes form a poset
+under component-wise prefix containment.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Tuple
 
 from repro.core import intervals as dy
-from repro.core.intervals import LAMBDA, Interval, Packed
+from repro.core.intervals import Packed
 
-#: Documented (pair-form) representation of a box: one interval per attribute.
-BoxTuple = Tuple[Interval, ...]
-
-#: Hot-path representation of a box: one packed marker-bit int per attribute.
+#: A box: one packed marker-bit int per attribute.
 PackedBox = Tuple[Packed, ...]
 
 
@@ -36,131 +26,22 @@ def pbox_from_bits(*components: str) -> PackedBox:
     )
 
 
-class Box:
-    """An immutable dyadic box: a tuple of dyadic intervals.
+def check_packed(box) -> PackedBox:
+    """``box`` as a tuple, once every component is checked to be an int.
 
-    Boxes are hashable and compare by value, so they can live in the sets
-    and dicts that make up the Tetris knowledge base.
+    The one boundary test of the BCP entry points: a box in any other
+    form (a ``(value, length)`` pair per component, say) fails here
+    with a ``TypeError`` rather than deep inside the engine.
     """
-
-    __slots__ = ("ivs",)
-
-    def __init__(self, ivs: Iterable[Interval]):
-        self.ivs: BoxTuple = tuple(ivs)
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_bits(cls, *components: str) -> "Box":
-        """Build a box from bitstring components, e.g. ``Box.from_bits('10', '', '0')``.
-
-        An empty string (or ``'λ'``/``'*'``) denotes the wildcard λ.
-        """
-        ivs = []
-        for comp in components:
-            if comp in ("", "λ", "*"):
-                ivs.append(LAMBDA)
-            else:
-                ivs.append(dy.from_bits(comp))
-        return cls(ivs)
-
-    @classmethod
-    def from_packed(cls, pbox: Iterable[Packed]) -> "Box":
-        """Build a box from a packed marker-bit tuple."""
-        return cls(dy.unpack(p) for p in pbox)
-
-    @classmethod
-    def point(cls, coords: Sequence[int], depth: int) -> "Box":
-        """The unit box of a tuple of domain values."""
-        return cls(dy.from_point(c, depth) for c in coords)
-
-    @classmethod
-    def universe(cls, ndim: int) -> "Box":
-        """The box ⟨λ, ..., λ⟩ covering the entire output space."""
-        return cls((LAMBDA,) * ndim)
-
-    # -- poset / geometry ----------------------------------------------------
-
-    @property
-    def ndim(self) -> int:
-        return len(self.ivs)
-
-    @property
-    def packed(self) -> PackedBox:
-        """The hot-path marker-bit form of this box."""
-        return tuple((1 << length) | value for value, length in self.ivs)
-
-    def contains(self, other: "Box") -> bool:
-        """Component-wise prefix containment (Definition 3.3)."""
-        return all(
-            dy.is_prefix(a, b) for a, b in zip(self.ivs, other.ivs)
-        )
-
-    def overlaps(self, other: "Box") -> bool:
-        """True when the two boxes share at least one point."""
-        return all(dy.overlaps(a, b) for a, b in zip(self.ivs, other.ivs))
-
-    def intersect(self, other: "Box") -> "Box":
-        """Component-wise meet; raises when the boxes are disjoint."""
-        return Box(dy.meet(a, b) for a, b in zip(self.ivs, other.ivs))
-
-    def support(self, attrs: Sequence[str] | None = None):
-        """The set of positions (or attribute names) with non-λ components.
-
-        This is Definition 3.7.  With ``attrs`` given, returns a frozenset of
-        names; otherwise a frozenset of dimension indices.
-        """
-        if attrs is None:
-            return frozenset(i for i, iv in enumerate(self.ivs) if iv[1] > 0)
-        return frozenset(attrs[i] for i, iv in enumerate(self.ivs) if iv[1] > 0)
-
-    def is_unit(self, depth: int) -> bool:
-        """True when every component is a point of a depth-``depth`` domain."""
-        return all(length == depth for _, length in self.ivs)
-
-    def to_point(self, depth: int) -> Tuple[int, ...]:
-        """The coordinates of a unit box; raises if the box is not a point."""
-        if not self.is_unit(depth):
-            raise ValueError(f"{self} is not a unit box at depth {depth}")
-        return tuple(value for value, _ in self.ivs)
-
-    def covers_point(self, coords: Sequence[int], depth: int) -> bool:
-        """True when the box contains the given tuple of domain values."""
-        return all(
-            dy.covers_point(iv, c, depth) for iv, c in zip(self.ivs, coords)
-        )
-
-    def volume(self, depth: int) -> int:
-        """Number of points of the depth-``depth`` output space inside the box."""
-        vol = 1
-        for iv in self.ivs:
-            vol *= dy.width(iv, depth)
-        return vol
-
-    def points(self, depth: int) -> Iterator[Tuple[int, ...]]:
-        """Enumerate every point in the box (exponential — tests only)."""
-
-        def expand(i: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-            if i == len(self.ivs):
-                yield prefix
-                return
-            lo, hi = dy.to_range(self.ivs[i], depth)
-            for v in range(lo, hi + 1):
-                yield from expand(i + 1, prefix + (v,))
-
-        yield from expand(0, ())
-
-    # -- value semantics -----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Box) and self.ivs == other.ivs
-
-    def __hash__(self) -> int:
-        return hash(self.ivs)
-
-    def __repr__(self) -> str:
-        body = ", ".join(dy.to_bits(iv) for iv in self.ivs)
-        return f"⟨{body}⟩"
+    box = tuple(box)
+    for c in box:
+        if type(c) is not int:
+            raise TypeError(
+                f"box component {c!r} is not a packed interval: a dyadic "
+                f"interval is the int (1 << length) | value "
+                f"(see repro.core.intervals.pfrom_bits / pmake)"
+            )
+    return box
 
 
 def box_contains(outer: PackedBox, inner: PackedBox) -> bool:
@@ -186,78 +67,3 @@ def box_overlaps(a: PackedBox, b: PackedBox) -> bool:
         elif (x >> -shift) != y:
             return False
     return True
-
-
-class Space:
-    """The ambient output space: named attributes over depth-``d`` domains.
-
-    The paper assumes every attribute domain is ``{0,1}^d`` (Section 3.3);
-    ``Space`` records the attribute order used to index box components and
-    offers the box constructors that need to know ``d``.
-    """
-
-    __slots__ = ("attrs", "depth", "_index")
-
-    def __init__(self, attrs: Sequence[str], depth: int):
-        if depth < 0:
-            raise ValueError("domain depth must be non-negative")
-        if len(set(attrs)) != len(attrs):
-            raise ValueError(f"duplicate attributes in {attrs}")
-        self.attrs: Tuple[str, ...] = tuple(attrs)
-        self.depth = depth
-        self._index = {a: i for i, a in enumerate(self.attrs)}
-
-    @property
-    def ndim(self) -> int:
-        return len(self.attrs)
-
-    @property
-    def domain_size(self) -> int:
-        return 1 << self.depth
-
-    def axis(self, attr: str) -> int:
-        """Dimension index of an attribute name."""
-        return self._index[attr]
-
-    def universe(self) -> Box:
-        return Box.universe(self.ndim)
-
-    def point(self, coords: Sequence[int]) -> Box:
-        if len(coords) != self.ndim:
-            raise ValueError(
-                f"expected {self.ndim} coordinates, got {len(coords)}"
-            )
-        return Box.point(coords, self.depth)
-
-    def box(self, **components: str) -> Box:
-        """Build a box from per-attribute bitstrings; omitted attributes are λ.
-
-        Example: ``space.box(A='10', C='0')`` over attributes (A, B, C).
-        """
-        ivs = [LAMBDA] * self.ndim
-        for attr, bits in components.items():
-            ivs[self.axis(attr)] = dy.from_bits(bits)
-        return Box(ivs)
-
-    def embed(
-        self, box: Box, source_attrs: Sequence[str]
-    ) -> Box:
-        """Lift a box over a subset of attributes into this space with λ padding.
-
-        This is the paper's "filling out the coordinates not in vars(R) with
-        wild cards" (Section 3.3).
-        """
-        ivs = [LAMBDA] * self.ndim
-        for iv, attr in zip(box.ivs, source_attrs):
-            ivs[self.axis(attr)] = iv
-        return Box(ivs)
-
-    def project(self, box: Box, attrs: Sequence[str]) -> Box:
-        """Projection π_V(b) of Definition E.2: keep V's components, λ elsewhere."""
-        keep = {self.axis(a) for a in attrs}
-        return Box(
-            iv if i in keep else LAMBDA for i, iv in enumerate(box.ivs)
-        )
-
-    def __repr__(self) -> str:
-        return f"Space(attrs={self.attrs}, depth={self.depth})"

@@ -12,13 +12,12 @@ Finding a minimum certificate is a set-cover problem; we provide
   Tetris run on the box's complement (so no point enumeration happens);
 * :func:`minimum_certificate` — exact minimum by branch-and-bound over
   subsets, for the small instances the experiments study;
-* :func:`complement_boxes` — the dyadic complement of a box, the gadget
+* :func:`pcomplement_boxes` — the dyadic complement of a box, the gadget
   the redundancy check is built from.
 
-All entry points accept boxes in the documented ``(value, length)`` pair
-form *or* in packed marker-bit form (the form index layers emit); inputs
-are normalized to packed once and results are returned in whichever form
-the caller supplied.
+Boxes are tuples of packed marker-bit intervals (see
+:mod:`repro.core.intervals`), and certificates are lists of the input
+boxes themselves.
 """
 
 from __future__ import annotations
@@ -26,33 +25,20 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, List, Sequence
 
-from repro.core import intervals as dy
-from repro.core.boxes import BoxTuple, PackedBox, box_contains
-from repro.core.intervals import LAMBDA, PLAMBDA
+from repro.core.boxes import PackedBox, box_contains
+from repro.core.intervals import PLAMBDA
 from repro.core.tetris import boolean_box_cover
 
 
-def complement_boxes(box: BoxTuple, depth: int) -> List[BoxTuple]:
-    """Dyadic boxes whose union is the complement of ``box``.
-
-    For each dimension i and each proper prefix p of the component, the
-    sibling of the next bit of p spans everything that diverges from the
-    component at that bit (with λ on later dimensions restricted... on all
-    other dimensions the original components up to i-1 are kept so the
-    pieces are disjoint).  At most n·d boxes.  Pair-form public helper;
-    the packed equivalent is :func:`pcomplement_boxes`.
-    """
-    return [
-        tuple(dy.unpack(p) for p in piece)
-        for piece in pcomplement_boxes(dy.pack_box(box))
-    ]
-
-
 def pcomplement_boxes(box: PackedBox) -> List[PackedBox]:
-    """Packed complement: for every proper prefix, flip its next bit.
+    """Disjoint dyadic boxes whose union is the complement of ``box``.
 
-    In packed form the piece for cut ``k`` of component ``p`` is simply
-    ``(p >> k) ^ 1`` — the sibling of the length-``|p|-k`` prefix.
+    For each dimension i and each proper prefix of component i, the
+    sibling of that prefix's next bit spans everything diverging from
+    the component there; dimensions before i keep the original
+    components and later ones are λ, so the pieces are disjoint.  In
+    packed form the piece for cut ``k`` of component ``p`` is simply
+    ``(p >> k) ^ 1``.  At most n·d boxes.
     """
     out: List[PackedBox] = []
     n = len(box)
@@ -65,13 +51,13 @@ def pcomplement_boxes(box: PackedBox) -> List[PackedBox]:
     return out
 
 
-def _pcovers(
+def covers(
     candidate: Sequence[PackedBox],
     target: PackedBox,
     ndim: int,
     depth: int,
 ) -> bool:
-    """Packed-level cover check shared by every certificate routine.
+    """Does the union of ``candidate`` cover every point of ``target``?
 
     Reduction: ``target ⊆ ∪ candidate`` iff ``candidate ∪ complement(target)``
     covers the whole space — a Boolean BCP solved by Tetris.
@@ -81,73 +67,59 @@ def _pcovers(
     )
 
 
-def covers(
-    candidate: Sequence,
-    target,
-    ndim: int,
-    depth: int,
-) -> bool:
-    """Does the union of ``candidate`` cover every point of ``target``?"""
-    packed = [dy.pack_box(b) for b in candidate]
-    return _pcovers(packed, dy.pack_box(target), ndim, depth)
-
-
 def is_redundant(
-    boxes: Sequence, index: int, ndim: int, depth: int
+    boxes: Sequence[PackedBox], index: int, ndim: int, depth: int
 ) -> bool:
     """Is ``boxes[index]`` covered by the union of the other boxes?"""
-    packed = [dy.pack_box(b) for b in boxes]
-    target = packed[index]
-    rest = [b for i, b in enumerate(packed) if i != index]
+    target = boxes[index]
+    rest = [b for i, b in enumerate(boxes) if i != index]
     # Cheap pre-check: another box contains it outright.
     if any(box_contains(other, target) for other in rest):
         return True
-    return _pcovers(rest, target, ndim, depth)
+    return covers(rest, target, ndim, depth)
+
+
+def _maximal(boxes: Iterable[PackedBox]) -> List[PackedBox]:
+    """The distinct boxes, minus those strictly inside another one."""
+    unique = list(dict.fromkeys(boxes))
+    return [
+        b
+        for b in unique
+        if not any(
+            box_contains(other, b) and other != b for other in unique
+        )
+    ]
 
 
 def minimal_certificate(
-    boxes: Iterable, ndim: int, depth: int
-) -> List:
+    boxes: Iterable[PackedBox], ndim: int, depth: int
+) -> List[PackedBox]:
     """An irredundant certificate: greedily drop covered boxes.
 
     Scans smallest-first so big boxes survive; the result is *minimal*
     (no box can be removed) but not necessarily *minimum*.  Size is an
-    upper bound on |C|.  Returned boxes are the caller's own objects.
+    upper bound on |C|.
     """
-    # Deduplicate and drop boxes strictly contained in another box.
-    unique = list(dict.fromkeys(boxes))
-    packed_of = {b: dy.pack_box(b) for b in unique}
-    kept = [
-        b
-        for b in unique
-        if not any(
-            box_contains(packed_of[other], packed_of[b]) and other != b
-            for other in unique
-        )
-    ]
+    kept = _maximal(boxes)
 
     # Smallest volume first: prefer to delete little boxes.
-    def volume_key(box) -> int:
-        return sum(
-            depth - (p.bit_length() - 1) for p in packed_of[box]
-        )
+    def volume_key(box: PackedBox) -> int:
+        return sum(depth - (p.bit_length() - 1) for p in box)
 
     result = list(kept)
     for box in sorted(kept, key=volume_key):
         trial = [b for b in result if b != box]
-        if trial and _pcovers(
-            [packed_of[b] for b in trial], packed_of[box], ndim, depth
-        ):
+        if trial and covers(trial, box, ndim, depth):
             result = trial
     return result
 
 
 def minimum_certificate(
-    boxes: Sequence,
+    boxes: Sequence[PackedBox],
     ndim: int,
     depth: int,
     limit: int = 18,
-) -> List:
+) -> List[PackedBox]:
     """Exact minimum certificate by subset search (small instances only).
 
     Starts from the greedy minimal certificate as an upper bound and
@@ -155,28 +127,15 @@ def minimum_certificate(
     Raises when more than ``limit`` candidate boxes remain.
     """
     upper = minimal_certificate(boxes, ndim, depth)
-    unique = list(dict.fromkeys(boxes))
-    packed_of = {b: dy.pack_box(b) for b in unique}
-    maximal = [
-        b
-        for b in unique
-        if not any(
-            box_contains(packed_of[other], packed_of[b]) and other != b
-            for other in unique
-        )
-    ]
+    maximal = _maximal(boxes)
     if len(maximal) > limit:
         raise ValueError(
             f"{len(maximal)} candidate boxes exceed the exact-search limit "
             f"({limit}); use minimal_certificate instead"
         )
 
-    def union_equal(subset: Sequence) -> bool:
-        packed_subset = [packed_of[b] for b in subset]
-        return all(
-            _pcovers(packed_subset, packed_of[b], ndim, depth)
-            for b in maximal
-        )
+    def union_equal(subset: Sequence[PackedBox]) -> bool:
+        return all(covers(subset, b, ndim, depth) for b in maximal)
 
     best = upper
     for size in range(1, len(best)):
@@ -187,7 +146,7 @@ def minimum_certificate(
 
 
 def certificate_size(
-    boxes: Iterable,
+    boxes: Iterable[PackedBox],
     ndim: int,
     depth: int,
     exact: bool = False,
@@ -199,16 +158,17 @@ def certificate_size(
     return len(minimal_certificate(boxes, ndim, depth))
 
 
-def is_gao_consistent(box, sao: Sequence[int], depth: int) -> bool:
+def is_gao_consistent(
+    box: PackedBox, sao: Sequence[int], depth: int
+) -> bool:
     """Definition 3.11: at most one non-trivial component, λ after it.
 
     ``sao`` orders the dimensions by the global attribute order.  A
     component is *non-trivial* when it is neither λ nor a unit interval.
     """
-    packed = dy.pack_box(box)
     seen_nontrivial = False
     for axis in sao:
-        length = packed[axis].bit_length() - 1
+        length = box[axis].bit_length() - 1
         if seen_nontrivial:
             if length != 0:
                 return False
@@ -218,11 +178,11 @@ def is_gao_consistent(box, sao: Sequence[int], depth: int) -> bool:
 
 
 def gao_consistent_certificate(
-    boxes: Iterable,
+    boxes: Iterable[PackedBox],
     sao: Sequence[int],
     ndim: int,
     depth: int,
-) -> List:
+) -> List[PackedBox]:
     """A minimal certificate using only GAO-consistent boxes (Def B.1).
 
     Restricting to σ-consistent boxes models the Minesweeper setting of
@@ -232,9 +192,8 @@ def gao_consistent_certificate(
     """
     boxes = list(boxes)
     consistent = [b for b in boxes if is_gao_consistent(b, sao, depth)]
-    packed_consistent = [dy.pack_box(b) for b in consistent]
     for box in boxes:
-        if not _pcovers(packed_consistent, dy.pack_box(box), ndim, depth):
+        if not covers(consistent, box, ndim, depth):
             raise ValueError(
                 "the GAO-consistent boxes do not cover the union; no "
                 "σ-consistent certificate exists for this box set"

@@ -1,4 +1,4 @@
-"""Dyadic intervals encoded as ``(value, length)`` bitstring pairs.
+"""Dyadic intervals, each one packed marker-bit int.
 
 The paper (Definition 3.2) encodes the domain of every attribute as the set
 of binary strings of length ``d``; a *dyadic interval* is a binary string
@@ -6,192 +6,36 @@ of binary strings of length ``d``; a *dyadic interval* is a binary string
 ``x`` as a prefix.  On the integer domain ``[0, 2**d)`` the interval with
 value ``i`` and length ``k`` covers ``[i * 2**(d-k), (i+1) * 2**(d-k))``.
 
-We represent an interval as the plain tuple ``(value, length)``:
-
-* ``LAMBDA == (0, 0)`` is the empty string λ (the wildcard spanning the
-  whole domain),
-* a *unit* interval has ``length == d`` and represents a single point.
-
-Keeping intervals as tuples (rather than a class) makes the hot loops of
-Tetris cheap: containment and prefix tests are two integer operations,
-which is exactly the paper's "string operations take time linear in the
-length of strings" claim, and hashing/equality come for free.
-
-Packed (marker-bit) encoding
-----------------------------
-
-The ``(value, length)`` pair is the *documented* form used at API
-boundaries, but the engine's hot loops run on a **packed** encoding that
-folds both fields into a single int::
+An interval is the single int that folds both fields together::
 
     packed = (1 << length) | value
 
-i.e. the bitstring with a leading marker ``1`` bit.  λ packs to ``1``,
-``'0'`` to ``0b10``, ``'101'`` to ``0b1101``.  Invariants:
+i.e. the bitstring with a leading marker ``1`` bit.  λ (the empty string,
+the wildcard spanning the whole domain) packs to ``1``, ``'0'`` to
+``0b10``, ``'101'`` to ``0b1101``; a *unit* interval has length ``d`` and
+represents a single point.  Write one with :func:`pfrom_bits` or
+:func:`pmake` and read it with :func:`pto_bits`.  Invariants:
 
 * every packed interval is ``>= 1``; the length is
   ``packed.bit_length() - 1`` and the value is ``packed`` with the top
   bit cleared;
 * appending a bit is ``(packed << 1) | bit`` — so the two dyadic halves
   of ``p`` are ``2p`` and ``2p + 1`` and the parent is ``p >> 1``;
-* ``a`` is a prefix of ``b`` iff ``b >> (len(b) - len(a)) == a`` — one
-  shift and one compare, no tuple allocation;
+* ``a`` is a prefix of ``b`` (``a`` contains ``b``) iff
+  ``b >> (len(b) - len(a)) == a`` — one shift and one compare, which is
+  the paper's "string operations take time linear in the length of
+  strings" claim;
 * two intervals are dyadic siblings iff ``a ^ b == 1``;
 * for *comparable* intervals the longer one is numerically larger, so
   the meet (intersection) is ``max(a, b)``.
 
-The ``p``-prefixed functions below mirror the pair-based API one-to-one.
+Ints hash and compare by value for free, so boxes — tuples of them — live
+directly in the sets and dicts of the Tetris knowledge base.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Tuple
-
-#: A dyadic interval: ``(value, length)`` with ``0 <= value < 2**length``.
-Interval = Tuple[int, int]
-
-#: The empty string λ — the wildcard interval covering the whole domain.
-LAMBDA: Interval = (0, 0)
-
-
-def make(value: int, length: int) -> Interval:
-    """Build an interval, validating the ``0 <= value < 2**length`` invariant."""
-    if length < 0:
-        raise ValueError(f"interval length must be non-negative, got {length}")
-    if not 0 <= value < (1 << length) and length > 0:
-        raise ValueError(f"value {value} does not fit in {length} bits")
-    if length == 0 and value != 0:
-        raise ValueError("the empty interval must have value 0")
-    return (value, length)
-
-
-def from_bits(bits: str) -> Interval:
-    """Parse an interval from its bitstring notation, e.g. ``'10'`` or ``''``."""
-    if bits and set(bits) - {"0", "1"}:
-        raise ValueError(f"bitstring may only contain 0/1, got {bits!r}")
-    return (int(bits, 2) if bits else 0, len(bits))
-
-
-def to_bits(iv: Interval) -> str:
-    """Render an interval as its bitstring; λ renders as ``'λ'``."""
-    value, length = iv
-    if length == 0:
-        return "λ"
-    return format(value, f"0{length}b")
-
-
-def from_point(point: int, depth: int) -> Interval:
-    """The unit interval for a domain value at the given domain depth."""
-    if not 0 <= point < (1 << depth):
-        raise ValueError(f"point {point} outside domain of depth {depth}")
-    return (point, depth)
-
-
-def is_unit(iv: Interval, depth: int) -> bool:
-    """True when the interval is a single point of a depth-``depth`` domain."""
-    return iv[1] == depth
-
-
-def is_prefix(a: Interval, b: Interval) -> bool:
-    """True when ``a`` is a prefix of ``b`` (equivalently, ``a`` contains ``b``).
-
-    λ is a prefix of everything.  As dyadic segments this is the containment
-    order of the paper's poset (Definition 3.3): shorter strings are bigger
-    boxes.
-    """
-    av, al = a
-    bv, bl = b
-    return al <= bl and (bv >> (bl - al)) == av
-
-
-#: Containment of dyadic segments coincides with the prefix relation.
-contains = is_prefix
-
-
-def overlaps(a: Interval, b: Interval) -> bool:
-    """True when the two dyadic segments intersect (one is a prefix of the other)."""
-    return is_prefix(a, b) or is_prefix(b, a)
-
-
-def meet(a: Interval, b: Interval) -> Interval:
-    """Intersection of two comparable intervals: the *longer* of the two.
-
-    This is the ``y_i ∩ z_i`` operation of the resolution definition in
-    Section 4.1.  Raises if the segments are disjoint.
-    """
-    if is_prefix(a, b):
-        return b
-    if is_prefix(b, a):
-        return a
-    raise ValueError(f"intervals {to_bits(a)} and {to_bits(b)} are disjoint")
-
-
-def split(iv: Interval) -> Tuple[Interval, Interval]:
-    """Split an interval into its two dyadic halves ``x0`` and ``x1``."""
-    value, length = iv
-    return (value << 1, length + 1), ((value << 1) | 1, length + 1)
-
-
-def extend(iv: Interval, bit: int) -> Interval:
-    """Append one bit to the interval (the string concatenation ``x·b``)."""
-    value, length = iv
-    return ((value << 1) | (bit & 1), length + 1)
-
-
-def parent(iv: Interval) -> Interval:
-    """Drop the last bit (the dyadic parent); λ has no parent."""
-    value, length = iv
-    if length == 0:
-        raise ValueError("λ has no parent")
-    return (value >> 1, length - 1)
-
-
-def last_bit(iv: Interval) -> int:
-    """The final bit of a non-empty interval."""
-    value, length = iv
-    if length == 0:
-        raise ValueError("λ has no last bit")
-    return value & 1
-
-
-def are_siblings(a: Interval, b: Interval) -> bool:
-    """True when ``a = x·0`` and ``b = x·1`` (or vice versa) for some ``x``.
-
-    This is condition (1) of geometric resolution in Section 4.1.
-    """
-    av, al = a
-    bv, bl = b
-    return al == bl and al > 0 and (av ^ bv) == 1
-
-
-def prefixes(iv: Interval) -> Iterator[Interval]:
-    """All prefixes of ``iv`` from λ down to ``iv`` itself (inclusive)."""
-    value, length = iv
-    for cut in range(length + 1):
-        yield (value >> (length - cut), cut)
-
-
-def to_range(iv: Interval, depth: int) -> Tuple[int, int]:
-    """The inclusive integer range ``[lo, hi]`` covered on a depth-d domain."""
-    value, length = iv
-    if length > depth:
-        raise ValueError(f"interval deeper ({length}) than domain ({depth})")
-    width = depth - length
-    lo = value << width
-    return lo, lo + (1 << width) - 1
-
-
-def width(iv: Interval, depth: int) -> int:
-    """Number of domain points covered on a depth-``depth`` domain."""
-    return 1 << (depth - iv[1])
-
-
-def covers_point(iv: Interval, point: int, depth: int) -> bool:
-    """True when the interval contains the given domain point."""
-    return is_prefix(iv, (point, depth))
-
-
-# -- packed (marker-bit) encoding -------------------------------------------
 
 #: A packed dyadic interval: ``(1 << length) | value``.
 Packed = int
@@ -200,37 +44,13 @@ Packed = int
 PLAMBDA: Packed = 1
 
 
-def pack(iv: Interval) -> Packed:
-    """Pack a ``(value, length)`` pair into its marker-bit int."""
-    return (1 << iv[1]) | iv[0]
-
-
-def unpack(p: Packed) -> Interval:
-    """Unpack a marker-bit int back into the ``(value, length)`` pair."""
-    length = p.bit_length() - 1
-    return (p ^ (1 << length), length)
-
-
-def pack_box(box) -> Tuple[Packed, ...]:
-    """Pack a box given in pair form; packed components pass through.
-
-    This is the tolerant boundary converter: public entry points accept
-    boxes whose components are either ``(value, length)`` pairs or
-    already-packed ints (mixing is allowed per component).
-    """
-    return tuple(
-        c if type(c) is int else (1 << c[1]) | c[0] for c in box
-    )
-
-
-def unpack_box(pbox) -> Tuple[Interval, ...]:
-    """Unpack a packed box into pair form; pair components pass through."""
-    return tuple(unpack(c) if type(c) is int else c for c in pbox)
-
-
 def pmake(value: int, length: int) -> Packed:
     """Build a packed interval, validating ``0 <= value < 2**length``."""
-    return pack(make(value, length))
+    if length < 0:
+        raise ValueError(f"interval length must be non-negative, got {length}")
+    if not 0 <= value < (1 << length):
+        raise ValueError(f"value {value} does not fit in {length} bits")
+    return (1 << length) | value
 
 
 def pfrom_bits(bits: str) -> Packed:
@@ -270,7 +90,12 @@ def pis_unit(p: Packed, depth: int) -> bool:
 
 
 def pis_prefix(a: Packed, b: Packed) -> bool:
-    """Packed prefix/containment test: one shift and one compare."""
+    """True when ``a`` is a prefix of ``b`` (equivalently, contains ``b``).
+
+    λ is a prefix of everything.  As dyadic segments this is the containment
+    order of the paper's poset (Definition 3.3): shorter strings are bigger
+    boxes.  One shift and one compare.
+    """
     shift = b.bit_length() - a.bit_length()
     return shift >= 0 and (b >> shift) == a
 
@@ -290,8 +115,10 @@ def poverlaps(a: Packed, b: Packed) -> bool:
 def pmeet(a: Packed, b: Packed) -> Packed:
     """Intersection of two comparable packed intervals: the longer one.
 
-    For comparable packed intervals the longer is numerically larger,
-    so the meet is simply ``max``.  Raises when disjoint.
+    This is the ``y_i ∩ z_i`` operation of the resolution definition in
+    Section 4.1.  For comparable packed intervals the longer is
+    numerically larger, so the meet is simply ``max``.  Raises when
+    disjoint.
     """
     if poverlaps(a, b):
         return a if a >= b else b
@@ -301,7 +128,7 @@ def pmeet(a: Packed, b: Packed) -> Packed:
 
 
 def psplit(p: Packed) -> Tuple[Packed, Packed]:
-    """The two dyadic halves of a packed interval: ``2p`` and ``2p + 1``."""
+    """The dyadic halves ``x0`` and ``x1`` of ``p``: ``2p`` and ``2p + 1``."""
     q = p << 1
     return q, q | 1
 
@@ -312,7 +139,7 @@ def pextend(p: Packed, bit: int) -> Packed:
 
 
 def pparent(p: Packed) -> Packed:
-    """Drop the last bit; λ has no parent."""
+    """Drop the last bit (the dyadic parent); λ has no parent."""
     if p <= PLAMBDA:
         raise ValueError("λ has no parent")
     return p >> 1
@@ -326,7 +153,10 @@ def plast_bit(p: Packed) -> int:
 
 
 def pare_siblings(a: Packed, b: Packed) -> bool:
-    """True when the packed intervals are ``x·0`` and ``x·1``: one XOR."""
+    """True when ``a = x·0`` and ``b = x·1`` (or vice versa): one XOR.
+
+    This is condition (1) of geometric resolution in Section 4.1.
+    """
     return (a ^ b) == 1 and a > 1 and b > 1
 
 
@@ -352,31 +182,19 @@ def pwidth(p: Packed, depth: int) -> int:
 
 
 def pcovers_point(p: Packed, point: int, depth: int) -> bool:
-    """True when the packed interval contains the given domain point."""
+    """True when the packed interval contains the given domain point.
+
+    A point outside ``[0, 2**depth)`` is in no interval of the domain.
+    """
     shift = depth + 1 - p.bit_length()
-    return shift >= 0 and ((1 << depth) | point) >> shift == p
+    return (
+        shift >= 0
+        and 0 <= point < (1 << depth)
+        and ((1 << depth) | point) >> shift == p
+    )
 
 
 def pdecompose_range(lo: int, hi: int, depth: int) -> List[Packed]:
-    """Packed variant of :func:`decompose_range` (no pair round-trip)."""
-    if lo > hi:
-        return []
-    if lo < 0 or hi >= (1 << depth):
-        raise ValueError(f"range [{lo}, {hi}] outside domain of depth {depth}")
-    pieces: List[Packed] = []
-    cursor = lo
-    remaining = hi - lo + 1
-    while remaining > 0:
-        align = cursor & -cursor if cursor else 1 << depth
-        size = min(align, 1 << remaining.bit_length() - 1)
-        length = depth - size.bit_length() + 1
-        pieces.append((1 << length) | (cursor >> (depth - length)))
-        cursor += size
-        remaining -= size
-    return pieces
-
-
-def decompose_range(lo: int, hi: int, depth: int) -> List[Interval]:
     """Decompose the inclusive integer range ``[lo, hi]`` into dyadic intervals.
 
     This is Proposition B.14: every closed interval over a depth-``d`` domain
@@ -388,7 +206,7 @@ def decompose_range(lo: int, hi: int, depth: int) -> List[Interval]:
         return []
     if lo < 0 or hi >= (1 << depth):
         raise ValueError(f"range [{lo}, {hi}] outside domain of depth {depth}")
-    pieces: List[Interval] = []
+    pieces: List[Packed] = []
     cursor = lo
     remaining = hi - lo + 1
     while remaining > 0:
@@ -396,7 +214,7 @@ def decompose_range(lo: int, hi: int, depth: int) -> List[Interval]:
         align = cursor & -cursor if cursor else 1 << depth
         size = min(align, 1 << remaining.bit_length() - 1)
         length = depth - size.bit_length() + 1
-        pieces.append((cursor >> (depth - length), length))
+        pieces.append((1 << length) | (cursor >> (depth - length)))
         cursor += size
         remaining -= size
     return pieces

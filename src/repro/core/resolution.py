@@ -42,7 +42,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.boxes import Box, PackedBox
+from repro.core.boxes import PackedBox
 
 
 def find_resolvable_dimension(w1: PackedBox, w2: PackedBox) -> Optional[int]:
@@ -252,12 +252,3 @@ class Resolver:
         self.stats.record(axis, ordered=is_ordered_pair(w1, w2, axis))
         return resolve_on_axis(w1, w2, axis)
 
-
-def resolve(w1: Box, w2: Box) -> Box:
-    """Public, Box-typed geometric resolution (validating preconditions)."""
-    return Box.from_packed(resolve_tuples(w1.packed, w2.packed))
-
-
-def resolvent_covers(w1: Box, w2: Box, target: Box) -> bool:
-    """Convenience check: does the resolvent of ``w1, w2`` contain ``target``?"""
-    return resolve(w1, w2).contains(target)

@@ -75,9 +75,8 @@ instead of a ``min(box)`` scan, and the split axis is the cursor itself
 instead of a linear search.  SAO permutations are precomputed tuples
 with an identity fast path — an engine whose splitting order matches
 space order never copies a box crossing the API boundary.  Public entry
-points (:func:`solve_bcp` and friends) keep accepting the documented
-``(value, length)`` pair form — conversion happens once at the boundary,
-never inside the loops.
+points (:func:`solve_bcp` and friends) take packed boxes as they are;
+:class:`BoxSetOracle` only checks that every component is an int.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
-from repro.core.boxes import PackedBox, box_contains
+from repro.core.boxes import PackedBox, box_contains, check_packed
 from repro.core.dyadic_tree import MultilevelDyadicTree
 from repro.core.resolution import (
     ResolutionStats,
@@ -180,18 +179,18 @@ class BoxSetOracle:
     multilevel dyadic tree.  This models "the pre-built database indices
     of the input relations".
 
-    Input boxes may be in pair or packed form (packed once here, at the
-    boundary); all queries and results are packed.
+    Input boxes must be packed (:func:`~repro.core.boxes.check_packed`
+    raises ``TypeError`` otherwise); all queries and results are packed.
     """
 
-    def __init__(self, boxes: Iterable, ndim: int):
+    def __init__(self, boxes: Iterable[PackedBox], ndim: int):
         self.ndim = ndim
         self._tree = MultilevelDyadicTree(ndim)
         self._boxes: List[PackedBox] = []
         for box in boxes:
-            packed = dy.pack_box(box)
-            if self._tree.add(packed):
-                self._boxes.append(packed)
+            box = check_packed(box)
+            if self._tree.add(box):
+                self._boxes.append(box)
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -341,12 +340,9 @@ class TetrisEngine:
             return box
         return tuple([box[i] for i in self._inv_sao])
 
-    def add_box(self, box) -> bool:
-        """Amend the knowledge base with a space-order box.
-
-        Accepts pair or packed form (tolerant boundary conversion).
-        """
-        added = self.knowledge_base.add(self.to_internal(dy.pack_box(box)))
+    def add_box(self, box: PackedBox) -> bool:
+        """Amend the knowledge base with a space-order packed box."""
+        added = self.knowledge_base.add(self.to_internal(box))
         if added:
             self.stats.boxes_loaded += 1
         return added
@@ -740,7 +736,7 @@ class TetrisEngine:
 
 
 def solve_bcp(
-    boxes: Iterable,
+    boxes: Iterable[PackedBox],
     ndim: int,
     depth: int,
     sao: Optional[Sequence[int]] = None,
@@ -752,9 +748,8 @@ def solve_bcp(
 ) -> List[Point]:
     """Solve a Box Cover Problem instance: list points not covered by ``boxes``.
 
-    ``boxes`` may use the documented ``(value, length)`` pair components
-    or packed ints (converted once at this boundary).  Defaults to the
-    frontier-resuming preloaded configuration; pass ``mode="faithful"``
+    ``boxes`` are packed (one marker-bit int per component).  Defaults to
+    the frontier-resuming preloaded configuration; pass ``mode="faithful"``
     (optionally with ``preload=False``) for the restart-per-output
     Algorithm 2.
     """
@@ -767,7 +762,7 @@ def solve_bcp(
 
 
 def tetris_preloaded(
-    boxes: Iterable,
+    boxes: Iterable[PackedBox],
     ndim: int,
     depth: int,
     sao: Optional[Sequence[int]] = None,
@@ -781,7 +776,7 @@ def tetris_preloaded(
 
 
 def tetris_reloaded(
-    boxes: Iterable,
+    boxes: Iterable[PackedBox],
     ndim: int,
     depth: int,
     sao: Optional[Sequence[int]] = None,
@@ -795,7 +790,7 @@ def tetris_reloaded(
 
 
 def boolean_box_cover(
-    boxes: Iterable,
+    boxes: Iterable[PackedBox],
     ndim: int,
     depth: int,
     sao: Optional[Sequence[int]] = None,

@@ -2,7 +2,7 @@
 
 from repro.indexes.btree import BTreeIndex
 from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
-from repro.indexes.gaps import complement_ranges, dyadic_gaps
+from repro.indexes.gaps import complement_ranges
 from repro.indexes.oracle import (
     QueryGapOracle,
     build_all_order_btrees,
@@ -23,5 +23,4 @@ __all__ = [
     "build_kdtree_indexes",
     "complement_ranges",
     "default_gao",
-    "dyadic_gaps",
 ]

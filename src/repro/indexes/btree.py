@@ -14,8 +14,7 @@ Definition 3.11 (Figures 1b and 3a show the two sort orders of the running
 example).
 
 Gap boxes are emitted directly in **packed** marker-bit form (see
-:mod:`repro.core.intervals`): the Tetris oracle consumes them without a
-pair-tuple round-trip.
+:mod:`repro.core.intervals`), which the Tetris oracle consumes as is.
 
 All of this is **per-relation geometry**: the trie and its gap boxes
 depend on the stored relation and σ alone.  The index extracts the boxes

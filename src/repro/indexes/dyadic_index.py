@@ -14,8 +14,7 @@ root-to-leaf path that contains it.
 Cells and gap boxes are **packed** marker-bit tuples (see
 :mod:`repro.core.intervals`): descending into a child cell is one shift
 per component, and membership of a tuple in a cell is a shift + compare
-against the point's packed form — no pair tuples anywhere on the path to
-the Tetris oracle.
+against the point's packed form.
 """
 
 from __future__ import annotations

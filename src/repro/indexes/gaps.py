@@ -3,25 +3,21 @@
 An index over an ordered domain exposes, for free, the *gaps* between the
 values it stores (Section 3.2).  These helpers turn sorted value lists into
 the dyadic intervals covering their complement — the raw material every
-index in :mod:`repro.indexes` feeds into gap boxes.
-
-The ``p``-prefixed variants emit **packed** marker-bit intervals (see
-:mod:`repro.core.intervals`) and are what the indexes use on the hot
-path, so gap boxes reach the Tetris engine without a pair-tuple
-round-trip.  The pair-based helpers remain as the documented public form
-(:func:`dyadic_boxes_from_ranges` is how a user hands arbitrary integer
-ranges to the BCP machinery).
+index in :mod:`repro.indexes` feeds into gap boxes.  Every interval is a
+packed marker-bit int (see :mod:`repro.core.intervals`), so gap boxes
+reach the Tetris engine as they are emitted;
+:func:`dyadic_boxes_from_ranges` is how a user hands arbitrary integer
+ranges to the BCP machinery.
 """
 
 from __future__ import annotations
 
-import bisect
 from array import array
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
 from repro.core.boxes import PackedBox
-from repro.core.intervals import Interval, Packed
+from repro.core.intervals import Packed
 
 #: The array typecode of a gap-box column.  A packed component is
 #: ``>= 1`` and ``< 2^(depth+1)``, so unsigned 64-bit holds every depth a
@@ -103,23 +99,9 @@ def complement_ranges(
     return out
 
 
-def dyadic_gaps(values: Iterable[int], depth: int) -> List[Interval]:
-    """Dyadic intervals covering everything *not* in ``values``.
-
-    The input need not be sorted; duplicates are fine.  Output intervals
-    are disjoint and each maximal within its gap (Proposition B.14 keeps
-    the count at most ``2d`` per gap).
-    """
-    ordered = sorted(set(values))
-    pieces: List[Interval] = []
-    for lo, hi in complement_ranges(ordered, depth):
-        pieces.extend(dy.decompose_range(lo, hi, depth))
-    return pieces
-
-
 def dyadic_boxes_from_ranges(
     ranges: Sequence[Tuple[int, int]], depth: int
-) -> List[Tuple[Interval, ...]]:
+) -> List[PackedBox]:
     """Decompose an axis-aligned integer box into disjoint dyadic boxes.
 
     ``ranges`` gives one inclusive ``(lo, hi)`` range per dimension.  The
@@ -130,34 +112,19 @@ def dyadic_boxes_from_ranges(
     """
     import itertools
 
-    per_dim = [dy.decompose_range(lo, hi, depth) for lo, hi in ranges]
+    per_dim = [dy.pdecompose_range(lo, hi, depth) for lo, hi in ranges]
     if any(not pieces for pieces in per_dim):
         return []
     return [tuple(combo) for combo in itertools.product(*per_dim)]
 
 
-def gap_piece_containing(
-    values: Sequence[int], point: int, depth: int
-) -> Optional[Interval]:
-    """The dyadic gap interval containing ``point``, or ``None`` if stored.
-
-    ``values`` must be sorted.  This is the O(log N + d) probe that lazy
-    index oracles use: binary-search the neighbours of ``point`` and grow
-    its unit interval to the maximal dyadic piece of the surrounding gap.
-    """
-    i = bisect.bisect_left(values, point)
-    if i < len(values) and values[i] == point:
-        return None
-    lo = values[i - 1] + 1 if i > 0 else 0
-    hi = values[i] - 1 if i < len(values) else (1 << depth) - 1
-    return dy.unpack(pmaximal_piece((1 << depth) | point, lo, hi, depth))
-
-
-# -- packed emission (hot path) ----------------------------------------------
-
-
 def pdyadic_gaps(values: Iterable[int], depth: int) -> List[Packed]:
-    """Packed dyadic intervals covering everything *not* in ``values``."""
+    """Dyadic intervals covering everything *not* in ``values``.
+
+    The input need not be sorted; duplicates are fine.  Output intervals
+    are disjoint and each maximal within its gap (Proposition B.14 keeps
+    the count at most ``2d`` per gap).
+    """
     return pdyadic_gaps_sorted(sorted(set(values)), depth)
 
 

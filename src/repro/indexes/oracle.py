@@ -22,8 +22,7 @@ the query's output space with λ wildcards on the missing attributes
 
 Everything is **packed** end to end: the indexes emit packed gap boxes,
 lifting pads with the packed λ (``1``), and the indexes walk the packed
-probe components as they come — no pair tuples between the index layer
-and the Tetris engine.
+probe components as they come.
 
 **Per relation, not per query.**  An index and the gap boxes it exposes
 depend only on the stored relation and the index's attribute order, so

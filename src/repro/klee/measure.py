@@ -13,13 +13,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
 from repro.core.balance import tetris_preloaded_lb
-from repro.core.boxes import BoxTuple
+from repro.core.boxes import PackedBox
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import boolean_box_cover
 
 
 def klee_covers_space(
-    boxes: Sequence[BoxTuple],
+    boxes: Sequence[PackedBox],
     ndim: int,
     depth: int,
     use_load_balancing: bool = True,
@@ -37,7 +37,7 @@ def klee_covers_space(
 
 
 def klee_measure_sweep(
-    boxes: Sequence[BoxTuple], ndim: int, depth: int
+    boxes: Sequence[PackedBox], ndim: int, depth: int
 ) -> int:
     """Exact measure of the union by coordinate-compression sweeping.
 
@@ -47,7 +47,7 @@ def klee_measure_sweep(
     improves on.
     """
     ranges = [
-        tuple(dy.to_range(iv, depth) for iv in box) for box in boxes
+        tuple(dy.pto_range(p, depth) for p in box) for box in boxes
     ]
     side = 1 << depth
 
@@ -84,7 +84,7 @@ def klee_measure_sweep(
 
 
 def klee_uncovered_count(
-    boxes: Sequence[BoxTuple], ndim: int, depth: int
+    boxes: Sequence[PackedBox], ndim: int, depth: int
 ) -> int:
     """Points *not* covered by the union (measure of the complement)."""
     return (1 << (depth * ndim)) - klee_measure_sweep(boxes, ndim, depth)

@@ -52,12 +52,12 @@ class Hypergraph:
 
     @classmethod
     def of_boxes(cls, boxes, attrs: Sequence[str]) -> "Hypergraph":
-        """Supporting hypergraph H(A) of a box set (Definition 3.8)."""
+        """Supporting hypergraph H(A) of a packed box set (Definition 3.8):
+        one edge per box support, the attributes whose component is not
+        λ (packed ``1``)."""
         edges = set()
         for box in boxes:
-            support = frozenset(
-                attrs[i] for i, (_, length) in enumerate(box) if length > 0
-            )
+            support = frozenset(attrs[i] for i, p in enumerate(box) if p > 1)
             if support:
                 edges.add(support)
         return cls(attrs, [tuple(e) for e in edges])

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.core.boxes import BoxTuple
-from repro.core.intervals import LAMBDA
+from repro.core.boxes import PackedBox
+from repro.core.intervals import PLAMBDA
 
 #: A literal: positive ``v+1`` or negative ``-(v+1)`` for variable index v.
 Literal = int
@@ -67,35 +67,35 @@ class CNF:
         return count
 
 
-def clause_to_box(clause: Clause, num_vars: int) -> BoxTuple:
+def clause_to_box(clause: Clause, num_vars: int) -> PackedBox:
     """The box of assignments *falsifying* the clause.
 
-    Variable v is pinned to 0 when the clause contains the positive
-    literal (the clause fails when the literal is false) and to 1 for a
-    negative literal; unmentioned variables are λ.
+    Variable v is pinned to 0 (packed ``0b10``) when the clause contains
+    the positive literal (the clause fails when the literal is false)
+    and to 1 (``0b11``) for a negative literal; unmentioned variables
+    are λ.
     """
-    ivs = [LAMBDA] * num_vars
+    ivs = [PLAMBDA] * num_vars
     for lit in clause:
-        v = abs(lit) - 1
-        ivs[v] = (0, 1) if lit > 0 else (1, 1)
+        ivs[abs(lit) - 1] = 0b10 if lit > 0 else 0b11
     return tuple(ivs)
 
 
-def box_to_clause(box: BoxTuple) -> Clause:
+def box_to_clause(box: PackedBox) -> Clause:
     """Inverse encoding: a depth-1 box back to the clause it falsifies."""
     lits = set()
-    for v, (value, length) in enumerate(box):
-        if length == 0:
+    for v, p in enumerate(box):
+        if p == PLAMBDA:
             continue
-        if length != 1:
+        if p >> 1 != 1:
             raise ValueError(
                 "only depth-1 boxes encode clauses over single bits"
             )
-        lits.add((v + 1) if value == 0 else -(v + 1))
+        lits.add((v + 1) if p == 0b10 else -(v + 1))
     return frozenset(lits)
 
 
-def cnf_to_boxes(cnf: CNF) -> List[BoxTuple]:
+def cnf_to_boxes(cnf: CNF) -> List[PackedBox]:
     """All clause boxes of a formula — a BCP whose output is the models."""
     return [clause_to_box(c, cnf.num_vars) for c in cnf.clauses]
 

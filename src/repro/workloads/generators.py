@@ -4,7 +4,8 @@ Covers the regimes the paper's evaluation needs:
 
 * AGM-tight triangle instances (worst-case output, Table 1 row 2),
 * random graphs (incl. power-law) for subgraph/triangle queries — the
-  footnote-1 social-network workloads, synthesized (DESIGN.md subst. 2),
+  footnote-1 social-network workloads, synthesized in place of real
+  network data so every run is seeded and needs no download,
 * acyclic path/star instances with controllable output size (row 1),
 * *split* instances whose box certificate is O(1) while N grows without
   bound (rows 4–5, the beyond-worst-case regime),

@@ -16,20 +16,24 @@ These box families realize the separations of Figure 2:
   spirit of Theorem 5.5's volume argument: every resolvent has small
   volume, so many resolutions are unavoidable.
 
-The Appendix G gadgets for Theorems 5.2–5.5 are only sketched in our
-source text; these families reproduce the *measured* separations (see
-DESIGN.md, substitution 3).
+The Appendix G gadgets for Theorems 5.2–5.5 are only sketched in the
+paper, so these families reproduce the *measured* separations rather
+than the proofs' exact constructions.
+
+Every box is a tuple of packed marker-bit intervals (see
+:mod:`repro.core.intervals`); ``pmake(value, length)`` spells a
+component, :data:`~repro.core.intervals.PLAMBDA` is λ.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from repro.core.boxes import BoxTuple
-from repro.core.intervals import LAMBDA
+from repro.core.boxes import PackedBox
+from repro.core.intervals import PLAMBDA, pmake
 
 
-def example_f1(d: int) -> List[BoxTuple]:
+def example_f1(d: int) -> List[PackedBox]:
     """Example F.1: C = C1 ∪ C2 ∪ C3 over attributes (X, Y, W), depth d.
 
     * C1 = {⟨0x, λ, 0⟩ : x ∈ {0,1}^{d-2}} ∪ {⟨0, y, 1⟩ : y ∈ {0,1}^{d-2}}
@@ -42,26 +46,26 @@ def example_f1(d: int) -> List[BoxTuple]:
     if d < 3:
         raise ValueError("Example F.1 needs depth at least 3")
     half = 1 << (d - 2)
-    boxes: List[BoxTuple] = []
+    boxes: List[PackedBox] = []
     # C1: covers ⟨0, λ, λ⟩.
     for x in range(half):
-        boxes.append(((x, d - 1), LAMBDA, (0, 1)))  # 0x has MSB 0
+        boxes.append((pmake(x, d - 1), PLAMBDA, pmake(0, 1)))  # 0x has MSB 0
     for y in range(half):
-        boxes.append(((0, 1), (y, d - 2), (1, 1)))
+        boxes.append((pmake(0, 1), pmake(y, d - 2), pmake(1, 1)))
     # C2: covers ⟨10, λ, λ⟩.
     for x in range(half):
-        boxes.append((((0b10 << (d - 2)) | x, d), (0, 1), LAMBDA))
+        boxes.append((pmake((0b10 << (d - 2)) | x, d), pmake(0, 1), PLAMBDA))
     for z in range(half):
-        boxes.append(((0b10, 2), (1, 1), (z, d - 2)))
+        boxes.append((pmake(0b10, 2), pmake(1, 1), pmake(z, d - 2)))
     # C3: covers ⟨11, λ, λ⟩.
     for y in range(half):
-        boxes.append(((0b110, 3), (y, d - 2), LAMBDA))
+        boxes.append((pmake(0b110, 3), pmake(y, d - 2), PLAMBDA))
     for z in range(half):
-        boxes.append(((0b111, 3), LAMBDA, (z, d - 2)))
+        boxes.append((pmake(0b111, 3), PLAMBDA, pmake(z, d - 2)))
     return boxes
 
 
-def msb_triangle(d: int, nonempty: bool = False) -> List[BoxTuple]:
+def msb_triangle(d: int, nonempty: bool = False) -> List[PackedBox]:
     """The Figure 5 (empty) / Figure 6 (non-empty) triangle BCP instances.
 
     Gap boxes over (A, B, C): R forbids MSB(a) = MSB(b), S forbids
@@ -71,25 +75,25 @@ def msb_triangle(d: int, nonempty: bool = False) -> List[BoxTuple]:
     if d < 1:
         raise ValueError("depth must be at least 1")
     boxes = [
-        ((0, 1), (0, 1), LAMBDA),  # R gap: MSBs equal (0,0)
-        ((1, 1), (1, 1), LAMBDA),  # R gap: MSBs equal (1,1)
-        (LAMBDA, (0, 1), (0, 1)),  # S gap
-        (LAMBDA, (1, 1), (1, 1)),  # S gap
+        (pmake(0, 1), pmake(0, 1), PLAMBDA),  # R gap: MSBs equal (0,0)
+        (pmake(1, 1), pmake(1, 1), PLAMBDA),  # R gap: MSBs equal (1,1)
+        (PLAMBDA, pmake(0, 1), pmake(0, 1)),  # S gap
+        (PLAMBDA, pmake(1, 1), pmake(1, 1)),  # S gap
     ]
     if nonempty:
         boxes += [
-            ((0, 1), LAMBDA, (1, 1)),  # T' gap: MSBs differ
-            ((1, 1), LAMBDA, (0, 1)),
+            (pmake(0, 1), PLAMBDA, pmake(1, 1)),  # T' gap: MSBs differ
+            (pmake(1, 1), PLAMBDA, pmake(0, 1)),
         ]
     else:
         boxes += [
-            ((0, 1), LAMBDA, (0, 1)),  # T gap: MSBs equal
-            ((1, 1), LAMBDA, (1, 1)),
+            (pmake(0, 1), PLAMBDA, pmake(0, 1)),  # T gap: MSBs equal
+            (pmake(1, 1), PLAMBDA, pmake(1, 1)),
         ]
     return boxes
 
 
-def shared_suffix_instance(d: int) -> List[BoxTuple]:
+def shared_suffix_instance(d: int) -> List[PackedBox]:
     """Caching separation on a treewidth-1 hypergraph (Theorem 5.2 flavor).
 
     Over attributes (A, B, C) with depth ``d``:
@@ -109,18 +113,18 @@ def shared_suffix_instance(d: int) -> List[BoxTuple]:
     """
     side = 1 << d
     half = side >> 1
-    boxes: List[BoxTuple] = [
-        ((a, d), (0, 1), LAMBDA) for a in range(side)
+    boxes: List[PackedBox] = [
+        (pmake(a, d), pmake(0, 1), PLAMBDA) for a in range(side)
     ]
     boxes += [
-        (LAMBDA, (b, d), (c, d))
+        (PLAMBDA, pmake(b, d), pmake(c, d))
         for b in range(half, side)
         for c in range(side)
     ]
     return boxes
 
 
-def staircase_instance(n: int, d: int) -> List[BoxTuple]:
+def staircase_instance(n: int, d: int) -> List[PackedBox]:
     """Anti-diagonal slabs: every pairwise resolvent has small volume.
 
     For each level ``k`` of the first dimension's dyadic tree, pair the
@@ -137,23 +141,23 @@ def staircase_instance(n: int, d: int) -> List[BoxTuple]:
     if n < 2:
         raise ValueError("staircase needs at least 2 dimensions")
     side = 1 << d
-    boxes: List[BoxTuple] = []
+    boxes: List[PackedBox] = []
     for j in range(side):
         complement = side - 1 - j
-        box = [(j, d), (complement, d)] + [LAMBDA] * (n - 2)
+        box = [pmake(j, d), pmake(complement, d)] + [PLAMBDA] * (n - 2)
         boxes.append(tuple(box))
     # Add coarse slabs that interlock with the staircase in the remaining
     # dimensions, one family per extra dimension.
     for axis in range(2, n):
         for j in range(side):
-            box = [LAMBDA] * n
-            box[0] = (j, d)
-            box[axis] = (j & 1, 1)
+            box = [PLAMBDA] * n
+            box[0] = pmake(j, d)
+            box[axis] = pmake(j & 1, 1)
             boxes.append(tuple(box))
     return boxes
 
 
-def covering_pair_instance(d: int, n: int = 3) -> List[BoxTuple]:
+def covering_pair_instance(d: int, n: int = 3) -> List[PackedBox]:
     """A trivially-covered instance with |C| = 2 and arbitrarily fine noise.
 
     The two halves of dimension 0 cover everything; 2^d fine unit-column
@@ -161,10 +165,10 @@ def covering_pair_instance(d: int, n: int = 3) -> List[BoxTuple]:
     regardless of d — the "certificate much smaller than input" regime
     (Proposition B.6).
     """
-    boxes: List[BoxTuple] = [
-        ((0, 1),) + (LAMBDA,) * (n - 1),
-        ((1, 1),) + (LAMBDA,) * (n - 1),
+    boxes: List[PackedBox] = [
+        (pmake(0, 1),) + (PLAMBDA,) * (n - 1),
+        (pmake(1, 1),) + (PLAMBDA,) * (n - 1),
     ]
     for v in range(1 << d):
-        boxes.append(((v, d),) + (LAMBDA,) * (n - 1))
+        boxes.append((pmake(v, d),) + (PLAMBDA,) * (n - 1))
     return boxes

@@ -14,13 +14,11 @@ from repro.core.balance import (
     tetris_preloaded_lb,
     tetris_reloaded_lb,
 )
-from repro.core.boxes import Box
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import solve_bcp
 from tests.helpers import (
     brute_force_uncovered,
     random_boxes,
-    random_packed_boxes,
 )
 
 DEPTH = 3
@@ -28,9 +26,7 @@ DEPTH = 3
 
 def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
@@ -43,7 +39,7 @@ class TestBalancedPartition:
         assert balanced_partition([], 0, DEPTH) == (dy.PLAMBDA,)
 
     def test_is_complete_prefix_free_code(self):
-        boxes = random_packed_boxes(0, 40, 3, DEPTH)
+        boxes = random_boxes(0, 40, 3, DEPTH)
         parts = balanced_partition(boxes, 0, DEPTH)
         # Prefix-free.
         for a in parts:
@@ -59,7 +55,7 @@ class TestBalancedPartition:
     def test_no_heavy_part(self):
         """Definition 4.13: every part has ≤ √|C| boxes strictly inside
         (unless the part is already a unit interval)."""
-        boxes = random_packed_boxes(1, 50, 3, DEPTH)
+        boxes = random_boxes(1, 50, 3, DEPTH)
         threshold = len(boxes) ** 0.5
         parts = balanced_partition(boxes, 0, DEPTH)
         components = [b[0] for b in boxes]
@@ -121,7 +117,6 @@ class TestBalanceMapRoundtrip:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(box_tuples(), min_size=1, max_size=12))
     def test_lift_preserves_point_coverage(self, boxes):
-        boxes = [dy.pack_box(b) for b in boxes]
         mapping = BalanceMap(boxes, 3, DEPTH)
         for box in boxes:
             lifted = mapping.lift_box(box)
@@ -139,7 +134,6 @@ class TestBalanceMapRoundtrip:
     def test_point_roundtrip(self, boxes, point):
         """A point is covered by a box iff its lift is covered by the
         lifted box — and lowering the lifted unit recovers the point."""
-        boxes = [dy.pack_box(b) for b in boxes]
         mapping = BalanceMap(boxes, 3, DEPTH)
         # Lift the point as a (degenerate) box of unit components.
         unit = tuple((1 << DEPTH) | v for v in point)
@@ -180,6 +174,14 @@ class TestTetrisLB:
         boxes = random_boxes(5, 25, 4, 2)
         expected = brute_force_uncovered(boxes, 4, 2)
         assert tetris_preloaded_lb(boxes, 4, 2) == expected
+
+    @pytest.mark.parametrize(
+        "solve", [tetris_preloaded_lb, tetris_reloaded_lb]
+    )
+    def test_pair_form_rejected(self, solve):
+        # A (value, length) pair per component is refused at the entry.
+        with pytest.raises(TypeError, match="packed"):
+            solve([((0, 1), (0, 0), (1, 1))], 3, DEPTH)
 
     def test_stats_collected(self):
         stats = ResolutionStats()

@@ -1,10 +1,13 @@
-"""Unit and property tests for dyadic boxes and spaces."""
+"""Unit and property tests for dyadic boxes (tuples of packed intervals)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.boxes import Box, Space, box_contains, box_overlaps
-from repro.core.intervals import LAMBDA
+from repro.core import intervals as dy
+from repro.core.boxes import box_contains, box_overlaps, pbox_from_bits
+from repro.core.intervals import PLAMBDA
+from repro.relational.hypergraph import Hypergraph
+from tests.helpers import box_points
 
 DEPTH = 4
 NDIM = 3
@@ -12,158 +15,127 @@ NDIM = 3
 
 def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
 def boxes(ndim=NDIM, max_depth=DEPTH):
-    return st.tuples(*([ivs(max_depth)] * ndim)).map(Box)
+    return st.tuples(*([ivs(max_depth)] * ndim))
+
+
+def volume(box, depth):
+    vol = 1
+    for p in box:
+        vol *= dy.pwidth(p, depth)
+    return vol
 
 
 class TestBoxBasics:
     def test_from_bits(self):
-        b = Box.from_bits("10", "", "0")
-        assert b.ivs == ((2, 2), LAMBDA, (0, 1))
+        b = pbox_from_bits("10", "", "0")
+        assert b == (dy.pmake(2, 2), PLAMBDA, dy.pmake(0, 1))
 
     def test_from_bits_wildcards(self):
-        assert Box.from_bits("λ", "*", "").ivs == (LAMBDA,) * 3
+        assert pbox_from_bits("λ", "*", "") == (PLAMBDA,) * 3
 
     def test_point(self):
-        assert Box.point((1, 2), 3).ivs == ((1, 3), (2, 3))
+        unit = tuple(dy.pfrom_point(c, 3) for c in (1, 2))
+        assert unit == pbox_from_bits("001", "010")
 
     def test_universe(self):
-        assert Box.universe(2).ivs == (LAMBDA, LAMBDA)
+        universe = pbox_from_bits("", "")
+        assert universe == (PLAMBDA, PLAMBDA)
+        assert volume(universe, 3) == 64
 
     def test_equality_and_hash(self):
-        assert Box.from_bits("1", "0") == Box.from_bits("1", "0")
-        assert hash(Box.from_bits("1", "0")) == hash(Box.from_bits("1", "0"))
-        assert Box.from_bits("1", "0") != Box.from_bits("0", "1")
+        assert pbox_from_bits("1", "0") == pbox_from_bits("1", "0")
+        assert hash(pbox_from_bits("1", "0")) == hash(pbox_from_bits("1", "0"))
+        assert pbox_from_bits("1", "0") != pbox_from_bits("0", "1")
 
     def test_repr(self):
-        assert repr(Box.from_bits("10", "")) == "⟨10, λ⟩"
+        box = pbox_from_bits("10", "")
+        assert ", ".join(map(dy.pto_bits, box)) == "10, λ"
 
     def test_ndim(self):
-        assert Box.universe(4).ndim == 4
+        assert len(pbox_from_bits("", "", "", "")) == 4
 
 
 class TestContainment:
     def test_universe_contains_all(self):
-        u = Box.universe(2)
-        assert u.contains(Box.from_bits("101", "0"))
+        u = pbox_from_bits("", "")
+        assert box_contains(u, pbox_from_bits("101", "0"))
 
     def test_componentwise(self):
-        outer = Box.from_bits("1", "")
-        inner = Box.from_bits("10", "11")
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
+        outer = pbox_from_bits("1", "")
+        inner = pbox_from_bits("10", "11")
+        assert box_contains(outer, inner)
+        assert not box_contains(inner, outer)
 
     @given(boxes(), boxes())
     def test_contains_iff_point_subset(self, a, b):
-        pa = set(a.points(DEPTH))
-        pb = set(b.points(DEPTH))
-        assert a.contains(b) == (pb <= pa)
+        pa = set(box_points(a, DEPTH))
+        pb = set(box_points(b, DEPTH))
+        assert box_contains(a, b) == (pb <= pa)
 
     @given(boxes(), boxes())
     def test_overlaps_iff_points_intersect(self, a, b):
-        pa = set(a.points(DEPTH))
-        pb = set(b.points(DEPTH))
-        assert a.overlaps(b) == bool(pa & pb)
+        pa = set(box_points(a, DEPTH))
+        pb = set(box_points(b, DEPTH))
+        assert box_overlaps(a, b) == bool(pa & pb)
 
     @given(boxes(), boxes())
     def test_intersect_matches_point_intersection(self, a, b):
-        pa = set(a.points(DEPTH))
-        pb = set(b.points(DEPTH))
-        if a.overlaps(b):
-            assert set(a.intersect(b).points(DEPTH)) == pa & pb
+        pa = set(box_points(a, DEPTH))
+        pb = set(box_points(b, DEPTH))
+        if box_overlaps(a, b):
+            meet = tuple(map(dy.pmeet, a, b))
+            assert set(box_points(meet, DEPTH)) == pa & pb
         else:
             with pytest.raises(ValueError):
-                a.intersect(b)
+                tuple(map(dy.pmeet, a, b))
 
     def test_raw_tuple_helpers(self):
-        # The raw helpers run on the packed marker-bit form.
-        a = Box.from_bits("1", "").packed
-        b = Box.from_bits("10", "1").packed
+        a = pbox_from_bits("1", "")
+        b = pbox_from_bits("10", "1")
         assert box_contains(a, b)
         assert box_overlaps(a, b)
         assert not box_contains(b, a)
 
     def test_packed_roundtrip(self):
-        b = Box.from_bits("10", "", "0")
-        assert b.packed == (0b110, 0b1, 0b10)
-        assert Box.from_packed(b.packed) == b
+        b = pbox_from_bits("10", "", "0")
+        assert b == (0b110, 0b1, 0b10)
+        assert pbox_from_bits(*map(dy.pto_bits, b)) == b
 
 
 class TestSupportAndPoints:
+    # A box's support (Definition 3.7) is its non-λ positions; the
+    # supporting hypergraph has one edge per support.
     def test_support_indices(self):
-        b = Box.from_bits("1", "", "01")
-        assert b.support() == frozenset({0, 2})
+        b = pbox_from_bits("1", "", "01")
+        assert Hypergraph.of_boxes([b], (0, 1, 2)).edges == [frozenset({0, 2})]
 
     def test_support_names(self):
-        b = Box.from_bits("1", "", "01")
-        assert b.support(("A", "B", "C")) == frozenset({"A", "C"})
+        b = pbox_from_bits("1", "", "01")
+        h = Hypergraph.of_boxes([b], ("A", "B", "C"))
+        assert h.edges == [frozenset({"A", "C"})]
 
     def test_unit_box(self):
-        assert Box.point((1, 2), 3).is_unit(3)
-        assert not Box.from_bits("1", "10").is_unit(3)
+        assert all(dy.pis_unit(p, 3) for p in pbox_from_bits("001", "010"))
+        assert not all(dy.pis_unit(p, 3) for p in pbox_from_bits("1", "10"))
 
     def test_to_point(self):
-        assert Box.point((1, 2), 3).to_point(3) == (1, 2)
-
-    def test_to_point_non_unit_raises(self):
-        with pytest.raises(ValueError):
-            Box.from_bits("1", "10").to_point(3)
+        unit = pbox_from_bits("001", "010")
+        assert tuple(map(dy.pvalue, unit)) == (1, 2)
 
     def test_covers_point(self):
-        b = Box.from_bits("1", "")
-        assert b.covers_point((5, 0), 3)
-        assert not b.covers_point((3, 0), 3)
+        b = pbox_from_bits("1", "")
+        assert all(map(dy.pcovers_point, b, (5, 0), (3, 3)))
+        assert not all(map(dy.pcovers_point, b, (3, 0), (3, 3)))
 
     def test_volume(self):
-        assert Box.universe(2).volume(3) == 64
-        assert Box.from_bits("1", "01").volume(3) == 4 * 2
+        assert volume(pbox_from_bits("", ""), 3) == 64
+        assert volume(pbox_from_bits("1", "01"), 3) == 4 * 2
 
     @given(boxes())
     def test_volume_matches_point_count(self, b):
-        assert b.volume(DEPTH) == len(list(b.points(DEPTH)))
-
-
-class TestSpace:
-    def test_basic(self):
-        sp = Space(("A", "B"), 4)
-        assert sp.ndim == 2
-        assert sp.domain_size == 16
-        assert sp.axis("B") == 1
-
-    def test_duplicate_attrs_rejected(self):
-        with pytest.raises(ValueError):
-            Space(("A", "A"), 4)
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            Space(("A",), -1)
-
-    def test_point_arity_check(self):
-        sp = Space(("A", "B"), 4)
-        with pytest.raises(ValueError):
-            sp.point((1,))
-
-    def test_box_kwargs(self):
-        sp = Space(("A", "B", "C"), 4)
-        b = sp.box(A="10", C="0")
-        assert b == Box.from_bits("10", "", "0")
-
-    def test_embed(self):
-        sp = Space(("A", "B", "C"), 4)
-        small = Box.from_bits("1", "00")  # over (C, A)
-        lifted = sp.embed(small, ("C", "A"))
-        assert lifted == Box.from_bits("00", "", "1")
-
-    def test_project(self):
-        sp = Space(("A", "B", "C"), 4)
-        b = Box.from_bits("10", "11", "0")
-        assert sp.project(b, ("A", "C")) == Box.from_bits("10", "", "0")
-
-    def test_universe(self):
-        assert Space(("A", "B"), 2).universe() == Box.universe(2)
+        assert volume(b, DEPTH) == len(list(box_points(b, DEPTH)))

@@ -3,25 +3,24 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import Box
+from repro.core.boxes import pbox_from_bits
+from repro.core.intervals import pfrom_point
 from repro.core.certificates import (
     certificate_size,
-    complement_boxes,
     covers,
     is_redundant,
     minimal_certificate,
     minimum_certificate,
+    pcomplement_boxes,
 )
-from tests.helpers import brute_force_uncovered, random_boxes
+from tests.helpers import box_points, brute_force_uncovered, random_boxes
 
 DEPTH = 3
 
 
 def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
@@ -33,11 +32,11 @@ class TestComplement:
     @settings(max_examples=60)
     @given(box_tuples())
     def test_complement_is_exact(self, box):
-        pieces = complement_boxes(box, DEPTH)
-        inside = set(Box(box).points(DEPTH))
+        pieces = pcomplement_boxes(box)
+        inside = set(box_points(box, DEPTH))
         outside = set()
         for p in pieces:
-            outside.update(Box(p).points(DEPTH))
+            outside.update(box_points(p, DEPTH))
         all_points = {
             (a, b)
             for a in range(1 << DEPTH)
@@ -46,50 +45,50 @@ class TestComplement:
         assert outside == all_points - inside
 
     def test_universe_has_empty_complement(self):
-        assert complement_boxes(((0, 0), (0, 0)), DEPTH) == []
+        assert pcomplement_boxes(pbox_from_bits("", "")) == []
 
     def test_piece_count_bound(self):
         # At most n·d pieces.
-        box = ((5, 3), (2, 3))
-        assert len(complement_boxes(box, DEPTH)) <= 2 * DEPTH
+        box = pbox_from_bits("101", "010")
+        assert len(pcomplement_boxes(box)) <= 2 * DEPTH
 
 
 class TestCovers:
     def test_direct_containment(self):
-        target = Box.from_bits("10", "0").ivs
-        assert covers([Box.from_bits("1", "").ivs], target, 2, DEPTH)
+        target = pbox_from_bits("10", "0")
+        assert covers([pbox_from_bits("1", "")], target, 2, DEPTH)
 
     def test_cover_by_two_halves(self):
-        target = Box.from_bits("1", "").ivs
-        halves = [Box.from_bits("10", "").ivs, Box.from_bits("11", "").ivs]
+        target = pbox_from_bits("1", "")
+        halves = [pbox_from_bits("10", ""), pbox_from_bits("11", "")]
         assert covers(halves, target, 2, DEPTH)
 
     def test_not_covered(self):
-        target = Box.from_bits("1", "").ivs
-        assert not covers([Box.from_bits("10", "").ivs], target, 2, DEPTH)
+        target = pbox_from_bits("1", "")
+        assert not covers([pbox_from_bits("10", "")], target, 2, DEPTH)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(box_tuples(), max_size=6), box_tuples())
     def test_matches_point_semantics(self, candidate, target):
         got = covers(candidate, target, 2, DEPTH)
-        target_pts = set(Box(target).points(DEPTH))
+        target_pts = set(box_points(target, DEPTH))
         covered = set()
         for b in candidate:
-            covered.update(Box(b).points(DEPTH))
+            covered.update(box_points(b, DEPTH))
         assert got == (target_pts <= covered)
 
 
 class TestRedundancy:
     def test_contained_box_is_redundant(self):
-        boxes = [Box.from_bits("1", "").ivs, Box.from_bits("10", "0").ivs]
+        boxes = [pbox_from_bits("1", ""), pbox_from_bits("10", "0")]
         assert is_redundant(boxes, 1, 2, DEPTH)
         assert not is_redundant(boxes, 0, 2, DEPTH)
 
     def test_union_covered_box(self):
         boxes = [
-            Box.from_bits("0", "").ivs,
-            Box.from_bits("1", "").ivs,
-            Box.from_bits("", "01").ivs,  # inside the union of the halves
+            pbox_from_bits("0", ""),
+            pbox_from_bits("1", ""),
+            pbox_from_bits("", "01"),  # inside the union of the halves
         ]
         assert is_redundant(boxes, 2, 2, DEPTH)
 
@@ -110,14 +109,14 @@ class TestMinimalCertificate:
             assert not is_redundant(cert, i, 2, DEPTH)
 
     def test_duplicates_removed(self):
-        b = Box.from_bits("1", "0").ivs
+        b = pbox_from_bits("1", "0")
         assert minimal_certificate([b, b, b], 2, DEPTH) == [b]
 
     def test_certificate_can_be_much_smaller(self):
         """Thin slices covered by one big box: |C| = 1 despite many inputs."""
-        big = Box.from_bits("0", "").ivs
+        big = pbox_from_bits("0", "")
         thin = [
-            Box.from_bits(format(v, "03b"), "").ivs for v in range(4)
+            pbox_from_bits(format(v, "03b"), "") for v in range(4)
         ]
         cert = minimal_certificate(thin + [big], 2, DEPTH)
         assert cert == [big]
@@ -136,11 +135,11 @@ class TestMinimumCertificate:
     def test_limit_enforced(self):
         # Unit boxes on the diagonal are pairwise incomparable, so all of
         # them survive the maximality filter and trip the limit.
-        boxes = [((v, DEPTH), (v, DEPTH)) for v in range(8)]
+        boxes = [(pfrom_point(v, DEPTH),) * 2 for v in range(8)]
         with pytest.raises(ValueError):
             minimum_certificate(boxes, 2, DEPTH, limit=5)
 
     def test_certificate_size_helper(self):
-        b = Box.from_bits("1", "0").ivs
+        b = pbox_from_bits("1", "0")
         assert certificate_size([b, b], 2, DEPTH) == 1
         assert certificate_size([b, b], 2, DEPTH, exact=True) == 1

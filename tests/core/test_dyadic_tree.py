@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import Box, box_contains
+from repro.core.boxes import box_contains, pbox_from_bits
+from repro.core.intervals import PLAMBDA
 from repro.core.dyadic_tree import MultilevelDyadicTree
-from tests.helpers import random_packed_boxes
+from tests.helpers import random_boxes
 
 DEPTH = 4
 
@@ -25,7 +26,7 @@ class TestBasics:
     def test_empty(self):
         tree = MultilevelDyadicTree(2)
         assert len(tree) == 0
-        assert tree.find_container(Box.universe(2).packed) is None
+        assert tree.find_container((PLAMBDA,) * 2) is None
 
     def test_bad_ndim(self):
         with pytest.raises(ValueError):
@@ -33,14 +34,14 @@ class TestBasics:
 
     def test_add_and_contains(self):
         tree = MultilevelDyadicTree(2)
-        b = Box.from_bits("10", "0").packed
+        b = pbox_from_bits("10", "0")
         assert tree.add(b)
         assert b in tree
         assert len(tree) == 1
 
     def test_duplicate_add(self):
         tree = MultilevelDyadicTree(2)
-        b = Box.from_bits("10", "0").packed
+        b = pbox_from_bits("10", "0")
         assert tree.add(b)
         assert not tree.add(b)
         assert len(tree) == 1
@@ -48,19 +49,19 @@ class TestBasics:
     def test_arity_mismatch(self):
         tree = MultilevelDyadicTree(2)
         with pytest.raises(ValueError):
-            tree.add(Box.from_bits("1").packed)
+            tree.add(pbox_from_bits("1"))
 
     def test_not_contains_prefix(self):
         tree = MultilevelDyadicTree(1)
-        tree.add(Box.from_bits("10").packed)
-        assert Box.from_bits("1").packed not in tree
+        tree.add(pbox_from_bits("10"))
+        assert pbox_from_bits("1") not in tree
 
     def test_iteration(self):
         tree = MultilevelDyadicTree(2)
         items = {
-            Box.from_bits("10", "0").packed,
-            Box.from_bits("", "11").packed,
-            Box.from_bits("10", "").packed,
+            pbox_from_bits("10", "0"),
+            pbox_from_bits("", "11"),
+            pbox_from_bits("10", ""),
         }
         for b in items:
             tree.add(b)
@@ -70,38 +71,38 @@ class TestBasics:
 class TestFindContainer:
     def test_finds_exact(self):
         tree = MultilevelDyadicTree(2)
-        b = Box.from_bits("10", "0").packed
+        b = pbox_from_bits("10", "0")
         tree.add(b)
         assert tree.find_container(b) == b
 
     def test_finds_strict_container(self):
         tree = MultilevelDyadicTree(2)
-        big = Box.from_bits("1", "").packed
+        big = pbox_from_bits("1", "")
         tree.add(big)
-        small = Box.from_bits("101", "0011").packed
+        small = pbox_from_bits("101", "0011")
         assert tree.find_container(small) == big
 
     def test_lambda_component_matches_everything(self):
         tree = MultilevelDyadicTree(3)
-        b = Box.from_bits("", "01", "").packed
+        b = pbox_from_bits("", "01", "")
         tree.add(b)
-        q = Box.from_bits("1111", "0110", "0000").packed
+        q = pbox_from_bits("1111", "0110", "0000")
         assert tree.find_container(q) == b
 
     def test_no_false_positive(self):
         tree = MultilevelDyadicTree(2)
-        tree.add(Box.from_bits("10", "0").packed)
-        assert tree.find_container(Box.from_bits("11", "0").packed) is None
-        assert tree.find_container(Box.from_bits("1", "0").packed) is None
+        tree.add(pbox_from_bits("10", "0"))
+        assert tree.find_container(pbox_from_bits("11", "0")) is None
+        assert tree.find_container(pbox_from_bits("1", "0")) is None
 
     def test_find_all_containers(self):
         tree = MultilevelDyadicTree(2)
-        a = Box.from_bits("1", "").packed
-        b = Box.from_bits("", "0").packed
-        c = Box.from_bits("0", "0").packed
+        a = pbox_from_bits("1", "")
+        b = pbox_from_bits("", "0")
+        c = pbox_from_bits("0", "0")
         for x in (a, b, c):
             tree.add(x)
-        point = Box.from_bits("1111", "0000").packed
+        point = pbox_from_bits("1111", "0000")
         found = set(map(tuple, tree.find_all_containers(point)))
         assert found == {a, b}
 
@@ -121,7 +122,7 @@ class TestFindContainer:
 
     def test_randomized_bulk(self):
         rng = random.Random(7)
-        stored = random_packed_boxes(1, 200, 3, 5)
+        stored = random_boxes(1, 200, 3, 5)
         tree = MultilevelDyadicTree(3)
         for b in stored:
             tree.add(b)

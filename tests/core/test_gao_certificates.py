@@ -3,14 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import Box
 from repro.core.certificates import (
     gao_consistent_certificate,
     is_gao_consistent,
     minimal_certificate,
 )
+from repro.core.boxes import pbox_from_bits
+from repro.core.intervals import PLAMBDA, pfrom_point
 from repro.indexes.gaps import dyadic_boxes_from_ranges
-from tests.helpers import brute_force_uncovered
+from tests.helpers import box_points, brute_force_uncovered
 
 DEPTH = 3
 
@@ -18,25 +19,25 @@ DEPTH = 3
 class TestGaoConsistency:
     def test_single_nontrivial_ok(self):
         # ⟨unit, gap-piece, λ⟩ in order (0,1,2).
-        box = ((5, DEPTH), (1, 1), (0, 0))
+        box = pbox_from_bits("101", "1", "")
         assert is_gao_consistent(box, (0, 1, 2), DEPTH)
 
     def test_nontrivial_then_nonlambda_rejected(self):
-        box = ((1, 1), (5, DEPTH), (0, 0))
+        box = pbox_from_bits("1", "101", "")
         assert not is_gao_consistent(box, (0, 1, 2), DEPTH)
 
     def test_order_dependence(self):
-        box = ((1, 1), (5, DEPTH), (0, 0))
+        box = pbox_from_bits("1", "101", "")
         # Under the order (1, 0, 2) the unit comes first: consistent.
         assert is_gao_consistent(box, (1, 0, 2), DEPTH)
 
     def test_all_lambda_or_units_consistent(self):
         assert is_gao_consistent(
-            ((0, 0), (5, DEPTH)), (0, 1), DEPTH
+            pbox_from_bits("", "101"), (0, 1), DEPTH
         )
 
     def test_two_nontrivial_rejected(self):
-        box = ((1, 1), (1, 1))
+        box = pbox_from_bits("1", "1")
         assert not is_gao_consistent(box, (0, 1), DEPTH)
 
 
@@ -44,9 +45,9 @@ class TestGaoCertificate:
     def test_matches_union(self):
         # Two σ-consistent halves plus an inconsistent redundant box.
         boxes = [
-            ((0, 1), (0, 0)),
-            ((1, 1), (0, 0)),
-            ((1, 1), (1, 1)),  # inconsistent but covered by the halves
+            pbox_from_bits("0", ""),
+            pbox_from_bits("1", ""),
+            pbox_from_bits("1", "1"),  # inconsistent but covered by the halves
         ]
         cert = gao_consistent_certificate(boxes, (0, 1), 2, DEPTH)
         assert brute_force_uncovered(cert, 2, DEPTH) == []
@@ -54,7 +55,7 @@ class TestGaoCertificate:
 
     def test_raises_when_consistent_subset_insufficient(self):
         # Only box is inconsistent: no σ-consistent certificate.
-        boxes = [((1, 1), (1, 1))]
+        boxes = [pbox_from_bits("1", "1")]
         with pytest.raises(ValueError, match="σ-consistent"):
             gao_consistent_certificate(boxes, (0, 1), 2, DEPTH)
 
@@ -63,9 +64,9 @@ class TestGaoCertificate:
         2-D boxes beat σ-consistent strips."""
         # Cover the whole space with two 'quadtree style' boxes that are
         # NOT (0,1)-consistent, plus the Θ(2^d) consistent strips.
-        coarse = [((0, 1), (0, 0)), ((1, 1), (0, 0))]
+        coarse = [pbox_from_bits("0", ""), pbox_from_bits("1", "")]
         strips = [
-            ((v, DEPTH), (0, 0)) for v in range(1 << DEPTH)
+            (pfrom_point(v, DEPTH), PLAMBDA) for v in range(1 << DEPTH)
         ]
         both = coarse + strips
         general = minimal_certificate(both, 2, DEPTH)
@@ -80,7 +81,7 @@ class TestRangeBoxDecomposition:
 
     def test_full_space(self):
         boxes = dyadic_boxes_from_ranges([(0, 7), (0, 7)], DEPTH)
-        assert boxes == [((0, 0), (0, 0))]
+        assert boxes == [(PLAMBDA, PLAMBDA)]
 
     @settings(max_examples=60)
     @given(
@@ -93,7 +94,7 @@ class TestRangeBoxDecomposition:
         boxes = dyadic_boxes_from_ranges([(xlo, xhi), (ylo, yhi)], DEPTH)
         points = set()
         for b in boxes:
-            pts = set(Box(b).points(DEPTH))
+            pts = set(box_points(b, DEPTH))
             assert not pts & points, "pieces must be disjoint"
             points |= pts
         expected = {

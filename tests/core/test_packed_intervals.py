@@ -1,54 +1,58 @@
-"""Unit and property tests for the packed marker-bit interval encoding.
+"""Edge cases and reference parity of the packed marker-bit encoding.
 
 Covers the edge cases the encoding must get right — λ (packed ``1``),
 unit-depth intervals, and the degenerate depth-0 domain — plus
-hypothesis-driven parity with the documented pair-based API.
+hypothesis-driven parity of every packed operation with the point sets
+of :func:`tests.helpers.interval_range`, which reads the bitstring
+without going through :mod:`repro.core.intervals`.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import intervals as dy
-from repro.core.boxes import Box, pbox_from_bits
-from repro.core.intervals import LAMBDA, PLAMBDA
+from repro.core.boxes import pbox_from_bits
+from repro.core.intervals import PLAMBDA
+from tests.helpers import interval_range
 
 DEPTH = 6
 
 
-def pair_ivs(max_depth=DEPTH):
+def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
-class TestPackUnpack:
-    @given(pair_ivs())
-    def test_roundtrip(self, iv):
-        assert dy.unpack(dy.pack(iv)) == iv
+def points(p, depth=DEPTH):
+    return set(interval_range(p, depth))
 
-    @given(pair_ivs())
-    def test_value_length_accessors(self, iv):
-        p = dy.pack(iv)
-        assert dy.pvalue(p) == iv[0]
-        assert dy.plength(p) == iv[1]
+
+class TestPackUnpack:
+    @given(ivs())
+    def test_roundtrip(self, p):
+        assert dy.pmake(dy.pvalue(p), dy.plength(p)) == p
+
+    @given(st.integers(0, DEPTH).flatmap(
+        lambda length: st.tuples(
+            st.integers(0, (1 << length) - 1), st.just(length)
+        )
+    ))
+    def test_value_length_accessors(self, value_length):
+        value, length = value_length
+        p = dy.pmake(value, length)
+        assert dy.pvalue(p) == value
+        assert dy.plength(p) == length
 
     def test_lambda(self):
-        assert dy.pack(LAMBDA) == PLAMBDA
-        assert dy.unpack(PLAMBDA) == LAMBDA
+        assert dy.pmake(0, 0) == PLAMBDA
         assert dy.plength(PLAMBDA) == 0
         assert dy.pvalue(PLAMBDA) == 0
 
     def test_examples(self):
-        assert dy.pack((5, 3)) == 0b1101
-        assert dy.pack((0, 1)) == 0b10
-        assert dy.pack((1, 1)) == 0b11
-
-    def test_pack_box_tolerant(self):
-        mixed = ((2, 2), 0b10, LAMBDA)
-        assert dy.pack_box(mixed) == (0b110, 0b10, PLAMBDA)
-        assert dy.unpack_box(dy.pack_box(mixed)) == ((2, 2), (0, 1), (0, 0))
+        assert dy.pmake(5, 3) == 0b1101
+        assert dy.pmake(0, 1) == 0b10
+        assert dy.pmake(1, 1) == 0b11
 
     def test_bits_roundtrip(self):
         assert dy.pfrom_bits("101") == 0b1101
@@ -67,27 +71,34 @@ class TestPackUnpack:
 
 
 class TestPackedOrder:
-    @given(pair_ivs(), pair_ivs())
+    @given(ivs(), ivs())
     def test_prefix_parity(self, a, b):
-        assert dy.pis_prefix(dy.pack(a), dy.pack(b)) == dy.is_prefix(a, b)
+        assert dy.pis_prefix(a, b) == (points(b) <= points(a))
 
-    @given(pair_ivs(), pair_ivs())
+    @given(ivs(), ivs())
     def test_overlap_parity(self, a, b):
-        assert dy.poverlaps(dy.pack(a), dy.pack(b)) == dy.overlaps(a, b)
+        assert dy.poverlaps(a, b) == bool(points(a) & points(b))
 
-    @given(pair_ivs(), pair_ivs())
+    @given(ivs(), ivs())
     def test_meet_parity(self, a, b):
-        pa, pb = dy.pack(a), dy.pack(b)
-        if dy.overlaps(a, b):
-            assert dy.pmeet(pa, pb) == dy.pack(dy.meet(a, b))
+        common = points(a) & points(b)
+        if common:
+            assert points(dy.pmeet(a, b)) == common
         else:
             with pytest.raises(ValueError):
-                dy.pmeet(pa, pb)
+                dy.pmeet(a, b)
 
-    @given(pair_ivs(), pair_ivs())
+    @given(ivs(), ivs())
     def test_sibling_parity(self, a, b):
-        assert dy.pare_siblings(dy.pack(a), dy.pack(b)) == \
-            dy.are_siblings(a, b)
+        pa, pb = points(a), points(b)
+        union = pa | pb
+        siblings = (
+            len(pa) == len(pb) < len(union)
+            # The union of x·0 and x·1 is the dyadic interval x.
+            and min(union) % len(union) == 0
+            and max(union) - min(union) + 1 == len(union)
+        )
+        assert dy.pare_siblings(a, b) == siblings
 
     def test_lambda_is_prefix_of_all(self):
         assert dy.pis_prefix(PLAMBDA, 0b1101)
@@ -96,17 +107,19 @@ class TestPackedOrder:
 
 
 class TestPackedStructure:
-    @given(pair_ivs(max_depth=DEPTH - 1))
+    @given(ivs(max_depth=DEPTH - 1))
     def test_split_parity(self, a):
-        left, right = dy.split(a)
-        assert dy.psplit(dy.pack(a)) == (dy.pack(left), dy.pack(right))
+        left, right = dy.psplit(a)
+        lo, hi = min(points(a)), max(points(a))
+        mid = (lo + hi + 1) // 2
+        assert points(left) == set(range(lo, mid))
+        assert points(right) == set(range(mid, hi + 1))
 
     def test_split_lambda(self):
         assert dy.psplit(PLAMBDA) == (0b10, 0b11)
 
-    @given(pair_ivs(max_depth=DEPTH - 1), st.integers(0, 1))
-    def test_extend_parent_roundtrip(self, a, bit):
-        p = dy.pack(a)
+    @given(ivs(max_depth=DEPTH - 1), st.integers(0, 1))
+    def test_extend_parent_roundtrip(self, p, bit):
         child = dy.pextend(p, bit)
         assert dy.pparent(child) == p
         assert dy.plast_bit(child) == bit
@@ -117,26 +130,28 @@ class TestPackedStructure:
         with pytest.raises(ValueError):
             dy.plast_bit(PLAMBDA)
 
-    @given(pair_ivs())
+    @given(ivs())
     def test_prefixes_parity(self, a):
-        assert list(dy.pprefixes(dy.pack(a))) == [
-            dy.pack(x) for x in dy.prefixes(a)
+        # The prefixes of a are exactly the intervals containing it,
+        # from λ (the smallest packed int) down to a itself.
+        containing = [
+            q for q in range(1, 2 << DEPTH) if points(a) <= points(q)
         ]
+        assert list(dy.pprefixes(a)) == containing
 
 
 class TestPackedGeometry:
-    @given(pair_ivs())
+    @given(ivs())
     def test_to_range_parity(self, a):
-        assert dy.pto_range(dy.pack(a), DEPTH) == dy.to_range(a, DEPTH)
+        assert dy.pto_range(a, DEPTH) == (min(points(a)), max(points(a)))
 
-    @given(pair_ivs())
+    @given(ivs())
     def test_width_parity(self, a):
-        assert dy.pwidth(dy.pack(a), DEPTH) == dy.width(a, DEPTH)
+        assert dy.pwidth(a, DEPTH) == len(points(a))
 
-    @given(pair_ivs(), st.integers(0, (1 << DEPTH) - 1))
+    @given(ivs(), st.integers(-2, (1 << DEPTH) + 2))
     def test_covers_point_parity(self, a, point):
-        assert dy.pcovers_point(dy.pack(a), point, DEPTH) == \
-            dy.covers_point(a, point, DEPTH)
+        assert dy.pcovers_point(a, point, DEPTH) == (point in points(a))
 
     @given(
         st.integers(0, (1 << DEPTH) - 1),
@@ -144,9 +159,13 @@ class TestPackedGeometry:
     )
     def test_decompose_parity(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert dy.pdecompose_range(lo, hi, DEPTH) == [
-            dy.pack(x) for x in dy.decompose_range(lo, hi, DEPTH)
-        ]
+        pieces = dy.pdecompose_range(lo, hi, DEPTH)
+        covered = [x for p in pieces for x in interval_range(p, DEPTH)]
+        assert covered == list(range(lo, hi + 1))
+        # Canonical: no two neighbouring pieces merge into one interval.
+        assert not any(
+            dy.pare_siblings(x, y) for x, y in zip(pieces, pieces[1:])
+        )
 
 
 class TestUnitAndDepthEdges:
@@ -182,8 +201,7 @@ class TestBoxHelpers:
         assert pbox_from_bits("10", "", "0") == (0b110, 1, 0b10)
         assert pbox_from_bits("λ", "*") == (1, 1)
 
-    @given(st.lists(pair_ivs(), min_size=1, max_size=4))
-    def test_box_packed_roundtrip(self, ivs):
-        box = Box(ivs)
-        assert Box.from_packed(box.packed) == box
-        assert dy.pack_box(box.ivs) == box.packed
+    @given(st.lists(ivs(), min_size=1, max_size=4))
+    def test_box_packed_roundtrip(self, components):
+        box = tuple(components)
+        assert pbox_from_bits(*map(dy.pto_bits, box)) == box

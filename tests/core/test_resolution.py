@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import resolution as res
-from repro.core.boxes import Box
+from repro.core.boxes import pbox_from_bits
 from repro.core.resolution import ResolutionStats, Resolver
+from tests.helpers import box_points
 
 DEPTH = 4
 
@@ -22,45 +23,47 @@ def box_tuples(ndim=3):
 class TestPaperExamples:
     def test_figure_7(self):
         # Resolution between ⟨λ, 00⟩ and ⟨10, 01⟩ yields ⟨10, 0⟩.
-        w1 = Box.from_bits("", "00")
-        w2 = Box.from_bits("10", "01")
-        assert res.resolve(w1, w2) == Box.from_bits("10", "0")
+        w1 = pbox_from_bits("", "00")
+        w2 = pbox_from_bits("10", "01")
+        assert res.resolve_tuples(w1, w2) == pbox_from_bits("10", "0")
 
     def test_example_4_4_step(self):
         # Resolving ⟨01, 10⟩ with ⟨λ, 11⟩ gives ⟨01, 1⟩.
-        w1 = Box.from_bits("01", "10")
-        w2 = Box.from_bits("", "11")
-        assert res.resolve(w1, w2) == Box.from_bits("01", "1")
+        w1 = pbox_from_bits("01", "10")
+        w2 = pbox_from_bits("", "11")
+        assert res.resolve_tuples(w1, w2) == pbox_from_bits("01", "1")
 
     def test_example_4_4_final_chain(self):
         # ⟨λ, 0⟩ with ⟨01, 1⟩ gives ⟨01, λ⟩.
-        w1 = Box.from_bits("", "0")
-        w2 = Box.from_bits("01", "1")
-        assert res.resolve(w1, w2) == Box.from_bits("01", "")
+        w1 = pbox_from_bits("", "0")
+        w2 = pbox_from_bits("01", "1")
+        assert res.resolve_tuples(w1, w2) == pbox_from_bits("01", "")
 
 
 class TestPreconditions:
     def test_not_resolvable_two_sibling_axes(self):
-        w1 = Box.from_bits("0", "0").packed
-        w2 = Box.from_bits("1", "1").packed
+        w1 = pbox_from_bits("0", "0")
+        w2 = pbox_from_bits("1", "1")
         assert res.find_resolvable_dimension(w1, w2) is None
 
     def test_not_resolvable_disjoint_axis(self):
-        w1 = Box.from_bits("00", "0").packed
-        w2 = Box.from_bits("11", "1").packed
+        w1 = pbox_from_bits("00", "0")
+        w2 = pbox_from_bits("11", "1")
         assert res.find_resolvable_dimension(w1, w2) is None
 
     def test_not_resolvable_identical(self):
-        w = Box.from_bits("0", "1").packed
+        w = pbox_from_bits("0", "1")
         assert res.find_resolvable_dimension(w, w) is None
 
     def test_resolve_raises_when_impossible(self):
         with pytest.raises(ValueError):
-            res.resolve(Box.from_bits("0", "0"), Box.from_bits("1", "1"))
+            res.resolve_tuples(
+                pbox_from_bits("0", "0"), pbox_from_bits("1", "1")
+            )
 
     def test_resolvable_single_axis(self):
-        w1 = Box.from_bits("10", "0").packed
-        w2 = Box.from_bits("11", "01").packed
+        w1 = pbox_from_bits("10", "0")
+        w2 = pbox_from_bits("11", "01")
         assert res.find_resolvable_dimension(w1, w2) == 0
         assert res.resolvable(w1, w2)
 
@@ -73,11 +76,8 @@ class TestSoundness:
         if axis is None:
             return
         w = res.resolve_tuples(w1, w2)
-        b1 = Box.from_packed(w1)
-        b2 = Box.from_packed(w2)
-        bw = Box.from_packed(w)
-        union = set(b1.points(DEPTH)) | set(b2.points(DEPTH))
-        assert set(bw.points(DEPTH)) <= union
+        union = set(box_points(w1, DEPTH)) | set(box_points(w2, DEPTH))
+        assert set(box_points(w, DEPTH)) <= union
 
     @given(box_tuples(), box_tuples())
     def test_resolvent_is_maximal_box_in_union(self, w1, w2):
@@ -99,19 +99,19 @@ class TestSoundness:
 
 class TestOrderedShape:
     def test_ordered_pair_accepts_staircase(self):
-        w1 = Box.from_bits("1010", "0110", "00").packed
-        w2 = Box.from_bits("1010", "01", "01").packed
+        w1 = pbox_from_bits("1010", "0110", "00")
+        w2 = pbox_from_bits("1010", "01", "01")
         assert res.is_ordered_pair(w1, w2, 2)
 
     def test_ordered_pair_rejects_tail(self):
         # Non-λ after the resolved axis breaks the Definition 4.3 shape.
-        w1 = Box.from_bits("00", "1", "1").packed
-        w2 = Box.from_bits("01", "1", "1").packed
+        w1 = pbox_from_bits("00", "1", "1")
+        w2 = pbox_from_bits("01", "1", "1")
         assert not res.is_ordered_pair(w1, w2, 0)
 
     def test_ordered_pair_requires_siblings(self):
-        w1 = Box.from_bits("00", "", "").packed
-        w2 = Box.from_bits("10", "", "").packed
+        w1 = pbox_from_bits("00", "", "")
+        w2 = pbox_from_bits("10", "", "")
         assert not res.is_ordered_pair(w1, w2, 0)
 
 
@@ -119,10 +119,10 @@ class TestResolverStats:
     def test_counts(self):
         stats = ResolutionStats()
         r = Resolver(stats)
-        w1 = Box.from_bits("0", "0").packed
-        w2 = Box.from_bits("1", "0").packed
+        w1 = pbox_from_bits("0", "0")
+        w2 = pbox_from_bits("1", "0")
         out = r.resolve(w1, w2, 0)
-        assert out == Box.from_bits("", "0").packed
+        assert out == pbox_from_bits("", "0")
         assert stats.resolutions == 1
         assert stats.by_axis == {0: 1}
 
@@ -130,16 +130,16 @@ class TestResolverStats:
         stats = ResolutionStats()
         r = Resolver(stats)
         # ordered pair
-        r.resolve(Box.from_bits("0", "").packed, Box.from_bits("1", "").packed, 0)
+        r.resolve(pbox_from_bits("0", ""), pbox_from_bits("1", ""), 0)
         # unordered pair (non-λ after axis)
-        r.resolve(Box.from_bits("0", "1").packed, Box.from_bits("1", "1").packed, 0)
+        r.resolve(pbox_from_bits("0", "1"), pbox_from_bits("1", "1"), 0)
         assert stats.resolutions == 2
         assert stats.ordered_resolutions == 1
 
     def test_reset(self):
         stats = ResolutionStats()
         r = Resolver(stats)
-        r.resolve(Box.from_bits("0", "").packed, Box.from_bits("1", "").packed, 0)
+        r.resolve(pbox_from_bits("0", ""), pbox_from_bits("1", ""), 0)
         stats.reset()
         assert stats.resolutions == 0
         assert stats.by_axis == {}

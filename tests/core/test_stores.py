@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import Box
+from repro.core.boxes import pbox_from_bits
 from repro.core.stores import ListStore
 from repro.core.tetris import BoxSetOracle, TetrisEngine
 from tests.helpers import brute_force_uncovered, random_boxes
@@ -17,7 +17,7 @@ def ivs(max_depth=3):
 class TestListStore:
     def test_basics(self):
         store = ListStore(2)
-        b = Box.from_bits("1", "0").packed
+        b = pbox_from_bits("1", "0")
         assert store.add(b)
         assert not store.add(b)
         assert b in store
@@ -30,14 +30,14 @@ class TestListStore:
 
     def test_arity_check(self):
         with pytest.raises(ValueError):
-            ListStore(2).add(Box.from_bits("1").packed)
+            ListStore(2).add(pbox_from_bits("1"))
 
     def test_find_container(self):
         store = ListStore(2)
-        big = Box.from_bits("1", "").packed
+        big = pbox_from_bits("1", "")
         store.add(big)
-        assert store.find_container(Box.from_bits("10", "01").packed) == big
-        assert store.find_container(Box.from_bits("0", "").packed) is None
+        assert store.find_container(pbox_from_bits("10", "01")) == big
+        assert store.find_container(pbox_from_bits("0", "")) is None
 
     @settings(max_examples=100)
     @given(

@@ -5,7 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import Box
+from repro.core.boxes import pbox_from_bits
+from repro.core.intervals import PLAMBDA
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import (
     MODES,
@@ -24,9 +25,7 @@ NDIM = 2
 
 def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
@@ -45,17 +44,17 @@ class TestSmallInstances:
         assert sorted(out) == [(0,), (1,), (2,), (3,)]
 
     def test_full_cover_single_box(self):
-        out = solve_bcp([Box.universe(2).ivs], ndim=2, depth=2)
+        out = solve_bcp([(PLAMBDA,) * 2], ndim=2, depth=2)
         assert out == []
 
     def test_figure_10_example(self):
         """Example 4.4: B = {⟨λ,0⟩, ⟨00,λ⟩, ⟨λ,11⟩, ⟨10,1⟩}, outputs
         ⟨01,10⟩ and ⟨11,10⟩."""
         boxes = [
-            Box.from_bits("", "0").ivs,
-            Box.from_bits("00", "").ivs,
-            Box.from_bits("", "11").ivs,
-            Box.from_bits("10", "1").ivs,
+            pbox_from_bits("", "0"),
+            pbox_from_bits("00", ""),
+            pbox_from_bits("", "11"),
+            pbox_from_bits("10", "1"),
         ]
         out = solve_bcp(boxes, ndim=2, depth=2)
         assert sorted(out) == [(1, 2), (3, 2)]
@@ -64,12 +63,12 @@ class TestSmallInstances:
         """Figure 5: MSB-complement triangle instance has empty output."""
         d = 3
         boxes = [
-            Box.from_bits("0", "0", "").ivs,
-            Box.from_bits("1", "1", "").ivs,
-            Box.from_bits("", "0", "0").ivs,
-            Box.from_bits("", "1", "1").ivs,
-            Box.from_bits("0", "", "0").ivs,
-            Box.from_bits("1", "", "1").ivs,
+            pbox_from_bits("0", "0", ""),
+            pbox_from_bits("1", "1", ""),
+            pbox_from_bits("", "0", "0"),
+            pbox_from_bits("", "1", "1"),
+            pbox_from_bits("0", "", "0"),
+            pbox_from_bits("1", "", "1"),
         ]
         assert solve_bcp(boxes, ndim=3, depth=d) == []
         assert boolean_box_cover(boxes, ndim=3, depth=d)
@@ -78,12 +77,12 @@ class TestSmallInstances:
         """Figure 6: T' has same-MSB pairs; output is non-empty."""
         d = 2
         boxes = [
-            Box.from_bits("0", "0", "").ivs,
-            Box.from_bits("1", "1", "").ivs,
-            Box.from_bits("", "0", "0").ivs,
-            Box.from_bits("", "1", "1").ivs,
-            Box.from_bits("0", "", "1").ivs,
-            Box.from_bits("1", "", "0").ivs,
+            pbox_from_bits("0", "0", ""),
+            pbox_from_bits("1", "1", ""),
+            pbox_from_bits("", "0", "0"),
+            pbox_from_bits("", "1", "1"),
+            pbox_from_bits("0", "", "1"),
+            pbox_from_bits("1", "", "0"),
         ]
         out = solve_bcp(boxes, ndim=3, depth=d)
         # Output tuples: MSB(a) != MSB(b), MSB(b) != MSB(c), MSB(a) = MSB(c)
@@ -148,7 +147,7 @@ class TestEngineAPI:
 
     def test_sao_translation_roundtrip(self):
         eng = TetrisEngine(3, 4, sao=(2, 0, 1))
-        b = Box.from_bits("10", "0", "111").ivs
+        b = pbox_from_bits("10", "0", "111")
         assert eng.to_external(eng.to_internal(b)) == b
 
     def test_max_outputs_truncates(self):
@@ -158,20 +157,20 @@ class TestEngineAPI:
 
     def test_stats_populated(self):
         stats = ResolutionStats()
-        boxes = [Box.from_bits("0", "").ivs, Box.from_bits("1", "0").ivs]
+        boxes = [pbox_from_bits("0", ""), pbox_from_bits("1", "0")]
         solve_bcp(boxes, 2, 3, stats=stats)
         assert stats.skeleton_calls >= 1
         assert stats.containment_queries > 0
 
     def test_oracle_dedups(self):
-        b = Box.from_bits("0", "").ivs
+        b = pbox_from_bits("0", "")
         oracle = BoxSetOracle([b, b], 2)
         assert len(oracle) == 1
 
     def test_outputs_in_space_order_with_sao(self):
         # One gap box; sao reverses axes — outputs must come back in
         # the original attribute order.
-        boxes = [Box.from_bits("0", "").ivs]  # removes x in [0,1]
+        boxes = [pbox_from_bits("0", "")]  # removes x in [0,1]
         out = solve_bcp(boxes, 2, 1, sao=(1, 0))
         assert sorted(out) == [(1, 0), (1, 1)]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import intervals as dy
-from repro.core.boxes import Box, box_contains, pbox_from_bits
+from repro.core.boxes import box_contains, pbox_from_bits
 from repro.core.tetris import (
     BoxSetOracle,
     CodeDimension,
@@ -12,8 +12,8 @@ from repro.core.tetris import (
     RemainderDimension,
     TetrisEngine,
 )
-from tests.helpers import box_covers_point, brute_force_uncovered, \
-    random_boxes
+from tests.helpers import box_covers_point, box_points, \
+    brute_force_uncovered, random_boxes
 
 DEPTH = 3
 NDIM = 2
@@ -21,9 +21,7 @@ NDIM = 2
 
 def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
@@ -41,9 +39,9 @@ class TestSkeletonPostconditions:
         for b in boxes:
             engine.add_box(b)
         covered, witness = engine.skeleton(
-            engine.to_internal(dy.pack_box(target))
+            engine.to_internal(target)
         )
-        target_points = set(Box(target).points(DEPTH))
+        target_points = set(box_points(target, DEPTH))
         covered_points = {
             p
             for p in target_points
@@ -54,7 +52,7 @@ class TestSkeletonPostconditions:
         if covered:
             # Witness covers the whole target.
             assert box_contains(
-                engine.to_external(witness), Box(target).packed
+                engine.to_external(witness), target
             )
         else:
             # Witness is an uncovered unit point inside the target.
@@ -88,7 +86,7 @@ class TestEngineReuse:
         assert sorted(first) == brute_force_uncovered(boxes, 2, DEPTH)
 
     def test_return_boxes_mode(self):
-        boxes = [Box.from_bits("0", "").ivs]
+        boxes = [pbox_from_bits("0", "")]
         engine = TetrisEngine(2, 1)
         out = engine.run(
             BoxSetOracle(boxes, 2), preload=True, return_boxes=True,
@@ -141,7 +139,7 @@ class TestDimensionSpecs:
         )
         # One box covering the '0' part of the code; uncovered points are
         # the lifts of values 4..7 (codes '10', '11').
-        engine.add_box(((0, 1), (0, 0)))
+        engine.add_box(pbox_from_bits("0", ""))
         out = engine.run(return_boxes=True)
         lowered = sorted(
             (dy.pvalue(p) << (s.bit_length() - 1)) | dy.pvalue(s)
@@ -157,10 +155,10 @@ class TestExample44Trace:
         from repro.core.trace import traced_solve_bcp
 
         boxes = [
-            Box.from_bits("", "0").ivs,
-            Box.from_bits("00", "").ivs,
-            Box.from_bits("", "11").ivs,
-            Box.from_bits("10", "1").ivs,
+            pbox_from_bits("", "0"),
+            pbox_from_bits("00", ""),
+            pbox_from_bits("", "11"),
+            pbox_from_bits("10", "1"),
         ]
         outputs, proof = traced_solve_bcp(boxes, 2, 2)
         assert sorted(outputs) == [(1, 2), (3, 2)]

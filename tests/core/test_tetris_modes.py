@@ -72,7 +72,7 @@ class TestModeParityUniform:
     def test_dense_and_empty_instances(self):
         # Full cover and empty box set, every mode.
         for mode in MODES:
-            assert run_mode([((0, 0), (0, 0))], 2, 2, mode, True) == []
+            assert run_mode([(1, 1)], 2, 2, mode, True) == []
             assert (
                 run_mode([], 2, 2, mode, False)
                 == brute_force_uncovered([], 2, 2)
@@ -88,23 +88,17 @@ class TestModeParityGeneralized:
         ndim = len(depths)
         top = max(depths)
         for seed in range(4):
-            # Clamp random boxes into each axis' depth budget.
-            raw = random_boxes(seed, 10, ndim, min(depths))
-            boxes = [
-                tuple(
-                    (v, min(ln, depths[i]))
-                    for i, (v, ln) in enumerate(box)
-                )
-                for box in raw
-            ]
+            # Boxes of the shallowest axis' depth fit every axis' budget.
+            boxes = random_boxes(seed, 10, ndim, min(depths))
             # Reference: enumerate the mixed-depth product space.
             covered = []
             points = itertools.product(*[range(1 << d) for d in depths])
             for point in points:
                 hit = any(
                     all(
-                        (point[i] >> (depths[i] - ln)) == v
-                        for i, (v, ln) in enumerate(box)
+                        ((1 << depths[i]) | point[i])
+                        >> (depths[i] + 1 - p.bit_length()) == p
+                        for i, p in enumerate(box)
                     )
                     for box in boxes
                 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.boxes import Box
+from repro.core.boxes import pbox_from_bits
 from repro.core.trace import (
     ProofStep,
     ResolutionProof,
@@ -22,8 +22,8 @@ DEPTH = 3
 class TestTracingResolver:
     def test_records_steps(self):
         tracer = TracingResolver()
-        w1 = Box.from_bits("0", "").packed
-        w2 = Box.from_bits("1", "").packed
+        w1 = pbox_from_bits("0", "")
+        w2 = pbox_from_bits("1", "")
         out = tracer.resolve(w1, w2, 0)
         assert len(tracer.proof) == 1
         step = tracer.proof.steps[0]
@@ -42,10 +42,10 @@ class TestProofVerification:
         proof = ResolutionProof(
             [
                 ProofStep(
-                    left=Box.from_bits("0", "").packed,
-                    right=Box.from_bits("1", "").packed,
+                    left=pbox_from_bits("0", ""),
+                    right=pbox_from_bits("1", ""),
                     axis=0,
-                    resolvent=Box.from_bits("1", "").packed,  # wrong
+                    resolvent=pbox_from_bits("1", ""),  # wrong
                     ordered=True,
                 )
             ]
@@ -57,10 +57,10 @@ class TestProofVerification:
         proof = ResolutionProof(
             [
                 ProofStep(
-                    left=Box.from_bits("0", "0").packed,
-                    right=Box.from_bits("1", "1").packed,
+                    left=pbox_from_bits("0", "0"),
+                    right=pbox_from_bits("1", "1"),
                     axis=0,
-                    resolvent=Box.from_bits("", "").packed,
+                    resolvent=pbox_from_bits("", ""),
                     ordered=False,
                 )
             ]
@@ -72,10 +72,10 @@ class TestProofVerification:
         proof = ResolutionProof(
             [
                 ProofStep(
-                    left=Box.from_bits("0", "1").packed,
-                    right=Box.from_bits("1", "1").packed,
+                    left=pbox_from_bits("0", "1"),
+                    right=pbox_from_bits("1", "1"),
                     axis=1,
-                    resolvent=Box.from_bits("", "1").packed,
+                    resolvent=pbox_from_bits("", "1"),
                     ordered=False,
                 )
             ]
@@ -133,7 +133,7 @@ class TestProofStructure:
             assert leaf in box_set or leaf in output_units
 
     def test_dot_export(self):
-        boxes = [Box.from_bits("0", "").packed, Box.from_bits("1", "").packed]
+        boxes = [pbox_from_bits("0", ""), pbox_from_bits("1", "")]
         _, proof = traced_solve_bcp(boxes, 2, 1)
         dot = proof.to_dot()
         assert dot.startswith("digraph proof {")

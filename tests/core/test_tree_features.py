@@ -8,7 +8,7 @@ import pytest
 from repro.core.boxes import box_contains
 from repro.core.dyadic_tree import MultilevelDyadicTree, _MASK
 from repro.core.stores import ListStore
-from tests.helpers import random_packed_boxes
+from tests.helpers import random_boxes
 
 
 def tree_of(boxes, ndim):
@@ -27,7 +27,7 @@ def unit_points(rng, count, ndim, depth):
 
 class TestDiscard:
     def test_discard_roundtrip(self):
-        boxes = random_packed_boxes(1, 30, 3, 4)
+        boxes = random_boxes(1, 30, 3, 4)
         t = tree_of(boxes, 3)
         size = len(t)
         unique = list(dict.fromkeys(boxes))
@@ -38,11 +38,11 @@ class TestDiscard:
         assert t.find_container(((1 << 4), (1 << 4), (1 << 4))) is None
 
     def test_discard_absent_returns_false(self):
-        t = tree_of(random_packed_boxes(2, 5, 2, 3), 2)
+        t = tree_of(random_boxes(2, 5, 2, 3), 2)
         assert not t.discard(((1 << 3) | 7, (1 << 3) | 7))
 
     def test_masks_exact_after_discard(self):
-        boxes = random_packed_boxes(3, 40, 2, 4)
+        boxes = random_boxes(3, 40, 2, 4)
         t = tree_of(boxes, 2)
         rng = random.Random(0)
         for b in rng.sample(list(dict.fromkeys(boxes)), 10):
@@ -75,7 +75,7 @@ class TestDiscard:
 class TestProbeVariants:
     @pytest.mark.parametrize("ndim", [1, 2, 3, 4, 5])
     def test_find_container_matches_liststore(self, ndim):
-        boxes = random_packed_boxes(ndim, 60, ndim, 4)
+        boxes = random_boxes(ndim, 60, ndim, 4)
         tree = tree_of(boxes, ndim)
         ref = ListStore(ndim)
         for b in boxes:
@@ -93,7 +93,7 @@ class TestTraversalFrontier:
     def test_probe_matches_plain_find_under_mutation(self):
         ndim, depth = 3, 4
         rng = random.Random(13)
-        boxes = random_packed_boxes(21, 30, ndim, depth)
+        boxes = random_boxes(21, 30, ndim, depth)
         tree = tree_of(boxes[:10], ndim)
         frontier = tree.attach_frontier()
         extra = iter(boxes[10:])

@@ -40,14 +40,12 @@ def bcp_instances(draw):
     # depth 0 makes the universe the unit box; ndim 1 has no frontier.
     depth = draw(st.integers(0, min(4, 12 // ndim)))
     component = st.integers(0, depth).flatmap(
-        lambda length: st.tuples(
-            st.integers(0, (1 << length) - 1), st.just(length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
     box = st.tuples(*[component] * ndim)
     boxes = draw(st.lists(box, max_size=24))
     if draw(st.integers(0, 9)) == 0:
-        boxes.append(((0, 0),) * ndim)  # the universe: fully covering
+        boxes.append((1,) * ndim)  # the universe ⟨λ..λ⟩: fully covering
     sao = tuple(draw(st.permutations(range(ndim))))
     return ndim, depth, sao, boxes
 

@@ -8,28 +8,34 @@ import random
 from typing import Iterable, Iterator, List, Sequence, Tuple
 from unittest import mock
 
-from repro.core.boxes import BoxTuple
-from repro.core.intervals import Interval
+from repro.core.boxes import PackedBox
 
 
-def interval_range(iv: Interval, depth: int) -> range:
-    """Integer range covered by a dyadic interval on a depth-d domain."""
-    value, length = iv
+def interval_range(p: int, depth: int) -> range:
+    """Integer range covered by a packed dyadic interval on a depth-d
+    domain — computed from the bitstring, independently of
+    ``repro.core.intervals``."""
+    length = p.bit_length() - 1
     width = 1 << (depth - length)
-    lo = value << (depth - length)
+    lo = (p - (1 << length)) * width
     return range(lo, lo + width)
 
 
-def box_covers_point(box: BoxTuple, point: Sequence[int], depth: int) -> bool:
-    for iv, coord in zip(box, point):
-        value, length = iv
-        if (coord >> (depth - length)) != value:
+def box_covers_point(box: PackedBox, point: Sequence[int], depth: int) -> bool:
+    for p, coord in zip(box, point):
+        length = p.bit_length() - 1
+        if (coord >> (depth - length)) != p - (1 << length):
             return False
     return True
 
 
+def box_points(box: PackedBox, depth: int) -> Iterator[Tuple[int, ...]]:
+    """Every point of a packed box (exponential — small boxes only)."""
+    return itertools.product(*(interval_range(p, depth) for p in box))
+
+
 def brute_force_uncovered(
-    boxes: Iterable[BoxTuple], ndim: int, depth: int
+    boxes: Iterable[PackedBox], ndim: int, depth: int
 ) -> List[Tuple[int, ...]]:
     """Reference BCP solver: enumerate all points, filter covered ones."""
     boxes = list(boxes)
@@ -41,29 +47,21 @@ def brute_force_uncovered(
     return out
 
 
-def random_box(rng: random.Random, ndim: int, depth: int) -> BoxTuple:
-    """A uniformly random dyadic box (components of random length)."""
+def random_box(rng: random.Random, ndim: int, depth: int) -> PackedBox:
+    """A uniformly random packed dyadic box (components of random length)."""
     ivs = []
     for _ in range(ndim):
         length = rng.randint(0, depth)
         value = rng.getrandbits(length) if length else 0
-        ivs.append((value, length))
+        ivs.append((1 << length) | value)
     return tuple(ivs)
 
 
 def random_boxes(
     seed: int, count: int, ndim: int, depth: int
-) -> List[BoxTuple]:
+) -> List[PackedBox]:
     rng = random.Random(seed)
     return [random_box(rng, ndim, depth) for _ in range(count)]
-
-
-def random_packed_boxes(seed: int, count: int, ndim: int, depth: int):
-    """Random boxes in the engine's packed marker-bit form."""
-    return [
-        tuple((1 << length) | value for value, length in box)
-        for box in random_boxes(seed, count, ndim, depth)
-    ]
 
 
 def check_container_answer(found, probe, boxes) -> None:

@@ -4,14 +4,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import intervals as dy
-from repro.indexes.gaps import (
-    complement_ranges,
-    dyadic_gaps,
-    gap_piece_containing,
-)
+from repro.indexes.btree import BTreeIndex
+from repro.indexes.gaps import complement_ranges, pdyadic_gaps
+from repro.relational.relation import Relation
+from repro.relational.schema import Domain, RelationSchema
 
 DEPTH = 5
 DOMAIN = 1 << DEPTH
+
+
+def gap_piece_containing(values, point, depth):
+    """The gap interval a unary B-tree returns around ``point``, or
+    ``None`` when ``point`` is stored — the lazy one-column probe."""
+    relation = Relation(
+        RelationSchema("R", ("A",)), [(v,) for v in values], Domain(depth)
+    )
+    found = BTreeIndex(relation, ("A",)).gap_boxes_containing((point,))
+    return found[0][0] if found else None
 
 
 class TestComplementRanges:
@@ -31,30 +40,30 @@ class TestComplementRanges:
 class TestDyadicGaps:
     @given(st.sets(st.integers(0, DOMAIN - 1), max_size=12))
     def test_cover_exact_complement(self, values):
-        gaps = dyadic_gaps(values, DEPTH)
+        gaps = pdyadic_gaps(values, DEPTH)
         covered = set()
         for g in gaps:
-            lo, hi = dy.to_range(g, DEPTH)
+            lo, hi = dy.pto_range(g, DEPTH)
             covered.update(range(lo, hi + 1))
         assert covered == set(range(DOMAIN)) - values
 
     @given(st.sets(st.integers(0, DOMAIN - 1), max_size=12))
     def test_gaps_disjoint(self, values):
-        gaps = dyadic_gaps(values, DEPTH)
+        gaps = pdyadic_gaps(values, DEPTH)
         total = 0
         for g in gaps:
-            lo, hi = dy.to_range(g, DEPTH)
+            lo, hi = dy.pto_range(g, DEPTH)
             total += hi - lo + 1
         assert total == DOMAIN - len(values)
 
     @given(st.sets(st.integers(0, DOMAIN - 1), min_size=1, max_size=12))
     def test_size_linear_in_values(self, values):
         # Each of the ≤ |values|+1 gaps decomposes into ≤ 2d pieces.
-        gaps = dyadic_gaps(values, DEPTH)
+        gaps = pdyadic_gaps(values, DEPTH)
         assert len(gaps) <= (len(values) + 1) * 2 * DEPTH
 
     def test_unsorted_input_ok(self):
-        assert dyadic_gaps([5, 1, 5], 3) == dyadic_gaps([1, 5], 3)
+        assert pdyadic_gaps([5, 1, 5], 3) == pdyadic_gaps([1, 5], 3)
 
 
 class TestGapPieceContaining:
@@ -72,6 +81,6 @@ class TestGapPieceContaining:
             assert piece is None
         else:
             assert piece is not None
-            assert dy.covers_point(piece, point, DEPTH)
+            assert dy.pcovers_point(piece, point, DEPTH)
             # It must be one of the globally computed gap pieces.
-            assert piece in dyadic_gaps(values, DEPTH)
+            assert piece in pdyadic_gaps(values, DEPTH)

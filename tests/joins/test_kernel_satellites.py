@@ -15,14 +15,14 @@ from repro.workloads.generators import (
     random_graph_edges,
     random_path_db,
 )
-from tests.helpers import check_container_answer, random_packed_boxes
+from tests.helpers import check_container_answer, random_boxes
 
 
 class TestOracleContainer:
     def test_box_set_container_is_a_stored_container(self):
-        boxes = random_packed_boxes(8, 40, 3, 4)
+        boxes = random_boxes(8, 40, 3, 4)
         oracle = BoxSetOracle(boxes, 3)
-        for probe in random_packed_boxes(4, 60, 3, 4):
+        for probe in random_boxes(4, 60, 3, 4):
             found = oracle.container(probe)
             check_container_answer(found, probe, boxes)
             assert found is None or found in boxes
@@ -32,7 +32,7 @@ class TestOracleContainer:
         oracle, _ = make_oracle(query, db)
         depth = db.domain.depth
         gap_boxes = oracle.boxes()
-        for probe in random_packed_boxes(9, 60, len(oracle.attrs), depth):
+        for probe in random_boxes(9, 60, len(oracle.attrs), depth):
             found = oracle.container(probe)
             check_container_answer(found, probe, gap_boxes)
             assert found is None or found in gap_boxes

@@ -1,12 +1,11 @@
-"""Packed/unpacked parity: the packed pipeline must change nothing.
+"""End-to-end parity of the packed pipeline.
 
-The packed marker-bit refactor rewired every layer between the indexes
-and the engine; these tests pin the end-to-end contract:
+Every layer between the indexes and the engine runs on packed
+marker-bit boxes; these tests pin the end-to-end contract:
 
 * randomized (seeded) cross-validation of ``join_tetris`` against the
   reference evaluator over **all variants × index kinds**;
-* ``solve_bcp`` accepting pair-form, packed-form, and mixed-form boxes
-  and producing identical outputs;
+* ``solve_bcp`` on packed boxes agreeing with the brute-force reference;
 * the lazy oracle path (reloaded) agreeing with the materialized path
   (preloaded) on the same instance.
 """
@@ -15,7 +14,6 @@ import random
 
 import pytest
 
-from repro.core import intervals as dy
 from repro.core.tetris import solve_bcp
 from repro.joins.tetris_join import join_tetris
 from repro.relational.query import (
@@ -69,18 +67,11 @@ def test_join_parity_all_variants_and_indexes(qname, seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_solve_bcp_accepts_pair_and_packed_inputs(seed):
-    """Pair, packed, and mixed box forms yield identical BCP outputs."""
-    pair_boxes = random_boxes(seed, 20, 3, DEPTH)
-    packed_boxes = [dy.pack_box(b) for b in pair_boxes]
-    mixed_boxes = [
-        p if i % 2 else dy.unpack_box(p)
-        for i, p in enumerate(packed_boxes)
-    ]
-    expected = brute_force_uncovered(pair_boxes, 3, DEPTH)
-    assert sorted(solve_bcp(pair_boxes, 3, DEPTH)) == expected
-    assert sorted(solve_bcp(packed_boxes, 3, DEPTH)) == expected
-    assert sorted(solve_bcp(mixed_boxes, 3, DEPTH)) == expected
+def test_solve_bcp_on_packed_inputs(seed):
+    """Packed boxes solve to the brute-force BCP output."""
+    boxes = random_boxes(seed, 20, 3, DEPTH)
+    expected = brute_force_uncovered(boxes, 3, DEPTH)
+    assert sorted(solve_bcp(boxes, 3, DEPTH)) == expected
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import Box
+from repro.core.boxes import pbox_from_bits
 from repro.klee.measure import (
     klee_covers_space,
     klee_measure_sweep,
@@ -16,9 +16,7 @@ DEPTH = 3
 
 def ivs(max_depth=DEPTH):
     return st.integers(0, max_depth).flatmap(
-        lambda length: st.integers(0, (1 << length) - 1).map(
-            lambda value: (value, length)
-        )
+        lambda length: st.integers(1 << length, (2 << length) - 1)
     )
 
 
@@ -31,12 +29,12 @@ class TestMeasureSweep:
         assert klee_measure_sweep([], 2, DEPTH) == 0
 
     def test_single_box(self):
-        box = Box.from_bits("1", "01").ivs
+        box = pbox_from_bits("1", "01")
         assert klee_measure_sweep([box], 2, DEPTH) == 4 * 2
 
     def test_overlap_counted_once(self):
-        a = Box.from_bits("0", "").ivs
-        b = Box.from_bits("", "0").ivs
+        a = pbox_from_bits("0", "")
+        b = pbox_from_bits("", "0")
         # |A ∪ B| = 32 + 32 - 16 = 48
         assert klee_measure_sweep([a, b], 2, DEPTH) == 48
 
@@ -62,7 +60,7 @@ class TestBooleanKlee:
         ) == expected
 
     def test_full_cover(self):
-        halves = [Box.from_bits("0", "", "").ivs,
-                  Box.from_bits("1", "", "").ivs]
+        halves = [pbox_from_bits("0", "", ""),
+                  pbox_from_bits("1", "", "")]
         assert klee_covers_space(halves, 3, DEPTH)
         assert klee_measure_sweep(halves, 3, DEPTH) == 1 << (3 * DEPTH)

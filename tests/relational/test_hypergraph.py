@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.boxes import pbox_from_bits
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import (
     clique_query,
@@ -27,7 +28,7 @@ class TestConstruction:
             Hypergraph(("A",), [("A", "B")])
 
     def test_of_boxes(self):
-        boxes = [((1, 1), (0, 0), (0, 1)), ((0, 0), (1, 1), (0, 0))]
+        boxes = [pbox_from_bits("1", "", "0"), pbox_from_bits("", "1", "")]
         h = Hypergraph.of_boxes(boxes, ("A", "B", "C"))
         assert frozenset({"A", "C"}) in h.edges
         assert frozenset({"B"}) in h.edges

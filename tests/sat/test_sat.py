@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.boxes import pbox_from_bits
+from repro.core.intervals import PLAMBDA
 from repro.sat.clauses import (
     CNF,
     box_to_clause,
@@ -47,7 +49,7 @@ class TestEncoding:
     def test_example_4_1_clause(self):
         # Clause (x1 ∨ ¬x3) excludes x1=0, x3=1 → box ⟨0, λ, 1⟩.
         box = clause_to_box(frozenset({1, -3}), 3)
-        assert box == ((0, 1), (0, 0), (1, 1))
+        assert box == pbox_from_bits("0", "", "1")
 
     def test_roundtrip(self):
         clause = frozenset({1, -2, 4})
@@ -55,7 +57,7 @@ class TestEncoding:
 
     def test_box_to_clause_rejects_deep(self):
         with pytest.raises(ValueError):
-            box_to_clause(((0, 2),))
+            box_to_clause(pbox_from_bits("00"))
 
     @given(
         st.integers(2, 5).flatmap(
@@ -87,11 +89,10 @@ class TestEncoding:
         boxes = cnf_to_boxes(cnf)
         for mask in range(1 << n):
             assignment = [(mask >> v) & 1 for v in range(n)]
-            point = tuple((bit, 1) for bit in assignment)
             covered = any(
                 all(
-                    length == 0 or value == assignment[i]
-                    for i, (value, length) in enumerate(box)
+                    p == PLAMBDA or (p & 1) == assignment[i]
+                    for i, p in enumerate(box)
                 )
                 for box in boxes
             )

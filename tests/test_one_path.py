@@ -22,7 +22,11 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
+import repro.core
+import repro.core.intervals
 import repro.core.tetris
 import repro.engine
 import repro.joins
@@ -288,3 +292,19 @@ def test_reloaded_asks_about_boxes_only():
         text = path.read_text()
         for name in deleted:
             assert name not in text, f"{name} in {path}"
+
+
+def test_a_dyadic_interval_is_one_int():
+    """One encoding of an interval and one box type: the ``(value,
+    length)`` pair form, its converters and its ``Box`` / ``Space``
+    wrappers are gone, and a pair-form box is refused at the boundary."""
+    for name in (
+        "Interval", "LAMBDA", "make", "pack_box", "unpack_box",
+        "decompose_range",
+    ):
+        assert not hasattr(repro.core.intervals, name), name
+    for module in (repro, repro.core):
+        for name in ("Box", "Space", "resolve"):
+            assert not hasattr(module, name), (module.__name__, name)
+    with pytest.raises(TypeError, match="packed"):
+        repro.core.tetris.solve_bcp([((0, 1), (0, 0))], 2, 2)
