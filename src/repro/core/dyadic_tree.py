@@ -35,6 +35,13 @@ facts, so evicting them is always safe).
 
 On the last level a node maps each packed component to the stored box
 itself; on interior levels it maps to the next level's node dict.
+
+Reads and writes are both generated per dimensionality: the probe walks
+(:func:`_emit_walker`) are nested loops with one local per level, and
+so are the writers (:func:`_emit_writers`) — an unrolled ``insert``
+behind :meth:`MultilevelDyadicTree.add` and the bulk loader behind
+:meth:`MultilevelDyadicTree.add_many`, which keeps the previous box's
+path nodes in locals.
 """
 
 from __future__ import annotations
@@ -47,10 +54,11 @@ from repro.core.boxes import PackedBox
 _MASK = 0
 
 #: Unrolled probe walks are generated per dimensionality up to this cap;
-#: wider boxes fall back to the generic stack DFS.
+#: wider boxes fall back to the generic stack DFS.  The writers have no
+#: cap: their source is linear in the dimensionality.
 _UNROLL_CAP = 8
 
-_FINDER_CACHE: dict = {}
+_COMPILED: dict = {}
 
 
 def _emit_walker(ndim: int, collect: bool) -> str:
@@ -106,25 +114,103 @@ def _emit_walker(ndim: int, collect: bool) -> str:
     return "\n".join(lines)
 
 
-def _compiled_walker(ndim: int, collect: bool = False):
-    """Compile (and cache) one specialized walker."""
-    key = (ndim, collect)
-    cached = _FINDER_CACHE.get(key)
-    if cached is None:
-        namespace: dict = {}
+def _compiled(emit, *args) -> dict:
+    """The namespace ``emit(*args)``'s source defines, compiled once."""
+    key = (emit, *args)
+    namespace = _COMPILED.get(key)
+    if namespace is None:
+        namespace = {}
         exec(  # noqa: S102 - source is generated from static templates
-            _emit_walker(ndim, collect), namespace
+            emit(*args), namespace
         )
-        cached = _FINDER_CACHE[key] = namespace["find"]
-    return cached
+        _COMPILED[key] = namespace
+    return namespace
+
+
+def _emit_writers(ndim: int) -> str:
+    """Source of the two writers of an ``ndim``-level tree.
+
+    ``insert(root, box)`` stores one box and returns whether it was new.
+    ``load(tree, boxes)`` stores a stream: consecutive boxes sharing a
+    component prefix (the natural order of index-emitted gap boxes) keep
+    the previous box's path nodes, held in locals level by level, and a
+    change at one level re-walks every level below it.  Both unpack the
+    box into locals (a wrong arity raises before anything is stored),
+    create missing nodes with their length-mask bit ORed in, and leave
+    dict insertion order as a box-at-a-time descent would.  The loader
+    adds the tree's size and version once, even when the stream raises,
+    and hands each new box to an attached frontier's ``note_add``.
+    """
+    last = ndim - 1
+    comps = ", ".join(f"q{i}" for i in range(ndim)) + ("," if ndim == 1 else "")
+
+    def unpack(ind: str) -> List[str]:
+        return [
+            f"{ind}try:",
+            f"{ind}    {comps} = box",
+            f"{ind}except ValueError:",
+            f"{ind}    raise ValueError(",
+            f'{ind}        f"box has {{len(box)}} components, store has {ndim}"',
+            f"{ind}    ) from None",
+        ]
+
+    def child(ind: str, i: int) -> List[str]:
+        # Level i's node is root for i == 0, n{i} below it.
+        node = "root" if i == 0 else f"n{i}"
+        return [
+            f"{ind}n{i + 1} = {node}.get(q{i})",
+            f"{ind}if n{i + 1} is None:",
+            f"{ind}    n{i + 1} = {node}[q{i}] = {{0: 0}}",
+            f"{ind}    {node}[0] |= 1 << (q{i}.bit_length() - 1)",
+        ]
+
+    leaf = "root" if last == 0 else f"n{last}"
+    store = [
+        f"{leaf}[q{last}] = box",
+        f"{leaf}[0] |= 1 << (q{last}.bit_length() - 1)",
+    ]
+    lines = ["def insert(root, box):"] + unpack("    ")
+    for i in range(last):
+        lines += child("    ", i)
+    lines += [f"    if q{last} in {leaf}:", "        return False"]
+    lines += ["    " + s for s in store] + ["    return True", ""]
+
+    lines += [
+        "def load(tree, boxes):",
+        "    root = tree._root",
+        "    frontier = tree._frontier",
+        "    note = None if frontier is None else frontier.note_add",
+        "    added = 0",
+    ]
+    if last:
+        lines.append("    " + " = ".join(f"p{i}" for i in range(last)) + " = None")
+    lines += ["    try:", "        for box in boxes:"]
+    lines += unpack("            ")
+    for i in range(last):
+        lines += [f"            if q{i} != p{i}:", f"                p{i} = q{i}"]
+        if i + 1 < last:
+            lines.append(f"                p{i + 1} = None")
+        lines += child("                ", i)
+    lines.append(f"            if q{last} not in {leaf}:")
+    lines += ["                " + s for s in store]
+    lines += [
+        "                added += 1",
+        "                if note is not None:",
+        "                    note(box)",
+        "    finally:",
+        "        tree._size += added",
+        "        tree.version += added",
+        "    return added",
+    ]
+    return "\n".join(lines)
 
 
 class MultilevelDyadicTree:
     """A set of packed dyadic boxes with Õ(1) ``find_container`` queries."""
 
     __slots__ = (
-        "ndim", "_root", "_size", "_find", "_findall", "version",
-        "_frontier",
+        "ndim", "_root", "_size", "_find", "_findall", "_insert", "_load",
+        "version", "_frontier",
     )
 
     def __init__(self, ndim: int):
@@ -138,19 +224,22 @@ class MultilevelDyadicTree:
         #: pinned probes.
         self.version = 0
         self._frontier: Optional["TraversalFrontier"] = None
+        writers = _compiled(_emit_writers, ndim)
+        self._insert, self._load = writers["insert"], writers["load"]
         if ndim <= _UNROLL_CAP:
-            self._find = _compiled_walker(ndim)
-            self._findall = _compiled_walker(ndim, collect=True)
+            self._find = _compiled(_emit_walker, ndim, False)["find"]
+            self._findall = _compiled(_emit_walker, ndim, True)["find"]
         else:
             self._find = self._findall = None
 
     def attach_frontier(self) -> "TraversalFrontier":
         """Create and register the traversal frontier for one engine run.
 
-        While attached, every successful :meth:`add` updates the
-        frontier's cached node sets, so its shared-prefix probes never
-        miss a freshly stored box.  At most one frontier is attached at
-        a time; call :meth:`detach_frontier` when the run ends.
+        While attached, every box :meth:`add` or :meth:`add_many` stores
+        updates the frontier's cached node sets, so its shared-prefix
+        probes never miss a freshly stored box.  At most one frontier is
+        attached at a time; call :meth:`detach_frontier` when the run
+        ends.
         """
         frontier = TraversalFrontier(self)
         self._frontier = frontier
@@ -172,26 +261,13 @@ class MultilevelDyadicTree:
         return box[last] in node
 
     def add(self, box: PackedBox) -> bool:
-        """Insert a packed box; returns ``False`` when already present."""
-        if len(box) != self.ndim:
-            raise ValueError(
-                f"box has {len(box)} components, store has {self.ndim}"
-            )
-        node = self._root
-        last = self.ndim - 1
-        for level in range(last):
-            comp = box[level]
-            child = node.get(comp)
-            if child is None:
-                child = {_MASK: 0}
-                node[comp] = child
-                node[_MASK] |= 1 << (comp.bit_length() - 1)
-            node = child
-        comp = box[last]
-        if comp in node:
+        """Insert a packed box; returns ``False`` when already present.
+
+        The walk is the generated ``insert`` (see :func:`_emit_writers`);
+        a box of the wrong arity raises ``ValueError``.
+        """
+        if not self._insert(self._root, box):
             return False
-        node[comp] = box
-        node[_MASK] |= 1 << (comp.bit_length() - 1)
         self._size += 1
         self.version += 1
         frontier = self._frontier
@@ -202,41 +278,12 @@ class MultilevelDyadicTree:
     def add_many(self, boxes) -> int:
         """Bulk insert; returns how many were new.
 
-        Consecutive boxes sharing a component prefix (the natural order
-        of index-emitted gap boxes) reuse the already-walked path nodes
-        instead of re-descending from the root — the preload fast path.
+        One pass of the generated loader (see :func:`_emit_writers`):
+        consecutive boxes sharing a component prefix reuse the walked
+        path nodes — the preload fast path.  A box of the wrong arity
+        raises ``ValueError``; the boxes before it stay stored.
         """
-        last = self.ndim - 1
-        added = 0
-        prev = None
-        path = [self._root] * (last + 1)
-        for box in boxes:
-            j = 0
-            if prev is not None:
-                while j < last and box[j] == prev[j]:
-                    j += 1
-            node = path[j]
-            for level in range(j, last):
-                comp = box[level]
-                child = node.get(comp)
-                if child is None:
-                    child = {_MASK: 0}
-                    node[comp] = child
-                    node[_MASK] |= 1 << (comp.bit_length() - 1)
-                node = child
-                path[level + 1] = node
-            comp = box[last]
-            if comp not in node:
-                node[comp] = box
-                node[_MASK] |= 1 << (comp.bit_length() - 1)
-                self._size += 1
-                self.version += 1
-                added += 1
-                frontier = self._frontier
-                if frontier is not None:
-                    frontier.note_add(box)
-            prev = box
-        return added
+        return self._load(self, boxes)
 
     @staticmethod
     def _refresh_mask(node: dict) -> None:

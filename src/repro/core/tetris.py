@@ -180,17 +180,17 @@ class BoxSetOracle:
     of the input relations".
 
     Input boxes must be packed (:func:`~repro.core.boxes.check_packed`
-    raises ``TypeError`` otherwise); all queries and results are packed.
+    raises ``TypeError`` otherwise, before any box is stored); all
+    queries and results are packed.
     """
 
     def __init__(self, boxes: Iterable[PackedBox], ndim: int):
         self.ndim = ndim
         self._tree = MultilevelDyadicTree(ndim)
-        self._boxes: List[PackedBox] = []
-        for box in boxes:
-            box = check_packed(box)
-            if self._tree.add(box):
-                self._boxes.append(box)
+        self._boxes: List[PackedBox] = list(
+            dict.fromkeys(map(check_packed, boxes))
+        )
+        self._tree.add_many(self._boxes)
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -475,10 +475,14 @@ class TetrisEngine:
         (Tetris-Preloaded): one ``add_many`` pass over
         ``oracle.ordered_boxes(sao)``, which streams them already in
         this engine's SAO order and leaves duplicates for the knowledge
-        base to skip.  Otherwise they are pulled on demand, in space
-        order (Tetris-Reloaded): one ``oracle.container(box)`` probe per
-        knowledge-base miss in resume mode, ``oracle.containing(point)``
-        per uncovered point in faithful mode.
+        base to skip.  On the default store that pass is the dyadic
+        tree's loader, generated per dimensionality (see
+        :func:`repro.core.dyadic_tree._emit_writers`): one loop that
+        keeps the previous box's path nodes in locals.  Otherwise they
+        are pulled on demand, in space order (Tetris-Reloaded): one
+        ``oracle.container(box)`` probe per knowledge-base miss in
+        resume mode, ``oracle.containing(point)`` per uncovered point in
+        faithful mode.
 
         ``mode`` selects the traversal: ``"resume"`` (default) is the
         one-pass frontier-resuming skeleton, ``"faithful"`` the

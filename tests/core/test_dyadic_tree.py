@@ -1,4 +1,9 @@
-"""Tests for the multilevel dyadic tree knowledge-base store (packed)."""
+"""Tests for the multilevel dyadic tree knowledge-base store (packed).
+
+The writers are generated per dimensionality; the hand-written per-level
+loops they replaced stay here as the reference (``LoopTree``): the same
+return counts, size, version, iteration order and mask at every node.
+"""
 
 import random
 
@@ -7,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.boxes import box_contains, pbox_from_bits
 from repro.core.intervals import PLAMBDA
-from repro.core.dyadic_tree import MultilevelDyadicTree
-from tests.helpers import random_boxes
+from repro.core.dyadic_tree import MultilevelDyadicTree, _MASK
+from tests.helpers import random_box, random_boxes
 
 DEPTH = 4
 
@@ -50,6 +55,23 @@ class TestBasics:
         tree = MultilevelDyadicTree(2)
         with pytest.raises(ValueError):
             tree.add(pbox_from_bits("1"))
+
+    def test_add_many_refuses_wrong_arity(self):
+        """``add_many`` raises ``add``'s error and stores nothing of the
+        offending box; the boxes before it stay stored and counted."""
+        tree = MultilevelDyadicTree(3)
+        with pytest.raises(ValueError, match="box has 4 components, store has 3"):
+            tree.add_many([(1, 2, 3, 4)])
+        assert (len(tree), list(tree), tree.version) == (0, [], 0)
+        assert tree._root == {_MASK: 0}
+        tree = MultilevelDyadicTree(2)
+        with pytest.raises(ValueError, match="box has 3 components, store has 2"):
+            tree.add_many([(2, 3, 5)])
+        assert tree.find_container((2, 3)) is None
+        with pytest.raises(ValueError, match="box has 1 components, store has 2"):
+            tree.add_many([(2, 3), (2,), (4, 5)])
+        assert (len(tree), list(tree), tree.version) == (1, [(2, 3)], 1)
+        assert tree.find_container((2, 3)) == (2, 3)
 
     def test_not_contains_prefix(self):
         tree = MultilevelDyadicTree(1)
@@ -132,3 +154,152 @@ class TestFindContainer:
             )
             expected = {b for b in stored if box_contains(b, q)}
             assert set(tree.find_all_containers(q)) == expected
+
+
+# -- the generated writers against the loops they replaced -------------------------
+
+
+class LoopTree(MultilevelDyadicTree):
+    """The hand-written per-level ``add`` / ``add_many``, as they were
+    before the writers were generated."""
+
+    __slots__ = ()
+
+    def add(self, box):
+        if len(box) != self.ndim:
+            raise ValueError(
+                f"box has {len(box)} components, store has {self.ndim}"
+            )
+        node = self._root
+        last = self.ndim - 1
+        for level in range(last):
+            comp = box[level]
+            child = node.get(comp)
+            if child is None:
+                child = {_MASK: 0}
+                node[comp] = child
+                node[_MASK] |= 1 << (comp.bit_length() - 1)
+            node = child
+        comp = box[last]
+        if comp in node:
+            return False
+        node[comp] = box
+        node[_MASK] |= 1 << (comp.bit_length() - 1)
+        self._size += 1
+        self.version += 1
+        frontier = self._frontier
+        if frontier is not None:
+            frontier.note_add(box)
+        return True
+
+    def add_many(self, boxes):
+        last = self.ndim - 1
+        added = 0
+        prev = None
+        path = [self._root] * (last + 1)
+        for box in boxes:
+            j = 0
+            if prev is not None:
+                while j < last and box[j] == prev[j]:
+                    j += 1
+            node = path[j]
+            for level in range(j, last):
+                comp = box[level]
+                child = node.get(comp)
+                if child is None:
+                    child = {_MASK: 0}
+                    node[comp] = child
+                    node[_MASK] |= 1 << (comp.bit_length() - 1)
+                node = child
+                path[level + 1] = node
+            comp = box[last]
+            if comp not in node:
+                node[comp] = box
+                node[_MASK] |= 1 << (comp.bit_length() - 1)
+                self._size += 1
+                self.version += 1
+                added += 1
+                frontier = self._frontier
+                if frontier is not None:
+                    frontier.note_add(box)
+            prev = box
+        return added
+
+
+def layout(node, levels):
+    """Every node's items in insertion order, length masks included."""
+    if levels == 1:
+        return list(node.items())
+    return [
+        (key, value if key == _MASK else layout(value, levels - 1))
+        for key, value in node.items()
+    ]
+
+
+def unit_inside(box, depth, rng):
+    """A unit box (one point) inside ``box``."""
+    out = []
+    for comp in box:
+        free = depth + 1 - comp.bit_length()
+        out.append((comp << free) | rng.getrandbits(free))
+    return tuple(out)
+
+
+@st.composite
+def writer_scripts(draw):
+    """Interleaved add / add_many / discard on one dimensionality, past
+    the walkers' unroll cap: duplicates, λ components, the universe box
+    and runs of boxes sharing a prefix."""
+    ndim = draw(st.integers(1, 10))
+    depth = draw(st.integers(0, 5))
+    comp = st.integers(PLAMBDA, (2 << depth) - 1)
+    pool = draw(st.lists(st.tuples(*[comp] * ndim), min_size=1, max_size=8))
+    pool.append((PLAMBDA,) * ndim)
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("add", "add_many", "discard")))
+        if kind != "add_many":
+            ops.append((kind, draw(st.sampled_from(pool))))
+            continue
+        base = draw(st.sampled_from(pool))
+        keep = draw(st.integers(0, ndim))
+        tails = draw(st.lists(st.tuples(*[comp] * (ndim - keep)), max_size=6))
+        batch = [base[:keep] + tail for tail in tails]
+        batch += draw(st.lists(st.sampled_from(pool), max_size=4))
+        pool += batch
+        ops.append((kind, batch))
+    return ndim, depth, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=writer_scripts(), rng=st.randoms(use_true_random=False))
+def test_writers_match_the_loops_they_replaced(script, rng):
+    ndim, depth, ops = script
+    tree, ref = MultilevelDyadicTree(ndim), LoopTree(ndim)
+    frontier = tree.attach_frontier()
+    for kind, arg in ops:
+        # Freeze the frontier around a point of a box this step writes,
+        # so only note_add can tell it about the new box.
+        if kind == "add":
+            target = arg
+        elif kind == "add_many" and arg:
+            target = rng.choice(arg)
+        else:
+            target = None
+        if target is not None:
+            point = unit_inside(target, depth, rng)
+            cursor = rng.randint(0, ndim)
+            frontier.sync_and_probe(point, cursor)
+        assert getattr(tree, kind)(arg) == getattr(ref, kind)(arg)
+        assert (len(tree), tree.version) == (len(ref), ref.version)
+        assert list(tree) == list(ref)
+        assert layout(tree._root, ndim) == layout(ref._root, ndim)
+        if target is not None:
+            found = frontier.sync_and_probe(point, cursor)
+            assert found is not None and box_contains(found, point)
+    for _ in range(12):
+        probe = random_box(rng, ndim, depth)
+        if rng.random() < 0.5:
+            probe = unit_inside(probe, depth, rng)
+        assert tree.find_container(probe) == ref.find_container(probe)
+        assert tree.find_all_containers(probe) == ref.find_all_containers(probe)

@@ -1,11 +1,14 @@
 """Tests for the Tetris engine: correctness against brute force, variants."""
 
 import itertools
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import pbox_from_bits
+import repro.core.tetris as tetris_module
+from repro.core.boxes import check_packed, pbox_from_bits
+from repro.core.dyadic_tree import MultilevelDyadicTree
 from repro.core.intervals import PLAMBDA
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import (
@@ -173,6 +176,69 @@ class TestEngineAPI:
         boxes = [pbox_from_bits("0", "")]  # removes x in [0,1]
         out = solve_bcp(boxes, 2, 1, sao=(1, 0))
         assert sorted(out) == [(1, 0), (1, 1)]
+
+
+class PerBoxOracle(BoxSetOracle):
+    """The box-at-a-time load ``BoxSetOracle`` replaced with one
+    ``add_many``: check, insert, keep the box if it was new."""
+
+    def __init__(self, boxes, ndim):
+        self.ndim = ndim
+        self._tree = MultilevelDyadicTree(ndim)
+        self._boxes = []
+        for box in boxes:
+            box = check_packed(box)
+            if self._tree.add(box):
+                self._boxes.append(box)
+
+
+class TestBoxSetOracleLoad:
+    def test_boxes_are_first_seen_distinct(self):
+        boxes = random_boxes(5, 30, 3, 3)
+        stream = boxes + boxes[::-1] + boxes[:7]
+        oracle = BoxSetOracle(stream, 3)
+        assert list(oracle.boxes()) == list(dict.fromkeys(boxes))
+        assert len(oracle) == len(set(boxes))
+        assert list(oracle._tree) == list(PerBoxOracle(stream, 3)._tree)
+
+    def test_pair_form_refused_before_any_box_is_stored(self, monkeypatch):
+        stored = []
+
+        class RecordingTree(MultilevelDyadicTree):
+            __slots__ = ()
+
+            def add(self, box):
+                stored.append(box)
+                return super().add(box)
+
+            def add_many(self, boxes):
+                boxes = list(boxes)
+                stored.extend(boxes)
+                return super().add_many(boxes)
+
+        monkeypatch.setattr(tetris_module, "MultilevelDyadicTree", RecordingTree)
+        with pytest.raises(TypeError, match="packed"):
+            BoxSetOracle([pbox_from_bits("0", ""), ((0, 1), (0, 0))], 2)
+        assert stored == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_solve_bcp_matches_the_per_box_load(self, seed, monkeypatch):
+        boxes = random_boxes(seed, 14, 3, 3)
+        boxes += boxes[:3]
+        runs = []
+        for oracle_class in (BoxSetOracle, PerBoxOracle):
+            monkeypatch.setattr(tetris_module, "BoxSetOracle", oracle_class)
+            run = []
+            for sao in itertools.permutations(range(3)):
+                for preload, mode in itertools.product((True, False), MODES):
+                    stats = ResolutionStats()
+                    points = solve_bcp(
+                        boxes, 3, 3, sao=sao, preload=preload, stats=stats,
+                        mode=mode,
+                    )
+                    run.append((points, asdict(stats)))
+            runs.append(run)
+        assert runs[0] == runs[1]
 
 
 class TestResolutionAccounting:
