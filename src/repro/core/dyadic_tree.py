@@ -42,6 +42,17 @@ so are the writers (:func:`_emit_writers`) — an unrolled ``insert``
 behind :meth:`MultilevelDyadicTree.add` and the bulk loader behind
 :meth:`MultilevelDyadicTree.add_many`, which keeps the previous box's
 path nodes in locals.
+
+The store is probes plus writers and holds no traversal state.  The
+Tetris resume loop freezes box components left to right and probes from
+its *frontier*: per frozen level ``j``, the tree nodes reachable through
+prefixes of the first ``j`` components, so a probe walks only the levels
+at and past the cursor.  The loop (interpreted and generated alike)
+keeps that frontier in locals, with three functions at the end of this
+module: :func:`frontier_children` builds a level, :func:`frontier_note_add`
+registers a stored box, :func:`frontier_probe` answers a probe.  A
+discarded box needs no handling: a pruned node left in a level has a
+zeroed mask and yields no probes.
 """
 
 from __future__ import annotations
@@ -138,8 +149,7 @@ def _emit_writers(ndim: int) -> str:
     box into locals (a wrong arity raises before anything is stored),
     create missing nodes with their length-mask bit ORed in, and leave
     dict insertion order as a box-at-a-time descent would.  The loader
-    adds the tree's size and version once, even when the stream raises,
-    and hands each new box to an attached frontier's ``note_add``.
+    adds to the tree's size once, even when the stream raises.
     """
     last = ndim - 1
     comps = ", ".join(f"q{i}" for i in range(ndim)) + ("," if ndim == 1 else "")
@@ -178,8 +188,6 @@ def _emit_writers(ndim: int) -> str:
     lines += [
         "def load(tree, boxes):",
         "    root = tree._root",
-        "    frontier = tree._frontier",
-        "    note = None if frontier is None else frontier.note_add",
         "    added = 0",
     ]
     if last:
@@ -195,11 +203,8 @@ def _emit_writers(ndim: int) -> str:
     lines += ["                " + s for s in store]
     lines += [
         "                added += 1",
-        "                if note is not None:",
-        "                    note(box)",
         "    finally:",
         "        tree._size += added",
-        "        tree.version += added",
         "    return added",
     ]
     return "\n".join(lines)
@@ -208,10 +213,7 @@ def _emit_writers(ndim: int) -> str:
 class MultilevelDyadicTree:
     """A set of packed dyadic boxes with Õ(1) ``find_container`` queries."""
 
-    __slots__ = (
-        "ndim", "_root", "_size", "_find", "_findall", "_insert", "_load",
-        "version", "_frontier",
-    )
+    __slots__ = ("ndim", "_root", "_size", "_find", "_findall", "_insert", "_load")
 
     def __init__(self, ndim: int):
         if ndim < 1:
@@ -219,11 +221,6 @@ class MultilevelDyadicTree:
         self.ndim = ndim
         self._root: dict = {_MASK: 0}
         self._size = 0
-        #: Monotone mutation counter (adds and discards); lets the engine
-        #: prove "no box stored since" for the frontier's second-half
-        #: pinned probes.
-        self.version = 0
-        self._frontier: Optional["TraversalFrontier"] = None
         writers = _compiled(_emit_writers, ndim)
         self._insert, self._load = writers["insert"], writers["load"]
         if ndim <= _UNROLL_CAP:
@@ -231,22 +228,6 @@ class MultilevelDyadicTree:
             self._findall = _compiled(_emit_walker, ndim, True)["find"]
         else:
             self._find = self._findall = None
-
-    def attach_frontier(self) -> "TraversalFrontier":
-        """Create and register the traversal frontier for one engine run.
-
-        While attached, every box :meth:`add` or :meth:`add_many` stores
-        updates the frontier's cached node sets, so its shared-prefix
-        probes never miss a freshly stored box.  At most one frontier is
-        attached at a time; call :meth:`detach_frontier` when the run
-        ends.
-        """
-        frontier = TraversalFrontier(self)
-        self._frontier = frontier
-        return frontier
-
-    def detach_frontier(self) -> None:
-        self._frontier = None
 
     def __len__(self) -> int:
         return self._size
@@ -269,10 +250,6 @@ class MultilevelDyadicTree:
         if not self._insert(self._root, box):
             return False
         self._size += 1
-        self.version += 1
-        frontier = self._frontier
-        if frontier is not None:
-            frontier.note_add(box)
         return True
 
     def add_many(self, boxes) -> int:
@@ -314,7 +291,6 @@ class MultilevelDyadicTree:
             return False
         del node[comp]
         self._size -= 1
-        self.version += 1
         self._refresh_mask(node)
         for parent, pcomp in reversed(path):
             if len(node) > 1:  # anything left besides the mask sentinel?
@@ -334,45 +310,13 @@ class MultilevelDyadicTree:
         needs *some* witness (Algorithm 1, line 1).
 
         Dispatches to an unrolled walk compiled per dimensionality (no
-        DFS stack traffic); very wide boxes use the generic stack DFS.
+        DFS stack traffic); very wide boxes walk with :func:`frontier_probe`
+        from the root, the frontier of a box with nothing frozen.
         """
         find = self._find
         if find is not None:
             return find(self._root, box)
-        last = self.ndim - 1
-        stack = [(0, self._root)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            level, node = pop()
-            q = box[level]
-            # Trim the walk to the deepest stored length: probing longer
-            # prefixes than anything present is a guaranteed miss.
-            k = node[_MASK].bit_length() - 1
-            shift = q.bit_length() - 1
-            if k < 0:
-                continue
-            if k < shift:
-                q >>= shift - k
-            get = node.get
-            if level == last:
-                while True:
-                    hit = get(q)
-                    if hit is not None:
-                        return hit
-                    if q == 1:
-                        break
-                    q >>= 1
-            else:
-                nxt = level + 1
-                while True:
-                    child = get(q)
-                    if child is not None:
-                        push((nxt, child))
-                    if q == 1:
-                        break
-                    q >>= 1
-        return None
+        return frontier_probe([self._root], box, 0, None)
 
     def find_all_containers(self, box: PackedBox) -> List[PackedBox]:
         """All stored boxes containing ``box`` (the oracle query of §3.4)."""
@@ -427,13 +371,14 @@ class MultilevelDyadicTree:
         yield from walk(0, self._root)
 
 
+# -- the traversal frontier ------------------------------------------------------
+
+
 def frontier_children(nodes, comp: int) -> list:
     """The tree nodes one level below ``nodes`` along prefixes of ``comp``.
 
     One frontier level extended by a newly frozen component: parents in
     list order, each one's stored prefixes of ``comp`` deepest first.
-    Shared by :class:`TraversalFrontier` and the generated Tetris kernel
-    (:mod:`repro.engine.codegen`), which keeps the frontier in locals.
     """
     nxt: list = []
     append = nxt.append
@@ -482,208 +427,61 @@ def frontier_note_add(root: dict, frozen, levels, level_ids, box) -> None:
             nodes.append(node)
 
 
-class TraversalFrontier:
-    """Shared-prefix containment probes for SAO-ordered traversal boxes.
+def frontier_probe(
+    nodes: list, box: PackedBox, level: int, pinned: Optional[int]
+) -> Optional[PackedBox]:
+    """``find_container(box)`` from frontier ``level``'s node list.
 
-    The Tetris traversal freezes box components left to right: once the
-    splitting cursor passes an axis, that component stays fixed for the
-    whole subtree below.  A plain :meth:`MultilevelDyadicTree.find_container`
-    re-walks the stored prefixes of those frozen components on *every*
-    probe; this helper caches, per frozen level ``j``, the set ``F_j`` of
-    tree nodes reachable through prefixes of the frozen components — the
-    exact interior states the DFS would recompute — so a probe only
-    walks the levels at and beyond the cursor.
-
-    The cache self-synchronizes: :meth:`sync_and_probe` compares the
-    probe box's leading components against the frozen ones and
-    unfreezes/refreezes the divergent suffix, so the engine never has to
-    track traversal transitions explicitly.  Completeness under
-    mutation is maintained by the owning tree: while attached (see
-    :meth:`MultilevelDyadicTree.attach_frontier`), every successful
-    ``add`` calls :meth:`note_add`, which extends the affected ``F_j``
-    with the new box's path nodes.  Evictions need no handling — a
-    discarded box simply stops being found, and a pruned (empty) node
-    lingering in a cached set yields no probes thanks to its zeroed
-    mask.
+    ``nodes`` are the tree nodes reachable through ``box[:level]``; the
+    walk covers levels ``level..ndim-1``, in the generated kernel's
+    order.  With at most two levels left it takes the nodes in list
+    order and each prefix deepest first, and moves the node it hits
+    under to the front (consecutive probes tend to hit the same stored
+    region); above that it takes the nodes from the back and interior
+    prefixes shallowest first.  On level ``pinned`` only the exact
+    component is looked up: the split axis of a half whose parent
+    missed with nothing stored since, where a container of the half
+    that does not contain the parent must carry the half's component.
     """
-
-    __slots__ = ("tree", "_comps", "_levels", "_level_ids")
-
-    def __init__(self, tree: MultilevelDyadicTree):
-        self.tree = tree
-        self._comps: list = []
-        self._levels: list = [[tree._root]]
-        self._level_ids: list = [{id(tree._root)}]
-
-    def _freeze(self, comp: int) -> None:
-        """Extend the frontier one level using a newly frozen component."""
-        nxt = frontier_children(self._levels[-1], comp)
-        self._comps.append(comp)
-        self._levels.append(nxt)
-        self._level_ids.append({id(n) for n in nxt})
-
-    def note_add(self, box: PackedBox) -> None:
-        """Register a freshly stored box with the cached node sets."""
-        frontier_note_add(
-            self.tree._root, self._comps, self._levels, self._level_ids, box
-        )
-
-    def sync_and_probe(
-        self,
-        box: PackedBox,
-        cursor: int,
-        pinned: Optional[int] = None,
-    ) -> Optional[PackedBox]:
-        """``find_container`` for a traversal box, frozen prefix cached.
-
-        ``cursor`` is the box's first non-unit axis (``ndim`` for unit
-        leaves); components below it are treated as frozen.  ``pinned``
-        marks a level whose probe may use the exact component only —
-        the split axis of a half whose parent just missed: a container
-        of the half that is *not* a container of the parent must carry
-        exactly the half's component there (a shorter one would contain
-        the parent too), so as long as no box was stored in between,
-        one exact dict probe replaces the prefix walk on that axis.
-        """
-        tree = self.tree
-        last = tree.ndim - 1
-        target = cursor if cursor < last else last
-        comps = self._comps
-        levels = self._levels
-        depth = len(comps)
-        lim = depth if depth < target else target
-        j = 0
-        while j < lim and comps[j] == box[j]:
-            j += 1
-        if j < depth:
-            del comps[j:]
-            del levels[j + 1:]
-            del self._level_ids[j + 1:]
-        while len(comps) < target:
-            self._freeze(box[len(comps)])
-        nodes = levels[target]
-        if not nodes:
-            return None
-        if target == last:
-            qlast = box[last]
-            exact = pinned == last
-            for idx, node in enumerate(nodes):
+    last = len(box) - 1
+    ordered = level >= last - 1
+    for idx in range(len(nodes)) if ordered else range(len(nodes) - 1, -1, -1):
+        stack = [(level, nodes[idx])]
+        while stack:
+            j, node = stack.pop()
+            q = box[j]
+            if j == pinned:
+                stop = q
+            else:
                 k = node[_MASK].bit_length() - 1
                 if k < 0:
                     continue
-                if exact:
-                    hit = node.get(qlast)
-                    if hit is not None:
-                        if idx:
-                            # Move-to-front: consecutive probes tend to
-                            # hit the same stored region.
-                            nodes[idx] = nodes[0]
-                            nodes[0] = node
-                        return hit
-                    continue
-                q = qlast
                 shift = q.bit_length() - 1
                 if k < shift:
                     q >>= shift - k
-                get = node.get
-                while True:
-                    hit = get(q)
-                    if hit is not None:
-                        if idx:
-                            nodes[idx] = nodes[0]
-                            nodes[0] = node
-                        return hit
-                    if q == 1:
-                        break
-                    q >>= 1
-            return None
-        if target == last - 1:
-            # Two remaining levels — the bulk of deep-traversal probes —
-            # walked inline with no DFS stack.
-            qmid = box[target]
-            qlast = box[last]
-            exact_mid = pinned == target
-            exact_last = pinned == last
-            mshift = qmid.bit_length() - 1
-            lshift = qlast.bit_length() - 1
-            for idx, node in enumerate(nodes):
-                k = node[_MASK].bit_length() - 1
-                if k < 0:
-                    continue
-                q = qmid
-                if exact_mid:
-                    children = (node.get(q),)
-                else:
-                    if k < mshift:
-                        q >>= mshift - k
-                    children = None
-                get = node.get
-                while True:
-                    child = children[0] if children else get(q)
-                    if child is not None:
-                        kk = child[_MASK].bit_length() - 1
-                        if kk >= 0:
-                            if exact_last:
-                                hit = child.get(qlast)
-                                if hit is not None:
-                                    if idx:
-                                        nodes[idx] = nodes[0]
-                                        nodes[0] = node
-                                    return hit
-                            else:
-                                q2 = qlast
-                                if kk < lshift:
-                                    q2 >>= lshift - kk
-                                get2 = child.get
-                                while True:
-                                    hit = get2(q2)
-                                    if hit is not None:
-                                        if idx:
-                                            nodes[idx] = nodes[0]
-                                            nodes[0] = node
-                                        return hit
-                                    if q2 == 1:
-                                        break
-                                    q2 >>= 1
-                    if children is not None or q == 1:
-                        break
-                    q >>= 1
-            return None
-        stack = [(target, node) for node in nodes]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            level, node = pop()
-            if level == pinned:
-                child = node.get(box[level])
-                if child is not None:
-                    if level == last:
-                        return child
-                    push((level + 1, child))
-                continue
-            k = node[_MASK].bit_length() - 1
-            if k < 0:
-                continue
-            q = box[level]
-            shift = q.bit_length() - 1
-            if k < shift:
-                q >>= shift - k
+                stop = 1
             get = node.get
-            if level == last:
+            if j == last:
                 while True:
                     hit = get(q)
                     if hit is not None:
+                        if ordered and idx:
+                            nodes[0], nodes[idx] = nodes[idx], nodes[0]
                         return hit
-                    if q == 1:
+                    if q == stop:
                         break
                     q >>= 1
-            else:
-                nxt = level + 1
-                while True:
-                    child = get(q)
-                    if child is not None:
-                        push((nxt, child))
-                    if q == 1:
-                        break
-                    q >>= 1
-        return None
+                continue
+            found = []
+            while True:
+                child = get(q)
+                if child is not None:
+                    found.append((j + 1, child))
+                if q == stop:
+                    break
+                q >>= 1
+            if ordered:
+                found.reverse()
+            stack += found
+    return None
+

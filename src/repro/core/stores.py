@@ -11,8 +11,11 @@ contributes (benchmarks/bench_ablation.py).  Both implement the full
 protocol :class:`~repro.core.tetris.TetrisEngine` expects of
 ``knowledge_base``: ``add`` / ``add_many`` / ``discard`` /
 ``find_container`` / ``find_all_containers``, so every engine
-mode (including frontier resumption and bounded resolvent admission)
-runs unchanged on either store.
+mode (including bounded resolvent admission) runs unchanged on either
+store.  A store holds boxes and nothing of a run: the resume loop's
+traversal frontier lives in the loop (see
+:mod:`repro.core.dyadic_tree`), and on this store the loop probes with
+``find_container``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ class ListStore:
         self.ndim = ndim
         self._boxes: List[PackedBox] = []
         self._seen: Set[PackedBox] = set()
-        #: Monotone mutation counter (protocol parity with the tree).
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -52,7 +53,6 @@ class ListStore:
             return False
         self._seen.add(box)
         self._boxes.append(box)
-        self.version += 1
         return True
 
     def add_many(self, boxes: Iterable[PackedBox]) -> int:
@@ -65,7 +65,6 @@ class ListStore:
             return False
         self._seen.remove(box)
         self._boxes.remove(box)
-        self.version += 1
         return True
 
     def find_container(self, box: PackedBox) -> Optional[PackedBox]:

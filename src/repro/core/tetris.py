@@ -87,7 +87,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
 from repro.core.boxes import PackedBox, box_contains, check_packed
-from repro.core.dyadic_tree import MultilevelDyadicTree
+from repro.core.dyadic_tree import (
+    MultilevelDyadicTree,
+    frontier_children,
+    frontier_note_add,
+    frontier_probe,
+)
 from repro.core.resolution import (
     ResolutionStats,
     Resolver,
@@ -349,8 +354,9 @@ class TetrisEngine:
 
     # -- resolvent admission --------------------------------------------------
 
-    def _cache_resolvent(self, resolvent: PackedBox) -> None:
-        """Admit a resolvent into ``A``, honoring the bounded policy.
+    def _cache_resolvent(self, resolvent: PackedBox) -> bool:
+        """Admit a resolvent into ``A``, honoring the bounded policy;
+        returns whether it was new, as ``add`` does.
 
         With a limit set, admissions are FIFO: the oldest cached resolvent
         is discarded once the bound is exceeded.  Eviction is always safe —
@@ -358,16 +364,16 @@ class TetrisEngine:
         can only cost re-derivation work, never correctness.
         """
         kb = self.knowledge_base
+        if not kb.add(resolvent):
+            return False
         limit = self.resolvent_limit
-        if limit is None:
-            kb.add(resolvent)
-            return
-        if kb.add(resolvent):
+        if limit is not None:
             fifo = self._resolvent_fifo
             fifo.append(resolvent)
             if len(fifo) > limit:
                 if kb.discard(fifo.popleft()):
                     self.stats.evictions += 1
+        return True
 
     # -- Algorithm 1: TetrisSkeleton ------------------------------------------
 
@@ -490,7 +496,9 @@ class TetrisEngine:
         reference.  Resume runs as the generated kernel when
         :func:`repro.engine.codegen.tetris_kernel` covers this engine's
         shape and as the interpreted :meth:`_run_resuming` otherwise;
-        nothing but the shape chooses between the two.
+        nothing but the shape chooses between the two.  Either keeps
+        its traversal frontier in locals: the knowledge base is only
+        probed and written, and holds no state of the run.
 
         ``return_boxes=True`` yields each output as a full packed unit
         box (space order) rather than a tuple of values — required for
@@ -506,31 +514,20 @@ class TetrisEngine:
         if mode == "faithful":
             return self._run_restarting(oracle, max_outputs)
         on_demand = oracle is not None and not preload
-        try:
-            # The per-configuration kernel (mode flags and ndim/depth/SAO
-            # folded to literals, the dyadic tree's probe walk inlined)
-            # where the shape is supported; the interpreted loop below
-            # is the same traversal for every other store and
-            # configuration.
-            from repro.engine.codegen import tetris_kernel
+        # The per-configuration kernel (mode flags and ndim/depth/SAO
+        # folded to literals, the dyadic tree's probe walk inlined) where
+        # the shape is supported; the interpreted loop below is the same
+        # traversal for every other store and configuration.
+        from repro.engine.codegen import tetris_kernel
 
-            kernel = tetris_kernel(
-                self, oracle, on_demand, preload,
-                capped=max_outputs is not None,
-            )
-            if kernel is not None:
-                return kernel(self, oracle, max_outputs)
-            # Preloaded runs hold every input gap box in A, so an
-            # uncovered leaf is an output by construction: no oracle.
-            return self._run_resuming(
-                oracle if on_demand else None, max_outputs
-            )
-        finally:
-            # The run attaches a traversal frontier to the knowledge
-            # base; detach it even on abnormal exit (budget aborts).
-            detach = getattr(self.knowledge_base, "detach_frontier", None)
-            if detach is not None:
-                detach()
+        kernel = tetris_kernel(
+            self, oracle, on_demand, capped=max_outputs is not None
+        )
+        if kernel is not None:
+            return kernel(self, oracle, max_outputs)
+        # Preloaded runs hold every input gap box in A, so an uncovered
+        # leaf is an output by construction: no oracle.
+        return self._run_resuming(oracle if on_demand else None, max_outputs)
 
     def _emit(self, unit_internal: PackedBox):
         """Convert an internal unit box to the configured output form."""
@@ -608,6 +605,15 @@ class TetrisEngine:
         it is asked ``container(b)`` once: a hit is stored and answers
         ``b`` without descending; a miss on a unit box makes ``b`` an
         output; a miss on a thick box splits.
+
+        On the dyadic tree over a uniform space the loop probes from a
+        traversal frontier it keeps in locals, as the kernel does:
+        levels built with :func:`~repro.core.dyadic_tree.frontier_children`,
+        every store it makes noted with
+        :func:`~repro.core.dyadic_tree.frontier_note_add`, and probes
+        answered by :func:`~repro.core.dyadic_tree.frontier_probe` in
+        the kernel's walk order.  Any other store is probed with its
+        own ``find_container``.
         """
         kb = self.knowledge_base
         find_container = kb.find_container
@@ -626,14 +632,22 @@ class TetrisEngine:
         record = self.stats.record
         uniform = self.dims is None
         n = self.ndim
+        last = n - 1
         outputs: List[Point] = []
         stats.skeleton_calls += 1
-        # Shared-prefix probe cache for the frozen traversal prefix; the
-        # tree keeps it complete while attached (every add is noted).
-        frontier = None
-        if uniform and hasattr(kb, "attach_frontier"):
-            frontier = kb.attach_frontier()
-            probe = frontier.sync_and_probe
+        # The traversal frontier: ``frozen`` holds the leading components
+        # of the last probed box below its probe level, ``levels[j]`` the
+        # tree nodes reachable through prefixes of ``frozen[:j]`` and
+        # ``level_ids[j]`` their ids (None until a store needs them).
+        frontier = uniform and isinstance(kb, MultilevelDyadicTree)
+        if frontier:
+            root = kb._root
+            frozen: list = []
+            levels: list = [[root]]
+            level_ids: list = [None]
+        # Stores this run has made: a frame's count at its split tells
+        # whether its second half may pin the split axis.
+        version = 0
 
         stack: list = []
         current: Optional[PackedBox] = self._universe
@@ -649,8 +663,23 @@ class TetrisEngine:
                 b = current
                 current = None
                 stats.containment_queries += 1
-                if frontier is not None:
-                    witness = probe(b, cursor, pinned)
+                if frontier:
+                    # Unfreeze where b leaves the frozen prefix, then
+                    # freeze b's components below its probe level.
+                    target = cursor if cursor < last else last
+                    depth = len(frozen)
+                    lim = depth if depth < target else target
+                    j = 0
+                    while j < lim and frozen[j] == b[j]:
+                        j += 1
+                    if j < depth:
+                        del frozen[j:], levels[j + 1:], level_ids[j + 1:]
+                    while j < target:
+                        levels.append(frontier_children(levels[j], b[j]))
+                        frozen.append(b[j])
+                        level_ids.append(None)
+                        j += 1
+                    witness = frontier_probe(levels[target], b, target, pinned)
                 else:
                     witness = find_container(b)
                 if witness is not None:
@@ -662,6 +691,11 @@ class TetrisEngine:
                         # Resume point: a gap box around all of b.
                         if kb_add(witness):
                             stats.boxes_loaded += 1
+                            version += 1
+                            if frontier:
+                                frontier_note_add(
+                                    root, frozen, levels, level_ids, witness
+                                )
                         stats.resumes += 1
                         stats.witness_depth_sum += (
                             sum(p.bit_length() for p in witness) - n
@@ -677,7 +711,10 @@ class TetrisEngine:
                         and len(outputs) >= max_outputs
                     ):
                         return outputs
-                    kb_add(b)
+                    if kb_add(b):
+                        version += 1
+                        if frontier:
+                            frontier_note_add(root, frozen, levels, level_ids, b)
                     stats.boxes_loaded += 1
                     witness = b
                     continue
@@ -692,10 +729,7 @@ class TetrisEngine:
                     child_cursor = axis + 1
                     while child_cursor < n and b[child_cursor] >= unit:
                         child_cursor += 1
-                stack.append([
-                    b, b2, axis, None, 0, child_cursor,
-                    kb.version if frontier is not None else None,
-                ])
+                stack.append([b, b2, axis, None, 0, child_cursor, version])
                 current = b1
                 cursor = child_cursor
                 pinned = axis
@@ -716,7 +750,7 @@ class TetrisEngine:
                 cursor = child_cursor
                 # The half b2 inherits b's miss: if nothing was stored
                 # since the split, its probe can pin the axis too.
-                pinned = axis if ver is not None and ver == kb.version else None
+                pinned = axis if ver == version else None
                 continue
             if fast_resolve:
                 meet = list(map(max, w1, witness))
@@ -725,13 +759,17 @@ class TetrisEngine:
                 record(axis, is_ordered_pair(w1, witness, axis))
             else:
                 resolvent = resolver.resolve(w1, witness, axis)
-            if cache and resolvent != b:
-                # A resolvent no wider than its frame box can never be
-                # probed again — the resuming traversal never revisits a
-                # resolved region — so only witnesses that extend beyond
-                # the frame earn a slot in A.  (The restarting mode must
-                # keep every resolvent: its re-descents depend on it.)
-                cache_resolvent(resolvent)
+            # A resolvent no wider than its frame box can never be probed
+            # again — the resuming traversal never revisits a resolved
+            # region — so only witnesses that extend beyond the frame earn
+            # a slot in A.  (The restarting mode must keep every
+            # resolvent: its re-descents depend on it.)
+            if cache and resolvent != b and cache_resolvent(resolvent):
+                version += 1
+                if frontier:
+                    frontier_note_add(
+                        root, frozen, levels, level_ids, resolvent
+                    )
             stack.pop()
             witness = resolvent
 

@@ -57,8 +57,8 @@ to).
 :func:`tetris_kernel` alone may decline: for a knowledge base other
 than the dyadic tree (``ListStore``), generalized dimension specs
 (the load-balanced lift), a tracing resolver, bounded resolvent
-admission, ``return_boxes`` output, an oracle without a ``container``
-probe or ``ndim`` past the unroll cap it returns ``None`` and
+admission, ``return_boxes`` output or ``ndim`` past the unroll cap it
+returns ``None`` and
 :meth:`~repro.core.tetris.TetrisEngine.run` falls back to the
 interpreted ``_run_resuming`` — the same traversal, which
 ``tests/engine/test_tetris_kernel.py`` pins the kernel to field for
@@ -584,10 +584,10 @@ def _tetris_source(
     :meth:`~repro.core.tetris.TetrisEngine._run_resuming` over a
     :class:`~repro.core.dyadic_tree.MultilevelDyadicTree`, with every
     mode branch resolved at generation time and the knowledge-base probe
-    *inlined*: what the interpreted loop delegates to
-    ``TraversalFrontier.sync_and_probe`` / ``box_contains`` /
-    ``ResolutionStats.record`` per step is straight-line code over
-    kernel locals here.
+    *inlined*: what the interpreted loop does per step with its frontier
+    sync and :func:`~repro.core.dyadic_tree.frontier_probe`,
+    ``box_contains`` and ``ResolutionStats.record`` is straight-line
+    code over kernel locals here.
 
     * **Frontier in locals.**  ``L1..L{n-1}`` are the frontier's node
       lists (``Lj``: tree nodes reachable through prefixes of the
@@ -753,7 +753,7 @@ def _tetris_source(
     all_levels = _tuple_expr([f"L{j}" for j in range(n)])
 
     def emit_store(ind: int, box: str, frozen: int, count: bool) -> None:
-        """``kb.add(box)`` plus what an attached frontier would note.
+        """``kb.add(box)``, counted, and noted in the kernel's frontier.
 
         ``frozen`` is how many leading components of the last probed
         box ``b`` the frontier has frozen (``-1``: read the cursor).
@@ -964,18 +964,23 @@ def tetris_kernel(
     engine,
     oracle,
     on_demand: bool,
-    trust_kb: bool,
+    preload: Optional[bool] = None,
+    *,
     capped: bool,
 ) -> Optional[Callable]:
     """The compiled resume-mode kernel for one engine configuration.
 
+    ``on_demand`` is the run's Reloaded discipline (an oracle and no
+    preload): the kernel then asks ``oracle.container`` after every
+    knowledge-base miss.  ``preload`` is accepted and ignored — a
+    preloaded run is one that is not ``on_demand`` — so callers that
+    pass both of a run's flags keep working.
+
     Returns ``None`` for shapes the generator does not cover — a
     knowledge base other than :class:`MultilevelDyadicTree` (the kernel
     inlines its probe walk), generalized dimension specs, tracing
-    resolvers, bounded resolvent admission, ``return_boxes`` output,
-    oracles without a ``container`` probe, or ``ndim`` past the unroll
-    cap —
-    and the caller runs the interpreted
+    resolvers, bounded resolvent admission, ``return_boxes`` output or
+    ``ndim`` past the unroll cap — and the caller runs the interpreted
     :meth:`~repro.core.tetris.TetrisEngine._run_resuming`.
     """
     if type(engine.knowledge_base) is not MultilevelDyadicTree:
@@ -990,18 +995,11 @@ def tetris_kernel(
         return None
     if not 1 <= engine.ndim <= _TETRIS_NDIM_CAP:
         return None
-    # Preloaded runs never consult the oracle; on-demand runs need the
-    # box-level container probe the generator binds.
-    fetch = on_demand and oracle is not None
-    if not fetch and not trust_kb and oracle is not None:
-        return None  # interpreted fallback for exotic flag combinations
-    if fetch and getattr(oracle, "container", None) is None:
-        return None
     key = (
         engine.ndim,
         engine.depth,
         engine.sao,
-        fetch,
+        on_demand,
         capped,
         engine.cache_resolvents,
     )

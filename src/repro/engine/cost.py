@@ -246,14 +246,7 @@ class CostModel:
         self,
         calibration: Optional[Mapping[str, float]] = None,
         unit_seconds: float = DEFAULT_UNIT_SECONDS,
-        shm: Optional[bool] = None,
     ):
-        #: Whether parallel candidates are priced for the shared-memory
-        #: data plane (one-time attach) or the pickle-ship wire
-        #: (per-worker replication).  ``None`` — the default — resolves
-        #: against the live :func:`repro.parallel.shm.shm_enabled` at
-        #: estimate time, so ``REPRO_NO_SHM`` flips the pricing too.
-        self.shm = shm
         self.calibration = dict(DEFAULT_CALIBRATION)
         if calibration:
             self.calibration.update(calibration)
@@ -638,7 +631,8 @@ class CostModel:
         beyond the cores this process may run on add no speedup.  On
         top ride the flat shard-dispatch charge and the output rows
         (returned and merged).  The input side depends on the data
-        plane: over the
+        plane, read from :func:`repro.parallel.shm.shm_enabled` at
+        estimate time (so ``REPRO_NO_SHM`` flips the pricing): over the
         pickle wire the input share pays the replication factor of
         partially-covered atoms plus per-row shipping; over shared
         memory the input is laid out once and mapped, so replication
@@ -651,11 +645,9 @@ class CostModel:
             return dataclasses.replace(
                 base, workers=workers, parallel=True
             )
-        use_shm = self.shm
-        if use_shm is None:
-            from repro.parallel.shm import shm_enabled
+        from repro.parallel.shm import shm_enabled
 
-            use_shm = shm_enabled()
+        use_shm = shm_enabled()
         p = max(1, min(workers, num_shards, usable_cores()))
         n = float(stats.total_tuples)
         z = stats.output_estimate

@@ -135,7 +135,6 @@ def plan_query(
     gao: Optional[Sequence[str]] = None,
     cost_model: Optional[CostModel] = None,
     probe_certificate: bool = False,
-    probe_budget: int = 256,
     use_cache: bool = True,
     assumed_rows: int = 1000,
     workers: Optional[int] = None,
@@ -159,7 +158,7 @@ def plan_query(
     with _tracing.span("plan", algorithm=algorithm) as sp:
         plan = _plan_query_impl(
             query, db, stats, algorithm, index_kind, gao, cost_model,
-            probe_certificate, probe_budget, use_cache, assumed_rows,
+            probe_certificate, use_cache, assumed_rows,
             workers,
         )
         if sp is not None:
@@ -181,7 +180,6 @@ def _plan_query_impl(
     gao: Optional[Sequence[str]],
     cost_model: Optional[CostModel],
     probe_certificate: bool,
-    probe_budget: int,
     use_cache: bool,
     assumed_rows: int,
     workers: Optional[int],
@@ -194,8 +192,7 @@ def _plan_query_impl(
     if stats is None:
         if db is not None:
             stats = collect_stats(
-                query, db, probe=probe_certificate,
-                probe_budget=probe_budget, probe_gao=gao,
+                query, db, probe=probe_certificate, probe_gao=gao
             )
         else:
             stats = assumed_stats(query, rows=assumed_rows)
@@ -210,12 +207,9 @@ def _plan_query_impl(
     # plan priced for the other wire.
     shm_flag = None
     if workers is not None:
-        if model.shm is not None:
-            shm_flag = model.shm
-        else:
-            from repro.parallel.shm import shm_enabled
+        from repro.parallel.shm import shm_enabled
 
-            shm_flag = shm_enabled()
+        shm_flag = shm_enabled()
     key = (
         stats.fingerprint,
         algorithm,

@@ -103,6 +103,11 @@ class QueryStats:
         return min(counts) if counts else 1
 
 
+#: Oracle probes the planner's certificate probe may spend before it
+#: gives up and reports the certificate as large.
+PROBE_BUDGET = 256
+
+
 class ProbeBudgetExceeded(Exception):
     """Raised internally when the certificate probe runs out of budget."""
 
@@ -136,7 +141,7 @@ def probe_certificate(
     query: JoinQuery,
     db: Database,
     gao: Optional[Sequence[str]] = None,
-    budget: int = 256,
+    budget: int = PROBE_BUDGET,
 ) -> CertificateProbe:
     """Estimate |C| with a budget-bounded Tetris-Reloaded prefix run.
 
@@ -245,7 +250,6 @@ def collect_stats(
     query: JoinQuery,
     db: Database,
     probe: bool = False,
-    probe_budget: int = 256,
     probe_gao: Optional[Sequence[str]] = None,
 ) -> QueryStats:
     """Gather the planner's statistics for a query over a database.
@@ -258,7 +262,6 @@ def collect_stats(
         tuple((a.name, a.attrs) for a in query.atoms),
         db.stats_fingerprint(),
         probe,
-        probe_budget if probe else None,
         tuple(probe_gao) if probe and probe_gao is not None else None,
     )
     cached = _STATS_CACHE.get(key)
@@ -267,7 +270,7 @@ def collect_stats(
     span = _tracing.span("stats.collect", relations=len(query.atoms))
     with span:
         return _collect_stats_uncached(
-            query, db, key, probe, probe_budget, probe_gao
+            query, db, key, probe, probe_gao
         )
 
 
@@ -276,7 +279,6 @@ def _collect_stats_uncached(
     db: Database,
     key: Tuple,
     probe: bool,
-    probe_budget: int,
     probe_gao: Optional[Sequence[str]],
 ) -> QueryStats:
     profiles = []
@@ -306,10 +308,8 @@ def _collect_stats_uncached(
         )
     probe_result = None
     if probe:
-        with _tracing.span("stats.probe", budget=probe_budget):
-            probe_result = probe_certificate(
-                query, db, gao=probe_gao, budget=probe_budget
-            )
+        with _tracing.span("stats.probe", budget=PROBE_BUDGET):
+            probe_result = probe_certificate(query, db, gao=probe_gao)
     sizes = {p.name: p.cardinality for p in profiles}
     stats = QueryStats(
         relations=tuple(profiles),

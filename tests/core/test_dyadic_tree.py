@@ -2,7 +2,7 @@
 
 The writers are generated per dimensionality; the hand-written per-level
 loops they replaced stay here as the reference (``LoopTree``): the same
-return counts, size, version, iteration order and mask at every node.
+return counts, size, iteration order and mask at every node.
 """
 
 import random
@@ -12,8 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.boxes import box_contains, pbox_from_bits
 from repro.core.intervals import PLAMBDA
-from repro.core.dyadic_tree import MultilevelDyadicTree, _MASK
-from tests.helpers import random_box, random_boxes
+from repro.core.dyadic_tree import (
+    MultilevelDyadicTree,
+    _MASK,
+    frontier_note_add,
+    frontier_probe,
+)
+from tests.helpers import frontier_level, random_box, random_boxes
 
 DEPTH = 4
 
@@ -62,7 +67,7 @@ class TestBasics:
         tree = MultilevelDyadicTree(3)
         with pytest.raises(ValueError, match="box has 4 components, store has 3"):
             tree.add_many([(1, 2, 3, 4)])
-        assert (len(tree), list(tree), tree.version) == (0, [], 0)
+        assert (len(tree), list(tree)) == (0, [])
         assert tree._root == {_MASK: 0}
         tree = MultilevelDyadicTree(2)
         with pytest.raises(ValueError, match="box has 3 components, store has 2"):
@@ -70,7 +75,7 @@ class TestBasics:
         assert tree.find_container((2, 3)) is None
         with pytest.raises(ValueError, match="box has 1 components, store has 2"):
             tree.add_many([(2, 3), (2,), (4, 5)])
-        assert (len(tree), list(tree), tree.version) == (1, [(2, 3)], 1)
+        assert (len(tree), list(tree)) == (1, [(2, 3)])
         assert tree.find_container((2, 3)) == (2, 3)
 
     def test_not_contains_prefix(self):
@@ -186,10 +191,6 @@ class LoopTree(MultilevelDyadicTree):
         node[comp] = box
         node[_MASK] |= 1 << (comp.bit_length() - 1)
         self._size += 1
-        self.version += 1
-        frontier = self._frontier
-        if frontier is not None:
-            frontier.note_add(box)
         return True
 
     def add_many(self, boxes):
@@ -217,11 +218,7 @@ class LoopTree(MultilevelDyadicTree):
                 node[comp] = box
                 node[_MASK] |= 1 << (comp.bit_length() - 1)
                 self._size += 1
-                self.version += 1
                 added += 1
-                frontier = self._frontier
-                if frontier is not None:
-                    frontier.note_add(box)
             prev = box
         return added
 
@@ -276,30 +273,82 @@ def writer_scripts(draw):
 def test_writers_match_the_loops_they_replaced(script, rng):
     ndim, depth, ops = script
     tree, ref = MultilevelDyadicTree(ndim), LoopTree(ndim)
-    frontier = tree.attach_frontier()
     for kind, arg in ops:
-        # Freeze the frontier around a point of a box this step writes,
-        # so only note_add can tell it about the new box.
-        if kind == "add":
-            target = arg
-        elif kind == "add_many" and arg:
-            target = rng.choice(arg)
-        else:
-            target = None
-        if target is not None:
-            point = unit_inside(target, depth, rng)
-            cursor = rng.randint(0, ndim)
-            frontier.sync_and_probe(point, cursor)
         assert getattr(tree, kind)(arg) == getattr(ref, kind)(arg)
-        assert (len(tree), tree.version) == (len(ref), ref.version)
+        assert len(tree) == len(ref)
         assert list(tree) == list(ref)
         assert layout(tree._root, ndim) == layout(ref._root, ndim)
-        if target is not None:
-            found = frontier.sync_and_probe(point, cursor)
-            assert found is not None and box_contains(found, point)
     for _ in range(12):
         probe = random_box(rng, ndim, depth)
         if rng.random() < 0.5:
             probe = unit_inside(probe, depth, rng)
         assert tree.find_container(probe) == ref.find_container(probe)
         assert tree.find_all_containers(probe) == ref.find_all_containers(probe)
+
+
+# -- the traversal frontier's helpers -------------------------------------------
+
+
+def traversal_probe(point, cursor, depth, rng):
+    """The box the traversal probes at ``cursor`` on its way to ``point``:
+    unit components before the cursor, a strict prefix at it, λ after."""
+    if cursor == len(point):
+        return point
+    thick = point[cursor] >> rng.randint(1, depth)
+    return point[:cursor] + (thick,) + (PLAMBDA,) * (len(point) - cursor - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=writer_scripts(), rng=st.randoms(use_true_random=False))
+def test_frontier_probe_agrees_with_find_container(script, rng):
+    """A frontier kept as the resume loop keeps it stays exact under
+    interleaved writes.  Before and after each write it is synced around
+    a traversal-shaped probe of a box the step writes, so only
+    ``frontier_note_add`` — called per new box, as the loop calls it
+    after each store — can tell it about that box.  ``frontier_probe``
+    must find a container iff ``find_container`` does, without a pin and
+    with the pin the loop would hold (the parent missed), and whatever
+    it returns must contain the probe."""
+    ndim, depth, ops = script
+    tree = MultilevelDyadicTree(ndim)
+    frontier = ([], [[tree._root]], [None])
+    pool = [(PLAMBDA,) * ndim] + [arg for kind, arg in ops if kind != "add_many"]
+    pool += [box for kind, arg in ops if kind == "add_many" for box in arg]
+
+    def check(probe, cursor):
+        level = min(cursor, ndim - 1)
+        want = tree.find_container(probe) is not None
+        pins = [None]
+        if probe[level] > PLAMBDA:
+            parent = probe[:level] + (probe[level] >> 1,) + probe[level + 1:]
+            if tree.find_container(parent) is None:
+                pins.append(level)
+        for pinned in pins:
+            nodes = frontier_level(frontier, probe, level)
+            found = frontier_probe(nodes, probe, level, pinned)
+            assert (found is not None) == want, (probe, pinned)
+            assert found is None or (found in tree and box_contains(found, probe))
+
+    for kind, arg in ops:
+        target = arg if kind != "add_many" else (rng.choice(arg) if arg else None)
+        probes = []
+        for box in [rng.choice(pool)] + ([target] if target else []):
+            cursor = rng.randint(0, ndim) if depth else ndim
+            point = unit_inside(box, depth, rng)
+            probes.append((traversal_probe(point, cursor, depth, rng), cursor))
+        for probe, cursor in probes:
+            check(probe, cursor)
+        new = []
+        if kind == "add_many":
+            new = [box for box in dict.fromkeys(arg) if box not in tree]
+            tree.add_many(arg)
+        elif kind == "add":
+            new = [arg] if tree.add(arg) else []
+        else:
+            tree.discard(arg)
+        for box in new:
+            frontier_note_add(tree._root, *frontier, box)
+        # The frontier is still frozen around the written box's probe:
+        # re-probe it first, with no re-sync.
+        for probe, cursor in reversed(probes):
+            check(probe, cursor)

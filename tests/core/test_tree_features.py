@@ -1,14 +1,22 @@
-"""The dyadic tree's kernel-support features: masks after discard,
-pinned probes, and the traversal frontier."""
+"""The dyadic tree's support for bounded resolvent admission: exact
+removal with masks kept tight, probes that agree with a linear scan, and
+the traversal frontier kept by the resume loop (``frontier_children`` /
+``frontier_note_add`` / ``frontier_probe``) under writes.  The frontier's
+hypothesis property is in ``test_dyadic_tree.py``."""
 
 import random
 
 import pytest
 
 from repro.core.boxes import box_contains
-from repro.core.dyadic_tree import MultilevelDyadicTree, _MASK
+from repro.core.dyadic_tree import (
+    MultilevelDyadicTree,
+    _MASK,
+    frontier_note_add,
+    frontier_probe,
+)
 from repro.core.stores import ListStore
-from tests.helpers import random_boxes
+from tests.helpers import frontier_level, random_boxes
 
 
 def tree_of(boxes, ndim):
@@ -61,16 +69,6 @@ class TestDiscard:
                 fresh.find_container(p) is None
             )
 
-    def test_version_counts_mutations(self):
-        t = MultilevelDyadicTree(2)
-        v0 = t.version
-        t.add((2, 3))
-        assert t.version == v0 + 1
-        t.add((2, 3))  # duplicate: no mutation
-        assert t.version == v0 + 1
-        t.discard((2, 3))
-        assert t.version == v0 + 2
-
 
 class TestProbeVariants:
     @pytest.mark.parametrize("ndim", [1, 2, 3, 4, 5])
@@ -90,12 +88,29 @@ class TestProbeVariants:
 
 
 class TestTraversalFrontier:
+    """A frontier as the resume loop keeps it: synced to the probe's
+    frozen prefix, told of each new box by ``frontier_note_add``."""
+
+    @staticmethod
+    def fresh(tree):
+        return ([], [[tree._root]], [None])
+
+    @staticmethod
+    def probe(tree, frontier, box, cursor):
+        level = min(cursor, tree.ndim - 1)
+        return frontier_probe(frontier_level(frontier, box, level), box, level, None)
+
+    @staticmethod
+    def add(tree, frontier, box):
+        if tree.add(box):
+            frontier_note_add(tree._root, *frontier, box)
+
     def test_probe_matches_plain_find_under_mutation(self):
         ndim, depth = 3, 4
         rng = random.Random(13)
         boxes = random_boxes(21, 30, ndim, depth)
         tree = tree_of(boxes[:10], ndim)
-        frontier = tree.attach_frontier()
+        frontier = self.fresh(tree)
         extra = iter(boxes[10:])
         for step in range(200):
             # Random traversal-shaped probe: unit prefix, partial comp,
@@ -111,7 +126,7 @@ class TestTraversalFrontier:
                 else:
                     comps.append(1)
             box = tuple(comps)
-            got = frontier.sync_and_probe(box, cursor)
+            got = self.probe(tree, frontier, box, cursor)
             expected = tree.find_container(box)
             assert (got is None) == (expected is None), step
             if got is not None:
@@ -119,24 +134,26 @@ class TestTraversalFrontier:
             if step % 5 == 0:
                 nxt = next(extra, None)
                 if nxt is not None:
-                    tree.add(nxt)  # attach hook must keep frontier fresh
-        tree.detach_frontier()
+                    # frontier_note_add must keep the frontier fresh.
+                    self.add(tree, frontier, nxt)
 
     def test_frontier_sees_boxes_added_mid_descent(self):
         tree = MultilevelDyadicTree(2)
-        frontier = tree.attach_frontier()
+        frontier = self.fresh(tree)
         unit = 1 << 3
         probe = (unit | 5, (1 << 2) | 1)
-        assert frontier.sync_and_probe(probe, 1) is None
-        tree.add((unit | 5, 1))  # containing box arrives after the freeze
-        assert frontier.sync_and_probe(probe, 1) == (unit | 5, 1)
+        assert self.probe(tree, frontier, probe, 1) is None
+        # The containing box arrives after comp 0 was frozen.
+        self.add(tree, frontier, (unit | 5, 1))
+        assert self.probe(tree, frontier, probe, 1) == (unit | 5, 1)
 
     def test_frontier_with_eviction(self):
         tree = MultilevelDyadicTree(2)
-        frontier = tree.attach_frontier()
+        frontier = self.fresh(tree)
         unit = 1 << 3
         probe = (unit | 5, unit | 6)  # comp1 = "110"
-        tree.add((unit | 5, (1 << 1) | 1))  # comp1 = "1" contains "110"
-        assert frontier.sync_and_probe(probe, 2) is not None
+        assert self.probe(tree, frontier, probe, 2) is None
+        self.add(tree, frontier, (unit | 5, (1 << 1) | 1))  # "1" contains "110"
+        assert self.probe(tree, frontier, probe, 2) is not None
         tree.discard((unit | 5, (1 << 1) | 1))
-        assert frontier.sync_and_probe(probe, 2) is None
+        assert self.probe(tree, frontier, probe, 2) is None

@@ -114,10 +114,9 @@ def test_uniform_tree_runs_are_compiled():
     for preload in (True, False):
         engine = TetrisEngine(3, 3, sao=(2, 0, 1))
         oracle = BoxSetOracle(random_boxes(1, 8, 3, 3), 3)
-        kernel = tetris_kernel(engine, oracle, not preload, preload,
-                               capped=False)
+        kernel = tetris_kernel(engine, oracle, not preload, capped=False)
         assert kernel is not None
-        assert "sync_and_probe" not in kernel.source
+        assert "frontier_probe" not in kernel.source
         assert "box_contains(res_w" not in kernel.source
 
 
@@ -231,23 +230,23 @@ def test_declined_shapes_fall_back_and_still_answer():
     clear_kernel_caches()
     for name, kwargs in configs.items():
         engine, oracle, _ = _declined(**kwargs)
-        assert tetris_kernel(engine, oracle, False, True, capped=False) is None, name
+        assert tetris_kernel(engine, oracle, False, capped=False) is None, name
         assert sorted(engine.run(oracle, preload=True)) == expected, name
 
     engine, oracle, _ = _declined()
     engine._resolver = TracingResolver(engine.stats)
-    assert tetris_kernel(engine, oracle, False, True, capped=False) is None
+    assert tetris_kernel(engine, oracle, False, capped=False) is None
     assert sorted(engine.run(oracle, preload=True)) == expected
     assert len(engine._resolver.proof.steps) == engine.stats.resolutions
 
     engine, oracle, _ = _declined()
     unit = 1 << 3
     as_boxes = engine.run(oracle, preload=True, return_boxes=True)
-    assert tetris_kernel(engine, oracle, False, True, capped=False) is None
+    assert tetris_kernel(engine, oracle, False, capped=False) is None
     assert sorted(tuple(p ^ unit for p in box) for box in as_boxes) == expected
 
     engine, oracle, boxes = _declined(ndim=9, depth=1)
-    assert tetris_kernel(engine, oracle, False, True, capped=False) is None
+    assert tetris_kernel(engine, oracle, False, capped=False) is None
     assert sorted(engine.run(oracle, preload=True)) == (
         brute_force_uncovered(boxes, 9, 1)
     )

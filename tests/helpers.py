@@ -77,6 +77,27 @@ def check_container_answer(found, probe, boxes) -> None:
         assert any(box_contains(b, found) for b in boxes)
 
 
+def frontier_level(frontier, box, level) -> list:
+    """Sync ``frontier`` = (frozen, levels, ids) to ``box[:level]`` the
+    way the resume loop does — unfreeze where ``box`` leaves the frozen
+    prefix, freeze its components below ``level`` — and return the node
+    list of ``level``.  A fresh frontier over ``tree`` is
+    ``([], [[tree._root]], [None])``."""
+    from repro.core.dyadic_tree import frontier_children
+
+    frozen, levels, ids = frontier
+    j = 0
+    while j < min(len(frozen), level) and frozen[j] == box[j]:
+        j += 1
+    del frozen[j:], levels[j + 1:], ids[j + 1:]
+    while j < level:
+        levels.append(frontier_children(levels[j], box[j]))
+        frozen.append(box[j])
+        ids.append(None)
+        j += 1
+    return levels[level]
+
+
 @contextlib.contextmanager
 def interpreted_tetris() -> Iterator[None]:
     """Run Tetris resume mode on the interpreted reference loop.

@@ -22,7 +22,6 @@ import signal
 import pytest
 
 from repro.engine import clear_plan_cache, cost, execute, plan_query
-from repro.engine.cost import CostModel
 from repro.obs.metrics import REGISTRY
 from repro.parallel import clear_job_cache, shutdown_pools
 from repro.parallel.merge import prepare_jobs
@@ -418,6 +417,15 @@ class TestShipAccounting:
         assert "nominal" in text
 
 
+def _price_shm(monkeypatch, on):
+    """Price parallel plans for the shm data plane, or for the pickle
+    wire, the way a user picks it: through ``REPRO_NO_SHM``."""
+    if on:
+        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NO_SHM", "1")
+
+
 class TestCostModel:
     @pytest.fixture(autouse=True)
     def _four_usable_cores(self, monkeypatch):
@@ -425,15 +433,15 @@ class TestCostModel:
         # cores to run four, whatever this one's affinity mask allows.
         monkeypatch.setattr(cost, "usable_cores", lambda: 4)
 
-    def test_shm_prices_parallel_cheaper(self):
+    def test_shm_prices_parallel_cheaper(self, monkeypatch):
         query = path_query(2)
-        plans = {
-            flag: plan_query(
+        plans = {}
+        for flag in (True, False):
+            _price_shm(monkeypatch, flag)
+            plans[flag] = plan_query(
                 query, db=None, workers=4, assumed_rows=200_000,
-                use_cache=False, cost_model=CostModel(shm=flag),
+                use_cache=False,
             )
-            for flag in (True, False)
-        }
 
         def par_cost(plan, backend):
             return next(
@@ -449,7 +457,7 @@ class TestCostModel:
         assert chosen.parallel
         assert "shm" in chosen.formula
 
-    def test_shm_moves_the_parallel_threshold_down(self):
+    def test_shm_moves_the_parallel_threshold_down(self, monkeypatch):
         # Scanning input sizes: shm may go parallel where the blob wire
         # stays serial, never the reverse.  The cyclic query replicates
         # partially-covered atoms on the blob wire, so the break moves
@@ -463,9 +471,10 @@ class TestCostModel:
         for rows in (1_000, 2_000, 2_500, 5_000, 20_000, 80_000, 300_000):
             par = {}
             for flag in (True, False):
+                _price_shm(monkeypatch, flag)
                 plan = plan_query(
                     query, db=None, workers=4, assumed_rows=rows,
-                    use_cache=False, cost_model=CostModel(shm=flag),
+                    use_cache=False,
                 )
                 par[flag] = plan.workers > 1
             assert not (par[False] and not par[True])

@@ -308,3 +308,30 @@ def test_a_dyadic_interval_is_one_int():
             assert not hasattr(module, name), (module.__name__, name)
     with pytest.raises(TypeError, match="packed"):
         repro.core.tetris.solve_bcp([((0, 1), (0, 0))], 2, 2)
+
+
+def test_the_knowledge_base_is_a_store():
+    """A store is probes plus writers.  The resume loop's traversal
+    frontier lives in the loop (interpreted and generated alike), so no
+    frontier object, hook or mutation counter is left on a store."""
+    from repro.core.dyadic_tree import MultilevelDyadicTree
+    from repro.core.stores import ListStore
+
+    for path in (ROOT / "src").rglob("*.py"):
+        text = path.read_text()
+        for name in (
+            "TraversalFrontier", "attach_frontier", "detach_frontier",
+            "sync_and_probe",
+        ):
+            assert name not in text, f"{name} in {path}"
+    for store in (MultilevelDyadicTree(2), ListStore(2)):
+        assert store.add((2, 3)) and store.discard((2, 3))
+        assert not hasattr(store, "version"), type(store).__name__
+
+
+def test_planner_options_have_callers():
+    """The certificate probe's budget and the shm pricing switch had no
+    caller outside the tests: one is a constant, the other is read from
+    ``REPRO_NO_SHM`` like the rest of the data plane."""
+    assert "probe_budget" not in inspect.signature(plan_query).parameters
+    assert "shm" not in inspect.signature(CostModel).parameters
