@@ -7,7 +7,7 @@ The paper stores the knowledge base in a multilevel dyadic tree so the
 "find a stored box containing b" query costs Õ(1) (Proposition B.12).
 ``ListStore`` is the naive alternative — a flat list with O(|A|) linear
 scans — retained to measure exactly how much the data structure
-contributes (benchmarks/bench_ablation.py).  Both implement the full
+contributes (``ablation_store`` in benchmarks/paper.py).  Both implement the full
 protocol :class:`~repro.core.tetris.TetrisEngine` expects of
 ``knowledge_base``: ``add`` / ``add_many`` / ``discard`` /
 ``find_container`` / ``find_all_containers``, so every engine

@@ -37,7 +37,7 @@ input oracle into ``A``.  Two traversal **modes** implement that loop:
   and the outer loop restarts it from the universe after every
   uncovered point.  It is the paper-parity reference (and what
   Theorem D.2's one-pass refinement is measured against in
-  ``benchmarks/bench_ablation.py``): plain probes, the resolver's own
+  ``benchmarks/paper.py::ablation_one_pass``): plain probes, the resolver's own
   ``resolve``, every resolvent cached — nothing tuned, a full
   root-to-leaf re-descent per output.
 

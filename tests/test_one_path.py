@@ -96,27 +96,18 @@ def test_no_path_selector_on_the_public_api():
     assert repro.core.tetris.MODES == ("resume", "faithful")
 
 
-#: The fourteen paper-shape scripts: Table 1's bounds and Figure 2's
-#: separations as scaling assertions.  Beside them ``benchmarks/`` holds
-#: the one benchmark, ``e2e/``, and nothing that races a backend.
-PAPER_SHAPE_SCRIPTS = {
-    "bench_ablation.py", "bench_certificates.py", "bench_crossover.py",
-    "bench_fig2_loadbalance.py", "bench_fig2_ordered_lb.py",
-    "bench_fig2_tree_ordered.py", "bench_fig_gap_boxes.py", "bench_klee.py",
-    "bench_sat.py", "bench_table1_acyclic.py", "bench_table1_agm.py",
-    "bench_table1_fhtw.py", "bench_table1_tw1.py", "bench_table1_tw_cert.py",
-}
-
-
 def test_no_frozen_baseline_modules_in_benchmarks():
-    """One benchmark and nothing beside it: no frozen ``_*.py`` copy, no
-    script racing backends, no committed ``BENCH_*.json`` record."""
+    """One benchmark and one results table beside it: no frozen ``_*.py``
+    copy, no script racing backends, no committed ``BENCH_*.json``
+    record; the paper's results are ``paper.py``'s one JSON file."""
     held = {
         p.name for p in (ROOT / "benchmarks").iterdir()
         if not p.name.startswith((".", "__pycache__"))
     }
-    assert held == PAPER_SHAPE_SCRIPTS | {"e2e", "conftest.py"}
+    assert held == {"e2e", "paper.py"}
     assert sorted(p.name for p in ROOT.glob("BENCH_*.json")) == []
+    assert sorted(p.name for p in ROOT.glob("*.json")) == [
+        "BENCHMARK.json", "PAPER_RESULTS.json"]
 
 
 def test_runtime_is_standard_library_only():
