@@ -430,19 +430,14 @@ def _leapfrog_source(
 def leapfrog_kernel(query, gao: Tuple[str, ...]) -> Callable:
     """The compiled leapfrog kernel for ``(query, gao)``.
 
-    Keyed by the atoms' names *and* attribute tuples plus the GAO and
-    output variable order — renaming an attribute is a different kernel.
+    Keyed by the GAO and the query's signature (the atoms' names *and*
+    attribute tuples, which fix the output variable order) — renaming an
+    attribute is a different kernel.
     """
-    key = (
-        gao,
-        query.variables,
-        tuple((a.name, a.attrs) for a in query.atoms),
-    )
+    key = (gao, query.signature)
 
     def build() -> Callable:
-        source = _leapfrog_source(
-            [(a.name, a.attrs) for a in query.atoms], gao, query.variables
-        )
+        source = _leapfrog_source(query.signature, gao, query.variables)
         return _compile(source, _JOIN_GLOBALS)
 
     return _LEAPFROG_CACHE.lookup(key, build)

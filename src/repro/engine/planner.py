@@ -6,9 +6,24 @@ with the calibrated cost model, and returns a :class:`Plan` naming the
 chosen backend, index kind and GAO together with the evidence behind the
 choice — the full candidate table and the structural profile.
 
-Plans are cached on ``(query signature ∘ hypergraph, stats fingerprint)``
-so repeated executions of the same workload skip the width/LP analysis;
-the cache is content-keyed, so reloading identical data hits it too.
+Planning is split into shape work and data work.  Three content-keyed
+caches keep either from being paid twice (``JoinQuery.signature`` is
+the ``((name, attrs), …)`` tuple):
+
+- the **plan cache** is keyed on signature + data + options (the stats
+  fingerprint, algorithm, index kind, GAO, probe flag, workers, shm
+  wire and calibration): a hit skips planning entirely;
+- the **stats cache** (:func:`collect_stats`) is keyed on signature +
+  data: reloading identical data hits it;
+- the **structure memo** is keyed on the signature only: the
+  :class:`StructureProfile` (acyclicity, treewidth, the fhtw LPs, the
+  GAO) is a pure function of the hypergraph, so a new database over a
+  known shape pays only the data work — the AGM LP and the cost
+  arithmetic.
+
+:func:`clear_plan_cache` drops all three, so a cold plan is cold.
+``use_cache=False`` bypasses the plan cache only; the memo cannot go
+stale (its key is its function's whole input, its values are frozen).
 """
 
 from __future__ import annotations
@@ -85,13 +100,15 @@ class Plan:
 
 
 _PLAN_CACHE = ContentLRU(256)
+_STRUCTURE_MEMO = ContentLRU(256)
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and the stats behind them."""
+    """Drop every cached plan, the stats and the structure behind them."""
     from repro.engine.stats import clear_stats_cache
 
     _PLAN_CACHE.clear()
+    _STRUCTURE_MEMO.clear()
     clear_stats_cache()
 
 
@@ -225,7 +242,10 @@ def _plan_query_impl(
         if cached is not None:
             return dataclasses.replace(cached, cache_hit=True)
 
-    profile = structure_of(query)
+    profile = _STRUCTURE_MEMO.get(query.signature)
+    if profile is None:
+        profile = structure_of(query)
+        _STRUCTURE_MEMO.put(query.signature, profile)
     num_shards = 1
     split_attrs: Tuple[str, ...] = ()
     if workers is not None:

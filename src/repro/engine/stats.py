@@ -259,7 +259,7 @@ def collect_stats(
     identical fingerprints guarantee identical statistics.
     """
     key = (
-        tuple((a.name, a.attrs) for a in query.atoms),
+        query.signature,
         db.stats_fingerprint(),
         probe,
         tuple(probe_gao) if probe and probe_gao is not None else None,
@@ -348,10 +348,7 @@ def assumed_stats(
         for atom in query.atoms
     )
     sizes = {p.name: p.cardinality for p in profiles}
-    fingerprint = (
-        tuple((a.name, a.attrs) for a in query.atoms),
-        ("assumed", rows, depth),
-    )
+    fingerprint = (query.signature, ("assumed", rows, depth))
     return QueryStats(
         relations=profiles,
         total_tuples=rows * len(profiles),

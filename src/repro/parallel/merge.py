@@ -291,7 +291,7 @@ def prepare_jobs(
     use_shm = shm_enabled()
     min_bytes = _shm.MIN_BYTES if use_shm else 0
     key = (
-        tuple((a.name, a.attrs) for a in query.atoms),
+        query.signature,
         db.stats_fingerprint(),
         plan.num_shards,
         tuple(plan.split_attrs),

@@ -73,9 +73,10 @@ class ContentLRU:
     """A small LRU keyed on content, with hit and miss counters.
 
     The plan, statistics and prepared-shard caches are instances: their
-    keys combine a query's signature with
+    keys combine a query's :attr:`JoinQuery.signature` with
     :meth:`Database.stats_fingerprint`, so identical data reloaded hits
-    them and nothing is ever invalidated by object identity.  ``None``
+    them and nothing is ever invalidated by object identity; the
+    planner's structure memo is keyed on the signature alone.  ``None``
     is not a storable value — :meth:`get` returns it for a miss.
     """
 
@@ -125,6 +126,12 @@ class JoinQuery:
                 if attr not in seen:
                     seen.append(attr)
         self.variables: Tuple[str, ...] = tuple(seen)
+        #: ``((name, attrs), …)`` in atom order: the whole of the query's
+        #: identity (it fixes the hypergraph and ``variables``), and the
+        #: query part of every content-keyed cache.
+        self.signature: Tuple[Tuple[str, Tuple[str, ...]], ...] = tuple(
+            (a.name, a.attrs) for a in self.atoms
+        )
 
     @property
     def num_vars(self) -> int:

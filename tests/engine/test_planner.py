@@ -42,13 +42,16 @@ test) and raced once on these very instances:
     mix_cycle4               2.2 / 12.7 / —        hash
 """
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.engine import codegen, cost
+from repro.engine import codegen, cost, planner
 from repro.engine import (
     CostModel,
+    Plan,
     clear_plan_cache,
     collect_stats,
     plan_cache_info,
@@ -430,3 +433,112 @@ def test_bad_gao_rejected():
     db = random_db(q, 1)
     with pytest.raises(ValueError, match="not a permutation"):
         plan_query(q, db, gao=("B", "A"))
+
+
+# -- the structure memo ------------------------------------------------------
+
+
+def _count_structure_calls(monkeypatch):
+    """Signatures :func:`structure_of` is called on, through the planner."""
+    calls = []
+
+    def counting(query):
+        calls.append(query.signature)
+        return structure_of(query)
+
+    monkeypatch.setattr(planner, "structure_of", counting)
+    return calls
+
+
+def test_clear_plan_cache_empties_the_structure_memo(monkeypatch):
+    calls = _count_structure_calls(monkeypatch)
+    q = triangle_query()
+    plan_query(q, random_db(q, 1))
+    plan_query(q, random_db(q, 2))
+    assert len(calls) == 1
+    assert len(planner._STRUCTURE_MEMO) == 1
+    clear_plan_cache()
+    assert len(planner._STRUCTURE_MEMO) == 0
+    plan_query(q, random_db(q, 3))
+    assert len(calls) == 2
+
+
+def test_structure_memo_evicts_least_recently_used(monkeypatch):
+    calls = _count_structure_calls(monkeypatch)
+    monkeypatch.setattr(planner._STRUCTURE_MEMO, "capacity", 2)
+    q1, q2, q3 = triangle_query(), path_query(3), star_query(3)
+    for seed, q in enumerate((q1, q2, q1, q3)):
+        plan_query(q, random_db(q, seed))
+    assert calls == [q1.signature, q2.signature, q3.signature]
+    # q1 was touched after q2, so q3 displaced q2.
+    plan_query(q1, random_db(q1, 10))
+    assert len(calls) == 3
+    plan_query(q2, random_db(q2, 11))
+    assert calls[3:] == [q2.signature]
+    assert len(planner._STRUCTURE_MEMO) == 2
+
+
+def test_use_cache_false_still_reads_the_structure_memo(monkeypatch):
+    calls = _count_structure_calls(monkeypatch)
+    q = cycle_query(4)
+    plan_query(q, random_db(q, 1), use_cache=False)
+    plan_query(q, random_db(q, 2), use_cache=False)
+    assert len(calls) == 1
+
+
+_ATTRS = "ABCDE"
+
+
+@st.composite
+def _shape_family(draw):
+    """Queries that collide on everything but their hypergraph.
+
+    A base query of 1–6 atoms of arity 1–3 over a small attribute pool
+    (so atoms may be disconnected), then its atoms reversed, renamed, and
+    extended by one atom over attributes it already has — the last keeps
+    ``query.variables`` and changes the hypergraph.
+    """
+    arity = st.integers(1, 3)
+    atoms = [
+        tuple(draw(st.permutations(_ATTRS))[: draw(arity)])
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    base = [(f"R{i}", attrs) for i, attrs in enumerate(atoms)]
+    seen = list(dict.fromkeys(a for attrs in atoms for a in attrs))
+    extra = tuple(draw(st.permutations(seen))[: draw(arity)])
+    variants = (
+        base,
+        base[::-1],
+        [(f"S{i}", attrs) for i, attrs in enumerate(atoms)],
+        base + [(f"R{len(base)}", extra)],
+    )
+    return [
+        JoinQuery([RelationSchema(n, attrs) for n, attrs in v])
+        for v in variants
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_shape_family(), seed=st.integers(0, 2**16))
+def test_memoized_structure_plans_like_a_cold_planner(family, seed):
+    """Every :class:`Plan` field through the memo equals a cold plan's.
+
+    Each query is planned twice on fresh data, so the second plan of a
+    shape reads its profile from the memo, and the family's variants
+    read it right after one another.  ``use_cache=False`` keeps the
+    plan cache out of the warm pass (identical draws would hit it), so
+    the memo is the only thing that can differ."""
+    instances = [
+        (q, random_db(q, seed + 2 * i + draw, n=8, depth=3))
+        for i, q in enumerate(family)
+        for draw in (0, 1)
+    ]
+    clear_plan_cache()
+    warm = [plan_query(q, db, use_cache=False) for q, db in instances]
+    for (q, db), plan in zip(instances, warm):
+        clear_plan_cache()
+        cold = plan_query(q, db)
+        for field in dataclasses.fields(Plan):
+            assert getattr(plan, field.name) == getattr(cold, field.name), (
+                q, field.name,
+            )

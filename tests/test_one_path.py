@@ -326,3 +326,47 @@ def test_planner_options_have_callers():
     ``REPRO_NO_SHM`` like the rest of the data plane."""
     assert "probe_budget" not in inspect.signature(plan_query).parameters
     assert "shm" not in inspect.signature(CostModel).parameters
+
+
+def test_planning_pays_for_a_shape_once(monkeypatch):
+    """A query's structure (GYO, treewidth, the fhtw LPs, the GAO) is a
+    function of its signature: after one ``clear_plan_cache()``, new data
+    over a known shape re-plans without re-analysing it."""
+    import random
+
+    import repro.engine.planner as planner
+    from repro.engine import clear_plan_cache
+    from repro.relational.query import (
+        Database,
+        clique_query,
+        cycle_query,
+        path_query,
+        star_query,
+        triangle_query,
+    )
+    from repro.relational.relation import Relation
+    from repro.relational.schema import Domain
+
+    calls = []
+    structure_of = planner.structure_of
+
+    def counting(query):
+        calls.append(query.signature)
+        return structure_of(query)
+
+    monkeypatch.setattr(planner, "structure_of", counting)
+    shapes = (
+        triangle_query(), path_query(2), path_query(3), star_query(3),
+        star_query(4), cycle_query(4), cycle_query(5), clique_query(4),
+    )
+    rng = random.Random(0)
+    clear_plan_cache()
+    for _draw in range(3):
+        for query in shapes:
+            db = Database([
+                Relation(atom, {(rng.randrange(32), rng.randrange(32))
+                                for _ in range(20)}, Domain(5))
+                for atom in query.atoms
+            ])
+            plan_query(query, db)
+    assert sorted(calls) == sorted(q.signature for q in shapes)
