@@ -182,14 +182,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 query, db, algorithm=args.algorithm,
                 index_kind=args.index_kind, gao=_parse_gao(args.gao),
                 workers=args.workers, decode=dictionary,
-                probe_certificate=args.probe_certificate,
                 timeout_ms=args.timeout_ms,
             )
             return report.result.plan, report.result, report
         plan = plan_query(
             query, db, algorithm=args.algorithm,
             index_kind=args.index_kind, gao=_parse_gao(args.gao),
-            probe_certificate=args.probe_certificate and db is not None,
             assumed_rows=args.assume_rows, workers=args.workers,
         )
         if not args.execute:
@@ -455,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument(
         "--assume-rows", type=int, default=1000,
         help="per-relation cardinality assumed when no --csv data is given",
-    )
-    p_explain.add_argument(
-        "--probe-certificate", action="store_true",
-        help="run the bounded Tetris-Reloaded certificate probe (needs data)",
     )
     p_explain.add_argument(
         "--execute", action="store_true",

@@ -2,7 +2,7 @@
 
 Turns the paper's Table 1 into code: :func:`plan_query` inspects a
 query's structure (acyclicity, treewidth, fhtw) and data statistics
-(cardinalities, distinct counts, AGM bound, optional certificate probe),
+(cardinalities, distinct counts, AGM bound),
 prices every backend with a calibrated cost model, and
 :func:`execute` runs the winner — one of the six :mod:`repro.joins`
 backends declared in ``BACKEND_TABLE`` — behind one result shape.
@@ -53,13 +53,11 @@ from repro.engine.planner import (
     plan_query,
 )
 from repro.engine.stats import (
-    CertificateProbe,
     QueryStats,
     RelationProfile,
     assumed_stats,
     clear_stats_cache,
     collect_stats,
-    probe_certificate,
 )
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "BACKENDS",
     "BACKEND_TABLE",
     "BackendSpec",
-    "CertificateProbe",
     "CostEstimate",
     "CostModel",
     "DEFAULT_CALIBRATION",
@@ -91,7 +88,6 @@ __all__ = [
     "normalize_algorithm",
     "plan_cache_info",
     "plan_query",
-    "probe_certificate",
     "render_execution",
     "render_plan",
     "run_backend",

@@ -15,8 +15,9 @@ order (zero for leapfrog run under ``query.variables``):
   Theorem D.9), with fhtw upper-bounded by the treewidth-optimal
   elimination order's decomposition;
 * ``tetris-reloaded`` — Õ(|C| + Z) at treewidth 1 (row 4 / Theorem 4.7)
-  and Õ(|C|^{w+1} + Z) at treewidth w (row 5 / Theorem 4.9), using the
-  certificate probe's |C| estimate when available and |C| ≤ N·d otherwise;
+  and Õ(|C|^{w+1} + Z) at treewidth w (row 5 / Theorem 4.9), with |C|
+  priced by its N·d bound (the certificate depends on the GAO, which the
+  planner picks data-blind);
 * ``leapfrog`` — candidates examined per GAO level, capped by the AGM
   bound Õ(N^ρ*) (row 2, the [52]/[72] class);
 * ``hash`` / ``nested-loop`` — classical System-R style intermediate-size
@@ -448,15 +449,6 @@ class CostModel:
             acc_size = _extend_left_deep(acc_size, acc_distinct, p)
         return total
 
-    def _certificate_estimate(self, stats: QueryStats) -> Tuple[float, str]:
-        """(|Ĉ|, provenance) — probed when available, N·d worst case else."""
-        if stats.probe is not None and stats.probe.complete:
-            return float(stats.probe.boxes_loaded), "probed"
-        bound = float(stats.total_tuples) * max(stats.domain_depth, 1)
-        if stats.probe is not None:
-            return max(float(stats.probe.boxes_loaded), bound), "exceeded"
-        return bound, "N·d bound"
-
     # -- the estimate API ------------------------------------------------------
 
     def _sort_cost(
@@ -561,16 +553,14 @@ class CostModel:
                 )
         elif backend == "tetris-reloaded":
             sort = structural_sort
-            c, provenance = self._certificate_estimate(stats)
+            c = float(stats.total_tuples) * max(stats.domain_depth, 1)
             w = max(profile.treewidth, 1)
             if w == 1:
                 body = c
-                formula = f"Õ(|C| + Z), |Ĉ|={c:g} ({provenance})"
+                formula = f"Õ(|C| + Z), |Ĉ|={c:g} (N·d bound)"
             else:
                 body = c ** (w + 1)
-                formula = (
-                    f"Õ(|C|^{w + 1} + Z), |Ĉ|={c:g} ({provenance})"
-                )
+                formula = f"Õ(|C|^{w + 1} + Z), |Ĉ|={c:g} (N·d bound)"
             # + N for the index build Tetris-Reloaded still pays even
             # when the certificate is O(1).
             q = n + (body + z) * tetris_polylog

@@ -87,8 +87,9 @@ class ResultCursor:
     hit) and an optional ``decode`` dictionary maps each row's codes
     back to original values on the way out.  ``sorted_runs`` declares
     every list sorted and the lists tiling the output (leapfrog under
-    ``gao == variables``; shard lists): :meth:`fetchall` then
-    concatenates, and :attr:`ordered` says whether the boundaries rose.
+    ``gao == variables``; Tetris's one list; shard lists):
+    :meth:`fetchall` then concatenates, and :attr:`ordered` says whether
+    the boundaries rose.
 
     ``stats`` (and Tetris resolution counters in particular) are filled
     in *during* iteration — read them after consuming the cursor.
@@ -287,13 +288,14 @@ def _tetris(variant: str):
             # fixpoint, so rows cannot stream mid-resolution: the one
             # block is the list it builds, the ``limit`` cap bounds its
             # materialization instead, and being a generator defers all
-            # of it to the first pull.
+            # of it to the first pull.  ``join_tetris`` sorts that list
+            # in ``query.variables`` order, so it is one sorted run.
             yield join_tetris(
                 query, db, variant=variant, index_kind=index_kind,
                 gao=gao, stats=stats, max_outputs=limit,
             ).tuples
 
-        return blocks(), stats, False
+        return blocks(), stats, True
 
     return run
 
@@ -479,8 +481,8 @@ def execute_cursor(
     Aggregates should consume cursors — no intermediate result set is
     materialized on the way.  With ``workers=N`` (and a plan that went
     parallel) rows stream shard by shard off the worker pool instead.
-    Anything else a plan is made from — a cost model, the certificate
-    probe, bypassing the plan cache — goes through
+    Anything else a plan is made from — a cost model, bypassing the
+    plan cache, assumed row counts — goes through
     :func:`~repro.engine.planner.plan_query` and arrives as ``plan=``.
 
     ``timeout_ms`` deadlines a *parallel* run: past it, consumption

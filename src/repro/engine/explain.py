@@ -50,14 +50,6 @@ def render_plan(plan: Plan) -> str:
             f"d({a})={p.distinct_of(a)}" for a in p.attrs
         )
         lines.append(f"│   ├─ {p.name}: |{p.name}|={p.cardinality}  {distinct}")
-    if st.probe is not None:
-        probe = st.probe
-        status = "complete" if probe.complete else "budget exceeded"
-        lines.append(
-            f"│   ├─ certificate probe: {probe.boxes_loaded} boxes loaded, "
-            f"{probe.outputs_found} outputs ({status}, "
-            f"budget {probe.budget})"
-        )
     lines.append(
         f"│   └─ Ẑ ≈ {_fmt(st.output_estimate)}  "
         f"(AGM {_fmt(st.agm)}, independence "

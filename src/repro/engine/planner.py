@@ -11,8 +11,8 @@ caches keep either from being paid twice (``JoinQuery.signature`` is
 the ``((name, attrs), …)`` tuple):
 
 - the **plan cache** is keyed on signature + data + options (the stats
-  fingerprint, algorithm, index kind, GAO, probe flag, workers, shm
-  wire and calibration): a hit skips planning entirely;
+  fingerprint, algorithm, index kind, GAO, workers, shm wire and
+  calibration): a hit skips planning entirely;
 - the **stats cache** (:func:`collect_stats`) is keyed on signature +
   data: reloading identical data hits it;
 - the **structure memo** is keyed on the signature only: the
@@ -151,7 +151,6 @@ def plan_query(
     index_kind: Optional[str] = None,
     gao: Optional[Sequence[str]] = None,
     cost_model: Optional[CostModel] = None,
-    probe_certificate: bool = False,
     use_cache: bool = True,
     assumed_rows: int = 1000,
     workers: Optional[int] = None,
@@ -162,8 +161,7 @@ def plan_query(
     wins; naming a backend forces it but still records its estimate.
     Statistics come from ``stats`` if given, else are collected from
     ``db``, else assumed uniform (``assumed_rows`` tuples per relation) —
-    the no-data mode ``repro explain`` uses.  ``probe_certificate`` adds
-    the bounded Tetris-Reloaded prefix run to the collected stats.
+    the no-data mode ``repro explain`` uses.
 
     ``workers=N`` puts shard-parallel execution on the table: under
     ``algorithm="auto"`` every backend is additionally priced as a
@@ -175,8 +173,7 @@ def plan_query(
     with _tracing.span("plan", algorithm=algorithm) as sp:
         plan = _plan_query_impl(
             query, db, stats, algorithm, index_kind, gao, cost_model,
-            probe_certificate, use_cache, assumed_rows,
-            workers,
+            use_cache, assumed_rows, workers,
         )
         if sp is not None:
             sp.attrs.update(
@@ -196,7 +193,6 @@ def _plan_query_impl(
     index_kind: Optional[str],
     gao: Optional[Sequence[str]],
     cost_model: Optional[CostModel],
-    probe_certificate: bool,
     use_cache: bool,
     assumed_rows: int,
     workers: Optional[int],
@@ -208,9 +204,7 @@ def _plan_query_impl(
         )
     if stats is None:
         if db is not None:
-            stats = collect_stats(
-                query, db, probe=probe_certificate, probe_gao=gao
-            )
+            stats = collect_stats(query, db)
         else:
             stats = assumed_stats(query, rows=assumed_rows)
     if workers is not None and workers < 1:
@@ -232,7 +226,6 @@ def _plan_query_impl(
         algorithm,
         index_kind,
         tuple(gao) if gao is not None else None,
-        probe_certificate,
         workers,
         shm_flag,
         tuple(sorted(model.calibration.items())),

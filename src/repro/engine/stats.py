@@ -8,11 +8,11 @@ The planner's data signals, gathered once per (query, database) pair:
   views and columns, never a fresh sort);
 * **output estimates** — the instance AGM bound (the provable upper
   bound of Table 1 row 2) and a System-R-style independence estimate,
-  whose minimum is the planner's working Ẑ;
-* an optional **certificate-size probe**: a budget-bounded prefix run of
-  Tetris-Reloaded whose loaded-box count estimates the paper's |C| — the
-  quantity that decides whether the beyond-worst-case row of Table 1
-  (Õ(|C| + Z), Theorem 4.7) beats the Õ(N + Z) classics on an instance.
+  whose minimum is the planner's working Ẑ.
+
+Nothing here runs a join: the paper's |C| (Theorem 4.7's Õ(|C| + Z))
+depends on the GAO, so the cost model prices it by the N·d bound rather
+than by a Tetris run under a data-blind order.
 
 Every stats object carries a :attr:`fingerprint` so plans can be cached
 and invalidated purely by content, never by object identity.
@@ -48,27 +48,6 @@ class RelationProfile:
 
 
 @dataclass(frozen=True)
-class CertificateProbe:
-    """Outcome of the bounded Tetris-Reloaded prefix run.
-
-    ``boxes_loaded`` counts knowledge-base loads during the prefix (gap
-    boxes plus output witnesses — the certificate-plus-output work the
-    Õ(|C| + Z) bound charges for).  ``complete`` means the run finished
-    inside the budget, so ``boxes_loaded`` is the exact cost of a full
-    Tetris-Reloaded evaluation rather than a lower bound.
-    """
-
-    boxes_loaded: int
-    outputs_found: int
-    complete: bool
-    budget: int
-
-    @property
-    def certificate_estimate(self) -> int:
-        return max(self.boxes_loaded - self.outputs_found, 1)
-
-
-@dataclass(frozen=True)
 class QueryStats:
     """Everything the cost model reads about a (query, database) pair."""
 
@@ -79,7 +58,6 @@ class QueryStats:
     independence_estimate: float
     fingerprint: Tuple
     assumed: bool = False
-    probe: Optional[CertificateProbe] = None
     _by_name: Dict[str, RelationProfile] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -101,77 +79,6 @@ class QueryStats:
             p.distinct_of(attr) for p in self.relations if attr in p.attrs
         ]
         return min(counts) if counts else 1
-
-
-#: Oracle probes the planner's certificate probe may spend before it
-#: gives up and reports the certificate as large.
-PROBE_BUDGET = 256
-
-
-class ProbeBudgetExceeded(Exception):
-    """Raised internally when the certificate probe runs out of budget."""
-
-
-class _BudgetedOracle:
-    """Wraps a QueryGapOracle, aborting once it has answered ``budget``
-    probes."""
-
-    def __init__(self, oracle, budget: int):
-        self._oracle = oracle
-        self._budget = budget
-        self.served = 0
-
-    @property
-    def attrs(self):
-        return self._oracle.attrs
-
-    def container(self, box):
-        # Every probe costs one unit, hit (a certificate box) or miss
-        # (an output tuple, or a split on the way to either).
-        self.served += 1
-        if self.served > self._budget:
-            raise ProbeBudgetExceeded()
-        return self._oracle.container(box)
-
-    def ordered_boxes(self, axes):
-        return self._oracle.ordered_boxes(axes)
-
-
-def probe_certificate(
-    query: JoinQuery,
-    db: Database,
-    gao: Optional[Sequence[str]] = None,
-    budget: int = PROBE_BUDGET,
-) -> CertificateProbe:
-    """Estimate |C| with a budget-bounded Tetris-Reloaded prefix run.
-
-    Runs the on-demand (Reloaded) configuration against an oracle that
-    aborts after answering ``budget`` probes; instances whose certificate
-    is small — the Theorem 4.7 regime — complete outright and return an
-    exact cost, everything else reports the bound was exceeded.
-    """
-    from repro.joins.tetris_join import tetris_engine
-
-    engine, oracle, _ = tetris_engine(query, db, "btree", gao)
-    budgeted = _BudgetedOracle(oracle, budget)
-    try:
-        outputs = engine.run(
-            budgeted, preload=False, mode="resume", max_outputs=budget
-        )
-    except ProbeBudgetExceeded:
-        return CertificateProbe(
-            boxes_loaded=engine.stats.boxes_loaded,
-            outputs_found=0,
-            complete=False,
-            budget=budget,
-        )
-    complete = len(outputs) < budget
-    return CertificateProbe(
-        boxes_loaded=engine.stats.boxes_loaded,
-        outputs_found=len(outputs),
-        complete=complete,
-        budget=budget,
-    )
 
 
 def value_overlap_fraction(
@@ -246,40 +153,24 @@ def _collect_stats_cache_metrics() -> Dict[str, int]:
 _METRICS.register_collector("stats_cache", _collect_stats_cache_metrics)
 
 
-def collect_stats(
-    query: JoinQuery,
-    db: Database,
-    probe: bool = False,
-    probe_gao: Optional[Sequence[str]] = None,
-) -> QueryStats:
+def collect_stats(query: JoinQuery, db: Database) -> QueryStats:
     """Gather the planner's statistics for a query over a database.
 
     Results are cached on content (query signature + per-relation
-    fingerprints + probe configuration): relations are immutable, so
-    identical fingerprints guarantee identical statistics.
+    fingerprints): relations are immutable, so identical fingerprints
+    guarantee identical statistics.
     """
-    key = (
-        query.signature,
-        db.stats_fingerprint(),
-        probe,
-        tuple(probe_gao) if probe and probe_gao is not None else None,
-    )
+    key = (query.signature, db.stats_fingerprint())
     cached = _STATS_CACHE.get(key)
     if cached is not None:
         return cached
     span = _tracing.span("stats.collect", relations=len(query.atoms))
     with span:
-        return _collect_stats_uncached(
-            query, db, key, probe, probe_gao
-        )
+        return _collect_stats_uncached(query, db, key)
 
 
 def _collect_stats_uncached(
-    query: JoinQuery,
-    db: Database,
-    key: Tuple,
-    probe: bool,
-    probe_gao: Optional[Sequence[str]],
+    query: JoinQuery, db: Database, key: Tuple
 ) -> QueryStats:
     profiles = []
     for atom in query.atoms:
@@ -306,10 +197,6 @@ def _collect_stats_uncached(
                 },
             )
         )
-    probe_result = None
-    if probe:
-        with _tracing.span("stats.probe", budget=PROBE_BUDGET):
-            probe_result = probe_certificate(query, db, gao=probe_gao)
     sizes = {p.name: p.cardinality for p in profiles}
     stats = QueryStats(
         relations=tuple(profiles),
@@ -318,7 +205,6 @@ def _collect_stats_uncached(
         agm=agm_from_sizes(query, sizes),
         independence_estimate=_independence_estimate(query, profiles),
         fingerprint=key,
-        probe=probe_result,
     )
     _STATS_CACHE.put(key, stats)
     return stats

@@ -1,6 +1,6 @@
 """Join algorithms: Tetris plus the paper's comparator baselines."""
 
-from repro.joins.aggregates import join_count, join_exists, triangle_count
+from repro.joins.aggregates import triangle_count
 from repro.joins.hashjoin import join_hash
 from repro.joins.leapfrog import join_leapfrog
 from repro.joins.nested_loop import join_nested_loop
@@ -10,8 +10,6 @@ from repro.joins.yannakakis import build_join_tree, join_yannakakis
 __all__ = [
     "JoinResult",
     "build_join_tree",
-    "join_count",
-    "join_exists",
     "join_hash",
     "join_leapfrog",
     "join_nested_loop",

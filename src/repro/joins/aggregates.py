@@ -1,61 +1,25 @@
 """Boolean, counting and grouping aggregates over join results.
 
-Two layers:
-
-* **Tetris-native** — ``join_exists`` answers the Boolean join ("is the
-  output non-empty?") by running Tetris with an output cap of one — the
-  engine stops at the first uncovered point, so an early witness exits
-  without enumerating Z tuples.  ``join_count`` counts output tuples;
-  with Tetris this is free model counting (the same mechanism as #SAT in
-  :mod:`repro.sat`).  Both run the engine that
-  :func:`repro.joins.tetris_join.tetris_engine` builds, so they ride
-  the packed gap-box pipeline end to end.
-* **Cursor-consuming** — ``count_rows`` / ``any_rows`` / ``group_counts``
-  work over *any* engine backend by draining a streaming
-  :class:`~repro.engine.executor.ResultCursor` block by block
-  (``cursor.blocks()``): the aggregate itself holds O(1) state
-  (O(groups) for the group-by) and never collects the result set — a
-  count sums block lengths and never touches a row.  What the *backend* buffers is its own affair — the
-  pipeline backends buffer only base-relation hash tables, while the
-  Tetris backends materialize their output inside the engine before the
-  cursor streams it (``any_rows`` caps that via ``limit=1``).
+``count_rows`` / ``any_rows`` / ``group_counts`` work over *any* engine
+backend by draining a streaming
+:class:`~repro.engine.executor.ResultCursor` block by block
+(``cursor.blocks()``): the aggregate itself holds O(1) state (O(groups)
+for the group-by) and never collects the result set — a count sums block
+lengths and never touches a row.  What the *backend* buffers is its own
+affair — the pipeline backends buffer only base-relation hash tables,
+while the Tetris backends materialize their output inside the engine
+before the cursor streams it.  ``any_rows`` caps that via ``limit=1``:
+the engine stops at the first uncovered point (the Boolean BCP of
+Definition 3.5), so an early witness exits without enumerating Z tuples.
+A Tetris count or existence test is ``algorithm="tetris-preloaded"``
+(or ``"tetris-reloaded"``) on these, like any other backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.core.resolution import ResolutionStats
-from repro.joins.tetris_join import tetris_engine
 from repro.relational.query import Database, JoinQuery
-
-
-def join_exists(
-    query: JoinQuery,
-    db: Database,
-    index_kind: str = "btree",
-    gao: Optional[Sequence[str]] = None,
-    stats: Optional[ResolutionStats] = None,
-) -> bool:
-    """Boolean join: True iff the join output is non-empty.
-
-    Equivalent to the Boolean BCP (Definition 3.5) being *uncovered*;
-    stops at the first output tuple found.
-    """
-    engine, oracle, _ = tetris_engine(query, db, index_kind, gao, stats=stats)
-    return bool(engine.run(oracle, preload=True, max_outputs=1))
-
-
-def join_count(
-    query: JoinQuery,
-    db: Database,
-    index_kind: str = "btree",
-    gao: Optional[Sequence[str]] = None,
-    stats: Optional[ResolutionStats] = None,
-) -> int:
-    """Number of output tuples of the join (full enumeration count)."""
-    engine, oracle, _ = tetris_engine(query, db, index_kind, gao, stats=stats)
-    return len(engine.run(oracle, preload=True))
 
 
 def count_rows(
@@ -135,7 +99,7 @@ def triangle_count(db: Database) -> int:
     """
     from repro.relational.query import triangle_query
 
-    ordered = join_count(triangle_query(), db)
+    ordered = count_rows(triangle_query(), db)
     if ordered % 6 != 0:
         raise ValueError(
             "ordered embedding count not divisible by 6 — is the edge "

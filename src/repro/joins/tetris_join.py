@@ -2,10 +2,14 @@
 
 Wires a :class:`~repro.relational.query.JoinQuery` over an indexed database
 into a Box Cover Problem instance (:func:`tetris_engine` — the one place
-a query becomes an oracle, an SAO and a :class:`TetrisEngine`; the
-aggregates and the planner's certificate probe run what it builds) and
-runs the requested Tetris variant (:func:`join_tetris`).  The BCP output
-— the points covered by *no* gap box — is exactly the join output.
+a query becomes an oracle, an SAO and a :class:`TetrisEngine`) and runs
+the requested Tetris variant (:func:`join_tetris`).  The BCP output — the
+points covered by *no* gap box — is exactly the join output, returned
+sorted in ``query.variables`` order.  A join reaches it through the
+engine's backend table (``tetris-preloaded`` / ``tetris-reloaded`` in
+:data:`~repro.engine.executor.BACKEND_TABLE`); the planner prices Tetris
+but never runs it, and counts and existence tests are the cursor
+aggregates of :mod:`repro.joins.aggregates` over those backends.
 
 The splitting attribute order defaults to the theorem-appropriate choice:
 reverse GYO elimination for α-acyclic queries (Theorem D.8), a minimum
@@ -80,7 +84,8 @@ def tetris_engine(
     gao: Optional[Sequence[str]] = None,
     **engine_kwargs,
 ) -> Tuple[TetrisEngine, QueryGapOracle, Tuple[str, ...]]:
-    """The one place a query becomes a :class:`TetrisEngine`.
+    """The one place a query becomes a :class:`TetrisEngine`;
+    :func:`join_tetris` is its one caller in the package.
 
     Builds the gap-box oracle, turns the GAO into the engine's SAO (the
     permutation of space order into GAO order) and constructs the engine

@@ -77,7 +77,6 @@ def analyze(
     cost_model=None,
     limit: Optional[int] = None,
     decode=None,
-    probe_certificate: bool = False,
     timeout_ms: Optional[int] = None,
     log_path: Optional[str] = None,
     append_log: bool = True,
@@ -105,7 +104,6 @@ def analyze(
         plan = plan_query(
             query, db, algorithm=algorithm, index_kind=index_kind,
             gao=gao, workers=workers, cost_model=model,
-            probe_certificate=probe_certificate,
         )
         result = execute(
             query, db, plan=plan, limit=limit, decode=decode,

@@ -1,8 +1,7 @@
 """Span-based tracing of the query lifecycle.
 
-A query's life is plan → stats/certificate probe → kernel compile →
-execute — and, shard-parallel, partition → dispatch → per-worker compute
-→ merge.  Each stage becomes a :class:`Span`: a named wall-time interval
+A query's life is plan → stats → kernel compile → execute — and,
+shard-parallel, partition → dispatch → per-worker compute → merge.  Each stage becomes a :class:`Span`: a named wall-time interval
 with attributes, a unique id, and a parent id that threads the spans
 into a tree.  Span context crosses the multiprocess pipe protocol as a
 ``(trace id, parent span id)`` pair riding on the

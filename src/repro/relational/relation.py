@@ -603,9 +603,8 @@ class Relation:
 
         Name, schema, domain depth, cardinality, distinct counts, plus
         the tuple-set hash (computed once and cached by frozenset), so
-        content-dependent statistics — the certificate probe above all —
-        are never reused across relations that merely share summary
-        counts.
+        content-dependent statistics — the value ranges above all — are
+        never reused across relations that merely share summary counts.
         """
         if self._fingerprint is None:
             counts = self.distinct_counts()

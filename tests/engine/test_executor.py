@@ -12,6 +12,8 @@ import pytest
 
 from repro.engine import BACKENDS, clear_plan_cache, execute
 from repro.core.resolution import ResolutionStats
+from repro.joins.tetris_join import join_tetris
+from repro.obs import tracing
 from repro.relational.hypergraph import Hypergraph
 from repro.relational.query import (
     Database,
@@ -126,3 +128,26 @@ def test_index_kind_and_gao_are_honored():
         assert result.tuples == expected, kind
         assert result.gao == ("B", "A", "C")
         assert result.plan.index_kind == kind
+
+
+@pytest.mark.parametrize("variant", ("preloaded", "reloaded"))
+@pytest.mark.parametrize("limit, workers", [(None, None), (5, None), (None, 2)])
+def test_forced_tetris_sorts_once(variant, limit, workers):
+    """``join_tetris`` returns its points sorted in ``query.variables``
+    order, so a forced Tetris stream is one sorted run and ``execute()``
+    opens no ``sort`` span — serially, capped, or sharded on the star's
+    hub (whose shard lists tile the output in order)."""
+    query = star_query(3)
+    db = random_db(query, 11, n=30, depth=6)
+    tracer = tracing.Tracer()
+    with tracing.use(tracer):
+        result = execute(
+            query, db, algorithm=f"tetris-{variant}", limit=limit,
+            workers=workers,
+        )
+    assert [s.name for s in tracer.spans if s.name == "sort"] == []
+    assert result.plan.num_shards == (1 if workers is None else 8)
+    expected = join_tetris(query, db, variant=variant, max_outputs=limit)
+    assert result.tuples == expected.tuples
+    if limit is None:
+        assert result.tuples == evaluate_reference(query, db)

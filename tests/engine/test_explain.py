@@ -98,14 +98,6 @@ def test_explain_inapplicable_backend_clean_error(capsys):
     assert "not applicable" in capsys.readouterr().err
 
 
-def test_probe_appears_in_rendering():
-    query, db, gao = split_path_instance(80, depth=8, seed=1)
-    plan = plan_query(query, db, gao=gao, probe_certificate=True)
-    text = explain_text(plan)
-    assert "certificate probe" in text
-    assert "complete" in text
-
-
 def test_cache_hit_is_visible():
     query, db, _ = split_path_instance(40, depth=8, seed=1)
     plan_query(query, db)

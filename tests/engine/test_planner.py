@@ -53,7 +53,6 @@ from repro.engine import (
     CostModel,
     Plan,
     clear_plan_cache,
-    collect_stats,
     plan_cache_info,
     plan_query,
     structure_of,
@@ -334,56 +333,15 @@ def test_plan_cache_misses_on_changed_stats():
     assert not other.cache_hit
 
 
-def test_certificate_probe_feeds_the_cost_model():
-    query, db, gao = split_path_instance(400, depth=12, seed=1)
-    stats = collect_stats(query, db, probe=True, probe_gao=gao)
-    assert stats.probe is not None
-    assert stats.probe.complete  # O(1) certificate: probe finishes
-    assert stats.probe.boxes_loaded <= 8
-    assert stats.probe.outputs_found == 0  # the join is empty
-
-
-def test_certificate_probe_charges_one_unit_per_oracle_probe():
-    """Hit or miss, a ``container`` probe costs one budget unit: a large
-    certificate aborts the probe, an O(1) one completes within it."""
-    from repro.engine.stats import (
-        ProbeBudgetExceeded,
-        _BudgetedOracle,
-        probe_certificate,
-    )
-    from repro.joins.tetris_join import make_oracle
-
-    query, db, gao = split_path_instance(400, depth=12, seed=1)
-    oracle, _ = make_oracle(query, db, gao=gao)
-    budgeted = _BudgetedOracle(oracle, budget=3)
-    universe = (1,) * len(oracle.attrs)
-    # ⟨upper half⟩ on B: R0 stores no such value.
-    upper_b = tuple(3 if a == "A1" else 1 for a in oracle.attrs)
-    assert budgeted.container(universe) is None  # a miss is charged
-    assert budgeted.container(upper_b) == oracle.container(upper_b) == upper_b
-    assert budgeted.container(universe) is None
-    assert budgeted.served == 3
-    with pytest.raises(ProbeBudgetExceeded):
-        budgeted.container(upper_b)
-
-    small = probe_certificate(query, db, gao=gao, budget=8)
-    assert small.complete and small.outputs_found == 0
-    query, db = graph_triangle_db(random_graph_edges(40, 110, seed=3))
-    large = probe_certificate(query, db, budget=64)
-    assert not large.complete
-    assert large.boxes_loaded <= 64
-
-
 def test_calibration_hook_changes_the_decision():
-    """Recalibrating Tetris's constant flips the probed split instance."""
+    """Recalibrating Tetris's constant flips the split instance, priced
+    by the N·d certificate bound (|Ĉ| = 9,600 here)."""
     query, db, gao = split_path_instance(400, depth=12, seed=1)
-    default = plan_query(query, db, gao=gao, probe_certificate=True,
-                         use_cache=False)
+    default = plan_query(query, db, gao=gao, use_cache=False)
     assert default.backend != "tetris-reloaded"  # CPython constants
     cheap_tetris = CostModel({"tetris-reloaded": 0.001})
     plan = plan_query(
-        query, db, gao=gao, probe_certificate=True,
-        cost_model=cheap_tetris, use_cache=False,
+        query, db, gao=gao, cost_model=cheap_tetris, use_cache=False,
     )
     assert plan.backend == "tetris-reloaded"
     assert plan.variant == "reloaded"

@@ -14,7 +14,7 @@ from repro.core.intervals import PLAMBDA
 from repro.joins.tetris_join import make_oracle
 from repro.relational.query import JoinQuery
 from repro.relational.schema import RelationSchema
-from repro.workloads.generators import db_from_tuples
+from repro.workloads.generators import db_from_tuples, split_path_instance
 
 DEPTH = 4
 
@@ -101,3 +101,16 @@ def test_oracle_boxes_are_the_lifted_index_boxes(index_kind, seed):
             assert not containers
         else:
             assert found == containers[0]
+
+
+def test_container_hit_returns_the_gap_box_and_miss_returns_none():
+    """On the split path R0(A0,A1) ⋈ R1(A1,A2) every R0 value of A1 is in
+    the lower half: under the generator's GAO, R0's B-tree has the
+    upper half of A1 as one gap box, and the universe, holding tuples
+    of both relations, is in none."""
+    query, db, gao = split_path_instance(400, depth=12, seed=1)
+    oracle, _ = make_oracle(query, db, gao=gao)
+    universe = (PLAMBDA,) * len(oracle.attrs)
+    upper_b = tuple(3 if a == "A1" else PLAMBDA for a in oracle.attrs)
+    assert oracle.container(universe) is None
+    assert oracle.container(upper_b) == upper_b

@@ -1,45 +1,62 @@
-"""Tests for Boolean and counting joins."""
+"""Tests for Boolean and counting joins.
+
+A Tetris existence test or count is the any-backend cursor aggregate
+with the backend forced: ``any_rows`` runs the engine capped at one
+output, ``count_rows`` drains the full enumeration.
+"""
 
 import pytest
 
-from repro.core.resolution import ResolutionStats
-from repro.joins.aggregates import join_count, join_exists, triangle_count
+from repro.engine import execute_cursor
+from repro.joins.aggregates import any_rows, count_rows, triangle_count
 from repro.joins.tetris_join import join_tetris
-from repro.relational.query import evaluate_reference, triangle_query
+from repro.relational.query import evaluate_reference
 from repro.workloads.generators import (
     agm_tight_triangle,
     graph_triangle_db,
     split_path_instance,
 )
 
+TETRIS = "tetris-preloaded"
+
+
+def cursor_stats(query, db, **kwargs):
+    """The ``ResolutionStats`` of a drained forced-Tetris cursor."""
+    with execute_cursor(query, db, algorithm=TETRIS, **kwargs) as cursor:
+        rows = cursor.fetchall()
+    return rows, cursor.stats
+
 
 class TestJoinExists:
     def test_true_on_nonempty(self):
         query, db = agm_tight_triangle(2)
-        assert join_exists(query, db)
+        assert any_rows(query, db, algorithm=TETRIS)
 
     def test_false_on_empty(self):
         query, db, gao = split_path_instance(40, depth=8, seed=0)
-        assert not join_exists(query, db, gao=gao)
+        assert not any_rows(query, db, algorithm=TETRIS, gao=gao)
 
     def test_early_exit_cheaper_than_enumeration(self):
         """The Boolean join must do less work than full enumeration."""
         query, db = agm_tight_triangle(8)  # Z = 512
-        s_bool = ResolutionStats()
-        s_full = ResolutionStats()
-        assert join_exists(query, db, stats=s_bool)
-        assert join_count(query, db, stats=s_full) == 512
+        assert count_rows(query, db, algorithm=TETRIS) == 512
+        first, s_bool = cursor_stats(query, db, limit=1)
+        rows, s_full = cursor_stats(query, db)
+        assert len(first) == 1 and len(rows) == 512
         assert s_bool.containment_queries < s_full.containment_queries / 4
 
     @pytest.mark.parametrize("index_kind", ("btree", "dyadic", "kdtree"))
     def test_callers_stats_are_the_tetris_runs(self, index_kind):
-        """Both aggregates run the engine ``join_tetris`` runs, so a
-        caller's ``stats=`` reads field for field like the join's."""
+        """A forced-Tetris cursor runs the engine ``join_tetris`` runs,
+        so its stats read field for field like the join's — capped at
+        one output under ``limit=1``."""
         query, db = agm_tight_triangle(4)
         gao = ("B", "A", "C")
-        found, counted = ResolutionStats(), ResolutionStats()
-        assert join_exists(query, db, index_kind, gao, stats=found)
-        assert join_count(query, db, index_kind, gao, stats=counted) == 64
+        kwargs = dict(index_kind=index_kind, gao=gao)
+        assert any_rows(query, db, algorithm=TETRIS, **kwargs)
+        assert count_rows(query, db, algorithm=TETRIS, **kwargs) == 64
+        _, found = cursor_stats(query, db, limit=1, **kwargs)
+        _, counted = cursor_stats(query, db, **kwargs)
         first = join_tetris(
             query, db, index_kind=index_kind, gao=gao, max_outputs=1
         )
@@ -51,11 +68,13 @@ class TestJoinExists:
 class TestJoinCount:
     def test_matches_reference(self):
         query, db = agm_tight_triangle(3)
-        assert join_count(query, db) == len(evaluate_reference(query, db))
+        assert count_rows(query, db, algorithm=TETRIS) == len(
+            evaluate_reference(query, db)
+        )
 
     def test_zero_on_empty(self):
         query, db, gao = split_path_instance(20, depth=6, seed=3)
-        assert join_count(query, db, gao=gao) == 0
+        assert count_rows(query, db, algorithm=TETRIS, gao=gao) == 0
 
 
 class TestTriangleCount:

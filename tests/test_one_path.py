@@ -321,11 +321,58 @@ def test_the_knowledge_base_is_a_store():
 
 
 def test_planner_options_have_callers():
-    """The certificate probe's budget and the shm pricing switch had no
-    caller outside the tests: one is a constant, the other is read from
-    ``REPRO_NO_SHM`` like the rest of the data plane."""
-    assert "probe_budget" not in inspect.signature(plan_query).parameters
+    """The shm pricing switch had no caller outside the tests: it is
+    read from ``REPRO_NO_SHM`` like the rest of the data plane."""
     assert "shm" not in inspect.signature(CostModel).parameters
+
+
+#: Where a join query becomes a ``TetrisEngine``: the backend table's
+#: ``join_tetris`` builds it with ``tetris_engine``, and nothing else
+#: under these packages does.
+TETRIS_PACKAGES = ("engine", "joins", "obs")
+TETRIS_BUILDER = Path("joins") / "tetris_join.py"
+
+
+def test_a_join_reaches_tetris_through_the_backend_table():
+    """The planner's certificate probe (a budgeted Tetris-Reloaded run
+    under the data-blind GAO, which changed no benchmark plan) and the
+    Tetris-only ``join_count`` / ``join_exists`` are gone: a join runs
+    Tetris as a backend, and counts through ``count_rows`` /
+    ``any_rows``."""
+    from repro.cli import main
+    from repro.engine import collect_stats
+    from repro.obs.analyze import analyze
+
+    for fn in (plan_query, collect_stats, analyze):
+        params = inspect.signature(fn).parameters
+        assert not [p for p in params if p.startswith("probe")], fn.__name__
+    for module, names in (
+        (repro.engine, ("CertificateProbe", "PROBE_BUDGET",
+                        "ProbeBudgetExceeded", "probe_certificate")),
+        (repro.joins, ("join_count", "join_exists")),
+    ):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(repro.engine.stats, "_BudgetedOracle")
+    fields = {f.name for f in dataclasses.fields(repro.engine.QueryStats)}
+    assert "probe" not in fields
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "R(A,B), S(B,C)", "--probe-certificate"])
+    assert exc.value.code == 2
+
+    src = ROOT / "src" / "repro"
+    for package in TETRIS_PACKAGES:
+        for path in sorted((src / package).rglob("*.py")):
+            if path.relative_to(src) == TETRIS_BUILDER:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    used = {a.name.rsplit(".", 1)[-1] for a in node.names}
+                elif isinstance(node, ast.Attribute):
+                    used = {node.attr}
+                else:
+                    continue
+                assert not used & {"TetrisEngine", "tetris_engine"}, path
 
 
 def test_planning_pays_for_a_shape_once(monkeypatch):
