@@ -82,7 +82,8 @@ NO_SHM = Knob(
 )
 SHARD_TIMEOUT_MS = Knob(
     "REPRO_SHARD_TIMEOUT_MS", 0, _int,
-    "Per-shard stall budget: silent workers are killed + retried.",
+    "Per-shard stall budget: a silent worker is killed; its shard runs "
+    "in the parent.",
 )
 FAULTS = Knob(
     "REPRO_FAULTS", None, _text,

@@ -546,9 +546,9 @@ def execute(
     serial-vs-parallel; a forced backend plus ``workers`` always runs
     parallel.  Parallel output is bit-for-bit the serial output (shards
     partition the output space; their sorted row lists are put in order,
-    and re-sorted only where shard boundaries interleave) — worker
-    crashes and hangs are survived by the pool's supervision (respawn,
-    retry, serial quarantine), so it stays bit-for-bit under faults too.
+    and re-sorted only where shard boundaries interleave) — a shard whose
+    worker crashes, hangs or errs runs in the parent instead (the worker
+    is respawned), so it stays bit-for-bit under faults too.
     ``timeout_ms`` deadlines a parallel run with
     :class:`~repro.parallel.QueryTimeout`; serial plans ignore it.
 

@@ -147,7 +147,6 @@ def _render_shard_tree(report) -> List[str]:
         serial = report.shards_quarantined + report.serial_fallback_shards
         notes = [
             f"{report.worker_respawns} workers respawned",
-            f"{report.shard_retries} shards retried",
             f"{serial} run serially in-parent",
         ]
         if report.shm_export_errors:

@@ -1,40 +1,41 @@
 """Deterministic fault injection for the shard-parallel plane.
 
-The supervision machinery in :mod:`~repro.parallel.scheduler` exists to
-survive worker crashes, hangs, serialization failures and resource
-exhaustion — events that are, by nature, impossible to reproduce on
-demand.  This module makes them reproducible: a :class:`FaultPlan`
-parsed from the ``REPRO_FAULTS`` environment variable describes exactly
-which fault fires on which shard (and how many times), and the hooks in
-the workers, the scheduler and the shm arena consult it at the moments
-where the real failures would strike.
+The recovery rule in :mod:`~repro.parallel.scheduler` exists to survive
+worker crashes, hangs, serialization failures and resource exhaustion —
+events that are, by nature, impossible to reproduce on demand.  This
+module makes them reproducible: a :class:`FaultPlan` parsed from the
+``REPRO_FAULTS`` environment variable describes exactly which fault
+fires on which shard, and the hooks in the workers, the scheduler and
+the shm arena consult it at the moments where the real failures would
+strike.
 
 The plan rides on the *environment*, not on shared state: forked
 workers inherit the parent's environment, so the same spec is visible on
-both sides of the pipe with no extra wire traffic, and counting is done
-against the task's ``attempt`` number — a pure function of
-``(shard_id, attempt)`` — so "crash twice, then succeed" needs no
-cross-process counter.
+both sides of the pipe with no extra wire traffic.  A shard-scoped fault
+is a set of shard ids and fires every time one of those shards runs in
+a worker — which is once per run, because a failed shard runs in the
+parent and is never dealt again.
 
 Spec grammar (comma-separated tokens)::
 
-    crash@K[*N]        worker running shard K os._exit()s, N times (default 1)
-    hang@K[*N]         worker running shard K sleeps forever, N times
-    error@K[*N]        shard K raises InjectedFault in the worker, N times
-    unpicklable@K[*N]  shard K's result fails to pickle on send, N times
-    spawn[*N]          the next N WorkerPool constructions fail
-    shm-export[*N]     the next N ShmArena.export calls raise
+    crash@K            worker running shard K os._exit()s
+    hang@K             worker running shard K sleeps forever
+    error@K            shard K raises InjectedFault in the worker
+    unpicklable@K      shard K's result fails to pickle on send
+    spawn[*N]          the next N WorkerPool constructions fail (default 1)
+    shm-export[*N]     the next N ShmArena.export calls raise (default 1)
 
-``*inf`` (or ``*always``) makes a fault permanent — the quarantine /
-degradation paths exist for exactly those.  Example::
+``*inf`` (or ``*always``) makes a pool-scoped fault permanent.  Shard
+ids are ≥ 0, counts ≥ 1, and any token that does not parse raises one
+``ValueError`` naming ``REPRO_FAULTS``.  Example::
 
-    REPRO_FAULTS="crash@3,hang@7*2,shm-export*1"
+    REPRO_FAULTS="crash@3,hang@7,shm-export*1"
 
-Worker-scoped faults (crash/hang/error/unpicklable) fire only inside a
-worker process (:func:`mark_worker` is called by ``worker_main``), so
-the scheduler's serial in-parent re-execution of a quarantined shard is
-never re-poisoned by the fault that quarantined it — mirroring reality,
-where the parent does not share the worker's failure.
+Shard-scoped faults fire only inside a worker process
+(:func:`mark_worker` is called by ``worker_main``), so the parent's
+re-run of a failed shard is never re-poisoned by the fault that failed
+it — mirroring reality, where the parent does not share the worker's
+failure.
 
 Everything here is test/benchmark machinery: with ``REPRO_FAULTS``
 unset, :func:`plan` returns ``None`` after one environment read (per
@@ -46,11 +47,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional, Set
 
 from repro import config
 
-#: Sentinel repeat count for ``*inf`` — effectively "every attempt".
+#: Sentinel repeat count for ``*inf`` — effectively "every call".
 ALWAYS = 1 << 30
 
 #: How long an injected hang sleeps.  Far beyond any deadline a test or
@@ -60,6 +61,9 @@ HANG_SECONDS = 3600.0
 #: Exit status of an injected crash (distinguishable from a real signal
 #: death in ``Process.exitcode`` while debugging chaos runs).
 CRASH_EXIT_CODE = 70
+
+#: The shard-scoped kinds, each a :class:`FaultPlan` set of shard ids.
+_SHARD_KINDS = ("crash", "hang", "error", "unpicklable")
 
 
 class InjectedFault(RuntimeError):
@@ -78,32 +82,17 @@ class Unpicklable:
 class FaultPlan:
     """A parsed fault spec.
 
-    Shard-scoped faults map ``shard_id → remaining count`` and are
-    checked statelessly against the task's attempt number; pool-scoped
-    faults (``spawn``, ``shm_export``) are parent-side countdowns
-    consumed by ``take_*``.
+    Shard-scoped faults are sets of shard ids, checked statelessly;
+    pool-scoped faults (``spawn``, ``shm_export``) are parent-side
+    countdowns consumed by ``take_*``.
     """
 
-    crash: Dict[int, int] = field(default_factory=dict)
-    hang: Dict[int, int] = field(default_factory=dict)
-    error: Dict[int, int] = field(default_factory=dict)
-    unpicklable: Dict[int, int] = field(default_factory=dict)
+    crash: Set[int] = field(default_factory=set)
+    hang: Set[int] = field(default_factory=set)
+    error: Set[int] = field(default_factory=set)
+    unpicklable: Set[int] = field(default_factory=set)
     spawn: int = 0
     shm_export: int = 0
-
-    # -- shard-scoped (deterministic on (shard, attempt)) ----------------------
-
-    def should_crash(self, shard_id: int, attempt: int) -> bool:
-        return attempt < self.crash.get(shard_id, 0)
-
-    def should_hang(self, shard_id: int, attempt: int) -> bool:
-        return attempt < self.hang.get(shard_id, 0)
-
-    def should_error(self, shard_id: int, attempt: int) -> bool:
-        return attempt < self.error.get(shard_id, 0)
-
-    def should_unpickle_fail(self, shard_id: int, attempt: int) -> bool:
-        return attempt < self.unpicklable.get(shard_id, 0)
 
     # -- parent-scoped countdowns ----------------------------------------------
 
@@ -123,38 +112,62 @@ class FaultPlan:
 
 
 def parse_faults(spec: str) -> FaultPlan:
-    """Parse a ``REPRO_FAULTS`` spec string (raises ``ValueError``)."""
+    """Parse a ``REPRO_FAULTS`` spec string.
+
+    Raises one ``ValueError`` naming the variable for any token that
+    does not parse: an unknown kind, a shard-scoped kind without ``@K``
+    or with ``*N``, a pool-scoped kind with ``@K``, a shard id that is
+    not an integer ≥ 0, or a count that is not an integer ≥ 1.
+    """
+
+    def bad(token: str, why: str) -> ValueError:
+        return ValueError(
+            f"{config.FAULTS.name}={spec!r}: {token!r} {why}"
+        )
+
     fp = FaultPlan()
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        body, _, count_s = token.partition("*")
-        count_s = count_s.strip()
-        if count_s in ("inf", "always"):
-            count = ALWAYS
-        elif count_s:
-            count = int(count_s)
-        else:
-            count = 1
+        body, star, count_s = token.partition("*")
         kind, at, shard_s = body.partition("@")
         kind = kind.strip().lower().replace("_", "-")
-        if kind in ("crash", "hang", "error", "unpicklable"):
+        if kind in _SHARD_KINDS:
             if not at:
-                raise ValueError(
-                    f"fault {kind!r} needs a shard: {kind}@K in "
-                    f"{config.FAULTS.name}"
-                )
-            getattr(fp, kind.replace("-", "_"))[int(shard_s)] = count
-        elif kind == "spawn":
-            fp.spawn = count
-        elif kind in ("shm-export", "shmexport"):
-            fp.shm_export = count
+                raise bad(token, f"needs a shard: {kind}@K")
+            if star:
+                raise bad(token, "takes no *N: a shard fault fires "
+                                 "every time the shard runs in a worker")
+            try:
+                shard_id = int(shard_s)
+            except ValueError:
+                shard_id = -1
+            if shard_id < 0:
+                raise bad(token, "needs a shard id that is an integer ≥ 0")
+            getattr(fp, kind).add(shard_id)
+        elif kind in ("spawn", "shm-export", "shmexport"):
+            if at:
+                raise bad(token, f"takes no shard: {kind} is pool-scoped")
+            count = 1
+            if star:
+                count_s = count_s.strip().lower()
+                if count_s in ("inf", "always"):
+                    count = ALWAYS
+                else:
+                    try:
+                        count = int(count_s)
+                    except ValueError:
+                        count = 0
+                    if count < 1:
+                        raise bad(token, "needs a count that is an "
+                                         "integer ≥ 1, inf or always")
+            if kind == "spawn":
+                fp.spawn = count
+            else:
+                fp.shm_export = count
         else:
-            raise ValueError(
-                f"unknown fault kind {kind!r} in "
-                f"{config.FAULTS.name}={spec!r}"
-            )
+            raise bad(token, f"has an unknown fault kind {kind!r}")
     return fp
 
 
@@ -182,9 +195,9 @@ def reset() -> None:
     _CACHED_PLAN = None
 
 
-# Worker-scoped faults fire only in worker processes.  The flag is set
-# by worker_main after fork/spawn; the parent (and its serial in-parent
-# quarantine path) always sees False.
+# Shard-scoped faults fire only in worker processes.  The flag is set
+# by worker_main after fork/spawn; the parent (and its re-run of a
+# failed shard) always sees False.
 _IN_WORKER = False
 
 
@@ -194,12 +207,8 @@ def mark_worker() -> None:
     _IN_WORKER = True
 
 
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
-def maybe_fire(fp: FaultPlan, shard_id: int, attempt: int) -> None:
-    """Fire any worker-scoped execution fault armed for this attempt.
+def maybe_fire(fp: FaultPlan, shard_id: int) -> None:
+    """Fire any shard-scoped execution fault armed for this shard.
 
     Called from ``execute_shard`` once the shard's relations are
     materialized (so crashes leave the scheduler's cache mirror with
@@ -208,12 +217,11 @@ def maybe_fire(fp: FaultPlan, shard_id: int, attempt: int) -> None:
     """
     if not _IN_WORKER:
         return
-    if fp.should_crash(shard_id, attempt):
+    if shard_id in fp.crash:
         os._exit(CRASH_EXIT_CODE)
-    if fp.should_hang(shard_id, attempt):
+    if shard_id in fp.hang:
         time.sleep(HANG_SECONDS)
-    if fp.should_error(shard_id, attempt):
+    if shard_id in fp.error:
         raise InjectedFault(
-            f"injected deterministic fault on shard {shard_id} "
-            f"(attempt {attempt})"
+            f"injected deterministic fault on shard {shard_id}"
         )

@@ -17,7 +17,8 @@ The :class:`ParallelReport` filled along the way is the subsystem's
 instrumentation: per-shard compute seconds (CPU, measured where the
 shard ran), per-process busy time — worker id ``-1`` is the parent,
 which computes shards itself while every worker is busy
-(``shards_in_parent``) as well as quarantined and degraded ones — rows
+(``shards_in_parent``) as well as every shard that failed on a worker
+(``shards_quarantined``) or found no pool to run on — rows
 shipped vs. reference hits, pruned shard count, and the **makespan** —
 partition time + parent-side coordination + the busiest process —
 which is the wall time a host with ≥ ``workers`` free cores sees, and
@@ -104,13 +105,10 @@ class ParallelReport:
     shm_attached_bytes: int = 0
     shm_attach_seconds: float = 0.0
     #: Fault-recovery accounting: workers respawned after death/hang,
-    #: shards re-dealt after losing their worker, shards quarantined to
-    #: serial in-parent execution (repeat failures or a deterministic
-    #: worker-side error), shards run serially because the pool
-    #: degraded (spawn failure / crash budget exceeded), and shm
-    #: exports that failed by *raising* (degraded to blob ships).
+    #: shards that failed on a worker and ran in the parent instead,
+    #: shards run in the parent because no pool could be spawned, and
+    #: shm exports that failed by *raising* (degraded to blob ships).
     worker_respawns: int = 0
-    shard_retries: int = 0
     shards_quarantined: int = 0
     serial_fallback_shards: int = 0
     shm_export_errors: int = 0
@@ -119,13 +117,12 @@ class ParallelReport:
     #: and not a dispatch: ``had_faults`` ignores it.
     shards_in_parent: int = 0
     #: Wall seconds the deal loop spent executing shards in the parent
-    #: (taken, quarantined or degraded alike).
+    #: (taken, quarantined or without a pool alike).
     in_parent_seconds: float = 0.0
-    #: Pipe dispatches attempted vs. answered clean.  Tallied apart so
-    #: quarantine re-runs (in-parent, no pipe) inflate neither: in a
-    #: fault-free run ``attempts == successes == executed shards dealt
-    #: to workers``, and the gap under faults is exactly the failed
-    #: worker attempts.
+    #: Pipe dispatches attempted vs. answered clean.  A shard is
+    #: dispatched at most once and its in-parent re-run is no
+    #: dispatch, so ``attempts == successes + shards_quarantined`` in
+    #: every run that completes.
     dispatch_attempts: int = 0
     dispatch_successes: int = 0
     #: The run aborted on its deadline (the report is partial).
@@ -206,7 +203,6 @@ class ParallelReport:
         """Whether any recovery machinery fired during this run."""
         return bool(
             self.worker_respawns
-            or self.shard_retries
             or self.shards_quarantined
             or self.serial_fallback_shards
             or self.shm_export_errors
@@ -215,10 +211,11 @@ class ParallelReport:
 
     @property
     def balance(self) -> float:
-        """Busiest-worker share of mean load (1.0 = perfectly level)."""
+        """Busiest process's share of the mean load over the processes
+        that ran shards, the parent included (1.0 = perfectly level)."""
         if not self.worker_busy:
             return 1.0
-        mean = self.total_compute_seconds / self.workers
+        mean = self.total_compute_seconds / len(self.worker_busy)
         if mean == 0.0:
             return 1.0
         return self.max_worker_seconds / mean
@@ -237,7 +234,6 @@ class ParallelReport:
         )
         faults = (
             f" faults: {self.worker_respawns} respawns, "
-            f"{self.shard_retries} retries, "
             f"{self.shards_quarantined + self.serial_fallback_shards} "
             f"serial"
             if self.had_faults
@@ -530,7 +526,6 @@ def _publish_report(report: ParallelReport) -> None:
             "parallel.dispatch.attempts": report.dispatch_attempts,
             "parallel.dispatch.successes": report.dispatch_successes,
             "parallel.faults.respawns": report.worker_respawns,
-            "parallel.faults.retries": report.shard_retries,
             "parallel.faults.quarantined": report.shards_quarantined,
             "parallel.faults.serial_fallback": (
                 report.serial_fallback_shards

@@ -15,15 +15,13 @@ when every worker is busy, shards are still pending and a zero-timeout
 look at the pipes finds nothing to receive, the parent pops the
 *lightest* pending shard and computes it itself through
 :func:`run_job_in_parent`: the same ``execute_shard``, no pipe, no
-pickle.  It takes only shards that were **never dispatched** (attempt
-0): a shard that already cost a worker stays on the retry → quarantine
-ladder below, and the heaviest shards — dealt first, LPT — are never the
-parent's.  It never takes one in degraded mode or past the deadline (a
-taken shard can overrun the deadline by one shard, as a quarantined one
-can).  Such a shard is yielded with worker id ``-1`` and tallied in
+pickle.  Pending shards were never dispatched, and the heaviest —
+dealt first, LPT — are never the parent's.  It never takes one past the
+deadline (a taken shard can overrun the deadline by one shard).  Such a
+shard is yielded with worker id ``-1`` and tallied in
 ``ParallelReport.shards_in_parent`` — not as a fault, not as a dispatch.
-So ``-1`` means "ran in the parent", for any of three reasons: taken
-while the workers were busy, quarantined, or degraded.
+So ``-1`` means "ran in the parent": taken while the workers were busy,
+or failed on its worker (``shards_quarantined``).
 
 Dealing is **cache-affine**: the pool mirrors each worker's relation
 cache (exactly — inserts are decided here, evictions are acknowledged on
@@ -42,30 +40,23 @@ sized at dispatch for the actual-wire accounting.  The pool holds one
 arena owner per ``(pool, worker, segment)``; eviction acks and pool
 close release them, which is what lets the arena unlink safely.
 
-Dealing is also **supervised**.  Shards are disjoint dyadic output boxes
-whose results are pure functions of ``(shard, database)``, so every
-shard is safely re-executable — the engine is embarrassingly
-recoverable, and this module exploits it:
+Dealing is also **supervised**, by one rule.  Shards are disjoint dyadic
+output boxes whose results are pure functions of ``(shard, database)``,
+so a shard run in the parent gives the rows any worker retry would:
 
-* The wait set includes each busy worker's ``Process.sentinel``, so a
-  worker death (crash, OOM-kill) is noticed the moment it happens, not
-  when a pipe read fails.  The dead worker is **respawned in place**
-  (its arena owners released, its cache mirror reset) and the lost
-  in-flight shard is re-dealt with bounded retries.
-* A shard that keeps killing workers (:data:`SHARD_RETRY_LIMIT`
-  dispatches), or any deterministic worker-side ``ShardResult.error``,
-  is **quarantined**: re-executed serially in-parent over the clipped
-  relations the job already holds.  One poisoned shard degrades to
-  serial; the query still answers.
+* **A failed shard runs in the parent**, right away, through
+  :func:`run_job_in_parent`, and is never dealt again
+  (``shards_quarantined``).  The failures are a send that fails, a
+  worker death (the wait set includes each busy worker's
+  ``Process.sentinel``, so a crash or OOM-kill is noticed the moment it
+  happens), an unreadable reply, a ``ShardResult.error``, and a worker
+  silent past the stall budget (``REPRO_SHARD_TIMEOUT_MS``, read per
+  run).  A dead or hung worker is also **respawned in place** (its
+  arena owners released, its cache mirror reset).  ``workers=N`` is a
+  performance hint, never a correctness risk.
 * A per-query **deadline** (``run_shards(..., deadline=)``) bounds the
   wait; on expiry busy workers are killed-and-respawned and
-  :class:`QueryTimeout` carries the partial report out.  A per-shard
-  stall budget (``REPRO_SHARD_TIMEOUT_MS``, read per run) treats a
-  silent worker as hung — kill, respawn, retry — without failing the
-  query.
-* Exceeding the run's **respawn budget** flips the run into degraded
-  mode: remaining shards execute serially in-parent.  ``workers=N`` is
-  a performance hint, never a correctness risk.
+  :class:`QueryTimeout` carries the partial report out.
 * The abandoned-cursor drain in the ``finally`` block is **bounded**
   (:data:`DRAIN_TIMEOUT_MS`): a dead or hung worker can no longer
   wedge the parent; it is respawned and the pool stays serviceable.
@@ -101,10 +92,6 @@ from repro.parallel.workers import (
     worker_main,
 )
 
-#: Dispatch attempts per shard before it is quarantined to serial
-#: in-parent execution (first try + retries).
-SHARD_RETRY_LIMIT = 3
-
 #: Bound on the abandoned-run drain (cursor closed with shards still in
 #: flight).  A worker that doesn't answer within the budget is respawned
 #: instead of wedging the parent.
@@ -137,7 +124,6 @@ class _InFlight:
     """One dispatched shard: what's riding on a busy worker's pipe."""
 
     job: PendingShard
-    attempt: int
     started: float  # monotonic dispatch time (stall detection)
 
 
@@ -172,7 +158,8 @@ def run_job_in_parent(
     """Execute one clipped shard serially in the parent process.
 
     How the parent computes a shard — one it took because every worker
-    was busy, a quarantined one, or all of them in degraded mode.  The
+    was busy, one that failed on its worker, or all of them when no
+    pool could be spawned.  The
     clipped relations are already parent-side (that's what
     :class:`PendingShard` carries; a slice plan keeps its materialized
     relation, so a repeated query finds it warm), so the shard runs
@@ -378,20 +365,20 @@ class WorkerPool:
 
         Yields ``(result, worker_id, job)`` — ``worker_id`` is ``-1``
         for shards executed in the parent (taken while every worker was
-        busy, quarantined, or degraded mode).  ``deadline`` is a
-        ``time.monotonic()`` instant; past it
-        the run aborts with :class:`QueryTimeout` (busy workers are
-        killed and respawned so the pool stays serviceable).
+        busy, or failed on a worker).  ``deadline`` is a
+        ``time.monotonic()`` instant; past it the run aborts with
+        :class:`QueryTimeout` (busy workers are killed and respawned so
+        the pool stays serviceable).
 
-        Worker deaths and hangs are survived: the worker is respawned,
-        the shard retried up to :data:`SHARD_RETRY_LIMIT` dispatches,
-        then quarantined to serial in-parent execution.
-        :class:`WorkerError` is raised only for genuine failures — a
-        shard that fails even serially, or an unrecoverable protocol
-        desync.  Closing the generator early (a merged cursor hitting
-        its limit) stops dealing and *drains* the in-flight shards with
-        a bounded timeout so the one-in/one-out pipe protocol stays in
-        sync for the next run.
+        A shard whose worker fails it — send failure, death, unreadable
+        reply, error result or stall — runs in the parent right away;
+        a dead or hung worker is respawned.  :class:`WorkerError` is
+        raised only for genuine failures — a shard that fails in the
+        parent too, or an unrecoverable protocol desync.  Closing the
+        generator early (a merged cursor hitting its limit) stops
+        dealing and *drains* the in-flight shards with a bounded
+        timeout so the one-in/one-out pipe protocol stays in sync for
+        the next run.
 
         A pool runs one shard set at a time: the generator marks the
         pool ``active`` while it owns the pipes, and every received
@@ -409,24 +396,17 @@ class WorkerPool:
             )
         # Per-shard stall budget; 0 disables the check (the fault-free
         # wait then blocks with no timeout at all).  A busy worker silent
-        # past it is treated as hung: killed, respawned, shard retried.
-        # Read before the pool goes active: a malformed value raises.
+        # past it is treated as hung.  Read before the pool goes active:
+        # a malformed value raises.
         stall_ms = config.SHARD_TIMEOUT_MS.get()
         stall_s = stall_ms / 1000.0 if stall_ms > 0 else None
         self.active = True
+        # Heaviest first; only never-dispatched shards are ever here.
         pending = sorted(jobs, key=lambda j: -j.weight)
         free = list(range(self.num_workers))
         busy: Dict[int, _InFlight] = {}
-        #: shard_id → dispatches so far (the retry bound).
-        attempts: Dict[int, int] = {}
-        # A run that keeps burning workers must stop paying fork+reship
-        # per shard at some point: past the budget the remaining shards
-        # run serially in-parent instead (degraded mode).
-        respawn_budget = max(4, 2 * self.num_workers)
-        respawns_used = 0
-        degraded = False
 
-        def serial(job: PendingShard, why: str) -> ShardResult:
+        def in_parent(job: PendingShard, failed: bool) -> ShardResult:
             t0 = time.perf_counter()
             try:
                 return run_job_in_parent(
@@ -435,77 +415,34 @@ class WorkerPool:
             finally:
                 if report is not None:
                     report.in_parent_seconds += time.perf_counter() - t0
-                    if why == "quarantine":
+                    if failed:
                         report.shards_quarantined += 1
-                    elif why == "degraded":
-                        report.serial_fallback_shards += 1
                     else:
                         report.shards_in_parent += 1
 
-        def spare_job() -> Optional[PendingShard]:
-            """Pop the lightest never-dispatched pending shard, if any.
-
-            A shard that already cost a worker stays on the retry →
-            quarantine ladder; the parent only takes attempt-0 work.
-            """
-            for i in range(len(pending) - 1, -1, -1):
-                if pending[i].shard_id not in attempts:
-                    return pending.pop(i)
-            return None
-
-        def fail(wid: int, reason: str) -> Optional[PendingShard]:
-            """A busy worker died or hung: respawn it, decide the shard.
-
-            Returns the job when it must now run serially (retries
-            exhausted or degraded mode), else ``None`` (requeued).
-            """
-            nonlocal respawns_used, degraded
-            inflight = busy.pop(wid)
-            respawns_used += 1
+        def lost(wid: int, reason: str) -> PendingShard:
+            """A busy worker died or hung: respawn it, return its shard."""
+            job = busy.pop(wid).job
             self._respawn(wid, report=report, reason=reason)
             free.append(wid)
-            if respawns_used >= respawn_budget:
-                degraded = True
-            job = inflight.job
-            if degraded or attempts.get(job.shard_id, 0) >= SHARD_RETRY_LIMIT:
-                return job
-            if report is not None:
-                report.shard_retries += 1
-            _instant_span(
-                "shard.retry",
-                shard=job.shard_id,
-                attempt=attempts.get(job.shard_id, 0),
-                reason=reason,
-            )
-            pending.append(job)
-            pending.sort(key=lambda j: -j.weight)
-            return None
+            return job
 
         try:
             while pending or busy:
-                if degraded:
-                    # Past the crash budget: stop dealing, run the rest
-                    # here (busy results are still collected below).
-                    while pending:
-                        job = pending.pop(0)
-                        yield serial(job, "degraded"), -1, job
-                while not degraded and free and pending:
+                while free and pending:
                     wid = free.pop()
                     job, stolen = self._pick_job(wid, pending)
                     if stolen and report is not None:
                         report.shards_stolen += 1
-                    attempt = attempts.get(job.shard_id, 0)
-                    attempts[job.shard_id] = attempt + 1
-                    busy[wid] = _InFlight(job, attempt, time.monotonic())
+                    busy[wid] = _InFlight(job, time.monotonic())
                     try:
                         self._dispatch(
                             wid, job, atoms, backend, index_kind, gao,
-                            limit, report, trace, attempt,
+                            limit, report, trace,
                         )
                     except _WorkerDied as exc:
-                        q = fail(wid, f"dispatch failed: {exc}")
-                        if q is not None:
-                            yield serial(q, "quarantine"), -1, q
+                        job = lost(wid, f"dispatch failed: {exc}")
+                        yield in_parent(job, True), -1, job
                 if not busy:
                     continue
 
@@ -535,15 +472,13 @@ class WorkerPool:
                 # Shards still pending here means every worker is busy,
                 # and blocking would put to sleep a core the run could
                 # use.  So the parent only looks (zero timeout), and
-                # when nothing is ready it computes a shard itself.
-                look = bool(pending) and not degraded
+                # when nothing is ready it computes the lightest
+                # pending shard itself.
+                look = bool(pending)
                 ready = mp_connection.wait(waitable, 0 if look else timeout)
                 if look and not ready:
-                    job = spare_job()
-                    if job is None:
-                        ready = mp_connection.wait(waitable, timeout)
-                    else:
-                        yield serial(job, "in-parent"), -1, job
+                    job = pending.pop()
+                    yield in_parent(job, False), -1, job
                 ready_wids: List[int] = []
                 dead_wids: List[int] = []
                 seen = set()
@@ -559,7 +494,7 @@ class WorkerPool:
                     seen.add(wid)
                     # The process is gone, but its final result may
                     # still sit in the pipe buffer — prefer it to a
-                    # needless retry.
+                    # needless re-run.
                     try:
                         has_result = self._conns[wid].poll(0)
                     except (OSError, EOFError):
@@ -570,29 +505,25 @@ class WorkerPool:
                     try:
                         result = self._receive(wid)
                     except _WorkerDied as exc:
-                        q = fail(wid, str(exc))
-                        if q is not None:
-                            yield serial(q, "quarantine"), -1, q
+                        job = lost(wid, str(exc))
+                        yield in_parent(job, True), -1, job
                         continue
-                    inflight = busy.pop(wid)
+                    job = busy.pop(wid).job
                     free.append(wid)
-                    if result.shard_id != inflight.job.shard_id:
+                    if result.shard_id != job.shard_id:
                         # Desynchronized pipe: never serve mismatched
                         # results as if they belonged to this run.
                         self._invalidate()
                         raise WorkerError(
                             f"worker {wid} answered shard "
                             f"{result.shard_id} while "
-                            f"{inflight.job.shard_id} was in flight "
+                            f"{job.shard_id} was in flight "
                             f"(protocol desync)"
                         )
                     if result.error is not None:
-                        # A deterministic worker-side failure (the
-                        # worker itself is alive and in protocol):
-                        # retrying would fail identically, so go
-                        # straight to serial in-parent execution.
-                        job = inflight.job
-                        yield serial(job, "quarantine"), -1, job
+                        # The worker is alive and in protocol; only its
+                        # shard failed.
+                        yield in_parent(job, True), -1, job
                         continue
                     if report is not None:
                         report.dispatch_successes += 1
@@ -601,14 +532,12 @@ class WorkerPool:
                             result.shm_attached_bytes
                         )
                         report.shm_attach_seconds += result.attach_seconds
-                    yield result, wid, inflight.job
+                    yield result, wid, job
 
                 for wid in dead_wids:
-                    if wid not in busy:
-                        continue
-                    q = fail(wid, "worker process died")
-                    if q is not None:
-                        yield serial(q, "quarantine"), -1, q
+                    if wid in busy:
+                        job = lost(wid, "worker process died")
+                        yield in_parent(job, True), -1, job
 
                 if stall_s is not None:
                     now = time.monotonic()
@@ -617,12 +546,11 @@ class WorkerPool:
                         if now - f.started >= stall_s
                     ]
                     for wid in stalled:
-                        q = fail(
+                        job = lost(
                             wid,
                             f"no result in {stall_s:.1f}s (hung worker)",
                         )
-                        if q is not None:
-                            yield serial(q, "quarantine"), -1, q
+                        yield in_parent(job, True), -1, job
         finally:
             if not self.closed:
                 self._drain(busy, report)
@@ -733,7 +661,7 @@ class WorkerPool:
 
     def _dispatch(
         self, wid, job, atoms, backend, index_kind, gao, limit, report,
-        trace=None, attempt=0,
+        trace=None,
     ) -> None:
         known = self._known[wid]
         payloads = []
@@ -758,14 +686,13 @@ class WorkerPool:
             gao=gao,
             limit=limit,
             trace=trace,
-            attempt=attempt,
             metrics=_metrics.REGISTRY.enabled,
         )
         if report is not None:
             # Attempts and successes are tallied apart: a shard whose
-            # worker dies mid-compute counts one attempt here and no
-            # success, while its quarantine re-run in-parent touches
-            # neither — so fault runs no longer double-count dispatches.
+            # worker fails it counts one attempt here and no success,
+            # and its re-run in the parent touches neither — so
+            # attempts == successes + shards_quarantined.
             report.dispatch_attempts += 1
         try:
             self._conns[wid].send(task)
@@ -790,8 +717,9 @@ class WorkerPool:
                 _shm.ARENA.release(seg_id, (id(self), wid))
         # Fold the worker's registry movement in right here — the one
         # chokepoint every result passes through (normal completions,
-        # error results headed for quarantine, even abandoned-run
-        # drains), so supervision paths never drop worker telemetry.
+        # error results whose shard then runs in the parent, even
+        # abandoned-run drains), so supervision never drops worker
+        # telemetry.
         if result.metrics is not None:
             _metrics.merge_wire_delta(
                 _metrics.REGISTRY,

@@ -81,15 +81,12 @@ class ShardTask:
     ``(trace id, parent span id)``; the worker's spans open under that
     parent so the merged trace renders one tree across processes.
     ``None`` (the default) keeps the worker's hot path untouched.
-    ``attempt`` counts prior dispatches of this shard in this run (a
-    retry after a worker death arrives as attempt 1, 2, …): shards are
-    pure functions of their inputs so the worker ignores it, but the
-    fault-injection harness keys on it to make "fail N times, then
-    succeed" deterministic without any cross-process counter.
+    A shard is dispatched at most once per run: if its worker fails it,
+    the scheduler runs it in the parent instead.
     ``metrics`` asks the worker to snapshot its metrics registry around
     the shard and ship the movement home on the result (the same
     piggyback pattern as ``trace``/``spans``); ``False`` — the default,
-    and always the value for in-parent quarantine runs, whose counters
+    and always the value for shards run in the parent, whose counters
     already land in the parent registry — keeps the hot path untouched.
     """
 
@@ -101,7 +98,6 @@ class ShardTask:
     gao: Optional[Tuple[str, ...]]
     limit: Optional[int]
     trace: Optional[Tuple[str, Optional[str]]] = None
-    attempt: int = 0
     metrics: bool = False
 
 
@@ -351,7 +347,7 @@ def execute_shard(task: ShardTask, cache: WorkerCache) -> ShardResult:
             # After materialization, before compute: a crash here leaves
             # the scheduler's cache mirror genuinely diverged from the
             # (dead) worker — the case supervision must clean up.
-            _faults.maybe_fire(fault_plan, task.shard_id, task.attempt)
+            _faults.maybe_fire(fault_plan, task.shard_id)
         query = JoinQuery(task.atoms)
         db = Database(relations)
         blocks, stats, sorted_runs = run_backend(
@@ -436,8 +432,9 @@ def worker_main(conn) -> None:
                 break
             result = execute_shard(task, cache)
             fault_plan = _faults.plan()
-            if fault_plan is not None and fault_plan.should_unpickle_fail(
-                task.shard_id, task.attempt
+            if (
+                fault_plan is not None
+                and task.shard_id in fault_plan.unpicklable
             ):
                 result.stats = _faults.Unpicklable()
             try:

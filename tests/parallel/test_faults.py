@@ -1,15 +1,17 @@
 """Chaos suite: every injected fault class must leave the answer
 bit-identical to serial execution.
 
-Shards are pure functions of ``(shard, database)``, so the scheduler is
-allowed to re-execute them at will — these tests inject every failure
-mode :mod:`repro.parallel.faults` can express (worker crashes, hangs,
-deterministic errors, unpicklable results, pool spawn failures, shm
-export failures) and assert three things each time:
+Shards are pure functions of ``(shard, database)``, so a shard whose
+worker fails it runs in the parent instead — the one recovery rule.
+These tests inject every failure mode :mod:`repro.parallel.faults` can
+express (worker crashes, hangs, deterministic errors, unpicklable
+results, pool spawn failures, shm export failures) and assert three
+things each time:
 
 * the query completes with rows **bit-identical** to the serial answer,
 * recovery is visible in the :class:`~repro.parallel.merge.
-  ParallelReport` (respawns / retries / quarantines / fallbacks),
+  ParallelReport` (respawns / shards run in the parent / fallbacks),
+  and every dispatch either succeeded or sent its shard to the parent,
 * the pool stays serviceable — the same process serves the next query.
 
 Fault specs ride on the environment and are read by *forked* workers,
@@ -113,50 +115,62 @@ def _victim(query, db, workers):
     return max(jobs, key=lambda j: j.weight).shard_id
 
 
+def _assert_one_rule(report, failed):
+    """Each of ``failed`` shards ran in the parent after one dispatch;
+    every other dispatch succeeded, and no shard was dealt twice."""
+    assert report.shards_quarantined == failed
+    assert report.dispatch_attempts == (
+        report.dispatch_successes + report.shards_quarantined
+    )
+    assert report.executed_shards == (
+        report.dispatch_attempts + report.shards_in_parent
+    )
+    ran_in_parent = sum(1 for d in report.shard_details if d[1] == -1)
+    assert ran_in_parent == report.shards_quarantined + (
+        report.shards_in_parent
+    )
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestCrashRecovery:
     def test_transient_crash_is_retried_to_parity(
         self, instance, workers, monkeypatch
     ):
+        """A crash is retried once, in the parent: one respawn, one
+        shard run there, and the shard is never dealt again."""
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"crash@{sid}*2")
+        _arm(monkeypatch, f"crash@{sid}")
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
-        assert result.parallel.worker_respawns >= 2
-        assert result.parallel.shard_retries >= 2
-        assert result.parallel.shards_quarantined == 0
+        assert result.parallel.worker_respawns == 1
+        _assert_one_rule(result.parallel, failed=1)
         assert not result.parallel.timed_out
 
     def test_parent_takes_only_never_dispatched_shards(
         self, instance, workers, monkeypatch
     ):
         """The parent computes shards while the workers are busy (or
-        being respawned), but a shard that already cost a worker stays
-        on the retry ladder: it finishes on a worker, not under -1."""
+        being respawned) and runs every shard a worker failed; the two
+        tallies are disjoint, and the failed shard ran under -1."""
         query, db, serial = instance
         plan = plan_query(query, db, algorithm="hash", workers=workers)
         _, jobs, _ = prepare_jobs(query, db, plan)
         victim = max(jobs, key=lambda j: j.weight)
-        _arm(monkeypatch, f"crash@{victim.shard_id}*2")
+        _arm(monkeypatch, f"crash@{victim.shard_id}")
         result = execute(query, db, algorithm="hash", workers=workers)
         report = result.parallel
         assert result.tuples == serial
-        assert report.worker_respawns >= 2
-        assert report.shard_retries >= 2
-        assert report.shards_quarantined == 0
         ran_on = {cell: wid for cell, wid, _, _ in report.shard_details}
-        assert ran_on[victim.shard.describe()] >= 0
-        assert report.shards_in_parent == sum(
-            1 for wid in ran_on.values() if wid == -1
-        )
+        assert ran_on[victim.shard.describe()] == -1
+        _assert_one_rule(report, failed=1)
 
     def test_permanent_crash_quarantines_to_serial(
         self, instance, workers, monkeypatch
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"crash@{sid}*inf")
+        _arm(monkeypatch, f"crash@{sid}")
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.shards_quarantined >= 1
@@ -167,17 +181,64 @@ class TestCrashRecovery:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"crash@{sid}*2")
+        _arm(monkeypatch, f"crash@{sid}")
         execute(query, db, algorithm="hash", workers=workers)
         pool = get_pool(workers)
         assert not pool.closed
         _disarm(monkeypatch)
         # Workers respawned while the spec was armed keep their
-        # fork-time environment; crash faults are still recoverable, so
-        # parity must hold on the very same pool object.
+        # fork-time environment; a crash still sends its shard to the
+        # parent, so parity must hold on the very same pool object.
         follow = execute(query, db, algorithm="hash", workers=workers)
         assert follow.tuples == serial
         assert get_pool(workers) is pool
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+class TestOneRecoveryRule:
+    """Every way a dispatched shard can fail sends it to the parent:
+    rows equal serial, each dispatch either succeeded or sent its shard
+    there, and each dead or hung worker is respawned once."""
+
+    @pytest.mark.parametrize(
+        "kind, respawns_per_shard",
+        [("crash", 1), ("hang", 1), ("error", 0), ("unpicklable", 0)],
+    )
+    def test_every_shard_fault_class(
+        self, instance, workers, kind, respawns_per_shard, monkeypatch
+    ):
+        query, db, serial = instance
+        plan = plan_query(query, db, algorithm="hash", workers=workers)
+        _, jobs, _ = prepare_jobs(query, db, plan)
+        # Every shard armed: whichever the workers are dealt fails.
+        _arm(
+            monkeypatch,
+            ",".join(f"{kind}@{job.shard_id}" for job in jobs),
+            REPRO_SHARD_TIMEOUT_MS=400,
+        )
+        result = execute(query, db, algorithm="hash", workers=workers)
+        report = result.parallel
+        assert result.tuples == serial
+        assert report.dispatch_successes == 0
+        assert report.dispatch_attempts >= workers
+        assert report.worker_respawns == (
+            respawns_per_shard * report.dispatch_attempts
+        )
+        _assert_one_rule(report, failed=report.dispatch_attempts)
+
+    def test_a_failed_send(self, instance, workers):
+        query, db, serial = instance
+        pool = get_pool(workers)
+        for proc in pool._procs:
+            proc.kill()
+            proc.join()
+        # Every worker is dead before the run: each first dispatch
+        # fails at the send, and its shard runs in the parent.
+        result = execute(query, db, algorithm="hash", workers=workers)
+        assert result.tuples == serial
+        assert get_pool(workers) is pool
+        assert result.parallel.worker_respawns == workers
+        _assert_one_rule(result.parallel, failed=workers)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -187,21 +248,20 @@ class TestDeterministicErrors:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"error@{sid}*inf")
+        _arm(monkeypatch, f"error@{sid}")
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         # The worker is alive and in protocol: no process churn, the
-        # shard goes straight to serial in-parent execution.
-        assert result.parallel.shards_quarantined >= 1
+        # shard goes straight to the parent.
         assert result.parallel.worker_respawns == 0
-        assert result.parallel.shard_retries == 0
+        _assert_one_rule(result.parallel, failed=1)
 
     def test_unpicklable_result_degrades_in_protocol(
         self, instance, workers, monkeypatch
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"unpicklable@{sid}*inf")
+        _arm(monkeypatch, f"unpicklable@{sid}")
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         # The send fails *after* a full pickle pass, so no partial
@@ -220,13 +280,15 @@ class TestHangs:
         sid = _victim(query, db, workers)
         _arm(
             monkeypatch,
-            f"hang@{sid}*1",
+            f"hang@{sid}",
             REPRO_SHARD_TIMEOUT_MS=400,
         )
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
-        assert result.parallel.worker_respawns >= 1
-        assert result.parallel.shard_retries >= 1
+        # The stalled worker is killed and respawned; its shard runs in
+        # the parent and is never dealt again.
+        assert result.parallel.worker_respawns == 1
+        _assert_one_rule(result.parallel, failed=1)
 
     def test_permanent_hang_quarantined_by_stall_budget(
         self, instance, workers, monkeypatch
@@ -235,7 +297,7 @@ class TestHangs:
         sid = _victim(query, db, workers)
         _arm(
             monkeypatch,
-            f"hang@{sid}*inf",
+            f"hang@{sid}",
             REPRO_SHARD_TIMEOUT_MS=300,
         )
         result = execute(query, db, algorithm="hash", workers=workers)
@@ -247,7 +309,7 @@ class TestHangs:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"hang@{sid}*inf")
+        _arm(monkeypatch, f"hang@{sid}")
         with pytest.raises(QueryTimeout) as exc:
             execute(
                 query, db, algorithm="hash", workers=workers,
@@ -308,10 +370,10 @@ class TestHygiene:
         query, db, serial = instance
         sid = _victim(query, db, 2)
         monkeypatch.setattr(shm, "MIN_BYTES", 1)
-        _arm(monkeypatch, f"crash@{sid}*2")
+        _arm(monkeypatch, f"crash@{sid}")
         result = execute(query, db, algorithm="hash", workers=2)
         assert result.tuples == serial
-        assert result.parallel.worker_respawns >= 2
+        assert result.parallel.worker_respawns == 1
         shutdown_pools()
         assert len(ARENA) == 0
 
@@ -320,20 +382,20 @@ class TestHygiene:
     ):
         query, db, _serial = instance
         sid = _victim(query, db, 2)
-        _arm(monkeypatch, f"crash@{sid}*inf")
+        _arm(monkeypatch, f"crash@{sid}")
         before = REGISTRY.snapshot()
         execute(query, db, algorithm="hash", workers=2)
         delta = REGISTRY.snapshot().since(before)
-        assert delta["parallel.faults.respawns"] >= 1
-        assert delta["parallel.faults.retries"] >= 1
-        assert delta["parallel.faults.quarantined"] >= 1
+        assert delta["parallel.faults.respawns"] == 1
+        assert delta["parallel.faults.quarantined"] == 1
+        assert not any("retr" in name for name in delta.as_dict())
 
     def test_explain_surfaces_the_recovery(self, instance, monkeypatch):
         from repro.engine import explain_text
 
         query, db, _serial = instance
         sid = _victim(query, db, 2)
-        _arm(monkeypatch, f"crash@{sid}*inf")
+        _arm(monkeypatch, f"crash@{sid}")
         result = execute(query, db, algorithm="hash", workers=2)
         text = explain_text(result.plan, result)
         assert "faults" in text
@@ -354,22 +416,22 @@ class TestHygiene:
 class TestFaultSpecParsing:
     def test_grammar(self):
         fp = faults.parse_faults(
-            "crash@3,hang@7*2,error@1*inf,unpicklable@2*always,"
-            "spawn*2,shm-export"
+            "crash@3,hang@7,error@1,unpicklable@2,spawn*2,shm-export"
         )
-        assert fp.crash == {3: 1}
-        assert fp.hang == {7: 2}
-        assert fp.error == {1: faults.ALWAYS}
-        assert fp.unpicklable == {2: faults.ALWAYS}
+        assert fp.crash == {3}
+        assert fp.hang == {7}
+        assert fp.error == {1}
+        assert fp.unpicklable == {2}
         assert fp.spawn == 2
         assert fp.shm_export == 1
+        always = faults.parse_faults("spawn*inf, shm_export*always")
+        assert always.spawn == always.shm_export == faults.ALWAYS
 
-    def test_attempt_counting(self):
-        fp = faults.parse_faults("crash@5*2")
-        assert fp.should_crash(5, 0)
-        assert fp.should_crash(5, 1)
-        assert not fp.should_crash(5, 2)
-        assert not fp.should_crash(4, 0)
+    def test_shard_faults_are_sets(self):
+        fp = faults.parse_faults("crash@5,crash@0,crash@5,error@5")
+        assert fp.crash == {0, 5}
+        assert fp.error == {5}
+        assert not fp.hang and not fp.unpicklable
 
     def test_countdowns_consume(self):
         fp = faults.parse_faults("spawn*2")
@@ -385,6 +447,28 @@ class TestFaultSpecParsing:
             faults.parse_faults("explode@3")
         with pytest.raises(ValueError):
             faults.parse_faults("crash*2")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "crash@x",       # shard id is not an integer
+            "crash@",        # no shard id
+            "crash@-1",      # negative shard id
+            "crash@3*2",     # a shard fault takes no count
+            "crash@3*0",
+            "hang@1*inf",
+            "error@2*1",
+            "spawn*two",     # count is not an integer
+            "spawn*0",       # count < 1
+            "shm-export*-3",
+            "spawn*",
+            "spawn@1",       # a pool fault takes no shard
+            "explode@3",
+        ],
+    )
+    def test_parse_errors_name_the_variable(self, spec):
+        with pytest.raises(ValueError, match=config.FAULTS.name):
+            faults.parse_faults(spec)
 
     def test_empty_spec_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(config.FAULTS.name, raising=False)

@@ -216,6 +216,17 @@ class TestParentShardAccounting:
         report.loop_seconds = 0.5  # workers overlapped the loop
         assert report.coordination_seconds == 0.0
 
+    def test_balance_is_over_the_processes_that_ran_shards(self):
+        """The parent (worker −1) is one of the processes the mean is
+        taken over, so equal loads read 1.0 however many ran."""
+        report = ParallelReport(workers=2, num_shards=8, split_attrs=("A",))
+        report.worker_busy = {0: 1.0, 1: 1.0, -1: 1.0}
+        assert report.balance == pytest.approx(1.0)
+        report.worker_busy = {-1: 2.0}  # every shard ran in the parent
+        assert report.balance == pytest.approx(1.0)
+        report.worker_busy = {0: 3.0, 1: 1.0}
+        assert report.balance == pytest.approx(1.5)
+
 
 class TestUsableCores:
     def test_reads_the_affinity_mask(self):

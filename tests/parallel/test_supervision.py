@@ -90,7 +90,7 @@ class TestAbandonedCursorDrain:
         query, db, serial = instance
         _plan, jobs = _jobs(query, db)
         sid = max(jobs, key=lambda j: j.weight).shard_id
-        monkeypatch.setenv(config.FAULTS.name, f"hang@{sid}*inf")
+        monkeypatch.setenv(config.FAULTS.name, f"hang@{sid}")
         monkeypatch.setattr(scheduler, "DRAIN_TIMEOUT_MS", 300)
         faults.reset()
         shutdown_pools()

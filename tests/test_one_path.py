@@ -320,6 +320,29 @@ def test_the_knowledge_base_is_a_store():
         assert not hasattr(store, "version"), type(store).__name__
 
 
+def test_a_failed_shard_runs_in_the_parent():
+    """One recovery rule: a shard its worker fails runs in the parent
+    and is never dealt again.  No retry count, respawn budget or
+    degraded mode is left, and no shard fault counts attempts."""
+    from repro.parallel import faults
+    from repro.parallel.scheduler import _InFlight
+    from repro.parallel.workers import ShardTask
+
+    for path in (ROOT / "src").rglob("*.py"):
+        text = path.read_text()
+        for name in (
+            "SHARD_RETRY_LIMIT", "shard_retries", "parallel.faults.retries",
+            "shard.retry", "respawn_budget", "respawns_used", "spare_job",
+            "degraded mode", "degraded = ",
+        ):
+            assert name not in text, f"{name} in {path}"
+    for cls in (ShardTask, _InFlight):
+        assert "attempt" not in {f.name for f in dataclasses.fields(cls)}
+    assert "attempt" not in inspect.signature(faults.maybe_fire).parameters
+    with pytest.raises(ValueError, match=config.FAULTS.name):
+        faults.parse_faults("crash@3*2")
+
+
 def test_planner_options_have_callers():
     """The shm pricing switch had no caller outside the tests: it is
     read from ``REPRO_NO_SHM`` like the rest of the data plane."""
