@@ -7,7 +7,8 @@ Each backend gets a cost estimate of the form
 where *quantity* is the backend's asymptotic running-time expression
 evaluated on the instance's statistics, and *sort* is what the final
 ``sorted()`` costs when the backend's stream is not already in output
-order (zero for leapfrog run under ``query.variables``):
+order (zero for leapfrog and hash run so they bind ``query.variables``
+in order):
 
 * ``yannakakis`` / ``tetris-preloaded`` on α-acyclic queries — Õ(N + Z)
   (Table 1 row 1 / Theorem D.8);
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.stats import QueryStats, value_overlap_fraction
-from repro.joins.hashjoin import left_deep_order
+from repro.joins.hashjoin import binding_order, left_deep_order
 from repro.relational.agm import fhtw_of_order
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import JoinQuery
@@ -83,9 +84,11 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: ``tests/engine/test_planner.py`` hold for any leapfrog constant in
 #: 1.4–2.0 with Yannakakis at 2.2–4.5.  :data:`CostModel.SORT`:
 #: ``sorted()`` over an unordered stream costs 22–30 ns per ``Z·log₂Z``
-#: (path3 22.5, cycle4 30.2) against 2–4 ns over one in or near order —
-#: as hash's star and triangle streams now are — 0.19–0.26 of the
-#: 0.114 µs hash unit; 0.15 still ranks every raced shape and is kept.
+#: (path3 22.5, cycle4 30.2) against 2–4 ns over one in or near order,
+#: 0.19–0.26 of the 0.114 µs hash unit; 0.15 still ranks every raced
+#: shape and is kept.  A stream that binds ``query.variables`` in order
+#: (leapfrog under that GAO, hash in the query's atom order) is in
+#: order and is never sorted.
 #: ``tetris-reloaded`` was refit in PR 23 (one ``container(box)`` oracle
 #: probe per knowledge-base miss) by the same procedure — kernel-only
 #: ``engine.run(oracle, preload=False)`` on warm indexes against
@@ -413,19 +416,15 @@ class CostModel:
         return setup + min(total, cap)
 
     def _hash_plan_quantity(
-        self, query: JoinQuery, stats: QueryStats
+        self, stats: QueryStats, order: Sequence[str]
     ) -> float:
-        """Σ (build + probe + intermediate) of the default left-deep plan.
+        """Σ (build + probe + intermediate) of the left-deep plan over
+        the atoms in ``order``.
 
-        The plan is :func:`repro.joins.hashjoin.left_deep_order` over
-        the profiled cardinalities — the function ``iter_hash`` orders
-        its atoms with — and each intermediate is estimated under
-        independence: joining on shared variables divides the cross
-        product by the larger distinct count per variable.
+        Each intermediate is estimated under independence: joining on
+        shared variables divides the cross product by the larger
+        distinct count per variable.
         """
-        order = left_deep_order(
-            query.atoms, lambda name: stats.relation(name).cardinality
-        )
         first = stats.relation(order[0])
         acc_size = float(first.cardinality)
         acc_distinct = dict(first.distinct)
@@ -492,12 +491,20 @@ class CostModel:
         """One serial candidate, given the plan's :meth:`_sort_cost` and
         :meth:`_variable_tables`.
 
-        Hash, Yannakakis and nested-loop streams come out in probe
-        order and always pay it.  The attribute-at-a-time backends emit
-        in GAO-lexicographic order, so they pay it unless their GAO is
+        Yannakakis and nested-loop streams come out in probe order and
+        always pay it.  The attribute-at-a-time backends emit in
+        GAO-lexicographic order, so they pay it unless their GAO is
         ``query.variables`` — Tetris's is fixed by the structure
         (Thm D.8/D.9), leapfrog is worst-case optimal under any order
-        and is priced on both, keeping the cheaper.
+        and is priced on both, keeping the cheaper.  A hash cascade
+        emits lexicographic in the order it binds variables
+        (:func:`~repro.joins.hashjoin.binding_order`), so it is priced
+        the same way: the query's own atom order, which binds
+        ``query.variables`` and pays no sort, against
+        :func:`~repro.joins.hashjoin.left_deep_order` by size plus the
+        sort (unless that order binds ``query.variables`` too, when
+        :func:`~repro.joins.hashjoin.hash_order` runs the query's).
+        Its GAO is the binding order of the order kept.
         """
         n = float(stats.total_tuples)
         z = stats.output_estimate
@@ -534,7 +541,21 @@ class CostModel:
                 f"Õ(N + Σ level candidates) ≈ {q:g} (AGM {stats.agm:g})"
             )
         elif backend == "hash":
-            q = self._hash_plan_quantity(query, stats)
+            gao = query.variables
+            q = self._hash_plan_quantity(stats, [a.name for a in query.atoms])
+            by_size = left_deep_order(
+                query.atoms, lambda name: stats.relation(name).cardinality
+            )
+            bound = binding_order(query, by_size)
+            q_size = (
+                self._hash_plan_quantity(stats, by_size)
+                if bound != gao
+                else math.inf
+            )
+            if factor * q_size + sort < factor * q:
+                q, gao = q_size, bound
+            else:
+                sort = 0.0
             formula = f"N + Σ intermediates ≈ {q:g}"
         elif backend == "nested-loop":
             q = self._nested_loop_quantity(query, stats)

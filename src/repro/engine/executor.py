@@ -86,8 +86,9 @@ class ResultCursor:
     termination: the underlying pipeline is abandoned once the cap is
     hit) and an optional ``decode`` dictionary maps each row's codes
     back to original values on the way out.  ``sorted_runs`` declares
-    every list sorted and the lists tiling the output (leapfrog under
-    ``gao == variables``; Tetris's one list; shard lists):
+    every list sorted and the lists tiling the output (leapfrog and
+    hash binding ``variables`` in order; Tetris's one list; shard
+    lists):
     :meth:`fetchall` then concatenates, and :attr:`ordered` says whether
     the boundaries rose.
 
@@ -316,10 +317,16 @@ def _yannakakis(query, db, index_kind, gao, limit):
 
 
 def _hash(query, db, index_kind, gao, limit):
-    from repro.joins.hashjoin import hash_blocks
+    """The plan's GAO picks the atom order (``hash_order``); a cascade
+    that binds variables in output order emits its rows sorted."""
+    from repro.joins.hashjoin import binding_order, hash_blocks, hash_order
 
-    blocks = hash_blocks(query, db, block_rows=block_rows_for(limit))
-    return blocks, ResolutionStats(), False
+    order = hash_order(query, db, gao)
+    blocks = hash_blocks(query, db, order, block_rows_for(limit))
+    return (
+        blocks, ResolutionStats(),
+        binding_order(query, order) == query.variables,
+    )
 
 
 def _nested_loop(query, db, index_kind, gao, limit):
@@ -343,8 +350,8 @@ BACKEND_TABLE: Dict[str, BackendSpec] = {
         ),
         BackendSpec(
             "hash", _hash,
-            "left-deep binary hash-join plan (connectivity-aware "
-            "size-ascending order)",
+            "left-deep binary hash-join plan (the query's atom order, "
+            "or connectivity-aware size-ascending)",
         ),
         BackendSpec(
             "leapfrog", _leapfrog,

@@ -31,13 +31,27 @@ def render_plan(plan: Plan) -> str:
     """The EXPLAIN tree of a plan."""
     s = plan.structure
     st = plan.stats
+    # query.variables: attributes in first-appearance order over atoms.
+    variables = tuple(
+        dict.fromkeys(a for p in st.relations for a in p.attrs)
+    )
+    # The plan's GAO: the order it binds variables in (hash's binding
+    # order, leapfrog's and Tetris's GAO); an order-priced backend under
+    # the output order emits sorted rows.
+    order_note = (
+        "  (sort: none)"
+        if plan.chosen.gao is not None and plan.gao == variables
+        else ""
+    )
     lines: List[str] = []
     lines.append("EXPLAIN")
     lines.append("├─ structure")
     lines.append(f"│   ├─ α-acyclic   : {s.acyclic}")
     lines.append(f"│   ├─ treewidth   : {s.treewidth}")
     lines.append(f"│   ├─ fhtw ≤      : {_fmt(s.fhtw_upper)}")
-    lines.append(f"│   ├─ GAO         : {', '.join(plan.gao)}")
+    lines.append(
+        f"│   ├─ GAO         : {', '.join(plan.gao)}{order_note}"
+    )
     lines.append(f"│   └─ Table 1 row : {s.table1_row}")
     source = "assumed (no data)" if st.assumed else "measured"
     lines.append(f"├─ statistics [{source}]")
@@ -60,12 +74,7 @@ def render_plan(plan: Plan) -> str:
     def display(c) -> str:
         return f"{c.backend} ∥{c.workers}" if c.parallel else c.backend
 
-    # query.variables: attributes in first-appearance order over atoms.
-    variables = tuple(
-        dict.fromkeys(a for p in st.relations for a in p.attrs)
-    )
-
-    def order_note(c) -> str:
+    def candidate_order(c) -> str:
         """The sort term, and for a planner-picked GAO the order itself."""
         note = f"  + sort {_fmt(c.sort)}"
         if c.gao is not None:
@@ -83,7 +92,7 @@ def render_plan(plan: Plan) -> str:
         if c.applicable:
             lines.append(
                 f"│   {branch} {display(c):<{width}}  "
-                f"cost≈{_fmt(c.cost):>10}  {c.formula}{order_note(c)}"
+                f"cost≈{_fmt(c.cost):>10}  {c.formula}{candidate_order(c)}"
                 f"{marker}"
             )
         else:

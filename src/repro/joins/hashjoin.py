@@ -11,11 +11,19 @@ are materialized — intermediate results never are, so taking k rows does
 O(k)-ish probe work beyond the table builds.  The cascade is the
 per-plan kernel generated by :func:`repro.engine.codegen.hash_kernel`,
 which hands rows over a block (a list of ``block_rows`` rows) at a time;
-this module picks the atom order (:func:`left_deep_order`, the same
-function the cost model prices the plan with) and runs it,
-:func:`iter_hash` chains the blocks back into a row iterator, and
-:func:`~repro.joins.nested_loop.join_nested_loop` is the oracle the
-tests compare it to.
+this module picks the atom order (:func:`hash_order`, from the plan's
+GAO) and runs it, :func:`iter_hash` chains the blocks back into a row
+iterator, and :func:`~repro.joins.nested_loop.join_nested_loop` is the
+oracle the tests compare it to.
+
+A cascade emits its rows sorted exactly when it binds variables in
+``query.variables`` order (:func:`binding_order`): ``Relation.rows()``
+is sorted, each per-key build list is appended in row order, and the
+product suffix takes its arguments in ``variables`` order, so the rows
+come out lexicographic in the binding order.  The query's own atom
+order binds in that order — ``variables`` is the first-seen order over
+the atoms — so the cost model prices it with no sort beside the
+size-ascending :func:`left_deep_order` with one.
 """
 
 from __future__ import annotations
@@ -40,10 +48,12 @@ def left_deep_order(
     shift, hit this hard).  A cross product only happens when the query
     hypergraph itself is disconnected.
 
-    ``size_of`` maps an atom name to its size: :func:`iter_hash` passes
+    ``size_of`` maps an atom name to its size: :func:`hash_order` passes
     the relations' row counts, the cost model the profiled
     cardinalities — one function, so the order that is priced is the
-    order that runs.
+    order that runs.  It is the hash plan's order only when it binds
+    variables out of output order and the cost model finds it cheaper
+    than the query's own order plus the sort.
     """
     remaining = {a.name: set(a.attrs) for a in atoms}
 
@@ -61,12 +71,43 @@ def left_deep_order(
     return order
 
 
+def binding_order(
+    query: JoinQuery, atom_order: Sequence[str]
+) -> Tuple[str, ...]:
+    """The order a left-deep cascade over ``atom_order`` binds variables
+    in: each atom's new attributes, in the atom's attribute order."""
+    return tuple(dict.fromkeys(
+        a for name in atom_order for a in query.atom(name).attrs
+    ))
+
+
+def hash_order(
+    query: JoinQuery, db: Database, gao: Optional[Sequence[str]] = None
+) -> List[str]:
+    """The atom order the hash backend runs — the one place it is picked.
+
+    ``gao`` is a plan's: the :func:`binding_order` of the atom order the
+    cost model priced.  Under ``query.variables`` the query's own atom
+    order runs, and its rows come out sorted; under any other GAO,
+    :func:`left_deep_order` over the relations' sizes.  Without one the
+    hash plan of ``(query, db)`` supplies it, so a direct call runs the
+    kernel ``execute(query, db)`` runs when it picks hash.
+    """
+    if gao is None:
+        from repro.engine.planner import plan_query
+
+        gao = plan_query(query, db, algorithm="hash").gao
+    if tuple(gao) == query.variables:
+        return [a.name for a in query.atoms]
+    return left_deep_order(query.atoms, lambda name: len(db[name]))
+
+
 def _plan_order(
     query: JoinQuery, db: Database, atom_order: Optional[Sequence[str]]
 ) -> List[str]:
-    """The caller's atom order, validated, or :func:`left_deep_order`."""
+    """The caller's atom order, validated, or :func:`hash_order`'s."""
     if atom_order is None:
-        return left_deep_order(query.atoms, lambda name: len(db[name]))
+        return hash_order(query, db)
     if sorted(atom_order) != sorted(a.name for a in query.atoms):
         raise ValueError(f"{atom_order} does not enumerate the atoms")
     return list(atom_order)
@@ -78,7 +119,11 @@ def hash_blocks(
     atom_order: Optional[Sequence[str]] = None,
     block_rows: int = BLOCK_ROWS,
 ) -> Iterator[List[Tuple[int, ...]]]:
-    """The left-deep plan's output as blocks of rows, lazily (unsorted).
+    """The left-deep plan's output as blocks of rows, lazily.
+
+    Sorted when the atom order binds in ``query.variables`` order (as
+    the default does whenever the plan's GAO is that order), unsorted
+    otherwise.
 
     Hash tables for every non-leading atom are built at the first pull
     (they hash base relations, never intermediates); the probe cascade
@@ -98,7 +143,7 @@ def iter_hash(
     db: Database,
     atom_order: Optional[Sequence[str]] = None,
 ) -> Iterator[Tuple[int, ...]]:
-    """Stream the left-deep plan's output lazily, row by row (unsorted):
+    """Stream the left-deep plan's output lazily, row by row:
     :func:`hash_blocks`, chained."""
     return chain.from_iterable(hash_blocks(query, db, atom_order))
 
@@ -110,8 +155,8 @@ def join_hash(
 ) -> List[Tuple[int, ...]]:
     """Left-deep binary hash-join plan; outputs follow query.variables.
 
-    ``atom_order`` names atoms in join order; defaults to the
-    connectivity-aware size-ascending :func:`left_deep_order`.
+    ``atom_order`` names atoms in join order; defaults to
+    :func:`hash_order`'s, the order ``execute()`` runs.
     Materialized and sorted; :func:`iter_hash` is the streaming form.
     The stream needs no de-duplication: relations are sets, and an output
     row fixes the row it was built from in every atom.

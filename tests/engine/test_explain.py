@@ -21,7 +21,7 @@ GOLDEN = textwrap.dedent("""\
     │   ├─ α-acyclic   : True
     │   ├─ treewidth   : 1
     │   ├─ fhtw ≤      : 1
-    │   ├─ GAO         : B, C, A
+    │   ├─ GAO         : A, B, C  (sort: none)
     │   └─ Table 1 row : α-acyclic: Õ(N + Z) [Yannakakis / Thm D.8]
     ├─ statistics [assumed (no data)]
     │   ├─ N = 128 tuples over 2 relations, domain depth 6
@@ -29,13 +29,13 @@ GOLDEN = textwrap.dedent("""\
     │   ├─ S: |S|=64  d(B)=64, d(C)=64
     │   └─ Ẑ ≈ 64  (AGM 4096, independence 64)
     ├─ candidates
-    │   ├─ hash              cost≈     369.6  N + Σ intermediates ≈ 312  + sort 57.6 ◀
+    │   ├─ hash              cost≈       312  N + Σ intermediates ≈ 312  + sort 0  [GAO A, B, C: emits in output order] ◀
     │   ├─ leapfrog          cost≈     900.8  Õ(N + Σ level candidates) ≈ 496 (AGM 4096)  + sort 57.6  [GAO B, C, A]
     │   ├─ nested-loop       cost≈      2970  Σ prefix scans ≈ 4160  + sort 57.6
     │   ├─ yannakakis        cost≈      3094  Õ(N + Z) = 3·128 + 64 (+6 passes)  + sort 57.6
     │   ├─ tetris-preloaded  cost≈ 2.079e+04  Õ(N + Z) = (128 + 64)·18  + sort 57.6
     │   └─ tetris-reloaded   cost≈ 4.537e+04  Õ(|C| + Z), |Ĉ|=768 (N·d bound)  + sort 57.6
-    └─ plan: hash  (index btree; predicted cost 369.6)
+    └─ plan: hash  (index btree; predicted cost 312)
 """)
 
 
@@ -53,20 +53,36 @@ def test_explain_golden_output(capsys):
 
 
 def test_explain_marks_the_output_order_gao(capsys):
-    """A star's leapfrog candidate is priced under ``query.variables``:
-    its line names that GAO, says so, and carries a zero sort term while
-    every probe-order candidate carries a positive one."""
+    """A star's leapfrog and hash candidates are priced binding
+    ``query.variables`` in order: each line names that GAO, says so, and
+    carries a zero sort term while every probe-order candidate carries a
+    positive one.  The plan's GAO line is the hash binding order."""
     rc = main([
         "explain", "R(H,A), S(H,B), T(H,C)", "--assume-rows", "4096",
     ])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    leapfrog = next(l for l in lines if "─ leapfrog " in l)
-    assert leapfrog.endswith(
-        "+ sort 0  [GAO H, A, B, C: emits in output order]"
-    )
-    hash_line = next(l for l in lines if "─ hash " in l)
-    assert "+ sort 7373" in hash_line and "GAO" not in hash_line
+    for backend in ("leapfrog", "hash"):
+        line = next(l for l in lines if f"─ {backend} " in l)
+        assert line.removesuffix(" ◀").endswith(
+            "+ sort 0  [GAO H, A, B, C: emits in output order]"
+        ), backend
+    yannakakis = next(l for l in lines if "─ yannakakis " in l)
+    assert "+ sort 7373" in yannakakis and "GAO" not in yannakakis
+    assert "│   ├─ GAO         : H, A, B, C  (sort: none)" in lines
+
+
+def test_explain_prints_the_hash_binding_order(capsys):
+    """A hash plan's GAO line is the order its cascade binds variables,
+    not the structural GAO it never runs, and says when nothing sorts."""
+    rc = main(["explain", "R(A,B), S(B,C), T(A,C)", "--algorithm", "hash"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "│   ├─ GAO         : A, B, C  (sort: none)" in lines
+    rc = main(["explain", "R(A,B), S(B,C)", "--algorithm", "yannakakis"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "│   ├─ GAO         : B, C, A" in lines
 
 
 def test_explain_with_data_and_execute(tmp_path, capsys):

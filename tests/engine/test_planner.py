@@ -20,25 +20,30 @@ applicable):
                          both touch O(1) of the N = 4,000 rows)
     star4_skewed_hub     plan-only (Ẑ ≈ 17M rows); the same generator
                          at n = 60 / 90 (Z = 170k / 791k) races
-                         33.8 / 18.2 / 78.4 and 176 / 130 / 508:
-                         leapfrog in output order — its rays are one
-                         ``itertools.product`` per hub value and the
-                         stream needs no sort; Yannakakis runs the
-                         same generated cascade as hash after its
-                         semijoin passes, and then sorts a set-ordered
-                         stream.
+                         10.3 / 9.8 / 79.3 and 67.5–82.1 / 67.5–74.2 /
+                         414–640 (three runs): hash in the query's atom
+                         order, 0–10 % behind leapfrog — both bind
+                         ``query.variables`` in order, so each star is
+                         one ``itertools.product`` per hub value and
+                         needs no sort; Yannakakis runs the same
+                         generated cascade as hash after its semijoin
+                         passes, and then sorts a set-ordered stream.
 
 The ``mix_*`` cases are the benchmark's ``auto_mix`` shapes at
 benchmark sizes, asserted plan-only (a 240k-row join is not a unit
 test) and raced once on these very instances:
 
     mix_triangle_sparse      28.0 / 118.6 / —      hash
-    mix_triangle_agm_tight   16.1 / 15.3 / —       leapfrog (a tie —
-                             hash's triangle stream happens to arrive
-                             sorted, which the model cannot see)
+    mix_triangle_agm_tight   9.8–10.2 / 12.7–13.9 / —   hash in the
+                             query's atom order, which binds
+                             ``query.variables`` and needs no sort
+                             (three runs)
     mix_path3                19.9 / 65.5 / 96.9    hash
-    mix_star4                71.8 / 33.7 / 201.9   leapfrog under
-                             ``query.variables``
+    mix_star4                24.5–37.6 / 22.6–35.4 / 135–207   hash
+                             in the query's atom order (three runs:
+                             6–8 % behind leapfrog in two, 23 % ahead
+                             in one) — the model prices hash's cascade
+                             below leapfrog's candidates, neither sorts
     mix_cycle4               2.2 / 12.7 / —        hash
 """
 
@@ -57,7 +62,7 @@ from repro.engine import (
     plan_query,
     structure_of,
 )
-from repro.joins.hashjoin import iter_hash, left_deep_order
+from repro.joins.hashjoin import binding_order, iter_hash, left_deep_order
 from repro.relational.query import (
     Database,
     JoinQuery,
@@ -138,7 +143,7 @@ def _case_star_uniform():
 
 def _case_star_skewed_hub():
     q, db = skewed_star_db()
-    return q, db, "leapfrog"
+    return q, db, "hash"
 
 
 def _case_cycle():
@@ -168,7 +173,7 @@ def _case_mix_triangle_sparse():
 
 def _case_mix_triangle_agm_tight():
     q, db = agm_tight_triangle(40)
-    return q, db, "leapfrog"
+    return q, db, "hash"
 
 
 def _case_mix_path3():
@@ -178,7 +183,7 @@ def _case_mix_path3():
 
 def _case_mix_star4():
     q = star_query(4)
-    return q, random_db(q, 3, n=4000, depth=10), "leapfrog"
+    return q, random_db(q, 3, n=4000, depth=10), "hash"
 
 
 def _case_mix_cycle4():
@@ -203,8 +208,8 @@ DECISION_CASES = {
     "mix_cycle4": _case_mix_cycle4,
 }
 
-#: Cases whose leapfrog plan must run under ``query.variables`` — the
-#: order that makes the final sort one O(n) pass.
+#: Cases whose plan must bind ``query.variables`` in order — hash in the
+#: query's atom order, leapfrog under that GAO — so nothing sorts.
 EMITS_IN_OUTPUT_ORDER = {
     "star4_skewed_hub", "mix_triangle_agm_tight", "mix_star4",
 }
@@ -249,8 +254,10 @@ def _case_disconnected():
 
 @pytest.mark.parametrize("name", sorted(DECISION_CASES) + ["disconnected"])
 def test_priced_hash_order_is_the_order_that_runs(name, monkeypatch):
-    """The cost model and ``iter_hash`` order atoms with one function,
-    over sizes that agree — so the plan priced is the plan run."""
+    """The hash estimate's GAO is the binding order of the atom order
+    ``iter_hash`` runs — so the plan priced is the plan run: the
+    query's own order with no sort term, or the size-ascending order the
+    cost model ranked with ``left_deep_order`` over the same sizes."""
     case = DECISION_CASES.get(name, _case_disconnected)
     query, db, _ = case()
     priced, ran = [], []
@@ -266,9 +273,14 @@ def test_priced_hash_order_is_the_order_that_runs(name, monkeypatch):
     hash_kernel = codegen.hash_kernel
     monkeypatch.setattr(cost, "left_deep_order", pricing)
     monkeypatch.setattr(codegen, "hash_kernel", building)
-    plan_query(query, db, algorithm="hash")
+    plan = plan_query(query, db, algorithm="hash")
     next(iter_hash(query, db), None)
-    assert priced == ran and len(ran) == 1
+    assert len(ran) == 1 and binding_order(query, ran[0]) == plan.gao
+    if plan.gao == query.variables:
+        assert ran[0] == [a.name for a in query.atoms]
+        assert plan.chosen.sort == 0.0
+    else:
+        assert ran == priced[:1]
     if name == "disconnected":
         assert ran == [["R", "S", "T"]]
 

@@ -6,13 +6,20 @@ several atoms over the same attribute set — self-joins — and atoms whose
 attributes are listed against the variable order) over random databases
 (empty and single-row relations included):
 
-* leapfrog emits in GAO-lexicographic order for *any* GAO, so under
-  ``gao == query.variables`` the stream is already the sorted output;
+* leapfrog emits in GAO-lexicographic order for *any* GAO, and a hash
+  cascade in the order it binds variables, so a stream that binds
+  ``query.variables`` in order — leapfrog under that GAO, hash in the
+  query's own atom order — is already the sorted output, and a stream
+  declares sorted runs exactly then;
 * the hash, Yannakakis and leapfrog streams are duplicate-free — the
   proof obligation for ``join_hash`` / ``join_yannakakis`` sorting the
   stream without a ``set()`` in between;
 * ``execute()`` returns the same sorted tuples whatever GAO the planner
   or the caller picked, serial or sharded;
+* hash in the query's own atom order returns the sorted output with no
+  ``sort`` span, serially and sharded on two workers (where only shard
+  lists that interleave are sorted, never a shard's own rows), and a
+  direct ``join_hash`` compiles the kernel ``execute()`` then runs;
 * rows leave the kernels in **blocks**: whatever the block size, the
   blocks concatenate to the same stream, none reaches twice the block
   size, a stream that declares sorted runs concatenates to its own
@@ -36,8 +43,19 @@ from repro.engine import (
     executor,
     plan_query,
 )
-from repro.engine.codegen import hash_kernel, leapfrog_kernel
-from repro.joins.hashjoin import hash_blocks, iter_hash, join_hash
+from repro.engine.codegen import (
+    clear_kernel_caches,
+    hash_kernel,
+    kernel_cache_info,
+    leapfrog_kernel,
+)
+from repro.joins.hashjoin import (
+    binding_order,
+    hash_blocks,
+    hash_order,
+    iter_hash,
+    join_hash,
+)
 from repro.joins.leapfrog import iter_leapfrog, join_leapfrog, leapfrog_blocks
 from repro.joins.nested_loop import join_nested_loop
 from repro.joins.yannakakis import (
@@ -45,6 +63,7 @@ from repro.joins.yannakakis import (
     join_yannakakis,
     yannakakis_blocks,
 )
+from repro.obs.tracing import Tracer, use as use_tracer
 from repro.parallel import shutdown_pools
 from repro.relational.hypergraph import Hypergraph
 from repro.relational.io import BLOCK_ROWS, block_rows_for
@@ -155,6 +174,95 @@ def test_execute_is_gao_and_worker_invariant(pools, instance):
                 assert hit.gao == miss.gao == miss.plan.gao
 
 
+# -- hash in the query's atom order ----------------------------------------------
+
+
+@st.composite
+def query_order_instances(draw):
+    """(query, db): 1–5 atoms of arity 1–3 over six variables — attribute
+    lists in any order, atoms sharing nothing with the rest — over
+    relations of 0, 1 or a few rows."""
+    pool = ("A", "B", "C", "D", "E", "F")
+    atoms = []
+    for i in range(draw(st.integers(1, 5))):
+        attrs = draw(st.lists(
+            st.sampled_from(pool), min_size=1, max_size=3, unique=True,
+        ))
+        atoms.append(RelationSchema(f"R{i}", draw(st.permutations(attrs))))
+    row = st.integers(0, (1 << DEPTH) - 1)
+    relations = [
+        Relation(
+            atom,
+            draw(st.sets(
+                st.tuples(*[row] * atom.arity),
+                max_size=draw(st.sampled_from((0, 1, 6))),
+            )),
+            Domain(DEPTH),
+        )
+        for atom in atoms
+    ]
+    return JoinQuery(atoms), Database(relations)
+
+
+def _traced_execute(query, db, **kwargs):
+    """``execute(...)`` under a tracer: the result and its span names."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = execute(query, db, **kwargs)
+    return result, {s.name for s in tracer.spans}
+
+
+def _interleaved(lists):
+    """Whether sorted row lists, put in order of their first rows, fail
+    to tile their concatenation in order."""
+    runs = sorted(filter(None, lists), key=lambda run: run[0])
+    return any(a[-1] >= b[0] for a, b in zip(runs, runs[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(query_order_instances())
+def test_hash_in_query_order_needs_no_sort(pools, instance):
+    query, db = instance
+    expected = evaluate_reference(query, db)
+    order = hash_order(query, db, query.variables)
+    assert order == [a.name for a in query.atoms]
+    assert binding_order(query, order) == query.variables
+    blocks, _stats, sorted_runs = executor.run_backend(
+        "hash", query, db, "btree", query.variables, None
+    )
+    assert sorted_runs and _flat(blocks) == expected
+    result, spans = _traced_execute(
+        query, db, algorithm="hash", gao=query.variables
+    )
+    assert result.tuples == expected and "sort" not in spans
+    result, spans = _traced_execute(
+        query, db, algorithm="hash", gao=query.variables, workers=2
+    )
+    assert result.tuples == expected
+    if result.plan.num_shards > 1:
+        # Each shard list is a sorted run with no sort of its own; the
+        # parent sorts only where the partition interleaves the lists.
+        with execute_cursor(query, db, plan=result.plan) as cursor:
+            lists = list(cursor.blocks())
+        assert all(run == sorted(run) for run in lists)
+        assert ("sort" in spans) == _interleaved(lists)
+    else:
+        assert "sort" not in spans
+
+
+@settings(max_examples=40, deadline=None)
+@given(query_order_instances())
+def test_join_hash_compiles_the_kernel_execute_runs(instance):
+    query, db = instance
+    expected = evaluate_reference(query, db)
+    clear_plan_cache()
+    clear_kernel_caches()
+    assert join_hash(query, db) == expected
+    assert execute(query, db, algorithm="hash").tuples == expected
+    compiled = kernel_cache_info()["hash"]
+    assert compiled["misses"] == 1 and compiled["hits"] == 1
+
+
 # -- blocks ----------------------------------------------------------------------
 
 BLOCK_SIZES = (1, 2, 7, BLOCK_ROWS)
@@ -189,16 +297,21 @@ def _check_block_stream(query, db, gao, expected):
         if name == "leapfrog":
             keys = [tuple(r[i] for i in positions) for r in unblocked]
             assert keys == sorted(keys), gao
-    # A stream that declares sorted runs concatenates to its sorted().
+    # A stream declares sorted runs exactly when it binds the variables
+    # in output order, and then concatenates to its sorted().
+    binds = {
+        "leapfrog": tuple(gao),
+        "hash": binding_order(query, hash_order(query, db, gao)),
+    }
     for backend in streams:
         blocks, _stats, sorted_runs = executor.run_backend(
             backend, query, db, "btree", gao, None
         )
-        assert sorted_runs == (
-            backend == "leapfrog" and gao == query.variables
+        assert sorted_runs == (binds.get(backend) == query.variables), (
+            backend, gao,
         )
         if sorted_runs:
-            assert _flat(blocks) == expected
+            assert _flat(blocks) == expected, (backend, gao)
 
 
 def _check_limits(query, db, gao, limits):

@@ -61,13 +61,13 @@ def test_analyze_measures_and_logs(obs_paths):
 def test_analyze_logs_kernel_time_without_the_sort(obs_paths):
     """The backend's quantity excludes the output sort (the cost model
     prices it as ``CostEstimate.sort``), so the fitted ``seconds`` must
-    too: a hash plan's unordered path3 stream is sorted under its own
-    span, and the record keeps that time apart."""
+    too: a Yannakakis plan's unordered path3 stream is sorted under its
+    own span, and the record keeps that time apart."""
     from repro.obs.analyze import analyze
     from repro.workloads.generators import random_path_db
 
     query, db = random_path_db(3, 200, seed=5)
-    report = analyze(query, db, algorithm="hash")
+    report = analyze(query, db, algorithm="yannakakis")
     record = report.record
     assert report.stage_seconds["sort"] > 0
     assert record["sort_seconds"] == report.stage_seconds["sort"]
@@ -83,6 +83,19 @@ def test_leapfrog_in_output_order_records_no_sort(obs_paths):
     assert "sort" not in report.stage_seconds
     assert report.record["sort_seconds"] == 0.0
     assert report.record["seconds"] == report.stage_seconds["execute"]
+
+
+def test_hash_in_query_order_records_no_sort(obs_paths):
+    """The planner's hash plan on a path runs the query's atom order,
+    which binds ``query.variables`` in order: nothing sorts."""
+    from repro.obs.analyze import analyze
+    from repro.workloads.generators import random_path_db
+
+    query, db = random_path_db(3, 200, seed=5)
+    report = analyze(query, db, algorithm="hash")
+    assert report.result.plan.gao == query.variables
+    assert "sort" not in report.stage_seconds
+    assert report.record["sort_seconds"] == 0.0
 
 
 def test_analyze_without_logging(obs_paths):

@@ -440,3 +440,57 @@ def test_planning_pays_for_a_shape_once(monkeypatch):
             ])
             plan_query(query, db)
     assert sorted(calls) == sorted(q.signature for q in shapes)
+
+
+def test_hash_in_query_order_is_sorted_and_compiled_once():
+    """A hash cascade in the query's own atom order binds
+    ``query.variables`` in order, so its rows need no sort: a serial
+    ``execute()`` opens no ``sort`` span.  And one function picks the
+    hash order, so a direct ``join_hash`` compiles the kernel a later
+    ``execute(algorithm="hash")`` runs — one compile, one hit.  (Drawn
+    at random in ``tests/joins/test_output_order.py``.)"""
+    import random
+
+    from repro.engine import clear_plan_cache
+    from repro.engine.codegen import clear_kernel_caches, kernel_cache_info
+    from repro.joins import join_hash
+    from repro.obs.tracing import Tracer, use
+    from repro.relational.query import (
+        Database,
+        JoinQuery,
+        clique_query,
+        cycle_query,
+        evaluate_reference,
+        path_query,
+        star_query,
+        triangle_query,
+    )
+    from repro.relational.relation import Relation
+    from repro.relational.schema import Domain, RelationSchema
+
+    scattered = JoinQuery([
+        RelationSchema("R", ("B", "A")), RelationSchema("U", ("E",)),
+        RelationSchema("S", ("C", "A", "D")), RelationSchema("T", ("D", "B")),
+    ])
+    rng = random.Random(1)
+    for query in (
+        triangle_query(), path_query(3), star_query(4), cycle_query(4),
+        clique_query(4), scattered,
+    ):
+        db = Database([
+            Relation(atom, {tuple(rng.randrange(8) for _ in atom.attrs)
+                            for _ in range(40)}, Domain(3))
+            for atom in query.atoms
+        ])
+        expected = evaluate_reference(query, db)
+        clear_plan_cache()
+        clear_kernel_caches()
+        assert join_hash(query, db) == expected
+        assert execute(query, db, algorithm="hash").tuples == expected
+        compiled = kernel_cache_info()["hash"]
+        assert (compiled["misses"], compiled["hits"]) == (1, 1), query
+        tracer = Tracer()
+        with use(tracer):
+            result = execute(query, db, algorithm="hash", gao=query.variables)
+        assert result.tuples == expected
+        assert "sort" not in {s.name for s in tracer.spans}, query
