@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.planner import ALGORITHM_ALIASES
+from repro.engine.executor import ALGORITHM_ALIASES
 from repro.errors import QueryTimeout
 
 

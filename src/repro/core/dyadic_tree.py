@@ -24,14 +24,11 @@ guaranteed miss) and stops at the shallowest, so a level costs one dict
 probe per length in the *stored band* instead of ``|q| + 1``.  The mask
 lives inside the node's own dict under the sentinel key ``0`` (packed
 components are ``>= 1``, so the key is free): no wrapper object, no
-extra indirection on the hot path.  After :meth:`discard` the mask is
-recomputed exactly, so it is never stale.
+extra indirection on the hot path.  Boxes are only ever added, so a
+mask only ever gains bits.
 
 Beyond the classic ``find_container`` the store answers
-:meth:`find_all_containers` (the point oracle query of Section 3.4) and
-:meth:`discard` — exact removal with upward pruning, enabling the
-engine's bounded resolvent-admission policy (resolvents are derived
-facts, so evicting them is always safe).
+:meth:`find_all_containers` (the point oracle query of Section 3.4).
 
 On the last level a node maps each packed component to the stored box
 itself; on interior levels it maps to the next level's node dict.
@@ -50,9 +47,7 @@ prefixes of the first ``j`` components, so a probe walks only the levels
 at and past the cursor.  The loop (interpreted and generated alike)
 keeps that frontier in locals, with three functions at the end of this
 module: :func:`frontier_children` builds a level, :func:`frontier_note_add`
-registers a stored box, :func:`frontier_probe` answers a probe.  A
-discarded box needs no handling: a pruned node left in a level has a
-zeroed mask and yields no probes.
+registers a stored box, :func:`frontier_probe` answers a probe.
 """
 
 from __future__ import annotations
@@ -261,44 +256,6 @@ class MultilevelDyadicTree:
         raises ``ValueError``; the boxes before it stay stored.
         """
         return self._load(self, boxes)
-
-    @staticmethod
-    def _refresh_mask(node: dict) -> None:
-        m = 0
-        for comp in node:
-            if comp:
-                m |= 1 << (comp.bit_length() - 1)
-        node[_MASK] = m
-
-    def discard(self, box: PackedBox) -> bool:
-        """Remove a stored box; returns ``False`` when absent.
-
-        Empty interior nodes are pruned on the way back up and the
-        affected masks are recomputed exactly, so probe trimming stays
-        tight after evictions.
-        """
-        path = []
-        node = self._root
-        last = self.ndim - 1
-        for level in range(last):
-            child = node.get(box[level])
-            if child is None:
-                return False
-            path.append((node, box[level]))
-            node = child
-        comp = box[last]
-        if comp not in node:
-            return False
-        del node[comp]
-        self._size -= 1
-        self._refresh_mask(node)
-        for parent, pcomp in reversed(path):
-            if len(node) > 1:  # anything left besides the mask sentinel?
-                break
-            del parent[pcomp]
-            self._refresh_mask(parent)
-            node = parent
-        return True
 
     def find_container(self, box: PackedBox) -> Optional[PackedBox]:
         """A stored box containing ``box``, or ``None``.

@@ -123,12 +123,11 @@ class ResolutionStats:
     ``containing(point)`` per uncovered point in faithful ones.
     ``boxes_loaded`` counts every input gap box and output box stored.
 
-    The frontier-resuming engine adds three counters: ``resumes`` (every
+    The frontier-resuming engine adds two counters: ``resumes`` (every
     point where the traversal continues in place after the knowledge
     base was amended — an oracle box or an output box stored — where
-    the faithful variant would restart from the universe),
-    ``evictions`` (resolvents dropped by the bounded admission policy),
-    and ``witness_depth_sum`` (total component bits of the gap boxes the
+    the faithful variant would restart from the universe) and
+    ``witness_depth_sum`` (total component bits of the gap boxes the
     oracle returned — lower means bigger witnesses, hence fewer
     resolution steps).
     """
@@ -142,7 +141,6 @@ class ResolutionStats:
     boxes_loaded: int = 0
     cache_hits: int = 0
     resumes: int = 0
-    evictions: int = 0
     witness_depth_sum: int = 0
 
     def record(self, axis: int, ordered: bool) -> None:
@@ -190,7 +188,7 @@ class ResolutionStats:
         The shard merger aggregates with this: the merged object reports
         the total resolution work of a parallel run exactly as a serial
         run over the union would (resolutions, oracle loads, resumes,
-        evictions, witness depth all add; ``mean_witness_depth`` stays a
+        witness depth all add; ``mean_witness_depth`` stays a
         weighted mean because both the sum and the resume count add).
         """
         merged = cls()
@@ -236,8 +234,7 @@ class ResolutionStats:
             f"containment_queries={self.containment_queries} "
             f"oracle_queries={self.oracle_queries} "
             f"boxes_loaded={self.boxes_loaded} "
-            f"resumes={self.resumes} "
-            f"evictions={self.evictions}"
+            f"resumes={self.resumes}"
         )
 
 

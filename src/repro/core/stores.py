@@ -9,9 +9,8 @@ The paper stores the knowledge base in a multilevel dyadic tree so the
 scans — retained to measure exactly how much the data structure
 contributes (``ablation_store`` in benchmarks/paper.py).  Both implement the full
 protocol :class:`~repro.core.tetris.TetrisEngine` expects of
-``knowledge_base``: ``add`` / ``add_many`` / ``discard`` /
-``find_container`` / ``find_all_containers``, so every engine
-mode (including bounded resolvent admission) runs unchanged on either
+``knowledge_base``: ``add`` / ``add_many`` / ``find_container`` /
+``find_all_containers``, so every engine mode runs unchanged on either
 store.  A store holds boxes and nothing of a run: the resume loop's
 traversal frontier lives in the loop (see
 :mod:`repro.core.dyadic_tree`), and on this store the loop probes with
@@ -58,14 +57,6 @@ class ListStore:
     def add_many(self, boxes: Iterable[PackedBox]) -> int:
         """Bulk insert (the preload path); returns how many were new."""
         return sum(map(self.add, boxes))
-
-    def discard(self, box: PackedBox) -> bool:
-        """Remove a stored box; returns ``False`` when absent (O(n))."""
-        if box not in self._seen:
-            return False
-        self._seen.remove(box)
-        self._boxes.remove(box)
-        return True
 
     def find_container(self, box: PackedBox) -> Optional[PackedBox]:
         for stored in self._boxes:

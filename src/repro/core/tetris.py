@@ -54,11 +54,6 @@ Variant flags (Sections 4.3–4.4, 5.1) compose with any mode:
 * **No resolvent caching** (``cache_resolvents=False``): drops line 19 of
   Algorithm 1, restricting the proof to Tree Ordered Geometric Resolution
   (Theorem 5.1 / Corollary D.3).
-* **Bounded resolvent admission** (``resolvent_limit=k``): at most ``k``
-  cached resolvents are kept, FIFO-evicted beyond that.  Resolvents are
-  *derived* facts and every uncovered leaf re-consults the oracle, so
-  eviction can never change the output — it only trades re-derivation
-  work for knowledge-base size.
 
 The engine is written iteratively (explicit stack) so deep recursions
 (depth ``n·d``) never hit the interpreter recursion limit.
@@ -81,7 +76,6 @@ points (:func:`solve_bcp` and friends) take packed boxes as they are;
 
 from __future__ import annotations
 
-from collections import deque
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -231,10 +225,6 @@ class TetrisEngine:
     translated back at the API boundary (an identity SAO skips the
     translation entirely).  All engine-level box arguments and results
     (``skeleton``, ``add_box``, ``return_boxes`` outputs) are **packed**.
-
-    ``resolvent_limit`` bounds how many cached resolvents the knowledge
-    base may hold at once (FIFO admission; requires a store with
-    ``discard``).  Input gap boxes and output boxes are never evicted.
     """
 
     def __init__(
@@ -246,7 +236,6 @@ class TetrisEngine:
         stats: Optional[ResolutionStats] = None,
         dims: Optional[Sequence[DimensionSpec]] = None,
         knowledge_base=None,
-        resolvent_limit: Optional[int] = None,
     ):
         if ndim < 1:
             raise ValueError("ndim must be at least 1")
@@ -276,15 +265,6 @@ class TetrisEngine:
             if knowledge_base is not None
             else MultilevelDyadicTree(ndim)
         )
-        if resolvent_limit is not None:
-            if resolvent_limit < 1:
-                raise ValueError("resolvent_limit must be at least 1")
-            if getattr(self.knowledge_base, "discard", None) is None:
-                raise ValueError(
-                    "resolvent_limit requires a knowledge base with discard()"
-                )
-        self.resolvent_limit = resolvent_limit
-        self._resolvent_fifo: deque = deque()
         self._resolver = Resolver(self.stats)
         self._universe: PackedBox = (dy.PLAMBDA,) * ndim
         self._unit_marker = 1 << depth
@@ -352,29 +332,6 @@ class TetrisEngine:
             self.stats.boxes_loaded += 1
         return added
 
-    # -- resolvent admission --------------------------------------------------
-
-    def _cache_resolvent(self, resolvent: PackedBox) -> bool:
-        """Admit a resolvent into ``A``, honoring the bounded policy;
-        returns whether it was new, as ``add`` does.
-
-        With a limit set, admissions are FIFO: the oldest cached resolvent
-        is discarded once the bound is exceeded.  Eviction is always safe —
-        every uncovered leaf re-consults the oracle, so a dropped resolvent
-        can only cost re-derivation work, never correctness.
-        """
-        kb = self.knowledge_base
-        if not kb.add(resolvent):
-            return False
-        limit = self.resolvent_limit
-        if limit is not None:
-            fifo = self._resolvent_fifo
-            fifo.append(resolvent)
-            if len(fifo) > limit:
-                if kb.discard(fifo.popleft()):
-                    self.stats.evictions += 1
-        return True
-
     # -- Algorithm 1: TetrisSkeleton ------------------------------------------
 
     def skeleton(self, target: PackedBox) -> Tuple[bool, PackedBox]:
@@ -391,9 +348,7 @@ class TetrisEngine:
         stats = self.stats
         unit = self._unit_marker
         cache = self.cache_resolvents
-        cache_resolvent = (
-            kb.add if self.resolvent_limit is None else self._cache_resolvent
-        )
+        kb_add = kb.add
         resolve = self._resolver.resolve
         uniform = self.dims is None
         n = self.ndim
@@ -460,7 +415,7 @@ class TetrisEngine:
             # Both halves covered but neither witness covers b: resolve.
             resolvent = resolve(w1, witness, axis)
             if cache:
-                cache_resolvent(resolvent)
+                kb_add(resolvent)
             stack.pop()
             result = (True, resolvent)
 
@@ -621,9 +576,6 @@ class TetrisEngine:
         stats = self.stats
         unit = self._unit_marker
         cache = self.cache_resolvents
-        cache_resolvent = (
-            kb_add if self.resolvent_limit is None else self._cache_resolvent
-        )
         resolver = self._resolver
         # Plain Resolver has no proof-recording side channel, so the
         # resolution rule can run inline; a TracingResolver (or any
@@ -764,7 +716,7 @@ class TetrisEngine:
             # region — so only witnesses that extend beyond the frame earn
             # a slot in A.  (The restarting mode must keep every
             # resolvent: its re-descents depend on it.)
-            if cache and resolvent != b and cache_resolvent(resolvent):
+            if cache and resolvent != b and kb_add(resolvent):
                 version += 1
                 if frontier:
                     frontier_note_add(
@@ -786,7 +738,6 @@ def solve_bcp(
     cache_resolvents: bool = True,
     stats: Optional[ResolutionStats] = None,
     mode: str = "resume",
-    resolvent_limit: Optional[int] = None,
 ) -> List[Point]:
     """Solve a Box Cover Problem instance: list points not covered by ``boxes``.
 
@@ -798,7 +749,6 @@ def solve_bcp(
     oracle = BoxSetOracle(boxes, ndim)
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents, stats=stats,
-        resolvent_limit=resolvent_limit,
     )
     return engine.run(oracle, preload=preload, mode=mode)
 

@@ -157,8 +157,8 @@ class TracingResolver(Resolver):
     :class:`Resolver`; any subclass, this tracer above all, gets the
     interpreted loop and the full ``resolve`` call path, so both
     traversal modes yield a complete recorded proof.  Counters shared
-    through :class:`ResolutionStats` (resolutions, resumes, evictions,
-    witness depth) accumulate identically either way.
+    through :class:`ResolutionStats` (resolutions, resumes, witness
+    depth) accumulate identically either way.
     """
 
     def __init__(self, stats: Optional[ResolutionStats] = None):

@@ -3,9 +3,10 @@
 Turns the paper's Table 1 into code: :func:`plan_query` inspects a
 query's structure (acyclicity, treewidth, fhtw) and data statistics
 (cardinalities, distinct counts, AGM bound),
-prices every backend with a calibrated cost model, and
-:func:`execute` runs the winner — one of the six :mod:`repro.joins`
-backends declared in ``BACKEND_TABLE`` — behind one result shape.
+prices the four backends ``auto`` can pick with a calibrated cost model,
+and :func:`execute` runs the winner — or a forced one of the six
+:mod:`repro.joins` backends declared in ``BACKEND_TABLE`` — behind one
+result shape.
 Results stream: :func:`execute_cursor` returns a lazy :class:`ResultCursor`, and
 ``execute(..., limit=k, decode=dictionary)`` early-terminates after O(k)
 rows and decodes them through a ValueDictionary.
@@ -27,7 +28,6 @@ from repro.engine.codegen import (
     kernel_cache_summary,
 )
 from repro.engine.cost import (
-    BACKENDS,
     CostEstimate,
     CostModel,
     DEFAULT_CALIBRATION,
@@ -35,20 +35,21 @@ from repro.engine.cost import (
     structure_of,
 )
 from repro.engine.executor import (
+    ALGORITHM_ALIASES,
     BACKEND_TABLE,
+    BACKENDS,
     BackendSpec,
     ExecutionResult,
     ResultCursor,
     execute,
     execute_cursor,
+    normalize_algorithm,
     run_backend,
 )
 from repro.engine.explain import explain_text, render_execution, render_plan
 from repro.engine.planner import (
-    ALGORITHM_ALIASES,
     Plan,
     clear_plan_cache,
-    normalize_algorithm,
     plan_cache_info,
     plan_query,
 )

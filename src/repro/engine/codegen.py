@@ -974,15 +974,12 @@ def tetris_kernel(
     Returns ``None`` for shapes the generator does not cover — a
     knowledge base other than :class:`MultilevelDyadicTree` (the kernel
     inlines its probe walk), generalized dimension specs, tracing
-    resolvers, bounded resolvent admission, ``return_boxes`` output or
-    ``ndim`` past the unroll cap — and the caller runs the interpreted
+    resolvers, ``return_boxes`` output or ``ndim`` past the unroll cap — and the caller runs the interpreted
     :meth:`~repro.core.tetris.TetrisEngine._run_resuming`.
     """
     if type(engine.knowledge_base) is not MultilevelDyadicTree:
         return None
     if engine.dims is not None:
-        return None
-    if engine.resolvent_limit is not None:
         return None
     if type(engine._resolver) is not Resolver:
         return None

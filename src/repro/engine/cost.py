@@ -1,6 +1,6 @@
 """The planner's cost model: Table 1 of the paper, instantiated.
 
-Each backend gets a cost estimate of the form
+Each backend ``auto`` can pick gets a cost estimate of the form
 
     cost = calibration[backend] × quantity(structure, stats) + sort
 
@@ -10,8 +10,8 @@ evaluated on the instance's statistics, and *sort* is what the final
 order (zero for leapfrog and hash run so they bind ``query.variables``
 in order):
 
-* ``yannakakis`` / ``tetris-preloaded`` on α-acyclic queries — Õ(N + Z)
-  (Table 1 row 1 / Theorem D.8);
+* ``tetris-preloaded`` on α-acyclic queries — Õ(N + Z) (Table 1 row 1 /
+  Theorem D.8);
 * ``tetris-preloaded`` on cyclic queries — Õ(N^fhtw + Z) (row 3 /
   Theorem D.9), with fhtw upper-bounded by the treewidth-optimal
   elimination order's decomposition;
@@ -21,8 +21,13 @@ in order):
   planner picks data-blind);
 * ``leapfrog`` — candidates examined per GAO level, capped by the AGM
   bound Õ(N^ρ*) (row 2, the [52]/[72] class);
-* ``hash`` / ``nested-loop`` — classical System-R style intermediate-size
-  estimates under attribute independence.
+* ``hash`` — classical System-R style intermediate-size estimates under
+  attribute independence.
+
+These four, the keys of :data:`DEFAULT_CALIBRATION`, are what ``auto``
+prices (:data:`CANDIDATES`).  ``nested-loop`` and ``yannakakis`` run only
+when forced: over the benchmark's plans neither came within 4× of the
+winner's cost, so neither has a formula or a constant here.
 
 The *calibration* vector absorbs constant factors the asymptotics hide
 (CPython dict probes vs. packed-int resolutions differ by orders of
@@ -52,37 +57,35 @@ from repro.relational.query import JoinQuery
 VariableTables = Dict[str, Tuple[list, float, float]]
 
 #: Abstract-operation cost per backend, in units of one hash-join probe.
-#: ``hash`` is the anchor.  ``leapfrog`` and ``yannakakis`` were refit in
-#: PR 22 (block kernels; Yannakakis' join phase on the generated hash
-#: cascade) with :meth:`CostModel.calibrate` from kernel-only timings
+#: ``hash`` is the anchor.  ``leapfrog`` was refit on the block kernels
+#: with :meth:`CostModel.calibrate` from kernel-only timings
 #: (``list(iter_*)``, median of 5, sort excluded) over the benchmark's
 #: ``auto_mix`` shapes and ``tests/engine/test_planner.py``'s — measured µs
-#: per modelled unit, hash / leapfrog / yannakakis:
+#: per modelled unit, hash / leapfrog:
 #:
-#:     mix triangle_sparse    0.115 / 0.321 / —
-#:     mix triangle_agm_tight 0.096 / 0.136 / —
-#:     mix path3              0.173 / 0.214 / 0.292
-#:     mix star4              0.110 / 0.090 / 0.179
-#:     mix cycle4             0.060 / 0.173 / —
-#:     triangle_sparse        0.068 / 0.222 / —
-#:     triangle_agm_tight     0.118 / 0.143 / —
-#:     path3_random           0.140 / 0.183 / 0.318
-#:     path4_chained          0.147 / 0.201 / 0.433
-#:     path2_split_cert       0.124 / 0.267 / 0.179
-#:     star4_random           0.072 / 0.086 / 0.233
-#:     cycle4_dense           0.114 / 0.105 / —
-#:     clique4_random         0.079 / 0.202 / —
-#:     median                 0.114 / 0.183 / 0.262   → 1 : 1.60 : 2.30
-#:     median, kernel ≥ 5 ms  0.112 / 0.173 / 0.236   → 1 : 1.54 : 2.10
+#:     mix triangle_sparse    0.115 / 0.321
+#:     mix triangle_agm_tight 0.096 / 0.136
+#:     mix path3              0.173 / 0.214
+#:     mix star4              0.110 / 0.090
+#:     mix cycle4             0.060 / 0.173
+#:     triangle_sparse        0.068 / 0.222
+#:     triangle_agm_tight     0.118 / 0.143
+#:     path3_random           0.140 / 0.183
+#:     path4_chained          0.147 / 0.201
+#:     path2_split_cert       0.124 / 0.267
+#:     star4_random           0.072 / 0.086
+#:     cycle4_dense           0.114 / 0.105
+#:     clique4_random         0.079 / 0.202
+#:     median                 0.114 / 0.183   → 1 : 1.60
+#:     median, kernel ≥ 5 ms  0.112 / 0.173   → 1 : 1.54
 #:
-#: Five repeats of the table on a noisy host put the two ratios at
-#: 1.45–1.78 / 2.20–2.73 (medians 1.62 / 2.44) over all shapes and at
-#: 1.54–2.17 / 2.10–2.97 (1.93 / 2.85) at kernel ≥ 5 ms; shipped as 1.7
-#: and 2.6.  Leapfrog's spread is 3.7× — the acyclic fringe is now one
-#: ``itertools.product`` per prefix (star4 0.210 → 0.090) that the
-#: quantity still charges per candidate; the 14 choices raced in
-#: ``tests/engine/test_planner.py`` hold for any leapfrog constant in
-#: 1.4–2.0 with Yannakakis at 2.2–4.5.  :data:`CostModel.SORT`:
+#: Five repeats of the table on a noisy host put the ratio at 1.45–1.78
+#: (median 1.62) over all shapes and at 1.54–2.17 (1.93) at kernel
+#: ≥ 5 ms; shipped as 1.7.  Leapfrog's spread is 3.7× — the acyclic
+#: fringe is one ``itertools.product`` per prefix (star4 0.210 → 0.090)
+#: that the quantity still charges per candidate; the 14 choices raced
+#: in ``tests/engine/test_planner.py`` hold for any leapfrog constant in
+#: 1.4–2.0.  :data:`CostModel.SORT`:
 #: ``sorted()`` over an unordered stream costs 22–30 ns per ``Z·log₂Z``
 #: (path3 22.5, cycle4 30.2) against 2–4 ns over one in or near order,
 #: 0.19–0.26 of the 0.114 µs hash unit; 0.15 still ranks every raced
@@ -110,22 +113,20 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: constant of the frontier-resuming kernel overhaul (12 → 6; the e2e
 #: ``tetris.ns_per_resolution`` on ``tetris_preloaded_triangle``).
 DEFAULT_CALIBRATION: Dict[str, float] = {
-    "yannakakis": 2.6,
     "hash": 1.0,
     "leapfrog": 1.7,
     "tetris-reloaded": 3.0,
     "tetris-preloaded": 6.0,
-    "nested-loop": 0.7,
 }
 
 #: Wall seconds of one abstract cost unit (one hash-table probe, ~0.8µs
 #: on the bench hosts): turns a predicted cost into predicted seconds.
 DEFAULT_UNIT_SECONDS = 8e-7
 
-#: Backends the unified engine can dispatch to, in preference order for
-#: cost ties (earlier wins) — the order the constants above are listed
-#: in, which is also the order of the executor's ``BACKEND_TABLE``.
-BACKENDS: Tuple[str, ...] = tuple(DEFAULT_CALIBRATION)
+#: The backends ``auto`` prices, in preference order for cost ties
+#: (earlier wins) — the order the constants above are listed in.  The
+#: executor's ``BACKEND_TABLE`` holds these and the two forced-only ones.
+CANDIDATES: Tuple[str, ...] = tuple(DEFAULT_CALIBRATION)
 
 
 @dataclass(frozen=True)
@@ -222,14 +223,15 @@ class CostEstimate:
     pool of one worker is still a parallel plan — sharded, dealt,
     merged — so the flag is explicit rather than inferred from the
     count).
+
+    A forced-only backend's plan carries an *unpriced* estimate:
+    ``quantity`` and ``cost`` are ``None``.
     """
 
     backend: str
-    applicable: bool
-    quantity: float
-    cost: float
+    quantity: Optional[float]
+    cost: Optional[float]
     formula: str
-    reason: str = ""
     workers: int = 1
     parallel: bool = False
     sort: float = 0.0
@@ -435,19 +437,6 @@ class CostModel:
             total += p.cardinality + acc_size + self.STEP_OVERHEAD
         return total
 
-    def _nested_loop_quantity(
-        self, query: JoinQuery, stats: QueryStats
-    ) -> float:
-        """Σ over prefixes of (matching partials so far) × (next |R|)."""
-        acc_size = 1.0
-        acc_distinct: Dict[str, int] = {}
-        total = 0.0
-        for atom in query.atoms:
-            p = stats.relation(atom.name)
-            total += acc_size * p.cardinality
-            acc_size = _extend_left_deep(acc_size, acc_distinct, p)
-        return total
-
     # -- the estimate API ------------------------------------------------------
 
     def _sort_cost(
@@ -491,10 +480,9 @@ class CostModel:
         """One serial candidate, given the plan's :meth:`_sort_cost` and
         :meth:`_variable_tables`.
 
-        Yannakakis and nested-loop streams come out in probe order and
-        always pay it.  The attribute-at-a-time backends emit in
-        GAO-lexicographic order, so they pay it unless their GAO is
-        ``query.variables`` — Tetris's is fixed by the structure
+        Every candidate emits in GAO-lexicographic order, so it pays the
+        sort unless its GAO is ``query.variables`` — Tetris's is fixed
+        by the structure
         (Thm D.8/D.9), leapfrog is worst-case optimal under any order
         and is priced on both, keeping the cheaper.  A hash cascade
         emits lexicographic in the order it binds variables
@@ -516,19 +504,7 @@ class CostModel:
         gao = None
         structural_sort = 0.0 if profile.gao == query.variables else sort
 
-        if backend == "yannakakis":
-            if not profile.acyclic:
-                return CostEstimate(
-                    backend, False, math.inf, math.inf,
-                    "Õ(N + Z)", reason="query is not α-acyclic",
-                )
-            # Two semijoin passes plus the join pass each touch every
-            # tuple: 3N + Z with a per-step charge for the ~3·|atoms|
-            # hash tables the passes build.
-            steps = 3 * len(query.atoms)
-            q = 3 * n + z + steps * self.STEP_OVERHEAD
-            formula = f"Õ(N + Z) = 3·{n:g} + {z:g} (+{steps} passes)"
-        elif backend == "leapfrog":
+        if backend == "leapfrog":
             q = self._leapfrog_quantity(query, stats, profile.gao, tables)
             gao, sort = profile.gao, structural_sort
             if sort:
@@ -557,9 +533,6 @@ class CostModel:
             else:
                 sort = 0.0
             formula = f"N + Σ intermediates ≈ {q:g}"
-        elif backend == "nested-loop":
-            q = self._nested_loop_quantity(query, stats)
-            formula = f"Σ prefix scans ≈ {q:g}"
         elif backend == "tetris-preloaded":
             sort = structural_sort
             if profile.acyclic:
@@ -586,10 +559,9 @@ class CostModel:
             # when the certificate is O(1).
             q = n + (body + z) * tetris_polylog
         else:
-            raise ValueError(f"unknown backend {backend!r}")
+            raise ValueError(f"{backend!r} is not an auto candidate")
         return CostEstimate(
-            backend, True, q, factor * q + sort, formula,
-            sort=sort, gao=gao,
+            backend, q, factor * q + sort, formula, sort=sort, gao=gao,
         )
 
     # -- parallel-plan candidates ----------------------------------------------
@@ -650,12 +622,6 @@ class CostModel:
         collapses to 1 and shipping becomes the flat
         :data:`PARALLEL_SHM_ATTACH` charge per (atom × worker).
         """
-        import dataclasses
-
-        if not base.applicable:
-            return dataclasses.replace(
-                base, workers=workers, parallel=True
-            )
         from repro.parallel.shm import shm_enabled
 
         use_shm = shm_enabled()
@@ -693,7 +659,6 @@ class CostModel:
         sort = base.sort / p
         return CostEstimate(
             base.backend,
-            True,
             quantity,
             factor * quantity + overhead + sort,
             f"{base.formula} ∥ ×{p} workers "
@@ -713,14 +678,15 @@ class CostModel:
         num_shards: int = 1,
         split_attrs: Tuple[str, ...] = (),
     ) -> Tuple[CostEstimate, ...]:
-        """Every candidate: serial per backend, plus — when a worker
-        count is on the table and the split produced > 1 shard — one
-        parallel candidate per backend at that worker count."""
+        """Every candidate: serial per :data:`CANDIDATES` backend, plus —
+        when a worker count is on the table and the split produced > 1
+        shard — one parallel candidate per backend at that worker
+        count."""
         tables = self._variable_tables(query, stats)
         sort = self._sort_cost(stats, tables)
         serial = tuple(
             self._estimate(b, query, profile, stats, sort, tables)
-            for b in BACKENDS
+            for b in CANDIDATES
         )
         if workers is None or workers < 1 or num_shards <= 1:
             return serial

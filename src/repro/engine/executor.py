@@ -19,11 +19,11 @@ shard to parent — a **block** at a time: a list of fewer than ``2 ×``
 :data:`~repro.relational.io.BLOCK_ROWS` rows (``limit``, if smaller).
 A backend that emits in output order says so, and is not sorted again.
 
-The six backends are declared once, in :data:`BACKEND_TABLE` (in the
-cost model's tie-break order), each as a single ``run`` function, and
-:func:`run_backend` is the only place one is entered — by a serial
-cursor here and by :func:`repro.parallel.workers.execute_shard` for
-every shard of a parallel run, whichever process computes it.
+The six backends are declared once, in :data:`BACKEND_TABLE`, each as
+a single ``run`` function, and :func:`run_backend` is the only place one
+is entered — by a serial cursor here and by
+:func:`repro.parallel.workers.execute_shard` for every shard of a
+parallel run, whichever process computes it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ class BackendSpec:
     before the first pull; ``sorted_runs`` declares the stream already
     in output order; ``limit`` is a materialization hint (it sizes the
     blocks, Tetris caps its enumeration with it) — the caller enforces
-    the exact cut-off and sorts what needs it.
+    the exact cut-off and sorts what needs it.  ``requires_acyclic``
+    marks a backend that runs only on α-acyclic queries: the planner
+    refuses to plan it on any other.
     """
 
     name: str
@@ -336,10 +338,10 @@ def _nested_loop(query, db, index_kind, gao, limit):
     return blocks, ResolutionStats(), False
 
 
-#: Every backend, declared once, in the cost model's preference order
-#: for ties (:data:`repro.engine.cost.BACKENDS` is this table's keys;
-#: the algorithm aliases and the CLI's ``--algorithm`` choices derive
-#: from those).
+#: Every backend, declared once; the algorithm aliases and the CLI's
+#: ``--algorithm`` choices derive from its keys.  ``auto`` prices four of
+#: them (:data:`repro.engine.cost.CANDIDATES`, in this table's order);
+#: ``yannakakis`` and ``nested-loop`` run only when forced.
 BACKEND_TABLE: Dict[str, BackendSpec] = {
     spec.name: spec
     for spec in (
@@ -371,6 +373,28 @@ BACKEND_TABLE: Dict[str, BackendSpec] = {
         ),
     )
 }
+
+BACKENDS: Tuple[str, ...] = tuple(BACKEND_TABLE)
+
+#: Every spelling accepted wherever an algorithm name is expected: the
+#: backends themselves, ``auto`` (the cost model chooses) and ``tetris``
+#: (the worst-case-optimal variant).
+ALGORITHM_ALIASES: Dict[str, str] = {
+    "auto": "auto",
+    "tetris": "tetris-preloaded",
+    **{name: name for name in BACKEND_TABLE},
+}
+
+
+def normalize_algorithm(name: str) -> str:
+    """Resolve an algorithm alias to a backend name (or ``"auto"``)."""
+    try:
+        return ALGORITHM_ALIASES[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {name!r}; expected one of "
+            f"{sorted(ALGORITHM_ALIASES)}"
+        ) from None
 
 
 def run_backend(

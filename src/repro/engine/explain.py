@@ -2,10 +2,10 @@
 
 ``render_plan`` shows the structural evidence, the statistics, every
 candidate's instantiated Table 1 formula with its calibrated cost, and
-the chosen backend; ``render_execution`` appends the predicted-vs-actual
-section after a run.  Output is deterministic for fixed inputs (timings
-are confined to the execution section), which the golden CLI test relies
-on.
+the chosen backend (a forced-only one ``forced; not priced``);
+``render_execution`` appends the predicted-vs-actual section after a
+run.  Output is deterministic for fixed inputs (timings are confined to
+the execution section), which the golden CLI test relies on.
 """
 
 from __future__ import annotations
@@ -89,21 +89,20 @@ def render_plan(plan: Plan) -> str:
     for i, c in enumerate(ordered):
         branch = "└─" if i == len(ordered) - 1 else "├─"
         marker = " ◀" if c == plan.chosen else ""
-        if c.applicable:
-            lines.append(
-                f"│   {branch} {display(c):<{width}}  "
-                f"cost≈{_fmt(c.cost):>10}  {c.formula}{candidate_order(c)}"
-                f"{marker}"
-            )
-        else:
-            lines.append(
-                f"│   {branch} {display(c):<{width}}  "
-                f"{'—':>15}  not applicable: {c.reason}"
-            )
+        lines.append(
+            f"│   {branch} {display(c):<{width}}  "
+            f"cost≈{_fmt(c.cost):>10}  {c.formula}{candidate_order(c)}"
+            f"{marker}"
+        )
     cached = ", cached plan" if plan.cache_hit else ""
+    price = (
+        plan.chosen.formula
+        if plan.predicted_cost is None
+        else f"predicted cost {_fmt(plan.predicted_cost)}"
+    )
     lines.append(
         f"└─ plan: {plan.backend}  (index {plan.index_kind}; "
-        f"predicted cost {_fmt(plan.predicted_cost)}{cached})"
+        f"{price}{cached})"
     )
     if plan.num_shards > 1:
         lines.append(

@@ -1,10 +1,11 @@
 """The adaptive query planner: Table 1 as a decision procedure.
 
 ``plan_query`` inspects a query's structure (:func:`structure_of`) and
-data statistics (:func:`collect_stats`), prices every registered backend
-with the calibrated cost model, and returns a :class:`Plan` naming the
-chosen backend, index kind and GAO together with the evidence behind the
-choice — the full candidate table and the structural profile.
+data statistics (:func:`collect_stats`), prices the backends ``auto`` can
+pick (:data:`~repro.engine.cost.CANDIDATES`) with the calibrated cost
+model, and returns a :class:`Plan` naming the chosen backend, index kind
+and GAO together with the evidence behind the choice — the full
+candidate table and the structural profile.
 
 Planning is split into shape work and data work.  Three content-keyed
 caches keep either from being paid twice (``JoinQuery.signature`` is
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.cost import (
-    BACKENDS,
     CostEstimate,
     CostModel,
     StructureProfile,
@@ -44,27 +44,6 @@ from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.query import ContentLRU, Database, JoinQuery
 
-#: Every spelling accepted wherever an algorithm name is expected: the
-#: backends themselves, ``auto`` (the cost model chooses) and ``tetris``
-#: (the worst-case-optimal variant).
-ALGORITHM_ALIASES: Dict[str, str] = {
-    "auto": "auto",
-    "tetris": "tetris-preloaded",
-    **{name: name for name in BACKENDS},
-}
-
-
-def normalize_algorithm(name: str) -> str:
-    """Resolve an algorithm alias to a backend name (or ``"auto"``)."""
-    try:
-        return ALGORITHM_ALIASES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {name!r}; expected one of "
-            f"{sorted(ALGORITHM_ALIASES)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class Plan:
     """An executable decision: backend + physical knobs + the evidence.
@@ -72,13 +51,14 @@ class Plan:
     ``workers > 1`` (equivalently ``num_shards > 1``) marks a
     shard-parallel plan: the executor partitions the output space into
     ``num_shards`` dyadic shards on ``split_attrs`` and runs the chosen
-    backend on a pool of ``workers`` processes.
+    backend on a pool of ``workers`` processes.  A forced-only backend's
+    plan has no ``predicted_cost`` (``None``).
     """
 
     backend: str
     index_kind: str
     gao: Tuple[str, ...]
-    predicted_cost: float
+    predicted_cost: Optional[float]
     chosen: CostEstimate
     candidates: Tuple[CostEstimate, ...]
     structure: StructureProfile
@@ -133,16 +113,6 @@ def _collect_plan_cache_metrics() -> Dict[str, int]:
 _METRICS.register_collector("plan_cache", _collect_plan_cache_metrics)
 
 
-def _choose(
-    candidates: Sequence[CostEstimate],
-) -> CostEstimate:
-    applicable = [c for c in candidates if c.applicable]
-    if not applicable:
-        raise ValueError("no applicable backend for this query")
-    # min() is stable, so BACKENDS order breaks exact ties.
-    return min(applicable, key=lambda c: c.cost)
-
-
 def plan_query(
     query: JoinQuery,
     db: Optional[Database] = None,
@@ -157,14 +127,18 @@ def plan_query(
 ) -> Plan:
     """Produce a :class:`Plan` for a query.
 
-    With ``algorithm="auto"`` every backend is priced and the cheapest
-    wins; naming a backend forces it but still records its estimate.
+    With ``algorithm="auto"`` the four :data:`~repro.engine.cost.CANDIDATES`
+    are priced and the cheapest wins.  Naming a backend forces it: a
+    candidate still records its estimate, while ``nested-loop`` and
+    ``yannakakis`` are forced-only and carry an unpriced one.  A backend
+    whose ``BACKEND_TABLE`` spec requires an α-acyclic query raises
+    ``ValueError`` on any other.
     Statistics come from ``stats`` if given, else are collected from
     ``db``, else assumed uniform (``assumed_rows`` tuples per relation) —
     the no-data mode ``repro explain`` uses.
 
     ``workers=N`` puts shard-parallel execution on the table: under
-    ``algorithm="auto"`` every backend is additionally priced as a
+    ``algorithm="auto"`` every candidate is additionally priced as a
     parallel candidate on N workers (replication + shipping overheads
     included) and the overall cheapest wins — small queries stay serial;
     a *forced* backend combined with ``workers`` always takes the
@@ -197,6 +171,9 @@ def _plan_query_impl(
     assumed_rows: int,
     workers: Optional[int],
 ) -> Plan:
+    # The executor imports this module, so its table is read lazily.
+    from repro.engine.executor import BACKEND_TABLE, normalize_algorithm
+
     algorithm = normalize_algorithm(algorithm)
     if gao is not None and sorted(gao) != sorted(query.variables):
         raise ValueError(
@@ -239,6 +216,15 @@ def _plan_query_impl(
     if profile is None:
         profile = structure_of(query)
         _STRUCTURE_MEMO.put(query.signature, profile)
+    if (
+        algorithm != "auto"
+        and BACKEND_TABLE[algorithm].requires_acyclic
+        and not profile.acyclic
+    ):
+        raise ValueError(
+            f"backend {algorithm!r} is not applicable: "
+            f"query is not α-acyclic"
+        )
     num_shards = 1
     split_attrs: Tuple[str, ...] = ()
     if workers is not None:
@@ -259,17 +245,20 @@ def _plan_query_impl(
         workers=workers, num_shards=num_shards, split_attrs=split_attrs,
     )
     if algorithm == "auto":
-        chosen = _choose(candidates)
+        # min() is stable, so CANDIDATES order breaks exact ties.
+        chosen = min(candidates, key=lambda c: c.cost)
     else:
         # A forced backend with a worker count takes the parallel
-        # candidate; without one, the serial estimate as before.
+        # candidate; without one, the serial estimate.  A forced-only
+        # backend has neither, and runs unpriced.
         want_parallel = workers is not None and num_shards > 1
         by_key = {(c.backend, c.parallel): c for c in candidates}
-        chosen = by_key.get((algorithm, want_parallel),
-                            by_key[(algorithm, False)])
-        if not chosen.applicable:
-            raise ValueError(
-                f"backend {algorithm!r} is not applicable: {chosen.reason}"
+        chosen = by_key.get((algorithm, want_parallel))
+        if chosen is None:
+            chosen = CostEstimate(
+                algorithm, None, None, "forced; not priced",
+                workers=workers if want_parallel else 1,
+                parallel=want_parallel,
             )
     parallel = chosen.parallel
     # A caller's GAO is never overridden; otherwise the order the chosen

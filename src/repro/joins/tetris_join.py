@@ -90,8 +90,8 @@ def tetris_engine(
     Builds the gap-box oracle, turns the GAO into the engine's SAO (the
     permutation of space order into GAO order) and constructs the engine
     over the query's variables at the database's domain depth;
-    ``engine_kwargs`` (``stats``, ``cache_resolvents``,
-    ``resolvent_limit``) go to the engine as given.  Returns ``(engine,
+    ``engine_kwargs`` (``stats``, ``cache_resolvents``) go to the engine
+    as given.  Returns ``(engine,
     oracle, gao)`` — run it with ``engine.run(oracle, ...)``.
     """
     oracle, gao = make_oracle(query, db, index_kind=index_kind, gao=gao)
@@ -113,7 +113,6 @@ def join_tetris(
     cache_resolvents: bool = True,
     max_outputs: Optional[int] = None,
     mode: str = "resume",
-    resolvent_limit: Optional[int] = None,
 ) -> JoinResult:
     """Evaluate a natural join with Tetris.
 
@@ -122,8 +121,6 @@ def join_tetris(
     ``mode`` selects the traversal — the one-pass frontier-resuming
     skeleton (``"resume"``, the default) or the paper-faithful
     restart-per-output loop (``"faithful"``, the parity reference).
-    ``resolvent_limit`` bounds the cached-resolvent working set (FIFO
-    eviction — always safe, resolvents are derived facts).
     ``max_outputs`` caps the engine's enumeration — it stops after that
     many uncovered points, so a capped run materializes O(max_outputs)
     output rows, not Z.
@@ -132,7 +129,7 @@ def join_tetris(
         raise ValueError(f"unknown variant {variant!r}")
     engine, oracle, gao = tetris_engine(
         query, db, index_kind, gao, cache_resolvents=cache_resolvents,
-        stats=stats, resolvent_limit=resolvent_limit,
+        stats=stats,
     )
     points = engine.run(
         oracle, preload=variant == "preloaded", max_outputs=max_outputs,

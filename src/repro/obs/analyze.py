@@ -11,8 +11,10 @@ the report under the ordinary EXPLAIN tree.
 The logged ``seconds`` is kernel time: the ``execute`` span less the
 ``sort`` span ``execute()`` runs an unordered stream's sort under
 (logged apart as ``sort_seconds``), because the backend's quantity
-excludes the sort that ``CostEstimate.sort`` prices separately.  ``repro
-calibrate`` fits the constants from these records
+excludes the sort that ``CostEstimate.sort`` prices separately.  A
+forced-only backend's plan is unpriced: its report shows the measured
+time alone, and its record's ``quantity`` is ``null``.  ``repro
+calibrate`` fits the constants from the priced records
 (:func:`repro.obs.calibration.fit`) and prints them as a diff; nothing
 is saved or loaded back.
 """
@@ -42,10 +44,12 @@ class AnalyzeReport:
     stage_seconds: Dict[str, float]
     predicted_rows: float
     actual_rows: int
-    predicted_seconds: float
+    #: ``None`` for an unpriced (forced-only) plan.
+    predicted_seconds: Optional[float]
     actual_seconds: float
-    #: |log₂(actual/predicted seconds)| — the calibration target.
-    error_bits: float
+    #: |log₂(actual/predicted seconds)| — the calibration target;
+    #: ``None`` unless both are positive.
+    error_bits: Optional[float]
     record: Dict = field(default_factory=dict)
     log_path: Optional[str] = None
     #: Sampled self-time per span stage from the process profiler
@@ -132,11 +136,16 @@ def analyze(
     # and stats collection are pipeline overhead, not Table 1 work.
     actual_seconds = stages.get("execute", result.elapsed)
     sort_seconds = stages.get("sort", 0.0)
-    predicted_seconds = model.predicted_seconds(plan.predicted_cost)
-    if actual_seconds > 0 and predicted_seconds > 0:
-        error_bits = abs(math.log2(actual_seconds / predicted_seconds))
-    else:
-        error_bits = 0.0
+    predicted_seconds = (
+        None
+        if plan.predicted_cost is None
+        else model.predicted_seconds(plan.predicted_cost)
+    )
+    error_bits = (
+        abs(math.log2(actual_seconds / predicted_seconds))
+        if actual_seconds > 0 and predicted_seconds
+        else None
+    )
     record = {
         "ts": time.time(),
         "query": str(query),
@@ -189,12 +198,20 @@ def render_analyze(report: AnalyzeReport) -> str:
         f"predicted Ẑ ≈ {report.predicted_rows:.4g}  "
         f"({_ratio(report.actual_rows, report.predicted_rows)})"
     )
-    lines.append(
-        f"├─ cost        : actual {report.actual_seconds * 1e3:.3f} ms vs "
-        f"predicted {report.predicted_seconds * 1e3:.3f} ms  "
-        f"(error {report.error_bits:.2f} bits, "
-        f"{_ratio(report.actual_seconds, report.predicted_seconds)})"
-    )
+    measured = f"actual {report.actual_seconds * 1e3:.3f} ms"
+    if report.predicted_seconds is None:
+        lines.append(f"├─ cost        : {measured}  (forced; not priced)")
+    else:
+        error = (
+            ""
+            if report.error_bits is None
+            else f"error {report.error_bits:.2f} bits, "
+        )
+        lines.append(
+            f"├─ cost        : {measured} vs predicted "
+            f"{report.predicted_seconds * 1e3:.3f} ms  ({error}"
+            f"{_ratio(report.actual_seconds, report.predicted_seconds)})"
+        )
     if report.profile_stage_seconds is not None:
         lines.append(
             f"├─ profile     : sampled self-time per stage "

@@ -244,7 +244,7 @@ def unit_inside(box, depth, rng):
 
 @st.composite
 def writer_scripts(draw):
-    """Interleaved add / add_many / discard on one dimensionality, past
+    """Interleaved add / add_many on one dimensionality, past
     the walkers' unroll cap: duplicates, λ components, the universe box
     and runs of boxes sharing a prefix."""
     ndim = draw(st.integers(1, 10))
@@ -254,7 +254,7 @@ def writer_scripts(draw):
     pool.append((PLAMBDA,) * ndim)
     ops = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(("add", "add_many", "discard")))
+        kind = draw(st.sampled_from(("add", "add_many")))
         if kind != "add_many":
             ops.append((kind, draw(st.sampled_from(pool))))
             continue
@@ -342,10 +342,8 @@ def test_frontier_probe_agrees_with_find_container(script, rng):
         if kind == "add_many":
             new = [box for box in dict.fromkeys(arg) if box not in tree]
             tree.add_many(arg)
-        elif kind == "add":
-            new = [arg] if tree.add(arg) else []
         else:
-            tree.discard(arg)
+            new = [arg] if tree.add(arg) else []
         for box in new:
             frontier_note_add(tree._root, *frontier, box)
         # The frontier is still frozen around the written box's probe:

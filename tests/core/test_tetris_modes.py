@@ -4,8 +4,7 @@ The one-pass frontier-resuming skeleton (``mode="resume"``) and the
 faithful restart-per-output loop (``mode="faithful"``) must emit
 identical output sets on every instance — over random packed box sets,
 every dimensionality 1–4, uniform and generalized (per-axis depth)
-spaces, both knowledge-base stores, with and without the bounded
-resolvent-admission policy.
+spaces, both knowledge-base stores.
 """
 
 import itertools
@@ -19,21 +18,16 @@ from repro.core.tetris import (
     BoxSetOracle,
     FixedDepth,
     TetrisEngine,
-    solve_bcp,
 )
 from tests.helpers import brute_force_uncovered, random_boxes
 
 MODE_IDS = list(MODES)
 
 
-def run_mode(boxes, ndim, depth, mode, preload, store=None, sao=None,
-             resolvent_limit=None):
+def run_mode(boxes, ndim, depth, mode, preload, store=None, sao=None):
     oracle = BoxSetOracle(boxes, ndim)
     kb = store(ndim) if store is not None else None
-    engine = TetrisEngine(
-        ndim, depth, sao=sao, knowledge_base=kb,
-        resolvent_limit=resolvent_limit,
-    )
+    engine = TetrisEngine(ndim, depth, sao=sao, knowledge_base=kb)
     return sorted(engine.run(oracle, preload=preload, mode=mode))
 
 
@@ -115,67 +109,6 @@ class TestModeParityGeneralized:
                 )
             for mode in MODES:
                 assert results[mode] == expected, (mode, preload, seed)
-
-
-class TestBoundedResolventAdmission:
-    def test_eviction_preserves_output(self):
-        # Faithful re-derives every evicted resolvent on each restart:
-        # on resume's instance one cell is 7 s, so its cells run on one
-        # small enough to take 0.2 s and still evict at every limit
-        # (17038 / 16325 / 7399 evictions for 168 output points).
-        instances = {
-            "resume": (7, 40, 3, 4),
-            "faithful": (7, 8, 3, 3),
-        }
-        assert set(instances) == set(MODES)
-        for mode, (seed, count, ndim, depth) in instances.items():
-            boxes = random_boxes(seed, count, ndim, depth)
-            expected = sorted(solve_bcp(boxes, ndim, depth))
-            assert expected
-            for limit in (1, 4, 64):
-                got = run_mode(
-                    boxes, ndim, depth, mode, True, resolvent_limit=limit
-                )
-                assert got == expected, (mode, limit)
-
-    def test_evictions_counted_and_kb_bounded(self):
-        # Resume admits only resolvents wider than their frame, so it
-        # takes the tightest bound to overflow (2 evictions here);
-        # faithful caches every resolvent and re-derives the evicted
-        # ones on each restart, so a small instance evicts >1000 times.
-        cases = [
-            ("resume", 1, (3, 30, 3, 4)),
-            ("faithful", 8, (3, 12, 3, 3)),
-        ]
-        for mode, limit, (seed, count, ndim, depth) in cases:
-            boxes = random_boxes(seed, count, ndim, depth)
-            stats = ResolutionStats()
-            oracle = BoxSetOracle(boxes, ndim)
-            engine = TetrisEngine(
-                ndim, depth, stats=stats, resolvent_limit=limit
-            )
-            baseline = len(oracle)
-            got = engine.run(oracle, preload=True, mode=mode)
-            assert sorted(got) == brute_force_uncovered(boxes, ndim, depth)
-            assert stats.evictions > 0, mode
-            # Inputs + outputs + at most `limit` cached resolvents.
-            assert len(engine.knowledge_base) <= baseline + limit + (
-                stats.boxes_loaded
-            ), mode
-
-    def test_list_store_eviction(self):
-        ndim, depth = 2, 4
-        boxes = random_boxes(5, 25, ndim, depth)
-        expected = sorted(solve_bcp(boxes, ndim, depth))
-        got = run_mode(
-            boxes, ndim, depth, "resume", True, store=ListStore,
-            resolvent_limit=2,
-        )
-        assert got == expected
-
-    def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError):
-            TetrisEngine(2, 3, resolvent_limit=0)
 
 
 class TestModeValidation:

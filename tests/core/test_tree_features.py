@@ -1,6 +1,5 @@
-"""The dyadic tree's support for bounded resolvent admission: exact
-removal with masks kept tight, probes that agree with a linear scan, and
-the traversal frontier kept by the resume loop (``frontier_children`` /
+"""The dyadic tree's probes, which agree with a linear scan, and the
+traversal frontier kept by the resume loop (``frontier_children`` /
 ``frontier_note_add`` / ``frontier_probe``) under writes.  The frontier's
 hypothesis property is in ``test_dyadic_tree.py``."""
 
@@ -11,7 +10,6 @@ import pytest
 from repro.core.boxes import box_contains
 from repro.core.dyadic_tree import (
     MultilevelDyadicTree,
-    _MASK,
     frontier_note_add,
     frontier_probe,
 )
@@ -31,43 +29,6 @@ def unit_points(rng, count, ndim, depth):
         tuple((1 << depth) | rng.getrandbits(depth) for _ in range(ndim))
         for _ in range(count)
     ]
-
-
-class TestDiscard:
-    def test_discard_roundtrip(self):
-        boxes = random_boxes(1, 30, 3, 4)
-        t = tree_of(boxes, 3)
-        size = len(t)
-        unique = list(dict.fromkeys(boxes))
-        for b in unique:
-            assert t.discard(b)
-            assert b not in t
-        assert len(t) == size - len(unique)
-        assert t.find_container(((1 << 4), (1 << 4), (1 << 4))) is None
-
-    def test_discard_absent_returns_false(self):
-        t = tree_of(random_boxes(2, 5, 2, 3), 2)
-        assert not t.discard(((1 << 3) | 7, (1 << 3) | 7))
-
-    def test_masks_exact_after_discard(self):
-        boxes = random_boxes(3, 40, 2, 4)
-        t = tree_of(boxes, 2)
-        rng = random.Random(0)
-        for b in rng.sample(list(dict.fromkeys(boxes)), 10):
-            t.discard(b)
-        # Root mask must exactly reflect the remaining level-0 lengths.
-        remaining = set(t)
-        expected_mask = 0
-        for box in remaining:
-            expected_mask |= 1 << (box[0].bit_length() - 1)
-        assert t._root[_MASK] == expected_mask
-        # And queries still agree with a fresh tree.
-        fresh = tree_of(remaining, 2)
-        rng2 = random.Random(1)
-        for p in unit_points(rng2, 50, 2, 4):
-            assert (t.find_container(p) is None) == (
-                fresh.find_container(p) is None
-            )
 
 
 class TestProbeVariants:
@@ -147,13 +108,3 @@ class TestTraversalFrontier:
         self.add(tree, frontier, (unit | 5, 1))
         assert self.probe(tree, frontier, probe, 1) == (unit | 5, 1)
 
-    def test_frontier_with_eviction(self):
-        tree = MultilevelDyadicTree(2)
-        frontier = self.fresh(tree)
-        unit = 1 << 3
-        probe = (unit | 5, unit | 6)  # comp1 = "110"
-        assert self.probe(tree, frontier, probe, 2) is None
-        self.add(tree, frontier, (unit | 5, (1 << 1) | 1))  # "1" contains "110"
-        assert self.probe(tree, frontier, probe, 2) is not None
-        tree.discard((unit | 5, (1 << 1) | 1))
-        assert self.probe(tree, frontier, probe, 2) is None

@@ -224,7 +224,6 @@ def test_declined_shapes_fall_back_and_still_answer():
     expected = brute_force_uncovered(random_boxes(7, 12, 3, 3), 3, 3)
     configs = {
         "list-store": dict(knowledge_base=ListStore(3)),
-        "resolvent-limit": dict(resolvent_limit=5),
         "generalized-dims": dict(dims=[FixedDepth(3)] * 3),
     }
     clear_kernel_caches()

@@ -97,19 +97,3 @@ class TestJoinModeKnob:
             for mode in MODES
         }
         assert results["resume"] == results["faithful"]
-
-    def test_resolvent_limit_at_join_level(self):
-        query, db = graph_triangle_db(random_graph_edges(50, 150, seed=6))
-        base = join_tetris(query, db).tuples
-        capped = join_tetris(query, db, resolvent_limit=16)
-        assert capped.tuples == base
-        # Resume admits only resolvents wider than their frame and
-        # caches too few here to overflow any bound; the faithful loop
-        # caches every one, so a tight bound must evict.  It re-derives
-        # what it evicts on every restart, hence the small instance.
-        query, db = graph_triangle_db(random_graph_edges(12, 30, seed=6))
-        capped_faithful = join_tetris(
-            query, db, mode="faithful", resolvent_limit=16
-        )
-        assert capped_faithful.tuples == join_tetris(query, db).tuples
-        assert capped_faithful.stats.evictions > 0

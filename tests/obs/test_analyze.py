@@ -74,6 +74,28 @@ def test_analyze_logs_kernel_time_without_the_sort(obs_paths):
     assert 0 < record["seconds"] < report.stage_seconds["execute"]
 
 
+def test_a_forced_only_plan_is_measured_not_priced(obs_paths):
+    """A forced-only backend runs unpriced: ANALYZE shows the measured
+    time with no prediction and no error bits, and ``repro calibrate``
+    skips its record, which has no quantity."""
+    from repro.obs.analyze import analyze, render_analyze
+    from repro.workloads.generators import random_path_db
+
+    query, db = random_path_db(3, 60, seed=5)
+    report = analyze(query, db, algorithm="nested-loop")
+    assert report.predicted_seconds is None
+    assert report.error_bits is None
+    assert report.record["quantity"] is None
+    (cost,) = [
+        line for line in render_analyze(report).splitlines()
+        if line.startswith("├─ cost")
+    ]
+    assert cost.endswith("ms  (forced; not priced)")
+    assert "predicted" not in cost and "bits" not in cost
+    _, info = calibration.fit(calibration.load_runs())
+    assert (info["runs"], info["usable_runs"]) == (1, 0)
+
+
 def test_leapfrog_in_output_order_records_no_sort(obs_paths):
     from repro.obs.analyze import analyze
     from repro.workloads.generators import random_path_db

@@ -352,13 +352,13 @@ class TestResolutionStatsMerge:
             resolutions=3, ordered_resolutions=2,
             by_axis={0: 2, 1: 1}, containment_queries=5,
             oracle_queries=7, skeleton_calls=1, boxes_loaded=4,
-            cache_hits=2, resumes=3, evictions=1, witness_depth_sum=12,
+            cache_hits=2, resumes=3, witness_depth_sum=12,
         )
         b = ResolutionStats(
             resolutions=5, ordered_resolutions=1,
             by_axis={1: 4, 2: 2}, containment_queries=1,
             oracle_queries=2, skeleton_calls=3, boxes_loaded=1,
-            cache_hits=0, resumes=1, evictions=2, witness_depth_sum=4,
+            cache_hits=0, resumes=1, witness_depth_sum=4,
         )
         merged = ResolutionStats.merge([a, b])
         assert merged.resolutions == 8
@@ -370,7 +370,6 @@ class TestResolutionStatsMerge:
         assert merged.boxes_loaded == 5
         assert merged.cache_hits == 2
         assert merged.resumes == 4
-        assert merged.evictions == 3
         assert merged.witness_depth_sum == 16
         # Weighted mean, not mean of means: (12 + 4) / (3 + 1).
         assert merged.mean_witness_depth == 4.0

@@ -246,7 +246,7 @@ class TestUsableCores:
             return plan, {
                 c.backend: c.cost
                 for c in plan.candidates
-                if c.parallel and c.applicable
+                if c.parallel
             }
 
         one_plan, one = parallel_costs(1)

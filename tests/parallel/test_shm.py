@@ -447,11 +447,11 @@ class TestCostModel:
             return next(
                 c.cost
                 for c in plan.candidates
-                if c.backend == backend and c.parallel and c.applicable
+                if c.backend == backend and c.parallel
             )
 
         for cand in plans[True].candidates:
-            if cand.parallel and cand.applicable:
+            if cand.parallel:
                 assert cand.cost <= par_cost(plans[False], cand.backend)
         chosen = plans[True].chosen
         assert chosen.parallel

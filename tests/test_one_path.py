@@ -186,6 +186,16 @@ def test_planning_reads_nothing_from_the_working_directory(
     assert plan_query(query, db, use_cache=False).backend == chosen
 
 
+#: The README's length in lines.  A change that adds a paragraph raises
+#: it; a change that deletes behaviour cuts the paragraphs describing it.
+README_LINES = 525
+
+
+def test_readme_length_is_fenced():
+    text = (ROOT / "README.md").read_text()
+    assert text.count("\n") <= README_LINES
+
+
 def test_backend_table_is_the_documented_set():
     readme = (ROOT / "README.md").read_text()
     table = readme.split("### Backends", 1)[1].split("\n#", 1)[0]
@@ -230,13 +240,67 @@ def _algorithm_choices(parser):
 def test_backends_are_declared_once():
     assert tuple(BACKEND_TABLE) == BACKENDS
     assert all(name == spec.name for name, spec in BACKEND_TABLE.items())
-    assert set(DEFAULT_CALIBRATION) == set(BACKENDS)
-    assert set(ALGORITHM_ALIASES.values()) == set(BACKENDS) | {"auto"}
+    assert set(DEFAULT_CALIBRATION) <= set(BACKEND_TABLE)
+    assert set(ALGORITHM_ALIASES.values()) == set(BACKEND_TABLE) | {"auto"}
     assert len(ALGORITHM_ALIASES) == 8
     choices = _algorithm_choices(build_parser())
     assert set(choices) == {"join", "explain", "metrics", "triangles"}
     for command, offered in choices.items():
         assert list(offered) == sorted(ALGORITHM_ALIASES), command
+
+
+#: The backends ``auto`` prices, in tie-break order.  A fifth candidate
+#: needs a benchmark plan that picks it: over the 507 plans of the six
+#: e2e workloads (seeds 1–3) ``auto`` picks hash every time, leapfrog
+#: keeps its place on ``path2_split_cert`` and the Tetris pair waits on
+#: a data-priced GAO.  A backend that never wins is forced-only.
+AUTO_CANDIDATES = ("hash", "leapfrog", "tetris-reloaded", "tetris-preloaded")
+
+
+def test_auto_prices_only_what_it_can_pick():
+    """Every backend stays reachable by name, but only the four
+    candidates are priced: a forced-only plan carries no price, serial
+    or sharded."""
+    from repro.engine.cost import CANDIDATES
+    from repro.workloads.generators import chained_path_db
+
+    assert CANDIDATES == tuple(DEFAULT_CALIBRATION) == AUTO_CANDIDATES
+    assert all(ALGORITHM_ALIASES[name] == name for name in BACKEND_TABLE)
+    query, db = chained_path_db(3, 60, depth=6)
+    plan = plan_query(query, db, use_cache=False)
+    assert tuple(c.backend for c in plan.candidates) == AUTO_CANDIDATES
+    forced_only = [b for b in BACKEND_TABLE if b not in AUTO_CANDIDATES]
+    assert forced_only == ["yannakakis", "nested-loop"]
+    for backend in forced_only:
+        for workers in (None, 2):
+            forced = plan_query(
+                query, db, algorithm=backend, workers=workers,
+                use_cache=False,
+            )
+            assert forced.backend == backend
+            assert forced.predicted_cost is None
+            assert forced.chosen.quantity is None
+            assert forced.chosen not in forced.candidates
+            assert (forced.num_shards > 1) == (workers is not None)
+
+
+def test_yannakakis_acyclicity_is_checked_in_one_place(monkeypatch):
+    """``BackendSpec.requires_acyclic`` is the rule: the planner refuses
+    a cyclic query for the flag alone, and the cost model knows nothing
+    of it."""
+    from repro.workloads.generators import graph_triangle_db, random_graph_edges
+
+    query, db = graph_triangle_db(random_graph_edges(20, 40, seed=3))
+    with pytest.raises(ValueError, match="not applicable"):
+        plan_query(query, db, algorithm="yannakakis", use_cache=False)
+    relaxed = dataclasses.replace(
+        BACKEND_TABLE["yannakakis"], requires_acyclic=False
+    )
+    monkeypatch.setitem(BACKEND_TABLE, "yannakakis", relaxed)
+    plan = plan_query(query, db, algorithm="yannakakis", use_cache=False)
+    assert plan.backend == "yannakakis"
+    cost_source = (ROOT / "src/repro/engine/cost.py").read_text()
+    assert "yannakakis" not in cost_source.split('"""', 2)[2]
 
 
 def test_rows_leave_the_join_kernels_in_blocks_only():
@@ -316,7 +380,7 @@ def test_the_knowledge_base_is_a_store():
         ):
             assert name not in text, f"{name} in {path}"
     for store in (MultilevelDyadicTree(2), ListStore(2)):
-        assert store.add((2, 3)) and store.discard((2, 3))
+        assert store.add((2, 3)) and not hasattr(store, "discard")
         assert not hasattr(store, "version"), type(store).__name__
 
 
