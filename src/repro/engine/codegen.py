@@ -13,7 +13,7 @@ attribute-position lookups, packed-box bit arithmetic and mode branches
 **constant-folded**, then ``exec``-compiled once and memoized in a
 bounded LRU keyed by the plan's identity.
 
-Three kernel families.  The first two are the *only* implementation of
+Four kernel families.  The first two are the *only* implementation of
 their algorithm — :mod:`repro.joins.leapfrog` and
 :mod:`repro.joins.hashjoin` validate their arguments and run the kernel,
 every valid query gets one, and the tests compare them to
@@ -39,6 +39,15 @@ every valid query gets one, and the tests compare them to
   containment test is one int compare, box splits, resolvents and SAO
   translations are unrolled per axis and the stats counters run as
   locals, flushed once on exit.
+* :func:`probe_kernel` — the gap-box probe Tetris-Reloaded asks of its
+  oracle, per oracle shape (each index's kind and output axes, ``ndim``,
+  ``depth``) in two modes, first hit (``container``) and collect-all
+  (``containing``): every B-tree index's walk is unrolled inline, one
+  ``bisect_left`` per level, and writes its answer in the oracle's
+  axes; other indexes are called and their answer lifted inline.
+  ``BTreeIndex.gap_box_around`` is the same walk for one index.  The
+  hand-written loops it replaced are the tests' reference
+  (``tests/helpers.py``, ``tests/indexes/test_oracle.py``).
 
 **The block contract.**  The leapfrog and hash kernels are generators
 called as ``kernel(inputs, block_rows)`` that yield *lists* of rows,
@@ -49,10 +58,10 @@ is (GAO-lexicographic for leapfrog, probe order for hash).  Nothing runs
 before the first pull and a pull does one block's work, so ``limit=k``
 (``block_rows = min(k, BLOCK_ROWS)``) still costs O(k).
 
-Cache keys include the *attribute names*, not just the shape — two
-schemas that differ only in naming never share a kernel (the EXPLAIN
-surface would otherwise lie about which query a cached kernel belongs
-to).
+Join-kernel cache keys include the *attribute names*, not just the
+shape — two schemas that differ only in naming never share a kernel
+(the EXPLAIN surface would otherwise lie about which query a cached
+kernel belongs to).  A probe names no attribute: its key is axes.
 
 :func:`tetris_kernel` alone may decline: for a knowledge base other
 than the dyadic tree (``ListStore``), generalized dimension specs
@@ -67,6 +76,7 @@ field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from itertools import chain, islice, product
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -76,6 +86,7 @@ from repro.core.dyadic_tree import (
     frontier_children,
     frontier_note_add,
 )
+from repro.core.intervals import PLAMBDA
 from repro.core.resolution import Resolver
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -153,8 +164,9 @@ class KernelCache:
 _LEAPFROG_CACHE = KernelCache("leapfrog")
 _HASH_CACHE = KernelCache("hash")
 _TETRIS_CACHE = KernelCache("tetris")
+_PROBE_CACHE = KernelCache("probe")
 
-_CACHES = (_LEAPFROG_CACHE, _HASH_CACHE, _TETRIS_CACHE)
+_CACHES = (_LEAPFROG_CACHE, _HASH_CACHE, _TETRIS_CACHE, _PROBE_CACHE)
 
 
 def kernel_cache_info() -> dict:
@@ -1006,3 +1018,122 @@ def tetris_kernel(
         )
 
     return _TETRIS_CACHE.lookup(key, build)
+
+
+# -- oracle probes --------------------------------------------------------------
+
+
+def _probe_source(
+    specs: Tuple[Tuple[str, Tuple[int, ...], int], ...],
+    ndim: int,
+    collect: bool,
+) -> str:
+    """Source of ``kernel(t0, t1, ...)``: it returns one oracle's probe.
+
+    ``specs`` has one ``(kind, axes, depth)`` per index, in the oracle's
+    index order; ``axes[j]`` is the probe axis of the index's ``j``-th
+    attribute (its ``attr_order``).  A ``"btree"`` index passes its trie
+    root and is walked inline; any other index passes its own
+    ``gap_box_around``, called on the restricted box.  The probe unpacks
+    its box into locals once and writes every answer straight in the
+    probe's axes, λ on the axes an index does not mention.  It returns
+    the first answer, in index order, or ``None`` — ``container`` — or,
+    with ``collect``, the list of every index's answer — ``containing``.
+    """
+    lines: List[str] = []
+
+    def w(ind: int, text: str) -> None:
+        lines.append("    " * ind + text)
+
+    def hit(ind: int, answer: str) -> None:
+        w(ind, f"out.append({answer})" if collect else f"return {answer}")
+
+    def lifted(values) -> str:
+        comps = [str(PLAMBDA)] * ndim
+        for axis, value in values:
+            comps[axis] = value
+        return _tuple_expr(comps)
+
+    w(0, f"def kernel({', '.join(f't{k}' for k in range(len(specs)))}):")
+    for k, (kind, axes, _depth) in enumerate(specs):
+        if kind == "btree":
+            w(1, f"keys{k} = t{k}.keys")
+            if len(axes) > 1:
+                w(1, f"kids{k} = t{k}.children")
+    w(1, "def probe(box):")
+    w(2, f"{_tuple_expr([f'b{a}' for a in range(ndim)])} = box")
+    if collect:
+        w(2, "out = []")
+    for k, (kind, axes, depth) in enumerate(specs):
+        if kind == "btree":
+            _emit_btree_walk(w, hit, lifted, k, axes, depth)
+        else:
+            w(2, f"found = t{k}({_tuple_expr([f'b{a}' for a in axes])})")
+            w(2, "if found is not None:")
+            hit(3, lifted((a, f"found[{j}]") for j, a in enumerate(axes)))
+    w(2, "return out" if collect else "return None")
+    w(1, "return probe")
+    return "\n".join(lines) + "\n"
+
+
+def _emit_btree_walk(w, hit, lifted, k, axes, depth) -> None:
+    """One B-tree index's gap-box walk, one ``bisect_left`` per level.
+
+    A level reads its probe component ``b``, which spans ``[lo, lo +
+    2^s)``, and finds the first key at or past ``lo``.  No key inside:
+    the component lies in the gap between the keys around it, and the
+    answer is the probe's (unit) components above this level, the
+    maximal dyadic piece of the gap around the component, λ below.  A
+    key inside a thick component: no gap box of this index contains the
+    box.  A key equal to a unit component: descend to its child.
+
+    The piece is ``b``'s widest ancestor holding neither neighbouring
+    key.  The ancestor of span ``2^j`` holds a value ``v`` iff ``lo >> j
+    == v >> j``, i.e. iff ``j >= (lo ^ v).bit_length()``; with ``m`` the
+    smaller of the two bit lengths (``depth + 1`` for a missing key) the
+    piece spans ``2^(m - 1)``: packed, ``(b << s) >> (m - 1)``.  The
+    tests check it against the parent-by-parent growth loop
+    (``tests/helpers.py::pmaximal_piece``).
+    """
+    unit = 1 << depth
+    ind = 2
+    for level, axis in enumerate(axes):
+        b = f"b{axis}"
+        w(ind, f"keys = {'node.keys' if level else f'keys{k}'}")
+        w(ind, f"s = {depth + 1} - {b}.bit_length()")
+        w(ind, f"lo = ({b} << s) ^ {unit}")
+        w(ind, "i = bisect_left(keys, lo)")
+        w(ind, "n = len(keys)")
+        w(ind, "if i == n or keys[i] >= lo + (1 << s):")
+        w(ind + 1, (
+            f"m = (lo ^ keys[i - 1]).bit_length() if i else {depth + 1}"
+        ))
+        w(ind + 1, "if i < n and (lo ^ keys[i]).bit_length() < m:")
+        w(ind + 2, "m = (lo ^ keys[i]).bit_length()")
+        w(ind + 1, f"piece = ({b} << s) >> (m - 1)")
+        above = [(a, f"b{a}") for a in axes[:level]]
+        hit(ind + 1, lifted(above + [(axis, "piece")]))
+        if level == len(axes) - 1:
+            break
+        w(ind, "elif not s:")
+        ind += 1
+        w(ind, f"node = {'node.children' if level else f'kids{k}'}[i]")
+
+
+def probe_kernel(
+    specs: Tuple[Tuple[str, Tuple[int, ...], int], ...],
+    ndim: int,
+    collect: bool,
+) -> Callable:
+    """The compiled probe factory for one oracle shape (see
+    :func:`_probe_source`); call it with each index's trie root or
+    ``gap_box_around`` to get the probe."""
+    key = (specs, ndim, collect)
+
+    def build() -> Callable:
+        return _compile(
+            _probe_source(specs, ndim, collect),
+            {"bisect_left": bisect_left},
+        )
+
+    return _PROBE_CACHE.lookup(key, build)

@@ -24,13 +24,20 @@ per attribute of ``attr_order`` (:class:`~repro.indexes.gaps.GapColumns`)
 from them; :mod:`repro.indexes.oracle` keeps the index itself on the
 relation's sorted view for σ.  Lifting a box into a query's output space
 is the per-query part and happens in the oracle, not here.
+
+The lazy probe, :attr:`BTreeIndex.gap_box_around`, is not written here:
+it is the B-tree walk :func:`repro.engine.codegen.probe_kernel` emits
+(one ``bisect_left`` per level, unrolled for the index's arity and
+depth) bound to this trie.  The oracle inlines the same emitted walk
+for every B-tree it holds.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA
@@ -38,7 +45,6 @@ from repro.indexes.gaps import (
     GAP_TYPECODE,
     GapColumns,
     pdyadic_gaps_sorted,
-    pmaximal_piece,
 )
 from repro.relational.relation import Relation
 
@@ -160,39 +166,28 @@ class BTreeIndex(GapColumns):
                 )
         return cols
 
-    def gap_box_around(self, comps: PackedBox) -> Optional[PackedBox]:
-        """The maximal dyadic gap box around the box ``comps``, lazily.
+    @cached_property
+    def gap_box_around(self) -> Callable[[PackedBox], Optional[PackedBox]]:
+        """The maximal dyadic gap box around a box ``comps``, lazily.
 
-        ``comps`` gives packed components in ``attr_order``.  Returns
-        ``None`` when no gap box of this index contains all of it: a
-        unit box that is a tuple of the relation, or a box with a thick
-        component that straddles a stored key — every gap box is unit
-        before its gap interval, so nothing deeper can contain it.  For
-        a σ-consistent index there is exactly one maximal gap box around
-        a non-tuple point (Appendix B.3); the walk returns the dyadic
-        piece of it around ``comps`` in O(arity · (log N + d)) — one
-        ``bisect`` per level — without materializing anything.
+        ``comps`` gives packed components in ``attr_order``.  The probe
+        returns ``None`` when no gap box of this index contains all of
+        it: a unit box that is a tuple of the relation, or a box with a
+        thick component that straddles a stored key — every gap box is
+        unit before its gap interval, so nothing deeper can contain it.
+        For a σ-consistent index there is exactly one maximal gap box
+        around a non-tuple point (Appendix B.3); the walk returns the
+        dyadic piece of it around ``comps`` in O(arity · (log N + d)) —
+        one ``bisect`` per level — without materializing anything.
+
+        The walk is generated (:func:`repro.engine.codegen.probe_kernel`,
+        unrolled for ``(arity, depth)``) and bound to this trie on first
+        use; :class:`~repro.indexes.oracle.QueryGapOracle` inlines the
+        same walk in its own probe instead of calling it.
         """
-        depth = self.depth
-        unit = 1 << depth
-        node = self._root
-        for level, p in enumerate(comps):
-            keys = node.keys
-            shift = depth + 1 - p.bit_length()
-            lo = (p << shift) ^ unit
-            i = bisect_left(keys, lo)
-            if i == len(keys) or keys[i] >= lo + (1 << shift):
-                # No key inside the component: it lies in the gap
-                # before keys[i].
-                piece = pmaximal_piece(
-                    p,
-                    keys[i - 1] + 1 if i else 0,
-                    keys[i] - 1 if i < len(keys) else unit - 1,
-                    depth,
-                )
-                tail = (PLAMBDA,) * (len(comps) - level - 1)
-                return comps[:level] + (piece,) + tail
-            if shift:
-                return None
-            node = node.children[i]
-        return None
+        # Imported here: ``repro.engine``'s package imports the joins,
+        # which import the indexes.
+        from repro.engine.codegen import probe_kernel
+
+        spec = ("btree", tuple(range(self.arity)), self.depth)
+        return probe_kernel((spec,), self.arity, False)(self._root)

@@ -139,34 +139,3 @@ def pdyadic_gaps_sorted(values: Sequence[int], depth: int) -> List[Packed]:
     for lo, hi in complement_ranges(values, depth):
         pieces.extend(dy.pdecompose_range(lo, hi, depth))
     return pieces
-
-
-def pmaximal_piece(p: Packed, lo: int, hi: int, depth: int) -> Packed:
-    """The maximal dyadic interval around ``p`` inside the gap ``[lo, hi]``.
-
-    ``p`` is a packed interval lying inside the inclusive value range
-    ``[lo, hi]`` (the gap between two stored neighbours).  The canonical
-    decomposition's pieces are exactly the maximal dyadic intervals
-    inside the gap, so the piece containing ``p`` is found directly:
-    grow ``p`` parent by parent while it still fits between the
-    neighbouring stored values — O(piece length) int steps, no
-    materialized decomposition.
-    """
-    shift = depth + 1 - p.bit_length()
-    size = 1 << shift
-    plo = (p << shift) ^ (1 << depth)
-    phi = plo + size - 1
-    while p > 1:
-        if p & 1:
-            nlo = plo - size
-            nhi = phi
-        else:
-            nlo = plo
-            nhi = phi + size
-        if nlo < lo or nhi > hi:
-            break
-        p >>= 1
-        plo = nlo
-        phi = nhi
-        size <<= 1
-    return p

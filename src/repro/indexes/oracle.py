@@ -20,6 +20,16 @@ the query's output space with λ wildcards on the missing attributes
   ``TetrisEngine.run(preload=True)`` loads them (``boxes()`` is that
   stream in space order, de-duplicated and kept as a list).
 
+``container`` and ``containing`` are **generated**
+(:func:`repro.engine.codegen.probe_kernel`), once per oracle shape —
+each index's kind and output axes, ``ndim``, ``depth`` — and kept in
+the ``probe`` kernel family.  The probe unpacks the box into locals,
+walks every B-tree index inline (one ``bisect_left`` per level, the
+answer written straight in the oracle's axes), and calls a dyadic or
+kd index's own ``gap_box_around`` on the restricted box, lifting its
+answer inline.  Indexes are asked in list order, so "the first index
+that answers" is fixed by the order the ``build_*`` function returns.
+
 Everything is **packed** end to end: the indexes emit packed gap boxes,
 lifting pads with the packed λ (``1``), and the indexes walk the packed
 probe components as they come.
@@ -33,14 +43,15 @@ each index keeps its gap boxes as flat columns once extracted
 (:class:`~repro.indexes.gaps.GapColumns`).  A repeated execution over
 the same :class:`Database` builds no index and decomposes no gap.  The
 only per-query work left here is the **lift**: which output axis each
-index column lands on, with λ everywhere else.
+index column lands on, with λ everywhere else — and, for a probe, binding
+the shape's compiled probe to the indexes.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, permutations, repeat
-from operator import itemgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA
@@ -49,18 +60,6 @@ from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import Database, JoinQuery
 from repro.relational.relation import Relation
-
-#: The one-component tail appended to an index box before lifting.
-_LAMBDA = (PLAMBDA,)
-
-
-def _tuple_getter(positions: Sequence[int]):
-    """``t -> tuple(t[i] for i in positions)`` as one C-level call."""
-    if len(positions) == 1:
-        # itemgetter with one index returns the bare item; slice instead.
-        (i,) = positions
-        return itemgetter(slice(i, i + 1))
-    return itemgetter(*positions)
 
 
 class QueryGapOracle:
@@ -80,25 +79,18 @@ class QueryGapOracle:
         if not self.indexes:
             raise ValueError("at least one index is required")
         self._materialized: Optional[List[PackedBox]] = None
-        # Per index, computed once: its ``gap_box_around`` probe,
-        # ``restrict`` reading a probe box's components on the index's
-        # attributes, and ``lift`` scattering an index box (with one λ
-        # appended) into the output space — every axis the index does
-        # not mention reads the appended λ.
+        # Per index, computed once: how the generated probe treats it
+        # (walked inline or called) and the output axis of each of its
+        # attributes — every other axis of an answer is λ.
         axis_of = {a: i for i, a in enumerate(self.attrs)}
-        self._probes: List[tuple] = []
-        for idx in self.indexes:
-            axes = [axis_of[a] for a in self._index_attr_order(idx)]
-            template = [len(axes)] * len(self.attrs)
-            for pos, axis in enumerate(axes):
-                template[axis] = pos
-            self._probes.append(
-                (
-                    idx.gap_box_around,
-                    _tuple_getter(axes),
-                    _tuple_getter(template),
-                )
+        self._specs = tuple(
+            (
+                "btree" if type(idx) is BTreeIndex else "call",
+                tuple(axis_of[a] for a in self._index_attr_order(idx)),
+                idx.depth,
             )
+            for idx in self.indexes
+        )
 
     @staticmethod
     def _index_attr_order(index: object) -> Tuple[str, ...]:
@@ -108,29 +100,37 @@ class QueryGapOracle:
     def ndim(self) -> int:
         return len(self.attrs)
 
-    def containing(self, unit_box: PackedBox) -> List[PackedBox]:
-        """All gap boxes containing the probe point, straight off the
-        indexes: each index's one gap box around it (Algorithm 2,
-        line 4)."""
-        out: List[PackedBox] = []
-        for around, restrict, lift in self._probes:
-            box = around(restrict(unit_box))
-            if box is not None:
-                out.append(lift(box + _LAMBDA))
-        return out
+    def _probe(self, collect: bool):
+        """The generated probe over this oracle's indexes."""
+        # Imported here: ``repro.engine``'s package imports the joins,
+        # which import the indexes.
+        from repro.engine.codegen import probe_kernel
 
-    def container(self, box: PackedBox) -> Optional[PackedBox]:
-        """A gap box of B(Q) containing all of ``box``, else ``None``.
+        make = probe_kernel(self._specs, self.ndim, collect)
+        return make(*[
+            idx._root if kind == "btree" else idx.gap_box_around
+            for (kind, _axes, _depth), idx in zip(self._specs, self.indexes)
+        ])
 
-        Restrict ``box`` to each index's attributes, take the first
-        index whose walk answers, lift its gap box.  Every box returned
-        is one ``containing`` would return for a point of ``box``.
+    @cached_property
+    def containing(self) -> Callable[[PackedBox], List[PackedBox]]:
+        """All gap boxes containing a probe point, straight off the
+        indexes: each index's one gap box around it, in index order
+        (Algorithm 2, line 4)."""
+        return self._probe(True)
+
+    @cached_property
+    def container(self) -> Callable[[PackedBox], Optional[PackedBox]]:
+        """A gap box of B(Q) containing all of a box, else ``None``.
+
+        The first index, in index order, whose walk answers gives the
+        box, lifted; every box returned is one ``containing`` would
+        return for a point of the probe box.  Generated on first use
+        (:func:`repro.engine.codegen.probe_kernel`) for the oracle's
+        shape — each index's kind and output axes, ``ndim``, ``depth``
+        — with every B-tree walk inlined.
         """
-        for around, restrict, lift in self._probes:
-            found = around(restrict(box))
-            if found is not None:
-                return lift(found + _LAMBDA)
-        return None
+        return self._probe(False)
 
     def ordered_boxes(self, axes: Sequence[int]) -> Iterable[PackedBox]:
         """Every index's gap boxes lifted into the output space, in one pass.

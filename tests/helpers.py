@@ -5,10 +5,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Sequence, Tuple
 from unittest import mock
 
 from repro.core.boxes import PackedBox
+from repro.core.intervals import PLAMBDA
 
 
 def interval_range(p: int, depth: int) -> range:
@@ -62,6 +64,64 @@ def random_boxes(
 ) -> List[PackedBox]:
     rng = random.Random(seed)
     return [random_box(rng, ndim, depth) for _ in range(count)]
+
+
+def pmaximal_piece(p: int, lo: int, hi: int, depth: int) -> int:
+    """The maximal dyadic interval around ``p`` inside the gap ``[lo, hi]``.
+
+    ``p`` is a packed interval lying inside the inclusive value range
+    ``[lo, hi]`` (the gap between two stored neighbours).  The canonical
+    decomposition's pieces are exactly the maximal dyadic intervals
+    inside the gap, so the piece containing ``p`` is found directly:
+    grow ``p`` parent by parent while it still fits between the
+    neighbouring stored values — O(piece length) int steps, no
+    materialized decomposition.  The generated B-tree walk computes it
+    in closed form; this loop is its reference.
+    """
+    shift = depth + 1 - p.bit_length()
+    size = 1 << shift
+    plo = (p << shift) ^ (1 << depth)
+    phi = plo + size - 1
+    while p > 1:
+        if p & 1:
+            nlo = plo - size
+            nhi = phi
+        else:
+            nlo = plo
+            nhi = phi + size
+        if nlo < lo or nhi > hi:
+            break
+        p >>= 1
+        plo = nlo
+        phi = nhi
+        size <<= 1
+    return p
+
+
+def reference_gap_box_around(index, comps):
+    """``BTreeIndex.gap_box_around`` as the loop over the trie's levels
+    it was before the walk was generated: the walk's reference."""
+    depth = index.depth
+    unit = 1 << depth
+    node = index._root
+    for level, p in enumerate(comps):
+        keys = node.keys
+        shift = depth + 1 - p.bit_length()
+        lo = (p << shift) ^ unit
+        i = bisect_left(keys, lo)
+        if i == len(keys) or keys[i] >= lo + (1 << shift):
+            piece = pmaximal_piece(
+                p,
+                keys[i - 1] + 1 if i else 0,
+                keys[i] - 1 if i < len(keys) else unit - 1,
+                depth,
+            )
+            tail = (PLAMBDA,) * (len(comps) - level - 1)
+            return comps[:level] + (piece,) + tail
+        if shift:
+            return None
+        node = node.children[i]
+    return None
 
 
 def check_container_answer(found, probe, boxes) -> None:

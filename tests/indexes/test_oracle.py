@@ -1,20 +1,29 @@
 """QueryGapOracle against a spelled-out lift of its indexes' boxes.
 
-The oracle restricts probe boxes and lifts index boxes through
-per-index getters computed once; the boxes it returns, and their
-order, must be what the obvious per-box loop produces.
+The oracle's probes (``container`` / ``containing``) are generated; the
+hand-written loop they replaced stays here as the reference
+(``ReferenceOracle``, over ``tests.helpers.reference_gap_box_around``):
+the same answers, in the same index order.
 """
 
 import random
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.boxes import box_contains
 from repro.core.intervals import PLAMBDA
+from repro.indexes import (
+    BTreeIndex,
+    QueryGapOracle,
+    build_all_order_btrees,
+)
 from repro.joins.tetris_join import make_oracle
 from repro.relational.query import JoinQuery
 from repro.relational.schema import RelationSchema
 from repro.workloads.generators import db_from_tuples, split_path_instance
+from tests.helpers import reference_gap_box_around
 
 DEPTH = 4
 
@@ -114,3 +123,114 @@ def test_container_hit_returns_the_gap_box_and_miss_returns_none():
     upper_b = tuple(3 if a == "A1" else PLAMBDA for a in oracle.attrs)
     assert oracle.container(universe) is None
     assert oracle.container(upper_b) == upper_b
+
+
+# -- the reference: the hand-written loops the probes replaced -----------------
+
+
+def _tuple_getter(positions):
+    """``t -> tuple(t[i] for i in positions)``."""
+    if len(positions) == 1:
+        (i,) = positions
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*positions)
+
+
+class ReferenceOracle:
+    """``container`` / ``containing`` as loops over per-index getters:
+    restrict the probe to the index's attributes, ask the index, lift
+    its answer with λ appended for the axes it does not mention."""
+
+    def __init__(self, oracle):
+        axis_of = {a: i for i, a in enumerate(oracle.attrs)}
+        self._probes = []
+        for idx in oracle.indexes:
+            axes = [axis_of[a] for a in idx.attr_order]
+            template = [len(axes)] * len(oracle.attrs)
+            for pos, axis in enumerate(axes):
+                template[axis] = pos
+            around = (
+                (lambda comps, idx=idx: reference_gap_box_around(idx, comps))
+                if type(idx) is BTreeIndex else idx.gap_box_around
+            )
+            self._probes.append(
+                (around, _tuple_getter(axes), _tuple_getter(template))
+            )
+
+    def containing(self, unit_box):
+        out = []
+        for around, restrict, lift in self._probes:
+            box = around(restrict(unit_box))
+            if box is not None:
+                out.append(lift(box + (PLAMBDA,)))
+        return out
+
+    def container(self, box):
+        for around, restrict, lift in self._probes:
+            found = around(restrict(box))
+            if found is not None:
+                return lift(found + (PLAMBDA,))
+        return None
+
+
+@st.composite
+def oracle_and_probes(draw):
+    """An oracle over one to three relations of arity 1–3 (empty,
+    single-row and the domain's end values included) at depth 0–6,
+    indexed by one kind or by every B-tree order, and probe boxes:
+    the universe, unit boxes and boxes with λ tails."""
+    depth = draw(st.integers(0, 6))
+    top = (1 << depth) - 1
+    names = "ABCD"
+    atoms = []
+    for r in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(1, 3))
+        attrs = draw(st.permutations(names))[:arity]
+        atoms.append(RelationSchema(f"R{r}", tuple(attrs)))
+    query = JoinQuery(atoms)
+    value = st.one_of(st.integers(0, top), st.sampled_from([0, top]))
+    rows = {
+        atom.name: sorted(draw(st.one_of(
+            st.sets(st.tuples(*[value] * len(atom.attrs)), max_size=10),
+            st.sets(st.tuples(*[value] * len(atom.attrs)), max_size=1),
+        )))
+        for atom in atoms
+    }
+    db = db_from_tuples(query, rows, depth)
+    kind = draw(st.sampled_from(["btree", "dyadic", "kdtree", "all-orders"]))
+    if kind == "all-orders":
+        indexes = build_all_order_btrees(query, db)
+    else:
+        gao = tuple(draw(st.permutations(query.variables)))
+        indexes = make_oracle(query, db, index_kind=kind, gao=gao)[0].indexes
+    ndim = len(query.variables)
+    unit = st.integers(1 << depth, (2 << depth) - 1)
+    component = st.integers(0, depth).flatmap(
+        lambda length: st.integers(1 << length, (2 << length) - 1)
+    )
+    tailed = st.tuples(st.integers(0, ndim), st.tuples(*[unit] * ndim)).map(
+        lambda cut_box: cut_box[1][:cut_box[0]]
+        + (PLAMBDA,) * (ndim - cut_box[0])
+    )
+    probes = draw(st.lists(
+        st.one_of(st.tuples(*[component] * ndim), st.tuples(*[unit] * ndim),
+                  tailed),
+        min_size=1, max_size=12,
+    ))
+    return QueryGapOracle(query, indexes), [(PLAMBDA,) * ndim] + probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_and_probes())
+def test_generated_probes_match_the_reference_loops(case):
+    """The generated ``container`` and ``containing`` give the reference
+    loops' answers, box for box (``gap_box_around`` against its own
+    reference: ``test_gap_box_around_against_the_materialised_gap_boxes``)."""
+    oracle, probes = case
+    reference = ReferenceOracle(oracle)
+    unit = 1 << oracle.indexes[0].depth
+    for box in probes:
+        assert oracle.container(box) == reference.container(box)
+        point = tuple(p << (unit.bit_length() - p.bit_length()) for p in box)
+        assert oracle.containing(point) == reference.containing(point)
+        assert oracle.containing(box) == reference.containing(box)

@@ -558,3 +558,61 @@ def test_hash_in_query_order_is_sorted_and_compiled_once():
             result = execute(query, db, algorithm="hash", gao=query.variables)
         assert result.tuples == expected
         assert "sort" not in {s.name for s in tracer.spans}, query
+
+
+def test_reloaded_probes_are_generated():
+    """Tetris-Reloaded's oracle probe is one generated function per
+    oracle shape, with every B-tree walk inlined: ``BTreeIndex`` holds
+    no hand-written walk, ``gaps`` no gap-growth loop and the oracle no
+    per-index probe loop.  The
+    probes live in the ``probe`` kernel family: a second Reloaded
+    ``execute()`` of a shape compiles nothing, a new depth compiles
+    one probe, and ``clear_kernel_caches()`` empties the family."""
+    import os
+    import subprocess
+    from functools import cached_property
+
+    import repro.indexes.gaps
+    import repro.indexes.oracle
+    from repro.engine.codegen import clear_kernel_caches, kernel_cache_info
+    from repro.indexes import BTreeIndex
+    from repro.workloads import split_path_instance
+
+    assert isinstance(vars(BTreeIndex)["gap_box_around"], cached_property)
+    btree = ast.parse(inspect.getsource(BTreeIndex))
+    assert "bisect_left" not in {
+        n.id for n in ast.walk(btree) if isinstance(n, ast.Name)
+    }
+    for name in ("_probes", "_tuple_getter", "_LAMBDA"):
+        assert not hasattr(repro.indexes.oracle, name), name
+        assert name not in inspect.getsource(repro.indexes.oracle), name
+    assert not hasattr(repro.indexes.gaps, "pmaximal_piece")
+
+    def probe_misses():
+        return kernel_cache_info()["probe"]["misses"]
+
+    clear_kernel_caches()
+    for depth in (10, 12):
+        query, db, gao = split_path_instance(50, depth=depth, seed=1)
+        before = probe_misses()
+        first = execute(query, db, algorithm="tetris-reloaded", gao=gao)
+        assert probe_misses() == before + 1
+        again = execute(query, db, algorithm="tetris-reloaded", gao=gao)
+        assert probe_misses() == before + 1
+        assert again.tuples == first.tuples
+    index = BTreeIndex(db["R0"], ("A1", "A0"))
+    assert index.gap_box_around((1, 1)) is None
+    assert index.gap_box_around.__code__.co_filename == "<repro-kernel>"
+    assert kernel_cache_info()["probe"]["entries"] == 3
+    clear_kernel_caches()
+    assert kernel_cache_info()["probe"]["entries"] == 0
+
+    # The indexes import the generator lazily: no import cycle, in
+    # whichever order a fresh interpreter meets them.
+    src = str(ROOT / "src")
+    for code in ("import repro.indexes", "import repro.indexes.oracle",
+                 "import repro.engine.codegen"):
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
+        )
