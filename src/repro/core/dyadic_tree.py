@@ -44,10 +44,11 @@ The store is probes plus writers and holds no traversal state.  The
 Tetris resume loop freezes box components left to right and probes from
 its *frontier*: per frozen level ``j``, the tree nodes reachable through
 prefixes of the first ``j`` components, so a probe walks only the levels
-at and past the cursor.  The loop (interpreted and generated alike)
-keeps that frontier in locals, with three functions at the end of this
-module: :func:`frontier_children` builds a level, :func:`frontier_note_add`
-registers a stored box, :func:`frontier_probe` answers a probe.
+at and past the cursor.  The generated loop keeps that frontier in
+locals, with three functions at the end of this module:
+:func:`frontier_children` builds a level, :func:`frontier_note_add`
+registers a stored box, :func:`frontier_probe` answers a probe (the
+kernel inlines it; it is its reference, and the walk of wide boxes).
 """
 
 from __future__ import annotations

@@ -239,7 +239,8 @@ class ResolutionStats:
 
 
 class Resolver:
-    """Instrumented resolution engine shared by all Tetris variants."""
+    """The resolution rule with its :class:`ResolutionStats` record (the
+    engine inlines both)."""
 
     def __init__(self, stats: Optional[ResolutionStats] = None):
         self.stats = stats if stats is not None else ResolutionStats()

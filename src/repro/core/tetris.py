@@ -27,19 +27,19 @@ input oracle into ``A``.  Two traversal **modes** implement that loop:
   box splits.  Every box ``container(b)`` returns is one
   ``containing`` would return for a point of ``b``, so the loaded set
   is a subset of Algorithm 2's and Theorem 4.7's accounting carries
-  over.  It runs as the generated kernel of
-  :func:`repro.engine.codegen.tetris_kernel` where that covers the
-  engine's shape and as the interpreted
-  :meth:`TetrisEngine._run_resuming` — the same traversal, the
-  reference the kernel is pinned to — everywhere else.
+  over.  It has one implementation, the kernel
+  :func:`repro.engine.codegen.tetris_kernel` generates per engine
+  shape — every store, the load-balanced specs of Section 4.5,
+  ``return_boxes`` output and the proof log included; the interpreted
+  loop it is pinned to lives in the tests.
 * ``mode="faithful"`` — Algorithms 1 and 2 as printed:
   :meth:`TetrisEngine.skeleton` answers one Boolean box-cover question
   and the outer loop restarts it from the universe after every
   uncovered point.  It is the paper-parity reference (and what
   Theorem D.2's one-pass refinement is measured against in
-  ``benchmarks/paper.py::ablation_one_pass``): plain probes, the resolver's own
-  ``resolve``, every resolvent cached — nothing tuned, a full
-  root-to-leaf re-descent per output.
+  ``benchmarks/paper.py::ablation_one_pass``): plain probes, the
+  resolution rule as written, every resolvent cached — nothing tuned,
+  a full root-to-leaf re-descent per output.
 
 Both modes emit the same output set; the parity matrix in
 ``tests/core/test_tetris_modes.py`` proves it over random instances.
@@ -81,16 +81,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
 from repro.core.boxes import PackedBox, box_contains, check_packed
-from repro.core.dyadic_tree import (
-    MultilevelDyadicTree,
-    frontier_children,
-    frontier_note_add,
-    frontier_probe,
-)
+from repro.core.dyadic_tree import MultilevelDyadicTree
 from repro.core.resolution import (
     ResolutionStats,
-    Resolver,
     is_ordered_pair,
+    resolve_on_axis,
 )
 
 Point = Tuple[int, ...]
@@ -225,6 +220,11 @@ class TetrisEngine:
     translated back at the API boundary (an identity SAO skips the
     translation entirely).  All engine-level box arguments and results
     (``skeleton``, ``add_box``, ``return_boxes`` outputs) are **packed**.
+
+    ``proof`` is the opt-in proof log: ``None`` (the default) records
+    nothing; set it to a :class:`~repro.core.trace.ResolutionProof` and
+    every resolution of every later run — either mode — appends its
+    :class:`~repro.core.trace.ProofStep` to it, boxes in SAO order.
     """
 
     def __init__(
@@ -265,7 +265,7 @@ class TetrisEngine:
             if knowledge_base is not None
             else MultilevelDyadicTree(ndim)
         )
-        self._resolver = Resolver(self.stats)
+        self.proof = None
         self._universe: PackedBox = (dy.PLAMBDA,) * ndim
         self._unit_marker = 1 << depth
         self._return_boxes = False
@@ -349,7 +349,12 @@ class TetrisEngine:
         unit = self._unit_marker
         cache = self.cache_resolvents
         kb_add = kb.add
-        resolve = self._resolver.resolve
+        record = stats.record
+        log = None
+        if self.proof is not None:
+            from repro.core.trace import ProofStep
+
+            log = self.proof.steps.append
         uniform = self.dims is None
         n = self.ndim
         stats.skeleton_calls += 1
@@ -413,7 +418,11 @@ class TetrisEngine:
                 cursor = child_cursor
                 continue
             # Both halves covered but neither witness covers b: resolve.
-            resolvent = resolve(w1, witness, axis)
+            ordered = is_ordered_pair(w1, witness, axis)
+            record(axis, ordered)
+            resolvent = resolve_on_axis(w1, witness, axis)
+            if log is not None:
+                log(ProofStep(w1, witness, axis, resolvent, ordered))
             if cache:
                 kb_add(resolvent)
             stack.pop()
@@ -448,12 +457,15 @@ class TetrisEngine:
         ``mode`` selects the traversal: ``"resume"`` (default) is the
         one-pass frontier-resuming skeleton, ``"faithful"`` the
         restart-per-output Algorithm 2 kept as the paper-parity
-        reference.  Resume runs as the generated kernel when
-        :func:`repro.engine.codegen.tetris_kernel` covers this engine's
-        shape and as the interpreted :meth:`_run_resuming` otherwise;
-        nothing but the shape chooses between the two.  Either keeps
-        its traversal frontier in locals: the knowledge base is only
-        probed and written, and holds no state of the run.
+        reference.  Resume always runs as the kernel
+        :func:`repro.engine.codegen.tetris_kernel` generates for this
+        engine's shape — store, dimension specs, output form and proof
+        log included.  It keeps its traversal frontier in locals: the
+        knowledge base is only probed and written, and holds no state
+        of the run.
+
+        ``max_outputs`` caps the outputs: ``0`` returns ``[]`` after the
+        preload, a negative cap raises ``ValueError``.
 
         ``return_boxes=True`` yields each output as a full packed unit
         box (space order) rather than a tuple of values — required for
@@ -461,28 +473,26 @@ class TetrisEngine:
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if max_outputs is not None and max_outputs < 0:
+            raise ValueError(
+                f"max_outputs must be non-negative, got {max_outputs}"
+            )
         if oracle is not None and preload:
             self.stats.boxes_loaded += self.knowledge_base.add_many(
                 oracle.ordered_boxes(self.sao)
             )
         self._return_boxes = return_boxes
+        if max_outputs == 0:
+            return []
         if mode == "faithful":
             return self._run_restarting(oracle, max_outputs)
-        on_demand = oracle is not None and not preload
-        # The per-configuration kernel (mode flags and ndim/depth/SAO
-        # folded to literals, the dyadic tree's probe walk inlined) where
-        # the shape is supported; the interpreted loop below is the same
-        # traversal for every other store and configuration.
         from repro.engine.codegen import tetris_kernel
 
         kernel = tetris_kernel(
-            self, oracle, on_demand, capped=max_outputs is not None
+            self, oracle, oracle is not None and not preload,
+            capped=max_outputs is not None,
         )
-        if kernel is not None:
-            return kernel(self, oracle, max_outputs)
-        # Preloaded runs hold every input gap box in A, so an uncovered
-        # leaf is an output by construction: no oracle.
-        return self._run_resuming(oracle if on_demand else None, max_outputs)
+        return kernel(self, oracle, max_outputs)
 
     def _emit(self, unit_internal: PackedBox):
         """Convert an internal unit box to the configured output form."""
@@ -511,16 +521,6 @@ class TetrisEngine:
         to_internal = self.to_internal
         return [to_internal(b) for b in oracle.containing(external)]
 
-    def _oracle_container(
-        self, oracle: BoxSetOracle, box_internal: PackedBox
-    ) -> Optional[PackedBox]:
-        """Probe the oracle with an internal (SAO-order) box."""
-        self.stats.oracle_queries += 1
-        if self._sao_identity:
-            return oracle.container(box_internal)
-        found = oracle.container(self.to_external(box_internal))
-        return None if found is None else self.to_internal(found)
-
     def _run_restarting(
         self, oracle: Optional[BoxSetOracle], max_outputs: Optional[int]
     ) -> List[Point]:
@@ -541,189 +541,6 @@ class TetrisEngine:
                     self.stats.boxes_loaded += 1
             covered, witness = self.skeleton(universe)
         return outputs
-
-    def _run_resuming(
-        self, oracle: Optional[BoxSetOracle], max_outputs: Optional[int]
-    ) -> List[Point]:
-        """The frontier-resuming skeleton (the default outer loop),
-        interpreted: the reference the generated kernel is pinned to and
-        the path for every shape :func:`tetris_kernel` declines.
-
-        Structurally a one-pass traversal, but every point where the
-        knowledge base is amended is a *resume point*: the stack is left
-        in place, the gap or output box is patched in, and the traversal
-        continues with that box as the witness.
-
-        ``oracle`` is the on-demand (Reloaded) source, ``None`` when the
-        knowledge base already holds every input gap box (or there are
-        none).  After a knowledge-base miss on the traversal box ``b``
-        it is asked ``container(b)`` once: a hit is stored and answers
-        ``b`` without descending; a miss on a unit box makes ``b`` an
-        output; a miss on a thick box splits.
-
-        On the dyadic tree over a uniform space the loop probes from a
-        traversal frontier it keeps in locals, as the kernel does:
-        levels built with :func:`~repro.core.dyadic_tree.frontier_children`,
-        every store it makes noted with
-        :func:`~repro.core.dyadic_tree.frontier_note_add`, and probes
-        answered by :func:`~repro.core.dyadic_tree.frontier_probe` in
-        the kernel's walk order.  Any other store is probed with its
-        own ``find_container``.
-        """
-        kb = self.knowledge_base
-        find_container = kb.find_container
-        kb_add = kb.add
-        stats = self.stats
-        unit = self._unit_marker
-        cache = self.cache_resolvents
-        resolver = self._resolver
-        # Plain Resolver has no proof-recording side channel, so the
-        # resolution rule can run inline; a TracingResolver (or any
-        # subclass) keeps the full call path.
-        fast_resolve = type(resolver) is Resolver
-        record = self.stats.record
-        uniform = self.dims is None
-        n = self.ndim
-        last = n - 1
-        outputs: List[Point] = []
-        stats.skeleton_calls += 1
-        # The traversal frontier: ``frozen`` holds the leading components
-        # of the last probed box below its probe level, ``levels[j]`` the
-        # tree nodes reachable through prefixes of ``frozen[:j]`` and
-        # ``level_ids[j]`` their ids (None until a store needs them).
-        frontier = uniform and isinstance(kb, MultilevelDyadicTree)
-        if frontier:
-            root = kb._root
-            frozen: list = []
-            levels: list = [[root]]
-            level_ids: list = [None]
-        # Stores this run has made: a frame's count at its split tells
-        # whether its second half may pin the split axis.
-        version = 0
-
-        stack: list = []
-        current: Optional[PackedBox] = self._universe
-        cursor = self._initial_cursor(current) if uniform else 0
-        # Split axis of the parent when ``current`` is a half whose parent
-        # just missed with nothing stored since — collapses that level of
-        # the frontier's probe to one exact lookup.
-        pinned: Optional[int] = None
-        witness: PackedBox = self._universe
-
-        while True:
-            if current is not None:
-                b = current
-                current = None
-                stats.containment_queries += 1
-                if frontier:
-                    # Unfreeze where b leaves the frozen prefix, then
-                    # freeze b's components below its probe level.
-                    target = cursor if cursor < last else last
-                    depth = len(frozen)
-                    lim = depth if depth < target else target
-                    j = 0
-                    while j < lim and frozen[j] == b[j]:
-                        j += 1
-                    if j < depth:
-                        del frozen[j:], levels[j + 1:], level_ids[j + 1:]
-                    while j < target:
-                        levels.append(frontier_children(levels[j], b[j]))
-                        frozen.append(b[j])
-                        level_ids.append(None)
-                        j += 1
-                    witness = frontier_probe(levels[target], b, target, pinned)
-                else:
-                    witness = find_container(b)
-                if witness is not None:
-                    stats.cache_hits += 1
-                    continue
-                if oracle is not None:
-                    witness = self._oracle_container(oracle, b)
-                    if witness is not None:
-                        # Resume point: a gap box around all of b.
-                        if kb_add(witness):
-                            stats.boxes_loaded += 1
-                            version += 1
-                            if frontier:
-                                frontier_note_add(
-                                    root, frozen, levels, level_ids, witness
-                                )
-                        stats.resumes += 1
-                        stats.witness_depth_sum += (
-                            sum(p.bit_length() for p in witness) - n
-                        )
-                        continue
-                if (cursor == n) if uniform else self._is_unit_box(b):
-                    # Resume point: no gap box holds the point — an
-                    # output, stored so the traversal never restarts.
-                    stats.resumes += 1
-                    outputs.append(self._emit(b))
-                    if (
-                        max_outputs is not None
-                        and len(outputs) >= max_outputs
-                    ):
-                        return outputs
-                    if kb_add(b):
-                        version += 1
-                        if frontier:
-                            frontier_note_add(root, frozen, levels, level_ids, b)
-                    stats.boxes_loaded += 1
-                    witness = b
-                    continue
-                axis = cursor if uniform else self._first_thick_generalized(b)
-                head = b[:axis]
-                tail = b[axis + 1:]
-                half = b[axis] << 1
-                b1 = head + (half,) + tail
-                b2 = head + (half | 1,) + tail
-                child_cursor = cursor
-                if uniform and half >= unit:
-                    child_cursor = axis + 1
-                    while child_cursor < n and b[child_cursor] >= unit:
-                        child_cursor += 1
-                stack.append([b, b2, axis, None, 0, child_cursor, version])
-                current = b1
-                cursor = child_cursor
-                pinned = axis
-                continue
-
-            if not stack:
-                return outputs
-
-            frame = stack[-1]
-            b, b2, axis, w1, stage, child_cursor, ver = frame
-            if box_contains(witness, b):
-                stack.pop()
-                continue
-            if stage == 0:
-                frame[3] = witness
-                frame[4] = 1
-                current = b2
-                cursor = child_cursor
-                # The half b2 inherits b's miss: if nothing was stored
-                # since the split, its probe can pin the axis too.
-                pinned = axis if ver == version else None
-                continue
-            if fast_resolve:
-                meet = list(map(max, w1, witness))
-                meet[axis] = w1[axis] >> 1
-                resolvent = tuple(meet)
-                record(axis, is_ordered_pair(w1, witness, axis))
-            else:
-                resolvent = resolver.resolve(w1, witness, axis)
-            # A resolvent no wider than its frame box can never be probed
-            # again — the resuming traversal never revisits a resolved
-            # region — so only witnesses that extend beyond the frame earn
-            # a slot in A.  (The restarting mode must keep every
-            # resolvent: its re-descents depend on it.)
-            if cache and resolvent != b and kb_add(resolvent):
-                version += 1
-                if frontier:
-                    frontier_note_add(
-                        root, frozen, levels, level_ids, resolvent
-                    )
-            stack.pop()
-            witness = resolvent
 
 
 # -- Convenience entry points ---------------------------------------------------

@@ -15,10 +15,13 @@ structural properties of this DAG:
 Proof boxes are recorded in the engine's internal **packed** form
 (tuples of marker-bit ints; see :mod:`repro.core.intervals`).
 
-``TracingResolver`` is a drop-in resolver that records the proof;
-``ResolutionProof`` verifies every step (soundness) and classifies the
-proof.  Used by tests to certify that Tetris's internal reasoning really
-is a resolution proof, and by the proof-complexity benchmarks.
+A :class:`~repro.core.tetris.TetrisEngine` records its proof when its
+``proof`` attribute holds a ``ResolutionProof``: the generated resume
+kernel and the faithful skeleton each append one ``ProofStep`` per
+resolution.  ``ResolutionProof`` verifies every step (soundness) and
+classifies the proof.  Used by tests to certify that Tetris's internal
+reasoning really is a resolution proof, and by the proof-complexity
+benchmarks.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.boxes import PackedBox
-from repro.core.resolution import (
-    ResolutionStats,
-    Resolver,
-    find_resolvable_dimension,
-    is_ordered_pair,
-    resolve_on_axis,
-)
+from repro.core.resolution import find_resolvable_dimension, resolve_on_axis
 
 
 @dataclass(frozen=True)
@@ -149,36 +146,6 @@ class ResolutionProof:
         return "\n".join(lines)
 
 
-class TracingResolver(Resolver):
-    """A resolver that additionally records every step into a proof.
-
-    The resume loop inlines the resolution rule — and the generated
-    kernel takes the run — only when the attached resolver is exactly
-    :class:`Resolver`; any subclass, this tracer above all, gets the
-    interpreted loop and the full ``resolve`` call path, so both
-    traversal modes yield a complete recorded proof.  Counters shared
-    through :class:`ResolutionStats` (resolutions, resumes, witness
-    depth) accumulate identically either way.
-    """
-
-    def __init__(self, stats: Optional[ResolutionStats] = None):
-        super().__init__(stats)
-        self.proof = ResolutionProof()
-
-    def resolve(self, w1: PackedBox, w2: PackedBox, axis: int) -> PackedBox:
-        resolvent = super().resolve(w1, w2, axis)
-        self.proof.steps.append(
-            ProofStep(
-                left=w1,
-                right=w2,
-                axis=axis,
-                resolvent=resolvent,
-                ordered=is_ordered_pair(w1, w2, axis),
-            )
-        )
-        return resolvent
-
-
 def traced_solve_bcp(
     boxes: Sequence[PackedBox],
     ndim: int,
@@ -192,8 +159,6 @@ def traced_solve_bcp(
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents
     )
-    tracer = TracingResolver(engine.stats)
-    engine._resolver = tracer
-    oracle = BoxSetOracle(boxes, ndim)
-    outputs = engine.run(oracle, preload=True)
-    return outputs, tracer.proof
+    engine.proof = ResolutionProof()
+    outputs = engine.run(BoxSetOracle(boxes, ndim), preload=True)
+    return outputs, engine.proof

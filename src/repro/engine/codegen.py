@@ -13,12 +13,11 @@ attribute-position lookups, packed-box bit arithmetic and mode branches
 **constant-folded**, then ``exec``-compiled once and memoized in a
 bounded LRU keyed by the plan's identity.
 
-Four kernel families.  The first two are the *only* implementation of
-their algorithm — :mod:`repro.joins.leapfrog` and
-:mod:`repro.joins.hashjoin` validate their arguments and run the kernel,
-every valid query gets one, and the tests compare them to
-:func:`~repro.joins.nested_loop.join_nested_loop` /
-``evaluate_reference``:
+Four kernel families, each the *only* implementation of what it runs.
+:mod:`repro.joins.leapfrog` and :mod:`repro.joins.hashjoin` validate
+their arguments and run the kernel, every valid query gets one, and the
+tests compare them to :func:`~repro.joins.nested_loop.join_nested_loop`
+/ ``evaluate_reference``:
 
 * :func:`leapfrog_kernel` — the generic-WCOJ intersection unrolled into
   literal nested ``while`` loops, one per GAO level, galloping directly
@@ -30,15 +29,17 @@ every valid query gets one, and the tests compare them to
   a stage that adds none is a set-membership test, and the projection
   reads its components straight out of the stage variables.
   Yannakakis' join phase runs this kernel too.
-* :func:`tetris_kernel` — the frontier-resuming skeleton of
-  :meth:`~repro.core.tetris.TetrisEngine._run_resuming` with ``ndim``,
-  ``depth``, the SAO permutation and the oracle discipline
-  (preloaded/on-demand) baked in as literals and the knowledge-base
-  probe of :class:`~repro.core.dyadic_tree.MultilevelDyadicTree`
-  inlined: the traversal frontier lives in kernel locals, the unwind
-  containment test is one int compare, box splits, resolvents and SAO
-  translations are unrolled per axis and the stats counters run as
-  locals, flushed once on exit.
+* :func:`tetris_kernel` — Tetris's frontier-resuming skeleton (resume
+  mode) with ``ndim``, ``depth``, the SAO permutation and the oracle
+  discipline (preloaded/on-demand) baked in as literals.  On the dyadic
+  tree over a uniform space the knowledge-base probe of
+  :class:`~repro.core.dyadic_tree.MultilevelDyadicTree` is inlined and
+  the traversal frontier lives in kernel locals; any other store, and
+  the generalized spaces of Tetris-LB (per-axis unit tests emitted
+  inline), probe through ``find_container``.  The unwind containment
+  test is one int compare, box splits, resolvents and SAO translations
+  are unrolled per axis, the stats counters run as locals flushed once
+  on exit, and an opt-in proof log appends one step per resolution.
 * :func:`probe_kernel` — the gap-box probe Tetris-Reloaded asks of its
   oracle, per oracle shape (each index's kind and output axes, ``ndim``,
   ``depth``) in two modes, first hit (``container``) and collect-all
@@ -63,15 +64,11 @@ shape — two schemas that differ only in naming never share a kernel
 (the EXPLAIN surface would otherwise lie about which query a cached
 kernel belongs to).  A probe names no attribute: its key is axes.
 
-:func:`tetris_kernel` alone may decline: for a knowledge base other
-than the dyadic tree (``ListStore``), generalized dimension specs
-(the load-balanced lift), a tracing resolver, bounded resolvent
-admission, ``return_boxes`` output or ``ndim`` past the unroll cap it
-returns ``None`` and
-:meth:`~repro.core.tetris.TetrisEngine.run` falls back to the
-interpreted ``_run_resuming`` — the same traversal, which
-``tests/engine/test_tetris_kernel.py`` pins the kernel to field for
-field.
+Every kernel family is total: each plan, oracle and Tetris engine shape
+gets a kernel, and nothing falls back to an interpreted twin.  The
+Tetris kernel's step-for-step reference is the interpreted loop kept in
+``tests/helpers.py``, which ``tests/engine/test_tetris_kernel.py`` pins
+it to field for field.
 """
 
 from __future__ import annotations
@@ -86,8 +83,8 @@ from repro.core.dyadic_tree import (
     frontier_children,
     frontier_note_add,
 )
-from repro.core.intervals import PLAMBDA
-from repro.core.resolution import Resolver
+from repro.core.intervals import PLAMBDA, pvalue
+from repro.core.tetris import CodeDimension, FixedDepth, RemainderDimension
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 
@@ -96,11 +93,6 @@ from repro.obs.metrics import REGISTRY as _METRICS
 #: large enough that a benchmark sweep over every Table-1 family never
 #: thrashes.
 KERNEL_CACHE_CAP = 256
-
-#: Tetris kernels are specialized per ndim with unrolled per-axis splits;
-#: beyond this the if/elif chains stop paying for themselves.
-_TETRIS_NDIM_CAP = 8
-
 
 class KernelCache:
     """A bounded LRU of compiled kernels with hit/miss/eviction counters."""
@@ -584,17 +576,23 @@ def _tetris_source(
     fetch: bool,
     capped: bool,
     cache_resolvents: bool,
+    units: Optional[Tuple[tuple, ...]] = None,
+    frontier: bool = True,
+    boxes: bool = False,
+    proof: bool = False,
 ) -> str:
     """Generate the specialized frontier-resuming loop.
 
-    The traversal of
-    :meth:`~repro.core.tetris.TetrisEngine._run_resuming` over a
-    :class:`~repro.core.dyadic_tree.MultilevelDyadicTree`, with every
-    mode branch resolved at generation time and the knowledge-base probe
-    *inlined*: what the interpreted loop does per step with its frontier
-    sync and :func:`~repro.core.dyadic_tree.frontier_probe`,
-    ``box_contains`` and ``ResolutionStats.record`` is straight-line
-    code over kernel locals here.
+    The resume-mode traversal of :class:`~repro.core.tetris.TetrisEngine`
+    with every mode branch resolved at generation time.  With
+    ``frontier`` the knowledge base is a
+    :class:`~repro.core.dyadic_tree.MultilevelDyadicTree` and its probe
+    is *inlined* — the frontier walk of
+    :func:`~repro.core.dyadic_tree.frontier_probe`, ``box_contains`` and
+    ``ResolutionStats.record`` become straight-line code over kernel
+    locals.  Without it (any other store, or a generalized space) every
+    traversal box is probed with ``kb.find_container(b)`` and no
+    frontier is kept.
 
     * **Frontier in locals.**  ``L1..L{n-1}`` are the frontier's node
       lists (``Lj``: tree nodes reachable through prefixes of the
@@ -625,6 +623,16 @@ def _tetris_source(
     a miss on a unit box is an output, a miss on a thick box splits.
     Without it an uncovered leaf is an output by construction
     (preloaded runs, or no oracle at all).
+
+    ``units`` is ``None`` for the uniform ``{0,1}^depth`` space, where
+    a split moves the cursor (the first thick axis) by one compare.  A
+    generalized space passes one :func:`_unit_kind` per axis: each
+    axis's unit test is emitted inline and the cursor is re-scanned from
+    the split axis after every split.  Generalized spaces and stores
+    other than the tree run without ``frontier``.  ``boxes`` emits each
+    output as its packed unit box; ``proof`` appends one
+    :class:`~repro.core.trace.ProofStep` per resolution to
+    ``engine.proof``.
     """
     unit = 1 << depth
     last = n - 1
@@ -637,7 +645,33 @@ def _tetris_source(
         return _tuple_expr([f(i) for i in range(n)])
 
     def emitted(var: str) -> str:
+        if boxes:
+            return var if identity else to_ext(var)
+        if units is not None:
+            return tup(lambda i: f"pvalue({var}[{inv[i]}])")
         return tup(lambda i: f"{var}[{inv[i]}] ^ {unit}")
+
+    def is_unit(i: int) -> str:
+        """Axis ``i`` of ``b`` is at its unit level (generalized)."""
+        kind = units[i]
+        if kind[0] == "depth":
+            return f"b[{i}] >= {1 << kind[1]}"
+        if kind[0] == "code":
+            return f"b[{i}] in code{i}"
+        if kind[0] == "remainder":
+            return (
+                f"b[{i}].bit_length() + b[{kind[1]}].bit_length() "
+                f"== {kind[2] + 2}"
+            )
+        return f"unit{i}(b, {i})"
+
+    def emit_scan(ind: int, start: int) -> None:
+        """``cursor`` = the first thick axis of ``b`` from ``start``."""
+        for i in range(start, n):
+            w(ind, f"{'if' if i == start else 'elif'} not {is_unit(i)}:")
+            w(ind + 1, f"cursor = {i}")
+        w(ind, "else:")
+        w(ind + 1, f"cursor = {n}")
 
     def to_ext(var: str) -> str:
         return tup(lambda i: f"{var}[{inv[i]}]")
@@ -765,6 +799,13 @@ def _tetris_source(
         ``frozen`` is how many leading components of the last probed
         box ``b`` the frontier has frozen (``-1``: read the cursor).
         """
+        if not frontier:
+            if count:
+                w(ind, f"if kb_add({box}):")
+                w(ind + 1, "loaded += 1")
+            else:
+                w(ind, f"kb_add({box})")
+            return
         w(ind, f"if kb_add({box}):")
         if count:
             w(ind + 1, "loaded += 1")
@@ -811,7 +852,7 @@ def _tetris_source(
 
     def emit_leaf(ind: int) -> None:
         """An uncovered unit box: an oracle hit or an output."""
-        if fetch:
+        if fetch and frontier:
             emit_fetch(ind, last)
         # Preloaded runs (or no oracle) get here directly: an uncovered
         # leaf is an output by construction.
@@ -823,16 +864,25 @@ def _tetris_source(
         w(ind, "res_w = b")
         w(ind, "break")
 
+    # A frame is [axis, half, b2, w1, version, fb]; version pins the
+    # frontier probe and is left out without one.
+    ver = "version, " if frontier else ""
+
     def emit_split(ind: int, axis: int) -> None:
         w(ind, f"half = b[{axis}] << 1")
         halves = [
             tup(lambda i, h=h: h if i == axis else f"b[{i}]")
             for h in ("half", "half | 1")
         ]
-        w(ind, f"push([{axis}, half, {halves[1]}, None, version, b])")
+        w(ind, f"push([{axis}, half, {halves[1]}, None, {ver}b])")
         w(ind, f"b = {halves[0]}")
+        if units is not None:
+            emit_scan(ind, axis)
+            return
         w(ind, f"if half >= {unit}:")
         w(ind + 1, f"cursor = {axis + 1}")
+        if not frontier:
+            return
         if axis < last:
             # The axis component is unit from here down: it joins the
             # frozen prefix, so the pin no longer reaches the probe.
@@ -847,12 +897,24 @@ def _tetris_source(
     w(1, "kb = engine.knowledge_base")
     w(1, "stats = engine.stats")
     w(1, "kb_add = kb.add")
-    w(1, "root = kb._root")
-    w(1, "L0 = (root,)")
-    for j in range(1, n):
-        w(1, f"L{j} = []")
-    w(1, f"ids = [None] * {n}")
-    w(1, "version = 0")
+    if frontier:
+        w(1, "root = kb._root")
+        w(1, "L0 = (root,)")
+        for j in range(1, n):
+            w(1, f"L{j} = []")
+        w(1, f"ids = [None] * {n}")
+        w(1, "version = 0")
+    else:
+        w(1, "find = kb.find_container")
+    if units is not None:
+        w(1, "dims = engine.dims")
+        for i, kind in enumerate(units):
+            if kind[0] == "code":
+                w(1, f"code{i} = dims[{i}].code")
+            elif kind[0] == "spec":
+                w(1, f"unit{i} = dims[{i}].is_unit")
+    if proof:
+        w(1, "log = engine.proof.steps.append")
     if fetch:
         w(1, "oracle_container = oracle.container")
     w(1, "outputs = []")
@@ -865,27 +927,41 @@ def _tetris_source(
     w(1, "push = stack.append")
     w(1, "pop = stack.pop")
     w(1, f"b = {tup(lambda i: '1')}")
-    w(1, f"cursor = {n if depth == 0 else 0}")
-    w(1, "exact = False")
-    if depth == 0:
-        # The universe is the unit box: every component is frozen.
-        for j in range(last):
-            emit_freeze(1, j, "1")
+    if units is not None:
+        emit_scan(1, 0)
+    else:
+        w(1, f"cursor = {n if depth == 0 else 0}")
+    if frontier:
+        w(1, "exact = False")
+        if depth == 0:
+            # The universe is the unit box: every component is frozen.
+            for j in range(last):
+                emit_freeze(1, j, "1")
     w(1, "try:")
     w(2, "while True:")
     # -- descend: probe, then split, until something answers ---------------------
     w(3, "while True:")
     w(4, "cq += 1")
-    w(4, "witness = None")
-    # Deep cursors are the common case: test them first.
-    w(4, f"if cursor == {n}:")
-    emit_probe_b(5, last, True)
+    if frontier:
+        w(4, "witness = None")
+        # Deep cursors are the common case: test them first.
+        w(4, f"if cursor == {n}:")
+        emit_probe_b(5, last, True)
+    else:
+        w(4, "res_w = find(b)")
+        w(4, "if res_w is not None:")
+        w(5, "hits += 1")
+        w(5, "break")
+        if fetch:
+            emit_fetch(4, 0)
+        w(4, f"if cursor == {n}:")
     emit_leaf(5)
     for axis in range(last, -1, -1):
         w(4, f"elif cursor == {axis}:" if axis else "else:")
-        emit_probe_b(5, axis, False)
-        if fetch:
-            emit_fetch(5, axis)
+        if frontier:
+            emit_probe_b(5, axis, False)
+            if fetch:
+                emit_fetch(5, axis)
         emit_split(5, axis)
     # -- unwind: pop covered frames, flip or resolve the first that is not -------
     w(3, "while True:")
@@ -897,27 +973,38 @@ def _tetris_source(
     w(4, "if res_w[frame[0]] != frame[1]:")
     w(5, "pop()")
     w(5, "continue")
-    w(4, "axis, half, b2, w1, ver, fb = frame")
+    w(4, f"axis, half, b2, w1, {'ver, ' if frontier else ''}fb = frame")
     w(4, "if not half & 1:")
     w(5, "frame[1] = half | 1")
     w(5, "frame[3] = res_w")
     w(5, "b = b2")
-    # The half b2 inherits fb's miss: if nothing was stored since the
-    # split, its probe can pin the axis too.
-    w(5, f"if half < {unit}:")
-    w(6, "cursor = axis")
-    w(6, "exact = ver == version")
-    for axis in range(last):
-        w(5, f"elif axis == {axis}:")
-        w(6, f"cursor = {axis + 1}")
-        w(6, "exact = False")
-        emit_freeze(6, axis, "half | 1")
-    w(5, "else:")
-    w(6, f"cursor = {n}")
-    w(6, "exact = ver == version")
+    if units is not None:
+        for axis in range(last, -1, -1):
+            if n > 1:
+                w(5, "else:" if axis == 0
+                     else f"{'if' if axis == last else 'elif'} axis == {axis}:")
+            emit_scan(6 if n > 1 else 5, axis)
+    elif not frontier:
+        w(5, f"cursor = axis if half < {unit} else axis + 1")
+    else:
+        # The half b2 inherits fb's miss: if nothing was stored since the
+        # split, its probe can pin the axis too.
+        w(5, f"if half < {unit}:")
+        w(6, "cursor = axis")
+        w(6, "exact = ver == version")
+        for axis in range(last):
+            w(5, f"elif axis == {axis}:")
+            w(6, f"cursor = {axis + 1}")
+            w(6, "exact = False")
+            emit_freeze(6, axis, "half | 1")
+        w(5, "else:")
+        w(6, f"cursor = {n}")
+        w(6, "exact = ver == version")
     w(5, "break")
     # Both halves covered, neither witness covers fb: resolve on axis.
     # half is odd here, so half >> 1 is fb's own axis component.
+    if proof:
+        w(4, "w2 = res_w")
     w(4, f"{_tuple_expr([f'y{i}' for i in range(n)])} = w1")
     w(4, f"{_tuple_expr([f'z{i}' for i in range(n)])} = res_w")
     for axis in range(last, -1, -1):
@@ -933,9 +1020,12 @@ def _tetris_source(
             else f"y{i} if y{i} > z{i} else z{i}"
         )
         w(ind, f"res_w = {meet}")
+        # Ordered (Definition 4.3): λ on both premises after the axis.
+        is_ordered = "True"
         if axis < last:
             later = " | ".join(f"r{j}" for j in range(axis + 1, n))
-            w(ind, f"if {later} == 1:")
+            is_ordered = f"{later} == 1"
+            w(ind, f"if {is_ordered}:")
             w(ind + 1, "ordered += 1")
         else:
             w(ind, "ordered += 1")
@@ -944,6 +1034,8 @@ def _tetris_source(
         w(ind, "else:")
         w(ind + 1, f"ba{axis} = 1")
         w(ind + 1, f"axes_seen.append({axis})")
+        if proof:
+            w(ind, f"log(ProofStep(w1, w2, {axis}, res_w, {is_ordered}))")
     if cache_resolvents:
         # A resolvent no wider than its frame box can never be probed
         # again — only witnesses reaching beyond the frame earn a slot.
@@ -967,6 +1059,20 @@ def _tetris_source(
     return "\n".join(lines) + "\n"
 
 
+def _unit_kind(spec) -> tuple:
+    """How the kernel tests one axis of a generalized space for unit:
+    inline for the three :class:`~repro.core.tetris.DimensionSpec`
+    kinds the engine ships, through ``spec.is_unit`` for any other."""
+    if type(spec) is FixedDepth:
+        return ("depth", spec.depth)
+    if type(spec) is CodeDimension:
+        # The code set is read when the kernel runs, not keyed.
+        return ("code",)
+    if type(spec) is RemainderDimension:
+        return ("remainder", spec.partner_axis, spec.total_depth)
+    return ("spec",)
+
+
 def tetris_kernel(
     engine,
     oracle,
@@ -974,7 +1080,7 @@ def tetris_kernel(
     preload: Optional[bool] = None,
     *,
     capped: bool,
-) -> Optional[Callable]:
+) -> Callable:
     """The compiled resume-mode kernel for one engine configuration.
 
     ``on_demand`` is the run's Reloaded discipline (an oracle and no
@@ -983,22 +1089,12 @@ def tetris_kernel(
     preloaded run is one that is not ``on_demand`` — so callers that
     pass both of a run's flags keep working.
 
-    Returns ``None`` for shapes the generator does not cover — a
-    knowledge base other than :class:`MultilevelDyadicTree` (the kernel
-    inlines its probe walk), generalized dimension specs, tracing
-    resolvers, ``return_boxes`` output or ``ndim`` past the unroll cap — and the caller runs the interpreted
-    :meth:`~repro.core.tetris.TetrisEngine._run_resuming`.
+    Every engine gets a kernel.  The key adds to the traversal's shape
+    the per-axis unit tests of a generalized space, whether the store is
+    the dyadic tree (probe inlined) or anything else (probe called),
+    ``return_boxes`` output and whether ``engine.proof`` records.
     """
-    if type(engine.knowledge_base) is not MultilevelDyadicTree:
-        return None
-    if engine.dims is not None:
-        return None
-    if type(engine._resolver) is not Resolver:
-        return None
-    if engine._return_boxes:
-        return None
-    if not 1 <= engine.ndim <= _TETRIS_NDIM_CAP:
-        return None
+    dims = engine.dims
     key = (
         engine.ndim,
         engine.depth,
@@ -1006,14 +1102,23 @@ def tetris_kernel(
         on_demand,
         capped,
         engine.cache_resolvents,
+        None if dims is None else tuple(map(_unit_kind, dims)),
+        dims is None
+        and isinstance(engine.knowledge_base, MultilevelDyadicTree),
+        engine._return_boxes,
+        engine.proof is not None,
     )
 
     def build() -> Callable:
+        from repro.core.trace import ProofStep
+
         return _compile(
             _tetris_source(*key),
             {
                 "freeze": frontier_children,
                 "note_add": frontier_note_add,
+                "pvalue": pvalue,
+                "ProofStep": ProofStep,
             },
         )
 

@@ -19,6 +19,8 @@ from repro.core.tetris import (
     FixedDepth,
     TetrisEngine,
 )
+from repro.joins.tetris_join import join_tetris
+from repro.workloads.generators import graph_triangle_db, random_graph_edges
 from tests.helpers import brute_force_uncovered, random_boxes
 
 MODE_IDS = list(MODES)
@@ -146,3 +148,16 @@ class TestMaxOutputsAcrossModes:
         engine = TetrisEngine(2, 3)
         out = engine.run(BoxSetOracle([], 2), mode=mode, max_outputs=5)
         assert len(out) == 5
+        # A zero cap returns nothing; a negative one is refused.
+        assert TetrisEngine(2, 3).run(
+            BoxSetOracle([], 2), mode=mode, max_outputs=0
+        ) == []
+        with pytest.raises(ValueError, match="non-negative"):
+            TetrisEngine(2, 3).run(
+                BoxSetOracle([], 2), mode=mode, max_outputs=-1
+            )
+        query, db = graph_triangle_db(random_graph_edges(30, 90, seed=4))
+        for variant in ("preloaded", "reloaded"):
+            assert join_tetris(
+                query, db, variant=variant, max_outputs=0, mode=mode
+            ).tuples == []

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.boxes import pbox_from_bits
+from repro.core.tetris import MODES, BoxSetOracle, TetrisEngine
 from repro.core.trace import (
     ProofStep,
     ResolutionProof,
-    TracingResolver,
     traced_solve_bcp,
 )
 from repro.workloads.hard_instances import (
@@ -19,15 +19,18 @@ from tests.helpers import brute_force_uncovered, random_boxes
 DEPTH = 3
 
 
-class TestTracingResolver:
-    def test_records_steps(self):
-        tracer = TracingResolver()
-        w1 = pbox_from_bits("0", "")
-        w2 = pbox_from_bits("1", "")
-        out = tracer.resolve(w1, w2, 0)
-        assert len(tracer.proof) == 1
-        step = tracer.proof.steps[0]
-        assert step.resolvent == out
+class TestProofLog:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_records_steps(self, mode):
+        """One step per resolution, in either traversal mode."""
+        engine = TetrisEngine(2, 1)
+        engine.proof = ResolutionProof()
+        boxes = [pbox_from_bits("0", ""), pbox_from_bits("1", "")]
+        assert engine.run(BoxSetOracle(boxes, 2), preload=True, mode=mode) == []
+        step = engine.proof.steps[0]
+        assert len(engine.proof) == engine.stats.resolutions == 1
+        assert (step.left, step.right, step.axis) == (*boxes, 0)
+        assert step.resolvent == pbox_from_bits("", "")
         assert step.ordered
 
 

@@ -4,8 +4,8 @@ The compiled kernels of :mod:`repro.engine.codegen` must be invisible
 except for speed: every (backend × Table-1 family × worker count) cell
 is checked against a reference that shares no code with it — the
 nested-loop join for leapfrog and hash, whose kernels are their only
-implementation, and the interpreted resume loop for Tetris (reached by
-making the kernel builder decline, ``tests.helpers.interpreted_tetris``)
+implementation, and the interpreted resume loop for Tetris (the kernel
+builder hands it back inside ``tests.helpers.interpreted_tetris``)
 — cache keys must keep attribute-renamed schemas apart, and the
 per-family LRU must stay bounded with honest hit/miss/eviction counters.
 """
@@ -114,7 +114,7 @@ def test_tetris_kernel_stats_are_bit_identical(variant, family):
 
 @pytest.mark.parametrize("kwargs", [{"mode": "faithful"}], ids=["faithful"])
 def test_unsupported_tetris_shapes_fall_back_correctly(kwargs):
-    """Shapes the codegen declines still answer through the interpreter."""
+    """Faithful mode runs no kernel and answers as resume mode does."""
     query, db = _family("triangle")
     expected = _interpreted_tetris(query, db).tuples
     got = join_tetris(query, db, **kwargs)

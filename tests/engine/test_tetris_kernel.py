@@ -1,15 +1,19 @@
 """The generated Tetris kernel against its interpreted reference.
 
-The kernel of :func:`repro.engine.codegen.tetris_kernel` inlines the
-knowledge-base probe, the frontier bookkeeping and the unwind
-containment test of ``TetrisEngine._run_resuming``.  The fence is
-exactness: same outputs in the same order *and* every
-``ResolutionStats`` field equal — cheaper steps, not different steps —
-over random box cover instances, both disciplines, capped and uncapped.
-The reference is reached the way production reaches it — the kernel
-builder declines (``tests.helpers.interpreted_tetris``); there is no
-keyword that selects it.  Shapes the generator declines on its own must
-fall back and still answer.
+The kernel of :func:`repro.engine.codegen.tetris_kernel` is the only
+resume-mode traversal: it inlines the knowledge-base probe, the frontier
+bookkeeping and the unwind containment test of the interpreted loop
+that is kept here as its reference (``tests.helpers.
+reference_run_resuming``).  The fence is exactness: same outputs in the
+same order *and* every ``ResolutionStats`` field equal, the same
+knowledge-base insertion order and the same proof log — cheaper steps,
+not different steps — over random box cover instances of every shape
+the engine takes (tree or list store, uniform, mixed-depth or
+Balance-lifted space, up to 12 dimensions, packed or value output,
+proof log on or off), both disciplines, capped and uncapped.  The
+reference is reached through the kernel builder's slot
+(``tests.helpers.interpreted_tetris``); there is no keyword that
+selects it.
 """
 
 import sys
@@ -18,12 +22,13 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.tetris as tetris_module
+import tests.helpers as helpers_module
+from repro.core.balance import BalanceMap
 from repro.core.boxes import box_contains
 from repro.core.resolution import ResolutionStats
 from repro.core.stores import ListStore
 from repro.core.tetris import BoxSetOracle, FixedDepth, TetrisEngine
-from repro.core.trace import TracingResolver
+from repro.core.trace import ResolutionProof
 from repro.engine import clear_kernel_caches, kernel_cache_info
 from repro.engine.codegen import tetris_kernel
 from tests.helpers import (
@@ -33,63 +38,143 @@ from tests.helpers import (
 )
 
 
+def _components(depth):
+    return st.integers(0, depth).flatmap(
+        lambda length: st.integers(1 << length, (2 << length) - 1)
+    )
+
+
+# An instance is (ndim, depth, sao, boxes, dims, store): store None is
+# the dyadic tree.
+
+
 @st.composite
-def bcp_instances(draw):
+def bcp_instances(draw, max_bits=12, store=None):
     """A random BCP: small enough to brute-force, edge shapes included."""
     ndim = draw(st.integers(1, 5))
     # depth 0 makes the universe the unit box; ndim 1 has no frontier.
-    depth = draw(st.integers(0, min(4, 12 // ndim)))
-    component = st.integers(0, depth).flatmap(
-        lambda length: st.integers(1 << length, (2 << length) - 1)
-    )
-    box = st.tuples(*[component] * ndim)
+    depth = draw(st.integers(0, min(4, max_bits // ndim)))
+    box = st.tuples(*[_components(depth)] * ndim)
     boxes = draw(st.lists(box, max_size=24))
     if draw(st.integers(0, 9)) == 0:
         boxes.append((1,) * ndim)  # the universe ⟨λ..λ⟩: fully covering
     sao = tuple(draw(st.permutations(range(ndim))))
-    return ndim, depth, sao, boxes
+    return ndim, depth, sao, boxes, None, store
 
 
-def _run(instance, preload, max_outputs, cache_resolvents):
-    ndim, depth, sao, boxes = instance
+@st.composite
+def wide_instances(draw):
+    """9 to 12 dimensions, one bit each."""
+    ndim = draw(st.integers(9, 12))
+    boxes = draw(st.lists(st.tuples(*[_components(1)] * ndim), max_size=40))
+    sao = tuple(draw(st.permutations(range(ndim))))
+    return ndim, 1, sao, boxes, None, None
+
+
+class CalledDepth(FixedDepth):
+    """A spec the kernel does not know: its unit test is called."""
+
+    __slots__ = ()
+
+
+@st.composite
+def mixed_depth_instances(draw):
+    """A generalized space of per-axis depths, each tested inline
+    (``FixedDepth``) or through ``is_unit`` (a spec of another type)."""
+    depths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    ndim = len(depths)
+    sao = tuple(draw(st.permutations(range(ndim))))
+    # Space axis sao[i] is internal axis i, bottoming out at depths[i].
+    comps = [None] * ndim
+    for i, axis in enumerate(sao):
+        comps[axis] = _components(depths[i])
+    boxes = draw(st.lists(st.tuples(*comps), max_size=12))
+    kinds = st.sampled_from([FixedDepth, CalledDepth])
+    dims = [draw(kinds)(d) for d in depths]
+    store = draw(st.sampled_from([None, ListStore]))
+    return ndim, max(depths), sao, boxes, dims, store
+
+
+@st.composite
+def lifted_instances(draw):
+    """Tetris-LB's space: a BCP lifted by the Balance map (code and
+    remainder dimensions), its axes permuted by a random SAO."""
+    ndim = draw(st.integers(3, 4))
+    depth = draw(st.integers(1, 8 // ndim))
+    box = st.tuples(*[_components(depth)] * ndim)
+    boxes = draw(st.lists(box, min_size=1, max_size=12))
+    threshold = draw(st.sampled_from([None, 0.0, 1.0]))
+    mapping = BalanceMap(boxes, ndim, depth, threshold=threshold)
+    lifted = mapping.lifted_ndim
+    sao = tuple(draw(st.permutations(range(lifted))))
+    spaced = []
+    for internal in mapping.lift_boxes(boxes):
+        comps = [None] * lifted
+        for i, axis in enumerate(sao):
+            comps[axis] = internal[i]
+        spaced.append(tuple(comps))
+    store = draw(st.sampled_from([None, ListStore]))
+    return lifted, depth, sao, spaced, mapping.dimension_specs(), store
+
+
+def _run(instance, preload, max_outputs, cache_resolvents,
+         return_boxes=False, proof=False, mode="resume"):
+    ndim, depth, sao, boxes, dims, store = instance
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents,
-        stats=ResolutionStats(),
+        stats=ResolutionStats(), dims=dims,
+        knowledge_base=None if store is None else store(ndim),
     )
+    if proof:
+        engine.proof = ResolutionProof()
     points = engine.run(
         BoxSetOracle(boxes, ndim), preload=preload, max_outputs=max_outputs,
+        return_boxes=return_boxes, mode=mode,
     )
-    # Tree iteration follows insertion order: equal lists mean the same
+    # Store iteration follows insertion order: equal lists mean the same
     # boxes were stored in the same order, witness choices included.
-    return points, asdict(engine.stats), list(engine.knowledge_base)
+    return points, asdict(engine.stats), list(engine.knowledge_base), (
+        engine.proof
+    )
 
 
-def _run_interpreted(*args):
+def _run_interpreted(*args, **kwargs):
     with interpreted_tetris():
-        return _run(*args)
+        return _run(*args, **kwargs)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    instance=bcp_instances(),
+    instance=st.one_of(
+        bcp_instances(), bcp_instances(),
+        # The list store scans every stored output: keep them few.
+        bcp_instances(max_bits=6, store=ListStore),
+        wide_instances(), mixed_depth_instances(), lifted_instances(),
+    ),
     preload=st.booleans(),
     max_outputs=st.sampled_from([None, 1, 3]),
     cache_resolvents=st.booleans(),
+    return_boxes=st.booleans(),
+    proof=st.booleans(),
 )
 def test_kernel_takes_the_interpreted_steps(
-    instance, preload, max_outputs, cache_resolvents
+    instance, preload, max_outputs, cache_resolvents, return_boxes, proof,
 ):
-    got, got_stats, got_kb = _run(
-        instance, preload, max_outputs, cache_resolvents
-    )
-    want, want_stats, want_kb = _run_interpreted(
-        instance, preload, max_outputs, cache_resolvents
-    )
+    args = (instance, preload, max_outputs, cache_resolvents, return_boxes,
+            proof)
+    got, got_stats, got_kb, got_proof = _run(*args)
+    want, want_stats, want_kb, want_proof = _run_interpreted(*args)
     assert got == want  # same points in the same order
     assert got_stats == want_stats
     assert got_kb == want_kb
-    if max_outputs is None:
-        ndim, depth, _sao, boxes = instance
+    assert got_proof == want_proof
+    if proof:
+        got_proof.verify()
+        assert len(got_proof) == got_stats["resolutions"]
+    ndim, depth, _sao, boxes, dims, _store = instance
+    if max_outputs is None and dims is None and ndim <= 5:
+        if return_boxes:
+            got = [tuple(p ^ (1 << depth) for p in box) for box in got]
         assert sorted(got) == brute_force_uncovered(boxes, ndim, depth)
 
 
@@ -103,7 +188,7 @@ def test_walk_order_above_the_last_two_levels(seed, preload):
     seeds a front-to-back walk picks other witnesses and stores other
     resolvents.  (Random search rarely builds such a frontier.)
     """
-    instance = (5, 2, (0, 1, 2, 3, 4), random_boxes(seed, 60, 5, 2))
+    instance = (5, 2, (0, 1, 2, 3, 4), random_boxes(seed, 60, 5, 2), None, None)
     assert _run(instance, preload, None, True) == _run_interpreted(
         instance, preload, None, True
     )
@@ -126,7 +211,7 @@ def test_unwind_containment_is_one_compare(preload, monkeypatch):
 
     Every witness handed to the unwind contains the half it answers, so
     it contains the frame box iff its split-axis component is not the
-    half's.  The interpreted loop's own ``box_contains`` calls are
+    half's.  The reference loop's own ``box_contains`` calls are
     intercepted; the pending frame is read from the caller's locals.
     """
     steps = []
@@ -144,7 +229,7 @@ def test_unwind_containment_is_one_compare(preload, monkeypatch):
             steps.append((outer, inner, axis, (inner[axis] << 1) | stage))
         return box_contains(outer, inner)
 
-    monkeypatch.setattr(tetris_module, "box_contains", recording)
+    monkeypatch.setattr(helpers_module, "box_contains", recording)
     for seed in range(5):
         engine = TetrisEngine(3, 4, sao=(1, 2, 0))
         oracle = BoxSetOracle(random_boxes(seed, 14, 3, 4), 3)
@@ -164,7 +249,7 @@ def test_unwind_containment_is_one_compare(preload, monkeypatch):
 @given(instance=bcp_instances())
 def test_ordered_boxes_are_the_boxes_in_sao_order(instance):
     """The bulk side of the oracle protocol is ``boxes()``, permuted."""
-    ndim, depth, sao, boxes = instance
+    ndim, depth, sao, boxes, _dims, _store = instance
     oracle = BoxSetOracle(boxes, ndim)
     engine = TetrisEngine(ndim, depth, sao=sao)
     want = [engine.to_internal(b) for b in oracle.boxes()]
@@ -211,46 +296,43 @@ def test_query_oracle_kernel_repeats_on_cached_indexes():
             assert asdict(run.stats) == asdict(runs[0].stats)
 
 
-# -- fallbacks -------------------------------------------------------------------
+# -- every shape compiles -------------------------------------------------------
 
 
-def _declined(ndim=3, depth=3, **engine_kwargs):
-    boxes = random_boxes(7, 4 * ndim, ndim, depth)
-    engine = TetrisEngine(ndim, depth, **engine_kwargs)
-    return engine, BoxSetOracle(boxes, ndim), boxes
-
-
-def test_declined_shapes_fall_back_and_still_answer():
-    expected = brute_force_uncovered(random_boxes(7, 12, 3, 3), 3, 3)
-    configs = {
+def test_every_shape_compiles_and_answers():
+    """Every store, space, output form and width compiles and answers,
+    one kernel per shape."""
+    boxes = random_boxes(3, 12, 3, 3)
+    expected = brute_force_uncovered(boxes, 3, 3)
+    clear_kernel_caches()
+    shapes = {
         "list-store": dict(knowledge_base=ListStore(3)),
         "generalized-dims": dict(dims=[FixedDepth(3)] * 3),
+        "proof-log": {},
+        "return-boxes": {},
     }
-    clear_kernel_caches()
-    for name, kwargs in configs.items():
-        engine, oracle, _ = _declined(**kwargs)
-        assert tetris_kernel(engine, oracle, False, capped=False) is None, name
-        assert sorted(engine.run(oracle, preload=True)) == expected, name
+    for name, kwargs in shapes.items():
+        engine = TetrisEngine(3, 3, **kwargs)
+        if name == "proof-log":
+            engine.proof = ResolutionProof()
+        points = engine.run(
+            BoxSetOracle(boxes, 3), preload=True,
+            return_boxes=name == "return-boxes",
+        )
+        if name == "return-boxes":
+            points = [tuple(p ^ (1 << 3) for p in box) for box in points]
+        assert sorted(points) == expected, name
+        if name == "proof-log":
+            assert len(engine.proof) == engine.stats.resolutions > 0
+            engine.proof.verify()
 
-    engine, oracle, _ = _declined()
-    engine._resolver = TracingResolver(engine.stats)
-    assert tetris_kernel(engine, oracle, False, capped=False) is None
-    assert sorted(engine.run(oracle, preload=True)) == expected
-    assert len(engine._resolver.proof.steps) == engine.stats.resolutions
-
-    engine, oracle, _ = _declined()
-    unit = 1 << 3
-    as_boxes = engine.run(oracle, preload=True, return_boxes=True)
-    assert tetris_kernel(engine, oracle, False, capped=False) is None
-    assert sorted(tuple(p ^ unit for p in box) for box in as_boxes) == expected
-
-    engine, oracle, boxes = _declined(ndim=9, depth=1)
-    assert tetris_kernel(engine, oracle, False, capped=False) is None
-    assert sorted(engine.run(oracle, preload=True)) == (
-        brute_force_uncovered(boxes, 9, 1)
+    wide = random_boxes(7, 36, 9, 1)
+    engine = TetrisEngine(9, 1)
+    assert callable(tetris_kernel(engine, None, False, capped=False))
+    assert sorted(engine.run(BoxSetOracle(wide, 9), preload=True)) == (
+        brute_force_uncovered(wide, 9, 1)
     )
-    # Declined shapes never reach the cache.
-    assert kernel_cache_info()["tetris"]["entries"] == 0
+    assert kernel_cache_info()["tetris"]["entries"] == len(shapes) + 1
 
 
 def test_one_kernel_per_configuration_not_per_store():
@@ -271,11 +353,12 @@ def test_one_kernel_per_configuration_not_per_store():
                             max_outputs=max_outputs,
                         )
                     keys.add((sao, preload, max_outputs, cache_resolvents))
-    # A ListStore run of a cached shape adds nothing.
-    TetrisEngine(3, 3, knowledge_base=ListStore(3)).run(
-        BoxSetOracle(boxes, 3), preload=True
-    )
+    # A ListStore run compiles the called-probe form of its shape once.
+    for _repeat in range(2):
+        TetrisEngine(3, 3, knowledge_base=ListStore(3)).run(
+            BoxSetOracle(boxes, 3), preload=True
+        )
     info = kernel_cache_info()["tetris"]
-    assert info["entries"] == len(keys) == 16
-    assert info["misses"] == 16
-    assert info["hits"] == 16
+    assert info["entries"] == len(keys) + 1 == 17
+    assert info["misses"] == 17
+    assert info["hits"] == 17

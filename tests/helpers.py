@@ -9,7 +9,7 @@ from bisect import bisect_left
 from typing import Iterable, Iterator, List, Sequence, Tuple
 from unittest import mock
 
-from repro.core.boxes import PackedBox
+from repro.core.boxes import PackedBox, box_contains
 from repro.core.intervals import PLAMBDA
 
 
@@ -128,8 +128,6 @@ def check_container_answer(found, probe, boxes) -> None:
     """What a ``container`` / ``gap_box_around`` answer must be: ``None``
     iff no box of ``boxes`` (packed) contains ``probe``, otherwise a box
     that contains ``probe`` and lies inside one of them."""
-    from repro.core.boxes import box_contains
-
     if found is None:
         assert not any(box_contains(b, probe) for b in boxes)
     else:
@@ -158,23 +156,218 @@ def frontier_level(frontier, box, level) -> list:
     return levels[level]
 
 
+def reference_oracle_container(engine, oracle, box_internal):
+    """Probe ``oracle`` with an internal (SAO-order) box: translate to
+    space order and back, counting the probe."""
+    engine.stats.oracle_queries += 1
+    found = oracle.container(engine.to_external(box_internal))
+    return None if found is None else engine.to_internal(found)
+
+
+def reference_run_resuming(engine, oracle, max_outputs):
+    """The frontier-resuming skeleton, interpreted: the reference the
+    generated Tetris kernel is pinned to, step for step.
+
+    Structurally a one-pass traversal, but every point where the
+    knowledge base is amended is a *resume point*: the stack is left
+    in place, the gap or output box is patched in, and the traversal
+    continues with that box as the witness.
+
+    ``oracle`` is the on-demand (Reloaded) source, ``None`` when the
+    knowledge base already holds every input gap box (or there are
+    none).  After a knowledge-base miss on the traversal box ``b`` it
+    is asked ``container(b)`` once: a hit is stored and answers ``b``
+    without descending; a miss on a unit box makes ``b`` an output; a
+    miss on a thick box splits.
+
+    On the dyadic tree over a uniform space the loop probes from a
+    traversal frontier it keeps in locals, as the kernel does: levels
+    built with ``frontier_children``, every store noted with
+    ``frontier_note_add`` and probes answered by ``frontier_probe`` in
+    the kernel's walk order.  Any other store, and any generalized
+    space, is probed with its own ``find_container``.  With
+    ``engine.proof`` set, every resolution appends its ``ProofStep``.
+    """
+    from repro.core.dyadic_tree import (
+        MultilevelDyadicTree,
+        frontier_children,
+        frontier_note_add,
+        frontier_probe,
+    )
+    from repro.core.resolution import is_ordered_pair
+    from repro.core.trace import ProofStep
+
+    kb = engine.knowledge_base
+    find_container = kb.find_container
+    kb_add = kb.add
+    stats = engine.stats
+    unit = engine._unit_marker
+    cache = engine.cache_resolvents
+    record = stats.record
+    log = None if engine.proof is None else engine.proof.steps.append
+    uniform = engine.dims is None
+    n = engine.ndim
+    last = n - 1
+    outputs = []
+    stats.skeleton_calls += 1
+    # The traversal frontier: ``frozen`` holds the leading components
+    # of the last probed box below its probe level, ``levels[j]`` the
+    # tree nodes reachable through prefixes of ``frozen[:j]`` and
+    # ``level_ids[j]`` their ids (None until a store needs them).
+    frontier = uniform and isinstance(kb, MultilevelDyadicTree)
+    if frontier:
+        root = kb._root
+        frozen = []
+        levels = [[root]]
+        level_ids = [None]
+    # Stores this run has made: a frame's count at its split tells
+    # whether its second half may pin the split axis.
+    version = 0
+
+    stack = []
+    current = engine._universe
+    cursor = engine._initial_cursor(current) if uniform else 0
+    # Split axis of the parent when ``current`` is a half whose parent
+    # just missed with nothing stored since — collapses that level of
+    # the frontier's probe to one exact lookup.
+    pinned = None
+    witness = engine._universe
+
+    while True:
+        if current is not None:
+            b = current
+            current = None
+            stats.containment_queries += 1
+            if frontier:
+                # Unfreeze where b leaves the frozen prefix, then
+                # freeze b's components below its probe level.
+                target = cursor if cursor < last else last
+                depth = len(frozen)
+                lim = depth if depth < target else target
+                j = 0
+                while j < lim and frozen[j] == b[j]:
+                    j += 1
+                if j < depth:
+                    del frozen[j:], levels[j + 1:], level_ids[j + 1:]
+                while j < target:
+                    levels.append(frontier_children(levels[j], b[j]))
+                    frozen.append(b[j])
+                    level_ids.append(None)
+                    j += 1
+                witness = frontier_probe(levels[target], b, target, pinned)
+            else:
+                witness = find_container(b)
+            if witness is not None:
+                stats.cache_hits += 1
+                continue
+            if oracle is not None:
+                witness = reference_oracle_container(engine, oracle, b)
+                if witness is not None:
+                    # Resume point: a gap box around all of b.
+                    if kb_add(witness):
+                        stats.boxes_loaded += 1
+                        version += 1
+                        if frontier:
+                            frontier_note_add(
+                                root, frozen, levels, level_ids, witness
+                            )
+                    stats.resumes += 1
+                    stats.witness_depth_sum += (
+                        sum(p.bit_length() for p in witness) - n
+                    )
+                    continue
+            if (cursor == n) if uniform else engine._is_unit_box(b):
+                # Resume point: no gap box holds the point — an output,
+                # stored so the traversal never restarts.
+                stats.resumes += 1
+                outputs.append(engine._emit(b))
+                if max_outputs is not None and len(outputs) >= max_outputs:
+                    return outputs
+                if kb_add(b):
+                    version += 1
+                    if frontier:
+                        frontier_note_add(root, frozen, levels, level_ids, b)
+                stats.boxes_loaded += 1
+                witness = b
+                continue
+            axis = cursor if uniform else engine._first_thick_generalized(b)
+            head = b[:axis]
+            tail = b[axis + 1:]
+            half = b[axis] << 1
+            b1 = head + (half,) + tail
+            b2 = head + (half | 1,) + tail
+            child_cursor = cursor
+            if uniform and half >= unit:
+                child_cursor = axis + 1
+                while child_cursor < n and b[child_cursor] >= unit:
+                    child_cursor += 1
+            stack.append([b, b2, axis, None, 0, child_cursor, version])
+            current = b1
+            cursor = child_cursor
+            pinned = axis
+            continue
+
+        if not stack:
+            return outputs
+
+        frame = stack[-1]
+        b, b2, axis, w1, stage, child_cursor, ver = frame
+        if box_contains(witness, b):
+            stack.pop()
+            continue
+        if stage == 0:
+            frame[3] = witness
+            frame[4] = 1
+            current = b2
+            cursor = child_cursor
+            # The half b2 inherits b's miss: if nothing was stored since
+            # the split, its probe can pin the axis too.
+            pinned = axis if ver == version else None
+            continue
+        meet = list(map(max, w1, witness))
+        meet[axis] = w1[axis] >> 1
+        resolvent = tuple(meet)
+        ordered = is_ordered_pair(w1, witness, axis)
+        record(axis, ordered)
+        if log is not None:
+            log(ProofStep(w1, witness, axis, resolvent, ordered))
+        # A resolvent no wider than its frame box can never be probed
+        # again — the resuming traversal never revisits a resolved
+        # region — so only witnesses that extend beyond the frame earn a
+        # slot in A.  (The restarting mode must keep every resolvent:
+        # its re-descents depend on it.)
+        if cache and resolvent != b and kb_add(resolvent):
+            version += 1
+            if frontier:
+                frontier_note_add(root, frozen, levels, level_ids, resolvent)
+        stack.pop()
+        witness = resolvent
+
+
 @contextlib.contextmanager
 def interpreted_tetris() -> Iterator[None]:
-    """Run Tetris resume mode on the interpreted reference loop.
+    """Run Tetris resume mode on :func:`reference_run_resuming`.
 
-    ``TetrisEngine.run`` takes ``_run_resuming`` exactly when
-    ``tetris_kernel`` declines the engine's shape; inside this block it
-    declines every shape.  A context manager rather than a fixture so
-    that it can wrap single calls inside ``@given`` bodies.  The kernel
-    cache must sit untouched meanwhile — were ``run`` ever to bind the
-    builder before this patch lands, the parity tests would compare the
-    kernel with itself and pass.
+    ``TetrisEngine.run`` asks ``tetris_kernel`` for its loop; inside
+    this block the builder hands back the reference instead, so whole
+    pipelines (``join_tetris``, ``execute``) run on it.  A context
+    manager rather than a fixture so that it can wrap single calls
+    inside ``@given`` bodies.  The kernel cache must sit untouched
+    meanwhile — were ``run`` ever to bind the builder before this patch
+    lands, the parity tests would compare the kernel with itself and
+    pass.
     """
     from repro.engine.codegen import _TETRIS_CACHE
 
+    def reference_kernel(engine, oracle, on_demand, preload=None, *, capped):
+        def kernel(engine, oracle, max_outputs):
+            return reference_run_resuming(
+                engine, oracle if on_demand else None, max_outputs
+            )
+
+        return kernel
+
     lookups = _TETRIS_CACHE.hits + _TETRIS_CACHE.misses
-    with mock.patch(
-        "repro.engine.codegen.tetris_kernel", lambda *args, **kwargs: None
-    ):
+    with mock.patch("repro.engine.codegen.tetris_kernel", reference_kernel):
         yield
     assert _TETRIS_CACHE.hits + _TETRIS_CACHE.misses == lookups

@@ -19,7 +19,11 @@ from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
 from repro.workloads.generators import db_from_tuples
-from tests.helpers import check_container_answer, reference_gap_box_around
+from tests.helpers import (
+    check_container_answer,
+    reference_gap_box_around,
+    reference_oracle_container,
+)
 
 DEPTH = 3
 DOMAIN = 1 << DEPTH
@@ -277,7 +281,9 @@ def test_oracle_container_under_a_non_identity_sao(seed, kind, probes):
         )
         found = oracle.container(box)
         check_container_answer(found, box, gap_boxes)
-        internal = engine._oracle_container(oracle, engine.to_internal(box))
+        internal = reference_oracle_container(
+            engine, oracle, engine.to_internal(box)
+        )
         assert internal == (
             None if found is None else engine.to_internal(found)
         )

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.certificates import minimal_certificate
 from repro.core.resolution import ResolutionStats
-from repro.core.trace import TracingResolver
+from repro.core.trace import ResolutionProof
 from repro.indexes.oracle import (
     QueryGapOracle,
     build_all_order_btrees,
@@ -155,12 +155,11 @@ class TestProofPipeline:
             3, db.domain.depth,
             sao=tuple(oracle.attrs.index(a) for a in gao),
         )
-        tracer = TracingResolver(engine.stats)
-        engine._resolver = tracer
+        engine.proof = ResolutionProof()
         out = engine.run(oracle, preload=True)
         assert sorted(out) == evaluate_reference(query, db)
-        tracer.proof.verify()
-        assert tracer.proof.is_ordered()
+        engine.proof.verify()
+        assert engine.proof.is_ordered()
 
 
 class TestWidthDrivenDispatch:

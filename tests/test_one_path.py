@@ -1,8 +1,8 @@
 """One path per algorithm: the selectors that chose between twins are gone.
 
-Leapfrog and hash run their generated kernel and nothing else; Tetris
-resume mode runs the kernel or the interpreted loop according to the
-engine's shape alone.  This fence keeps a ``compiled=`` / ``one_pass=``
+Leapfrog, hash and Tetris resume mode run their generated kernel and
+nothing else, whatever the engine's shape.  This fence keeps a
+``compiled=`` / ``one_pass=``
 keyword, a third traversal mode or a frozen ``benchmarks/_*.py`` copy
 from coming back — and the serving-era telemetry surfaces with their
 ``REPRO_*`` knobs, a second benchmark, a committed ``BENCH_*.json`` or
@@ -616,3 +616,66 @@ def test_reloaded_probes_are_generated():
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
         )
+
+
+def test_tetris_resume_has_one_implementation():
+    """Resume mode is the generated kernel for every engine shape — any
+    store, generalized specs, ``return_boxes``, the proof log, any
+    ``ndim``: ``TetrisEngine`` keeps no interpreted loop and
+    ``tetris_kernel`` no way to decline.  The unroll cap and the tracing
+    resolver are gone, and a repeated Tetris-LB run compiles nothing."""
+    import repro.core.trace
+    import repro.engine.codegen as codegen
+    from repro.core.balance import tetris_preloaded_lb
+    from repro.core.stores import ListStore
+    from repro.core.tetris import BoxSetOracle, FixedDepth, TetrisEngine
+    from repro.core.trace import ResolutionProof
+
+    for name in ("_run_resuming", "_oracle_container"):
+        assert not hasattr(TetrisEngine, name), name
+    assert not hasattr(TetrisEngine(2, 2), "_resolver")
+    assert not hasattr(codegen, "_TETRIS_NDIM_CAP")
+    assert not hasattr(repro.core.trace, "TracingResolver")
+    for path in (ROOT / "src").rglob("*.py"):
+        text = path.read_text()
+        for name in ("_run_resuming", "_TETRIS_NDIM_CAP", "TracingResolver"):
+            assert name not in text, f"{name} in {path}"
+
+    returns = [
+        node for node in ast.walk(ast.parse(
+            inspect.getsource(codegen.tetris_kernel)
+        ))
+        if isinstance(node, ast.Return)
+    ]
+    assert returns and all(
+        node.value is not None
+        and not (isinstance(node.value, ast.Constant)
+                 and node.value.value is None)
+        for node in returns
+    )
+    shapes = [
+        TetrisEngine(3, 2, knowledge_base=ListStore(3)),
+        TetrisEngine(3, 2, dims=[FixedDepth(2)] * 3),
+        TetrisEngine(12, 1),
+    ]
+    traced = TetrisEngine(3, 2)
+    traced.proof = ResolutionProof()
+    shapes.append(traced)
+    boxed = TetrisEngine(3, 2)
+    boxed._return_boxes = True
+    shapes.append(boxed)
+    for engine in shapes:
+        oracle = BoxSetOracle([], engine.ndim)
+        for on_demand in (False, True):
+            assert callable(
+                codegen.tetris_kernel(engine, oracle, on_demand, capped=False)
+            )
+
+    boxes = [(4, 1, 1), (1, 5, 2), (3, 1, 6), (2, 7, 1), (1, 1, 12)]
+    codegen.clear_kernel_caches()
+    first = tetris_preloaded_lb(boxes, 3, 2)
+    misses = codegen.kernel_cache_info()["tetris"]["misses"]
+    assert misses == 1
+    assert tetris_preloaded_lb(boxes, 3, 2) == first
+    info = codegen.kernel_cache_info()["tetris"]
+    assert (info["misses"], info["hits"]) == (misses, 1)
