@@ -7,7 +7,7 @@ bitstrings.
 
 from repro.core.boxes import pbox_from_bits
 from repro.core.dyadic_tree import MultilevelDyadicTree
-from repro.core.resolution import ResolutionStats, Resolver
+from repro.core.resolution import ResolutionStats
 from repro.core.tetris import (
     BoxSetOracle,
     TetrisEngine,
@@ -21,7 +21,6 @@ __all__ = [
     "BoxSetOracle",
     "MultilevelDyadicTree",
     "ResolutionStats",
-    "Resolver",
     "TetrisEngine",
     "boolean_box_cover",
     "pbox_from_bits",

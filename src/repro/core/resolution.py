@@ -23,7 +23,7 @@ Three nested classes of resolution appear in the paper:
   DAG is a tree (no caching / reuse of resolvents).  Tetris realizes this
   class when resolvent caching is disabled.
 
-The :class:`Resolver` wrapper counts resolutions so that Lemma 4.5
+:class:`ResolutionStats` counts resolutions so that Lemma 4.5
 ("runtime is bounded by #resolutions") is observable in tests and benches.
 
 All functions below operate on **packed** boxes (tuples of marker-bit
@@ -236,17 +236,4 @@ class ResolutionStats:
             f"boxes_loaded={self.boxes_loaded} "
             f"resumes={self.resumes}"
         )
-
-
-class Resolver:
-    """The resolution rule with its :class:`ResolutionStats` record (the
-    engine inlines both)."""
-
-    def __init__(self, stats: Optional[ResolutionStats] = None):
-        self.stats = stats if stats is not None else ResolutionStats()
-
-    def resolve(self, w1: PackedBox, w2: PackedBox, axis: int) -> PackedBox:
-        """Resolve two witnesses on a known axis, recording the step."""
-        self.stats.record(axis, ordered=is_ordered_pair(w1, w2, axis))
-        return resolve_on_axis(w1, w2, axis)
 

@@ -213,7 +213,7 @@ class BoxSetOracle:
 
 
 class TetrisEngine:
-    """One Tetris run: a knowledge base, a resolver, and a splitting order.
+    """One Tetris run: a knowledge base, its stats, and a splitting order.
 
     ``sao`` is the splitting attribute order as a permutation of dimension
     indices; boxes are stored and split internally in SAO order and

@@ -568,6 +568,12 @@ def hash_kernel(
 
 # -- tetris ---------------------------------------------------------------------
 
+#: Up to this many dimensions a probe's exact ``get`` chain nests one
+#: ``if`` per level; wider chains are one loop, so the source's
+#: indentation (CPython's tokenizer stops at 100 levels) and its probe
+#: code stay bounded per cursor whatever the dimensionality.
+_NESTED_CHAIN_CAP = 8
+
 
 def _tetris_source(
     n: int,
@@ -602,9 +608,11 @@ def _tetris_source(
       rebuilt exactly there and no probe compares a frozen prefix.  The
       probe is emitted once per cursor value: an exact ``get`` where the
       split axis is pinned, ``get(1)`` on the components after the
-      cursor (they are λ), the band walk elsewhere — in the shipped
-      order (list order with move-to-front on the last two levels,
-      the LIFO order of the generic walk above them).
+      cursor (they are λ; past ``_NESTED_CHAIN_CAP`` dimensions one
+      loop rather than one nested ``if`` each), the band walk
+      elsewhere — in the shipped order (list order with move-to-front
+      on the last two levels, the LIFO order of the generic walk above
+      them).
     * **One-compare unwind.**  Split frame box ``b`` on axis ``a`` into
       half ``c``, answered by witness ``w ⊇ c``.  For ``j ≠ a``, ``w[j] ⪯
       c[j] = b[j]``; the prefixes of ``c[a]`` are itself and those of
@@ -740,6 +748,15 @@ def _tetris_source(
                 w(ind + 2, "q >>= 1")
                 return
             child = f"c{j}"
+            if key is not None and n > _NESTED_CHAIN_CAP:
+                # Every key after the first is λ (j >= t): one loop.
+                w(ind, f"witness = {node}.get({key})")
+                w(ind, "if witness is not None:")
+                w(ind + 1, f"for _ in range({last - j}):")
+                w(ind + 2, "witness = witness.get(1)")
+                w(ind + 2, "if witness is None:")
+                w(ind + 3, "break")
+                return
             if key is not None:
                 w(ind, f"{child} = {node}.get({key})")
                 w(ind, f"if {child} is not None:")

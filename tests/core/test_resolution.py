@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import resolution as res
 from repro.core.boxes import pbox_from_bits
-from repro.core.resolution import ResolutionStats, Resolver
+from repro.core.resolution import ResolutionStats
 from tests.helpers import box_points
 
 DEPTH = 4
@@ -115,31 +115,34 @@ class TestOrderedShape:
         assert not res.is_ordered_pair(w1, w2, 0)
 
 
+def _resolve(stats, w1, w2, axis):
+    """One resolution step as the engine takes it: record, then resolve."""
+    stats.record(axis, ordered=res.is_ordered_pair(w1, w2, axis))
+    return res.resolve_on_axis(w1, w2, axis)
+
+
 class TestResolverStats:
     def test_counts(self):
         stats = ResolutionStats()
-        r = Resolver(stats)
         w1 = pbox_from_bits("0", "0")
         w2 = pbox_from_bits("1", "0")
-        out = r.resolve(w1, w2, 0)
+        out = _resolve(stats, w1, w2, 0)
         assert out == pbox_from_bits("", "0")
         assert stats.resolutions == 1
         assert stats.by_axis == {0: 1}
 
     def test_ordered_counted_separately(self):
         stats = ResolutionStats()
-        r = Resolver(stats)
         # ordered pair
-        r.resolve(pbox_from_bits("0", ""), pbox_from_bits("1", ""), 0)
+        _resolve(stats, pbox_from_bits("0", ""), pbox_from_bits("1", ""), 0)
         # unordered pair (non-λ after axis)
-        r.resolve(pbox_from_bits("0", "1"), pbox_from_bits("1", "1"), 0)
+        _resolve(stats, pbox_from_bits("0", "1"), pbox_from_bits("1", "1"), 0)
         assert stats.resolutions == 2
         assert stats.ordered_resolutions == 1
 
     def test_reset(self):
         stats = ResolutionStats()
-        r = Resolver(stats)
-        r.resolve(pbox_from_bits("0", ""), pbox_from_bits("1", ""), 0)
+        _resolve(stats, pbox_from_bits("0", ""), pbox_from_bits("1", ""), 0)
         stats.reset()
         assert stats.resolutions == 0
         assert stats.by_axis == {}

@@ -335,6 +335,42 @@ def test_every_shape_compiles_and_answers():
     assert kernel_cache_info()["tetris"]["entries"] == len(shapes) + 1
 
 
+@pytest.mark.parametrize("preload", [True, False])
+def test_a_hundred_dimensions_compile_and_take_the_interpreted_steps(
+    preload,
+):
+    """A 100-variable CNF of unit clauses is a 100-dimensional box
+    cover with one uncovered point: its kernel compiles (no ``get``
+    chain nests one level per dimension) and takes the reference's
+    steps."""
+    from repro.sat.clauses import CNF, cnf_to_boxes
+    from repro.sat.dpll import count_models_tetris
+
+    cnf = CNF(100, [[v if v % 3 else -v] for v in range(1, 101)])
+    assert count_models_tetris(cnf) == 1
+    sao = tuple(range(99, -1, -1))
+    instance = (100, 1, sao, cnf_to_boxes(cnf), None, None)
+    for max_outputs in (None, 1):
+        got = _run(instance, preload, max_outputs, True, proof=True)
+        assert got == _run_interpreted(
+            instance, preload, max_outputs, True, proof=True
+        )
+        assert got[0] == [tuple(int(v % 3 != 0) for v in range(1, 101))]
+
+
+def test_kernel_nesting_is_bounded_in_the_dimensionality():
+    """Past the nested-chain width the generated source's indentation
+    no longer grows with ``ndim`` (CPython's tokenizer stops at 100)."""
+    from repro.engine.codegen import _tetris_source
+
+    def deepest(n, fetch):
+        source = _tetris_source(n, 2, tuple(range(n)), fetch, True, True)
+        return max(len(ln) - len(ln.lstrip(" ")) for ln in source.split("\n"))
+
+    for fetch in (False, True):
+        assert deepest(9, fetch) == deepest(40, fetch) == deepest(150, fetch)
+
+
 def test_one_kernel_per_configuration_not_per_store():
     """The cache key is the traversal's shape, nothing about the store."""
     clear_kernel_caches()

@@ -622,8 +622,11 @@ def test_tetris_resume_has_one_implementation():
     """Resume mode is the generated kernel for every engine shape — any
     store, generalized specs, ``return_boxes``, the proof log, any
     ``ndim``: ``TetrisEngine`` keeps no interpreted loop and
-    ``tetris_kernel`` no way to decline.  The unroll cap and the tracing
-    resolver are gone, and a repeated Tetris-LB run compiles nothing."""
+    ``tetris_kernel`` no way to decline.  The unroll cap, the tracing
+    resolver and the resolver class are gone, and a repeated Tetris-LB
+    run compiles nothing."""
+    import repro.core
+    import repro.core.resolution
     import repro.core.trace
     import repro.engine.codegen as codegen
     from repro.core.balance import tetris_preloaded_lb
@@ -636,6 +639,8 @@ def test_tetris_resume_has_one_implementation():
     assert not hasattr(TetrisEngine(2, 2), "_resolver")
     assert not hasattr(codegen, "_TETRIS_NDIM_CAP")
     assert not hasattr(repro.core.trace, "TracingResolver")
+    assert not hasattr(repro.core.resolution, "Resolver")
+    assert "Resolver" not in repro.core.__all__
     for path in (ROOT / "src").rglob("*.py"):
         text = path.read_text()
         for name in ("_run_resuming", "_TETRIS_NDIM_CAP", "TracingResolver"):
