@@ -15,9 +15,11 @@ Subcommands::
 adaptive engine (``--algorithm auto`` picks the cost-optimal backend;
 naming one forces it; ``--limit K`` streams just the first K rows
 through the cursor API), decoding result rows back to the original CSV
-values; ``explain`` prints the planner's decision tree
-for a query, with or without data; ``triangles`` lists/counts triangles
-in an edge list; ``sat`` counts models of a DIMACS CNF via
+values; ``explain`` prints the planner's decision tree for a query,
+with or without data, and with ``--analyze`` runs it traced and prints
+its waterfall — each span's wall and self time, then the time no span
+covers — which ``--trace-out`` exports; ``triangles`` lists/counts
+triangles in an edge list; ``sat`` counts models of a DIMACS CNF via
 Tetris-as-DPLL; ``analyze`` prints a query's structural profile
 (acyclicity, treewidth, fhtw, recommended GAO) and which Table 1 runtime
 row applies; ``metrics`` dumps the process metrics registry — optionally
@@ -146,24 +148,12 @@ def _write_trace(tracer, path: str) -> None:
         write_chrome_trace(spans, path)
 
 
-def _write_profile(path: str) -> None:
-    """Export the process profiler's samples as collapsed stacks."""
-    from repro.obs import profiler as _profiler
-
-    prof = _profiler.active()
-    if prof is None:
-        return
-    prof.write_folded(path)
-    print(f"# profile written to {path}", file=sys.stderr)
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.engine import execute, explain_text, plan_query
 
-    if args.profile or args.profile_out:
-        from repro.obs import profiler as _profiler
-
-        _profiler.install()
+    if args.trace_out and not args.analyze:
+        print("error: --trace-out needs --analyze", file=sys.stderr)
+        return 2
     try:
         query, db, dictionary = _load_join_db(args)
     except ValueError as exc:
@@ -208,11 +198,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         from repro.obs.analyze import render_analyze
 
         print(render_analyze(report))
-    if args.trace_out and result is not None and result.trace is not None:
-        _write_trace(result.trace, args.trace_out)
-        print(f"# trace written to {args.trace_out}", file=sys.stderr)
-    if args.profile_out:
-        _write_profile(args.profile_out)
+        if args.trace_out:
+            _write_trace(report.tracer, args.trace_out)
+            print(f"# trace written to {args.trace_out}", file=sys.stderr)
     return 0
 
 
@@ -460,25 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--analyze", action="store_true",
-        help="execute traced and annotate: per-stage wall time, "
-             "actual-vs-predicted cardinality and cost, metrics delta; "
-             "appends to the calibration log (see `repro calibrate`)",
+        help="execute traced and annotate: per-span wall and self "
+             "time with the unaccounted rest, actual-vs-predicted "
+             "cardinality and cost, metrics delta; appends to the "
+             "calibration log (see `repro calibrate`)",
     )
     p_explain.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="write the run's spans (.jsonl → raw log, anything else → "
-             "Chrome trace-event JSON for Perfetto)",
-    )
-    p_explain.add_argument(
-        "--profile", action="store_true",
-        help="run the sampling wall-clock profiler during the query; "
-             "with --analyze the report gains sampled per-stage "
-             "self-time",
-    )
-    p_explain.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="write the profile as collapsed stacks, the input of "
-             "every flamegraph renderer; implies --profile",
+        help="with --analyze, write its spans (.jsonl → raw log, "
+             "anything else → Chrome trace-event JSON for Perfetto)",
     )
     p_explain.set_defaults(func=_cmd_explain)
 

@@ -3,10 +3,10 @@
 Each ``REPRO_*`` variable is one :class:`Knob` — name, default, parser
 and the one-line doc the README's environment table carries — and
 :meth:`Knob.get` is the only code under ``src/`` that reads the process
-environment.  Callers choose *when* to read: the metrics registry and
-ambient tracing latch their knob at import, while the shm escape hatch,
-the fault spec, the shard stall budget and the ANALYZE log path are read
-at each use, so a ``monkeypatch.setenv`` takes effect on the next call.
+environment.  Callers choose *when* to read: the metrics registry
+latches its knob at import, while the shm escape hatch, the fault spec,
+the shard stall budget and the ANALYZE log path are read at each use,
+so a ``monkeypatch.setenv`` takes effect on the next call.
 
 An unset or empty variable means the default.  A flag accepts
 ``1/true/on/yes`` and ``0/false/off/no`` (any other value keeps the
@@ -68,10 +68,6 @@ METRICS = Knob(
     "REPRO_METRICS", True, _flag,
     "`0` disables the process-wide metrics registry.",
 )
-TRACE = Knob(
-    "REPRO_TRACE", False, _flag,
-    "`1` forces tracing on for every query.",
-)
 ANALYZE_LOG = Knob(
     "REPRO_ANALYZE_LOG", os.path.join(".repro", "analyze_log.jsonl"), _text,
     "Where `explain --analyze` appends the records `repro calibrate` fits.",
@@ -93,5 +89,5 @@ FAULTS = Knob(
 #: Every knob, by variable name.
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
-    for knob in (METRICS, TRACE, ANALYZE_LOG, NO_SHM, SHARD_TIMEOUT_MS, FAULTS)
+    for knob in (METRICS, ANALYZE_LOG, NO_SHM, SHARD_TIMEOUT_MS, FAULTS)
 }

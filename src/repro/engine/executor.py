@@ -522,16 +522,20 @@ def execute_cursor(
     report).  Serial plans ignore it — single-process backends have no
     supervisor to interrupt them.
     """
-    # A directly-opened cursor under REPRO_TRACE gets its own tracer
-    # (ambient only while planning — the caller drives consumption);
-    # under an ambient tracer its spans nest where the caller stands.
+    # A directly-opened cursor under ``tracing.set_enabled(True)`` gets
+    # its own tracer (ambient only while planning — the caller drives
+    # consumption); under an ambient tracer its spans nest where the
+    # caller stands.
     tracer = _tracing.current_tracer()
     owns_tracer = tracer is None and _tracing.enabled()
     if owns_tracer:
         tracer = _tracing.Tracer()
     with _tracing.use(tracer):
         qspan = (
-            tracer.start("query", kind="cursor", algorithm=algorithm)
+            tracer.start(
+                "query", kind="cursor",
+                algorithm=algorithm if plan is None else plan.algorithm,
+            )
             if owns_tracer
             else None
         )
@@ -597,7 +601,7 @@ def execute(
         tracer = _tracing.Tracer()
     wall0 = time.perf_counter()
     with _tracing.use(tracer), _tracing.span(
-        "query", algorithm=algorithm
+        "query", algorithm=algorithm if plan is None else plan.algorithm
     ) as qspan:
         if plan is None:
             plan = plan_query(

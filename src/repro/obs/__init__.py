@@ -1,4 +1,4 @@
-"""Observability: metrics, tracing, profiling, exposition, ANALYZE loop.
+"""Observability: metrics, tracing, exposition, the ANALYZE waterfall.
 
 Importing this package loads what every query uses — both stdlib-only,
 so every engine layer can instrument itself without import cycles:
@@ -7,8 +7,8 @@ so every engine layer can instrument itself without import cycles:
   of counters/gauges/quantile histograms under dotted names, with
   snapshot/diff and the cross-process wire-delta helpers.
 * :mod:`repro.obs.tracing` — span trees over the query lifecycle,
-  propagated across the multiprocess pipe protocol; JSONL and Chrome
-  trace-event export.
+  propagated across the multiprocess pipe protocol, with each span's
+  self time; JSONL and Chrome trace-event export.
 
 The rest answers a question somebody asked and is imported by whoever
 asks it — reach these explicitly:
@@ -16,11 +16,9 @@ asks it — reach these explicitly:
 * :mod:`repro.obs.calibration` — the ANALYZE log and the cost-model
   refit ``repro calibrate`` prints as a diff (planning never imports
   it).
-* :mod:`repro.obs.analyze` — EXPLAIN ANALYZE orchestration (imports
-  the engine).
-* :mod:`repro.obs.profiler` — the sampling wall-clock profiler behind
-  ``repro explain --profile``, with collapsed-stack export and
-  per-span-stage self-time.
+* :mod:`repro.obs.analyze` — EXPLAIN ANALYZE: the query's waterfall
+  (wall and self time per span, the unaccounted rest) against the cost
+  model's prediction (imports the engine).
 * :mod:`repro.obs.export` — OpenMetrics text exposition
   (``repro metrics --openmetrics``).
 """

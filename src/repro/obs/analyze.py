@@ -8,6 +8,12 @@ prices a plan in seconds via
 appended to the calibration log.  ``repro explain --analyze`` renders
 the report under the ordinary EXPLAIN tree.
 
+The rendered span tree is the query's waterfall, attributed exactly
+from the spans: every span with children shows its self time (the
+wall time no child covers, overlapping children counted once), and
+one ``unaccounted`` line closes the tree — the part of the plan +
+execute window that no root span covers.
+
 The logged ``seconds`` is kernel time: the ``execute`` span less the
 ``sort`` span ``execute()`` runs an unordered stream's sort under
 (logged apart as ``sort_seconds``), because the backend's quantity
@@ -27,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import calibration as _calibration
-from repro.obs import profiler as _profiler
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.metrics import MetricsSnapshot, render_metrics
@@ -50,14 +55,12 @@ class AnalyzeReport:
     #: |log₂(actual/predicted seconds)| — the calibration target;
     #: ``None`` unless both are positive.
     error_bits: Optional[float]
+    #: Wall seconds of the plan + execute window ``analyze`` timed.
+    window_seconds: float
+    #: The part of that window no root span covers.
+    unaccounted_seconds: float
     record: Dict = field(default_factory=dict)
     log_path: Optional[str] = None
-    #: Sampled self-time per span stage from the process profiler
-    #: (``None`` when no profiler ran during the query): within a
-    #: stage, what the sampler actually caught the main thread doing.
-    profile_stage_seconds: Optional[Dict[str, float]] = None
-    #: Sampling rate behind those numbers, for the rendering.
-    profile_hz: Optional[int] = None
     #: The registry delta across this run (``None`` with the registry
     #: off): ``MetricsSnapshot.since`` bracketed around ``execute()``.
     metrics: Optional[MetricsSnapshot] = None
@@ -101,10 +104,9 @@ def analyze(
     tracer = _tracing.current_tracer()
     if tracer is None:
         tracer = _tracing.Tracer()
-    prof = _profiler.active()
-    prof_before = prof.snapshot_samples() if prof is not None else None
     metrics_before = _METRICS.snapshot() if _METRICS.enabled else None
     with _tracing.use(tracer):
+        t0 = time.perf_counter()
         plan = plan_query(
             query, db, algorithm=algorithm, index_kind=index_kind,
             gao=gao, workers=workers, cost_model=model,
@@ -113,25 +115,15 @@ def analyze(
             query, db, plan=plan, limit=limit, decode=decode,
             timeout_ms=timeout_ms,
         )
+        t1 = time.perf_counter()
     metrics = (
         _METRICS.snapshot().since(metrics_before)
         if metrics_before is not None
         else None
     )
-    profile_stages: Optional[Dict[str, float]] = None
-    if prof is not None:
-        # Only this query's samples: diff the sample table around the
-        # run, then collapse to per-stage tick counts.
-        profile_stages = {}
-        for key, count in prof.samples.items():
-            delta_ticks = count - prof_before.get(key, 0)
-            if delta_ticks > 0:
-                stage = key[0]
-                profile_stages[stage] = (
-                    profile_stages.get(stage, 0.0)
-                    + delta_ticks / prof.hz
-                )
     stages = _stage_seconds(tracer)
+    roots = ((n.span.start, n.span.end) for n in tracer.tree())
+    unaccounted = (t1 - t0) - _tracing.covered_seconds(roots, t0, t1)
     # The execute stage is the window the cost model prices: planning
     # and stats collection are pipeline overhead, not Table 1 work.
     actual_seconds = stages.get("execute", result.elapsed)
@@ -169,9 +161,9 @@ def analyze(
         predicted_seconds=predicted_seconds,
         actual_seconds=actual_seconds,
         error_bits=error_bits,
+        window_seconds=t1 - t0,
+        unaccounted_seconds=unaccounted,
         record=record,
-        profile_stage_seconds=profile_stages,
-        profile_hz=prof.hz if prof is not None else None,
         metrics=metrics,
     )
     if append_log:
@@ -187,11 +179,17 @@ def _ratio(actual: float, predicted: float) -> str:
 
 
 def render_analyze(report: AnalyzeReport) -> str:
-    """The ANALYZE postscript: stages, cardinality, cost, metrics."""
+    """The ANALYZE postscript: the waterfall, cardinality, cost, metrics."""
     lines: List[str] = ["analyze"]
     lines.append("├─ stages (wall time)")
+    unaccounted = (
+        f"{'unaccounted':<18s} {report.unaccounted_seconds * 1e3:9.3f} ms"
+        f"  of {report.window_seconds * 1e3:.3f} ms plan + execute"
+    )
     lines.extend(
-        _tracing.render_tree(report.tracer.tree(), indent="│   ")
+        _tracing.render_tree(
+            report.tracer.tree(), indent="│   ", tail=unaccounted
+        )
     )
     lines.append(
         f"├─ cardinality : actual {report.actual_rows} vs "
@@ -212,18 +210,6 @@ def render_analyze(report: AnalyzeReport) -> str:
             f"{report.predicted_seconds * 1e3:.3f} ms  ({error}"
             f"{_ratio(report.actual_seconds, report.predicted_seconds)})"
         )
-    if report.profile_stage_seconds is not None:
-        lines.append(
-            f"├─ profile     : sampled self-time per stage "
-            f"({report.profile_hz} Hz)"
-        )
-        by_time = sorted(
-            report.profile_stage_seconds.items(), key=lambda kv: -kv[1]
-        )
-        for stage, seconds in by_time:
-            lines.append(f"│   {stage:<20} {seconds * 1e3:9.1f} ms")
-        if not by_time:
-            lines.append("│   (no samples landed in this query)")
     if report.metrics is not None:
         lines.append("├─ metrics")
         lines.extend(

@@ -34,11 +34,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import config
-
-#: Ambient tracing, latched from ``REPRO_TRACE`` at import (``repro
-#: explain --analyze`` traces its query regardless).
-_ENABLED = config.TRACE.get()
+#: Ambient tracing for every query: off unless :func:`set_enabled` turns
+#: it on (``repro explain --analyze`` traces its query regardless).
+_ENABLED = False
 
 #: Process-wide span id source (ids are ``"<pid hex>.<n>"``).
 _SPAN_IDS = itertools.count(1)
@@ -237,14 +235,30 @@ class SpanNode:
             tuple(sorted(c.shape() for c in self.children)),
         )
 
-    def walk(self) -> Iterator[Tuple[int, Span]]:
-        """(depth, span) pairs in depth-first start order."""
-        stack: List[Tuple[int, SpanNode]] = [(0, self)]
-        while stack:
-            depth, node = stack.pop()
-            yield depth, node.span
-            for child in reversed(node.children):
-                stack.append((depth + 1, child))
+    def self_seconds(self) -> float:
+        """The part of this span's wall time that no child covers.
+
+        Overlapping children (parallel shards, a merge beside its
+        dispatch) count once; a child reaching past this span is
+        clipped to it, so the result lies in ``[0, duration]``.
+        """
+        s = self.span
+        children = ((c.span.start, c.span.end) for c in self.children)
+        busy = covered_seconds(children, s.start, s.end)
+        return max(0.0, s.duration - busy)
+
+
+def covered_seconds(
+    intervals: Iterator[Tuple[float, float]], lo: float, hi: float
+) -> float:
+    """Seconds of ``[lo, hi]`` inside at least one ``(start, end)``."""
+    total, reach = 0.0, lo
+    for start, end in sorted(intervals):
+        start, end = max(start, reach), min(end, hi)
+        if end > start:
+            total += end - start
+            reach = end
+    return total
 
 
 # -- the ambient tracer --------------------------------------------------------
@@ -351,14 +365,21 @@ def write_chrome_trace(
 
 
 def render_tree(
-    roots: Sequence[SpanNode], indent: str = ""
+    roots: Sequence[SpanNode], indent: str = "", tail: Optional[str] = None
 ) -> List[str]:
-    """The span tree as aligned text lines (EXPLAIN ANALYZE)."""
+    """The span tree as aligned text lines (EXPLAIN ANALYZE).
+
+    A span with children also shows its self time; ``tail``, when
+    given, is one more line after the last root, at the roots' level.
+    """
     lines: List[str] = []
 
     def visit(node: SpanNode, prefix: str, last: bool) -> None:
         s = node.span
         branch = "└─" if last else "├─"
+        own = ""
+        if node.children:
+            own = f"  self {node.self_seconds() * 1e3:.3f} ms"
         attrs = ""
         if s.attrs:
             attrs = "  " + " ".join(
@@ -366,12 +387,14 @@ def render_tree(
             )
         lines.append(
             f"{indent}{prefix}{branch} {s.name:<18s} "
-            f"{s.duration * 1e3:9.3f} ms{attrs}"
+            f"{s.duration * 1e3:9.3f} ms{own}{attrs}"
         )
         ext = "    " if last else "│   "
         for i, child in enumerate(node.children):
             visit(child, prefix + ext, i == len(node.children) - 1)
 
     for i, root in enumerate(roots):
-        visit(root, "", i == len(roots) - 1)
+        visit(root, "", tail is None and i == len(roots) - 1)
+    if tail is not None:
+        lines.append(f"{indent}└─ {tail}")
     return lines

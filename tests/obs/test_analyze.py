@@ -58,6 +58,73 @@ def test_analyze_measures_and_logs(obs_paths):
     assert "metrics" in text
 
 
+def _nodes(roots):
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def test_serial_waterfall_adds_up_to_the_window(obs_paths):
+    """Serial spans nest without overlap, so the self times over the
+    whole tree plus ``unaccounted`` are the analyze window exactly."""
+    from repro.obs.analyze import analyze, render_analyze
+
+    query, db = _instance()
+    report = analyze(query, db, append_log=False)
+    assert report.result.parallel is None
+    roots = report.tracer.tree()
+    assert {root.span.name for root in roots} == {"plan", "query"}
+    total = sum(node.self_seconds() for node in _nodes(roots))
+    assert 0 <= report.unaccounted_seconds < report.window_seconds
+    assert total + report.unaccounted_seconds == pytest.approx(
+        report.window_seconds, abs=1e-6
+    )
+    # A leaf's self time is its duration.
+    for node in _nodes(roots):
+        if not node.children:
+            assert node.self_seconds() == node.span.duration
+    text = render_analyze(report)
+    (line,) = [ln for ln in text.splitlines() if "unaccounted" in ln]
+    assert line.startswith("│   └─ unaccounted")
+    with_children = sum(1 for node in _nodes(roots) if node.children)
+    assert text.count(" self ") == with_children > 0
+
+
+def test_parallel_self_times_lie_within_their_spans(obs_paths):
+    """Shards overlap each other and ``merge`` overlaps the dispatch:
+    overlapping children count once, so no self time goes negative or
+    past its span."""
+    from repro.obs.analyze import analyze, render_analyze
+
+    query, db = _instance()
+    report = analyze(
+        query, db, algorithm="leapfrog", workers=2, append_log=False
+    )
+    assert report.result.parallel is not None
+    nodes = list(_nodes(report.tracer.tree()))
+    assert any(n.span.name.startswith("shard[") for n in nodes)
+    for node in nodes:
+        assert 0.0 <= node.self_seconds() <= node.span.duration
+    assert 0.0 <= report.unaccounted_seconds <= report.window_seconds
+    assert render_analyze(report).count("unaccounted") == 1
+
+
+def test_query_span_names_the_planned_algorithm(obs_paths):
+    """``analyze`` hands ``execute()`` its plan: the ``query`` span
+    records the algorithm planned, as the ``plan`` span does."""
+    from repro.obs.analyze import analyze
+
+    query, db = _instance()
+    report = analyze(
+        query, db, algorithm="leapfrog", workers=2, append_log=False
+    )
+    by_name = {s.name: s for s in report.tracer.spans}
+    assert by_name["plan"].attrs["algorithm"] == "leapfrog"
+    assert by_name["query"].attrs["algorithm"] == "leapfrog"
+
+
 def test_analyze_logs_kernel_time_without_the_sort(obs_paths):
     """The backend's quantity excludes the output sort (the cost model
     prices it as ``CostEstimate.sort``), so the fitted ``seconds`` must
@@ -266,6 +333,7 @@ def test_cli_explain_analyze_and_calibrate(obs_paths, cli_csvs, capsys):
     assert out.count("engine.queries") == 1
     assert out.index("├─ metrics") > out.index("\nanalyze\n")
     assert "cost        :" in out
+    assert out.count("unaccounted") == 1
     trace = json.loads((cli_csvs / "trace.json").read_text())
     assert trace["traceEvents"]
     assert {e["ph"] for e in trace["traceEvents"]} == {"X"}

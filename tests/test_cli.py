@@ -297,6 +297,28 @@ class TestSatCommand:
         assert "0 learned clauses" not in enum_err
 
 
+class TestExplainCommand:
+    @pytest.mark.parametrize("extra", [(), ("--execute",)])
+    def test_trace_out_needs_analyze(
+        self, triangle_csvs, capsys, extra
+    ):
+        """Only ``--analyze`` traces its query: asked for a trace without
+        it, ``explain`` refuses instead of quietly writing nothing."""
+        trace = triangle_csvs / "trace.json"
+        rc = main([
+            "explain", "R(A,B), S(B,C), T(A,C)",
+            "--csv", f"R={triangle_csvs / 'r.csv'}",
+            "--csv", f"S={triangle_csvs / 's.csv'}",
+            "--csv", f"T={triangle_csvs / 't.csv'}",
+            "--trace-out", str(trace), *extra,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trace-out needs --analyze\n"
+        assert captured.out == ""
+        assert not trace.exists()
+
+
 class TestAnalyzeCommand:
     def test_triangle_profile(self, capsys):
         rc = main(["analyze", "R(A,B), S(B,C), T(A,C)"])
@@ -334,12 +356,12 @@ class TestStartupImports:
     def test_import_pulls_in_no_heavy_module(self):
         """Every ``repro`` process pays for what ``import repro.cli``
         loads: the LPs are solved in-repo (no numpy/scipy), nothing
-        serves HTTP, and the profiler, the exporter and ANALYZE load
-        when a subcommand asks for them.  Planning imports nothing from
+        serves HTTP, and the exporter and ANALYZE load when a
+        subcommand asks for them.  Planning imports nothing from
         the calibration refit: its constants live in ``engine/cost.py``."""
         heavy = (
             "numpy", "scipy", "http.server",
-            "repro.obs.profiler", "repro.obs.export", "repro.obs.analyze",
+            "repro.obs.export", "repro.obs.analyze",
             "repro.obs.calibration",
         )
         assert self._loaded("import repro", heavy) == "[]"

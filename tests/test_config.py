@@ -6,7 +6,7 @@ from repro import config
 
 
 def test_flag_keeps_its_spellings(monkeypatch):
-    for knob in (config.METRICS, config.TRACE, config.NO_SHM):
+    for knob in (config.METRICS, config.NO_SHM):
         monkeypatch.delenv(knob.name, raising=False)
         assert knob.get() is knob.default
         for word in ("1", "true", "ON", "yes"):

@@ -51,10 +51,10 @@ REMOVED_SELECTORS = {"compiled", "one_pass"}
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Every environment variable the program reads, as ``repro.config``
-#: declares them; a seventh needs two callers that want different values
+#: declares them; a sixth needs two callers that want different values
 #: (and a README row).
 KNOBS = {
-    "REPRO_METRICS", "REPRO_TRACE", "REPRO_ANALYZE_LOG", "REPRO_NO_SHM",
+    "REPRO_METRICS", "REPRO_ANALYZE_LOG", "REPRO_NO_SHM",
     "REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS",
 }
 
@@ -684,3 +684,20 @@ def test_tetris_resume_has_one_implementation():
     assert tetris_preloaded_lb(boxes, 3, 2) == first
     info = codegen.kernel_cache_info()["tetris"]
     assert (info["misses"], info["hits"]) == (misses, 1)
+
+
+def test_analyze_is_the_one_waterfall():
+    """Time is attributed from the span tree alone: the sampling
+    profiler and ``explain --profile`` / ``--profile-out`` are gone."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.obs.profiler")
+    subparsers = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    explain = {
+        o for a in subparsers.choices["explain"]._actions
+        for o in a.option_strings
+    }
+    assert "--analyze" in explain
+    assert not [o for o in explain if o.startswith("--profile")]
