@@ -241,12 +241,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from repro.engine.cost import CANDIDATES
     from repro.obs import calibration
 
     model, info = calibration.fit(calibration.load_runs(args.log))
     print(
         f"calibration log : {info['usable_runs']} usable of "
-        f"{info['runs']} runs"
+        f"{info['runs']} runs, {info['runs'] - info['usable_runs']} "
+        f"skipped (not a measured serial run of {' or '.join(CANDIDATES)})"
     )
     for backend, count in info["samples_per_backend"].items():
         print(f"  {backend:<18s} {count} samples")

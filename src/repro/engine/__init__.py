@@ -3,7 +3,8 @@
 Turns the paper's Table 1 into code: :func:`plan_query` inspects a
 query's structure (acyclicity, treewidth, fhtw) and data statistics
 (cardinalities, distinct counts, AGM bound),
-prices the four backends ``auto`` can pick with a calibrated cost model,
+prices the two backends ``auto`` can pick (hash and leapfrog) with a
+calibrated cost model,
 and :func:`execute` runs the winner — or a forced one of the six
 :mod:`repro.joins` backends declared in ``BACKEND_TABLE`` — behind one
 result shape.

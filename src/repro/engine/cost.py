@@ -1,42 +1,35 @@
-"""The planner's cost model: Table 1 of the paper, instantiated.
+"""The planner's cost model: the backends ``auto`` can pick, priced.
 
-Each backend ``auto`` can pick gets a cost estimate of the form
+Each candidate gets a cost estimate of the form
 
     cost = calibration[backend] × quantity(structure, stats) + sort
 
-where *quantity* is the backend's asymptotic running-time expression
-evaluated on the instance's statistics, and *sort* is what the final
-``sorted()`` costs when the backend's stream is not already in output
-order (zero for leapfrog and hash run so they bind ``query.variables``
-in order):
+where *quantity* is the backend's running-time expression evaluated on
+the instance's statistics, and *sort* is what the final ``sorted()``
+costs when the backend's stream is not already in output order (zero
+for leapfrog and hash run so they bind ``query.variables`` in order):
 
-* ``tetris-preloaded`` on α-acyclic queries — Õ(N + Z) (Table 1 row 1 /
-  Theorem D.8);
-* ``tetris-preloaded`` on cyclic queries — Õ(N^fhtw + Z) (row 3 /
-  Theorem D.9), with fhtw upper-bounded by the treewidth-optimal
-  elimination order's decomposition;
-* ``tetris-reloaded`` — Õ(|C| + Z) at treewidth 1 (row 4 / Theorem 4.7)
-  and Õ(|C|^{w+1} + Z) at treewidth w (row 5 / Theorem 4.9), with |C|
-  priced by its N·d bound (the certificate depends on the GAO, which the
-  planner picks data-blind);
 * ``leapfrog`` — candidates examined per GAO level, capped by the AGM
-  bound Õ(N^ρ*) (row 2, the [52]/[72] class);
+  bound Õ(N^ρ*) (Table 1 row 2, the [52]/[72] class);
 * ``hash`` — classical System-R style intermediate-size estimates under
   attribute independence.
 
-These four, the keys of :data:`DEFAULT_CALIBRATION`, are what ``auto``
-prices (:data:`CANDIDATES`).  ``nested-loop`` and ``yannakakis`` run only
-when forced: over the benchmark's plans neither came within 4× of the
-winner's cost, so neither has a formula or a constant here.
+These two, the keys of :data:`DEFAULT_CALIBRATION`, are what ``auto``
+prices (:data:`CANDIDATES`).  Every other backend runs only when forced
+and has no formula or constant here: over the benchmark's plans
+``nested-loop`` and ``yannakakis`` never came within 4× of the winner's
+cost, and warm Tetris-Reloaded trails leapfrog under the same GAO even
+on the O(1)-certificate split path and cycle (Tetris-Preloaded by three
+orders of magnitude).  Table 1's Tetris rows — Õ(N + Z), Õ(N^fhtw + Z),
+Õ(|C| + Z), Õ(|C|^{w+1} + Z) — are what ``repro analyze`` prints.
 
-The *calibration* vector absorbs constant factors the asymptotics hide
-(CPython dict probes vs. packed-int resolutions differ by orders of
-magnitude).  Defaults were fitted on this repository's benchmark
-workloads; :meth:`CostModel.calibrate` re-fits them from measured
-timings — the constant-factor calibration hook — and ``repro calibrate``
-prints such a refit as a diff against :data:`DEFAULT_CALIBRATION`.
-Nothing is loaded at run time: the constants below are the only ones a
-default ``CostModel()`` plans with, wherever the process runs.
+The *calibration* vector absorbs constant factors the asymptotics hide.
+Defaults were fitted on this repository's benchmark workloads;
+:meth:`CostModel.calibrate` re-fits them from measured timings — the
+constant-factor calibration hook — and ``repro calibrate`` prints such a
+refit as a diff against :data:`DEFAULT_CALIBRATION`.  Nothing is loaded
+at run time: the constants below are the only ones a default
+``CostModel()`` plans with, wherever the process runs.
 """
 
 from __future__ import annotations
@@ -92,31 +85,9 @@ VariableTables = Dict[str, Tuple[list, float, float]]
 #: shape and is kept.  A stream that binds ``query.variables`` in order
 #: (leapfrog under that GAO, hash in the query's atom order) is in
 #: order and is never sorted.
-#: ``tetris-reloaded`` was refit in PR 23 (one ``container(box)`` oracle
-#: probe per knowledge-base miss) by the same procedure — kernel-only
-#: ``engine.run(oracle, preload=False)`` on warm indexes against
-#: ``list(iter_hash)``, µs per modelled unit — over the treewidth-1
-#: shapes, where the Õ(|C| + Z) row prices with the N·d certificate
-#: bound (at treewidth ≥ 2 the |C|^{w+1} bound is orders of magnitude
-#: from any measured run and no constant fits it), hash / reloaded:
-#:
-#:     path3_random           0.096 / 0.334
-#:     path4_chained          0.090 / 0.265
-#:     star4_random           0.074 / 0.306
-#:     e2e tetris_reloaded_path 0.095 / 0.081
-#:     mix path3              0.156 / 0.512
-#:
-#: Per-shape ratios 0.8–5.1, median 2.65 / 3.28 / 3.49 over three
-#: repeats (the parent commit read 5.01 / 6.75 — the 6.0 it shipped);
-#: shipped as 3.0.  ``auto`` picks the same backend on every raced
-#: fixture for any value in 1–12.  ``tetris-preloaded`` keeps the
-#: constant of the frontier-resuming kernel overhaul (12 → 6; the e2e
-#: ``tetris.ns_per_resolution`` on ``tetris_preloaded_triangle``).
 DEFAULT_CALIBRATION: Dict[str, float] = {
     "hash": 1.0,
     "leapfrog": 1.7,
-    "tetris-reloaded": 3.0,
-    "tetris-preloaded": 6.0,
 }
 
 #: Wall seconds of one abstract cost unit (one hash-table probe, ~0.8µs
@@ -125,8 +96,18 @@ DEFAULT_UNIT_SECONDS = 8e-7
 
 #: The backends ``auto`` prices, in preference order for cost ties
 #: (earlier wins) — the order the constants above are listed in.  The
-#: executor's ``BACKEND_TABLE`` holds these and the two forced-only ones.
+#: executor's ``BACKEND_TABLE`` holds these and the forced-only ones.
 CANDIDATES: Tuple[str, ...] = tuple(DEFAULT_CALIBRATION)
+
+
+def _check_priced(backends: Mapping[str, object]) -> None:
+    """Refuse a constant for a backend the model does not price."""
+    unpriced = sorted(set(backends) - set(CANDIDATES))
+    if unpriced:
+        raise ValueError(
+            f"no cost constant for {', '.join(unpriced)}: "
+            f"the model prices {CANDIDATES} only"
+        )
 
 
 @dataclass(frozen=True)
@@ -135,10 +116,8 @@ class StructureProfile:
 
     acyclic: bool
     treewidth: int
-    elimination_order: Tuple[str, ...]
     fhtw_upper: float
     gao: Tuple[str, ...]
-    num_vars: int
 
     @property
     def table1_row(self) -> str:
@@ -172,10 +151,8 @@ def structure_of(query: JoinQuery) -> StructureProfile:
     return StructureProfile(
         acyclic=acyclic,
         treewidth=width,
-        elimination_order=tuple(order),
         fhtw_upper=fhtw_upper,
         gao=gao,
-        num_vars=query.num_vars,
     )
 
 
@@ -239,10 +216,13 @@ class CostEstimate:
 
 
 class CostModel:
-    """Calibrated Table 1 cost estimates over query statistics.
+    """Calibrated cost estimates of the :data:`CANDIDATES` over query
+    statistics.
 
     Constants are the fitted :data:`DEFAULT_CALIBRATION`, updated by any
-    explicit ``calibration`` mapping.  ``unit_seconds`` — the measured
+    explicit ``calibration`` mapping, whose keys must be
+    :data:`CANDIDATES` — a constant for a backend ``auto`` never prices
+    raises ``ValueError`` rather than ride along unread.  ``unit_seconds`` — the measured
     wall time of one abstract cost unit — turns predicted costs into
     predicted seconds (:meth:`predicted_seconds`), which is what
     EXPLAIN ANALYZE holds against the measured run.
@@ -255,6 +235,7 @@ class CostModel:
     ):
         self.calibration = dict(DEFAULT_CALIBRATION)
         if calibration:
+            _check_priced(calibration)
             self.calibration.update(calibration)
         self.unit_seconds = unit_seconds
 
@@ -455,19 +436,6 @@ class CostModel:
         )
         return self.SORT * z * math.log2(z) if z > 1.0 else 0.0
 
-    def estimate(
-        self,
-        backend: str,
-        query: JoinQuery,
-        profile: StructureProfile,
-        stats: QueryStats,
-    ) -> CostEstimate:
-        tables = self._variable_tables(query, stats)
-        return self._estimate(
-            backend, query, profile, stats,
-            self._sort_cost(stats, tables), tables,
-        )
-
     def _estimate(
         self,
         backend: str,
@@ -481,33 +449,25 @@ class CostModel:
         :meth:`_variable_tables`.
 
         Every candidate emits in GAO-lexicographic order, so it pays the
-        sort unless its GAO is ``query.variables`` — Tetris's is fixed
-        by the structure
-        (Thm D.8/D.9), leapfrog is worst-case optimal under any order
-        and is priced on both, keeping the cheaper.  A hash cascade
-        emits lexicographic in the order it binds variables
-        (:func:`~repro.joins.hashjoin.binding_order`), so it is priced
-        the same way: the query's own atom order, which binds
+        sort unless its GAO is ``query.variables``.  Leapfrog is
+        worst-case optimal under any order and is priced on the
+        structural GAO and on ``query.variables``, keeping the cheaper.
+        A hash cascade emits lexicographic in the order it binds
+        variables (:func:`~repro.joins.hashjoin.binding_order`), so it
+        is priced the same way: the query's own atom order, which binds
         ``query.variables`` and pays no sort, against
         :func:`~repro.joins.hashjoin.left_deep_order` by size plus the
         sort (unless that order binds ``query.variables`` too, when
         :func:`~repro.joins.hashjoin.hash_order` runs the query's).
         Its GAO is the binding order of the order kept.
         """
-        n = float(stats.total_tuples)
-        z = stats.output_estimate
-        depth = max(stats.domain_depth, 1)
-        # Tetris's per-step work scales with the SAO traversal depth n·d;
-        # the classical backends touch tuples, not dyadic levels.
-        tetris_polylog = profile.num_vars * depth
-        factor = self.calibration.get(backend, 1.0)
-        gao = None
-        structural_sort = 0.0 if profile.gao == query.variables else sort
-
+        factor = self.calibration[backend]
         if backend == "leapfrog":
-            q = self._leapfrog_quantity(query, stats, profile.gao, tables)
-            gao, sort = profile.gao, structural_sort
-            if sort:
+            gao = profile.gao
+            q = self._leapfrog_quantity(query, stats, gao, tables)
+            if gao == query.variables:
+                sort = 0.0
+            elif sort:
                 q_ordered = self._leapfrog_quantity(
                     query, stats, query.variables, tables
                 )
@@ -516,7 +476,7 @@ class CostModel:
             formula = (
                 f"Õ(N + Σ level candidates) ≈ {q:g} (AGM {stats.agm:g})"
             )
-        elif backend == "hash":
+        else:  # hash
             gao = query.variables
             q = self._hash_plan_quantity(stats, [a.name for a in query.atoms])
             by_size = left_deep_order(
@@ -533,33 +493,6 @@ class CostModel:
             else:
                 sort = 0.0
             formula = f"N + Σ intermediates ≈ {q:g}"
-        elif backend == "tetris-preloaded":
-            sort = structural_sort
-            if profile.acyclic:
-                q = (n + z) * tetris_polylog
-                formula = f"Õ(N + Z) = ({n:g} + {z:g})·{tetris_polylog}"
-            else:
-                body = n ** profile.fhtw_upper
-                q = (body + z) * tetris_polylog
-                formula = (
-                    f"Õ(N^fhtw + Z) = ({n:g}^{profile.fhtw_upper:g} "
-                    f"+ {z:g})·{tetris_polylog}"
-                )
-        elif backend == "tetris-reloaded":
-            sort = structural_sort
-            c = float(stats.total_tuples) * max(stats.domain_depth, 1)
-            w = max(profile.treewidth, 1)
-            if w == 1:
-                body = c
-                formula = f"Õ(|C| + Z), |Ĉ|={c:g} (N·d bound)"
-            else:
-                body = c ** (w + 1)
-                formula = f"Õ(|C|^{w + 1} + Z), |Ĉ|={c:g} (N·d bound)"
-            # + N for the index build Tetris-Reloaded still pays even
-            # when the certificate is O(1).
-            q = n + (body + z) * tetris_polylog
-        else:
-            raise ValueError(f"{backend!r} is not an auto candidate")
         return CostEstimate(
             backend, q, factor * q + sort, formula, sort=sort, gao=gao,
         )
@@ -653,7 +586,7 @@ class CostModel:
             + ship_input
             + self.PARALLEL_SHIP_OUTPUT * z
         )
-        factor = self.calibration.get(base.backend, 1.0)
+        factor = self.calibration[base.backend]
         # Workers sort their own shards; the parent's final sort then
         # merges already-sorted runs.
         sort = base.sort / p
@@ -707,8 +640,10 @@ class CostModel:
 
         Factors are normalized so ``hash`` stays at its current value —
         relative order is all the argmin ever reads.  Returns a new model;
-        the receiver is untouched.
+        the receiver is untouched.  A backend outside :data:`CANDIDATES`
+        raises ``ValueError``.
         """
+        _check_priced(measurements)
         per_unit = {
             b: seconds / quantity
             for b, (seconds, quantity) in measurements.items()

@@ -339,9 +339,9 @@ def _nested_loop(query, db, index_kind, gao, limit):
 
 
 #: Every backend, declared once; the algorithm aliases and the CLI's
-#: ``--algorithm`` choices derive from its keys.  ``auto`` prices four of
-#: them (:data:`repro.engine.cost.CANDIDATES`, in this table's order);
-#: ``yannakakis`` and ``nested-loop`` run only when forced.
+#: ``--algorithm`` choices derive from its keys.  ``auto`` prices two of
+#: them (:data:`repro.engine.cost.CANDIDATES`, in this table's order:
+#: hash and leapfrog); the rest run only when forced.
 BACKEND_TABLE: Dict[str, BackendSpec] = {
     spec.name: spec
     for spec in (

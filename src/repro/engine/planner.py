@@ -127,10 +127,11 @@ def plan_query(
 ) -> Plan:
     """Produce a :class:`Plan` for a query.
 
-    With ``algorithm="auto"`` the four :data:`~repro.engine.cost.CANDIDATES`
-    are priced and the cheapest wins.  Naming a backend forces it: a
-    candidate still records its estimate, while ``nested-loop`` and
-    ``yannakakis`` are forced-only and carry an unpriced one.  A backend
+    With ``algorithm="auto"`` the two :data:`~repro.engine.cost.CANDIDATES`
+    (hash and leapfrog) are priced and the cheapest wins.  Naming a
+    backend forces it: a candidate still records its estimate, while
+    every other backend (the two Tetris variants, ``yannakakis`` and
+    ``nested-loop``) is forced-only and carries an unpriced one.  A backend
     whose ``BACKEND_TABLE`` spec requires an α-acyclic query raises
     ``ValueError`` on any other.
     Statistics come from ``stats`` if given, else are collected from

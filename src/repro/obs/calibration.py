@@ -6,7 +6,9 @@
   less its ``sort`` span, which the cost model prices apart), the cost
   model's abstract quantity and predicted cost, and actual vs.
   predicted cardinality;
-* ``repro calibrate`` replays the log (:func:`fit`): per-backend
+* ``repro calibrate`` replays the log (:func:`fit`) — its serial runs
+  of the backends ``auto`` prices, whose predictions were ``factor ×
+  quantity``; it skips the rest and says how many: per-backend
   constants come from the median measured seconds-per-unit (medians
   shrug off the stray cold-cache outlier a mean would chase) and pass
   through :meth:`CostModel.calibrate`, with ``unit_seconds`` — the
@@ -86,11 +88,18 @@ def load_runs(path: Optional[str] = None) -> List[Dict]:
 
 
 def _usable(run: Mapping) -> bool:
+    """Whether the planner predicted this run as ``factor × quantity``:
+    a measured serial run of a backend ``auto`` prices.  A parallel
+    run's plan added shard overhead to that, and a log may predate a
+    backend leaving :data:`~repro.engine.cost.CANDIDATES`."""
+    from repro.engine.cost import CANDIDATES
+
     try:
         return (
             float(run["seconds"]) > 0
             and float(run["quantity"]) > 0
-            and bool(run["backend"])
+            and run["backend"] in CANDIDATES
+            and run.get("workers", 1) == 1
         )
     except (KeyError, TypeError, ValueError):
         return False
@@ -104,6 +113,8 @@ def fit(
 ) -> Tuple[object, Dict]:
     """Refit a :class:`CostModel` from logged runs.
 
+    Only measured serial runs of a :data:`~repro.engine.cost.CANDIDATES`
+    backend are fitted.
     Per-backend seconds-per-unit is the median over that backend's runs;
     the medians go through :meth:`CostModel.calibrate` (which normalizes
     them into the model's relative-factor space), and ``unit_seconds``
@@ -118,7 +129,7 @@ def fit(
     per_backend: Dict[str, List[float]] = {}
     for r in usable:
         per_unit = float(r["seconds"]) / float(r["quantity"])
-        per_backend.setdefault(str(r["backend"]), []).append(per_unit)
+        per_backend.setdefault(r["backend"], []).append(per_unit)
     measurements = {
         backend: (_median(units), 1.0)
         for backend, units in per_backend.items()
@@ -127,8 +138,7 @@ def fit(
     fitted = model.calibrate(measurements)
     ratios = [
         float(r["seconds"])
-        / (fitted.calibration.get(str(r["backend"]), 1.0)
-           * float(r["quantity"]))
+        / (fitted.calibration[r["backend"]] * float(r["quantity"]))
         for r in usable
     ]
     if ratios:
@@ -156,7 +166,8 @@ def _median(xs: List[float]) -> float:
 
 
 def cost_error(runs: List[Dict], model) -> float:
-    """Mean |log₂(actual / predicted seconds)| over usable runs.
+    """Mean |log₂(actual / predicted seconds)| over the runs :func:`fit`
+    fits.
 
     The number ANALYZE prints and ``repro calibrate`` shrinks: 0 means
     the model predicts wall time exactly; 1 means off by 2× on average.
@@ -165,7 +176,7 @@ def cost_error(runs: List[Dict], model) -> float:
     for r in runs:
         if not _usable(r):
             continue
-        factor = model.calibration.get(str(r["backend"]), 1.0)
+        factor = model.calibration[r["backend"]]
         predicted = factor * float(r["quantity"]) * model.unit_seconds
         if predicted <= 0:
             continue

@@ -13,9 +13,9 @@ from repro.workloads.generators import split_path_instance
 #: a power of two, so even the AGM LP result rounds cleanly and every
 #: leapfrog seek depth is a whole log₂); the fractional constants (1.7,
 #: the 0.15 sort charge on 64·log₂64) survive the 4-digit formatting,
-#: which keeps the golden stable across platforms.  The four candidates
-#: are the backends ``auto`` prices; nested-loop and Yannakakis are
-#: forced-only and have no line.
+#: which keeps the golden stable across platforms.  The two candidates
+#: are the backends ``auto`` prices; the Tetris pair, nested-loop and
+#: Yannakakis are forced-only and have no line.
 GOLDEN = textwrap.dedent("""\
     # query: R(A, B) ⋈ S(B, C)
     EXPLAIN
@@ -31,10 +31,8 @@ GOLDEN = textwrap.dedent("""\
     │   ├─ S: |S|=64  d(B)=64, d(C)=64
     │   └─ Ẑ ≈ 64  (AGM 4096, independence 64)
     ├─ candidates
-    │   ├─ hash              cost≈       312  N + Σ intermediates ≈ 312  + sort 0  [GAO A, B, C: emits in output order] ◀
-    │   ├─ leapfrog          cost≈     900.8  Õ(N + Σ level candidates) ≈ 496 (AGM 4096)  + sort 57.6  [GAO B, C, A]
-    │   ├─ tetris-preloaded  cost≈ 2.079e+04  Õ(N + Z) = (128 + 64)·18  + sort 57.6
-    │   └─ tetris-reloaded   cost≈ 4.537e+04  Õ(|C| + Z), |Ĉ|=768 (N·d bound)  + sort 57.6
+    │   ├─ hash      cost≈       312  N + Σ intermediates ≈ 312  + sort 0  [GAO A, B, C: emits in output order] ◀
+    │   └─ leapfrog  cost≈     900.8  Õ(N + Σ level candidates) ≈ 496 (AGM 4096)  + sort 57.6  [GAO B, C, A]
     └─ plan: hash  (index btree; predicted cost 312)
 """)
 
@@ -55,8 +53,9 @@ def test_explain_golden_output(capsys):
 def test_explain_marks_the_output_order_gao(capsys):
     """A star's leapfrog and hash candidates are priced binding
     ``query.variables`` in order: each line names that GAO, says so, and
-    carries a zero sort term while a candidate under another GAO carries
-    a positive one.  The plan's GAO line is the hash binding order."""
+    carries a zero sort term (the golden's leapfrog, under another GAO,
+    carries a positive one).  The plan's GAO line is the hash binding
+    order."""
     rc = main([
         "explain", "R(H,A), S(H,B), T(H,C)", "--assume-rows", "4096",
     ])
@@ -67,8 +66,6 @@ def test_explain_marks_the_output_order_gao(capsys):
         assert line.removesuffix(" ◀").endswith(
             "+ sort 0  [GAO H, A, B, C: emits in output order]"
         ), backend
-    reloaded = next(l for l in lines if "─ tetris-reloaded " in l)
-    assert "+ sort 7373" in reloaded and "GAO" not in reloaded
     assert "│   ├─ GAO         : H, A, B, C  (sort: none)" in lines
 
 

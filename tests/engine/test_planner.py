@@ -1,8 +1,8 @@
 """Planner decision tests: Table 1 as executable expectations.
 
 Each case pins the backend the cost model must choose on a concrete
-instance of one of the paper's query shapes.  ``auto`` prices four
-backends — hash, leapfrog, tetris-reloaded and tetris-preloaded — and
+instance of one of the paper's query shapes.  ``auto`` prices two
+backends — hash and leapfrog — and the two Tetris variants,
 ``nested-loop`` and ``yannakakis`` run only when forced.  The
 expectations encode *measured* reality on this codebase, not just the
 asymptotic table: each was derived by racing the forced backends
@@ -348,17 +348,27 @@ def test_plan_cache_misses_on_changed_stats():
 
 
 def test_calibration_hook_changes_the_decision():
-    """Recalibrating Tetris's constant flips the split instance, priced
-    by the N·d certificate bound (|Ĉ| = 9,600 here)."""
+    """Recalibrating leapfrog's constant flips the split instance, where
+    the value-range overlap prices leapfrog's candidates near zero."""
     query, db, gao = split_path_instance(400, depth=12, seed=1)
     default = plan_query(query, db, gao=gao, use_cache=False)
-    assert default.backend != "tetris-reloaded"  # CPython constants
-    cheap_tetris = CostModel({"tetris-reloaded": 0.001})
+    assert default.backend == "leapfrog"
+    dear_leapfrog = CostModel({"leapfrog": 10.0})
     plan = plan_query(
-        query, db, gao=gao, cost_model=cheap_tetris, use_cache=False,
+        query, db, gao=gao, cost_model=dear_leapfrog, use_cache=False,
     )
-    assert plan.backend == "tetris-reloaded"
-    assert plan.variant == "reloaded"
+    assert plan.backend == "hash"
+
+
+def test_calibration_names_only_priced_backends():
+    """A constant for a backend ``auto`` never prices is refused, not
+    carried into the model and the plan-cache key unread."""
+    with pytest.raises(ValueError, match=r"\('hash', 'leapfrog'\)"):
+        CostModel({"tetris-reloaded": 0.001})
+    with pytest.raises(ValueError, match="nested-loop"):
+        CostModel().calibrate({
+            "hash": (1.0, 1000.0), "nested-loop": (9.0, 1000.0),
+        })
 
 
 def test_calibrate_refits_from_measurements():

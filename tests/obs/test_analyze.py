@@ -258,6 +258,31 @@ def test_malformed_log_lines_are_skipped(obs_paths):
     assert info["usable_runs"] == 1
 
 
+def test_calibrate_fits_only_serial_priced_runs(obs_paths):
+    """A parallel record's seconds include shard overhead the fit's
+    ``factor × quantity`` never predicted, and an old log's Tetris
+    record prices a backend ``auto`` no longer does: both are skipped,
+    so the fit comes from the serial hash record alone."""
+    log = obs_paths
+    records = [
+        {"backend": "hash", "workers": 1, "seconds": 0.002,
+         "quantity": 1000.0},
+        {"backend": "leapfrog", "workers": 2, "seconds": 0.5,
+         "quantity": 1000.0},
+        {"backend": "tetris-reloaded", "workers": 1, "seconds": 0.9,
+         "quantity": 1000.0},
+    ]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    runs = calibration.load_runs()
+    model, info = calibration.fit(runs)
+    assert (info["runs"], info["usable_runs"]) == (3, 1)
+    assert info["samples_per_backend"] == {"hash": 1}
+    assert set(model.calibration) == set(DEFAULT_CALIBRATION)
+    assert model.calibration == DEFAULT_CALIBRATION
+    assert model.unit_seconds == pytest.approx(0.002 / 1000.0)
+    assert calibration.cost_error(runs, model) == pytest.approx(0.0)
+
+
 # -- log rotation --------------------------------------------------------------
 
 
@@ -340,6 +365,7 @@ def test_cli_explain_analyze_and_calibrate(obs_paths, cli_csvs, capsys):
 
     assert main(["calibrate"]) == 0
     out = capsys.readouterr().out
+    assert "1 usable of 1 runs, 0 skipped" in out
     assert "cost error" in out
     # The refit is a diff of the shipped constants, and nothing else.
     assert "--- src/repro/engine/cost.py\n+++ refit\n" in out

@@ -249,16 +249,17 @@ def test_backends_are_declared_once():
         assert list(offered) == sorted(ALGORITHM_ALIASES), command
 
 
-#: The backends ``auto`` prices, in tie-break order.  A fifth candidate
+#: The backends ``auto`` prices, in tie-break order.  A third candidate
 #: needs a benchmark plan that picks it: over the 507 plans of the six
-#: e2e workloads (seeds 1–3) ``auto`` picks hash every time, leapfrog
-#: keeps its place on ``path2_split_cert`` and the Tetris pair waits on
-#: a data-priced GAO.  A backend that never wins is forced-only.
-AUTO_CANDIDATES = ("hash", "leapfrog", "tetris-reloaded", "tetris-preloaded")
+#: e2e workloads (seeds 1–3) ``auto`` picks hash every time, and leapfrog
+#: keeps its place on ``path2_split_cert``.  The Tetris pair trails warm
+#: leapfrog under the same GAO even on the O(1)-certificate split path
+#: and cycle.  A backend that never wins is forced-only.
+AUTO_CANDIDATES = ("hash", "leapfrog")
 
 
 def test_auto_prices_only_what_it_can_pick():
-    """Every backend stays reachable by name, but only the four
+    """Every backend stays reachable by name, but only the two
     candidates are priced: a forced-only plan carries no price, serial
     or sharded."""
     from repro.engine.cost import CANDIDATES
@@ -270,7 +271,9 @@ def test_auto_prices_only_what_it_can_pick():
     plan = plan_query(query, db, use_cache=False)
     assert tuple(c.backend for c in plan.candidates) == AUTO_CANDIDATES
     forced_only = [b for b in BACKEND_TABLE if b not in AUTO_CANDIDATES]
-    assert forced_only == ["yannakakis", "nested-loop"]
+    assert forced_only == [
+        "yannakakis", "tetris-reloaded", "tetris-preloaded", "nested-loop",
+    ]
     for backend in forced_only:
         for workers in (None, 2):
             forced = plan_query(
