@@ -195,7 +195,7 @@ class CostEstimate:
     """One backend's predicted cost on an instance.
 
     ``parallel`` marks a *parallel-plan candidate*: the same backend run
-    shard-parallel on ``workers`` processes, priced with the replication
+    shard-parallel on ``workers`` processes, priced with the dispatch
     and shipping overheads of :meth:`CostModel.estimate_parallel` (a
     pool of one worker is still a parallel plan — sharded, dealt,
     merged — so the flag is explicit rather than inferred from the
@@ -254,13 +254,9 @@ class CostModel:
     SORT = 0.15
 
     #: Parallel-plan pricing, in the same hash-probe units.  Dispatching
-    #: a shard costs a task pickle + pipe round trip.  Input rows ship as
-    #: flat ``array('q')`` column blobs (one memcpy per column, no
-    #: per-tuple pickling) — priced above the raw byte cost because the
-    #: first ship also rebuilds worker-side sorted views and indexes
-    #: (amortized across repeats by the per-worker relation cache).
-    #: Both were fitted while a unit was ~0.8 µs (interpreted loops) and
-    #: were not refit here.
+    #: a shard costs a task pickle + pipe round trip; the charge was
+    #: fitted while a unit was ~0.8 µs (interpreted loops) and was not
+    #: refit here.
     #:
     #: Output rows are what a parallel run pays for.  A dispatched
     #: shard's rows are pickled in the worker, piped, and unpickled in
@@ -290,16 +286,13 @@ class CostModel:
     #: 1.7× serial on the sparse triangle), so its parallel candidates
     #: are still priced too low.
     PARALLEL_SHARD_OVERHEAD = 250.0
-    PARALLEL_SHIP_INPUT = 0.04
     PARALLEL_SHIP_OUTPUT = 1.9
 
     #: Flat charge per (atom × worker) for the shared-memory data
     #: plane: one segment attach + header parse + zero-copy column
-    #: views (~50µs ≈ 60 units).  When shm is on, this *replaces* the
-    #: per-row input shipping term and the replication factor — input
-    #: bytes are laid out once in the parent and mapped, not copied per
-    #: worker — which is what makes the planner pick parallel plans
-    #: earlier on large inputs.
+    #: views (~50µs ≈ 60 units).  Input bytes are laid out once in the
+    #: parent and mapped, not copied per worker, so the input costs this
+    #: flat charge rather than a per-row one.
     PARALLEL_SHM_ATTACH = 60.0
 
     # -- per-backend quantities ------------------------------------------------
@@ -499,93 +492,32 @@ class CostModel:
 
     # -- parallel-plan candidates ----------------------------------------------
 
-    def _replication(
-        self,
-        stats: QueryStats,
-        split_attrs: Tuple[str, ...],
-        num_shards: int,
-    ) -> float:
-        """Mean input-replication factor of a shard partition.
-
-        A relation clipped on all split attributes is scanned once
-        across the whole shard set; one clipped on a subset is
-        re-scanned by the shards that only differ on the missing
-        attributes.  Assuming split bits spread evenly over the split
-        attributes, an atom covering ``c`` of ``k`` split attributes is
-        replicated ``num_shards / 2^(c·bits/k)`` times; the model
-        averages that over relations weighted by cardinality.
-        """
-        if not split_attrs:
-            return float(num_shards)
-        bits = max(num_shards.bit_length() - 1, 0)
-        per_attr = bits / len(split_attrs)
-        total = 0.0
-        weighted = 0.0
-        for p in stats.relations:
-            covered = sum(1 for a in split_attrs if a in p.attrs)
-            factor = max(1.0, num_shards / 2.0 ** (covered * per_attr))
-            total += p.cardinality
-            weighted += factor * p.cardinality
-        return weighted / total if total else 1.0
-
     def estimate_parallel(
         self,
         base: CostEstimate,
         query: JoinQuery,
-        profile: StructureProfile,
         stats: QueryStats,
         workers: int,
         num_shards: int,
-        split_attrs: Tuple[str, ...],
     ) -> CostEstimate:
         """Price a backend run shard-parallel on ``workers`` processes.
 
-        Speedup-aware: the backend's quantity splits into an
-        input-proportional share and the rest (output/intermediate
-        work, which partitions cleanly); both divide by the effective
-        parallelism ``min(workers, shards, usable cores)`` — workers
-        beyond the cores this process may run on add no speedup.  On
-        top ride the flat shard-dispatch charge and the output rows
-        (returned and merged).  The input side depends on the data
-        plane, read from :func:`repro.parallel.shm.shm_enabled` at
-        estimate time (so ``REPRO_NO_SHM`` flips the pricing): over the
-        pickle wire the input share pays the replication factor of
-        partially-covered atoms plus per-row shipping; over shared
-        memory the input is laid out once and mapped, so replication
-        collapses to 1 and shipping becomes the flat
+        Speedup-aware: the backend's quantity (input, output and
+        intermediate work, all of which partition cleanly) divides by
+        the effective parallelism ``min(workers, shards, usable
+        cores)`` — workers beyond the cores this process may run on add
+        no speedup.  On top ride the flat shard-dispatch charge, the
+        output rows (returned and merged) and the input: laid out once
+        in shared memory and mapped by every worker, it costs the flat
         :data:`PARALLEL_SHM_ATTACH` charge per (atom × worker).
         """
-        from repro.parallel.shm import shm_enabled
-
-        use_shm = shm_enabled()
         p = max(1, min(workers, num_shards, usable_cores()))
-        n = float(stats.total_tuples)
-        z = stats.output_estimate
-        input_share = (
-            min(1.0, n / base.quantity) if base.quantity > 0 else 0.0
-        )
-        if use_shm:
-            replication = 1.0
-            ship_input = (
-                self.PARALLEL_SHM_ATTACH * len(query.atoms) * p
-            )
-            plane = "shm"
-        else:
-            replication = self._replication(
-                stats, split_attrs, num_shards
-            )
-            ship_input = self.PARALLEL_SHIP_INPUT * n
-            plane = f"repl {replication:.2g}"
-        quantity = (
-            base.quantity
-            * (input_share * replication + (1.0 - input_share))
-            / p
-        )
         overhead = (
             self.PARALLEL_SHARD_OVERHEAD * num_shards
-            + ship_input
-            + self.PARALLEL_SHIP_OUTPUT * z
+            + self.PARALLEL_SHM_ATTACH * len(query.atoms) * p
+            + self.PARALLEL_SHIP_OUTPUT * stats.output_estimate
         )
+        quantity = base.quantity / p
         factor = self.calibration[base.backend]
         # Workers sort their own shards; the parent's final sort then
         # merges already-sorted runs.
@@ -594,8 +526,7 @@ class CostModel:
             base.backend,
             quantity,
             factor * quantity + overhead + sort,
-            f"{base.formula} ∥ ×{p} workers "
-            f"({num_shards} shards, {plane})",
+            f"{base.formula} ∥ ×{p} workers ({num_shards} shards, shm)",
             workers=workers,
             parallel=True,
             sort=sort,
@@ -609,7 +540,6 @@ class CostModel:
         stats: QueryStats,
         workers: Optional[int] = None,
         num_shards: int = 1,
-        split_attrs: Tuple[str, ...] = (),
     ) -> Tuple[CostEstimate, ...]:
         """Every candidate: serial per :data:`CANDIDATES` backend, plus —
         when a worker count is on the table and the split produced > 1
@@ -624,9 +554,7 @@ class CostModel:
         if workers is None or workers < 1 or num_shards <= 1:
             return serial
         parallel = tuple(
-            self.estimate_parallel(
-                c, query, profile, stats, workers, num_shards, split_attrs
-            )
+            self.estimate_parallel(c, query, stats, workers, num_shards)
             for c in serial
         )
         return serial + parallel

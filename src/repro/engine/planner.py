@@ -140,7 +140,7 @@ def plan_query(
 
     ``workers=N`` puts shard-parallel execution on the table: under
     ``algorithm="auto"`` every candidate is additionally priced as a
-    parallel candidate on N workers (replication + shipping overheads
+    parallel candidate on N workers (dispatch + shipping overheads
     included) and the overall cheapest wins — small queries stay serial;
     a *forced* backend combined with ``workers`` always takes the
     parallel plan (the caller asked for both).
@@ -191,21 +191,12 @@ def _plan_query_impl(
     # the plan's identity — a caller's refit model (or a recycled object
     # id) must never resurrect a plan priced under different constants.
     model = cost_model if cost_model is not None else CostModel()
-    # The shm data plane changes parallel pricing (attach charge vs.
-    # replication), so a flipped REPRO_NO_SHM must never resurrect a
-    # plan priced for the other wire.
-    shm_flag = None
-    if workers is not None:
-        from repro.parallel.shm import shm_enabled
-
-        shm_flag = shm_enabled()
     key = (
         stats.fingerprint,
         algorithm,
         index_kind,
         tuple(gao) if gao is not None else None,
         workers,
-        shm_flag,
         tuple(sorted(model.calibration.items())),
     )
     if use_cache:
@@ -243,7 +234,7 @@ def _plan_query_impl(
             num_shards = default_num_shards(workers)
     candidates = model.estimate_all(
         query, profile, stats,
-        workers=workers, num_shards=num_shards, split_attrs=split_attrs,
+        workers=workers, num_shards=num_shards,
     )
     if algorithm == "auto":
         # min() is stable, so CANDIDATES order breaks exact ties.

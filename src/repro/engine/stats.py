@@ -73,13 +73,6 @@ class QueryStats:
         """Ẑ: the smaller of the AGM bound and the independence estimate."""
         return min(self.agm, self.independence_estimate)
 
-    def distinct_bound(self, attr: str) -> int:
-        """Tightest distinct-count bound on an attribute across relations."""
-        counts = [
-            p.distinct_of(attr) for p in self.relations if attr in p.attrs
-        ]
-        return min(counts) if counts else 1
-
 
 def value_overlap_fraction(
     ranges: Sequence[Tuple[int, int]]

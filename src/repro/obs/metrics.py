@@ -386,9 +386,6 @@ class MetricsRegistry:
         """
         self._collectors[name] = collect
 
-    def unregister_collector(self, name: str) -> None:
-        self._collectors.pop(name, None)
-
     # -- reading ---------------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:

@@ -35,7 +35,6 @@ from repro.parallel.partition import (
     Shard,
     choose_split_attrs,
     clip_database,
-    clip_range,
     clip_relation,
     clip_slice,
     partition_shards,
@@ -55,7 +54,6 @@ from repro.parallel.shm import (
     ShmRef,
     ShmSlice,
     SlicePlan,
-    shm_enabled,
 )
 from repro.parallel.workers import ShardResult, ShardTask
 
@@ -78,7 +76,6 @@ __all__ = [
     "choose_split_attrs",
     "clear_job_cache",
     "clip_database",
-    "clip_range",
     "clip_relation",
     "clip_slice",
     "get_pool",
@@ -86,6 +83,5 @@ __all__ = [
     "partition_shards",
     "run_job_in_parent",
     "run_shards",
-    "shm_enabled",
     "shutdown_pools",
 ]

@@ -48,7 +48,7 @@ from repro.parallel.scheduler import (
     run_job_in_parent,
 )
 from repro.parallel import shm as _shm
-from repro.parallel.shm import SlicePlan, shm_enabled
+from repro.parallel.shm import SlicePlan
 from repro.relational.query import ContentLRU, Database, JoinQuery
 
 Row = Tuple[int, ...]
@@ -271,9 +271,8 @@ def prepare_jobs(
 ) -> Tuple[Tuple[Shard, ...], List[PendingShard], int]:
     """Partition and clip: the dispatchable jobs plus the pruned count.
 
-    Memoized on content — query signature, relation fingerprints, the
-    plan's shard parameters, and the shm configuration (slice payloads
-    exist only on the shm path) — so repeated executions reuse the
+    Memoized on content — query signature, relation fingerprints and
+    the plan's shard parameters — so repeated executions reuse the
     clipped relations (zero-copy, including their memoized views).
 
     Where a shard's clip of a large-enough relation starts from the
@@ -284,14 +283,11 @@ def prepare_jobs(
     every worker then reads the same shared base segment, and the parent
     never builds the clipped rows at all.
     """
-    use_shm = shm_enabled()
-    min_bytes = _shm.MIN_BYTES if use_shm else 0
     key = (
         query.signature,
         db.stats_fingerprint(),
         plan.num_shards,
         tuple(plan.split_attrs),
-        (use_shm, min_bytes),
     )
     cached = _JOB_CACHE.get(key)
     if cached is not None:
@@ -309,7 +305,7 @@ def prepare_jobs(
             rel = db[atom.name]
             attr_map = dict(zip(atom.attrs, rel.attrs))
             rng = None
-            if use_shm and rel.nominal_bytes() >= min_bytes:
+            if rel.nominal_bytes() >= _shm.MIN_BYTES:
                 rng = clip_slice(rel, shard, depth, attr_map)
             if rng is not None:
                 lo, hi, rest = rng

@@ -295,43 +295,6 @@ def partition_shards(
     return tuple(sorted(shards, key=Shard.sort_key))
 
 
-def clip_range(
-    rel: Relation,
-    shard: Shard,
-    depth: int,
-    attr_map: Optional[Mapping[str, str]] = None,
-) -> Optional[Tuple[int, int]]:
-    """The shard's clip as a canonical-row range, where one exists.
-
-    When exactly one schema attribute is constrained and it is the
-    schema-*leading* one, :func:`clip_relation`'s selection is a
-    contiguous ``[lo, hi)`` slice of the relation's canonical sorted
-    rows — the shape the shared-memory data plane ships as an
-    ``ShmSlice`` over the base segment instead of materializing a
-    clipped copy.  Returns ``None`` when the clip is not such a slice
-    (no constraint at all, a non-leading attribute, or several
-    constrained attributes): callers fall back to
-    :func:`clip_relation`.
-    """
-    if attr_map is None:
-        attr_map = {a: a for a in rel.schema.attrs}
-    constrained = [
-        (attr_map[a], p)
-        for a, p in shard.constraints
-        if p != PLAMBDA and a in attr_map
-    ]
-    if len(constrained) != 1:
-        return None
-    attr, packed = constrained[0]
-    if attr != rel.schema.attrs[0]:
-        return None
-    lo, hi = _packed_range(packed, depth)
-    rows = rel.view(rel.schema.attrs).rows
-    left = bisect.bisect_left(rows, (lo,))
-    right = bisect.bisect_left(rows, (hi + 1,), left)
-    return left, right
-
-
 def clip_slice(
     rel: Relation,
     shard: Shard,
@@ -340,8 +303,9 @@ def clip_slice(
 ) -> Optional[Tuple[int, int, Tuple[Tuple[int, int, int], ...]]]:
     """The shard's clip as a leading slice plus a residual box, if any.
 
-    Generalizes :func:`clip_range` to the shape the shared-memory plane
-    actually ships: whenever the schema-*leading* attribute is
+    This is the shape the shared-memory plane ships as an
+    :class:`~repro.parallel.shm.ShmSlice` over the base segment instead
+    of a materialized copy: whenever the schema-*leading* attribute is
     constrained, the clip is the bisected canonical row range of that
     constraint — ``(lo, hi)`` — with every *further* constrained
     attribute carried as an inclusive ``(column index, lo, hi)`` filter

@@ -623,13 +623,10 @@ class WorkerPool:
                     report.bytes_shipped += _wire_size(payload)
                     report.bytes_nominal += ship.nominal_bytes()
                 return payload
-            if report is not None and _shm.shm_enabled():
+            if report is not None:
                 report.shm_fallbacks += 1
             ship = ship.materialize()
-        if (
-            _shm.shm_enabled()
-            and ship.nominal_bytes() >= _shm.MIN_BYTES
-        ):
+        if ship.nominal_bytes() >= _shm.MIN_BYTES:
             try:
                 ref = _shm.ARENA.export(ship, owner=owner)
             except Exception:

@@ -1,27 +1,24 @@
 """The zero-copy shared-memory data plane for shard-parallel execution.
 
-PR 5's pipe protocol shipped every relation to every worker as a pickled
-column blob — one copy per worker, priced into the cost model as the
-``PARALLEL_SHIP_INPUT`` replication term.  This module replaces the blob
-with a **named shared-memory segment per relation**: the parent-side
-:class:`ShmArena` lays a relation's canonical flat columns into one
-``multiprocessing.shared_memory`` segment (header + columns, the layout
-``Relation.to_shm`` writes and ``Relation.from_shm`` attaches to), and
-the wire then carries :class:`ShmRef` / :class:`ShmSlice` payloads —
-segment *names*, not bytes.  Workers attach once per segment and build
-relations whose columns are zero-copy ``memoryview``\\ s over the mapped
-pages; a shard's clip becomes a ``(lo, hi)`` row range over the shared
-canonical order (:class:`SlicePlan` → :class:`ShmSlice`) instead of a
-materialized copy.
+Each relation a shard reads goes to the workers as a **named
+shared-memory segment**: the parent-side :class:`ShmArena` lays a
+relation's canonical flat columns into one ``multiprocessing.
+shared_memory`` segment (header + columns, the layout ``Relation.to_shm``
+writes and ``Relation.from_shm`` attaches to), and the wire then carries
+:class:`ShmRef` / :class:`ShmSlice` payloads — segment *names*, not
+bytes.  Workers attach once per segment and build relations whose
+columns are zero-copy ``memoryview``\\ s over the mapped pages; a
+shard's clip becomes a ``(lo, hi)`` row range over the shared canonical
+order (:class:`SlicePlan` → :class:`ShmSlice`) instead of a materialized
+copy.
 
-Fallback, not failure: anything that can't go through shared memory —
-the platform lacks it, the relation is below :data:`MIN_BYTES`, segment
-creation fails, or the ``REPRO_NO_SHM`` escape hatch is set — ships as
-a pickled blob exactly as before.  Parity is bit-exact either way.  The
-escape hatch is the one knob here, read per call: a tmpfs ``/dev/shm``
-smaller than a segment turns the write into SIGBUS, a signal the
-fallback cannot catch.  The size floor and the arena budget are module
-constants (tests patch them).
+Fallback, not failure: a relation below :data:`MIN_BYTES`, or one whose
+segment cannot be created, reserved or written, ships as a pickled blob
+instead.  Parity is bit-exact either way.  The arena reserves a new
+segment's pages (``posix_fallocate``) before writing them, so a tmpfs
+``/dev/shm`` too small for the segment fails the export with ``ENOSPC``
+rather than turning the write into SIGBUS.  The size floor and the
+arena budget are module constants (tests patch them).
 
 Lifecycle safety is the hard part and is handled here:
 
@@ -31,7 +28,8 @@ Lifecycle safety is the hard part and is handled here:
   Unowned segments are unlinked LRU-first when the arena exceeds its
   byte budget, and ``close()`` (pool shutdown / ``atexit``) unlinks
   everything — no leaked ``/dev/shm`` entries even after a worker
-  crash, because only the parent ever creates or unlinks.
+  crash or a failed export, because only the parent ever creates or
+  unlinks.
 * Workers attach with :func:`attach_segment`, which keeps Python's
   ``resource_tracker`` from registering (and later double-unlinking)
   segments the parent owns.
@@ -46,13 +44,11 @@ from __future__ import annotations
 import atexit
 import functools
 import os
-import pickle
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro import config
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.parallel import faults as _faults
 from repro.relational.relation import Relation
@@ -72,28 +68,42 @@ MIN_BYTES = 8192
 CAPACITY_BYTES = 1 << 28  # 256 MiB
 
 
-def _shared_memory_module():
-    try:
-        from multiprocessing import shared_memory
-        return shared_memory
-    except ImportError:  # pragma: no cover - stripped-down platforms
-        return None
+#: Where POSIX shared-memory segments appear as files (Linux).
+_SHM_DIR = "/dev/shm/"
 
 
-def shm_available() -> bool:
-    """Whether this platform offers ``multiprocessing.shared_memory``."""
-    return _shared_memory_module() is not None
+def _reserve(name: str, size: int) -> None:
+    """Allocate a new segment's pages before anything writes to them.
 
-
-def shm_enabled() -> bool:
-    """Shared-memory shipping is on: available and not escape-hatched.
-
-    ``REPRO_NO_SHM`` is read per call (not latched at import), so a
-    test can flip it between runs.
+    A write to an unbacked page of a full tmpfs is SIGBUS, which no
+    handler here can turn into a fallback; ``posix_fallocate`` fails the
+    same shortage up front as ``OSError(ENOSPC)``.  Without the call or
+    the ``/dev/shm`` file there is nothing to reserve through, and the
+    write goes ahead unreserved.
     """
-    if config.NO_SHM.get():
-        return False
-    return shm_available()
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fd = os.open(_SHM_DIR + name.lstrip("/"), os.O_RDWR)
+    except FileNotFoundError:
+        return
+    try:
+        fallocate(fd, 0, size)
+    finally:
+        os.close(fd)
+
+
+def _destroy(shm) -> None:
+    """Close and unlink a parent-created segment."""
+    try:
+        shm.close()
+    except BufferError:  # views still alive: the unmap waits for the GC
+        pass
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
 
 
 class _MappedSegment:
@@ -140,7 +150,7 @@ def attach_segment(name: str):
     try:
         import mmap as _mmap
 
-        fd = os.open("/dev/shm/" + name.lstrip("/"), os.O_RDONLY)
+        fd = os.open(_SHM_DIR + name.lstrip("/"), os.O_RDONLY)
         try:
             size = os.fstat(fd).st_size
             mm = _mmap.mmap(fd, size, prot=_mmap.PROT_READ)
@@ -149,9 +159,8 @@ def attach_segment(name: str):
         return _MappedSegment(name, mm)
     except (OSError, ImportError, AttributeError, ValueError):
         pass
-    shared_memory = _shared_memory_module()
-    if shared_memory is None:
-        raise RuntimeError("shared memory is unavailable on this platform")
+    from multiprocessing import shared_memory
+
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
@@ -295,16 +304,15 @@ class ShmArena:
     ) -> Optional[ShmRef]:
         """The relation's segment ref, creating the segment on first use.
 
-        Returns ``None`` — *ship a blob instead* — when shared memory is
-        disabled or segment creation fails (exhausted /dev/shm, exotic
-        platforms); the caller records the fallback.  May also *raise*
+        Returns ``None`` — *ship a blob instead* — when the segment
+        cannot be created, reserved or written (a ``/dev/shm`` too small
+        for it, exotic platforms); a half-made segment is closed and
+        unlinked, and the caller records the fallback.  May also *raise*
         :class:`ShmExportError` (fault injection stands in for the
         platform states where ``SharedMemory`` raises something the
         ``(OSError, ValueError)`` net below doesn't cover); callers must
         treat a raising export as a fallback, never as query failure.
         """
-        if not shm_enabled():
-            return None
         fault_plan = _faults.plan()
         if fault_plan is not None and fault_plan.take_shm_export_failure():
             self.fallbacks += 1
@@ -314,15 +322,19 @@ class ShmArena:
         key = rel.cache_key()
         seg = self._segments.get(key)
         if seg is None:
-            shared_memory = _shared_memory_module()
+            from multiprocessing import shared_memory
+
             t0 = time.perf_counter()
             nbytes, header = rel.shm_layout()
+            size = max(1, nbytes)
+            shm = None
             try:
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, nbytes)
-                )
+                shm = shared_memory.SharedMemory(create=True, size=size)
+                _reserve(shm.name, size)
                 rel.to_shm(shm.buf, header=header)
             except (OSError, ValueError):
+                if shm is not None:
+                    _destroy(shm)
                 self.fallbacks += 1
                 return None
             self._generation += 1
@@ -367,14 +379,7 @@ class ShmArena:
         return sum(seg.nbytes for seg in self._segments.values())
 
     def _unlink(self, seg: _Segment) -> None:
-        try:
-            seg.shm.close()
-        except BufferError:  # pragma: no cover - parent holds no views
-            pass
-        try:
-            seg.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        _destroy(seg.shm)
         self.unlinked += 1
 
     def _sweep(self, exclude: Optional[Tuple] = None) -> None:

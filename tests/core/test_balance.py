@@ -18,6 +18,9 @@ from repro.core.resolution import ResolutionStats
 from repro.core.tetris import solve_bcp
 from tests.helpers import (
     brute_force_uncovered,
+    pcovers_point,
+    pis_prefix,
+    plength,
     random_boxes,
 )
 
@@ -45,11 +48,11 @@ class TestBalancedPartition:
         for a in parts:
             for b in parts:
                 if a != b:
-                    assert not dy.pis_prefix(a, b)
+                    assert not pis_prefix(a, b)
         # Complete: every point has a part prefixing it.
         for point in range(1 << DEPTH):
             assert any(
-                dy.pcovers_point(p, point, DEPTH) for p in parts
+                pcovers_point(p, point, DEPTH) for p in parts
             )
 
     def test_no_heavy_part(self):
@@ -60,7 +63,7 @@ class TestBalancedPartition:
         parts = balanced_partition(boxes, 0, DEPTH)
         components = [b[0] for b in boxes]
         for p in parts:
-            if dy.plength(p) < DEPTH:
+            if plength(p) < DEPTH:
                 assert strictly_inside_count(components, p) <= threshold
 
     def test_example_f1_shape(self):
@@ -81,7 +84,7 @@ class TestBalancedPartition:
         # Parts under '0' must be fine; '1' stays one part.
         one = dy.pmake(1, 1)
         assert one in parts
-        assert all(p == one or dy.plength(p) > 1 for p in parts)
+        assert all(p == one or plength(p) > 1 for p in parts)
 
 
 class TestSplitByPartition:

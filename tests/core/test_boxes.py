@@ -7,7 +7,14 @@ from repro.core import intervals as dy
 from repro.core.boxes import box_contains, box_overlaps, pbox_from_bits
 from repro.core.intervals import PLAMBDA
 from repro.relational.hypergraph import Hypergraph
-from tests.helpers import box_points
+from tests.helpers import (
+    box_points,
+    pcovers_point,
+    pfrom_point,
+    pis_unit,
+    pmeet,
+    pwidth,
+)
 
 DEPTH = 4
 NDIM = 3
@@ -26,7 +33,7 @@ def boxes(ndim=NDIM, max_depth=DEPTH):
 def volume(box, depth):
     vol = 1
     for p in box:
-        vol *= dy.pwidth(p, depth)
+        vol *= pwidth(p, depth)
     return vol
 
 
@@ -39,7 +46,7 @@ class TestBoxBasics:
         assert pbox_from_bits("λ", "*", "") == (PLAMBDA,) * 3
 
     def test_point(self):
-        unit = tuple(dy.pfrom_point(c, 3) for c in (1, 2))
+        unit = tuple(pfrom_point(c, 3) for c in (1, 2))
         assert unit == pbox_from_bits("001", "010")
 
     def test_universe(self):
@@ -88,11 +95,11 @@ class TestContainment:
         pa = set(box_points(a, DEPTH))
         pb = set(box_points(b, DEPTH))
         if box_overlaps(a, b):
-            meet = tuple(map(dy.pmeet, a, b))
+            meet = tuple(map(pmeet, a, b))
             assert set(box_points(meet, DEPTH)) == pa & pb
         else:
             with pytest.raises(ValueError):
-                tuple(map(dy.pmeet, a, b))
+                tuple(map(pmeet, a, b))
 
     def test_raw_tuple_helpers(self):
         a = pbox_from_bits("1", "")
@@ -120,8 +127,8 @@ class TestSupportAndPoints:
         assert h.edges == [frozenset({"A", "C"})]
 
     def test_unit_box(self):
-        assert all(dy.pis_unit(p, 3) for p in pbox_from_bits("001", "010"))
-        assert not all(dy.pis_unit(p, 3) for p in pbox_from_bits("1", "10"))
+        assert all(pis_unit(p, 3) for p in pbox_from_bits("001", "010"))
+        assert not all(pis_unit(p, 3) for p in pbox_from_bits("1", "10"))
 
     def test_to_point(self):
         unit = pbox_from_bits("001", "010")
@@ -129,8 +136,8 @@ class TestSupportAndPoints:
 
     def test_covers_point(self):
         b = pbox_from_bits("1", "")
-        assert all(map(dy.pcovers_point, b, (5, 0), (3, 3)))
-        assert not all(map(dy.pcovers_point, b, (3, 0), (3, 3)))
+        assert all(map(pcovers_point, b, (5, 0), (3, 3)))
+        assert not all(map(pcovers_point, b, (3, 0), (3, 3)))
 
     def test_volume(self):
         assert volume(pbox_from_bits("", ""), 3) == 64

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.boxes import pbox_from_bits
-from repro.core.intervals import pfrom_point
 from repro.core.certificates import (
     certificate_size,
     covers,
@@ -13,7 +12,12 @@ from repro.core.certificates import (
     minimum_certificate,
     pcomplement_boxes,
 )
-from tests.helpers import box_points, brute_force_uncovered, random_boxes
+from tests.helpers import (
+    box_points,
+    brute_force_uncovered,
+    pfrom_point,
+    random_boxes,
+)
 
 DEPTH = 3
 

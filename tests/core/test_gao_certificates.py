@@ -9,9 +9,9 @@ from repro.core.certificates import (
     minimal_certificate,
 )
 from repro.core.boxes import pbox_from_bits
-from repro.core.intervals import PLAMBDA, pfrom_point
+from repro.core.intervals import PLAMBDA
 from repro.indexes.gaps import dyadic_boxes_from_ranges
-from tests.helpers import box_points, brute_force_uncovered
+from tests.helpers import box_points, brute_force_uncovered, pfrom_point
 
 DEPTH = 3
 

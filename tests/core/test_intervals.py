@@ -1,10 +1,24 @@
-"""Unit and property tests for dyadic intervals (packed marker-bit ints)."""
+"""Unit and property tests for dyadic intervals (packed marker-bit ints).
+
+Splitting, parents, siblings and prefixes have no helper: code applies the
+identities of :mod:`repro.core.intervals` inline, so the tests here pin
+those identities themselves.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import intervals as dy
 from repro.core.intervals import PLAMBDA
+from repro.core.resolution import resolve_tuples
+from tests.helpers import (
+    pcovers_point,
+    pfrom_point,
+    pis_prefix,
+    plength,
+    pmeet,
+    pwidth,
+)
 
 
 DEPTH = 6
@@ -49,47 +63,45 @@ class TestConstruction:
             dy.pfrom_bits("10x")
 
     def test_from_point(self):
-        assert dy.pfrom_point(3, 4) == dy.pfrom_bits("0011")
+        assert pfrom_point(3, 4) == dy.pfrom_bits("0011")
 
     def test_from_point_out_of_domain(self):
         with pytest.raises(ValueError):
-            dy.pfrom_point(16, 4)
+            pfrom_point(16, 4)
 
 
 class TestPrefixOrder:
     def test_lambda_is_prefix_of_all(self):
-        assert dy.pis_prefix(PLAMBDA, dy.pfrom_bits("101"))
-        assert dy.pis_prefix(PLAMBDA, PLAMBDA)
+        assert pis_prefix(PLAMBDA, dy.pfrom_bits("101"))
+        assert pis_prefix(PLAMBDA, PLAMBDA)
 
     def test_prefix_basic(self):
-        assert dy.pis_prefix(dy.pfrom_bits("1"), dy.pfrom_bits("101"))
-        assert not dy.pis_prefix(dy.pfrom_bits("0"), dy.pfrom_bits("101"))
+        assert pis_prefix(dy.pfrom_bits("1"), dy.pfrom_bits("101"))
+        assert not pis_prefix(dy.pfrom_bits("0"), dy.pfrom_bits("101"))
 
     def test_prefix_not_symmetric(self):
-        assert not dy.pis_prefix(dy.pfrom_bits("101"), dy.pfrom_bits("1"))
-
-    def test_contains_alias(self):
-        assert dy.pcontains is dy.pis_prefix
+        assert not pis_prefix(dy.pfrom_bits("101"), dy.pfrom_bits("1"))
 
     @given(ivs())
     def test_prefix_reflexive(self, a):
-        assert dy.pis_prefix(a, a)
+        assert pis_prefix(a, a)
 
     @given(ivs(), ivs(), ivs())
     def test_prefix_transitive(self, a, b, c):
-        if dy.pis_prefix(a, b) and dy.pis_prefix(b, c):
-            assert dy.pis_prefix(a, c)
+        if pis_prefix(a, b) and pis_prefix(b, c):
+            assert pis_prefix(a, c)
 
     @given(ivs(), ivs())
     def test_prefix_antisymmetric(self, a, b):
-        if dy.pis_prefix(a, b) and dy.pis_prefix(b, a):
+        if pis_prefix(a, b) and pis_prefix(b, a):
             assert a == b
 
     @given(ivs(), ivs())
     def test_overlap_iff_ranges_intersect(self, a, b):
+        # Two dyadic segments intersect iff one prefixes the other.
         ra = set(range(*_span(a)))
         rb = set(range(*_span(b)))
-        assert dy.poverlaps(a, b) == bool(ra & rb)
+        assert (pis_prefix(a, b) or pis_prefix(b, a)) == bool(ra & rb)
 
 
 def _span(p, depth=DEPTH):
@@ -100,72 +112,82 @@ def _span(p, depth=DEPTH):
 class TestMeetSplit:
     def test_meet_takes_longer(self):
         one, five = dy.pfrom_bits("1"), dy.pfrom_bits("101")
-        assert dy.pmeet(one, five) == five
-        assert dy.pmeet(five, one) == five
+        assert pmeet(one, five) == five
+        assert pmeet(five, one) == five
 
     def test_meet_disjoint_raises(self):
         with pytest.raises(ValueError):
-            dy.pmeet(dy.pfrom_bits("0"), dy.pfrom_bits("1"))
+            pmeet(dy.pfrom_bits("0"), dy.pfrom_bits("1"))
 
     def test_split(self):
-        left, right = dy.psplit(dy.pfrom_bits("1"))
-        assert left == dy.pfrom_bits("10")
-        assert right == dy.pfrom_bits("11")
+        # The dyadic halves of p are 2p and 2p + 1.
+        one = dy.pfrom_bits("1")
+        assert 2 * one == dy.pfrom_bits("10")
+        assert 2 * one + 1 == dy.pfrom_bits("11")
 
     def test_split_lambda(self):
-        assert dy.psplit(PLAMBDA) == (dy.pfrom_bits("0"), dy.pfrom_bits("1"))
+        assert (2 * PLAMBDA, 2 * PLAMBDA + 1) == (
+            dy.pfrom_bits("0"), dy.pfrom_bits("1")
+        )
 
     @given(ivs(max_depth=DEPTH - 1))
     def test_split_partitions(self, a):
-        left, right = dy.psplit(a)
+        left, right = 2 * a, 2 * a + 1
         la = set(range(*_span(left)))
         ra = set(range(*_span(right)))
         assert la | ra == set(range(*_span(a)))
         assert not la & ra
 
     def test_parent_inverts_extend(self):
+        # Appending bit b is (p << 1) | b; the parent is p >> 1.
         one = dy.pfrom_bits("1")
-        assert dy.pparent(dy.pextend(one, 0)) == one
+        assert ((one << 1) | 0) >> 1 == one
+        assert ((one << 1) | 1) >> 1 == one
 
     def test_parent_of_lambda_raises(self):
+        # A parent is formed only by resolving two siblings, and λ has
+        # no sibling: resolution refuses it.
         with pytest.raises(ValueError):
-            dy.pparent(PLAMBDA)
+            resolve_tuples((PLAMBDA,), (PLAMBDA,))
 
     def test_last_bit(self):
-        assert dy.plast_bit(dy.pfrom_bits("101")) == 1
-        assert dy.plast_bit(dy.pfrom_bits("100")) == 0
-
-    def test_last_bit_of_lambda_raises(self):
-        with pytest.raises(ValueError):
-            dy.plast_bit(PLAMBDA)
+        assert dy.pfrom_bits("101") & 1 == 1
+        assert dy.pfrom_bits("100") & 1 == 0
 
     def test_siblings(self):
+        # x·0 and x·1 differ in the last bit only: one XOR.
         b = dy.pfrom_bits
-        assert dy.pare_siblings(b("100"), b("101"))
-        assert not dy.pare_siblings(b("100"), b("110"))
-        assert not dy.pare_siblings(b("100"), b("0101"))
-        assert not dy.pare_siblings(PLAMBDA, PLAMBDA)
+        assert b("100") ^ b("101") == 1
+        assert b("100") ^ b("110") != 1
+        assert b("100") ^ b("0101") != 1
+        assert PLAMBDA ^ PLAMBDA != 1
 
     @given(ivs(max_depth=DEPTH - 1))
     def test_split_makes_siblings(self, a):
-        left, right = dy.psplit(a)
-        assert dy.pare_siblings(left, right)
+        assert (2 * a) ^ (2 * a + 1) == 1
+
+
+def _prefixes(p):
+    """The prefixes of ``p`` from λ down to ``p``: ``p >> k``."""
+    return [p >> k for k in range(plength(p), -1, -1)]
 
 
 class TestPrefixEnumeration:
     def test_prefixes_of_101(self):
-        assert list(dy.pprefixes(dy.pfrom_bits("101"))) == [
+        assert _prefixes(dy.pfrom_bits("101")) == [
             dy.pfrom_bits(bits) for bits in ("", "1", "10", "101")
         ]
 
     @given(ivs())
     def test_prefix_count(self, a):
-        assert len(list(dy.pprefixes(a))) == dy.plength(a) + 1
+        prefixes = _prefixes(a)
+        assert prefixes[0] == PLAMBDA
+        assert len(set(prefixes)) == plength(a) + 1
 
     @given(ivs())
     def test_all_prefixes_contain(self, a):
-        for p in dy.pprefixes(a):
-            assert dy.pis_prefix(p, a)
+        for p in _prefixes(a):
+            assert pis_prefix(p, a)
 
 
 class TestRanges:
@@ -178,20 +200,20 @@ class TestRanges:
             dy.pto_range(dy.pfrom_bits("0000"), 3)
 
     def test_width(self):
-        assert dy.pwidth(PLAMBDA, 5) == 32
-        assert dy.pwidth(dy.pfrom_point(0, 5), 5) == 1
+        assert pwidth(PLAMBDA, 5) == 32
+        assert pwidth(pfrom_point(0, 5), 5) == 1
 
     def test_covers_point(self):
-        assert dy.pcovers_point(dy.pfrom_bits("1"), 5, 3)
-        assert not dy.pcovers_point(dy.pfrom_bits("1"), 3, 3)
+        assert pcovers_point(dy.pfrom_bits("1"), 5, 3)
+        assert not pcovers_point(dy.pfrom_bits("1"), 3, 3)
 
     def test_covers_point_outside_domain(self):
         # A point past the domain's top is in no interval: its overflow
         # bit must not be absorbed by the marker bit.
-        assert not dy.pcovers_point(0b101, 5, 2)
-        assert not dy.pcovers_point(0b11, 6, 2)
-        assert not dy.pcovers_point(PLAMBDA, 4, 2)
-        assert not dy.pcovers_point(PLAMBDA, -1, 2)
+        assert not pcovers_point(0b101, 5, 2)
+        assert not pcovers_point(0b11, 6, 2)
+        assert not pcovers_point(PLAMBDA, 4, 2)
+        assert not pcovers_point(PLAMBDA, -1, 2)
 
 
 class TestDecomposeRange:
@@ -202,7 +224,7 @@ class TestDecomposeRange:
         assert dy.pdecompose_range(0, 7, 3) == [PLAMBDA]
 
     def test_single_point(self):
-        assert dy.pdecompose_range(5, 5, 3) == [dy.pfrom_point(5, 3)]
+        assert dy.pdecompose_range(5, 5, 3) == [pfrom_point(5, 3)]
 
     def test_out_of_domain(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@
 
 Covers the edge cases the encoding must get right — λ (packed ``1``),
 unit-depth intervals, and the degenerate depth-0 domain — plus
-hypothesis-driven parity of every packed operation with the point sets
-of :func:`tests.helpers.interval_range`, which reads the bitstring
-without going through :mod:`repro.core.intervals`.
+hypothesis-driven parity of every packed operation and identity (halves
+``2p`` / ``2p + 1``, parent ``p >> 1``, siblings ``a ^ b == 1``) with the
+point sets of :func:`tests.helpers.interval_range`, which reads the
+bitstring without going through :mod:`repro.core.intervals`.
 """
 
 import pytest
@@ -13,7 +14,17 @@ from hypothesis import given, strategies as st
 from repro.core import intervals as dy
 from repro.core.boxes import pbox_from_bits
 from repro.core.intervals import PLAMBDA
-from tests.helpers import interval_range
+from repro.core.resolution import resolve_tuples
+from tests.helpers import (
+    interval_range,
+    pcovers_point,
+    pfrom_point,
+    pis_prefix,
+    pis_unit,
+    plength,
+    pmeet,
+    pwidth,
+)
 
 DEPTH = 6
 
@@ -31,7 +42,7 @@ def points(p, depth=DEPTH):
 class TestPackUnpack:
     @given(ivs())
     def test_roundtrip(self, p):
-        assert dy.pmake(dy.pvalue(p), dy.plength(p)) == p
+        assert dy.pmake(dy.pvalue(p), plength(p)) == p
 
     @given(st.integers(0, DEPTH).flatmap(
         lambda length: st.tuples(
@@ -42,11 +53,11 @@ class TestPackUnpack:
         value, length = value_length
         p = dy.pmake(value, length)
         assert dy.pvalue(p) == value
-        assert dy.plength(p) == length
+        assert plength(p) == length
 
     def test_lambda(self):
         assert dy.pmake(0, 0) == PLAMBDA
-        assert dy.plength(PLAMBDA) == 0
+        assert plength(PLAMBDA) == 0
         assert dy.pvalue(PLAMBDA) == 0
 
     def test_examples(self):
@@ -73,20 +84,21 @@ class TestPackUnpack:
 class TestPackedOrder:
     @given(ivs(), ivs())
     def test_prefix_parity(self, a, b):
-        assert dy.pis_prefix(a, b) == (points(b) <= points(a))
+        assert pis_prefix(a, b) == (points(b) <= points(a))
 
     @given(ivs(), ivs())
     def test_overlap_parity(self, a, b):
-        assert dy.poverlaps(a, b) == bool(points(a) & points(b))
+        comparable = pis_prefix(a, b) or pis_prefix(b, a)
+        assert comparable == bool(points(a) & points(b))
 
     @given(ivs(), ivs())
     def test_meet_parity(self, a, b):
         common = points(a) & points(b)
         if common:
-            assert points(dy.pmeet(a, b)) == common
+            assert points(pmeet(a, b)) == common
         else:
             with pytest.raises(ValueError):
-                dy.pmeet(a, b)
+                pmeet(a, b)
 
     @given(ivs(), ivs())
     def test_sibling_parity(self, a, b):
@@ -98,37 +110,36 @@ class TestPackedOrder:
             and min(union) % len(union) == 0
             and max(union) - min(union) + 1 == len(union)
         )
-        assert dy.pare_siblings(a, b) == siblings
+        assert (a ^ b == 1) == siblings
 
     def test_lambda_is_prefix_of_all(self):
-        assert dy.pis_prefix(PLAMBDA, 0b1101)
-        assert dy.pis_prefix(PLAMBDA, PLAMBDA)
-        assert not dy.pis_prefix(0b10, PLAMBDA)
+        assert pis_prefix(PLAMBDA, 0b1101)
+        assert pis_prefix(PLAMBDA, PLAMBDA)
+        assert not pis_prefix(0b10, PLAMBDA)
 
 
 class TestPackedStructure:
     @given(ivs(max_depth=DEPTH - 1))
     def test_split_parity(self, a):
-        left, right = dy.psplit(a)
+        left, right = 2 * a, 2 * a + 1
         lo, hi = min(points(a)), max(points(a))
         mid = (lo + hi + 1) // 2
         assert points(left) == set(range(lo, mid))
         assert points(right) == set(range(mid, hi + 1))
 
     def test_split_lambda(self):
-        assert dy.psplit(PLAMBDA) == (0b10, 0b11)
+        assert (2 * PLAMBDA, 2 * PLAMBDA + 1) == (0b10, 0b11)
 
     @given(ivs(max_depth=DEPTH - 1), st.integers(0, 1))
     def test_extend_parent_roundtrip(self, p, bit):
-        child = dy.pextend(p, bit)
-        assert dy.pparent(child) == p
-        assert dy.plast_bit(child) == bit
+        child = (p << 1) | bit
+        assert child >> 1 == p
+        assert child & 1 == bit
 
     def test_parent_of_lambda_raises(self):
+        # λ has no sibling, so no resolution forms its parent.
         with pytest.raises(ValueError):
-            dy.pparent(PLAMBDA)
-        with pytest.raises(ValueError):
-            dy.plast_bit(PLAMBDA)
+            resolve_tuples((PLAMBDA,), (PLAMBDA,))
 
     @given(ivs())
     def test_prefixes_parity(self, a):
@@ -137,7 +148,7 @@ class TestPackedStructure:
         containing = [
             q for q in range(1, 2 << DEPTH) if points(a) <= points(q)
         ]
-        assert list(dy.pprefixes(a)) == containing
+        assert [a >> k for k in range(plength(a), -1, -1)] == containing
 
 
 class TestPackedGeometry:
@@ -147,11 +158,11 @@ class TestPackedGeometry:
 
     @given(ivs())
     def test_width_parity(self, a):
-        assert dy.pwidth(a, DEPTH) == len(points(a))
+        assert pwidth(a, DEPTH) == len(points(a))
 
     @given(ivs(), st.integers(-2, (1 << DEPTH) + 2))
     def test_covers_point_parity(self, a, point):
-        assert dy.pcovers_point(a, point, DEPTH) == (point in points(a))
+        assert pcovers_point(a, point, DEPTH) == (point in points(a))
 
     @given(
         st.integers(0, (1 << DEPTH) - 1),
@@ -164,36 +175,36 @@ class TestPackedGeometry:
         assert covered == list(range(lo, hi + 1))
         # Canonical: no two neighbouring pieces merge into one interval.
         assert not any(
-            dy.pare_siblings(x, y) for x, y in zip(pieces, pieces[1:])
+            x ^ y == 1 for x, y in zip(pieces, pieces[1:])
         )
 
 
 class TestUnitAndDepthEdges:
     def test_unit_at_depth(self):
-        p = dy.pfrom_point(5, 3)
+        p = pfrom_point(5, 3)
         assert p == 0b1101
-        assert dy.pis_unit(p, 3)
-        assert not dy.pis_unit(p >> 1, 3)
+        assert pis_unit(p, 3)
+        assert not pis_unit(p >> 1, 3)
 
     def test_unit_out_of_domain(self):
         with pytest.raises(ValueError):
-            dy.pfrom_point(16, 4)
+            pfrom_point(16, 4)
 
     def test_depth_zero_domain(self):
         # On a depth-0 domain λ IS the unit interval of the only point.
-        assert dy.pis_unit(PLAMBDA, 0)
-        assert dy.pfrom_point(0, 0) == PLAMBDA
+        assert pis_unit(PLAMBDA, 0)
+        assert pfrom_point(0, 0) == PLAMBDA
         assert dy.pto_range(PLAMBDA, 0) == (0, 0)
-        assert dy.pcovers_point(PLAMBDA, 0, 0)
+        assert pcovers_point(PLAMBDA, 0, 0)
         assert dy.pdecompose_range(0, 0, 0) == [PLAMBDA]
 
     def test_unit_depth_split_is_below_domain(self):
         # Splitting a unit interval leaves the domain; pis_unit must not
         # confuse the child with a unit of the same depth.
-        p = dy.pfrom_point(2, 2)
-        child = dy.pextend(p, 1)
-        assert not dy.pis_unit(child, 2)
-        assert dy.pis_unit(child, 3)
+        p = pfrom_point(2, 2)
+        child = (p << 1) | 1
+        assert not pis_unit(child, 2)
+        assert pis_unit(child, 3)
 
 
 class TestBoxHelpers:

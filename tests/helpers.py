@@ -23,6 +23,59 @@ def interval_range(p: int, depth: int) -> range:
     return range(lo, lo + width)
 
 
+# -- packed-interval oracles --------------------------------------------------
+#
+# Readings of one packed interval that only tests ask for; ``src/`` applies
+# the same identities inline (see ``repro.core.intervals``).
+
+
+def plength(p: int) -> int:
+    """The string length of a packed interval."""
+    return p.bit_length() - 1
+
+
+def pfrom_point(point: int, depth: int) -> int:
+    """The packed unit interval of a domain value at the given depth."""
+    if not 0 <= point < (1 << depth):
+        raise ValueError(f"point {point} outside domain of depth {depth}")
+    return (1 << depth) | point
+
+
+def pis_unit(p: int, depth: int) -> bool:
+    """True when the packed interval is a single depth-``depth`` point."""
+    return p >> depth == 1
+
+
+def pis_prefix(a: int, b: int) -> bool:
+    """True when ``a`` is a prefix of ``b`` (equivalently, contains ``b``)."""
+    shift = b.bit_length() - a.bit_length()
+    return shift >= 0 and (b >> shift) == a
+
+
+def pmeet(a: int, b: int) -> int:
+    """Intersection of two comparable packed intervals: the longer one
+    (numerically the larger).  Raises when they are disjoint."""
+    if pis_prefix(a, b) or pis_prefix(b, a):
+        return max(a, b)
+    raise ValueError(f"intervals {a:b} and {b:b} are disjoint")
+
+
+def pwidth(p: int, depth: int) -> int:
+    """Number of domain points covered on a depth-``depth`` domain."""
+    return 1 << (depth - p.bit_length() + 1)
+
+
+def pcovers_point(p: int, point: int, depth: int) -> bool:
+    """True when the packed interval contains the given domain point; a
+    point outside ``[0, 2**depth)`` is in no interval of the domain."""
+    shift = depth + 1 - p.bit_length()
+    return (
+        shift >= 0
+        and 0 <= point < (1 << depth)
+        and ((1 << depth) | point) >> shift == p
+    )
+
+
 def box_covers_point(box: PackedBox, point: Sequence[int], depth: int) -> bool:
     for p, coord in zip(box, point):
         length = p.bit_length() - 1

@@ -8,6 +8,7 @@ from repro.indexes.btree import BTreeIndex
 from repro.indexes.gaps import complement_ranges, pdyadic_gaps
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
+from tests.helpers import pcovers_point
 
 DEPTH = 5
 DOMAIN = 1 << DEPTH
@@ -81,6 +82,6 @@ class TestGapPieceContaining:
             assert piece is None
         else:
             assert piece is not None
-            assert dy.pcovers_point(piece, point, DEPTH)
+            assert pcovers_point(piece, point, DEPTH)
             # It must be one of the globally computed gap pieces.
             assert piece in pdyadic_gaps(values, DEPTH)

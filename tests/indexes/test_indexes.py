@@ -21,6 +21,7 @@ from repro.relational.schema import Domain, RelationSchema
 from repro.workloads.generators import db_from_tuples
 from tests.helpers import (
     check_container_answer,
+    pcovers_point,
     reference_gap_box_around,
     reference_oracle_container,
 )
@@ -101,7 +102,7 @@ class TestBTreeIndex:
             # The probe is inside the returned box and the box is one of
             # the materialized gap boxes.
             for p, c in zip(box, probe):
-                assert dy.pcovers_point(p, c, DEPTH)
+                assert pcovers_point(p, c, DEPTH)
             materialized = {b for b, _ in idx.gap_boxes()}
             assert box in materialized
 
@@ -145,7 +146,7 @@ class TestDyadicTreeIndex:
         else:
             assert len(lazy) == 1
             for p, c in zip(lazy[0], probe):
-                assert dy.pcovers_point(p, c, DEPTH)
+                assert pcovers_point(p, c, DEPTH)
 
     def test_quadtree_beats_btree_on_msb_relation(self):
         """Footnote 9: the MSB-complement relation of Figure 5a needs 2 gap
@@ -189,7 +190,7 @@ class TestKDTreeIndex:
         else:
             assert len(lazy) == 1
             for p, c in zip(lazy[0], probe):
-                assert dy.pcovers_point(p, c, DEPTH)
+                assert pcovers_point(p, c, DEPTH)
 
     def test_unary_relation(self):
         rel = make_relation([(3,)], arity=1)

@@ -43,7 +43,6 @@ WORKER_COUNTS = (2, 4)
 _CHAOS_ENV = (
     config.FAULTS.name,
     config.SHARD_TIMEOUT_MS.name,
-    config.NO_SHM.name,
 )
 
 

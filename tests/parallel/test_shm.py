@@ -6,8 +6,9 @@ Three layers of contract are pinned here:
   (rows, column bytes, pickles), including empty relations and row
   slices, and reject foreign buffers.
 * **Arena** — exports memoize per content key, owners block eviction,
-  the byte budget sweeps LRU-first, ``close`` unlinks every name, and a
-  worker crash leaves nothing behind in ``/dev/shm``.
+  the byte budget sweeps LRU-first, ``close`` unlinks every name, and
+  neither a worker crash nor a failed export (a ``/dev/shm`` with no
+  room, a write that raises) leaves anything behind in ``/dev/shm``.
 * **Wire** — shm and pickle-blob dispatch produce *exactly* the same
   tuples across backends × workloads × worker counts, warm repeats ship
   no bytes while attaching nothing new, and the ship accounting keeps
@@ -15,6 +16,7 @@ Three layers of contract are pinned here:
   apart.
 """
 
+import errno
 import os
 import pickle
 import signal
@@ -34,7 +36,6 @@ from repro.parallel.shm import (
     ShmSlice,
     SlicePlan,
     attach_segment,
-    shm_enabled,
 )
 from repro.parallel.workers import RelBlob, WorkerCache
 from repro.relational.query import Database, JoinQuery, path_query
@@ -44,11 +45,6 @@ from repro.workloads.generators import (
     graph_triangle_db,
     random_graph_edges,
     random_path_db,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shm_enabled() and os.environ.get("REPRO_NO_SHM"),
-    reason="REPRO_NO_SHM set in the environment",
 )
 
 
@@ -68,7 +64,6 @@ def _fresh(monkeypatch):
     # Share everything: the default 8 KiB floor would route these small
     # test relations onto the blob path and test nothing.
     monkeypatch.setattr(shm, "MIN_BYTES", 0)
-    monkeypatch.delenv("REPRO_NO_SHM", raising=False)
     clear_plan_cache()
     clear_job_cache()
     yield
@@ -170,11 +165,29 @@ class TestArena:
         finally:
             arena.close()
 
-    def test_export_disabled_returns_none(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
+    def test_export_without_room_returns_none(self, monkeypatch):
+        # A tmpfs /dev/shm smaller than the segment: the reserve fails
+        # with ENOSPC where the write would have been SIGBUS.
+        monkeypatch.setattr(shm.os, "posix_fallocate", _no_room, raising=False)
         arena = ShmArena()
+        before = _shm_entries()
         assert arena.export(_rel()) is None
-        assert len(arena) == 0
+        assert arena.fallbacks == 1
+        assert len(arena) == 0 and arena.created == 0
+        assert _shm_entries() == before
+
+    def test_failed_write_unlinks_its_segment(self, monkeypatch):
+        def write_then_fail(self, buf, header=None):
+            written(self, buf, header=header)
+            raise ValueError("layout mismatch")
+
+        written = Relation.to_shm
+        monkeypatch.setattr(Relation, "to_shm", write_then_fail)
+        arena = ShmArena()
+        before = _shm_entries()
+        assert arena.export(_rel()) is None
+        assert arena.fallbacks == 1
+        assert _shm_entries() == before
 
     def test_attached_content_matches(self):
         arena = ShmArena()
@@ -288,6 +301,14 @@ class TestWorkerCache:
         assert cache.get((2,)) is not None
 
 
+def _no_room(fd, offset, length):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _shm_entries():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
 def _triangle(seed=17, nodes=50, edges=220):
     return graph_triangle_db(random_graph_edges(nodes, edges, seed=seed))
 
@@ -302,8 +323,9 @@ class TestWireParity:
             query, db, algorithm=backend, workers=workers
         )
         assert with_shm.tuples == serial.tuples
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        clear_plan_cache()
+        # Every relation below the size floor: the blob wire.
+        monkeypatch.setattr(shm, "MIN_BYTES", 1 << 62)
+        clear_job_cache()
         without = execute(
             query, db, algorithm=backend, workers=workers
         )
@@ -327,6 +349,18 @@ class TestWireParity:
         assert execute(query, db, algorithm="hash").tuples == []
         par = execute(query, db, algorithm="hash", workers=workers)
         assert par.tuples == []
+
+    def test_no_room_in_dev_shm_ships_blobs(self, monkeypatch):
+        query, db = _triangle(seed=19)
+        serial = execute(query, db, algorithm="hash")
+        shutdown_pools()  # a cold arena: every relation is a new export
+        monkeypatch.setattr(shm.os, "posix_fallocate", _no_room, raising=False)
+        before = _shm_entries()
+        par = execute(query, db, algorithm="hash", workers=2)
+        assert par.tuples == serial.tuples
+        assert par.parallel.shm_ships == 0
+        assert par.parallel.shm_fallbacks > 0
+        assert _shm_entries() == before
 
     def test_path_query_parity(self):
         query, db = random_path_db(3, 150, seed=6, depth=8)
@@ -365,7 +399,7 @@ class TestShipAccounting:
         assert rep.ref_hits == rep.refs_total > 0
 
     def test_blob_wire_reports_actual_and_nominal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
+        monkeypatch.setattr(shm, "MIN_BYTES", 1 << 62)
         shutdown_pools()
         query, db = _triangle(seed=31)
         result = execute(query, db, algorithm="hash", workers=2)
@@ -417,15 +451,6 @@ class TestShipAccounting:
         assert "nominal" in text
 
 
-def _price_shm(monkeypatch, on):
-    """Price parallel plans for the shm data plane, or for the pickle
-    wire, the way a user picks it: through ``REPRO_NO_SHM``."""
-    if on:
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-
-
 class TestCostModel:
     @pytest.fixture(autouse=True)
     def _four_usable_cores(self, monkeypatch):
@@ -433,62 +458,19 @@ class TestCostModel:
         # cores to run four, whatever this one's affinity mask allows.
         monkeypatch.setattr(cost, "usable_cores", lambda: 4)
 
-    def test_shm_prices_parallel_cheaper(self, monkeypatch):
-        query = path_query(2)
-        plans = {}
-        for flag in (True, False):
-            _price_shm(monkeypatch, flag)
-            plans[flag] = plan_query(
-                query, db=None, workers=4, assumed_rows=200_000,
-                use_cache=False,
-            )
-
-        def par_cost(plan, backend):
-            return next(
-                c.cost
-                for c in plan.candidates
-                if c.backend == backend and c.parallel
-            )
-
-        for cand in plans[True].candidates:
-            if cand.parallel:
-                assert cand.cost <= par_cost(plans[False], cand.backend)
-        chosen = plans[True].chosen
+    def test_shm_prices_parallel_cheaper(self):
+        # At 200k rows a relation, the input mapped once rather than
+        # shipped per worker lets a parallel candidate undercut every
+        # serial one.
+        plan = plan_query(
+            path_query(2), db=None, workers=4, assumed_rows=200_000,
+            use_cache=False,
+        )
+        serial = min(c.cost for c in plan.candidates if not c.parallel)
+        chosen = plan.chosen
         assert chosen.parallel
+        assert chosen.cost < serial
         assert "shm" in chosen.formula
-
-    def test_shm_moves_the_parallel_threshold_down(self, monkeypatch):
-        # Scanning input sizes: shm may go parallel where the blob wire
-        # stays serial, never the reverse.  The cyclic query replicates
-        # partially-covered atoms on the blob wire, so the break moves
-        # visibly (at 2k–2.5k assumed rows the shm plan is parallel
-        # while the blob plan still prices serial cheaper; it was ~5k
-        # before the serial candidates were charged for their sort).
-        from repro.relational.query import triangle_query
-
-        query = triangle_query()
-        flipped = 0
-        for rows in (1_000, 2_000, 2_500, 5_000, 20_000, 80_000, 300_000):
-            par = {}
-            for flag in (True, False):
-                _price_shm(monkeypatch, flag)
-                plan = plan_query(
-                    query, db=None, workers=4, assumed_rows=rows,
-                    use_cache=False,
-                )
-                par[flag] = plan.workers > 1
-            assert not (par[False] and not par[True])
-            if par[True] and not par[False]:
-                flipped += 1
-        assert flipped >= 1, "shm never moved the serial/parallel break"
-
-    def test_plan_cache_keys_on_the_shm_flag(self, monkeypatch):
-        query, db = _triangle(seed=43)
-        clear_plan_cache()
-        a = plan_query(query, db, algorithm="hash", workers=2)
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        b = plan_query(query, db, algorithm="hash", workers=2)
-        assert not b.cache_hit  # a flipped wire must re-price
 
 
 class TestFaultInjection:

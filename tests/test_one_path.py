@@ -51,11 +51,13 @@ REMOVED_SELECTORS = {"compiled", "one_pass"}
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Every environment variable the program reads, as ``repro.config``
-#: declares them; a sixth needs two callers that want different values
-#: (and a README row).
+#: declares them; a fifth needs two callers that want different values
+#: (and a README row).  There is no shared-memory switch: the arena
+#: reserves a segment's pages before writing them, so a ``/dev/shm`` too
+#: small for one falls back to the pickle wire by itself.
 KNOBS = {
-    "REPRO_METRICS", "REPRO_ANALYZE_LOG", "REPRO_NO_SHM",
-    "REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS",
+    "REPRO_METRICS", "REPRO_ANALYZE_LOG", "REPRO_SHARD_TIMEOUT_MS",
+    "REPRO_FAULTS",
 }
 
 #: What ``execute`` / ``execute_cursor`` take, in order.  Anything else
@@ -137,6 +139,9 @@ def test_knobs_are_the_documented_set():
     table = table.split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \| .+ \| (.+) \|$", table, re.M)
     assert set(config.KNOBS) == in_src == set(dict(rows)) == KNOBS
+    assert len(config.KNOBS) == 4
+    shm = importlib.import_module("repro.parallel.shm")
+    assert not hasattr(shm, "shm_enabled")
     # The README's effect column is each knob's declared doc.
     assert dict(rows) == {k.name: k.doc for k in config.KNOBS.values()}
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
@@ -152,8 +157,9 @@ def test_only_config_reads_the_environment():
 
 
 def test_no_cli_option_duplicates_a_knob():
-    """``--no-shm`` was a second spelling of ``REPRO_NO_SHM`` and
-    ``calibrate --out`` wrote the constants a planner then loaded."""
+    """``--no-shm`` was a second spelling of a since-deleted pickle-wire
+    switch and ``calibrate --out`` wrote the constants a planner then
+    loaded."""
     subparsers = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
@@ -411,8 +417,8 @@ def test_a_failed_shard_runs_in_the_parent():
 
 
 def test_planner_options_have_callers():
-    """The shm pricing switch had no caller outside the tests: it is
-    read from ``REPRO_NO_SHM`` like the rest of the data plane."""
+    """The shm pricing switch had no caller outside the tests: parallel
+    plans are priced for the shared-memory plane, the one wire."""
     assert "shm" not in inspect.signature(CostModel).parameters
 
 
