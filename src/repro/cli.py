@@ -5,7 +5,6 @@ Subcommands::
     python -m repro join "R(A,B), S(B,C)" --csv R=r.csv --csv S=s.csv
     python -m repro explain "R(A,B), S(B,C)" [--csv ...] [--execute]
     python -m repro explain "..." --csv ... --analyze [--trace-out t.json]
-    python -m repro calibrate [--log PATH]
     python -m repro triangles edges.txt [--algorithm auto|tetris|...]
     python -m repro sat formula.cnf [--enumerate]
     python -m repro analyze "R(A,B), S(B,C), T(A,C)"
@@ -240,30 +239,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.engine.cost import CANDIDATES
-    from repro.obs import calibration
-
-    model, info = calibration.fit(calibration.load_runs(args.log))
-    print(
-        f"calibration log : {info['usable_runs']} usable of "
-        f"{info['runs']} runs, {info['runs'] - info['usable_runs']} "
-        f"skipped (not a measured serial run of {' or '.join(CANDIDATES)})"
-    )
-    for backend, count in info["samples_per_backend"].items():
-        print(f"  {backend:<18s} {count} samples")
-    if not info["usable_runs"]:
-        print("nothing to fit — run `repro explain --analyze` first",
-              file=sys.stderr)
-        return 1
-    print(
-        f"cost error      : {info['error_before']:.3f} → "
-        f"{info['error_after']:.3f} bits (mean |log₂ actual/predicted|)"
-    )
-    print("\n".join(calibration.diff_lines(model)))
-    return 0
-
-
 def _cmd_triangles(args: argparse.Namespace) -> int:
     from repro.engine import execute
     from repro.relational.io import ValueDictionary, read_edge_list
@@ -452,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze", action="store_true",
         help="execute traced and annotate: per-span wall and self "
              "time with the unaccounted rest, actual-vs-predicted "
-             "cardinality and cost, metrics delta; appends to the "
-             "calibration log (see `repro calibrate`)",
+             "cardinality and cost, metrics delta",
     )
     p_explain.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -461,19 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
              "anything else → Chrome trace-event JSON for Perfetto)",
     )
     p_explain.set_defaults(func=_cmd_explain)
-
-    p_cal = sub.add_parser(
-        "calibrate",
-        help="refit the cost model from accumulated --analyze runs and "
-             "print it as a diff of engine/cost.py's constants (nothing "
-             "is written)",
-    )
-    p_cal.add_argument(
-        "--log", default=None, metavar="PATH",
-        help="calibration log to replay (default .repro/analyze_log.jsonl "
-             "or $REPRO_ANALYZE_LOG)",
-    )
-    p_cal.set_defaults(func=_cmd_calibrate)
 
     p_tri = sub.add_parser("triangles", help="list triangles in a graph")
     p_tri.add_argument("edges", help="edge-list file (u v per line)")

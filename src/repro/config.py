@@ -4,9 +4,9 @@ Each ``REPRO_*`` variable is one :class:`Knob` — name, default, parser
 and the one-line doc the README's environment table carries — and
 :meth:`Knob.get` is the only code under ``src/`` that reads the process
 environment.  Callers choose *when* to read: the metrics registry
-latches its knob at import, while the fault spec, the shard stall
-budget and the ANALYZE log path are read at each use,
-so a ``monkeypatch.setenv`` takes effect on the next call.
+latches its knob at import, while the fault spec and the shard stall
+budget are read at each use, so a ``monkeypatch.setenv`` takes effect
+on the next call.
 
 An unset or empty variable means the default.  A flag accepts
 ``1/true/on/yes`` and ``0/false/off/no`` (any other value keeps the
@@ -68,10 +68,6 @@ METRICS = Knob(
     "REPRO_METRICS", True, _flag,
     "`0` disables the process-wide metrics registry.",
 )
-ANALYZE_LOG = Knob(
-    "REPRO_ANALYZE_LOG", os.path.join(".repro", "analyze_log.jsonl"), _text,
-    "Where `explain --analyze` appends the records `repro calibrate` fits.",
-)
 SHARD_TIMEOUT_MS = Knob(
     "REPRO_SHARD_TIMEOUT_MS", 0, _int,
     "Per-shard stall budget: a silent worker is killed; its shard runs "
@@ -85,5 +81,5 @@ FAULTS = Knob(
 #: Every knob, by variable name.
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
-    for knob in (METRICS, ANALYZE_LOG, SHARD_TIMEOUT_MS, FAULTS)
+    for knob in (METRICS, SHARD_TIMEOUT_MS, FAULTS)
 }

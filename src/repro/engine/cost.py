@@ -24,12 +24,11 @@ orders of magnitude).  Table 1's Tetris rows — Õ(N + Z), Õ(N^fhtw + Z),
 Õ(|C| + Z), Õ(|C|^{w+1} + Z) — are what ``repro analyze`` prints.
 
 The *calibration* vector absorbs constant factors the asymptotics hide.
-Defaults were fitted on this repository's benchmark workloads;
-:meth:`CostModel.calibrate` re-fits them from measured timings — the
-constant-factor calibration hook — and ``repro calibrate`` prints such a
-refit as a diff against :data:`DEFAULT_CALIBRATION`.  Nothing is loaded
-at run time: the constants below are the only ones a default
-``CostModel()`` plans with, wherever the process runs.
+Its values were fitted offline from kernel-only timings of this
+repository's benchmark shapes (the table above
+:data:`DEFAULT_CALIBRATION`).  Nothing is loaded or refit at run time:
+the constants below are the only ones the planner prices with,
+wherever the process runs.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.stats import QueryStats, value_overlap_fraction
 from repro.joins.hashjoin import binding_order, left_deep_order
@@ -50,11 +49,12 @@ from repro.relational.query import JoinQuery
 VariableTables = Dict[str, Tuple[list, float, float]]
 
 #: Abstract-operation cost per backend, in units of one hash-join probe.
-#: ``hash`` is the anchor.  ``leapfrog`` was refit on the block kernels
-#: with :meth:`CostModel.calibrate` from kernel-only timings
-#: (``list(iter_*)``, median of 5, sort excluded) over the benchmark's
-#: ``auto_mix`` shapes and ``tests/engine/test_planner.py``'s — measured µs
-#: per modelled unit, hash / leapfrog:
+#: ``hash`` is the anchor.  ``leapfrog`` was fitted on the block kernels
+#: as the ratio of medians of measured seconds per modelled unit, from
+#: kernel-only timings (``list(iter_*)``, median of 5, sort excluded)
+#: over the benchmark's ``auto_mix`` shapes and
+#: ``tests/engine/test_planner.py``'s — measured µs per modelled unit,
+#: hash / leapfrog:
 #:
 #:     mix triangle_sparse    0.115 / 0.321
 #:     mix triangle_agm_tight 0.096 / 0.136
@@ -98,16 +98,6 @@ DEFAULT_UNIT_SECONDS = 8e-7
 #: (earlier wins) — the order the constants above are listed in.  The
 #: executor's ``BACKEND_TABLE`` holds these and the forced-only ones.
 CANDIDATES: Tuple[str, ...] = tuple(DEFAULT_CALIBRATION)
-
-
-def _check_priced(backends: Mapping[str, object]) -> None:
-    """Refuse a constant for a backend the model does not price."""
-    unpriced = sorted(set(backends) - set(CANDIDATES))
-    if unpriced:
-        raise ValueError(
-            f"no cost constant for {', '.join(unpriced)}: "
-            f"the model prices {CANDIDATES} only"
-        )
 
 
 @dataclass(frozen=True)
@@ -219,29 +209,17 @@ class CostModel:
     """Calibrated cost estimates of the :data:`CANDIDATES` over query
     statistics.
 
-    Constants are the fitted :data:`DEFAULT_CALIBRATION`, updated by any
-    explicit ``calibration`` mapping, whose keys must be
-    :data:`CANDIDATES` — a constant for a backend ``auto`` never prices
-    raises ``ValueError`` rather than ride along unread.  ``unit_seconds`` — the measured
-    wall time of one abstract cost unit — turns predicted costs into
-    predicted seconds (:meth:`predicted_seconds`), which is what
-    EXPLAIN ANALYZE holds against the measured run.
+    The constants are :data:`DEFAULT_CALIBRATION`, read at each
+    estimate.  :data:`DEFAULT_UNIT_SECONDS` — the measured wall time of
+    one abstract cost unit — turns predicted costs into predicted
+    seconds (:meth:`predicted_seconds`), which is what EXPLAIN ANALYZE
+    holds against the measured run.
     """
 
-    def __init__(
-        self,
-        calibration: Optional[Mapping[str, float]] = None,
-        unit_seconds: float = DEFAULT_UNIT_SECONDS,
-    ):
-        self.calibration = dict(DEFAULT_CALIBRATION)
-        if calibration:
-            _check_priced(calibration)
-            self.calibration.update(calibration)
-        self.unit_seconds = unit_seconds
-
-    def predicted_seconds(self, cost: float) -> float:
+    @staticmethod
+    def predicted_seconds(cost: float) -> float:
         """A predicted cost in wall seconds, via the calibrated unit."""
-        return cost * self.unit_seconds
+        return cost * DEFAULT_UNIT_SECONDS
 
     #: Abstract-operation charge per binary join step (dict build,
     #: per-step list allocation) on top of the tuple-proportional work.
@@ -454,7 +432,7 @@ class CostModel:
         :func:`~repro.joins.hashjoin.hash_order` runs the query's).
         Its GAO is the binding order of the order kept.
         """
-        factor = self.calibration[backend]
+        factor = DEFAULT_CALIBRATION[backend]
         if backend == "leapfrog":
             gao = profile.gao
             q = self._leapfrog_quantity(query, stats, gao, tables)
@@ -518,7 +496,7 @@ class CostModel:
             + self.PARALLEL_SHIP_OUTPUT * stats.output_estimate
         )
         quantity = base.quantity / p
-        factor = self.calibration[base.backend]
+        factor = DEFAULT_CALIBRATION[base.backend]
         # Workers sort their own shards; the parent's final sort then
         # merges already-sorted runs.
         sort = base.sort / p
@@ -558,33 +536,3 @@ class CostModel:
             for c in serial
         )
         return serial + parallel
-
-    # -- calibration hook ------------------------------------------------------
-
-    def calibrate(
-        self, measurements: Mapping[str, Tuple[float, float]]
-    ) -> "CostModel":
-        """Refit constant factors from ``{backend: (seconds, quantity)}``.
-
-        Factors are normalized so ``hash`` stays at its current value —
-        relative order is all the argmin ever reads.  Returns a new model;
-        the receiver is untouched.  A backend outside :data:`CANDIDATES`
-        raises ``ValueError``.
-        """
-        _check_priced(measurements)
-        per_unit = {
-            b: seconds / quantity
-            for b, (seconds, quantity) in measurements.items()
-            if quantity > 0 and seconds > 0
-        }
-        if not per_unit:
-            return CostModel(self.calibration, unit_seconds=self.unit_seconds)
-        anchor = per_unit.get("hash")
-        scale = (
-            self.calibration["hash"] / anchor
-            if anchor
-            else 1.0 / min(per_unit.values())
-        )
-        updated = dict(self.calibration)
-        updated.update({b: v * scale for b, v in per_unit.items()})
-        return CostModel(updated, unit_seconds=self.unit_seconds)

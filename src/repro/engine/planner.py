@@ -12,8 +12,8 @@ caches keep either from being paid twice (``JoinQuery.signature`` is
 the ``((name, attrs), …)`` tuple):
 
 - the **plan cache** is keyed on signature + data + options (the stats
-  fingerprint, algorithm, index kind, GAO, workers, shm wire and
-  calibration): a hit skips planning entirely;
+  fingerprint, algorithm, index kind, GAO and workers): a hit skips
+  planning entirely;
 - the **stats cache** (:func:`collect_stats`) is keyed on signature +
   data: reloading identical data hits it;
 - the **structure memo** is keyed on the signature only: the
@@ -120,7 +120,6 @@ def plan_query(
     algorithm: str = "auto",
     index_kind: Optional[str] = None,
     gao: Optional[Sequence[str]] = None,
-    cost_model: Optional[CostModel] = None,
     use_cache: bool = True,
     assumed_rows: int = 1000,
     workers: Optional[int] = None,
@@ -147,8 +146,8 @@ def plan_query(
     """
     with _tracing.span("plan", algorithm=algorithm) as sp:
         plan = _plan_query_impl(
-            query, db, stats, algorithm, index_kind, gao, cost_model,
-            use_cache, assumed_rows, workers,
+            query, db, stats, algorithm, index_kind, gao, use_cache,
+            assumed_rows, workers,
         )
         if sp is not None:
             sp.attrs.update(
@@ -167,7 +166,6 @@ def _plan_query_impl(
     algorithm: str,
     index_kind: Optional[str],
     gao: Optional[Sequence[str]],
-    cost_model: Optional[CostModel],
     use_cache: bool,
     assumed_rows: int,
     workers: Optional[int],
@@ -187,17 +185,12 @@ def _plan_query_impl(
             stats = assumed_stats(query, rows=assumed_rows)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # Resolve the model before keying: calibration content is part of
-    # the plan's identity — a caller's refit model (or a recycled object
-    # id) must never resurrect a plan priced under different constants.
-    model = cost_model if cost_model is not None else CostModel()
     key = (
         stats.fingerprint,
         algorithm,
         index_kind,
         tuple(gao) if gao is not None else None,
         workers,
-        tuple(sorted(model.calibration.items())),
     )
     if use_cache:
         cached = _PLAN_CACHE.get(key)
@@ -232,7 +225,7 @@ def _plan_query_impl(
         split_attrs = choose_split_attrs(query, distinct)
         if split_attrs:
             num_shards = default_num_shards(workers)
-    candidates = model.estimate_all(
+    candidates = CostModel().estimate_all(
         query, profile, stats,
         workers=workers, num_shards=num_shards,
     )

@@ -13,9 +13,6 @@ so every engine layer can instrument itself without import cycles:
 The rest answers a question somebody asked and is imported by whoever
 asks it — reach these explicitly:
 
-* :mod:`repro.obs.calibration` — the ANALYZE log and the cost-model
-  refit ``repro calibrate`` prints as a diff (planning never imports
-  it).
 * :mod:`repro.obs.analyze` — EXPLAIN ANALYZE: the query's waterfall
   (wall and self time per span, the unaccounted rest) against the cost
   model's prediction (imports the engine).

@@ -2,11 +2,11 @@
 
 :func:`analyze` runs a query under a forced tracer and returns an
 :class:`AnalyzeReport`: the execution result, per-stage wall times from
-the span tree, actual-vs-predicted cardinality and cost (the cost model
-prices a plan in seconds via
-:meth:`~repro.engine.cost.CostModel.predicted_seconds`), and the record
-appended to the calibration log.  ``repro explain --analyze`` renders
-the report under the ordinary EXPLAIN tree.
+the span tree, and actual-vs-predicted cardinality and cost (the cost
+model prices a plan in seconds via
+:meth:`~repro.engine.cost.CostModel.predicted_seconds`).  ``repro
+explain --analyze`` renders the report under the ordinary EXPLAIN tree;
+nothing is written anywhere.
 
 The rendered span tree is the query's waterfall, attributed exactly
 from the spans: every span with children shows its self time (the
@@ -14,25 +14,18 @@ wall time no child covers, overlapping children counted once), and
 one ``unaccounted`` line closes the tree — the part of the plan +
 execute window that no root span covers.
 
-The logged ``seconds`` is kernel time: the ``execute`` span less the
-``sort`` span ``execute()`` runs an unordered stream's sort under
-(logged apart as ``sort_seconds``), because the backend's quantity
-excludes the sort that ``CostEstimate.sort`` prices separately.  A
-forced-only backend's plan is unpriced: its report shows the measured
-time alone, and its record's ``quantity`` is ``null``.  ``repro
-calibrate`` fits the constants from the priced records
-(:func:`repro.obs.calibration.fit`) and prints them as a diff; nothing
-is saved or loaded back.
+The measured cost is the ``execute`` span; an unordered stream's sort
+runs under its own ``sort`` span inside it.  A forced-only backend's
+plan is unpriced: its report shows the measured time alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs import calibration as _calibration
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.obs.metrics import MetricsSnapshot, render_metrics
@@ -52,15 +45,13 @@ class AnalyzeReport:
     #: ``None`` for an unpriced (forced-only) plan.
     predicted_seconds: Optional[float]
     actual_seconds: float
-    #: |log₂(actual/predicted seconds)| — the calibration target;
-    #: ``None`` unless both are positive.
+    #: |log₂(actual/predicted seconds)|; ``None`` unless both are
+    #: positive.
     error_bits: Optional[float]
     #: Wall seconds of the plan + execute window ``analyze`` timed.
     window_seconds: float
     #: The part of that window no root span covers.
     unaccounted_seconds: float
-    record: Dict = field(default_factory=dict)
-    log_path: Optional[str] = None
     #: The registry delta across this run (``None`` with the registry
     #: off): ``MetricsSnapshot.since`` bracketed around ``execute()``.
     metrics: Optional[MetricsSnapshot] = None
@@ -81,26 +72,20 @@ def analyze(
     index_kind: Optional[str] = None,
     gao=None,
     workers: Optional[int] = None,
-    cost_model=None,
     limit: Optional[int] = None,
     decode=None,
     timeout_ms: Optional[int] = None,
-    log_path: Optional[str] = None,
-    append_log: bool = True,
 ) -> AnalyzeReport:
     """Plan and execute a query traced; measure the plan against reality.
 
     The run always traces (ANALYZE is the one mode where span overhead
-    is the product, not a tax) and, with ``append_log`` (the default),
-    appends its measurement to the calibration log so ``repro
-    calibrate`` can refit from it.  ``timeout_ms`` is ``execute()``'s
+    is the product, not a tax).  ``timeout_ms`` is ``execute()``'s
     deadline for a parallel run.
     """
     from repro.engine.cost import CostModel
     from repro.engine.executor import execute
     from repro.engine.planner import plan_query
 
-    model = cost_model if cost_model is not None else CostModel()
     tracer = _tracing.current_tracer()
     if tracer is None:
         tracer = _tracing.Tracer()
@@ -109,7 +94,7 @@ def analyze(
         t0 = time.perf_counter()
         plan = plan_query(
             query, db, algorithm=algorithm, index_kind=index_kind,
-            gao=gao, workers=workers, cost_model=model,
+            gao=gao, workers=workers,
         )
         result = execute(
             query, db, plan=plan, limit=limit, decode=decode,
@@ -127,32 +112,17 @@ def analyze(
     # The execute stage is the window the cost model prices: planning
     # and stats collection are pipeline overhead, not Table 1 work.
     actual_seconds = stages.get("execute", result.elapsed)
-    sort_seconds = stages.get("sort", 0.0)
     predicted_seconds = (
         None
         if plan.predicted_cost is None
-        else model.predicted_seconds(plan.predicted_cost)
+        else CostModel.predicted_seconds(plan.predicted_cost)
     )
     error_bits = (
         abs(math.log2(actual_seconds / predicted_seconds))
         if actual_seconds > 0 and predicted_seconds
         else None
     )
-    record = {
-        "ts": time.time(),
-        "query": str(query),
-        "backend": result.backend,
-        "workers": plan.workers,
-        "seconds": actual_seconds - sort_seconds,
-        "sort_seconds": sort_seconds,
-        "quantity": plan.chosen.quantity,
-        "predicted_cost": plan.predicted_cost,
-        "predicted_seconds": predicted_seconds,
-        "predicted_rows": plan.stats.output_estimate,
-        "actual_rows": len(result.tuples),
-        "cache_hit": plan.cache_hit,
-    }
-    report = AnalyzeReport(
+    return AnalyzeReport(
         result=result,
         tracer=tracer,
         stage_seconds=stages,
@@ -163,12 +133,8 @@ def analyze(
         error_bits=error_bits,
         window_seconds=t1 - t0,
         unaccounted_seconds=unaccounted,
-        record=record,
         metrics=metrics,
     )
-    if append_log:
-        report.log_path = _calibration.append_run(record, path=log_path)
-    return report
 
 
 def _ratio(actual: float, predicted: float) -> str:
@@ -215,9 +181,5 @@ def render_analyze(report: AnalyzeReport) -> str:
         lines.extend(
             render_metrics(report.metrics.nonzero(), indent="│   ")
         )
-    if report.log_path is not None:
-        lines.append(f"└─ calibration log : appended to {report.log_path}")
-    else:
-        lines.append("└─ calibration log : not written")
     return "\n".join(lines)
 

@@ -235,7 +235,7 @@ class ParallelReport:
         faults = (
             f" faults: {self.worker_respawns} respawns, "
             f"{self.shards_quarantined + self.serial_fallback_shards} "
-            f"serial"
+            f"serial, {self.shm_export_errors} shm export errors"
             if self.had_faults
             else ""
         )

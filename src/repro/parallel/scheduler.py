@@ -256,6 +256,9 @@ class WorkerPool:
         #: Content keys ever shipped by value through this pool — how
         #: the report tells a first ship from a steal-induced re-ship.
         self._shipped_keys: set = set()
+        #: Content keys whose arena export failed in the current
+        #: :meth:`run_shards` call (emptied at its start).
+        self._failed_exports: set = set()
         #: Pool-lifetime count of workers respawned after death/hang.
         self.respawns = 0
         self.closed = False
@@ -401,6 +404,7 @@ class WorkerPool:
         stall_ms = config.SHARD_TIMEOUT_MS.get()
         stall_s = stall_ms / 1000.0 if stall_ms > 0 else None
         self.active = True
+        self._failed_exports.clear()
         # Heaviest first; only never-dispatched shards are ever here.
         pending = sorted(jobs, key=lambda j: -j.weight)
         free = list(range(self.num_workers))
@@ -595,53 +599,60 @@ class WorkerPool:
             if not drained:
                 self._respawn(wid, report=report, reason="drain timeout")
 
+    def _export(self, wid: int, key: Tuple, rel, report):
+        """``rel``'s arena segment ref, or ``None``: ship a blob instead.
+
+        An *exception* from ``export`` (shm exhaustion beyond the
+        arena's own fallback net, injected faults) counts as a ``None``
+        return: shipping is never the reason a query dies.  A content
+        key whose export failed is not tried again in the same run
+        (``_failed_exports``), so a full ``/dev/shm`` costs one failed
+        create per relation, not one per payload.
+        """
+        content = rel.cache_key()
+        if content in self._failed_exports:
+            return None
+        try:
+            ref = _shm.ARENA.export(rel, owner=(id(self), wid))
+        except Exception:
+            ref = None
+            if report is not None:
+                report.shm_export_errors += 1
+        if ref is None:
+            self._failed_exports.add(content)
+            if report is not None:
+                report.shm_fallbacks += 1
+            return None
+        self._seg_refs[wid][key] = (ref.segment, ref.generation)
+        if report is not None:
+            report.shm_ships += 1
+        return ref
+
     def _encode_payload(self, wid: int, key: Tuple, ship, report):
         """One cold payload's wire form, with ship accounting.
 
         Slices and large relations go by segment ref through the arena
-        (fallback: materialize / blob); everything else ships as a
-        pre-pickled blob whose length is the *actual* wire size — the
-        nominal ``8 × rows × attrs`` figure is kept separately.  An
-        *exception* from ``export`` (shm exhaustion beyond the arena's
-        own fallback net, injected faults) degrades to the blob path
-        exactly like a ``None`` return: shipping is never the reason a
-        query dies.
+        (:meth:`_export`); everything else — a slice whose base did not
+        export included, as its materialized clip — ships as a
+        pre-pickled blob whose length is the *actual* wire size.  The
+        nominal ``8 × rows × attrs`` figure is kept separately.
         """
-        owner = (id(self), wid)
         if isinstance(ship, _shm.SlicePlan):
-            try:
-                ref = _shm.ARENA.export(ship.base, owner=owner)
-            except Exception:
-                ref = None
-                if report is not None:
-                    report.shm_export_errors += 1
+            ref = self._export(wid, key, ship.base, report)
             if ref is not None:
                 payload = _shm.ShmSlice(ref, ship.lo, ship.hi, ship.rest)
-                self._seg_refs[wid][key] = (ref.segment, ref.generation)
                 if report is not None:
-                    report.shm_ships += 1
                     report.bytes_shipped += _wire_size(payload)
                     report.bytes_nominal += ship.nominal_bytes()
                 return payload
-            if report is not None:
-                report.shm_fallbacks += 1
             ship = ship.materialize()
-        if ship.nominal_bytes() >= _shm.MIN_BYTES:
-            try:
-                ref = _shm.ARENA.export(ship, owner=owner)
-            except Exception:
-                ref = None
-                if report is not None:
-                    report.shm_export_errors += 1
+        elif ship.nominal_bytes() >= _shm.MIN_BYTES:
+            ref = self._export(wid, key, ship, report)
             if ref is not None:
-                self._seg_refs[wid][key] = (ref.segment, ref.generation)
                 if report is not None:
-                    report.shm_ships += 1
                     report.bytes_shipped += _wire_size(ref)
                     report.bytes_nominal += ship.nominal_bytes()
                 return ref
-            if report is not None:
-                report.shm_fallbacks += 1
         payload = RelBlob(bytes(ForkingPickler.dumps(ship)))
         if report is not None:
             if key in self._shipped_keys:

@@ -57,7 +57,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import codegen, cost, planner
 from repro.engine import (
-    CostModel,
     Plan,
     clear_plan_cache,
     plan_cache_info,
@@ -347,42 +346,15 @@ def test_plan_cache_misses_on_changed_stats():
     assert not other.cache_hit
 
 
-def test_calibration_hook_changes_the_decision():
+def test_calibration_hook_changes_the_decision(monkeypatch):
     """Recalibrating leapfrog's constant flips the split instance, where
     the value-range overlap prices leapfrog's candidates near zero."""
     query, db, gao = split_path_instance(400, depth=12, seed=1)
     default = plan_query(query, db, gao=gao, use_cache=False)
     assert default.backend == "leapfrog"
-    dear_leapfrog = CostModel({"leapfrog": 10.0})
-    plan = plan_query(
-        query, db, gao=gao, cost_model=dear_leapfrog, use_cache=False,
-    )
+    monkeypatch.setitem(cost.DEFAULT_CALIBRATION, "leapfrog", 10.0)
+    plan = plan_query(query, db, gao=gao, use_cache=False)
     assert plan.backend == "hash"
-
-
-def test_calibration_names_only_priced_backends():
-    """A constant for a backend ``auto`` never prices is refused, not
-    carried into the model and the plan-cache key unread."""
-    with pytest.raises(ValueError, match=r"\('hash', 'leapfrog'\)"):
-        CostModel({"tetris-reloaded": 0.001})
-    with pytest.raises(ValueError, match="nested-loop"):
-        CostModel().calibrate({
-            "hash": (1.0, 1000.0), "nested-loop": (9.0, 1000.0),
-        })
-
-
-def test_calibrate_refits_from_measurements():
-    model = CostModel()
-    refit = model.calibrate({
-        "hash": (1.0, 1000.0),
-        "leapfrog": (2.0, 1000.0),
-    })
-    # leapfrog measured 2× hash per unit; factors keep that ratio.
-    assert refit.calibration["leapfrog"] == pytest.approx(
-        2.0 * refit.calibration["hash"]
-    )
-    # The original model is untouched.
-    assert model.calibration["leapfrog"] == CostModel().calibration["leapfrog"]
 
 
 def test_structure_profile_matches_known_shapes():

@@ -361,6 +361,23 @@ class TestGracefulDegradation:
         assert result.parallel.shm_export_errors >= 1
         assert result.parallel.worker_respawns == 0
 
+    def test_summary_shows_shm_export_errors(
+        self, instance, workers, monkeypatch
+    ):
+        """An export error is a fault: the ``# parallel:`` line's faults
+        clause counts it even when nothing respawned or ran serial."""
+        query, db, serial = instance
+        monkeypatch.setattr(shm, "MIN_BYTES", 1)
+        _arm(monkeypatch, "shm-export*inf")
+        result = execute(query, db, algorithm="hash", workers=workers)
+        report = result.parallel
+        assert result.tuples == serial
+        assert report.shm_export_errors >= 1
+        assert report.summary().endswith(
+            f" faults: 0 respawns, 0 serial, "
+            f"{report.shm_export_errors} shm export errors"
+        )
+
 
 class TestHygiene:
     def test_crash_chaos_leaves_no_arena_segments(

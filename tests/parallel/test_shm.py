@@ -362,6 +362,20 @@ class TestWireParity:
         assert par.parallel.shm_fallbacks > 0
         assert _shm_entries() == before
 
+    def test_a_failed_export_is_not_retried_in_the_run(self, monkeypatch):
+        """With no room in ``/dev/shm`` each base relation fails its
+        export once per run: later payloads of the same content, and a
+        failed slice's materialized clip, ship as blobs untried."""
+        query, db = graph_triangle_db(random_graph_edges(400, 3000, seed=5))
+        serial = execute(query, db, algorithm="hash")
+        shutdown_pools()
+        monkeypatch.setattr(shm.os, "posix_fallocate", _no_room, raising=False)
+        before = shm.ARENA.fallbacks
+        par = execute(query, db, algorithm="hash", workers=2)
+        assert par.tuples == serial.tuples
+        assert 0 < shm.ARENA.fallbacks - before <= len(query.atoms) == 3
+        assert par.parallel.shm_fallbacks == shm.ARENA.fallbacks - before
+
     def test_path_query_parity(self):
         query, db = random_path_db(3, 150, seed=6, depth=8)
         serial = execute(query, db, algorithm="hash")

@@ -225,11 +225,8 @@ class TestDeadline:
         ("metrics",),
     ], ids=" ".join)
     def test_deadline_exits_3_with_partial_summary(
-        self, hung_shard, command, capsys, tmp_path, monkeypatch
+        self, hung_shard, command, capsys
     ):
-        monkeypatch.setenv(
-            "REPRO_ANALYZE_LOG", str(tmp_path / "analyze_log.jsonl")
-        )
         rc = main([command[0], *hung_shard, *command[1:]])
         err = capsys.readouterr().err
         assert rc == 3
@@ -357,12 +354,10 @@ class TestStartupImports:
         """Every ``repro`` process pays for what ``import repro.cli``
         loads: the LPs are solved in-repo (no numpy/scipy), nothing
         serves HTTP, and the exporter and ANALYZE load when a
-        subcommand asks for them.  Planning imports nothing from
-        the calibration refit: its constants live in ``engine/cost.py``."""
+        subcommand asks for them."""
         heavy = (
             "numpy", "scipy", "http.server",
             "repro.obs.export", "repro.obs.analyze",
-            "repro.obs.calibration",
         )
         assert self._loaded("import repro", heavy) == "[]"
         assert self._loaded("import repro.cli", heavy) == "[]"

@@ -35,15 +35,13 @@ def test_malformed_integer_names_the_variable(monkeypatch):
 
 
 def test_text_is_the_raw_value_or_the_default(monkeypatch):
-    for knob in (config.ANALYZE_LOG, config.FAULTS):
-        monkeypatch.delenv(knob.name, raising=False)
-        assert knob.get() == knob.default
-        monkeypatch.setenv(knob.name, "")
-        assert knob.get() == knob.default
-        monkeypatch.setenv(knob.name, "crash@3,x/y.jsonl")
-        assert knob.get() == "crash@3,x/y.jsonl"
-    assert config.FAULTS.default is None
-    assert config.ANALYZE_LOG.default.endswith("analyze_log.jsonl")
+    knob = config.FAULTS
+    monkeypatch.delenv(knob.name, raising=False)
+    assert knob.get() is None
+    monkeypatch.setenv(knob.name, "")
+    assert knob.get() is None
+    monkeypatch.setenv(knob.name, "crash@3,hang@7")
+    assert knob.get() == "crash@3,hang@7"
 
 
 def test_a_malformed_stall_budget_fails_the_parallel_query(monkeypatch):

@@ -51,14 +51,11 @@ REMOVED_SELECTORS = {"compiled", "one_pass"}
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Every environment variable the program reads, as ``repro.config``
-#: declares them; a fifth needs two callers that want different values
+#: declares them; a fourth needs two callers that want different values
 #: (and a README row).  There is no shared-memory switch: the arena
 #: reserves a segment's pages before writing them, so a ``/dev/shm`` too
 #: small for one falls back to the pickle wire by itself.
-KNOBS = {
-    "REPRO_METRICS", "REPRO_ANALYZE_LOG", "REPRO_SHARD_TIMEOUT_MS",
-    "REPRO_FAULTS",
-}
+KNOBS = {"REPRO_METRICS", "REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS"}
 
 #: What ``execute`` / ``execute_cursor`` take, in order.  Anything else
 #: a plan is made from goes through ``plan_query`` and arrives as
@@ -139,13 +136,13 @@ def test_knobs_are_the_documented_set():
     table = table.split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \| .+ \| (.+) \|$", table, re.M)
     assert set(config.KNOBS) == in_src == set(dict(rows)) == KNOBS
-    assert len(config.KNOBS) == 4
+    assert len(config.KNOBS) == 3
     shm = importlib.import_module("repro.parallel.shm")
     assert not hasattr(shm, "shm_enabled")
     # The README's effect column is each knob's declared doc.
     assert dict(rows) == {k.name: k.doc for k in config.KNOBS.values()}
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
-    assert not {"flight", "slowlog"} & submodules
+    assert not {"flight", "slowlog", "calibration"} & submodules
 
 
 def test_only_config_reads_the_environment():
@@ -158,8 +155,8 @@ def test_only_config_reads_the_environment():
 
 def test_no_cli_option_duplicates_a_knob():
     """``--no-shm`` was a second spelling of a since-deleted pickle-wire
-    switch and ``calibrate --out`` wrote the constants a planner then
-    loaded."""
+    switch, and ``calibrate`` refit the cost constants from a log that
+    ``explain --analyze`` appended to in the working directory."""
     subparsers = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
@@ -168,7 +165,7 @@ def test_no_cli_option_duplicates_a_knob():
         name: {o for a in sub._actions for o in a.option_strings}
         for name, sub in subparsers.choices.items()
     }
-    assert "--out" not in options["calibrate"]
+    assert "calibrate" not in subparsers.choices
     assert all("--no-shm" not in opts for opts in options.values())
 
 
@@ -176,25 +173,42 @@ def test_planning_reads_nothing_from_the_working_directory(
     tmp_path, monkeypatch
 ):
     """A ``.repro/calibration.json`` in cwd — however absurd — changes
-    neither the constants a default model plans with nor the plan."""
+    neither the prices nor the plan."""
     from repro.workloads.generators import graph_triangle_db, random_graph_edges
 
     query, db = graph_triangle_db(random_graph_edges(30, 80, seed=21))
     monkeypatch.chdir(tmp_path)
-    chosen = plan_query(query, db, use_cache=False).backend
+    before = plan_query(query, db, use_cache=False)
     absurd = {b: 1e-9 for b in BACKENDS}
-    absurd[chosen] = 1e9
+    absurd[before.backend] = 1e9
     (tmp_path / ".repro").mkdir()
     (tmp_path / ".repro" / "calibration.json").write_text(
         json.dumps({"calibration": absurd, "unit_seconds": 1e3})
     )
-    assert CostModel().calibration == DEFAULT_CALIBRATION
-    assert plan_query(query, db, use_cache=False).backend == chosen
+    after = plan_query(query, db, use_cache=False)
+    assert after.backend == before.backend
+    assert after.candidates == before.candidates
+
+
+def test_explain_analyze_writes_nothing(tmp_path, monkeypatch, capsys):
+    """EXPLAIN ANALYZE measures a plan against its prediction and
+    leaves the working directory as it found it."""
+    from repro.cli import main
+
+    (tmp_path / "r.csv").write_text("a,1\na,2\nb,2\n")
+    (tmp_path / "s.csv").write_text("1,x\n2,y\n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    argv = ["explain", "R(A,B), S(B,C)", "--csv", "R=r.csv",
+            "--csv", "S=s.csv", "--analyze"]
+    assert main(argv) == 0
+    assert "├─ cost        : actual" in capsys.readouterr().out
+    assert sorted(tmp_path.iterdir()) == before
 
 
 #: The README's length in lines.  A change that adds a paragraph raises
 #: it; a change that deletes behaviour cuts the paragraphs describing it.
-README_LINES = 525
+README_LINES = 514
 
 
 def test_readme_length_is_fenced():
