@@ -76,18 +76,14 @@ def _load_join_db(args: argparse.Namespace):
 
 
 def _run_query(run):
-    """Run a subcommand's query: ``(run(), 0)``, or ``(None, status)``.
+    """Run a subcommand's query: ``(run(), 0)``, or ``(None, 3)``.
 
-    Every query-running subcommand fails the same way: a query the
-    engine rejects (``ValueError``) prints the error and exits 2; a
-    parallel run past its ``--timeout-ms`` deadline prints the error
-    and what the run had done so far, and exits 3.
+    A parallel run past its ``--timeout-ms`` deadline prints the error
+    and what the run had done so far, and exits 3 (bad input is
+    ``main``'s: status 2).
     """
     try:
         return run(), 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
     except QueryTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.report is not None:
@@ -99,15 +95,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
     from repro.engine import execute
     from repro.relational.io import row_blocks
 
-    try:
-        query, db, dictionary = _load_join_db(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    query, db, dictionary = _load_join_db(args)
     if db is None:
-        print("error: join needs --csv NAME=PATH for every relation",
-              file=sys.stderr)
-        return 2
+        raise ValueError("join needs --csv NAME=PATH for every relation")
     t0 = time.perf_counter()
     result, status = _run_query(lambda: execute(
         query, db, algorithm=args.algorithm,
@@ -151,17 +141,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.engine import execute, explain_text, plan_query
 
     if args.trace_out and not args.analyze:
-        print("error: --trace-out needs --analyze", file=sys.stderr)
-        return 2
-    try:
-        query, db, dictionary = _load_join_db(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--trace-out needs --analyze")
+    query, db, dictionary = _load_join_db(args)
     if (args.analyze or args.execute) and db is None:
         flag = "--analyze" if args.analyze else "--execute"
-        print(f"error: {flag} needs --csv data", file=sys.stderr)
-        return 2
+        raise ValueError(f"{flag} needs --csv data")
 
     def run():
         if args.analyze:
@@ -206,21 +190,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.metrics import REGISTRY, render_metrics
 
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     if args.query:
         from repro.engine import execute
 
-        try:
-            query, db, dictionary = _load_join_db(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        query, db, dictionary = _load_join_db(args)
         if db is None:
-            print("error: a query needs --csv NAME=PATH for every "
-                  "relation", file=sys.stderr)
-            return 2
+            raise ValueError(
+                "a query needs --csv NAME=PATH for every relation"
+            )
 
         def run():
-            for _ in range(max(1, args.repeat)):
+            for _ in range(args.repeat):
                 execute(
                     query, db, algorithm=args.algorithm,
                     index_kind=args.index_kind, gao=_parse_gao(args.gao),
@@ -488,6 +470,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # somewhere to go.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (ValueError, OSError) as exc:
+        # Bad input — a malformed query, flag or file, a missing file,
+        # a backend that does not apply — in every subcommand.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -3,15 +3,12 @@
 Each ``REPRO_*`` variable is one :class:`Knob` — name, default, parser
 and the one-line doc the README's environment table carries — and
 :meth:`Knob.get` is the only code under ``src/`` that reads the process
-environment.  Callers choose *when* to read: the metrics registry
-latches its knob at import, while the fault spec and the shard stall
-budget are read at each use, so a ``monkeypatch.setenv`` takes effect
-on the next call.
+environment.  The fault spec and the shard stall budget are read at
+each use, so a ``monkeypatch.setenv`` takes effect on the next call.
 
-An unset or empty variable means the default.  A flag accepts
-``1/true/on/yes`` and ``0/false/off/no`` (any other value keeps the
-default); an integer that does not parse raises one ``ValueError``
-naming the variable instead of quietly running with the default.
+An unset or empty variable means the default.  An integer that does
+not parse raises one ``ValueError`` naming the variable instead of
+quietly running with the default.
 
 Like :mod:`repro.errors`, a leaf: standard library only, imports nothing
 from ``repro``.
@@ -22,9 +19,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict
-
-_ON = ("1", "true", "on", "yes")
-_OFF = ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)
@@ -42,15 +36,6 @@ class Knob:
         return self.parse(self, raw) if raw else self.default
 
 
-def _flag(knob: Knob, raw: str) -> bool:
-    word = raw.lower()
-    if word in _ON:
-        return True
-    if word in _OFF:
-        return False
-    return knob.default
-
-
 def _int(knob: Knob, raw: str) -> int:
     try:
         return int(raw)
@@ -64,10 +49,6 @@ def _text(knob: Knob, raw: str) -> str:
     return raw
 
 
-METRICS = Knob(
-    "REPRO_METRICS", True, _flag,
-    "`0` disables the process-wide metrics registry.",
-)
 SHARD_TIMEOUT_MS = Knob(
     "REPRO_SHARD_TIMEOUT_MS", 0, _int,
     "Per-shard stall budget: a silent worker is killed; its shard runs "
@@ -81,5 +62,5 @@ FAULTS = Knob(
 #: Every knob, by variable name.
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
-    for knob in (METRICS, SHARD_TIMEOUT_MS, FAULTS)
+    for knob in (SHARD_TIMEOUT_MS, FAULTS)
 }

@@ -204,11 +204,11 @@ class ResolutionStats:
             return 0.0
         return self.witness_depth_sum / self.resumes
 
-    def as_metrics(self, prefix: str = "tetris") -> Dict[str, int]:
+    def as_metrics(self) -> Dict[str, int]:
         """The counters as registry-namespace entries.
 
         Field-driven like :meth:`absorb`: scalar fields become
-        ``<prefix>.<field>`` and dict fields fan out one entry per key
+        ``tetris.<field>`` and dict fields fan out one entry per key
         (``tetris.resolutions.by_axis.2``), so new counters surface in
         the unified metrics block without touching this method.
         """
@@ -217,14 +217,14 @@ class ResolutionStats:
             value = getattr(self, f.name)
             if isinstance(value, dict):
                 base = (
-                    f"{prefix}.resolutions.{f.name}"
+                    f"tetris.resolutions.{f.name}"
                     if f.name == "by_axis"
-                    else f"{prefix}.{f.name}"
+                    else f"tetris.{f.name}"
                 )
                 for key, count in value.items():
                     out[f"{base}.{key}"] = count
             else:
-                out[f"{prefix}.{f.name}"] = value
+                out[f"tetris.{f.name}"] = value
         return out
 
     def summary(self) -> str:

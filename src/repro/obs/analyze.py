@@ -178,8 +178,6 @@ def render_analyze(report: AnalyzeReport) -> str:
         )
     if report.metrics is not None:
         lines.append("├─ metrics")
-        lines.extend(
-            render_metrics(report.metrics.nonzero(), indent="│   ")
-        )
+        lines.extend(render_metrics(report.metrics, indent="│   "))
     return "\n".join(lines)
 

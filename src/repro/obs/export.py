@@ -6,7 +6,9 @@ samples, gauges as-is, quantile histograms as cumulative
 ``_bucket{le="..."}`` series with ``_count``/``_sum`` (the log-bucket
 boundaries are exposed exactly, so PromQL ``histogram_quantile`` agrees
 with the in-process estimates up to the same bounded error) — ending
-with the mandatory ``# EOF``.
+with the mandatory ``# EOF``.  A declared family carries the ``# HELP``
+and ``# UNIT`` of its :data:`~repro.obs.metrics.CATALOGUE` entry, and a
+unit-bearing name ends in ``_<unit>`` (``repro_query_latency_seconds``).
 
 ``repro metrics --openmetrics`` prints the live registry this way.
 """
@@ -14,13 +16,16 @@ with the mandatory ``# EOF``.
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.obs.metrics import (
+    CATALOGUE,
     MetricsSnapshot,
     QuantileHistogram,
     REGISTRY,
-    _GAUGE,
+    _COUNTER,
+    _HIST,
+    declaring,
 )
 
 #: Every exposed name is prefixed — a scrape config sees one namespace.
@@ -29,8 +34,21 @@ PREFIX = "repro_"
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _name(dotted: str) -> str:
-    return PREFIX + _SANITIZE.sub("_", dotted)
+def _family(dotted: str, kind: str) -> Tuple[str, List[str]]:
+    """A family's exposed name and metadata lines: ``# HELP`` when it is
+    declared, ``# TYPE``, and ``# UNIT`` (which also ends the name) when
+    it has a unit."""
+    name = PREFIX + _SANITIZE.sub("_", dotted)
+    key = declaring(dotted)
+    if key is None:
+        return name, [f"# TYPE {name} {kind}"]
+    _, unit, help_text = CATALOGUE[key]
+    if unit and not name.endswith(f"_{unit}"):
+        name += f"_{unit}"
+    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+    if unit:
+        lines.append(f"# UNIT {name} {unit}")
+    return name, lines
 
 
 def _num(v: float) -> str:
@@ -41,10 +59,10 @@ def _num(v: float) -> str:
     return f"{v:.9g}"
 
 
-def _hist_lines(name: str, h: QuantileHistogram) -> List[str]:
+def _hist_lines(dotted: str, h: QuantileHistogram) -> List[str]:
     """One histogram as cumulative bucket series plus count/sum and
     the running extremes (as companion gauges)."""
-    lines = [f"# TYPE {name} histogram"]
+    name, lines = _family(dotted, _HIST)
     cum = h.zero
     if h.zero:
         lines.append(f'{name}_bucket{{le="0"}} {cum}')
@@ -56,10 +74,16 @@ def _hist_lines(name: str, h: QuantileHistogram) -> List[str]:
     lines.append(f"{name}_count {h.count}")
     lines.append(f"{name}_sum {_num(h.total)}")
     if h.count > 0:
-        lines.append(f"# TYPE {name}_min gauge")
-        lines.append(f"{name}_min {_num(h.lo)}")
-        lines.append(f"# TYPE {name}_max gauge")
-        lines.append(f"{name}_max {_num(h.hi)}")
+        declared = declaring(dotted) is not None
+        for suffix, value, which in (
+            ("min", h.lo, "Smallest"), ("max", h.hi, "Largest"),
+        ):
+            if declared:
+                lines.append(
+                    f"# HELP {name}_{suffix} {which} sample of {name}."
+                )
+            lines.append(f"# TYPE {name}_{suffix} gauge")
+            lines.append(f"{name}_{suffix} {_num(value)}")
     return lines
 
 
@@ -67,27 +91,16 @@ def render_openmetrics(snap: Optional[MetricsSnapshot] = None) -> str:
     """An OpenMetrics text document of a snapshot (default: live)."""
     if snap is None:
         snap = REGISTRY.snapshot()
-    hist_names = {name for name, _ in snap.hist_items()}
-    counters = []
-    gauges = []
-    for flat in snap:
-        base, _, suffix = flat.rpartition(".")
-        if base in hist_names and suffix in ("count", "sum", "min", "max"):
-            continue  # owned by the histogram series
-        if snap.kind_of(flat) == _GAUGE:
-            gauges.append(flat)
-        else:
-            counters.append(flat)
     lines: List[str] = []
-    for flat in counters:
-        name = _name(flat)
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name}_total {_num(snap[flat])}")
-    for flat in gauges:
-        name = _name(flat)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_num(snap[flat])}")
+    for flat in snap:
+        kind = snap.kind_of(flat)
+        if kind == _HIST:
+            continue  # a histogram's scalars belong to its series below
+        name, meta = _family(flat, kind)
+        lines.extend(meta)
+        total = "_total" if kind == _COUNTER else ""
+        lines.append(f"{name}{total} {_num(snap[flat])}")
     for dotted, h in snap.hist_items():
-        lines.extend(_hist_lines(_name(dotted), h))
+        lines.extend(_hist_lines(dotted, h))
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

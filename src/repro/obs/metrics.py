@@ -1,16 +1,12 @@
 """The unified metrics registry: every counter in the engine, one namespace.
 
-Before this module the engine's instrumentation was scattered: kernel
-cache hits lived on :class:`~repro.engine.codegen.KernelCache` objects,
-plan/stats cache hits on module-private LRUs, sorted-view evictions on
-each :class:`~repro.relational.relation.Relation`, shard shipping tallies
-on :class:`~repro.parallel.merge.ParallelReport`, and the resolution
-counters of Lemma 4.5 on per-query ``ResolutionStats``.  The registry
-absorbs them all behind dotted names::
+Every metric the engine emits is declared once, in :data:`CATALOGUE`,
+with its kind, unit and one-line help; the registry, ``repro metrics``
+and the OpenMetrics exposition read kind and help from there.  The
+names are dotted::
 
     engine.queries                    engine.plan_cache.hits
-    kernels.compile.misses            relation.view.evictions
-    relation.view.builds              relation.index.builds
+    kernels.compile.misses            relation.index.builds
     tetris.resolutions.by_axis.0      parallel.ship.bytes
 
 Two ingestion paths keep the hot loops honest:
@@ -33,9 +29,9 @@ Histograms are log-bucketed (:class:`QuantileHistogram`): every sample
 lands in a fixed base-:data:`HIST_BASE` bucket, so ``quantile(q)`` has a
 bounded relative error (:data:`HIST_RELATIVE_ERROR`, ≈9.5%) and merging
 two histograms — across snapshots or across processes — is exact
-bucket-wise addition.  Snapshots still expand each histogram into
-``name.count`` / ``name.sum`` / ``name.min`` / ``name.max`` scalars for
-backward compatibility, but also carry the bucket data so
+bucket-wise addition.  A snapshot is a flat mapping: each histogram
+expands into ``name.count`` / ``name.sum`` / ``name.min`` /
+``name.max`` scalars, and carries its bucket data alongside so
 :meth:`MetricsSnapshot.since` diffs distributions and
 :func:`render_metrics` prints ``p50``/``p95``/``p99`` lines.
 
@@ -58,11 +54,86 @@ from typing import (
     Tuple,
 )
 
-from repro import config
+_COUNTER = "counter"
+_GAUGE = "gauge"
+_HIST = "histogram"
 
-_COUNTER = "c"
-_GAUGE = "g"
-_HIST = "h"
+#: Every metric the engine emits, declared once: name → (kind, unit,
+#: help).  The kind is the OpenMetrics type and the unit, where there is
+#: one, an OpenMetrics base unit.  A ``<…>`` last segment declares a
+#: family (one metric per axis, per backend); ``worker.<wid>.<counter>``
+#: repeats any declared counter per pool worker.
+CATALOGUE: Dict[str, Tuple[str, str, str]] = {
+    "engine.queries": (_COUNTER, "", "Queries executed."),
+    "engine.rows.returned": (_COUNTER, "", "Rows the executed queries returned."),
+    "engine.plan_cache.hits": (_COUNTER, "", "Plan lookups the plan cache answered."),
+    "engine.plan_cache.misses": (_COUNTER, "", "Plan lookups that planned afresh."),
+    "engine.plan_cache.entries": (_GAUGE, "", "Plans the plan cache holds."),
+    "engine.stats_cache.hits": (_COUNTER, "", "Statistics lookups the stats cache answered."),
+    "engine.stats_cache.misses": (_COUNTER, "", "Statistics lookups that collected afresh."),
+    "engine.stats_cache.entries": (_GAUGE, "", "Statistics the stats cache holds."),
+    "kernels.compile.hits": (_COUNTER, "", "Kernel lookups a kernel cache answered."),
+    "kernels.compile.misses": (_COUNTER, "", "Kernels generated and compiled."),
+    "kernels.compile.evictions": (_COUNTER, "", "Compiled kernels evicted from their cache."),
+    "kernels.cache.entries": (_GAUGE, "", "Compiled kernels the kernel caches hold."),
+    "query.latency": (_HIST, "seconds", "Wall time of one execute() call."),
+    "query.latency.backend.<backend>": (_HIST, "seconds", "Wall time of one execute() call, per backend."),
+    "relation.index.builds": (_COUNTER, "", "Indexes built over a sorted view."),
+    "tetris.resolutions": (_COUNTER, "", "Geometric resolutions (Lemma 4.5)."),
+    "tetris.ordered_resolutions": (_COUNTER, "", "Resolutions of the ordered shape (Definition 4.3)."),
+    "tetris.resolutions.by_axis.<axis>": (_COUNTER, "", "Resolutions on one axis of the GAO."),
+    "tetris.containment_queries": (_COUNTER, "", "Knowledge-base probes, one per traversal box."),
+    "tetris.oracle_queries": (_COUNTER, "", "Oracle probes for a gap box."),
+    "tetris.skeleton_calls": (_COUNTER, "", "Calls of the skeleton traversal."),
+    "tetris.boxes_loaded": (_COUNTER, "", "Gap and output boxes stored in the knowledge base."),
+    "tetris.cache_hits": (_COUNTER, "", "Knowledge-base probes that found a container."),
+    "tetris.resumes": (_COUNTER, "", "Traversals resumed in place after the knowledge base grew."),
+    "tetris.witness_depth_sum": (_COUNTER, "", "Component bits of the gap boxes the oracle returned."),
+    "parallel.runs": (_COUNTER, "", "Shard-parallel runs."),
+    "parallel.shards.executed": (_COUNTER, "", "Shards run, by a worker or the parent."),
+    "parallel.shards.pruned": (_COUNTER, "", "Shards skipped: an input is empty in their space."),
+    "parallel.shards.stolen": (_COUNTER, "", "Shards dealt to a worker holding none of their relations."),
+    "parallel.shards.in_parent": (_COUNTER, "", "Shards the parent ran while every worker was busy."),
+    "parallel.ship.rows": (_COUNTER, "", "Rows shipped by value to workers."),
+    "parallel.ship.rows_reshipped": (_COUNTER, "", "Rows shipped again to a second worker."),
+    "parallel.ship.bytes": (_COUNTER, "bytes", "Wire bytes of the payloads shipped to workers."),
+    "parallel.ship.bytes_nominal": (_COUNTER, "bytes", "Shipped rows at 8 bytes per column value."),
+    "parallel.ship.ref_hits": (_COUNTER, "", "Relations a worker already held, named by reference."),
+    "parallel.ship.refs_total": (_COUNTER, "", "Relations the shard tasks named."),
+    "parallel.shm.ships": (_COUNTER, "", "Payloads shipped as shared-memory segment refs."),
+    "parallel.shm.fallbacks": (_COUNTER, "", "Segment refs that fell back to a pickled blob."),
+    "parallel.shm.attaches": (_COUNTER, "", "Segments workers newly attached."),
+    "parallel.shm.attached_bytes": (_COUNTER, "bytes", "Bytes of the segments workers attached."),
+    "parallel.shm.attach_seconds": (_HIST, "seconds", "Worker time attaching segments, per run."),
+    "parallel.shm.arena.entries": (_GAUGE, "", "Segments the parent's arena holds."),
+    "parallel.shm.segments.created": (_COUNTER, "", "Shared-memory segments created."),
+    "parallel.shm.segments.unlinked": (_COUNTER, "", "Shared-memory segments unlinked."),
+    "parallel.shm.export.bytes": (_COUNTER, "bytes", "Bytes written into new segments."),
+    "parallel.shm.export.fallbacks": (_COUNTER, "", "Exports that could not make a segment."),
+    "parallel.dispatch.attempts": (_COUNTER, "", "Shard tasks sent to a worker."),
+    "parallel.dispatch.successes": (_COUNTER, "", "Shard tasks a worker answered clean."),
+    "parallel.faults.respawns": (_COUNTER, "", "Workers respawned after dying or hanging."),
+    "parallel.faults.quarantined": (_COUNTER, "", "Shards a worker failed, run in the parent."),
+    "parallel.faults.serial_fallback": (_COUNTER, "", "Shards run in the parent for want of a pool."),
+    "parallel.faults.shm_export_errors": (_COUNTER, "", "Segment exports that raised."),
+    "parallel.faults.timeouts": (_COUNTER, "", "Parallel runs stopped at their deadline."),
+    "worker.<wid>.<counter>": (_COUNTER, "", "A declared counter, as pool worker <wid> shipped it."),
+}
+
+
+def declaring(name: str) -> Optional[str]:
+    """The catalogue name that declares ``name`` — itself, or the family
+    it belongs to — or None when it is undeclared."""
+    if name in CATALOGUE:
+        return name
+    if name.startswith("worker."):
+        inner = declaring(name.split(".", 2)[-1])
+        if inner is None or CATALOGUE[inner][0] != _COUNTER:
+            return None
+        return "worker.<wid>.<counter>"
+    family = name.rpartition(".")[0] + ".<"
+    return next((key for key in CATALOGUE if key.startswith(family)), None)
+
 
 #: Fixed log-bucket base.  Every histogram in every process uses the
 #: same boundaries, which is what makes cross-process merges exact.
@@ -245,22 +316,11 @@ class MetricsSnapshot(Mapping):
         return len(self._values)
 
     def kind_of(self, name: str) -> str:
-        """``"c"`` (counter), ``"g"`` (gauge) or ``"h"`` (histogram)."""
+        """``"counter"``, ``"gauge"`` or ``"histogram"``."""
         return self._kinds.get(name, _COUNTER)
-
-    def histogram(self, name: str) -> Optional[QuantileHistogram]:
-        """The full bucket data behind a histogram instrument."""
-        return self._hists.get(name)
 
     def hist_items(self) -> List[Tuple[str, QuantileHistogram]]:
         return sorted(self._hists.items())
-
-    def quantile(self, name: str, q: float) -> Optional[float]:
-        """``quantile(q)`` of a histogram instrument, or None."""
-        h = self._hists.get(name)
-        if h is None or h.count == 0:
-            return None
-        return h.quantile(q)
 
     def since(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """What happened between ``earlier`` and this snapshot.
@@ -297,23 +357,6 @@ class MetricsSnapshot(Mapping):
         }
         return MetricsSnapshot(out, self._kinds, hists)
 
-    def nonzero(self) -> "MetricsSnapshot":
-        """Only the entries with a non-zero value (rendering filter)."""
-        return MetricsSnapshot(
-            {k: v for k, v in self._values.items() if v},
-            self._kinds,
-            {k: h for k, h in self._hists.items() if h.count},
-        )
-
-    def group(self, prefix: str) -> Dict[str, float]:
-        """Entries under a dotted prefix, with the prefix stripped."""
-        dot = prefix + "."
-        return {
-            k[len(dot):]: v
-            for k, v in self._values.items()
-            if k.startswith(dot)
-        }
-
     def as_dict(self) -> Dict[str, float]:
         return dict(self._values)
 
@@ -321,10 +364,8 @@ class MetricsSnapshot(Mapping):
 class MetricsRegistry:
     """Counters, gauges and histograms under one dotted namespace."""
 
-    def __init__(self, enabled: Optional[bool] = None):
-        # ``REPRO_METRICS`` defaults on: every instrument sits at
-        # per-query granularity, a handful of dict updates per query.
-        self.enabled = config.METRICS.get() if enabled is None else enabled
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._hists: Dict[str, QuantileHistogram] = {}
@@ -377,12 +418,13 @@ class MetricsRegistry:
     def register_collector(
         self, name: str, collect: Callable[[], Mapping[str, float]]
     ) -> None:
-        """Attach a pull-time source of counter values.
+        """Attach a pull-time source of values.
 
         ``collect()`` runs at snapshot time and returns ``{dotted name:
-        value}``.  Registration is keyed by ``name`` and idempotent —
-        re-importing a module replaces its collector instead of
-        duplicating it.
+        value}``; each name's kind is its catalogue entry's (a counter
+        when undeclared).  Registration is keyed by ``name`` and
+        idempotent — re-importing a module replaces its collector
+        instead of duplicating it.
         """
         self._collectors[name] = collect
 
@@ -409,18 +451,16 @@ class MetricsRegistry:
                 kinds[f"{name}.{suffix}"] = _HIST
         for collect in self._collectors.values():
             for name, v in collect().items():
-                # Collector-owned caches report running totals: treat
-                # size-like names as gauges so since() keeps them
-                # readable; everything else is a counter and *adds* to
-                # any direct counter of the same name (worker-shipped
-                # deltas land in the parent's direct counters and must
-                # aggregate with the parent's own cache traffic).
-                if name.rsplit(".", 1)[-1] in ("entries", "capacity"):
-                    values[name] = v
-                    kinds[name] = _GAUGE
-                else:
-                    values[name] = values.get(name, 0) + v
-                    kinds[name] = _COUNTER
+                # A collected counter *adds* to any direct counter of
+                # the same name: worker-shipped deltas land in the
+                # parent's direct counters and must aggregate with the
+                # parent's own cache traffic.
+                key = declaring(name)
+                kind = CATALOGUE[key][0] if key else _COUNTER
+                if kind == _COUNTER:
+                    v += values.get(name, 0)
+                values[name] = v
+                kinds[name] = kind
         return MetricsSnapshot(values, kinds, hists)
 
     def value(self, name: str, default: float = 0.0) -> float:
@@ -430,17 +470,6 @@ class MetricsRegistry:
         if name in self._gauges:
             return self._gauges[name]
         return default
-
-    def quantile(self, name: str, q: float) -> Optional[float]:
-        """A live histogram's quantile without taking a full snapshot."""
-        h = self._hists.get(name)
-        if h is None or h.count == 0:
-            return None
-        return h.quantile(q)
-
-    def histogram(self, name: str) -> Optional[QuantileHistogram]:
-        """The live histogram behind a name (read-only use)."""
-        return self._hists.get(name)
 
     def reset(self) -> None:
         """Zero every direct instrument (collector sources are theirs)."""
@@ -456,14 +485,6 @@ REGISTRY = MetricsRegistry()
 def set_enabled(on: bool) -> None:
     """Flip the global registry's master switch (tests, benchmarks)."""
     REGISTRY.enabled = on
-
-
-def enabled() -> bool:
-    return REGISTRY.enabled
-
-
-def snapshot() -> MetricsSnapshot:
-    return REGISTRY.snapshot()
 
 
 # -- cross-process shipping ----------------------------------------------------
@@ -526,19 +547,15 @@ def merge_wire_delta(
 _RENDER_QUANTILES = ((0.5, "p50"), (0.95, "p95"), (0.99, "p99"))
 
 
-def render_metrics(
-    snap: MetricsSnapshot,
-    indent: str = "",
-    skip_zero: bool = True,
-) -> List[str]:
-    """A snapshot as aligned ``name : value`` lines, sorted by name.
+def render_metrics(snap: MetricsSnapshot, indent: str = "") -> List[str]:
+    """A snapshot's non-zero entries as aligned ``name : value`` lines,
+    sorted by name.
 
     Histogram instruments additionally render ``name.p50`` / ``.p95`` /
     ``.p99`` estimate lines next to their count/sum/min/max scalars.
     """
-    shown = snap.nonzero() if skip_zero else snap
-    entries = shown.as_dict()
-    for name, h in shown.hist_items():
+    entries = {name: v for name, v in snap.as_dict().items() if v}
+    for name, h in snap.hist_items():
         if h.count > 0:
             for q, tag in _RENDER_QUANTILES:
                 entries[f"{name}.{tag}"] = h.quantile(q)

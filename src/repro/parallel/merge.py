@@ -534,4 +534,3 @@ def _publish_report(report: ParallelReport) -> None:
         _METRICS.observe(
             "parallel.shm.attach_seconds", report.shm_attach_seconds
         )
-    _METRICS.observe("parallel.makespan_seconds", report.makespan_seconds)

@@ -499,7 +499,6 @@ class Relation:
         rows = sorted(tuple(t[i] for i in perm) for t in self.rows())
         cached = SortedView(key, rows)
         self._views[key] = cached
-        _METRICS.inc("relation.view.builds")
         canonical = self.schema.attrs
         while len(self._views) > self.VIEW_CACHE_CAP + (
             1 if canonical in self._views else 0
@@ -512,7 +511,6 @@ class Relation:
                 )
             del self._views[oldest]
             self.view_evictions += 1
-            _METRICS.inc("relation.view.evictions")
         return cached
 
     def cached_view_orders(self) -> Tuple[Tuple[str, ...], ...]:

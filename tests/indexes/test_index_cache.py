@@ -247,16 +247,14 @@ def test_second_execution_builds_and_decomposes_nothing(
     assert (build_counts["decompose"] > 0) == (
         (index_kind, variant) == ("btree", "preloaded")
     )
-    if REGISTRY.enabled:
-        built = REGISTRY.value("relation.index.builds") - metric
-        assert built == len(query.atoms)
+    built = REGISTRY.value("relation.index.builds") - metric
+    assert built == len(query.atoms)
     build_counts.clear()
 
     second = execute(query, db, **kwargs)
     assert build_counts == Counter()
-    if REGISTRY.enabled:
-        built = REGISTRY.value("relation.index.builds") - metric
-        assert built == len(query.atoms)
+    built = REGISTRY.value("relation.index.builds") - metric
+    assert built == len(query.atoms)
 
     fresh = execute(query, _triangle(1)[1], **kwargs)
     with interpreted_tetris():

@@ -9,31 +9,39 @@ def _sample_registry() -> MetricsRegistry:
     reg.inc("engine.queries", 3)
     reg.gauge("pool.size", 2)
     for v in (0.0, 1.0, 2.0):
-        reg.observe("lat", v)
+        reg.observe("query.latency", v)
     return reg
 
 
 def test_openmetrics_golden_document():
     """The full exposition text, byte for byte.  Bucket boundaries are
     fixed powers of the module base, so the document is deterministic;
-    a diff here means the scrape format changed."""
+    a diff here means the scrape format changed.  Declared families
+    carry their catalogue help and unit (a unit-bearing name ends in
+    it); the undeclared ``pool.size`` has a type and no help."""
     text = render_openmetrics(_sample_registry().snapshot())
+    lat = "repro_query_latency_seconds"
     assert text == (
+        "# HELP repro_engine_queries Queries executed.\n"
         "# TYPE repro_engine_queries counter\n"
         "repro_engine_queries_total 3\n"
         "# TYPE repro_pool_size gauge\n"
         "repro_pool_size 2\n"
-        "# TYPE repro_lat histogram\n"
-        'repro_lat_bucket{le="0"} 1\n'
-        'repro_lat_bucket{le="1.2"} 2\n'
-        'repro_lat_bucket{le="2.0736"} 3\n'
-        'repro_lat_bucket{le="+Inf"} 3\n'
-        "repro_lat_count 3\n"
-        "repro_lat_sum 3\n"
-        "# TYPE repro_lat_min gauge\n"
-        "repro_lat_min 0\n"
-        "# TYPE repro_lat_max gauge\n"
-        "repro_lat_max 2\n"
+        f"# HELP {lat} Wall time of one execute() call.\n"
+        f"# TYPE {lat} histogram\n"
+        f"# UNIT {lat} seconds\n"
+        f'{lat}_bucket{{le="0"}} 1\n'
+        f'{lat}_bucket{{le="1.2"}} 2\n'
+        f'{lat}_bucket{{le="2.0736"}} 3\n'
+        f'{lat}_bucket{{le="+Inf"}} 3\n'
+        f"{lat}_count 3\n"
+        f"{lat}_sum 3\n"
+        f"# HELP {lat}_min Smallest sample of {lat}.\n"
+        f"# TYPE {lat}_min gauge\n"
+        f"{lat}_min 0\n"
+        f"# HELP {lat}_max Largest sample of {lat}.\n"
+        f"# TYPE {lat}_max gauge\n"
+        f"{lat}_max 2\n"
         "# EOF\n"
     )
 
@@ -58,9 +66,9 @@ def test_names_are_sanitized_and_prefixed():
 
 
 def test_histogram_flat_scalars_are_not_doubled():
-    """lat.count/sum/min/max belong to the histogram series — they must
-    not also appear as standalone counters."""
+    """query.latency.count/sum/min/max belong to the histogram series —
+    they must not also appear as standalone counters."""
     text = render_openmetrics(_sample_registry().snapshot())
-    assert "# TYPE repro_lat_count" not in text
-    assert "repro_lat_count_total" not in text
-    assert text.count("repro_lat_count 3") == 1
+    assert "# TYPE repro_query_latency_count" not in text
+    assert "repro_query_latency_count_total" not in text
+    assert text.count("repro_query_latency_seconds_count 3") == 1

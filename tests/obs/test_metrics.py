@@ -6,6 +6,7 @@ from repro.obs.metrics import (
     REGISTRY,
     MetricsRegistry,
     MetricsSnapshot,
+    declaring,
     render_metrics,
 )
 
@@ -54,7 +55,7 @@ def test_collectors_run_at_snapshot_time():
 
     def collect():
         calls.append(1)
-        return {"sub.hits": 5, "sub.entries": 2}
+        return {"sub.hits": 5, "engine.plan_cache.entries": 2}
 
     reg.register_collector("sub", collect)
     reg.register_collector("sub", collect)  # idempotent by name
@@ -62,10 +63,13 @@ def test_collectors_run_at_snapshot_time():
     snap = reg.snapshot()
     assert calls == [1]  # one registration, one pull
     assert snap["sub.hits"] == 5
-    # size-like collector names are gauges: since() keeps the value.
+    # A collected name takes its kind from the catalogue: a declared
+    # gauge keeps its value through since(); an undeclared name counts.
+    assert snap.kind_of("engine.plan_cache.entries") == "gauge"
+    assert snap.kind_of("sub.hits") == "counter"
     later = reg.snapshot()
     delta = later.since(snap)
-    assert delta["sub.entries"] == 2
+    assert delta["engine.plan_cache.entries"] == 2
     assert delta["sub.hits"] == 0
 
 
@@ -90,10 +94,18 @@ def test_since_clamps_negative_traffic():
     assert reg.snapshot().since(before)["n"] == 0
 
 
-def test_group_and_nonzero():
-    snap = MetricsSnapshot({"a.x": 1, "a.y": 0, "b.z": 2})
-    assert snap.group("a") == {"x": 1, "y": 0}
-    assert dict(snap.nonzero().as_dict()) == {"a.x": 1, "b.z": 2}
+def test_a_family_member_is_declared_by_its_family():
+    assert declaring("engine.queries") == "engine.queries"
+    assert declaring("tetris.resolutions.by_axis.3") == (
+        "tetris.resolutions.by_axis.<axis>"
+    )
+    assert declaring("worker.1.tetris.resolutions.by_axis.0") == (
+        "worker.<wid>.<counter>"
+    )
+    # Only counters ship per worker: gauges and histograms stay home.
+    assert declaring("worker.2.engine.plan_cache.entries") is None
+    assert declaring("worker.2.query.latency") is None
+    assert declaring("x.y") is None
 
 
 def test_render_metrics_aligned_and_sorted():
@@ -152,8 +164,11 @@ def test_tetris_resolution_counters_surface():
     delta = REGISTRY.snapshot().since(before)
     assert result.stats.resolutions > 0
     assert delta["tetris.resolutions"] == result.stats.resolutions
-    by_axis = delta.group("tetris.resolutions.by_axis")
-    assert sum(by_axis.values()) == result.stats.resolutions
+    by_axis = [
+        v for k, v in delta.items()
+        if k.startswith("tetris.resolutions.by_axis.")
+    ]
+    assert sum(by_axis) == result.stats.resolutions
 
 
 def test_execute_takes_no_snapshot(monkeypatch):

@@ -152,8 +152,8 @@ def test_cross_process_merge_matches_single_process():
         wire = wire_delta(before, worker.snapshot())
         assert wire == pickle.loads(pickle.dumps(wire))
         merge_wire_delta(parent, wire, worker_prefix=f"worker.{wid}")
-    merged = parent.histogram("query.latency")
-    truth = oracle.histogram("query.latency")
+    merged = dict(parent.snapshot().hist_items())["query.latency"]
+    truth = dict(oracle.snapshot().hist_items())["query.latency"]
     assert merged.count == truth.count == 250
     assert merged.buckets == truth.buckets
     for q in (0.5, 0.95, 0.99):
@@ -179,8 +179,9 @@ def test_registry_quantiles_render():
     reg = MetricsRegistry(enabled=True)
     for v in (0.010, 0.020, 0.040):
         reg.observe("query.latency", v)
-    assert reg.quantile("query.latency", 1.0) == 0.040
-    lines = render_metrics(reg.snapshot())
+    snap = reg.snapshot()
+    assert dict(snap.hist_items())["query.latency"].quantile(1.0) == 0.040
+    lines = render_metrics(snap)
     joined = "\n".join(lines)
     for needle in (
         "query.latency.count",

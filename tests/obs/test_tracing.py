@@ -196,7 +196,7 @@ def test_disabled_path_is_bit_identical():
 
     query, db = _triangle_instance()
     clear_plan_cache()
-    metrics_was = obs_metrics.enabled()
+    metrics_was = obs_metrics.REGISTRY.enabled
     try:
         obs_metrics.set_enabled(False)
         tracing.set_enabled(False)

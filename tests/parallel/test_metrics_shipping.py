@@ -1,7 +1,7 @@
 """Worker metrics shipping: every counter a worker moves comes home.
 
 Workers run in forked processes, so their registry traffic — kernel
-compiles, view builds, cache misses — would vanish with the process if
+compiles, index builds, cache misses — would vanish with the process if
 it weren't shipped.  The scheduler piggybacks each shard's registry
 delta on its :class:`~repro.parallel.workers.ShardResult` and the
 parent folds it in twice: under the aggregate name, and under a

@@ -199,11 +199,8 @@ class TestParentShardAccounting:
         assert f"({report.shards_in_parent} in parent)" in explain_text(
             result.plan, result
         )
-        if REGISTRY.enabled:
-            delta = REGISTRY.snapshot().since(before)
-            assert delta["parallel.shards.in_parent"] == (
-                report.shards_in_parent
-            )
+        delta = REGISTRY.snapshot().since(before)
+        assert delta["parallel.shards.in_parent"] == report.shards_in_parent
 
     def test_coordination_subtracts_the_parents_own_shards(self):
         report = ParallelReport(workers=2, num_shards=8, split_attrs=("A",))

@@ -241,8 +241,6 @@ class TestDerivedArtifacts:
     def test_builds_are_counted(self):
         from repro.obs.metrics import REGISTRY
 
-        if not REGISTRY.enabled:
-            pytest.skip("metrics registry disabled")
         view = _random_relation(14).view(("A1", "A0", "A2"))
         before = REGISTRY.value("relation.index.builds")
         view.derived("trie", object)

@@ -236,6 +236,45 @@ class TestDeadline:
         assert "Traceback" not in err
 
 
+class TestBadInput:
+    """Bad input exits 2 with one ``error:`` line in every subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        ("join", "R(A,B)", "--csv", "R=missing.csv"),
+        ("sat", "missing.cnf"),
+        ("sat", "bad.cnf"),
+        ("triangles", "missing.txt"),
+        ("triangles", "bad.txt"),
+        ("analyze", "R(A,B),,S(B)"),
+    ], ids=" ".join)
+    def test_exits_2_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        (tmp_path / "bad.cnf").write_text("p cnf 2 1\n1 x 0\n")
+        (tmp_path / "bad.txt").write_text("1 2\n3\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("repeat", ["0", "-3"])
+    def test_metrics_repeat_must_be_positive(
+        self, triangle_csvs, capsys, repeat
+    ):
+        rc = main([
+            "metrics", "R(A,B)", "--csv", f"R={triangle_csvs / 'r.csv'}",
+            "--repeat", repeat,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: --repeat must be at least 1, got {repeat}\n"
+        )
+
+
 class TestTrianglesCommand:
     def test_counts_triangles(self, tmp_path, capsys):
         edges = tmp_path / "e.txt"

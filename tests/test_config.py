@@ -5,22 +5,6 @@ import pytest
 from repro import config
 
 
-def test_flag_keeps_its_spellings(monkeypatch):
-    knob = config.METRICS
-    monkeypatch.delenv(knob.name, raising=False)
-    assert knob.get() is knob.default
-    for word in ("1", "true", "ON", "yes"):
-        monkeypatch.setenv(knob.name, word)
-        assert knob.get() is True
-    for word in ("0", "false", "Off", "no"):
-        monkeypatch.setenv(knob.name, word)
-        assert knob.get() is False
-    # Anything else (or empty) keeps the default, as it always did.
-    for word in ("", "maybe"):
-        monkeypatch.setenv(knob.name, word)
-        assert knob.get() is knob.default
-
-
 def test_malformed_integer_names_the_variable(monkeypatch):
     knob = config.SHARD_TIMEOUT_MS
     monkeypatch.delenv(knob.name, raising=False)

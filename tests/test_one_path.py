@@ -51,11 +51,13 @@ REMOVED_SELECTORS = {"compiled", "one_pass"}
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Every environment variable the program reads, as ``repro.config``
-#: declares them; a fourth needs two callers that want different values
+#: declares them; a third needs two callers that want different values
 #: (and a README row).  There is no shared-memory switch: the arena
 #: reserves a segment's pages before writing them, so a ``/dev/shm`` too
-#: small for one falls back to the pickle wire by itself.
-KNOBS = {"REPRO_METRICS", "REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS"}
+#: small for one falls back to the pickle wire by itself.  There is no
+#: metrics switch: the registry is on, and only a benchmark turns it off
+#: (``set_enabled``).
+KNOBS = {"REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS"}
 
 #: What ``execute`` / ``execute_cursor`` take, in order.  Anything else
 #: a plan is made from goes through ``plan_query`` and arrives as
@@ -136,13 +138,99 @@ def test_knobs_are_the_documented_set():
     table = table.split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \| .+ \| (.+) \|$", table, re.M)
     assert set(config.KNOBS) == in_src == set(dict(rows)) == KNOBS
-    assert len(config.KNOBS) == 3
+    assert len(config.KNOBS) == 2
     shm = importlib.import_module("repro.parallel.shm")
     assert not hasattr(shm, "shm_enabled")
     # The README's effect column is each knob's declared doc.
     assert dict(rows) == {k.name: k.doc for k in config.KNOBS.values()}
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
     assert not {"flight", "slowlog", "calibration"} & submodules
+
+
+def _metrics_a_run_emits(monkeypatch):
+    """``(name, kind)`` of everything handed to the registry, zero deltas
+    included, over every backend serially, hash on two workers and one
+    ``analyze()`` — plus what one snapshot's collectors report."""
+    from repro.obs.analyze import analyze
+    from repro.obs.metrics import REGISTRY
+    from repro.parallel import clear_job_cache, shm, shutdown_pools
+    from repro.workloads.generators import random_path_db
+
+    emitted = set()
+
+    def record(method, kind):
+        real = getattr(REGISTRY, method)
+
+        def recording(first, *rest):
+            names = [first] if isinstance(first, str) else list(first)
+            emitted.update((name, kind) for name in names)
+            return real(first, *rest)
+
+        monkeypatch.setattr(REGISTRY, method, recording)
+
+    for method, kind in (
+        ("inc", "counter"), ("inc_many", "counter"), ("gauge", "gauge"),
+        ("observe", "histogram"), ("merge_hist", "histogram"),
+    ):
+        record(method, kind)
+    # Every relation ships through shared memory, so the attach
+    # histogram is fed too.
+    monkeypatch.setattr(shm, "MIN_BYTES", 0)
+    clear_job_cache()
+    query, db = random_path_db(3, 200, seed=1)
+    try:
+        for backend in BACKENDS:
+            execute(query, db, algorithm=backend)
+        execute(query, db, algorithm="hash", workers=2)
+        analyze(query, db)
+    finally:
+        shutdown_pools()
+        clear_job_cache()
+    snap = REGISTRY.snapshot()
+    emitted.update(
+        (name, snap.kind_of(name)) for name in snap
+        if snap.kind_of(name) != "histogram"
+    )
+    emitted.update((name, "histogram") for name, _ in snap.hist_items())
+    return emitted
+
+
+def test_metrics_are_declared_once(monkeypatch):
+    """Every metric the engine emits is one ``CATALOGUE`` entry of the
+    kind it is emitted as, every entry is emitted, and the README's
+    metrics table has one row per namespace covering exactly them."""
+    from fnmatch import fnmatch
+
+    from repro.obs.metrics import CATALOGUE, declaring
+
+    emitted = _metrics_a_run_emits(monkeypatch)
+    undeclared = sorted(name for name, _ in emitted if not declaring(name))
+    assert undeclared == []
+    miskinded = sorted(
+        (name, kind) for name, kind in emitted
+        if CATALOGUE[declaring(name)][0] != kind
+    )
+    assert miskinded == []
+    unemitted = set(CATALOGUE) - {declaring(name) for name, _ in emitted}
+    assert sorted(unemitted) == []
+
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("**Metrics.**", 1)[1].split("\n\n", 2)[1]
+    rows = [
+        re.findall(r"`([^`]+)`", line.split(" | ")[0])
+        for line in table.splitlines()[2:]
+    ]
+    namespaces = [{p.split(".")[0] for p in row} for row in rows]
+    assert all(len(ns) == 1 for ns in namespaces), rows
+    assert len(set(map(frozenset, namespaces))) == len(rows)
+    patterns = [p for row in rows for p in row]
+    unmatched = [
+        p for p in patterns if not any(fnmatch(n, p) for n in CATALOGUE)
+    ]
+    uncovered = [
+        n for n in CATALOGUE if not any(fnmatch(n, p) for p in patterns)
+    ]
+    assert unmatched == [] and uncovered == []
 
 
 def test_only_config_reads_the_environment():
