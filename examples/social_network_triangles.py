@@ -6,9 +6,11 @@ reproduces the setup with a synthetic power-law (Barabási–Albert) graph:
 triangle listing as the join R(A,B) ⋈ S(B,C) ⋈ T(A,C) with R = S = T the
 edge relation.
 
-It contrasts the worst-case-optimal strategies (Tetris, Leapfrog) with a
-binary hash-join plan, whose intermediate result — the wedge count — can
-dwarf both input and output on skewed graphs.
+It contrasts the worst-case-optimal strategies (Tetris, Leapfrog) with
+the hash plan, and prints the binary plan's intermediate result — the
+wedge count — which can dwarf both input and output on skewed graphs.
+The hash kernel does not walk it: it intersects S's and T's neighbour
+sets per R row instead of probing T once per wedge.
 
 Run:  python examples/social_network_triangles.py
 """
@@ -57,7 +59,7 @@ def main() -> None:
     )
     blowup = max(sizes) / max(len(hashed), 1)
     print(
-        f"\nThe binary plan materialized {max(sizes)} wedges — "
+        f"\nA binary plan walks {max(sizes)} wedges — "
         f"{blowup:.1f}× the output. Worst-case-optimal joins never do."
     )
     assert tetris.tuples == leapfrog == hashed

@@ -32,46 +32,62 @@ Quickstart::
     print(result.tuples)  # [(0, 1, 2)]
 """
 
-from repro.core import (
-    BoxSetOracle,
-    ResolutionStats,
-    TetrisEngine,
-    boolean_box_cover,
-    solve_bcp,
-    tetris_preloaded,
-    tetris_reloaded,
-)
-from repro.core.balance import tetris_preloaded_lb, tetris_reloaded_lb
-from repro.core.certificates import (
-    certificate_size,
-    minimal_certificate,
-    minimum_certificate,
-)
-from repro.engine import (
-    ExecutionResult,
-    Plan,
-    execute,
-    explain_text,
-    plan_query,
-)
-from repro.joins import (
-    join_hash,
-    join_leapfrog,
-    join_nested_loop,
-    join_tetris,
-    join_yannakakis,
-)
-from repro.relational import (
-    Database,
-    Domain,
-    Hypergraph,
-    JoinQuery,
-    Relation,
-    RelationSchema,
-    agm_bound,
-    fhtw,
-    triangle_query,
-)
+import importlib
+import sys
+
+
+def _lazy_exports(package: str, exports: dict):
+    """A module ``__getattr__`` (PEP 562) serving ``exports``, a
+    name -> defining-module table: a name's module is imported on its
+    first use, and the value is cached on ``package``."""
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_exports(__name__, {
+    "BoxSetOracle": "repro.core.tetris",
+    "Database": "repro.relational.query",
+    "Domain": "repro.relational.schema",
+    "ExecutionResult": "repro.engine.executor",
+    "Hypergraph": "repro.relational.hypergraph",
+    "JoinQuery": "repro.relational.query",
+    "Plan": "repro.engine.planner",
+    "Relation": "repro.relational.relation",
+    "RelationSchema": "repro.relational.schema",
+    "ResolutionStats": "repro.core.resolution",
+    "TetrisEngine": "repro.core.tetris",
+    "agm_bound": "repro.relational.agm",
+    "boolean_box_cover": "repro.core.tetris",
+    "certificate_size": "repro.core.certificates",
+    "execute": "repro.engine.executor",
+    "explain_text": "repro.engine.explain",
+    "fhtw": "repro.relational.agm",
+    "join_hash": "repro.joins.hashjoin",
+    "join_leapfrog": "repro.joins.leapfrog",
+    "join_nested_loop": "repro.joins.nested_loop",
+    "join_tetris": "repro.joins.tetris_join",
+    "join_yannakakis": "repro.joins.yannakakis",
+    "minimal_certificate": "repro.core.certificates",
+    "minimum_certificate": "repro.core.certificates",
+    "plan_query": "repro.engine.planner",
+    "solve_bcp": "repro.core.tetris",
+    "tetris_preloaded": "repro.core.tetris",
+    "tetris_preloaded_lb": "repro.core.balance",
+    "tetris_reloaded": "repro.core.tetris",
+    "tetris_reloaded_lb": "repro.core.balance",
+    "triangle_query": "repro.relational.query",
+})
 
 __version__ = "1.0.0"
 

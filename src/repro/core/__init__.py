@@ -5,17 +5,19 @@ A box is a tuple of packed marker-bit intervals (see
 bitstrings.
 """
 
-from repro.core.boxes import pbox_from_bits
-from repro.core.dyadic_tree import MultilevelDyadicTree
-from repro.core.resolution import ResolutionStats
-from repro.core.tetris import (
-    BoxSetOracle,
-    TetrisEngine,
-    boolean_box_cover,
-    solve_bcp,
-    tetris_preloaded,
-    tetris_reloaded,
-)
+from repro import _lazy_exports
+
+__getattr__ = _lazy_exports(__name__, {
+    "BoxSetOracle": "repro.core.tetris",
+    "MultilevelDyadicTree": "repro.core.dyadic_tree",
+    "ResolutionStats": "repro.core.resolution",
+    "TetrisEngine": "repro.core.tetris",
+    "boolean_box_cover": "repro.core.tetris",
+    "pbox_from_bits": "repro.core.boxes",
+    "solve_bcp": "repro.core.tetris",
+    "tetris_preloaded": "repro.core.tetris",
+    "tetris_reloaded": "repro.core.tetris",
+})
 
 __all__ = [
     "BoxSetOracle",

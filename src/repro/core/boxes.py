@@ -55,15 +55,3 @@ def box_contains(outer: PackedBox, inner: PackedBox) -> bool:
         if shift < 0 or (b >> shift) != a:
             return False
     return True
-
-
-def box_overlaps(a: PackedBox, b: PackedBox) -> bool:
-    """Packed overlap test (every pair of components comparable)."""
-    for x, y in zip(a, b):
-        shift = y.bit_length() - x.bit_length()
-        if shift >= 0:
-            if (y >> shift) != x:
-                return False
-        elif (x >> -shift) != y:
-            return False
-    return True

@@ -175,27 +175,3 @@ def is_gao_consistent(
         elif 0 < length < depth:
             seen_nontrivial = True
     return True
-
-
-def gao_consistent_certificate(
-    boxes: Iterable[PackedBox],
-    sao: Sequence[int],
-    ndim: int,
-    depth: int,
-) -> List[PackedBox]:
-    """A minimal certificate using only GAO-consistent boxes (Def B.1).
-
-    Restricting to σ-consistent boxes models the Minesweeper setting of
-    [50]; Proposition B.6's gap — |C| ≪ |C_gao| on some instances — is
-    observable by comparing this against :func:`minimal_certificate`.
-    Raises when the σ-consistent subset does not cover the full union.
-    """
-    boxes = list(boxes)
-    consistent = [b for b in boxes if is_gao_consistent(b, sao, depth)]
-    for box in boxes:
-        if not covers(consistent, box, ndim, depth):
-            raise ValueError(
-                "the GAO-consistent boxes do not cover the union; no "
-                "σ-consistent certificate exists for this box set"
-            )
-    return minimal_certificate(consistent, ndim, depth)

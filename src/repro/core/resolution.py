@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.core.boxes import PackedBox
 
@@ -73,14 +73,6 @@ def find_resolvable_dimension(w1: PackedBox, w2: PackedBox) -> Optional[int]:
 def resolvable(w1: PackedBox, w2: PackedBox) -> bool:
     """True when the two boxes satisfy the geometric-resolution preconditions."""
     return find_resolvable_dimension(w1, w2) is not None
-
-
-def resolve_tuples(w1: PackedBox, w2: PackedBox) -> PackedBox:
-    """Resolvent of two packed boxes; raises ``ValueError`` when impossible."""
-    axis = find_resolvable_dimension(w1, w2)
-    if axis is None:
-        raise ValueError(f"boxes {w1} and {w2} are not resolvable")
-    return resolve_on_axis(w1, w2, axis)
 
 
 def resolve_on_axis(w1: PackedBox, w2: PackedBox, axis: int) -> PackedBox:

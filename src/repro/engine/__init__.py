@@ -47,7 +47,6 @@ from repro.engine.executor import (
     normalize_algorithm,
     run_backend,
 )
-from repro.engine.explain import explain_text, render_execution, render_plan
 from repro.engine.planner import (
     Plan,
     clear_plan_cache,
@@ -61,6 +60,14 @@ from repro.engine.stats import (
     clear_stats_cache,
     collect_stats,
 )
+
+from repro import _lazy_exports
+
+# EXPLAIN's renderers load when first asked for.
+__getattr__ = _lazy_exports(__name__, {
+    name: "repro.engine.explain"
+    for name in ("explain_text", "render_execution", "render_plan")
+})
 
 __all__ = [
     "ALGORITHM_ALIASES",

@@ -26,9 +26,11 @@ tests compare them to :func:`~repro.joins.nested_loop.join_nested_loop`
 * :func:`hash_kernel` — the left-deep probe cascade as one lazy
   expression: stage tables are built with scalar keys when the join
   key is a single attribute and scalar values when the stage adds one,
-  a stage that adds none is a set-membership test, and the projection
-  reads its components straight out of the stage variables.
-  Yannakakis' join phase runs this kernel too.
+  a stage that adds none is a set-membership test — or, when the
+  lookup binding its last attribute adds just that one, a set
+  intersection fused into that lookup — and the projection reads its
+  components straight out of the stage variables.  Yannakakis' join
+  phase runs this kernel too.
 * :func:`tetris_kernel` — Tetris's frontier-resuming skeleton (resume
   mode) with ``ndim``, ``depth``, the SAO permutation and the oracle
   discipline (preloaded/on-demand) baked in as literals.  On the dyadic
@@ -74,17 +76,10 @@ it to field for field.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from itertools import chain, islice, product
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.dyadic_tree import (
-    MultilevelDyadicTree,
-    frontier_children,
-    frontier_note_add,
-)
-from repro.core.intervals import PLAMBDA, pvalue
-from repro.core.tetris import CodeDimension, FixedDepth, RemainderDimension
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 
@@ -258,7 +253,8 @@ def _seek(col, lo: int, hi: int, v: int) -> int:
 
 #: What the generated leapfrog / hash sources may name.
 _JOIN_GLOBALS = {
-    "_seek": _seek, "chain": chain, "islice": islice, "product": product,
+    "_seek": _seek, "chain": chain, "defaultdict": defaultdict,
+    "islice": islice, "product": product,
 }
 
 def _leapfrog_source(
@@ -470,28 +466,98 @@ def _hash_source(
     before it bound — every ray of a star probed from its hub, both ends
     of a path probed from the middle — is independent given that
     binding and becomes one ``itertools.product`` per binding, chained.
+
+    **Fusion.**  A stage that adds no attribute is *fused* when its
+    latest-bound attribute ``v`` was bound by an earlier stage ``s``
+    that adds exactly ``v`` through a table lookup.  It then emits no
+    clause; stage ``s`` binds ``v`` from the intersection
+    ``c{s} = g{s}(key, F) & h{k}(others, F)`` instead, sorted when it
+    holds more than one value.  Both tables become dicts of sets (a
+    unary check atom a plain set), and every check fused into ``s``
+    joins the one intersection, which runs in C over the smaller set.
+    So a triangle costs Σ over R's rows of min(deg_S b, deg_T a) ≤
+    N^{3/2}, not |R ⋈ S| probes.  A check whose latest attribute comes
+    from the first atom, or from a stage that adds several attributes
+    or has no key, stays a set test, and stages that fuse nothing are
+    emitted exactly as they would be alone.
+
+    Sorting keeps the probe order.  Over sorted relations a table's
+    values for one key arrive ascending (rows sharing a key are ordered
+    by their remaining components), so the unfused cascade walks ``v``'s
+    candidates ascending and filters them at the check; the fused one
+    walks the same survivors in the same order, and the rows come out
+    identical.  Over unsorted input (Yannakakis' reduced sets) the order
+    differs, and only the row set is promised.
     """
     first_attrs = list(atom_specs[0][1])
     acc = list(first_attrs)
-    # Per acc position: the expression that reads it, the stage binding it.
-    ref = [f"x0[{j}]" for j in range(len(first_attrs))]
     bound_at = [0] * len(first_attrs)
+    #: Per later stage: its attributes, the bound ones it keys on (in
+    #: binding order) and the ones it adds.
+    shapes: List[Tuple[List[str], List[str], List[str]]] = []
+    for s, (_name, attrs) in enumerate(atom_specs[1:], start=1):
+        right = list(attrs)
+        new = [a for a in right if a not in acc]
+        shapes.append((right, [a for a in acc if a in right], new))
+        acc.extend(new)
+        bound_at.extend([s] * len(new))
+    #: Check stage -> the lookup stage it fuses into.
+    into = {}
+    for k, (right, _common, new) in enumerate(shapes, start=1):
+        s = max(bound_at[acc.index(a)] for a in right)
+        if not new and s and len(shapes[s - 1][2]) == 1 and shapes[s - 1][1]:
+            into[k] = s
+
+    # Per acc position: the expression that reads it.
+    ref = [f"x0[{j}]" for j in range(len(first_attrs))]
     lines: List[str] = ["def kernel(rels, block_rows):"]
     w = lines.append
     w("    E = ()")
+    if into:
+        w("    F = frozenset()")
+
+    def emit_table(s: int, get: str, key: str, val: str, of_sets: bool):
+        if of_sets:
+            w(f"    t{s} = defaultdict(set)")
+            w(f"    for r in rels[{s}]:")
+            w(f"        t{s}[{key}].add({val})")
+        else:
+            w(f"    t{s} = {{}}")
+            w(f"    for r in rels[{s}]:")
+            w(f"        k = {key}")
+            w(f"        l = t{s}.get(k)")
+            w("        if l is None:")
+            w(f"            t{s}[k] = [{val}]")
+            w("        else:")
+            w(f"            l.append({val})")
+        w(f"    {get} = t{s}.get")
+
+    def others(k: int) -> List[str]:
+        """A fused check's attributes but the one it fuses on."""
+        return [a for a in shapes[k - 1][0] if a not in shapes[into[k] - 1][2]]
+
     #: Per stage: (clause, table lookup when it adds exactly one
     #: attribute, the stages its key reads).
     stages: List[Tuple[str, Optional[str], set]] = [
         ("for x0 in rels[0]", None, set())
     ]
-    for s, (_name, attrs) in enumerate(atom_specs[1:], start=1):
-        right = list(attrs)
-        common = [a for a in acc if a in right]
-        new = [a for a in right if a not in acc]
+    for s, (right, common, new) in enumerate(shapes, start=1):
         rkey = _scalar_or_tuple([f"r[{right.index(a)}]" for a in common])
         lkey = _scalar_or_tuple([ref[acc.index(a)] for a in common])
         val = _scalar_or_tuple([f"r[{right.index(a)}]" for a in new])
-        if not new:
+        fused_here = [k for k, t in into.items() if t == s]
+        if s in into:
+            # Fused: a table from the other attributes to the last one's
+            # values, which stage into[s]'s intersection reads.
+            (v,) = shapes[into[s] - 1][2]
+            keys = [f"r[{right.index(a)}]" for a in others(s)]
+            if keys:
+                emit_table(s, f"h{s}", _scalar_or_tuple(keys),
+                           f"r[{right.index(v)}]", True)
+            else:
+                w(f"    s{s} = {{r[{right.index(v)}] for r in rels[{s}]}}")
+            clause, source = "", None
+        elif not new:
             keys = (
                 f"set(rels[{s}])" if common == right and len(right) > 1
                 else f"{{{rkey} for r in rels[{s}]}}"
@@ -499,26 +565,31 @@ def _hash_source(
             w(f"    s{s} = {keys}")
             clause, source = f"if {lkey} in s{s}", None
         elif common:
-            w(f"    t{s} = {{}}")
-            w(f"    for r in rels[{s}]:")
-            w(f"        k = {rkey}")
-            w(f"        l = t{s}.get(k)")
-            w("        if l is None:")
-            w(f"            t{s}[k] = [{val}]")
-            w("        else:")
-            w(f"            l.append({val})")
-            w(f"    g{s} = t{s}.get")
-            source = f"g{s}({lkey}, E)"
+            emit_table(s, f"g{s}", rkey, val, bool(fused_here))
+            source = f"g{s}({lkey}, {'F' if fused_here else 'E'})"
         else:
             # Disconnected hypergraph: a genuine cross-product stage.
             w(f"    a{s} = [{val} for r in rels[{s}]]")
             source = f"a{s}"
-        if new:
+        if fused_here:
+            operands = [source]
+            for k in fused_here:
+                keys = [ref[acc.index(a)] for a in others(k)]
+                operands.append(
+                    f"h{k}({_scalar_or_tuple(keys)}, F)" if keys else f"s{k}"
+                )
+            # For clauses, never a product argument.  A set of at most
+            # one value is already in order, and skipping ``sorted``
+            # there keeps sparse inputs as cheap as the probe was.
+            clause = (
+                f"for c{s} in [{' & '.join(operands)}] for x{s} in "
+                f"(sorted(c{s}) if len(c{s}) > 1 else c{s})"
+            )
+            source = None
+        elif new:
             clause = f"for x{s} in {source}"
         key_levels = {bound_at[acc.index(a)] for a in common}
         stages.append((clause, source if len(new) == 1 else None, key_levels))
-        acc.extend(new)
-        bound_at.extend([s] * len(new))
         ref.extend(
             [f"x{s}"] if len(new) == 1
             else [f"x{s}[{j}]" for j in range(len(new))]
@@ -531,7 +602,7 @@ def _hash_source(
         for level in levels
     ):
         tail -= 1
-    clauses = " ".join(clause for clause, _s, _l in stages[:tail])
+    clauses = " ".join(clause for clause, _s, _l in stages[:tail] if clause)
     if tail == len(stages):
         row = _tuple_expr([ref[acc.index(v)] for v in variables])
         w(f"    rows = ({row} {clauses})")
@@ -1080,6 +1151,8 @@ def _unit_kind(spec) -> tuple:
     """How the kernel tests one axis of a generalized space for unit:
     inline for the three :class:`~repro.core.tetris.DimensionSpec`
     kinds the engine ships, through ``spec.is_unit`` for any other."""
+    from repro.core.tetris import CodeDimension, FixedDepth, RemainderDimension
+
     if type(spec) is FixedDepth:
         return ("depth", spec.depth)
     if type(spec) is CodeDimension:
@@ -1111,6 +1184,13 @@ def tetris_kernel(
     the dyadic tree (probe inlined) or anything else (probe called),
     ``return_boxes`` output and whether ``engine.proof`` records.
     """
+    from repro.core.dyadic_tree import (
+        MultilevelDyadicTree,
+        frontier_children,
+        frontier_note_add,
+    )
+    from repro.core.intervals import pvalue
+
     dims = engine.dims
     key = (
         engine.ndim,
@@ -1162,6 +1242,8 @@ def _probe_source(
     the first answer, in index order, or ``None`` — ``container`` — or,
     with ``collect``, the list of every index's answer — ``containing``.
     """
+    from repro.core.intervals import PLAMBDA
+
     lines: List[str] = []
 
     def w(ind: int, text: str) -> None:

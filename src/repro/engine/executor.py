@@ -352,8 +352,9 @@ BACKEND_TABLE: Dict[str, BackendSpec] = {
         ),
         BackendSpec(
             "hash", _hash,
-            "left-deep binary hash-join plan (the query's atom order, "
-            "or connectivity-aware size-ascending)",
+            "left-deep hash-join plan (the query's atom order, or "
+            "connectivity-aware size-ascending); a check atom is "
+            "intersected into the lookup binding its last attribute",
         ),
         BackendSpec(
             "leapfrog", _leapfrog,

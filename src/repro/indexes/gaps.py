@@ -68,16 +68,6 @@ class GapColumns:
         for box in zip(*self.gap_columns()):
             yield box, attrs
 
-    def gap_boxes_containing(
-        self, point: Sequence[int]
-    ) -> List[PackedBox]:
-        """The gap box around a probe point (values in ``attr_order``),
-        or ``[]`` for a tuple of the relation: the unit-box case of
-        :meth:`gap_box_around`."""
-        unit = 1 << self.depth
-        box = self.gap_box_around(tuple([unit | v for v in point]))
-        return [] if box is None else [box]
-
     def count_gap_boxes(self) -> int:
         """Total number of dyadic gap boxes this index generates."""
         return len(self.gap_columns()[0])

@@ -1,11 +1,18 @@
 """Join algorithms: Tetris plus the paper's comparator baselines."""
 
-from repro.joins.aggregates import triangle_count
-from repro.joins.hashjoin import join_hash
-from repro.joins.leapfrog import join_leapfrog
-from repro.joins.nested_loop import join_nested_loop
-from repro.joins.tetris_join import JoinResult, join_tetris, make_oracle
-from repro.joins.yannakakis import build_join_tree, join_yannakakis
+from repro import _lazy_exports
+
+__getattr__ = _lazy_exports(__name__, {
+    "JoinResult": "repro.joins.tetris_join",
+    "build_join_tree": "repro.joins.yannakakis",
+    "join_hash": "repro.joins.hashjoin",
+    "join_leapfrog": "repro.joins.leapfrog",
+    "join_nested_loop": "repro.joins.nested_loop",
+    "join_tetris": "repro.joins.tetris_join",
+    "join_yannakakis": "repro.joins.yannakakis",
+    "make_oracle": "repro.joins.tetris_join",
+    "triangle_count": "repro.joins.aggregates",
+})
 
 __all__ = [
     "JoinResult",

@@ -18,7 +18,8 @@ oracle the tests compare it to.
 
 A cascade emits its rows sorted exactly when it binds variables in
 ``query.variables`` order (:func:`binding_order`): ``Relation.rows()``
-is sorted, each per-key build list is appended in row order, and the
+is sorted, each per-key build list is appended in row order, a stage
+with a check atom fused in walks its ``sorted`` intersection, and the
 product suffix takes its arguments in ``variables`` order, so the rows
 come out lexicographic in the binding order.  The query's own atom
 order binds in that order — ``variables`` is the first-seen order over
@@ -169,12 +170,15 @@ def intermediate_sizes(
     db: Database,
     atom_order: Optional[Sequence[str]] = None,
 ) -> List[int]:
-    """Sizes of every intermediate result of the left-deep plan.
+    """Sizes of every intermediate result of the binary left-deep plan.
 
-    Used by the crossover benchmarks to show the Θ(N²) blowups that
-    worst-case-optimal joins avoid.  Defaults to the same order
-    :func:`join_hash` executes, so the reported sizes are the real
-    plan's.
+    The join of each prefix of the atom order, the Θ(N²) blowups that
+    worst-case-optimal joins avoid.  Defaults to the order
+    :func:`join_hash` executes.  On an acyclic prefix chain these are
+    what the kernel walks; on a cyclic shape they are not, because the
+    kernel fuses a check atom into the lookup before it (a triangle
+    walks Σ min(deg_S b, deg_T a), not |R ⋈ S|).  The cost model still
+    prices hash by estimates of these sizes.
     """
     if atom_order is None:
         atom_order = _plan_order(query, db, None)

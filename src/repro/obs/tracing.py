@@ -27,7 +27,6 @@ Export formats:
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -316,6 +315,8 @@ def span(name: str, **attrs):
 
 def write_jsonl(spans: Sequence[Dict[str, Any]], path: str) -> None:
     """One JSON object per span — the appendable raw log."""
+    import json
+
     with open(path, "w") as fh:
         for s in spans:
             fh.write(json.dumps(s, sort_keys=True))
@@ -355,6 +356,8 @@ def write_chrome_trace(
     spans: Sequence[Dict[str, Any]], path: str
 ) -> None:
     """A Perfetto-loadable trace file (``traceEvents`` envelope)."""
+    import json
+
     with open(path, "w") as fh:
         json.dump(
             {"traceEvents": chrome_trace_events(spans),

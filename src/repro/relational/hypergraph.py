@@ -19,7 +19,7 @@ a min-fill greedy heuristic covers anything larger.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -49,18 +49,6 @@ class Hypergraph:
     def of_query(cls, query) -> "Hypergraph":
         """The hypergraph H(Q) of a join query (Appendix A)."""
         return cls(query.variables, [tuple(e) for e in query.edges()])
-
-    @classmethod
-    def of_boxes(cls, boxes, attrs: Sequence[str]) -> "Hypergraph":
-        """Supporting hypergraph H(A) of a packed box set (Definition 3.8):
-        one edge per box support, the attributes whose component is not
-        λ (packed ``1``)."""
-        edges = set()
-        for box in boxes:
-            support = frozenset(attrs[i] for i, p in enumerate(box) if p > 1)
-            if support:
-                edges.add(support)
-        return cls(attrs, [tuple(e) for e in edges])
 
     # -- GYO elimination and acyclicity ---------------------------------------
 
@@ -138,16 +126,6 @@ class Hypergraph:
                     if a != b:
                         adj[a].add(b)
         return adj
-
-    def induced_width(self, order: Sequence[str]) -> int:
-        """Induced width of an elimination order (Definition E.5).
-
-        The order lists attributes as ``(A_1, ..., A_n)``; vertices are
-        eliminated from the *end* (A_n first), matching the paper's GAO
-        convention.  Returns ``max_k |support(A_k)| - 1``.
-        """
-        supports = self.elimination_supports(order)
-        return max(len(s) for s in supports.values()) - 1 if supports else 0
 
     def elimination_supports(
         self, order: Sequence[str]

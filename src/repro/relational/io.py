@@ -167,23 +167,6 @@ class ValueDictionary:
         return Domain.for_values(max(len(self) - 1, 0))
 
 
-def relation_from_rows(
-    name: str,
-    attrs: Sequence[str],
-    rows: Iterable[Sequence[Hashable]],
-    dictionary: ValueDictionary,
-    domain: Optional[Domain] = None,
-) -> Relation:
-    """Encode raw rows through the dictionary into a Relation.
-
-    When ``domain`` is omitted the caller must finish feeding the
-    dictionary first (the domain is sized to the dictionary at call time).
-    """
-    encoded = dictionary.encode_rows(rows)
-    dom = domain if domain is not None else dictionary.domain()
-    return Relation(RelationSchema(name, tuple(attrs)), encoded, dom)
-
-
 def read_csv_rows(
     path: str | Path, delimiter: str = ",", skip_header: bool = False
 ) -> List[Tuple[str, ...]]:
@@ -237,16 +220,22 @@ def database_from_csvs(
 
 
 def read_edge_list(path: str | Path) -> List[Tuple[str, str]]:
-    """Parse a whitespace-separated edge list (comments start with #)."""
+    """Parse a whitespace-separated edge list (comments start with #).
+
+    A line with fewer than two fields raises ``ValueError("<path>:<line>:
+    …")``.
+    """
     edges: List[Tuple[str, str]] = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
+                raise ValueError(
+                    f"{path}:{number}: malformed edge line: {line!r}"
+                )
             edges.append((parts[0], parts[1]))
     return edges
 
@@ -287,25 +276,37 @@ def parse_query(spec: str) -> JoinQuery:
 
 
 def read_dimacs(path: str | Path):
-    """Parse a DIMACS CNF file into a :class:`repro.sat.clauses.CNF`."""
+    """Parse a DIMACS CNF file into a :class:`repro.sat.clauses.CNF`.
+
+    A malformed problem line or clause token raises
+    ``ValueError("<path>:<line>: …")``.
+    """
     from repro.sat.clauses import CNF
 
     num_vars = None
     clauses: List[List[int]] = []
     current: List[int] = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith(("c", "%")):
                 continue
             if line.startswith("p"):
                 parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"malformed problem line: {line!r}")
+                if (len(parts) != 4 or parts[1] != "cnf"
+                        or not all(f.isdecimal() for f in parts[2:])):
+                    raise ValueError(
+                        f"{path}:{number}: malformed problem line: {line!r}"
+                    )
                 num_vars = int(parts[2])
                 continue
             for token in line.split():
-                lit = int(token)
+                try:
+                    lit = int(token)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{number}: bad literal {token!r}"
+                    ) from None
                 if lit == 0:
                     if current:
                         clauses.append(current)
@@ -315,5 +316,5 @@ def read_dimacs(path: str | Path):
     if current:
         clauses.append(current)
     if num_vars is None:
-        raise ValueError("missing DIMACS problem line")
+        raise ValueError(f"{path}: missing DIMACS problem line")
     return CNF(num_vars, clauses)

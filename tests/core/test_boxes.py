@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import intervals as dy
-from repro.core.boxes import box_contains, box_overlaps, pbox_from_bits
+from repro.core.boxes import box_contains, pbox_from_bits
 from repro.core.intervals import PLAMBDA
-from repro.relational.hypergraph import Hypergraph
 from tests.helpers import (
+    box_overlaps,
     box_points,
+    hypergraph_of_boxes,
     pcovers_point,
     pfrom_point,
     pis_unit,
@@ -119,11 +120,11 @@ class TestSupportAndPoints:
     # supporting hypergraph has one edge per support.
     def test_support_indices(self):
         b = pbox_from_bits("1", "", "01")
-        assert Hypergraph.of_boxes([b], (0, 1, 2)).edges == [frozenset({0, 2})]
+        assert hypergraph_of_boxes([b], (0, 1, 2)).edges == [frozenset({0, 2})]
 
     def test_support_names(self):
         b = pbox_from_bits("1", "", "01")
-        h = Hypergraph.of_boxes([b], ("A", "B", "C"))
+        h = hypergraph_of_boxes([b], ("A", "B", "C"))
         assert h.edges == [frozenset({"A", "C"})]
 
     def test_unit_box(self):

@@ -3,15 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.certificates import (
-    gao_consistent_certificate,
-    is_gao_consistent,
-    minimal_certificate,
-)
+from repro.core.certificates import is_gao_consistent, minimal_certificate
 from repro.core.boxes import pbox_from_bits
 from repro.core.intervals import PLAMBDA
 from repro.indexes.gaps import dyadic_boxes_from_ranges
-from tests.helpers import box_points, brute_force_uncovered, pfrom_point
+from tests.helpers import (
+    box_points,
+    brute_force_uncovered,
+    gao_consistent_certificate,
+    pfrom_point,
+)
 
 DEPTH = 3
 

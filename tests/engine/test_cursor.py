@@ -25,7 +25,7 @@ from repro.joins.leapfrog import iter_leapfrog, leapfrog_blocks
 from repro.joins.nested_loop import iter_nested_loop
 from repro.joins.yannakakis import iter_yannakakis, yannakakis_blocks
 from repro.relational.hypergraph import Hypergraph
-from repro.relational.io import ValueDictionary, relation_from_rows
+from repro.relational.io import ValueDictionary
 from repro.relational.query import (
     Database,
     JoinQuery,
@@ -45,6 +45,7 @@ from repro.workloads.generators import (
     split_cycle_instance,
     split_path_instance,
 )
+from tests.helpers import relation_from_rows
 
 
 def random_db(query, seed, n=25, depth=5):

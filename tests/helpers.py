@@ -6,7 +6,7 @@ import contextlib
 import itertools
 import random
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
 from repro.core.boxes import PackedBox, box_contains
@@ -424,3 +424,197 @@ def interpreted_tetris() -> Iterator[None]:
     with mock.patch("repro.engine.codegen.tetris_kernel", reference_kernel):
         yield
     assert _TETRIS_CACHE.hits + _TETRIS_CACHE.misses == lookups
+
+
+# -- oracles only tests ask for ------------------------------------------------
+
+
+def box_overlaps(a: PackedBox, b: PackedBox) -> bool:
+    """Packed overlap test (every pair of components comparable)."""
+    for x, y in zip(a, b):
+        shift = y.bit_length() - x.bit_length()
+        if shift >= 0:
+            if (y >> shift) != x:
+                return False
+        elif (x >> -shift) != y:
+            return False
+    return True
+
+
+def resolve_tuples(w1: PackedBox, w2: PackedBox) -> PackedBox:
+    """Resolvent of two packed boxes; raises ``ValueError`` when impossible."""
+    from repro.core.resolution import find_resolvable_dimension, resolve_on_axis
+
+    axis = find_resolvable_dimension(w1, w2)
+    if axis is None:
+        raise ValueError(f"boxes {w1} and {w2} are not resolvable")
+    return resolve_on_axis(w1, w2, axis)
+
+
+def gao_consistent_certificate(boxes, sao, ndim: int, depth: int):
+    """A minimal certificate using only GAO-consistent boxes (Def B.1).
+
+    Restricting to σ-consistent boxes models the Minesweeper setting of
+    [50]; Proposition B.6's gap — |C| ≪ |C_gao| on some instances — is
+    observable by comparing this against ``minimal_certificate``.
+    Raises when the σ-consistent subset does not cover the full union.
+    """
+    from repro.core.certificates import (
+        covers,
+        is_gao_consistent,
+        minimal_certificate,
+    )
+
+    boxes = list(boxes)
+    consistent = [b for b in boxes if is_gao_consistent(b, sao, depth)]
+    for box in boxes:
+        if not covers(consistent, box, ndim, depth):
+            raise ValueError(
+                "the GAO-consistent boxes do not cover the union; no "
+                "σ-consistent certificate exists for this box set"
+            )
+    return minimal_certificate(consistent, ndim, depth)
+
+
+def hypergraph_of_boxes(boxes, attrs: Sequence[str]):
+    """Supporting hypergraph H(A) of a packed box set (Definition 3.8):
+    one edge per box support, the attributes whose component is not
+    λ (packed ``1``)."""
+    from repro.relational.hypergraph import Hypergraph
+
+    edges = set()
+    for box in boxes:
+        support = frozenset(attrs[i] for i, p in enumerate(box) if p > 1)
+        if support:
+            edges.add(support)
+    return Hypergraph(attrs, [tuple(e) for e in edges])
+
+
+def induced_width(hypergraph, order: Sequence[str]) -> int:
+    """Induced width of an elimination order (Definition E.5).
+
+    The order lists attributes as ``(A_1, ..., A_n)``; vertices are
+    eliminated from the *end* (A_n first), matching the paper's GAO
+    convention.  Returns ``max_k |support(A_k)| - 1``.
+    """
+    supports = hypergraph.elimination_supports(order)
+    return max(len(s) for s in supports.values()) - 1 if supports else 0
+
+
+def relation_from_rows(name, attrs, rows, dictionary, domain=None):
+    """Encode raw rows through the dictionary into a Relation.
+
+    When ``domain`` is omitted the caller must finish feeding the
+    dictionary first (the domain is sized to the dictionary at call time).
+    """
+    from repro.relational.relation import Relation
+    from repro.relational.schema import RelationSchema
+
+    encoded = dictionary.encode_rows(rows)
+    dom = domain if domain is not None else dictionary.domain()
+    return Relation(RelationSchema(name, tuple(attrs)), encoded, dom)
+
+
+def gap_boxes_containing(index, point: Sequence[int]) -> List[PackedBox]:
+    """The gap box of an index around a probe point (values in its
+    ``attr_order``), or ``[]`` for a tuple of the relation: the unit-box
+    case of ``gap_box_around``."""
+    unit = 1 << index.depth
+    box = index.gap_box_around(tuple([unit | v for v in point]))
+    return [] if box is None else [box]
+
+
+# -- the unfused hash cascade ---------------------------------------------------
+
+
+def reference_hash_source(atom_specs, variables) -> str:
+    """The hash cascade as emitted before check stages fused into the
+    lookup binding their last attribute: every check is an
+    ``if key in s{k}`` clause.  Frozen as the fused emitter's reference
+    (``tests/joins/test_hash_fusion.py``); over sorted relations both
+    yield the same rows in the same order."""
+    from repro.engine.codegen import _scalar_or_tuple, _tuple_expr
+
+    first_attrs = list(atom_specs[0][1])
+    acc = list(first_attrs)
+    # Per acc position: the expression that reads it, the stage binding it.
+    ref = [f"x0[{j}]" for j in range(len(first_attrs))]
+    bound_at = [0] * len(first_attrs)
+    lines: List[str] = ["def kernel(rels, block_rows):"]
+    w = lines.append
+    w("    E = ()")
+    #: Per stage: (clause, table lookup when it adds exactly one
+    #: attribute, the stages its key reads).
+    stages: List[Tuple[str, Optional[str], set]] = [
+        ("for x0 in rels[0]", None, set())
+    ]
+    for s, (_name, attrs) in enumerate(atom_specs[1:], start=1):
+        right = list(attrs)
+        common = [a for a in acc if a in right]
+        new = [a for a in right if a not in acc]
+        rkey = _scalar_or_tuple([f"r[{right.index(a)}]" for a in common])
+        lkey = _scalar_or_tuple([ref[acc.index(a)] for a in common])
+        val = _scalar_or_tuple([f"r[{right.index(a)}]" for a in new])
+        if not new:
+            keys = (
+                f"set(rels[{s}])" if common == right and len(right) > 1
+                else f"{{{rkey} for r in rels[{s}]}}"
+            )
+            w(f"    s{s} = {keys}")
+            clause, source = f"if {lkey} in s{s}", None
+        elif common:
+            w(f"    t{s} = {{}}")
+            w(f"    for r in rels[{s}]:")
+            w(f"        k = {rkey}")
+            w(f"        l = t{s}.get(k)")
+            w("        if l is None:")
+            w(f"            t{s}[k] = [{val}]")
+            w("        else:")
+            w(f"            l.append({val})")
+            w(f"    g{s} = t{s}.get")
+            source = f"g{s}({lkey}, E)"
+        else:
+            # Disconnected hypergraph: a genuine cross-product stage.
+            w(f"    a{s} = [{val} for r in rels[{s}]]")
+            source = f"a{s}"
+        if new:
+            clause = f"for x{s} in {source}"
+        key_levels = {bound_at[acc.index(a)] for a in common}
+        stages.append((clause, source if len(new) == 1 else None, key_levels))
+        acc.extend(new)
+        bound_at.extend([s] * len(new))
+        ref.extend(
+            [f"x{s}"] if len(new) == 1
+            else [f"x{s}[{j}]" for j in range(len(new))]
+        )
+    # Stages tail.. are the product suffix.
+    tail = len(stages)
+    while tail > 1 and stages[tail - 1][1] is not None and all(
+        level < tail - 1
+        for _clause, _source, levels in stages[tail - 1:]
+        for level in levels
+    ):
+        tail -= 1
+    clauses = " ".join(clause for clause, _s, _l in stages[:tail])
+    if tail == len(stages):
+        row = _tuple_expr([ref[acc.index(v)] for v in variables])
+        w(f"    rows = ({row} {clauses})")
+    else:
+        args = [
+            stages[bound_at[i]][1] if bound_at[i] >= tail else f"({ref[i]},)"
+            for i in map(acc.index, variables)
+        ]
+        w("    rows = chain.from_iterable(")
+        w(f"        product({', '.join(args)}) {clauses})")
+    w("    while block := list(islice(rows, block_rows)):")
+    w("        yield block")
+    return "\n".join(lines) + "\n"
+
+
+def reference_hash_kernel(atom_specs, variables):
+    """:func:`reference_hash_source`, compiled as the product's kernels are."""
+    from repro.engine.codegen import _JOIN_GLOBALS, _compile
+
+    return _compile(
+        reference_hash_source(atom_specs, tuple(variables)), _JOIN_GLOBALS
+    )

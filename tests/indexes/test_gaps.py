@@ -8,7 +8,7 @@ from repro.indexes.btree import BTreeIndex
 from repro.indexes.gaps import complement_ranges, pdyadic_gaps
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
-from tests.helpers import pcovers_point
+from tests.helpers import gap_boxes_containing, pcovers_point
 
 DEPTH = 5
 DOMAIN = 1 << DEPTH
@@ -20,7 +20,7 @@ def gap_piece_containing(values, point, depth):
     relation = Relation(
         RelationSchema("R", ("A",)), [(v,) for v in values], Domain(depth)
     )
-    found = BTreeIndex(relation, ("A",)).gap_boxes_containing((point,))
+    found = gap_boxes_containing(BTreeIndex(relation, ("A",)), (point,))
     return found[0][0] if found else None
 
 

@@ -21,6 +21,7 @@ from repro.relational.schema import Domain, RelationSchema
 from repro.workloads.generators import db_from_tuples
 from tests.helpers import (
     check_container_answer,
+    gap_boxes_containing,
     pcovers_point,
     reference_gap_box_around,
     reference_oracle_container,
@@ -93,7 +94,7 @@ class TestBTreeIndex:
     def test_lazy_probe_matches_materialized(self, tuples, probe):
         rel = make_relation(tuples)
         idx = BTreeIndex(rel, ("A", "B"))
-        lazy = idx.gap_boxes_containing(probe)
+        lazy = gap_boxes_containing(idx, probe)
         if probe in rel.tuples():
             assert lazy == []
         else:
@@ -140,7 +141,7 @@ class TestDyadicTreeIndex:
     def test_lazy_probe(self, tuples, probe):
         rel = make_relation(tuples)
         idx = DyadicTreeIndex(rel)
-        lazy = idx.gap_boxes_containing(probe)
+        lazy = gap_boxes_containing(idx, probe)
         if probe in rel.tuples():
             assert lazy == []
         else:
@@ -184,7 +185,7 @@ class TestKDTreeIndex:
     def test_lazy_probe(self, tuples, probe):
         rel = make_relation(tuples)
         idx = KDTreeIndex(rel)
-        lazy = idx.gap_boxes_containing(probe)
+        lazy = gap_boxes_containing(idx, probe)
         if probe in rel.tuples():
             assert lazy == []
         else:

@@ -23,7 +23,7 @@ from repro.joins.tetris_join import make_oracle
 from repro.relational.query import JoinQuery
 from repro.relational.schema import RelationSchema
 from repro.workloads.generators import db_from_tuples, split_path_instance
-from tests.helpers import reference_gap_box_around
+from tests.helpers import gap_boxes_containing, reference_gap_box_around
 
 DEPTH = 4
 
@@ -65,7 +65,7 @@ def _containing(oracle, unit_box):
         ]
         out += [
             _lift(oracle, index, box)
-            for box in index.gap_boxes_containing(point)
+            for box in gap_boxes_containing(index, point)
         ]
     return out
 

@@ -409,7 +409,8 @@ SHAPES = {
     "single_rows": (
         _q(("R", ("A", "B")), ("S", ("B", "C")), ("T", ("A", "C"))),
         {"R": [(1, 2)], "S": [(2, 3)], "T": [(1, 3)]},
-        None, "out.append((v0, v1, v2))", "in s2",
+        None, "out.append((v0, v1, v2))",
+        "for c1 in [g1(x0[1], F) & h2(x0[0], F)] for x1 in",
     ),
 }
 

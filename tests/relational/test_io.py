@@ -13,11 +13,11 @@ from repro.relational.io import (
     read_csv_rows,
     read_dimacs,
     read_edge_list,
-    relation_from_rows,
 )
 from repro.relational.query import triangle_query
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
+from tests.helpers import relation_from_rows
 
 
 class TestValueDictionary:
@@ -191,6 +191,13 @@ class TestFileReaders:
         with pytest.raises(ValueError):
             read_edge_list(p)
 
+    def test_edge_list_error_names_file_and_line(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("# edges\n1 2\n\n3\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(p)
+        assert str(info.value) == f"{p}:4: malformed edge line: '3'"
+
 
 class TestDimacs:
     def test_basic(self, tmp_path):
@@ -212,6 +219,20 @@ class TestDimacs:
         p.write_text("1 2 0\n")
         with pytest.raises(ValueError):
             read_dimacs(p)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("p cnf 2 1\n1 x 0\n", 2, "bad literal 'x'"),
+        ("c a\np cnf 2 1\n1 -2\n2 1.5 0\n", 4, "bad literal '1.5'"),
+        ("p cnf two 1\n1 0\n", 1, "malformed problem line: 'p cnf two 1'"),
+        ("c a\np cnf 2 -1\n1 0\n", 2, "malformed problem line: 'p cnf 2 -1'"),
+        ("p cnf 2\n1 0\n", 1, "malformed problem line: 'p cnf 2'"),
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, text, line, message):
+        p = tmp_path / "f.cnf"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_dimacs(p)
+        assert str(info.value) == f"{p}:{line}: {message}"
 
     def test_counts_match(self, tmp_path):
         from repro.sat.dpll import count_models_tetris

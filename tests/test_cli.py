@@ -260,6 +260,21 @@ class TestBadInput:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (("sat", "bad.cnf"), "p cnf 2 1\n1 x 0\n", "bad.cnf:2: bad literal 'x'"),
+        (("sat", "bad.cnf"), "p cnf 2 x\n",
+         "bad.cnf:1: malformed problem line: 'p cnf 2 x'"),
+        (("triangles", "bad.txt"), "1 2\n3\n",
+         "bad.txt:2: malformed edge line: '3'"),
+    ], ids=["sat-token", "sat-problem-line", "triangles-edge"])
+    def test_parse_errors_name_file_and_line(
+        self, tmp_path, monkeypatch, capsys, argv, text, message
+    ):
+        (tmp_path / argv[1]).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("repeat", ["0", "-3"])
     def test_metrics_repeat_must_be_positive(
         self, triangle_csvs, capsys, repeat
@@ -414,6 +429,54 @@ class TestStartupImports:
         assert self._loaded(
             code, ("repro.parallel", "multiprocessing")
         ) == "[]"
+
+    def test_hash_join_loads_no_tetris_index_or_explain_module(
+        self, triangle_csvs
+    ):
+        """The package namespaces export lazily, so a hash join loads
+        the modules it runs and not the Tetris machinery, the gap
+        indexes, EXPLAIN's renderers or the JSON writer."""
+        argv = ["join", "R(A,B), S(B,C), T(A,C)", "--algorithm", "hash"] + [
+            f"--csv={name}={triangle_csvs / name.lower()}.csv"
+            for name in "RST"
+        ]
+        code = f"from repro.cli import main; assert main({argv!r}) == 0"
+        unused = (
+            "repro.core.tetris", "repro.core.dyadic_tree", "repro.indexes",
+            "repro.joins.tetris_join", "repro.engine.explain", "json",
+        )
+        assert self._loaded(code, unused) == "[]"
+
+    def test_lazy_exports_resolve(self):
+        """Every name a package exports, and every ``from repro… import``
+        in the benchmarks, examples and tests, resolves."""
+        import ast
+        import importlib
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        for package in (
+            "repro", "repro.core", "repro.engine", "repro.indexes",
+            "repro.joins",
+        ):
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert getattr(module, name) is not None, (package, name)
+            with pytest.raises(AttributeError, match="no attribute"):
+                getattr(module, "no_such_name")
+        files = [
+            path for top in ("benchmarks", "examples", "tests")
+            for path in (root / top).rglob("*.py")
+        ]
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.module
+                        and node.module.split(".")[0] == "repro"):
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        importlib.import_module(f"{node.module}.{alias.name}")
 
     def test_parallel_reexports_the_same_errors(self):
         import repro.errors

@@ -41,6 +41,7 @@ from repro.engine import (
     DEFAULT_CALIBRATION,
     BackendSpec,
     CostModel,
+    clear_kernel_caches,
     execute,
     execute_cursor,
     plan_query,
@@ -444,6 +445,43 @@ def test_rows_leave_the_join_kernels_in_blocks_only():
         ), source
     submodules = {m.name for m in pkgutil.iter_modules(repro.joins.__path__)}
     assert "pipeline" not in submodules
+
+
+def test_auto_compiles_block_kernels_that_intersect():
+    """The kernels ``auto`` compiles for a star and a triangle: star4's
+    rays are one ``itertools.product`` per hub value in the family its
+    backend names, no leapfrog / hash kernel yields a row, and the
+    triangle's hash kernel binds its last attribute from a set
+    intersection instead of probing the third atom."""
+    import random
+
+    from repro.engine.codegen import _HASH_CACHE, _LEAPFROG_CACHE
+    from repro.relational.query import star_query
+    from repro.workloads.generators import (
+        db_from_tuples,
+        graph_triangle_db,
+        random_graph_edges,
+    )
+
+    rng = random.Random(1)
+    star = star_query(4)
+    star_db = db_from_tuples(star, {
+        atom.name: sorted({(rng.randrange(128), rng.randrange(128))
+                           for _ in range(500)})
+        for atom in star.atoms
+    }, 7)
+    triangle, triangle_db = graph_triangle_db(random_graph_edges(150, 800, 1))
+    family = {"leapfrog": _LEAPFROG_CACHE, "hash": _HASH_CACHE}
+    clear_kernel_caches()
+    result = execute(star, star_db)
+    (star_source,) = family[result.backend].cached_sources()
+    assert "product(" in star_source, "star4 lost its product fringe"
+    execute(triangle, triangle_db)
+    execute(triangle, triangle_db, algorithm="hash")
+    sources = _LEAPFROG_CACHE.cached_sources() + _HASH_CACHE.cached_sources()
+    assert not any("yield (" in s for s in sources), "a kernel yields per row"
+    triangle_source = _HASH_CACHE.cached_sources()[-1]
+    assert "for c1 in [g1(x0[1], F) & h2(x0[0], F)]" in triangle_source
 
 
 def test_reloaded_asks_about_boxes_only():
