@@ -203,11 +203,13 @@ def _compile(source: str, namespace: dict) -> Callable:
 
     The source is attached as ``kernel.source`` for inspection (README's
     "how do I read the generated code" path and the codegen tests).
+    The function leaves its own globals, which would otherwise hold it
+    in a reference cycle: an evicted kernel is freed by refcount.
     """
     ns = dict(namespace)
     code = compile(source, "<repro-kernel>", "exec")
     exec(code, ns)
-    fn = ns["kernel"]
+    fn = ns.pop("kernel")
     fn.source = source
     return fn
 
@@ -422,6 +424,9 @@ def _leapfrog_source(
         w(f"{ind}    out = list(islice(rest, block_rows))")
 
     emit_level(0, "    ")
+    # The emitters reach each other through their closure cells:
+    # unbind one, and they are freed by refcount.
+    emit_level = None
     w("    if out:")
     w("        yield out")
     return "\n".join(lines) + "\n"
@@ -864,6 +869,7 @@ def _tetris_source(
             level(ind + 1, t, "node")
             w(ind + 1, "if witness is not None:")
             w(ind + 2, "break")
+        level = None  # it reaches itself through its cell: free it
 
     def moves_to_front(t: int) -> bool:
         return t >= max(1, last - 1)

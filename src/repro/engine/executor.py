@@ -46,7 +46,12 @@ from repro.core.resolution import ResolutionStats
 from repro.engine.planner import Plan, plan_query
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.relational.io import block_rows_for, concat_blocks, row_blocks
+from repro.relational.io import (
+    block_rows_for,
+    concat_blocks,
+    gc_paused,
+    row_blocks,
+)
 from repro.relational.query import Database, JoinQuery
 
 Row = Tuple[int, ...]
@@ -202,13 +207,23 @@ class ResultCursor:
         anything else claims nothing.  Serial blocks are appended as
         they arrive; shard lists arrive in completion order and are put
         in order of their first row first.
+
+        The whole drain runs with the cyclic collector paused
+        (:class:`~repro.relational.io.gc_paused`): no caller code runs
+        until it returns, and the rows it builds are alive, so a
+        generation scan would find nothing.  Streaming — iteration,
+        :meth:`fetchmany`, :meth:`blocks` — does not pause: the caller
+        runs between pulls.
         """
-        blocks = self.blocks()
-        sorted_runs = self._sorted_runs and self.rows_produced == 0
-        if sorted_runs and self.parallel is not None:
-            blocks = sorted(filter(None, blocks), key=operator.itemgetter(0))
-        rows, self.ordered = concat_blocks(blocks, sorted_runs)
-        self.close()
+        with gc_paused():
+            blocks = self.blocks()
+            sorted_runs = self._sorted_runs and self.rows_produced == 0
+            if sorted_runs and self.parallel is not None:
+                blocks = sorted(
+                    filter(None, blocks), key=operator.itemgetter(0)
+                )
+            rows, self.ordered = concat_blocks(blocks, sorted_runs)
+            self.close()
         return rows
 
     def close(self) -> None:
@@ -596,66 +611,73 @@ def execute(
     the run's ``ResolutionStats``.  Both checks are per-query flag
     reads; a caller that wants this query's registry delta brackets the
     call with ``REGISTRY.snapshot()`` / ``MetricsSnapshot.since``.
+
+    The whole call — planning, the cursor's drain, the sort — runs with
+    the cyclic collector paused (:class:`~repro.relational.io.gc_paused`):
+    each output row is a new tracked tuple, and the generation scans
+    their allocation would trigger collect nothing.  The collector is
+    left as the call found it, raised or returned.
     """
-    tracer = _tracing.current_tracer()
-    if tracer is None and _tracing.enabled():
-        tracer = _tracing.Tracer()
-    wall0 = time.perf_counter()
-    with _tracing.use(tracer), _tracing.span(
-        "query", algorithm=algorithm if plan is None else plan.algorithm
-    ) as qspan:
-        if plan is None:
-            plan = plan_query(
-                query, db, algorithm=algorithm, index_kind=index_kind,
-                gao=gao, workers=workers,
+    with gc_paused():
+        tracer = _tracing.current_tracer()
+        if tracer is None and _tracing.enabled():
+            tracer = _tracing.Tracer()
+        wall0 = time.perf_counter()
+        with _tracing.use(tracer), _tracing.span(
+            "query", algorithm=algorithm if plan is None else plan.algorithm
+        ) as qspan:
+            if plan is None:
+                plan = plan_query(
+                    query, db, algorithm=algorithm, index_kind=index_kind,
+                    gao=gao, workers=workers,
+                )
+            t0 = time.perf_counter()
+            with _tracing.span(
+                "execute", backend=plan.backend, workers=plan.workers
+            ) as espan:
+                # Close once materialized: with a limit the backend's
+                # pipeline is abandoned mid-stream, and a parallel cursor
+                # must release its worker pool (draining in-flight shards)
+                # for the next run.
+                with _open_cursor(
+                    query, db, plan, limit, None, timeout_ms
+                ) as cursor:
+                    tuples = cursor.fetchall()
+                    if not cursor.ordered:
+                        # Its own span: ANALYZE fits the backend constant
+                        # on execute − sort, as the cost model prices sort
+                        # separately.
+                        with _tracing.span("sort"):
+                            tuples.sort()
+                if espan is not None:
+                    espan.attrs["rows"] = len(tuples)
+            elapsed = time.perf_counter() - t0
+            if qspan is not None:
+                qspan.attrs["backend"] = plan.backend
+        stats = cursor.stats
+        if _METRICS.enabled:
+            wall_s = time.perf_counter() - wall0
+            _METRICS.observe("query.latency", wall_s)
+            _METRICS.observe(
+                f"query.latency.backend.{plan.backend}", wall_s
             )
-        t0 = time.perf_counter()
-        with _tracing.span(
-            "execute", backend=plan.backend, workers=plan.workers
-        ) as espan:
-            # Close once materialized: with a limit the backend's
-            # pipeline is abandoned mid-stream, and a parallel cursor
-            # must release its worker pool (draining in-flight shards)
-            # for the next run.
-            with _open_cursor(
-                query, db, plan, limit, None, timeout_ms
-            ) as cursor:
-                tuples = cursor.fetchall()
-                if not cursor.ordered:
-                    # Its own span: ANALYZE fits the backend constant
-                    # on execute − sort, as the cost model prices sort
-                    # separately.
-                    with _tracing.span("sort"):
-                        tuples.sort()
-            if espan is not None:
-                espan.attrs["rows"] = len(tuples)
-        elapsed = time.perf_counter() - t0
-        if qspan is not None:
-            qspan.attrs["backend"] = plan.backend
-    stats = cursor.stats
-    if _METRICS.enabled:
-        wall_s = time.perf_counter() - wall0
-        _METRICS.observe("query.latency", wall_s)
-        _METRICS.observe(
-            f"query.latency.backend.{plan.backend}", wall_s
+            _METRICS.inc_many(
+                {
+                    "engine.queries": 1,
+                    "engine.rows.returned": len(tuples),
+                    **stats.as_metrics(),
+                }
+            )
+        return ExecutionResult(
+            tuples=tuples,
+            variables=query.variables,
+            stats=stats,
+            gao=cursor.gao,
+            backend=plan.backend,
+            plan=plan,
+            elapsed=elapsed,
+            limit=limit,
+            decode=decode,
+            parallel=cursor.parallel,
+            trace=tracer,
         )
-        _METRICS.inc_many(
-            {
-                "engine.queries": 1,
-                "engine.rows.returned": len(tuples),
-                **stats.as_metrics(),
-            }
-        )
-    return ExecutionResult(
-        tuples=tuples,
-        variables=query.variables,
-        stats=stats,
-        gao=cursor.gao,
-        backend=plan.backend,
-        plan=plan,
-        elapsed=elapsed,
-        limit=limit,
-        decode=decode,
-        parallel=cursor.parallel,
-        trace=tracer,
-    )

@@ -22,25 +22,32 @@ def iter_nested_loop(
     once: each atom either pins its row uniquely (all attrs bound) or
     contributes fresh attrs that distinguish the extensions.
     """
-    variables = query.variables
+    yield from _extend(query, db, 0, {})
 
-    def extend(atom_index: int, binding: Dict[str, int]):
-        if atom_index == len(query.atoms):
-            yield tuple(binding[v] for v in variables)
-            return
-        atom = query.atoms[atom_index]
-        for row in db[atom.name]:
-            merged = dict(binding)
-            ok = True
-            for attr, value in zip(atom.attrs, row):
-                if merged.get(attr, value) != value:
-                    ok = False
-                    break
-                merged[attr] = value
-            if ok:
-                yield from extend(atom_index + 1, merged)
 
-    yield from extend(0, {})
+def _extend(
+    query: JoinQuery, db: Database, atom_index: int, binding: Dict[str, int]
+) -> Iterator[Tuple[int, ...]]:
+    """Every completion of ``binding`` by atoms ``atom_index`` onward.
+
+    A module function, not a closure: a recursive closure reaches
+    itself through its cell, and every query would leave a reference
+    cycle behind for the collector.
+    """
+    if atom_index == len(query.atoms):
+        yield tuple(binding[v] for v in query.variables)
+        return
+    atom = query.atoms[atom_index]
+    for row in db[atom.name]:
+        merged = dict(binding)
+        ok = True
+        for attr, value in zip(atom.attrs, row):
+            if merged.get(attr, value) != value:
+                ok = False
+                break
+            merged[attr] = value
+        if ok:
+            yield from _extend(query, db, atom_index + 1, merged)
 
 
 def join_nested_loop(

@@ -35,6 +35,7 @@ planning pass — no treewidth search, no AGM LP in the hot loop.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import pickle
 import time
@@ -422,8 +423,13 @@ def _fallback_result(task: ShardTask, result: ShardResult) -> ShardResult:
 
 
 def worker_main(conn) -> None:
-    """The worker process loop: recv task / send result until ``None``."""
+    """The worker process loop: recv task / send result until ``None``.
+
+    A worker forked inside ``execute()`` inherits its paused cyclic
+    collector; the loop turns it back on for the worker's lifetime.
+    """
     _faults.mark_worker()
+    gc.enable()
     cache = WorkerCache()
     try:
         while True:

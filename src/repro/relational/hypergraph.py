@@ -200,7 +200,9 @@ class Hypergraph:
             return best_width, best_order
 
         width, elim = solve((1 << n) - 1)
-        solve.cache_clear()
+        # ``solve`` reaches itself through its own closure cell: unbind
+        # it, and the function and its table are freed by refcount.
+        solve = None
         # elim lists first-eliminated first; our convention eliminates from
         # the end of the order, so reverse it.
         order = tuple(verts[i] for i in reversed(elim))

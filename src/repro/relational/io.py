@@ -11,6 +11,7 @@ delimited files.
 from __future__ import annotations
 
 import csv
+import gc
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import (
@@ -69,6 +70,33 @@ def concat_blocks(
             ordered = False
         rows += run
     return rows, ordered
+
+
+class gc_paused:
+    """Hold the cyclic collector off while a block of rows is built.
+
+    Every output row is a new tracked tuple, so building a result
+    triggers generation scans that find nothing to collect: the rows
+    are alive, and what a join frees it frees by refcount.  Entering
+    disables the collector, leaving re-enables it only if entering
+    found it on, so pauses nest and a caller's own ``gc.disable()``
+    stands.  A class, not a generator context manager: ``execute()``
+    enters one per query.  Rows the caller keeps are scanned once, by
+    the first young-generation pass after the pause.  The collector is
+    process-wide: pauses overlapping in several threads end when the
+    first one that found it on exits.
+    """
+
+    __slots__ = ("_resume",)
+
+    def __enter__(self) -> "gc_paused":
+        self._resume = gc.isenabled()
+        gc.disable()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._resume:
+            gc.enable()
 
 
 def sorted_rows(blocks: Iterable[List], sorted_runs: bool) -> List:
