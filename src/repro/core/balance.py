@@ -31,6 +31,7 @@ int at entry.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import intervals as dy
@@ -146,54 +147,53 @@ class BalanceMap:
     def lift_box(self, box: PackedBox) -> PackedBox:
         """Map one original packed box into the lifted space."""
         k = self.num_partitioned
-        primed: List[Packed] = []
-        double_primed: List[Packed] = []
-        for axis in range(k):
-            first, second = split_by_partition(
-                box[axis], self.partitions[axis]
-            )
-            primed.append(first)
-            double_primed.append(second)
+        halves = [
+            split_by_partition(box[axis], part)
+            for axis, part in enumerate(self.partitions)
+        ]
         # Lifted order: primed ascending, A_n, A_{n-1}, double-primed
         # descending.
-        return tuple(
-            primed + [box[self.ndim - 1], box[self.ndim - 2]]
-            + list(reversed(double_primed))
+        return (
+            *(first for first, _ in halves), box[k + 1], box[k],
+            *(second for _, second in reversed(halves)),
         )
 
     def lift_boxes(self, boxes: Iterable[PackedBox]) -> List[PackedBox]:
         return [self.lift_box(b) for b in boxes]
 
+    def lower_box(self, lifted: PackedBox) -> PackedBox:
+        """Map a lifted packed box back into the original space.
+
+        Each primed component is joined to its double-primed partner.
+        Exact on the boxes Tetris-LB's SAO reaches: a partner stays λ
+        until its primed component is a code element.
+        """
+        k = self.num_partitioned
+        joined = []
+        for axis in range(k):
+            suffix = lifted[-1 - axis]
+            length = suffix.bit_length() - 1
+            joined.append((lifted[axis] << length) | (suffix ^ (1 << length)))
+        return (*joined, lifted[k + 1], lifted[k])
+
     def lower_point(self, lifted_unit: PackedBox) -> Point:
         """Map a lifted packed unit box back to the original coordinates."""
-        k = self.num_partitioned
-        coords: List[int] = [0] * self.ndim
-        for axis in range(k):
-            p = lifted_unit[axis]
-            s = lifted_unit[self.lifted_ndim - 1 - axis]
-            pl = p.bit_length() - 1
-            sl = s.bit_length() - 1
-            if pl + sl != self.depth:
-                raise ValueError(
-                    f"lifted unit box has inconsistent lengths on axis "
-                    f"{axis}: {pl} + {sl} != {self.depth}"
-                )
-            coords[axis] = ((p ^ (1 << pl)) << sl) | (s ^ (1 << sl))
-        coords[self.ndim - 1] = dy.pvalue(lifted_unit[k])
-        coords[self.ndim - 2] = dy.pvalue(lifted_unit[k + 1])
-        return tuple(coords)
+        unit = 1 << self.depth
+        point = tuple(p ^ unit for p in self.lower_box(lifted_unit))
+        if max(point) >= unit:
+            raise ValueError(f"{lifted_unit} is not a lifted unit box")
+        return point
 
     def dimension_specs(self):
         """Specs for the lifted space, in lifted (SAO) order."""
-        k = self.num_partitioned
-        specs: List = []
-        for axis in range(k):
-            specs.append(CodeDimension(self.partitions[axis]))
-        specs.append(FixedDepth(self.depth))  # A_n
-        specs.append(FixedDepth(self.depth))  # A_{n-1}
-        for axis in range(k - 1, -1, -1):
-            specs.append(RemainderDimension(axis, self.depth))
-        return specs
+        return (
+            [CodeDimension(part) for part in self.partitions]
+            + [FixedDepth(self.depth), FixedDepth(self.depth)]  # A_n, A_{n-1}
+            + [
+                RemainderDimension(axis, self.depth)
+                for axis in reversed(range(self.num_partitioned))
+            ]
+        )
 
 
 def tetris_preloaded_lb(
@@ -201,7 +201,6 @@ def tetris_preloaded_lb(
     ndim: int,
     depth: int,
     stats: Optional[ResolutionStats] = None,
-    threshold: Optional[float] = None,
 ) -> List[Point]:
     """Algorithm 3 / 5: Balance then Tetris-Preloaded on the lifted boxes.
 
@@ -216,17 +215,23 @@ def tetris_preloaded_lb(
         from repro.core.tetris import tetris_preloaded
 
         return tetris_preloaded(boxes, ndim, depth, stats=stats)
-    mapping = BalanceMap(boxes, ndim, depth, threshold=threshold)
+    mapping = BalanceMap(boxes, ndim, depth)
     lifted = mapping.lift_boxes(boxes)
     engine = TetrisEngine(
-        mapping.lifted_ndim,
-        depth,
-        stats=stats,
-        dims=mapping.dimension_specs(),
+        mapping.lifted_ndim, depth, stats=stats, dims=mapping.dimension_specs()
     )
     oracle = BoxSetOracle(lifted, mapping.lifted_ndim)
     outputs = engine.run(oracle, preload=True, return_boxes=True)
     return sorted(mapping.lower_point(b) for b in outputs)
+
+
+#: Online Tetris-LB restarts when its loaded boxes pass a budget, and the
+#: next round's budget is this many times larger.
+_REBUILD_FACTOR = 2.0
+
+
+class _OverBudget(Exception):
+    """One online Tetris-LB round loaded more boxes than its budget."""
 
 
 def tetris_reloaded_lb(
@@ -234,15 +239,18 @@ def tetris_reloaded_lb(
     ndim: int,
     depth: int,
     stats: Optional[ResolutionStats] = None,
-    rebuild_factor: float = 2.0,
 ) -> List[Point]:
     """Online Tetris-LB (Appendix F.6, simplified).
 
     The paper's online variant re-adjusts partitions as boxes stream in;
     we approximate the amortized bookkeeping by restarting with fresh
     balanced partitions whenever the number of *loaded* boxes grows by
-    ``rebuild_factor`` — total rebalancing work stays within a log factor
-    of the final run (each restart's work is dominated by the next).
+    ``_REBUILD_FACTOR`` — total rebalancing work stays within a log
+    factor of the final run (each restart's work is dominated by the
+    next).  A round is one Tetris-Reloaded run on the lifted space, its
+    knowledge base seeded with the boxes earlier rounds loaded; its
+    oracle lowers each probe box, asks the original gap boxes and lifts
+    the answer with the round's map.
     """
     boxes = [check_packed(b) for b in boxes]
     if ndim <= 2:
@@ -251,44 +259,31 @@ def tetris_reloaded_lb(
         return tetris_reloaded(boxes, ndim, depth, stats=stats)
     stats = stats if stats is not None else ResolutionStats()
     oracle = BoxSetOracle(boxes, ndim)
-    unit_bit = 1 << depth
-    loaded: List[PackedBox] = []
-    loaded_set = set()
+    loaded: dict = {}  # every gap box a round has loaded, in load order
     budget = 4
+
+    def container(box: PackedBox) -> Optional[PackedBox]:
+        gap = oracle.container(mapping.lower_box(box))
+        if gap is None:
+            return None
+        if gap not in loaded:
+            loaded[gap] = None
+            if len(loaded) > budget:
+                raise _OverBudget
+        return mapping.lift_box(gap)
+
+    lifted_oracle = SimpleNamespace(container=container)
     while True:
-        mapping = BalanceMap(
-            loaded if loaded else boxes[:1], ndim, depth
-        )
+        mapping = BalanceMap(list(loaded) or boxes[:1], ndim, depth)
         engine = TetrisEngine(
             mapping.lifted_ndim, depth, stats=stats,
             dims=mapping.dimension_specs(),
         )
         for box in loaded:
             engine.add_box(mapping.lift_box(box))
-        outputs: List[Point] = []
-        restart = False
-        # Run the outer loop manually so we can intercept oracle loads.
-        covered, witness = engine.skeleton(engine._universe)
-        while not covered:
-            lowered = mapping.lower_point(engine.to_external(witness))
-            unit = tuple(unit_bit | v for v in lowered)
-            stats.oracle_queries += 1
-            gap_boxes = oracle.containing(unit)
-            if not gap_boxes:
-                outputs.append(lowered)
-                engine.add_box(engine.to_external(witness))
-            else:
-                fresh = [
-                    b for b in gap_boxes if b not in loaded_set
-                ]
-                for b in fresh:
-                    loaded_set.add(b)
-                    loaded.append(b)
-                    engine.add_box(mapping.lift_box(b))
-                if len(loaded) > budget:
-                    restart = True
-                    break
-            covered, witness = engine.skeleton(engine._universe)
-        if not restart:
-            return sorted(outputs)
-        budget = max(budget + 1, int(budget * rebuild_factor))
+        try:
+            outputs = engine.run(lifted_oracle, return_boxes=True)
+        except _OverBudget:
+            budget = max(budget + 1, int(budget * _REBUILD_FACTOR))
+            continue
+        return sorted(mapping.lower_point(b) for b in outputs)

@@ -27,9 +27,6 @@ components are ``>= 1``, so the key is free): no wrapper object, no
 extra indirection on the hot path.  Boxes are only ever added, so a
 mask only ever gains bits.
 
-Beyond the classic ``find_container`` the store answers
-:meth:`find_all_containers` (the point oracle query of Section 3.4).
-
 On the last level a node maps each packed component to the stored box
 itself; on interior levels it maps to the next level's node dict.
 
@@ -68,7 +65,7 @@ _UNROLL_CAP = 8
 _COMPILED: dict = {}
 
 
-def _emit_walker(ndim: int, collect: bool) -> str:
+def _emit_walker(ndim: int) -> str:
     """Source of a specialized containment walker over node dicts.
 
     The DFS over per-level prefix walks is written out as nested
@@ -77,14 +74,11 @@ def _emit_walker(ndim: int, collect: bool) -> str:
     (interior nodes always hold at least one real key, so only the root
     needs an emptiness check).
     """
-    empty = "        return []" if collect else "        return None"
     lines = [
         "def find(root, box):",
         "    if root[0] == 0:",
-        empty,
+        "        return None",
     ]
-    if collect:
-        lines.append("    out = []")
     indent = "    "
     closers = []
     for i in range(ndim):
@@ -102,10 +96,7 @@ def _emit_walker(ndim: int, collect: bool) -> str:
         if i == ndim - 1:
             lines.append(f"{inner}hit = get{i}(q{i})")
             lines.append(f"{inner}if hit is not None:")
-            if collect:
-                lines.append(f"{inner}    out.append(hit)")
-            else:
-                lines.append(f"{inner}    return hit")
+            lines.append(f"{inner}    return hit")
         else:
             lines.append(f"{inner}n{i + 1} = get{i}(q{i})")
             lines.append(f"{inner}if n{i + 1} is not None:")
@@ -117,7 +108,7 @@ def _emit_walker(ndim: int, collect: bool) -> str:
     # Close the loops from the innermost outward: each level's tail
     # advances its own walk and breaks at λ.
     lines.extend(reversed(closers))
-    lines.append("    return out" if collect else "    return None")
+    lines.append("    return None")
     return "\n".join(lines)
 
 
@@ -209,7 +200,7 @@ def _emit_writers(ndim: int) -> str:
 class MultilevelDyadicTree:
     """A set of packed dyadic boxes with Õ(1) ``find_container`` queries."""
 
-    __slots__ = ("ndim", "_root", "_size", "_find", "_findall", "_insert", "_load")
+    __slots__ = ("ndim", "_root", "_size", "_find", "_insert", "_load")
 
     def __init__(self, ndim: int):
         if ndim < 1:
@@ -219,11 +210,10 @@ class MultilevelDyadicTree:
         self._size = 0
         writers = _compiled(_emit_writers, ndim)
         self._insert, self._load = writers["insert"], writers["load"]
-        if ndim <= _UNROLL_CAP:
-            self._find = _compiled(_emit_walker, ndim, False)["find"]
-            self._findall = _compiled(_emit_walker, ndim, True)["find"]
-        else:
-            self._find = self._findall = None
+        self._find = (
+            _compiled(_emit_walker, ndim)["find"]
+            if ndim <= _UNROLL_CAP else None
+        )
 
     def __len__(self) -> int:
         return self._size
@@ -275,43 +265,6 @@ class MultilevelDyadicTree:
         if find is not None:
             return find(self._root, box)
         return frontier_probe([self._root], box, 0, None)
-
-    def find_all_containers(self, box: PackedBox) -> List[PackedBox]:
-        """All stored boxes containing ``box`` (the oracle query of §3.4)."""
-        findall = self._findall
-        if findall is not None:
-            return findall(self._root, box)
-        out: List[PackedBox] = []
-        last = self.ndim - 1
-        stack = [(0, self._root)]
-        while stack:
-            level, node = stack.pop()
-            q = box[level]
-            k = node[_MASK].bit_length() - 1
-            shift = q.bit_length() - 1
-            if k < 0:
-                continue
-            if k < shift:
-                q >>= shift - k
-            get = node.get
-            if level == last:
-                while True:
-                    hit = get(q)
-                    if hit is not None:
-                        out.append(hit)
-                    if q == 1:
-                        break
-                    q >>= 1
-            else:
-                nxt = level + 1
-                while True:
-                    child = get(q)
-                    if child is not None:
-                        stack.append((nxt, child))
-                    if q == 1:
-                        break
-                    q >>= 1
-        return out
 
     def __iter__(self) -> Iterator[PackedBox]:
         """Iterate over all stored boxes (test/debug helper)."""

@@ -25,6 +25,10 @@ Three nested classes of resolution appear in the paper:
 
 :class:`ResolutionStats` counts resolutions so that Lemma 4.5
 ("runtime is bounded by #resolutions") is observable in tests and benches.
+The one Tetris loop (the kernel :func:`repro.engine.codegen.tetris_kernel`
+generates) resolves inline and keeps its counters in locals, so this
+module holds the rule itself, its precondition check (which
+:mod:`repro.core.trace` re-runs to verify a proof) and the counters.
 
 All functions below operate on **packed** boxes (tuples of marker-bit
 ints, see :mod:`repro.core.intervals`); the packed encoding makes each
@@ -88,19 +92,6 @@ def resolve_on_axis(w1: PackedBox, w2: PackedBox, axis: int) -> PackedBox:
     return tuple(out)
 
 
-def is_ordered_pair(w1: PackedBox, w2: PackedBox, axis: int) -> bool:
-    """Check the Definition 4.3 shape: λ on every dimension after ``axis``.
-
-    Ordered geometric resolution additionally requires the inputs to look
-    like equations (1)–(2) of the paper: the resolved dimension holds the
-    sibling pair and all later dimensions are λ.
-    """
-    for j in range(axis + 1, len(w1)):
-        if w1[j] != 1 or w2[j] != 1:
-            return False
-    return (w1[axis] ^ w2[axis]) == 1
-
-
 @dataclass
 class ResolutionStats:
     """Counters behind Lemma 4.5: runtime ≈ number of resolutions.
@@ -111,14 +102,13 @@ class ResolutionStats:
     ``containment_queries`` counts knowledge-base probes (one per
     traversal box; ``cache_hits`` of them found a container) and
     ``oracle_queries`` counts oracle probes — one ``container(box)``
-    per knowledge-base miss in resume-mode Reloaded runs, one
-    ``containing(point)`` per uncovered point in faithful ones.
-    ``boxes_loaded`` counts every input gap box and output box stored.
+    per knowledge-base miss in Reloaded runs.  ``boxes_loaded`` counts
+    every input gap box and output box stored.
 
-    The frontier-resuming engine adds two counters: ``resumes`` (every
+    The frontier-resuming loop adds two counters: ``resumes`` (every
     point where the traversal continues in place after the knowledge
     base was amended — an oracle box or an output box stored — where
-    the faithful variant would restart from the universe) and
+    Algorithm 2 as printed would restart from the universe) and
     ``witness_depth_sum`` (total component bits of the gap boxes the
     oracle returned — lower means bigger witnesses, hence fewer
     resolution steps).
@@ -134,12 +124,6 @@ class ResolutionStats:
     cache_hits: int = 0
     resumes: int = 0
     witness_depth_sum: int = 0
-
-    def record(self, axis: int, ordered: bool) -> None:
-        self.resolutions += 1
-        if ordered:
-            self.ordered_resolutions += 1
-        self.by_axis[axis] = self.by_axis.get(axis, 0) + 1
 
     def reset(self) -> None:
         """Zero every counter, dicts included.

@@ -7,12 +7,11 @@ The paper stores the knowledge base in a multilevel dyadic tree so the
 "find a stored box containing b" query costs Õ(1) (Proposition B.12).
 ``ListStore`` is the naive alternative — a flat list with O(|A|) linear
 scans — retained to measure exactly how much the data structure
-contributes (``ablation_store`` in benchmarks/paper.py).  Both implement the full
+contributes (``ablation_store`` in benchmarks/paper.py).  Both implement the
 protocol :class:`~repro.core.tetris.TetrisEngine` expects of
-``knowledge_base``: ``add`` / ``add_many`` / ``find_container`` /
-``find_all_containers``, so every engine mode runs unchanged on either
-store.  A store holds boxes and nothing of a run: the resume loop's
-traversal frontier lives in the loop (see
+``knowledge_base``: ``add`` / ``add_many`` / ``find_container``, so the
+one Tetris loop runs unchanged on either store.  A store holds boxes and
+nothing of a run: the loop's traversal frontier lives in the loop (see
 :mod:`repro.core.dyadic_tree`), and on this store the loop probes with
 ``find_container``.
 """
@@ -63,6 +62,3 @@ class ListStore:
             if box_contains(stored, box):
                 return stored
         return None
-
-    def find_all_containers(self, box: PackedBox) -> List[PackedBox]:
-        return [s for s in self._boxes if box_contains(s, box)]

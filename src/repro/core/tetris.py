@@ -1,50 +1,36 @@
 """Tetris — the paper's join / box-cover algorithm (Algorithms 1 and 2).
 
-``TetrisSkeleton`` solves the *Boolean* box cover problem: given the
-knowledge base ``A`` and a target box ``b``, decide whether ``b`` is covered
-by the union of ``A`` and produce a witness — a single box covering ``b``
-(derived by geometric resolutions, cached back into ``A``), or an uncovered
-point of ``b``.
+A run answers the box cover problem: list the points of the output
+space that no input gap box covers.  The knowledge base ``A`` holds the
+boxes known to be covered (input gap boxes, output boxes and cached
+resolvents); the traversal splits the universal box ⟨λ,...,λ⟩ along the
+splitting attribute order and resolves the witnesses of two halves into
+one for their parent (geometric resolution, Section 4.1).
 
-The outer Tetris loop drives the skeleton over the universal box
-⟨λ,...,λ⟩; every false witness is either a fresh output tuple (no input
-gap box contains it) or triggers loading the containing gap boxes from the
-input oracle into ``A``.  Two traversal **modes** implement that loop:
+There is one loop: the one-pass traversal of Theorem D.2 (Appendix D)
+made frontier-resuming.  Outputs are handled inside the traversal, and
+wherever the knowledge base is amended (an oracle box or an output box
+stored) the explicit stack is left in place and the traversal resumes
+from its frontier with the new box as the witness — it never restarts.
+In on-demand (Reloaded) runs it asks the oracle about **boxes, not
+points**: after a knowledge-base miss on the traversal box ``b`` it
+issues one ``oracle.container(b)`` probe — "a gap box of B(Q)
+containing all of ``b``, else ``None``", the same O(log N + d) index
+walk a point probe pays (Section 3.4 / App. B.3).  A hit is stored and
+is the witness; a miss on a unit box is an output; a miss on a thick
+box splits.  Every box ``container(b)`` returns contains a point of
+``b`` that Algorithm 2 as printed would have asked about, so the loaded
+set is a subset of Algorithm 2's and Theorem 4.7's accounting carries
+over.
 
-* ``mode="resume"`` (the default, and what every caller in the repo
-  runs) — the one-pass traversal, TetrisSkeleton2 from the proof of
-  Theorem D.2 made frontier-resuming: outputs are handled inside the
-  skeleton, the explicit stack is *left in place* where the knowledge
-  base is amended, and the traversal resumes from the frontier — it
-  never restarts.  In on-demand (Reloaded) runs it asks the oracle
-  about **boxes, not points**: after a knowledge-base miss on the
-  traversal box ``b`` it issues one ``oracle.container(b)`` probe — "a
-  gap box of B(Q) containing all of ``b``, else ``None``", the same
-  O(log N + d) index walk a point probe pays (Section 3.4 / App. B.3).
-  A hit is stored and is the witness, so a gap box lands where the
-  traversal first fits inside it instead of after a depth-``n·d``
-  needle descent; a miss on a unit box is an output; a miss on a thick
-  box splits.  Every box ``container(b)`` returns is one
-  ``containing`` would return for a point of ``b``, so the loaded set
-  is a subset of Algorithm 2's and Theorem 4.7's accounting carries
-  over.  It has one implementation, the kernel
-  :func:`repro.engine.codegen.tetris_kernel` generates per engine
-  shape — every store, the load-balanced specs of Section 4.5,
-  ``return_boxes`` output and the proof log included; the interpreted
-  loop it is pinned to lives in the tests.
-* ``mode="faithful"`` — Algorithms 1 and 2 as printed:
-  :meth:`TetrisEngine.skeleton` answers one Boolean box-cover question
-  and the outer loop restarts it from the universe after every
-  uncovered point.  It is the paper-parity reference (and what
-  Theorem D.2's one-pass refinement is measured against in
-  ``benchmarks/paper.py::ablation_one_pass``): plain probes, the
-  resolution rule as written, every resolvent cached — nothing tuned,
-  a full root-to-leaf re-descent per output.
+The loop is the kernel :func:`repro.engine.codegen.tetris_kernel`
+generates per engine shape — every store, the load-balanced specs of
+Section 4.5, ``return_boxes`` output and the proof log included.
+Algorithms 1 and 2 as printed (restart from the universe after every
+output) and the interpreted form of the resuming loop live in the tests
+as the paper-parity references the kernel is pinned to.
 
-Both modes emit the same output set; the parity matrix in
-``tests/core/test_tetris_modes.py`` proves it over random instances.
-
-Variant flags (Sections 4.3–4.4, 5.1) compose with any mode:
+Configurations (Sections 4.3–4.5, 5.1):
 
 * **Tetris-Preloaded** (``preload=True``): ``A`` starts with every input
   gap box — the worst-case-optimal configuration (AGM / fhtw bounds).
@@ -54,24 +40,19 @@ Variant flags (Sections 4.3–4.4, 5.1) compose with any mode:
 * **No resolvent caching** (``cache_resolvents=False``): drops line 19 of
   Algorithm 1, restricting the proof to Tree Ordered Geometric Resolution
   (Theorem 5.1 / Corollary D.3).
-
-The engine is written iteratively (explicit stack) so deep recursions
-(depth ``n·d``) never hit the interpreter recursion limit.
+* **Tetris-LB** (``dims=``): the lifted space of the Balance map, whose
+  dimensions bottom out at a code or a remainder (:mod:`repro.core.balance`).
 
 Internally every box is a **packed** tuple — one marker-bit int
 ``(1 << length) | value`` per dimension (see
 :mod:`repro.core.intervals`).  The encoding makes the hot-loop
 primitives single int operations: splitting a component is ``2p`` /
-``2p + 1``, and containment is a shift + compare per dimension.  The
-uniform-space unit test is hoisted out of the per-node scan entirely:
-the traversal tracks the first thick axis as a *cursor* carried on the
-stack, so "is this box a point?" is one int compare (``cursor == ndim``)
-instead of a ``min(box)`` scan, and the split axis is the cursor itself
-instead of a linear search.  SAO permutations are precomputed tuples
-with an identity fast path — an engine whose splitting order matches
-space order never copies a box crossing the API boundary.  Public entry
-points (:func:`solve_bcp` and friends) take packed boxes as they are;
-:class:`BoxSetOracle` only checks that every component is an int.
+``2p + 1``, and containment is a shift + compare per dimension.  SAO
+permutations are precomputed tuples with an identity fast path — an
+engine whose splitting order matches space order never copies a box
+crossing the API boundary.  Public entry points (:func:`solve_bcp` and
+friends) take packed boxes as they are; :class:`BoxSetOracle` only
+checks that every component is an int.
 """
 
 from __future__ import annotations
@@ -79,19 +60,11 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import intervals as dy
-from repro.core.boxes import PackedBox, box_contains, check_packed
+from repro.core.boxes import PackedBox, check_packed
 from repro.core.dyadic_tree import MultilevelDyadicTree
-from repro.core.resolution import (
-    ResolutionStats,
-    is_ordered_pair,
-    resolve_on_axis,
-)
+from repro.core.resolution import ResolutionStats
 
 Point = Tuple[int, ...]
-
-#: The traversal modes of the outer loop, in preference order.
-MODES: Tuple[str, ...] = ("resume", "faithful")
 
 
 class DimensionSpec:
@@ -168,9 +141,8 @@ class RemainderDimension(DimensionSpec):
 class BoxSetOracle:
     """Oracle access to a set of gap boxes ``B`` (Section 3.4).
 
-    Given a dyadic box, returns a box of ``B`` containing it — or, for a
-    unit box (a point of the output space), all of them — in Õ(1) via a
-    multilevel dyadic tree.  This models "the pre-built database indices
+    Given a dyadic box, returns a box of ``B`` containing it in Õ(1) via
+    a multilevel dyadic tree.  This models "the pre-built database indices
     of the input relations".
 
     Input boxes must be packed (:func:`~repro.core.boxes.check_packed`
@@ -189,13 +161,9 @@ class BoxSetOracle:
     def __len__(self) -> int:
         return len(self._boxes)
 
-    def containing(self, unit_box: PackedBox) -> List[PackedBox]:
-        """All gap boxes containing the given point (Algorithm 2, line 4)."""
-        return self._tree.find_all_containers(unit_box)
-
     def container(self, box: PackedBox) -> Optional[PackedBox]:
         """A gap box containing all of ``box``, else ``None`` — the one
-        question resume-mode Reloaded asks."""
+        question Tetris-Reloaded asks."""
         return self._tree.find_container(box)
 
     def boxes(self) -> Sequence[PackedBox]:
@@ -219,11 +187,11 @@ class TetrisEngine:
     indices; boxes are stored and split internally in SAO order and
     translated back at the API boundary (an identity SAO skips the
     translation entirely).  All engine-level box arguments and results
-    (``skeleton``, ``add_box``, ``return_boxes`` outputs) are **packed**.
+    (``add_box``, ``return_boxes`` outputs) are **packed**.
 
     ``proof`` is the opt-in proof log: ``None`` (the default) records
     nothing; set it to a :class:`~repro.core.trace.ResolutionProof` and
-    every resolution of every later run — either mode — appends its
+    every resolution of every later run appends its
     :class:`~repro.core.trace.ProofStep` to it, boxes in SAO order.
     """
 
@@ -258,16 +226,14 @@ class TetrisEngine:
         self.cache_resolvents = cache_resolvents
         self.stats = stats if stats is not None else ResolutionStats()
         # The store behind Algorithm 1's A; any object with
-        # add / add_many / find_container / find_all_containers works
-        # (see repro.core.stores for the linear-scan ablation).
+        # add / add_many / find_container works (see repro.core.stores
+        # for the linear-scan ablation).
         self.knowledge_base = (
             knowledge_base
             if knowledge_base is not None
             else MultilevelDyadicTree(ndim)
         )
         self.proof = None
-        self._universe: PackedBox = (dy.PLAMBDA,) * ndim
-        self._unit_marker = 1 << depth
         self._return_boxes = False
         # Dimension specs are given in *internal (SAO) order*; None means
         # every dimension is a plain {0,1}^depth domain (the fast path).
@@ -286,29 +252,6 @@ class TetrisEngine:
                         "a remainder dimension must follow its code "
                         "dimension in SAO order"
                     )
-
-    def _is_unit_box(self, box: PackedBox) -> bool:
-        """Unit test under dimension specs (generalized spaces only)."""
-        dims = self.dims
-        return all(
-            dims[i].is_unit(box, i) for i in range(self.ndim)
-        )
-
-    def _first_thick_generalized(self, box: PackedBox) -> int:
-        dims = self.dims
-        for i in range(self.ndim):
-            if not dims[i].is_unit(box, i):
-                return i
-        raise ValueError("unit boxes cannot be split")
-
-    def _initial_cursor(self, box: PackedBox) -> int:
-        """First non-unit axis of a uniform-space box (``ndim`` if unit)."""
-        unit = self._unit_marker
-        cursor = 0
-        n = self.ndim
-        while cursor < n and box[cursor] >= unit:
-            cursor += 1
-        return cursor
 
     # -- SAO translation -----------------------------------------------------
 
@@ -332,103 +275,7 @@ class TetrisEngine:
             self.stats.boxes_loaded += 1
         return added
 
-    # -- Algorithm 1: TetrisSkeleton ------------------------------------------
-
-    def skeleton(self, target: PackedBox) -> Tuple[bool, PackedBox]:
-        """Algorithm 1 on an SAO-order packed target box.
-
-        Returns ``(True, w)`` with ``w ⊇ target`` covered by the knowledge
-        base, or ``(False, p)`` with ``p`` an uncovered unit box inside
-        ``target``.  Implemented with an explicit stack; each frame holds
-        ``[b, second_half, axis, w1, stage, child_cursor]`` where
-        ``child_cursor`` is the halves' first thick axis (uniform spaces).
-        """
-        kb = self.knowledge_base
-        find_container = kb.find_container
-        stats = self.stats
-        unit = self._unit_marker
-        cache = self.cache_resolvents
-        kb_add = kb.add
-        record = stats.record
-        log = None
-        if self.proof is not None:
-            from repro.core.trace import ProofStep
-
-            log = self.proof.steps.append
-        uniform = self.dims is None
-        n = self.ndim
-        stats.skeleton_calls += 1
-
-        stack: list = []
-        current: Optional[PackedBox] = target
-        cursor = self._initial_cursor(target) if uniform else 0
-        result: Tuple[bool, PackedBox] = (False, target)
-
-        while True:
-            if current is not None:
-                b = current
-                stats.containment_queries += 1
-                witness = find_container(b)
-                if witness is not None:
-                    stats.cache_hits += 1
-                    result = (True, witness)
-                    current = None
-                    continue
-                # Unit box check: one compare on uniform spaces (the
-                # cursor already skipped every unit component).
-                if (cursor == n) if uniform else self._is_unit_box(b):
-                    result = (False, b)
-                    current = None
-                    continue
-                axis = cursor if uniform else self._first_thick_generalized(b)
-                head = b[:axis]
-                tail = b[axis + 1:]
-                half = b[axis] << 1
-                b1 = head + (half,) + tail
-                b2 = head + (half | 1,) + tail
-                child_cursor = cursor
-                if uniform and half >= unit:
-                    child_cursor = axis + 1
-                    while child_cursor < n and b[child_cursor] >= unit:
-                        child_cursor += 1
-                stack.append([b, b2, axis, None, 0, child_cursor])
-                current = b1
-                cursor = child_cursor
-                continue
-
-            if not stack:
-                return result
-
-            frame = stack[-1]
-            covered, witness = result
-            if not covered:
-                # An uncovered point propagates straight to the root
-                # (Algorithm 1, lines 9–10 and 14–15).
-                stack.pop()
-                continue
-            b, b2, axis, w1, stage, child_cursor = frame
-            if box_contains(witness, b):
-                # Lines 11–12 / 16–17: the half's witness already covers b.
-                stack.pop()
-                continue
-            if stage == 0:
-                frame[3] = witness
-                frame[4] = 1
-                current = b2
-                cursor = child_cursor
-                continue
-            # Both halves covered but neither witness covers b: resolve.
-            ordered = is_ordered_pair(w1, witness, axis)
-            record(axis, ordered)
-            resolvent = resolve_on_axis(w1, witness, axis)
-            if log is not None:
-                log(ProofStep(w1, witness, axis, resolvent, ordered))
-            if cache:
-                kb_add(resolvent)
-            stack.pop()
-            result = (True, resolvent)
-
-    # -- Algorithm 2: the outer loop -------------------------------------------
+    # -- the run --------------------------------------------------------------
 
     def run(
         self,
@@ -436,7 +283,6 @@ class TetrisEngine:
         preload: bool = False,
         max_outputs: Optional[int] = None,
         return_boxes: bool = False,
-        mode: str = "resume",
     ):
         """Solve the box cover problem, returning all uncovered points.
 
@@ -450,19 +296,13 @@ class TetrisEngine:
         :func:`repro.core.dyadic_tree._emit_writers`): one loop that
         keeps the previous box's path nodes in locals.  Otherwise they
         are pulled on demand, in space order (Tetris-Reloaded): one
-        ``oracle.container(box)`` probe per knowledge-base miss in
-        resume mode, ``oracle.containing(point)`` per uncovered point in
-        faithful mode.
+        ``oracle.container(box)`` probe per knowledge-base miss.
 
-        ``mode`` selects the traversal: ``"resume"`` (default) is the
-        one-pass frontier-resuming skeleton, ``"faithful"`` the
-        restart-per-output Algorithm 2 kept as the paper-parity
-        reference.  Resume always runs as the kernel
-        :func:`repro.engine.codegen.tetris_kernel` generates for this
-        engine's shape — store, dimension specs, output form and proof
-        log included.  It keeps its traversal frontier in locals: the
-        knowledge base is only probed and written, and holds no state
-        of the run.
+        The run is the kernel :func:`repro.engine.codegen.tetris_kernel`
+        generates for this engine's shape — store, dimension specs,
+        output form and proof log included.  It keeps its traversal
+        frontier in locals: the knowledge base is only probed and
+        written, and holds no state of the run.
 
         ``max_outputs`` caps the outputs: ``0`` returns ``[]`` after the
         preload, a negative cap raises ``ValueError``.
@@ -471,8 +311,6 @@ class TetrisEngine:
         box (space order) rather than a tuple of values — required for
         generalized spaces where components have varying lengths.
         """
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if max_outputs is not None and max_outputs < 0:
             raise ValueError(
                 f"max_outputs must be non-negative, got {max_outputs}"
@@ -484,8 +322,6 @@ class TetrisEngine:
         self._return_boxes = return_boxes
         if max_outputs == 0:
             return []
-        if mode == "faithful":
-            return self._run_restarting(oracle, max_outputs)
         from repro.engine.codegen import tetris_kernel
 
         kernel = tetris_kernel(
@@ -493,54 +329,6 @@ class TetrisEngine:
             capped=max_outputs is not None,
         )
         return kernel(self, oracle, max_outputs)
-
-    def _emit(self, unit_internal: PackedBox):
-        """Convert an internal unit box to the configured output form."""
-        external = (
-            unit_internal
-            if self._sao_identity
-            else self.to_external(unit_internal)
-        )
-        if self._return_boxes:
-            return external
-        if self.dims is None:
-            unit = self._unit_marker
-            return tuple(p ^ unit for p in external)
-        return tuple(dy.pvalue(p) for p in external)
-
-    def _oracle_lookup(
-        self, oracle: Optional[BoxSetOracle], point_internal: PackedBox
-    ) -> List[PackedBox]:
-        """Query the oracle with an internal (SAO-order) unit box."""
-        if oracle is None:
-            return []
-        self.stats.oracle_queries += 1
-        if self._sao_identity:
-            return oracle.containing(point_internal)
-        external = self.to_external(point_internal)
-        to_internal = self.to_internal
-        return [to_internal(b) for b in oracle.containing(external)]
-
-    def _run_restarting(
-        self, oracle: Optional[BoxSetOracle], max_outputs: Optional[int]
-    ) -> List[Point]:
-        """Faithful Algorithm 2: restart the skeleton after every witness."""
-        outputs: List[Point] = []
-        universe = self._universe
-        kb = self.knowledge_base
-        covered, witness = self.skeleton(universe)
-        while not covered:
-            gap_boxes = self._oracle_lookup(oracle, witness)
-            if not gap_boxes:
-                outputs.append(self._emit(witness))
-                gap_boxes = [witness]
-                if max_outputs is not None and len(outputs) >= max_outputs:
-                    return outputs
-            for box in gap_boxes:
-                if kb.add(box):
-                    self.stats.boxes_loaded += 1
-            covered, witness = self.skeleton(universe)
-        return outputs
 
 
 # -- Convenience entry points ---------------------------------------------------
@@ -554,20 +342,17 @@ def solve_bcp(
     preload: bool = True,
     cache_resolvents: bool = True,
     stats: Optional[ResolutionStats] = None,
-    mode: str = "resume",
 ) -> List[Point]:
     """Solve a Box Cover Problem instance: list points not covered by ``boxes``.
 
     ``boxes`` are packed (one marker-bit int per component).  Defaults to
-    the frontier-resuming preloaded configuration; pass ``mode="faithful"``
-    (optionally with ``preload=False``) for the restart-per-output
-    Algorithm 2.
+    Tetris-Preloaded; ``preload=False`` loads them on demand.
     """
     oracle = BoxSetOracle(boxes, ndim)
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents, stats=stats,
     )
-    return engine.run(oracle, preload=preload, mode=mode)
+    return engine.run(oracle, preload=preload)
 
 
 def tetris_preloaded(
@@ -576,12 +361,9 @@ def tetris_preloaded(
     depth: int,
     sao: Optional[Sequence[int]] = None,
     stats: Optional[ResolutionStats] = None,
-    mode: str = "resume",
 ) -> List[Point]:
     """Tetris-Preloaded (Section 4.3): worst-case-optimal configuration."""
-    return solve_bcp(
-        boxes, ndim, depth, sao=sao, preload=True, stats=stats, mode=mode,
-    )
+    return solve_bcp(boxes, ndim, depth, sao=sao, preload=True, stats=stats)
 
 
 def tetris_reloaded(
@@ -590,12 +372,9 @@ def tetris_reloaded(
     depth: int,
     sao: Optional[Sequence[int]] = None,
     stats: Optional[ResolutionStats] = None,
-    mode: str = "resume",
 ) -> List[Point]:
     """Tetris-Reloaded (Section 4.4): certificate-based configuration."""
-    return solve_bcp(
-        boxes, ndim, depth, sao=sao, preload=False, stats=stats, mode=mode,
-    )
+    return solve_bcp(boxes, ndim, depth, sao=sao, preload=False, stats=stats)
 
 
 def boolean_box_cover(

@@ -16,9 +16,8 @@ Proof boxes are recorded in the engine's internal **packed** form
 (tuples of marker-bit ints; see :mod:`repro.core.intervals`).
 
 A :class:`~repro.core.tetris.TetrisEngine` records its proof when its
-``proof`` attribute holds a ``ResolutionProof``: the generated resume
-kernel and the faithful skeleton each append one ``ProofStep`` per
-resolution.  ``ResolutionProof`` verifies every step (soundness) and
+``proof`` attribute holds a ``ResolutionProof``: the generated Tetris
+kernel, the one loop, appends one ``ProofStep`` per resolution.  ``ResolutionProof`` verifies every step (soundness) and
 classifies the proof.  Used by tests to certify that Tetris's internal
 reasoning really is a resolution proof, and by the proof-complexity
 benchmarks.

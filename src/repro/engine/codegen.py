@@ -31,8 +31,8 @@ tests compare them to :func:`~repro.joins.nested_loop.join_nested_loop`
   intersection fused into that lookup — and the projection reads its
   components straight out of the stage variables.  Yannakakis' join
   phase runs this kernel too.
-* :func:`tetris_kernel` — Tetris's frontier-resuming skeleton (resume
-  mode) with ``ndim``, ``depth``, the SAO permutation and the oracle
+* :func:`tetris_kernel` — Tetris's one loop, the frontier-resuming
+  skeleton, with ``ndim``, ``depth``, the SAO permutation and the oracle
   discipline (preloaded/on-demand) baked in as literals.  On the dyadic
   tree over a uniform space the knowledge-base probe of
   :class:`~repro.core.dyadic_tree.MultilevelDyadicTree` is inlined and
@@ -1177,7 +1177,7 @@ def tetris_kernel(
     *,
     capped: bool,
 ) -> Callable:
-    """The compiled resume-mode kernel for one engine configuration.
+    """The compiled Tetris kernel for one engine configuration.
 
     ``on_demand`` is the run's Reloaded discipline (an oracle and no
     preload): the kernel then asks ``oracle.container`` after every

@@ -8,17 +8,17 @@ the query's output space with λ wildcards on the missing attributes
 
 * ``container(box)`` — a gap box containing all of a dyadic probe box
   (or ``None``), answered *lazily* by the first index whose walk finds
-  one, in Õ(1) per index — the one question resume-mode
-  Tetris-Reloaded asks;
-* ``containing(unit_box)`` — all gap boxes containing a probe point,
-  one per index that has one (Algorithm 2 as printed: ``mode="faithful"``
-  and Tetris-LB);
-* ``boxes()`` — the full materialized set B(Q), used by Tetris-Preloaded.
-
+  one, in Õ(1) per index — the one question Tetris-Reloaded asks;
+* ``boxes()`` — the full materialized set B(Q), used by Tetris-Preloaded;
 * ``ordered_boxes(axes)`` — the bulk side: the same boxes as one lazy
   stream laid out in the caller's axis order, which is how
   ``TetrisEngine.run(preload=True)`` loads them (``boxes()`` is that
   stream in space order, de-duplicated and kept as a list).
+
+Beside them ``containing(unit_box)`` answers Algorithm 2's point
+question — all gap boxes containing a probe point, one per index that
+has one.  No Tetris run asks it; it is kept only because the benchmark
+times it as its index-probe metric (``indexes.probe_ns``).
 
 ``container`` and ``containing`` are **generated**
 (:func:`repro.engine.codegen.probe_kernel`), once per oracle shape —
@@ -116,7 +116,8 @@ class QueryGapOracle:
     def containing(self) -> Callable[[PackedBox], List[PackedBox]]:
         """All gap boxes containing a probe point, straight off the
         indexes: each index's one gap box around it, in index order
-        (Algorithm 2, line 4)."""
+        (Algorithm 2, line 4).  Kept for the benchmark's probe metric;
+        no Tetris run asks it."""
         return self._probe(True)
 
     @cached_property

@@ -3,7 +3,8 @@
 Wires a :class:`~repro.relational.query.JoinQuery` over an indexed database
 into a Box Cover Problem instance (:func:`tetris_engine` — the one place
 a query becomes an oracle, an SAO and a :class:`TetrisEngine`) and runs
-the requested Tetris variant (:func:`join_tetris`).  The BCP output — the
+the requested Tetris variant (:func:`join_tetris`) on the engine's one
+loop, the generated kernel.  The BCP output — the
 points covered by *no* gap box — is exactly the join output, returned
 sorted in ``query.variables`` order.  A join reaches it through the
 engine's backend table (``tetris-preloaded`` / ``tetris-reloaded`` in
@@ -112,16 +113,12 @@ def join_tetris(
     stats: Optional[ResolutionStats] = None,
     cache_resolvents: bool = True,
     max_outputs: Optional[int] = None,
-    mode: str = "resume",
 ) -> JoinResult:
     """Evaluate a natural join with Tetris.
 
     ``variant`` is ``'preloaded'`` (Section 4.3 worst-case configuration)
-    or ``'reloaded'`` (Section 4.4 certificate-based configuration).
-    ``mode`` selects the traversal — the one-pass frontier-resuming
-    skeleton (``"resume"``, the default) or the paper-faithful
-    restart-per-output loop (``"faithful"``, the parity reference).
-    ``max_outputs`` caps the engine's enumeration — it stops after that
+    or ``'reloaded'`` (Section 4.4 certificate-based configuration); both
+    run the one frontier-resuming Tetris loop.  ``max_outputs`` caps the engine's enumeration — it stops after that
     many uncovered points, so a capped run materializes O(max_outputs)
     output rows, not Z.
     """
@@ -133,6 +130,5 @@ def join_tetris(
     )
     points = engine.run(
         oracle, preload=variant == "preloaded", max_outputs=max_outputs,
-        mode=mode,
     )
     return JoinResult(sorted(points), oracle.attrs, engine.stats, gao)

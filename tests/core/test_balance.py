@@ -160,6 +160,7 @@ class TestTetrisLB:
     def test_matches_brute_force(self, boxes):
         expected = brute_force_uncovered(boxes, 3, DEPTH)
         assert tetris_preloaded_lb(boxes, 3, DEPTH) == expected
+        assert tetris_reloaded_lb(boxes, 3, DEPTH) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(box_tuples(), max_size=8))
@@ -178,6 +179,54 @@ class TestTetrisLB:
         expected = brute_force_uncovered(boxes, 4, 2)
         assert tetris_preloaded_lb(boxes, 4, 2) == expected
 
+    def test_online_4d_instance(self):
+        """Two primed/double-primed pairs: the lifted oracle joins both."""
+        boxes = random_boxes(5, 25, 4, 2)
+        expected = brute_force_uncovered(boxes, 4, 2)
+        assert tetris_reloaded_lb(boxes, 4, 2) == expected
+        for seed in range(6):
+            boxes = random_boxes(seed, 30, 4, 2)
+            expected = brute_force_uncovered(boxes, 4, 2)
+            assert tetris_reloaded_lb(boxes, 4, 2) == expected, seed
+
+    def test_online_restarts_and_asks_only_container(self, monkeypatch):
+        """Online LB runs rounds of Tetris-Reloaded on the kernel, each
+        restarted with a fresh map once its loaded boxes pass the
+        budget, and asks the input's oracle one thing: ``container``."""
+        import repro.core.balance as balance
+        from repro.core.tetris import BoxSetOracle
+        from repro.workloads.hard_instances import example_f1
+
+        asked = []
+
+        class RecordingOracle(BoxSetOracle):
+            def __getattribute__(self, name):
+                if not name.startswith("_"):
+                    asked.append(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(balance, "BoxSetOracle", RecordingOracle)
+        stats = ResolutionStats()
+        assert tetris_reloaded_lb(example_f1(6), 3, 6, stats=stats) == []
+        assert stats.skeleton_calls >= 2  # one kernel run per round
+        assert set(asked) == {"container"}
+        assert not hasattr(BoxSetOracle, "containing")
+
+    @pytest.mark.parametrize(
+        "depth,resolutions", [(4, 71), (5, 131), (6, 277)]
+    )
+    def test_online_resolutions_match_the_interpreted_loop(
+        self, depth, resolutions
+    ):
+        """The counts the interpreted restart-per-point loop took on
+        Example F.1; each kernel round resumes instead of restarting
+        per point, and the resolutions stay the same."""
+        from repro.workloads.hard_instances import example_f1
+
+        stats = ResolutionStats()
+        tetris_reloaded_lb(example_f1(depth), 3, depth, stats=stats)
+        assert stats.resolutions == resolutions
+
     @pytest.mark.parametrize(
         "solve", [tetris_preloaded_lb, tetris_reloaded_lb]
     )
@@ -191,3 +240,7 @@ class TestTetrisLB:
         boxes = random_boxes(7, 20, 3, DEPTH)
         tetris_preloaded_lb(boxes, 3, DEPTH, stats=stats)
         assert stats.skeleton_calls >= 1
+        online = ResolutionStats()
+        tetris_reloaded_lb(boxes, 3, DEPTH, stats=online)
+        assert online.skeleton_calls >= 1
+        assert online.oracle_queries > 0

@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 from repro.core import resolution as res
 from repro.core.boxes import pbox_from_bits
 from repro.core.resolution import ResolutionStats
-from tests.helpers import box_points, resolve_tuples
+from tests.helpers import (
+    box_points,
+    is_ordered_pair,
+    record_resolution,
+    resolve_tuples,
+)
 
 DEPTH = 4
 
@@ -101,23 +106,23 @@ class TestOrderedShape:
     def test_ordered_pair_accepts_staircase(self):
         w1 = pbox_from_bits("1010", "0110", "00")
         w2 = pbox_from_bits("1010", "01", "01")
-        assert res.is_ordered_pair(w1, w2, 2)
+        assert is_ordered_pair(w1, w2, 2)
 
     def test_ordered_pair_rejects_tail(self):
         # Non-λ after the resolved axis breaks the Definition 4.3 shape.
         w1 = pbox_from_bits("00", "1", "1")
         w2 = pbox_from_bits("01", "1", "1")
-        assert not res.is_ordered_pair(w1, w2, 0)
+        assert not is_ordered_pair(w1, w2, 0)
 
     def test_ordered_pair_requires_siblings(self):
         w1 = pbox_from_bits("00", "", "")
         w2 = pbox_from_bits("10", "", "")
-        assert not res.is_ordered_pair(w1, w2, 0)
+        assert not is_ordered_pair(w1, w2, 0)
 
 
 def _resolve(stats, w1, w2, axis):
     """One resolution step as the engine takes it: record, then resolve."""
-    stats.record(axis, ordered=res.is_ordered_pair(w1, w2, axis))
+    record_resolution(stats, axis, is_ordered_pair(w1, w2, axis))
     return res.resolve_on_axis(w1, w2, axis)
 
 

@@ -7,6 +7,7 @@ whatever lands next."""
 import dataclasses
 
 from repro.core.resolution import ResolutionStats
+from tests.helpers import record_resolution
 
 FIELDS = dataclasses.fields(ResolutionStats)
 
@@ -60,9 +61,9 @@ def test_merge_equals_sequential_absorb():
 
 def test_merge_disjoint_dict_keys():
     a = ResolutionStats()
-    a.record(axis=0, ordered=True)
+    record_resolution(a, axis=0, ordered=True)
     b = ResolutionStats()
-    b.record(axis=3, ordered=False)
+    record_resolution(b, axis=3, ordered=False)
     merged = ResolutionStats.merge([a, b])
     assert merged.by_axis == {0: 1, 3: 1}
     assert merged.resolutions == 2
@@ -98,8 +99,8 @@ def test_as_metrics_covers_every_field():
 
 def test_as_metrics_by_axis_namespace():
     stats = ResolutionStats()
-    stats.record(axis=2, ordered=False)
-    stats.record(axis=2, ordered=True)
+    record_resolution(stats, axis=2, ordered=False)
+    record_resolution(stats, axis=2, ordered=True)
     metrics = stats.as_metrics()
     assert metrics["tetris.resolutions.by_axis.2"] == 2
     assert metrics["tetris.resolutions"] == 2

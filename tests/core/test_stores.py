@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boxes import pbox_from_bits
+from repro.core.boxes import box_contains, pbox_from_bits
 from repro.core.stores import ListStore
 from repro.core.tetris import BoxSetOracle, TetrisEngine
 from tests.helpers import brute_force_uncovered, random_boxes
@@ -51,9 +51,9 @@ class TestListStore:
         tree = MultilevelDyadicTree(2)
         for b in stored:
             assert lst.add(b) == tree.add(b)
-        assert set(lst.find_all_containers(query)) == set(
-            tree.find_all_containers(query)
-        )
+        expected = {b for b in stored if box_contains(b, query)}
+        for found in (lst.find_container(query), tree.find_container(query)):
+            assert found in expected if expected else found is None
 
 
 class TestEngineWithListStore:

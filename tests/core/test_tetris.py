@@ -12,7 +12,6 @@ from repro.core.dyadic_tree import MultilevelDyadicTree
 from repro.core.intervals import PLAMBDA
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import (
-    MODES,
     BoxSetOracle,
     TetrisEngine,
     boolean_box_cover,
@@ -20,7 +19,12 @@ from repro.core.tetris import (
     tetris_preloaded,
     tetris_reloaded,
 )
-from tests.helpers import brute_force_uncovered, random_boxes
+from tests.helpers import (
+    LOOPS,
+    brute_force_uncovered,
+    random_boxes,
+    tetris_loop,
+)
 
 DEPTH = 3
 NDIM = 2
@@ -37,7 +41,7 @@ def box_tuples(ndim=NDIM, depth=DEPTH):
 
 
 ALL_VARIANTS = list(
-    itertools.product([True, False], MODES, [True, False])
+    itertools.product([True, False], LOOPS, [True, False])
 )
 
 
@@ -121,10 +125,11 @@ class TestAgainstBruteForce:
     def test_all_variants_agree_3d(self, boxes, sao):
         expected = brute_force_uncovered(boxes, 3, 2)
         for preload, mode, cache in ALL_VARIANTS:
-            got = solve_bcp(
-                boxes, 3, 2, sao=tuple(sao), preload=preload,
-                mode=mode, cache_resolvents=cache,
-            )
+            with tetris_loop(mode):
+                got = solve_bcp(
+                    boxes, 3, 2, sao=tuple(sao), preload=preload,
+                    cache_resolvents=cache,
+                )
             assert sorted(got) == expected, (preload, mode, cache)
 
     def test_randomized_bigger(self):
@@ -230,12 +235,13 @@ class TestBoxSetOracleLoad:
             monkeypatch.setattr(tetris_module, "BoxSetOracle", oracle_class)
             run = []
             for sao in itertools.permutations(range(3)):
-                for preload, mode in itertools.product((True, False), MODES):
+                for preload, mode in itertools.product((True, False), LOOPS):
                     stats = ResolutionStats()
-                    points = solve_bcp(
-                        boxes, 3, 3, sao=sao, preload=preload, stats=stats,
-                        mode=mode,
-                    )
+                    with tetris_loop(mode):
+                        points = solve_bcp(
+                            boxes, 3, 3, sao=sao, preload=preload,
+                            stats=stats,
+                        )
                     run.append((points, asdict(stats)))
             runs.append(run)
         assert runs[0] == runs[1]

@@ -13,7 +13,7 @@ from repro.core.tetris import (
     TetrisEngine,
 )
 from tests.helpers import box_covers_point, box_points, \
-    brute_force_uncovered, random_boxes
+    brute_force_uncovered, random_boxes, reference_skeleton, universe
 
 DEPTH = 3
 NDIM = 2
@@ -33,13 +33,13 @@ class TestSkeletonPostconditions:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(box_tuples(), max_size=8), box_tuples())
     def test_skeleton_answer_matches_semantics(self, boxes, target):
-        """skeleton(b) says covered iff every point of b is covered, and
-        the returned witness satisfies its contract."""
+        """Algorithm 1 on b says covered iff every point of b is covered,
+        and the returned witness satisfies its contract."""
         engine = TetrisEngine(NDIM, DEPTH)
         for b in boxes:
             engine.add_box(b)
-        covered, witness = engine.skeleton(
-            engine.to_internal(target)
+        covered, witness = reference_skeleton(
+            engine, engine.to_internal(target)
         )
         target_points = set(box_points(target, DEPTH))
         covered_points = {
@@ -69,9 +69,11 @@ class TestSkeletonPostconditions:
         for b in boxes:
             engine.add_box(b)
         uncovered = brute_force_uncovered(boxes, NDIM, DEPTH)
-        covered, witness = engine.skeleton(engine._universe)
+        covered, witness = reference_skeleton(engine, universe(engine))
         if covered:
             assert uncovered == []
+        else:
+            assert tuple(dy.pvalue(p) for p in witness) in uncovered
 
 
 class TestEngineReuse:

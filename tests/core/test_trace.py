@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.boxes import pbox_from_bits
-from repro.core.tetris import MODES, BoxSetOracle, TetrisEngine
+from repro.core.tetris import BoxSetOracle, TetrisEngine
 from repro.core.trace import (
     ProofStep,
     ResolutionProof,
@@ -14,19 +14,25 @@ from repro.workloads.hard_instances import (
     msb_triangle,
     shared_suffix_instance,
 )
-from tests.helpers import brute_force_uncovered, random_boxes
+from tests.helpers import (
+    LOOPS,
+    brute_force_uncovered,
+    random_boxes,
+    tetris_loop,
+)
 
 DEPTH = 3
 
 
 class TestProofLog:
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", LOOPS)
     def test_records_steps(self, mode):
-        """One step per resolution, in either traversal mode."""
+        """One step per resolution, in the kernel and in Algorithm 1."""
         engine = TetrisEngine(2, 1)
         engine.proof = ResolutionProof()
         boxes = [pbox_from_bits("0", ""), pbox_from_bits("1", "")]
-        assert engine.run(BoxSetOracle(boxes, 2), preload=True, mode=mode) == []
+        with tetris_loop(mode):
+            assert engine.run(BoxSetOracle(boxes, 2), preload=True) == []
         step = engine.proof.steps[0]
         assert len(engine.proof) == engine.stats.resolutions == 1
         assert (step.left, step.right, step.axis) == (*boxes, 0)

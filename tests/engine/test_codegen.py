@@ -42,7 +42,7 @@ from repro.workloads.generators import (
     random_graph_edges,
     random_path_db,
 )
-from tests.helpers import interpreted_tetris
+from tests.helpers import interpreted_tetris, reference_run_restarting
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,12 +112,14 @@ def test_tetris_kernel_stats_are_bit_identical(variant, family):
     assert asdict(comp.stats) == asdict(interp.stats)
 
 
-@pytest.mark.parametrize("kwargs", [{"mode": "faithful"}], ids=["faithful"])
-def test_unsupported_tetris_shapes_fall_back_correctly(kwargs):
-    """Faithful mode runs no kernel and answers as resume mode does."""
+@pytest.mark.parametrize("loop", [reference_run_restarting], ids=["faithful"])
+def test_unsupported_tetris_shapes_fall_back_correctly(loop):
+    """Algorithms 1 and 2 as printed run no kernel and answer as the
+    kernel's interpreted reference does."""
     query, db = _family("triangle")
     expected = _interpreted_tetris(query, db).tuples
-    got = join_tetris(query, db, **kwargs)
+    with interpreted_tetris(loop):
+        got = join_tetris(query, db)
     assert got.tuples == expected
 
 

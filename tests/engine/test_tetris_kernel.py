@@ -118,7 +118,7 @@ def lifted_instances(draw):
 
 
 def _run(instance, preload, max_outputs, cache_resolvents,
-         return_boxes=False, proof=False, mode="resume"):
+         return_boxes=False, proof=False):
     ndim, depth, sao, boxes, dims, store = instance
     engine = TetrisEngine(
         ndim, depth, sao=sao, cache_resolvents=cache_resolvents,
@@ -129,7 +129,7 @@ def _run(instance, preload, max_outputs, cache_resolvents,
         engine.proof = ResolutionProof()
     points = engine.run(
         BoxSetOracle(boxes, ndim), preload=preload, max_outputs=max_outputs,
-        return_boxes=return_boxes, mode=mode,
+        return_boxes=return_boxes,
     )
     # Store iteration follows insertion order: equal lists mean the same
     # boxes were stored in the same order, witness choices included.

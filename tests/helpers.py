@@ -209,6 +209,207 @@ def frontier_level(frontier, box, level) -> list:
     return levels[level]
 
 
+# -- the Tetris loops the kernel is measured against ---------------------------
+#
+# ``src/`` runs one Tetris loop, the generated kernel.  Below are the
+# loops it answers to: Algorithms 1 and 2 as printed (the paper-parity
+# reference, restarting from the universe after every output) and the
+# frontier-resuming loop interpreted (the kernel's step-for-step
+# reference), with the engine readings only they need.
+
+
+def is_ordered_pair(w1: PackedBox, w2: PackedBox, axis: int) -> bool:
+    """Definition 4.3's staircase shape: the pair are siblings on
+    ``axis`` and λ on every dimension after it."""
+    for j in range(axis + 1, len(w1)):
+        if w1[j] != 1 or w2[j] != 1:
+            return False
+    return (w1[axis] ^ w2[axis]) == 1
+
+
+def record_resolution(stats, axis: int, ordered: bool) -> None:
+    """Count one resolution the way the kernel's flushed locals do."""
+    stats.resolutions += 1
+    if ordered:
+        stats.ordered_resolutions += 1
+    stats.by_axis[axis] = stats.by_axis.get(axis, 0) + 1
+
+
+def universe(engine) -> PackedBox:
+    """⟨λ,...,λ⟩ in the engine's dimensionality."""
+    return (PLAMBDA,) * engine.ndim
+
+
+def is_unit_box(engine, box: PackedBox) -> bool:
+    """Every axis at its unit level, under the engine's dimension specs
+    (generalized spaces only)."""
+    return all(spec.is_unit(box, i) for i, spec in enumerate(engine.dims))
+
+
+def first_thick_axis(engine, box: PackedBox) -> int:
+    """The split axis of a generalized-space box: its first non-unit axis."""
+    for i, spec in enumerate(engine.dims):
+        if not spec.is_unit(box, i):
+            return i
+    raise ValueError("unit boxes cannot be split")
+
+
+def initial_cursor(engine, box: PackedBox) -> int:
+    """First non-unit axis of a uniform-space box (``ndim`` if unit)."""
+    unit = 1 << engine.depth
+    cursor = 0
+    while cursor < engine.ndim and box[cursor] >= unit:
+        cursor += 1
+    return cursor
+
+
+def emit(engine, unit_internal: PackedBox):
+    """An internal (SAO-order) unit box in the run's output form."""
+    from repro.core.intervals import pvalue
+
+    external = engine.to_external(unit_internal)
+    if engine._return_boxes:
+        return external
+    if engine.dims is None:
+        unit = 1 << engine.depth
+        return tuple(p ^ unit for p in external)
+    return tuple(pvalue(p) for p in external)
+
+
+def reference_skeleton(engine, target: PackedBox) -> Tuple[bool, PackedBox]:
+    """Algorithm 1 (TetrisSkeleton) on an SAO-order packed target box.
+
+    Returns ``(True, w)`` with ``w ⊇ target`` covered by the knowledge
+    base, or ``(False, p)`` with ``p`` an uncovered unit box inside
+    ``target``.  Written with an explicit stack so deep recursions (depth
+    ``n·d``) never hit the interpreter limit; each frame holds ``[b,
+    second_half, axis, w1, stage, child_cursor]`` where ``child_cursor``
+    is the halves' first thick axis (uniform spaces).  Every resolvent is
+    cached unless ``engine.cache_resolvents`` is off (line 19), and with
+    ``engine.proof`` set every resolution appends its ``ProofStep``.
+    """
+    from repro.core.resolution import resolve_on_axis
+    from repro.core.trace import ProofStep
+
+    kb = engine.knowledge_base
+    stats = engine.stats
+    unit = 1 << engine.depth
+    log = None if engine.proof is None else engine.proof.steps.append
+    uniform = engine.dims is None
+    n = engine.ndim
+    stats.skeleton_calls += 1
+
+    stack: list = []
+    current: Optional[PackedBox] = target
+    cursor = initial_cursor(engine, target) if uniform else 0
+    result: Tuple[bool, PackedBox] = (False, target)
+
+    while True:
+        if current is not None:
+            b = current
+            stats.containment_queries += 1
+            witness = kb.find_container(b)
+            if witness is not None:
+                stats.cache_hits += 1
+                result = (True, witness)
+                current = None
+                continue
+            if (cursor == n) if uniform else is_unit_box(engine, b):
+                result = (False, b)
+                current = None
+                continue
+            axis = cursor if uniform else first_thick_axis(engine, b)
+            head = b[:axis]
+            tail = b[axis + 1:]
+            half = b[axis] << 1
+            b1 = head + (half,) + tail
+            b2 = head + (half | 1,) + tail
+            child_cursor = cursor
+            if uniform and half >= unit:
+                child_cursor = axis + 1
+                while child_cursor < n and b[child_cursor] >= unit:
+                    child_cursor += 1
+            stack.append([b, b2, axis, None, 0, child_cursor])
+            current = b1
+            cursor = child_cursor
+            continue
+
+        if not stack:
+            return result
+
+        frame = stack[-1]
+        covered, witness = result
+        if not covered:
+            # An uncovered point propagates straight to the root
+            # (Algorithm 1, lines 9–10 and 14–15).
+            stack.pop()
+            continue
+        b, b2, axis, w1, stage, child_cursor = frame
+        if box_contains(witness, b):
+            # Lines 11–12 / 16–17: the half's witness already covers b.
+            stack.pop()
+            continue
+        if stage == 0:
+            frame[3] = witness
+            frame[4] = 1
+            current = b2
+            cursor = child_cursor
+            continue
+        # Both halves covered but neither witness covers b: resolve.
+        ordered = is_ordered_pair(w1, witness, axis)
+        record_resolution(stats, axis, ordered)
+        resolvent = resolve_on_axis(w1, witness, axis)
+        if log is not None:
+            log(ProofStep(w1, witness, axis, resolvent, ordered))
+        if engine.cache_resolvents:
+            kb.add(resolvent)
+        stack.pop()
+        result = (True, resolvent)
+
+
+def oracle_containing(oracle, point: PackedBox) -> List[PackedBox]:
+    """Algorithm 2, line 4: every gap box of ``oracle`` containing a
+    space-order unit box, by a scan of its box set."""
+    return [b for b in oracle.boxes() if box_contains(b, point)]
+
+
+def reference_run_restarting(engine, oracle, max_outputs):
+    """Algorithm 2 as printed: run :func:`reference_skeleton` from the
+    universe, and after every uncovered point restart it.
+
+    The point's containing gap boxes (asked of ``oracle``, the on-demand
+    source, ``None`` in preloaded runs) are loaded; a point none
+    contains is an output, stored as a unit box.  Nothing is tuned: plain
+    probes, every resolvent cached, a full root-to-leaf re-descent per
+    output — the configuration Theorem D.2's one-pass loop is measured
+    against.
+    """
+    outputs = []
+    stats = engine.stats
+    kb = engine.knowledge_base
+    top = universe(engine)
+    covered, witness = reference_skeleton(engine, top)
+    while not covered:
+        gap_boxes = []
+        if oracle is not None:
+            stats.oracle_queries += 1
+            gap_boxes = [
+                engine.to_internal(b) for b in oracle_containing(
+                    oracle, engine.to_external(witness)
+                )
+            ]
+        if not gap_boxes:
+            outputs.append(emit(engine, witness))
+            gap_boxes = [witness]
+            if max_outputs is not None and len(outputs) >= max_outputs:
+                return outputs
+        for box in gap_boxes:
+            if kb.add(box):
+                stats.boxes_loaded += 1
+        covered, witness = reference_skeleton(engine, top)
+    return outputs
+
+
 def reference_oracle_container(engine, oracle, box_internal):
     """Probe ``oracle`` with an internal (SAO-order) box: translate to
     space order and back, counting the probe."""
@@ -247,16 +448,14 @@ def reference_run_resuming(engine, oracle, max_outputs):
         frontier_note_add,
         frontier_probe,
     )
-    from repro.core.resolution import is_ordered_pair
     from repro.core.trace import ProofStep
 
     kb = engine.knowledge_base
     find_container = kb.find_container
     kb_add = kb.add
     stats = engine.stats
-    unit = engine._unit_marker
+    unit = 1 << engine.depth
     cache = engine.cache_resolvents
-    record = stats.record
     log = None if engine.proof is None else engine.proof.steps.append
     uniform = engine.dims is None
     n = engine.ndim
@@ -278,13 +477,13 @@ def reference_run_resuming(engine, oracle, max_outputs):
     version = 0
 
     stack = []
-    current = engine._universe
-    cursor = engine._initial_cursor(current) if uniform else 0
+    current = universe(engine)
+    cursor = initial_cursor(engine, current) if uniform else 0
     # Split axis of the parent when ``current`` is a half whose parent
     # just missed with nothing stored since — collapses that level of
     # the frontier's probe to one exact lookup.
     pinned = None
-    witness = engine._universe
+    witness = current
 
     while True:
         if current is not None:
@@ -329,11 +528,11 @@ def reference_run_resuming(engine, oracle, max_outputs):
                         sum(p.bit_length() for p in witness) - n
                     )
                     continue
-            if (cursor == n) if uniform else engine._is_unit_box(b):
+            if (cursor == n) if uniform else is_unit_box(engine, b):
                 # Resume point: no gap box holds the point — an output,
                 # stored so the traversal never restarts.
                 stats.resumes += 1
-                outputs.append(engine._emit(b))
+                outputs.append(emit(engine, b))
                 if max_outputs is not None and len(outputs) >= max_outputs:
                     return outputs
                 if kb_add(b):
@@ -343,7 +542,7 @@ def reference_run_resuming(engine, oracle, max_outputs):
                 stats.boxes_loaded += 1
                 witness = b
                 continue
-            axis = cursor if uniform else engine._first_thick_generalized(b)
+            axis = cursor if uniform else first_thick_axis(engine, b)
             head = b[:axis]
             tail = b[axis + 1:]
             half = b[axis] << 1
@@ -381,13 +580,13 @@ def reference_run_resuming(engine, oracle, max_outputs):
         meet[axis] = w1[axis] >> 1
         resolvent = tuple(meet)
         ordered = is_ordered_pair(w1, witness, axis)
-        record(axis, ordered)
+        record_resolution(stats, axis, ordered)
         if log is not None:
             log(ProofStep(w1, witness, axis, resolvent, ordered))
         # A resolvent no wider than its frame box can never be probed
         # again — the resuming traversal never revisits a resolved
         # region — so only witnesses that extend beyond the frame earn a
-        # slot in A.  (The restarting mode must keep every resolvent:
+        # slot in A.  (The restarting loop must keep every resolvent:
         # its re-descents depend on it.)
         if cache and resolvent != b and kb_add(resolvent):
             version += 1
@@ -398,25 +597,25 @@ def reference_run_resuming(engine, oracle, max_outputs):
 
 
 @contextlib.contextmanager
-def interpreted_tetris() -> Iterator[None]:
-    """Run Tetris resume mode on :func:`reference_run_resuming`.
+def interpreted_tetris(loop=reference_run_resuming) -> Iterator[None]:
+    """Run every Tetris engine on an interpreted ``loop``: by default
+    :func:`reference_run_resuming`, or :func:`reference_run_restarting`
+    for Algorithms 1 and 2 as printed.
 
     ``TetrisEngine.run`` asks ``tetris_kernel`` for its loop; inside
     this block the builder hands back the reference instead, so whole
-    pipelines (``join_tetris``, ``execute``) run on it.  A context
-    manager rather than a fixture so that it can wrap single calls
-    inside ``@given`` bodies.  The kernel cache must sit untouched
-    meanwhile — were ``run`` ever to bind the builder before this patch
-    lands, the parity tests would compare the kernel with itself and
-    pass.
+    pipelines (``join_tetris``, ``execute``) run on it — preload, output
+    cap and output form still set up by ``run``.  A context manager
+    rather than a fixture so that it can wrap single calls inside
+    ``@given`` bodies.  The kernel cache must sit untouched meanwhile —
+    were ``run`` ever to bind the builder before this patch lands, the
+    parity tests would compare the kernel with itself and pass.
     """
     from repro.engine.codegen import _TETRIS_CACHE
 
     def reference_kernel(engine, oracle, on_demand, preload=None, *, capped):
         def kernel(engine, oracle, max_outputs):
-            return reference_run_resuming(
-                engine, oracle if on_demand else None, max_outputs
-            )
+            return loop(engine, oracle if on_demand else None, max_outputs)
 
         return kernel
 
@@ -424,6 +623,20 @@ def interpreted_tetris() -> Iterator[None]:
     with mock.patch("repro.engine.codegen.tetris_kernel", reference_kernel):
         yield
     assert _TETRIS_CACHE.hits + _TETRIS_CACHE.misses == lookups
+
+
+#: The Tetris loops parity tests run, by name: the generated kernel
+#: ("resume") and Algorithms 1 and 2 as printed ("faithful").
+LOOPS = ("resume", "faithful")
+
+
+def tetris_loop(name: str):
+    """The context in which a run takes loop ``name`` of :data:`LOOPS`."""
+    if name == "resume":
+        return contextlib.nullcontext()
+    if name == "faithful":
+        return interpreted_tetris(reference_run_restarting)
+    raise ValueError(f"unknown Tetris loop {name!r}")
 
 
 # -- oracles only tests ask for ------------------------------------------------

@@ -1,11 +1,11 @@
 """Satellite coverage: box-level oracle probes, galloping Leapfrog seeks,
-and the join-level mode knob."""
+and join-level parity with Algorithms 1 and 2 as printed."""
 
 from array import array
 
 import pytest
 
-from repro.core.tetris import MODES, BoxSetOracle
+from repro.core.tetris import BoxSetOracle
 from repro.engine.codegen import _seek
 from repro.joins.hashjoin import join_hash
 from repro.joins.leapfrog import iter_leapfrog, join_leapfrog
@@ -15,7 +15,12 @@ from repro.workloads.generators import (
     random_graph_edges,
     random_path_db,
 )
-from tests.helpers import check_container_answer, random_boxes
+from tests.helpers import (
+    LOOPS,
+    check_container_answer,
+    random_boxes,
+    tetris_loop,
+)
 
 
 class TestOracleContainer:
@@ -92,8 +97,9 @@ class TestJoinModeKnob:
     @pytest.mark.parametrize("variant", ["preloaded", "reloaded"])
     def test_all_modes_agree_at_join_level(self, variant):
         query, db = graph_triangle_db(random_graph_edges(50, 150, seed=6))
-        results = {
-            mode: join_tetris(query, db, variant=variant, mode=mode).tuples
-            for mode in MODES
-        }
+        results = {}
+        for mode in LOOPS:
+            with tetris_loop(mode):
+                results[mode] = join_tetris(query, db, variant=variant).tuples
         assert results["resume"] == results["faithful"]
+        assert results["resume"]

@@ -47,7 +47,7 @@ from repro.engine import (
     plan_query,
 )
 
-REMOVED_SELECTORS = {"compiled", "one_pass"}
+REMOVED_SELECTORS = {"compiled", "one_pass", "mode"}
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,7 +95,6 @@ def test_no_path_selector_on_the_public_api():
             checked += 1
             assert not REMOVED_SELECTORS & set(params), where
     assert checked > 50
-    assert repro.core.tetris.MODES == ("resume", "faithful")
 
 
 def test_no_frozen_baseline_modules_in_benchmarks():
@@ -485,12 +484,15 @@ def test_auto_compiles_block_kernels_that_intersect():
 
 
 def test_reloaded_asks_about_boxes_only():
-    """Resume-mode Reloaded has one oracle question, ``container(box)``:
-    the point-probe scaffolding it replaced is gone, not kept beside it."""
+    """Tetris-Reloaded has one oracle question, ``container(box)``: the
+    point-probe scaffolding it replaced is gone, not kept beside it, and
+    so are the restart-per-output loop and the store's all-containers
+    query only that loop asked."""
     deleted = (
         "containing_many", "_oracle_lookup_many", "find_all_containers_many",
         "find_shallowest_container", "emit_corner", "emit_oracle_lookup",
-        "prefetch",
+        "prefetch", "find_all_containers", "_run_restarting", "def skeleton",
+        "_oracle_lookup", "MODES",
     )
     for path in (ROOT / "src").rglob("*.py"):
         text = path.read_text()
