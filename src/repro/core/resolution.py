@@ -188,19 +188,10 @@ class ResolutionStats:
         (``tetris.resolutions.by_axis.2``), so new counters surface in
         the unified metrics block without touching this method.
         """
-        out: Dict[str, int] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, dict):
-                base = (
-                    f"tetris.resolutions.{f.name}"
-                    if f.name == "by_axis"
-                    else f"tetris.{f.name}"
-                )
-                for key, count in value.items():
-                    out[f"{base}.{key}"] = count
-            else:
-                out[f"tetris.{f.name}"] = value
+        out = {base: getattr(self, name) for name, base in _SCALAR_NAMES}
+        for name, base in _DICT_NAMES:
+            for key, count in getattr(self, name).items():
+                out[f"{base}.{key}"] = count
         return out
 
     def summary(self) -> str:
@@ -213,3 +204,22 @@ class ResolutionStats:
             f"resumes={self.resumes}"
         )
 
+
+#: ``(field, registry name)`` per scalar counter and per dict of
+#: counters, in field order: what :meth:`ResolutionStats.as_metrics`
+#: reads on every query, worked out once.
+_SCALAR_NAMES = tuple(
+    (f.name, f"tetris.{f.name}")
+    for f in dataclasses.fields(ResolutionStats)
+    if f.default_factory is not dict
+)
+_DICT_NAMES = tuple(
+    (
+        f.name,
+        f"tetris.resolutions.{f.name}"
+        if f.name == "by_axis"
+        else f"tetris.{f.name}",
+    )
+    for f in dataclasses.fields(ResolutionStats)
+    if f.default_factory is dict
+)

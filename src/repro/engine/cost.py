@@ -38,15 +38,18 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.engine.stats import QueryStats, value_overlap_fraction
+from repro.engine.stats import (
+    QueryShape,
+    QueryStats,
+    RelationProfile,
+    VariableTables,
+    query_shape,
+)
 from repro.joins.hashjoin import binding_order, left_deep_order
 from repro.relational.agm import fhtw_of_order
 from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
 from repro.relational.query import JoinQuery
 
-#: Per variable ``(participants, selectivity, overlap)`` — see
-#: :meth:`CostModel._variable_tables`.
-VariableTables = Dict[str, Tuple[list, float, float]]
 
 #: Abstract-operation cost per backend, in units of one hash-join probe.
 #: ``hash`` is the anchor.  ``leapfrog`` was fitted on the block kernels
@@ -158,29 +161,30 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _extend_left_deep(
-    acc_size: float, acc_distinct: Dict[str, int], profile
-) -> float:
-    """One left-deep join step under independence.
+def _gao_indices(shape: QueryShape, gao: Tuple[str, ...]) -> Tuple[int, ...]:
+    """A GAO as variable indices, worked out once per shape."""
+    order = shape.gao_orders.get(gao)
+    if order is None:
+        order = shape.gao_orders[gao] = tuple(map(shape.variables.index, gao))
+    return order
 
-    Returns the estimated size after joining ``profile`` onto an
-    accumulator of ``acc_size`` tuples, dividing by the larger distinct
-    count per shared variable, and folds the profile's distinct counts
-    into ``acc_distinct`` (in place) for the next step.
-    """
-    out = acc_size * profile.cardinality
-    for a in profile.attrs:
-        if a in acc_distinct:
-            out /= max(acc_distinct[a], profile.distinct_of(a), 1)
-    for a in profile.attrs:
-        d = profile.distinct_of(a)
-        acc_distinct[a] = (
-            min(acc_distinct[a], d) if a in acc_distinct else d
+
+def _atom_order(
+    shape: QueryShape, query: JoinQuery, names: Sequence[str]
+) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
+    """An atom order as indices, with the variable order it binds —
+    once per shape and order."""
+    key = tuple(names)
+    entry = shape.atom_orders.get(key)
+    if entry is None:
+        entry = shape.atom_orders[key] = (
+            tuple(map(shape.names.index, names)),
+            binding_order(query, names),
         )
-    return out
+    return entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostEstimate:
     """One backend's predicted cost on an instance.
 
@@ -275,41 +279,11 @@ class CostModel:
 
     # -- per-backend quantities ------------------------------------------------
 
-    @staticmethod
-    def _variable_tables(
-        query: JoinQuery, stats: QueryStats
-    ) -> VariableTables:
-        """Per variable, what every attribute order reads about it.
-
-        ``(participants, selectivity, overlap)``: the ``(relation index,
-        distinct count)`` of each relation mentioning the variable, the
-        System-R matching factor ``max distinct ^ -(occurrences - 1)``,
-        and the shared fraction of the relations' value ranges.
-        """
-        tables = {}
-        for v in query.variables:
-            parts = [
-                (i, p.distinct_of(v))
-                for i, p in enumerate(stats.relations)
-                if v in p.attrs
-            ]
-            top = max(max(d for _, d in parts), 1)
-            ranges = [
-                r
-                for r in (stats.relations[i].range_of(v) for i, _ in parts)
-                if r is not None
-            ]
-            overlap = (
-                value_overlap_fraction(ranges) if len(ranges) > 1 else 1.0
-            )
-            tables[v] = (parts, float(top) ** (1 - len(parts)), overlap)
-        return tables
-
     def _leapfrog_quantity(
         self,
-        query: JoinQuery,
+        cards: Sequence[float],
         stats: QueryStats,
-        order: Sequence[str],
+        order: Sequence[int],
         tables: VariableTables,
     ) -> float:
         """Σ over GAO levels of the candidates the intersection examines.
@@ -335,58 +309,92 @@ class CostModel:
         straight past disjoint ranges, which is what makes the
         split-certificate family nearly free.  The cap is the AGM bound
         with the [52]/[72] ``n·log N`` factor.  One pass over
-        ``order``; the per-variable ``tables`` are shared between the
-        orders a plan prices.
+        ``order`` (variable indices); the per-variable ``tables`` and
+        the atoms' ``cards`` are shared between the orders a plan
+        prices.
         """
-        cards = [float(p.cardinality) for p in stats.relations]
+        log2 = math.log2
         spanned = [1.0] * len(cards)  # Π distinct over bound attributes
         factor = [1.0] * len(cards)  # min(|R|, spanned) once bound
         scale = 1.0
         survivors = 1.0
         total = 0.0
-        for v in order:
-            parts, selectivity, overlap = tables[v]
-            fans = []
-            for i, d in parts:
-                spanned[i] *= d
-                grown = min(cards[i], spanned[i])
-                fans.append(grown / factor[i] if factor[i] else 0.0)
+        # min(a, b) is ``b if b < a else a`` and max(a, b) is ``b if b > a
+        # else a``, spelled out on this hot path.
+        for k in order:
+            parts, distinct, selectivity, overlap = tables[k]
+            if len(parts) == 1:
+                # A lone relation: log₂(1 + f / f) = 1 seek per candidate.
+                i = parts[0]
+                s = spanned[i] = spanned[i] * distinct[0]
+                c = cards[i]
+                grown = s if s < c else c
+                fan_out = grown / factor[i] if factor[i] else 0.0
                 factor[i] = grown
-            fan_out = min(fans)
-            seeks = (
-                sum(math.log2(1.0 + f / fan_out) for f in fans)
-                if fan_out
-                else 1.0
-            )
+                seeks = 1.0
+            else:
+                fans = []
+                for i, d in zip(parts, distinct):
+                    s = spanned[i] = spanned[i] * d
+                    c = cards[i]
+                    grown = s if s < c else c
+                    fans.append(grown / factor[i] if factor[i] else 0.0)
+                    factor[i] = grown
+                fan_out = min(fans)
+                if not fan_out:
+                    seeks = 1.0
+                elif len(fans) == 2:
+                    # What sum() gives for two terms, without the list.
+                    seeks = log2(1.0 + fans[0] / fan_out) + log2(
+                        1.0 + fans[1] / fan_out
+                    )
+                else:
+                    seeks = sum([log2(1.0 + f / fan_out) for f in fans])
             scale *= selectivity * overlap
             candidates = survivors * fan_out * overlap * seeks
             survivors = math.prod(factor) * scale
-            total += max(survivors, candidates)
+            total += candidates if candidates > survivors else survivors
         cap = (
             len(order) * max(stats.agm, 1.0) * max(stats.domain_depth, 1)
         )
         # Per-atom seek/cursor setup; the sorted views are cached.
-        setup = len(query.atoms) * self.STEP_OVERHEAD
+        setup = len(cards) * self.STEP_OVERHEAD
         return setup + min(total, cap)
 
     def _hash_plan_quantity(
-        self, stats: QueryStats, order: Sequence[str]
+        self, profiles: Sequence[RelationProfile], order: Sequence[int]
     ) -> float:
         """Σ (build + probe + intermediate) of the left-deep plan over
-        the atoms in ``order``.
+        the atoms in ``order`` (indices into ``profiles``).
 
         Each intermediate is estimated under independence: joining on
         shared variables divides the cross product by the larger
         distinct count per variable.
         """
-        first = stats.relation(order[0])
+        first = profiles[order[0]]
         acc_size = float(first.cardinality)
         acc_distinct = dict(first.distinct)
         total = acc_size
-        for name in order[1:]:
-            p = stats.relation(name)
-            acc_size = _extend_left_deep(acc_size, acc_distinct, p)
-            total += p.cardinality + acc_size + self.STEP_OVERHEAD
+        step = self.STEP_OVERHEAD
+        for i in order[1:]:
+            # One join step: the cross product, divided by the larger
+            # distinct count per shared variable (at least 1); the
+            # profile's counts then fold into the accumulator's (the
+            # smaller one wins).
+            p = profiles[i]
+            acc_size *= p.cardinality
+            get = p.distinct.get
+            for a in p.attrs:
+                d = get(a, 1)
+                acc = acc_distinct.get(a)
+                if acc is None:
+                    acc_distinct[a] = d
+                elif acc < d:
+                    acc_size /= d if d > 1 else 1
+                else:
+                    acc_size /= acc if acc > 1 else 1
+                    acc_distinct[a] = d
+            total += p.cardinality + acc_size + step
         return total
 
     # -- the estimate API ------------------------------------------------------
@@ -402,22 +410,22 @@ class CostModel:
         independence estimate does not see that disjoint ranges join
         to nothing, and an empty output sorts for free.
         """
-        z = stats.output_estimate * math.prod(
-            overlap for _, _, overlap in tables.values()
-        )
+        z = stats.output_estimate * math.prod(t[3] for t in tables)
         return self.SORT * z * math.log2(z) if z > 1.0 else 0.0
 
     def _estimate(
         self,
         backend: str,
         query: JoinQuery,
+        shape: QueryShape,
         profile: StructureProfile,
         stats: QueryStats,
+        profiles: Sequence[RelationProfile],
         sort: float,
         tables: VariableTables,
     ) -> CostEstimate:
         """One serial candidate, given the plan's :meth:`_sort_cost` and
-        :meth:`_variable_tables`.
+        :meth:`~repro.engine.stats.QueryStats.variable_tables`.
 
         Every candidate emits in GAO-lexicographic order, so it pays the
         sort unless its GAO is ``query.variables``.  Leapfrog is
@@ -430,17 +438,21 @@ class CostModel:
         :func:`~repro.joins.hashjoin.left_deep_order` by size plus the
         sort (unless that order binds ``query.variables`` too, when
         :func:`~repro.joins.hashjoin.hash_order` runs the query's).
-        Its GAO is the binding order of the order kept.
+        Its GAO is the binding order of the order kept.  Orders are
+        priced as index lists, each worked out once per shape.
         """
         factor = DEFAULT_CALIBRATION[backend]
         if backend == "leapfrog":
+            cards = [float(p.cardinality) for p in profiles]
             gao = profile.gao
-            q = self._leapfrog_quantity(query, stats, gao, tables)
+            q = self._leapfrog_quantity(
+                cards, stats, _gao_indices(shape, gao), tables
+            )
             if gao == query.variables:
                 sort = 0.0
             elif sort:
                 q_ordered = self._leapfrog_quantity(
-                    query, stats, query.variables, tables
+                    cards, stats, range(len(tables)), tables
                 )
                 if factor * q_ordered <= factor * q + sort:
                     q, gao, sort = q_ordered, query.variables, 0.0
@@ -449,13 +461,15 @@ class CostModel:
             )
         else:  # hash
             gao = query.variables
-            q = self._hash_plan_quantity(stats, [a.name for a in query.atoms])
-            by_size = left_deep_order(
-                query.atoms, lambda name: stats.relation(name).cardinality
+            q = self._hash_plan_quantity(profiles, range(len(profiles)))
+            by_size, bound = _atom_order(
+                shape, query,
+                left_deep_order(
+                    query.atoms, lambda name: stats.relation(name).cardinality
+                ),
             )
-            bound = binding_order(query, by_size)
             q_size = (
-                self._hash_plan_quantity(stats, by_size)
+                self._hash_plan_quantity(profiles, by_size)
                 if bound != gao
                 else math.inf
             )
@@ -523,10 +537,14 @@ class CostModel:
         when a worker count is on the table and the split produced > 1
         shard — one parallel candidate per backend at that worker
         count."""
-        tables = self._variable_tables(query, stats)
+        shape = query_shape(query)
+        profiles = [stats.relation(name) for name in shape.names]
+        tables = stats.variable_tables(shape)
         sort = self._sort_cost(stats, tables)
         serial = tuple(
-            self._estimate(b, query, profile, stats, sort, tables)
+            self._estimate(
+                b, query, shape, profile, stats, profiles, sort, tables
+            )
             for b in CANDIDATES
         )
         if workers is None or workers < 1 or num_shards <= 1:

@@ -44,6 +44,7 @@ from typing import (
 
 from repro.core.resolution import ResolutionStats
 from repro.engine.planner import Plan, plan_query
+from repro.joins.hashjoin import binding_order, hash_blocks, hash_order
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.io import (
@@ -336,8 +337,6 @@ def _yannakakis(query, db, index_kind, gao, limit):
 def _hash(query, db, index_kind, gao, limit):
     """The plan's GAO picks the atom order (``hash_order``); a cascade
     that binds variables in output order emits its rows sorted."""
-    from repro.joins.hashjoin import binding_order, hash_blocks, hash_order
-
     order = hash_order(query, db, gao)
     blocks = hash_blocks(query, db, order, block_rows_for(limit))
     return (

@@ -16,15 +16,20 @@ the ``((name, attrs), …)`` tuple):
   planning entirely;
 - the **stats cache** (:func:`collect_stats`) is keyed on signature +
   data: reloading identical data hits it;
-- the **structure memo** is keyed on the signature only: the
+- the **shape memo** (:func:`~repro.engine.stats.query_shape`) is keyed
+  on the signature only.  Its :class:`~repro.engine.stats.QueryShape`
+  holds what is a pure function of the hypergraph: the
   :class:`StructureProfile` (acyclicity, treewidth, the fhtw LPs, the
-  GAO) is a pure function of the hypergraph, so a new database over a
-  known shape pays only the data work — the AGM LP and the cost
-  arithmetic.
+  GAO), each variable's atoms, the GAOs and atom orders as index lists,
+  and the AGM LP's optimal bases.  A new database over a known shape
+  pays only the arithmetic on its own numbers: its profiles, an AGM
+  read off a kept basis (the simplex runs only for a basis the shape
+  has not met), and the cost formulas.
 
 :func:`clear_plan_cache` drops all three, so a cold plan is cold.
 ``use_cache=False`` bypasses the plan cache only; the memo cannot go
-stale (its key is its function's whole input, its values are frozen).
+stale (its key is its functions' whole input, and a kept basis is
+re-checked against each instance's weights before it is used).
 """
 
 from __future__ import annotations
@@ -39,12 +44,18 @@ from repro.engine.cost import (
     StructureProfile,
     structure_of,
 )
-from repro.engine.stats import QueryStats, assumed_stats, collect_stats
+from repro.engine.stats import (
+    _SHAPE_MEMO,
+    QueryStats,
+    assumed_stats,
+    collect_stats,
+    query_shape,
+)
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.query import ContentLRU, Database, JoinQuery
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """An executable decision: backend + physical knobs + the evidence.
 
@@ -80,15 +91,14 @@ class Plan:
 
 
 _PLAN_CACHE = ContentLRU(256)
-_STRUCTURE_MEMO = ContentLRU(256)
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan, the stats and the structure behind them."""
+    """Drop every cached plan, the stats and the shapes behind them."""
     from repro.engine.stats import clear_stats_cache
 
     _PLAN_CACHE.clear()
-    _STRUCTURE_MEMO.clear()
+    _SHAPE_MEMO.clear()
     clear_stats_cache()
 
 
@@ -197,10 +207,10 @@ def _plan_query_impl(
         if cached is not None:
             return dataclasses.replace(cached, cache_hit=True)
 
-    profile = _STRUCTURE_MEMO.get(query.signature)
+    shape = query_shape(query)
+    profile = shape.profile
     if profile is None:
-        profile = structure_of(query)
-        _STRUCTURE_MEMO.put(query.signature, profile)
+        profile = shape.profile = structure_of(query)
     if (
         algorithm != "auto"
         and BACKEND_TABLE[algorithm].requires_acyclic

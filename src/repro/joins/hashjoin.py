@@ -56,19 +56,20 @@ def left_deep_order(
     variables out of output order and the cost model finds it cheaper
     than the query's own order plus the sort.
     """
-    remaining = {a.name: set(a.attrs) for a in atoms}
-
-    def key(name: str):
-        return size_of(name), name
-
-    first = min(remaining, key=key)
+    # Ascending (size, name): the first connected entry is the smallest.
+    remaining = sorted([(size_of(a.name), a.name, a.attrs) for a in atoms])
+    _, first, attrs = remaining.pop(0)
     order = [first]
-    bound = remaining.pop(first)
+    bound = set(attrs)
     while remaining:
-        connected = [n for n, attrs in remaining.items() if attrs & bound]
-        nxt = min(connected or remaining, key=key)
-        order.append(nxt)
-        bound |= remaining.pop(nxt)
+        for k, entry in enumerate(remaining):
+            if not bound.isdisjoint(entry[2]):
+                break
+        else:
+            k = 0
+        _, name, attrs = remaining.pop(k)
+        order.append(name)
+        bound.update(attrs)
     return order
 
 

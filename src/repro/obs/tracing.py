@@ -270,16 +270,28 @@ def current_tracer() -> Optional[Tracer]:
     return _CURRENT
 
 
-@contextmanager
-def use(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
-    """Install a tracer as ambient for the duration of a query."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = tracer
-    try:
-        yield tracer
-    finally:
-        _CURRENT = previous
+class use:
+    """Install a tracer as ambient for the duration of a query.
+
+    A class, not a generator context manager: ``execute()`` enters one
+    per query.
+    """
+
+    __slots__ = ("_tracer", "_previous")
+
+    def __init__(self, tracer: Optional[Tracer]):
+        self._tracer = tracer
+
+    def __enter__(self) -> Optional[Tracer]:
+        global _CURRENT
+        self._previous = _CURRENT
+        _CURRENT = self._tracer
+        return self._tracer
+
+    def __exit__(self, *exc) -> bool:
+        global _CURRENT
+        _CURRENT = self._previous
+        return False
 
 
 class _NullSpan:

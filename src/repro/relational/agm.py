@@ -2,6 +2,8 @@
 
 * :func:`fractional_edge_cover` — the covering LP, solved through its
   packing dual by the small dense simplex in this module;
+  :func:`optimal_basis` hands out the basis that simplex ends on, which
+  prices any other weights it keeps feasible (the planner's warm start);
 * :func:`agm_bound` — the instance-specific AGM output-size bound
   ``∏ |R_F|^{x_F}`` (Definition A.1), minimized by weighting the LP
   objective with ``log |R_F|``;
@@ -16,7 +18,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.relational.hypergraph import Hypergraph
 
@@ -24,20 +35,32 @@ from repro.relational.hypergraph import Hypergraph
 _EPS = 1e-12
 
 
-def _packing_simplex(
+class OptimalBasis(NamedTuple):
+    """An optimal basis of the packing LP, kept to price other weights.
+
+    The simplex ends on a basis ``B``.  Its reduced costs — hence the
+    cover ``x`` read off them — depend on ``B`` and not on the weights,
+    so ``B`` stays optimal for every ``w'`` it keeps feasible
+    (``B⁻¹w' ≥ 0``), where the optimum is ``x·w'``.  ``inverse`` holds
+    the rows of ``B⁻¹`` (the final tableau's slack columns, one per
+    edge), and ``basic[i]`` names row ``i``'s basic column: vertex
+    ``j < n`` takes ``y_j = inverse[i]·w'``, a slack the rest.
+    """
+
+    inverse: Tuple[Tuple[float, ...], ...]
+    basic: Tuple[int, ...]
+    cover: Tuple[float, ...]
+
+
+def _solve_packing(
     vertices: Sequence[str],
     edges: Sequence[FrozenSet[str]],
     w: Sequence[float],
-) -> Tuple[float, Tuple[float, ...], Tuple[float, ...]]:
-    """Solve ``max Σ y_v  s.t.  Σ_{v ∈ F} y_v ≤ w_F ∀F, y ≥ 0`` by simplex.
+) -> Tuple[List[List[float]], List[float], List[int]]:
+    """Run the simplex of :func:`_packing_simplex` to its optimal tableau.
 
-    This packing LP is the dual of the edge-cover LP.  With every
-    ``w_F ≥ 0`` the all-slack basis is feasible, so there is no phase 1;
-    Bland's rule (lowest-index entering column, lowest-index leaving
-    basic variable among the ratio ties) keeps the degenerate unit- and
-    zero-weight instances from cycling.  Every vertex must lie in some
-    edge, or the LP is unbounded.  Returns ``(objective, x, y)``: ``x``
-    is the optimal cover, read off the slack columns' reduced costs.
+    Returns the constraint rows, the reduced-cost row (its last entry is
+    the objective) and the basic column of each row.
     """
     n, m = len(vertices), len(edges)
     # One row per edge: vertex columns, slack columns, right-hand side.
@@ -66,12 +89,47 @@ def _packing_simplex(
             if factor and row is not pivot_row:
                 row[:] = [a - factor * b for a, b in zip(row, pivot_row)]
         basis[leave] = col
+    return rows, cost, basis
+
+
+def _packing_simplex(
+    vertices: Sequence[str],
+    edges: Sequence[FrozenSet[str]],
+    w: Sequence[float],
+) -> Tuple[float, Tuple[float, ...], Tuple[float, ...]]:
+    """Solve ``max Σ y_v  s.t.  Σ_{v ∈ F} y_v ≤ w_F ∀F, y ≥ 0`` by simplex.
+
+    This packing LP is the dual of the edge-cover LP.  With every
+    ``w_F ≥ 0`` the all-slack basis is feasible, so there is no phase 1;
+    Bland's rule (lowest-index entering column, lowest-index leaving
+    basic variable among the ratio ties) keeps the degenerate unit- and
+    zero-weight instances from cycling.  Every vertex must lie in some
+    edge, or the LP is unbounded.  Returns ``(objective, x, y)``: ``x``
+    is the optimal cover, read off the slack columns' reduced costs.
+    """
+    n, m = len(vertices), len(edges)
+    rows, cost, basis = _solve_packing(vertices, edges, w)
     y = [0.0] * n
     for i, j in enumerate(basis):
         if j < n:
             y[j] = rows[i][-1]
     x = tuple(max(c, 0.0) for c in cost[n:n + m])
     return cost[-1], x, tuple(y)
+
+
+def optimal_basis(
+    vertices: Sequence[str],
+    edges: Sequence[FrozenSet[str]],
+    w: Sequence[float],
+) -> OptimalBasis:
+    """The basis :func:`_packing_simplex` ends on for weights ``w ≥ 0``."""
+    n, m = len(vertices), len(edges)
+    rows, cost, basis = _solve_packing(vertices, edges, w)
+    return OptimalBasis(
+        inverse=tuple(tuple(row[n:n + m]) for row in rows),
+        basic=tuple(basis),
+        cover=tuple(max(c, 0.0) for c in cost[n:n + m]),
+    )
 
 
 def fractional_edge_cover(

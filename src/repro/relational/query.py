@@ -34,6 +34,8 @@ class Database:
                     "all relations in a database must share a domain"
                 )
             self._relations[rel.name] = rel
+        #: By name: the order of :meth:`stats_fingerprint`.
+        self._sorted = [self._relations[n] for n in sorted(self._relations)]
 
     def __getitem__(self, name: str) -> Relation:
         return self._relations[name]
@@ -50,7 +52,7 @@ class Database:
     @property
     def total_tuples(self) -> int:
         """The paper's N: total number of input tuples."""
-        return sum(len(r) for r in self._relations.values())
+        return sum(map(len, self._relations.values()))
 
     def sorted_view(self, name: str, attr_order: Sequence[str]):
         """A relation's memoized :class:`~repro.relational.relation.SortedView`.
@@ -63,10 +65,7 @@ class Database:
 
     def stats_fingerprint(self) -> Tuple:
         """Signature of every relation's statistics, for plan-cache keys."""
-        return tuple(
-            self._relations[name].stats_fingerprint()
-            for name in sorted(self._relations)
-        )
+        return tuple([rel.stats_fingerprint() for rel in self._sorted])
 
 
 class ContentLRU:
@@ -76,7 +75,7 @@ class ContentLRU:
     keys combine a query's :attr:`JoinQuery.signature` with
     :meth:`Database.stats_fingerprint`, so identical data reloaded hits
     them and nothing is ever invalidated by object identity; the
-    planner's structure memo is keyed on the signature alone.  ``None``
+    planner's shape memo is keyed on the signature alone.  ``None``
     is not a storable value — :meth:`get` returns it for a miss.
     """
 
@@ -120,6 +119,7 @@ class JoinQuery:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate atom names in {names}")
         self.atoms: Tuple[RelationSchema, ...] = tuple(atoms)
+        self._by_name = {a.name: a for a in self.atoms}
         seen: List[str] = []
         for atom in self.atoms:
             for attr in atom.attrs:
@@ -138,10 +138,7 @@ class JoinQuery:
         return len(self.variables)
 
     def atom(self, name: str) -> RelationSchema:
-        for a in self.atoms:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        return self._by_name[name]
 
     def edges(self) -> List[frozenset]:
         """The query hypergraph's edge multiset (attribute sets of atoms)."""

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 
+#: The deepest domain: relation columns and the shared-memory wire hold
+#: values as int64 (``array('q')``), whose largest value is ``2**63 - 1``.
+MAX_DEPTH = 63
+
+
 @dataclass(frozen=True)
 class Domain:
     """An attribute domain: the integers ``0 .. 2**depth - 1``."""
@@ -21,6 +26,11 @@ class Domain:
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("domain depth must be non-negative")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(
+                f"domain depth {self.depth} exceeds {MAX_DEPTH}: values are "
+                f"stored as int64, so the largest is 2**63 - 1"
+            )
 
     @property
     def size(self) -> int:

@@ -20,6 +20,7 @@ from repro.relational.query import (
     clique_query,
     evaluate_reference,
     star_query,
+    triangle_query,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain
@@ -151,3 +152,26 @@ def test_forced_tetris_sorts_once(variant, limit, workers):
     assert result.tuples == expected.tuples
     if limit is None:
         assert result.tuples == evaluate_reference(query, db)
+
+
+def test_values_up_to_int64_join_and_wider_domains_are_refused():
+    """``2**63 - 1`` is the largest value a column holds: every backend
+    joins it (and the planner's statistics read it); a domain that could
+    hold more is refused before anything is planned, where it once
+    failed inside planning with a bare ``OverflowError``."""
+    query = triangle_query()
+    top = 2**63 - 1
+    rows = {
+        "R": [(0, top), (top, 1)],
+        "S": [(top, 5), (1, 5)],
+        "T": [(0, 5), (top, 5)],
+    }
+    db = Database([Relation(a, rows[a.name], Domain(63)) for a in query.atoms])
+    expected = evaluate_reference(query, db)
+    assert expected == [(0, top, 5), (top, 1, 5)]
+    for backend in ("auto", *(b for b in BACKENDS if b != "yannakakis")):
+        assert execute(query, db, algorithm=backend).tuples == expected
+    with pytest.raises(ValueError, match="int64"):
+        execute(query, Database([
+            Relation(a, [(2**65, 0)], Domain(70)) for a in query.atoms
+        ]))

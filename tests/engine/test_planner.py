@@ -55,7 +55,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import codegen, cost, planner
+from repro.engine import codegen, cost, planner, stats
 from repro.engine import (
     Plan,
     clear_plan_cache,
@@ -389,7 +389,7 @@ def test_bad_gao_rejected():
         plan_query(q, db, gao=("B", "A"))
 
 
-# -- the structure memo ------------------------------------------------------
+# -- the shape memo ----------------------------------------------------------
 
 
 def _count_structure_calls(monkeypatch):
@@ -410,16 +410,16 @@ def test_clear_plan_cache_empties_the_structure_memo(monkeypatch):
     plan_query(q, random_db(q, 1))
     plan_query(q, random_db(q, 2))
     assert len(calls) == 1
-    assert len(planner._STRUCTURE_MEMO) == 1
+    assert len(stats._SHAPE_MEMO) == 1
     clear_plan_cache()
-    assert len(planner._STRUCTURE_MEMO) == 0
+    assert len(stats._SHAPE_MEMO) == 0
     plan_query(q, random_db(q, 3))
     assert len(calls) == 2
 
 
 def test_structure_memo_evicts_least_recently_used(monkeypatch):
     calls = _count_structure_calls(monkeypatch)
-    monkeypatch.setattr(planner._STRUCTURE_MEMO, "capacity", 2)
+    monkeypatch.setattr(stats._SHAPE_MEMO, "capacity", 2)
     q1, q2, q3 = triangle_query(), path_query(3), star_query(3)
     for seed, q in enumerate((q1, q2, q1, q3)):
         plan_query(q, random_db(q, seed))
@@ -429,7 +429,7 @@ def test_structure_memo_evicts_least_recently_used(monkeypatch):
     assert len(calls) == 3
     plan_query(q2, random_db(q2, 11))
     assert calls[3:] == [q2.signature]
-    assert len(planner._STRUCTURE_MEMO) == 2
+    assert len(stats._SHAPE_MEMO) == 2
 
 
 def test_use_cache_false_still_reads_the_structure_memo(monkeypatch):

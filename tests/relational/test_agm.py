@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,14 @@ from repro.relational.agm import (
     fractional_edge_cover,
     fractional_edge_cover_number,
 )
+from repro.engine.stats import QueryShape
 from repro.relational.hypergraph import Hypergraph
 from repro.relational.query import (
     Database,
     clique_query,
     cycle_query,
     path_query,
+    star_query,
     triangle_query,
 )
 from repro.relational.relation import Relation
@@ -116,6 +119,11 @@ def check_certificate(vertices, edges, weights):
     optimal, whatever solver produced them."""
     objective, x, y = _packing_simplex(vertices, edges, weights)
     assert fractional_edge_cover(vertices, edges, weights) == (objective, x)
+    return check_pair(vertices, edges, weights, objective, x, y)
+
+
+def check_pair(vertices, edges, weights, objective, x, y):
+    """:func:`check_certificate`'s checks on a given ``(x, y)`` pair."""
     assert len(x) == len(edges) and len(y) == len(vertices)
     assert all(v >= 0.0 for v in x) and all(v >= -1e-9 for v in y)
     for v in vertices:
@@ -314,3 +322,59 @@ class TestFHTW:
         _, order = h.treewidth()
         bags = agm_per_bag(q, db, order)
         assert max(bags.values()) == pytest.approx(16 ** 1.5)
+
+
+#: The shapes the planner's benchmark stream plans over and over.
+PLAN_SHAPES = {
+    "triangle": triangle_query(), "path3": path_query(3),
+    "path4": path_query(4), "star3": star_query(3), "star4": star_query(4),
+    "cycle4": cycle_query(4), "cycle5": cycle_query(5),
+    "clique4": clique_query(4),
+}
+
+
+def _answering_basis(shape, weights):
+    """The kept basis a warm AGM reads (the first one ``weights`` leave
+    feasible) as its ``(x, y)`` pair: ``y`` is ``B⁻¹w`` on the vertex
+    columns, zero elsewhere."""
+    n = len(shape.variables)
+    for basis in shape.bases:
+        rhs = [math.fsum(map(float.__mul__, row, weights))
+               for row in basis.inverse]
+        if min(rhs) >= 0.0:
+            y = [0.0] * n
+            for i, j in enumerate(basis.basic):
+                if j < n:
+                    y[j] = rhs[i]
+            return basis.cover, y
+    raise AssertionError("no kept basis is feasible")
+
+
+class TestWarmStartedAGM:
+    """The planner's AGM memo (:meth:`QueryShape.agm_log2`) re-prices a
+    kept optimal basis instead of re-solving the LP."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_SHAPES))
+    def test_warm_equals_cold_bit_for_bit(self, name):
+        query = PLAN_SHAPES[name]
+        m = len(query.atoms)
+        rng = random.Random(name)
+        draws = [[1] * m, [40] * m, [1] + [40] * (m - 1), [2] * m]
+        draws += [
+            [rng.choice((1, 1, 2, 3, 4, 8, 39, 40, 40, 64)) for _ in range(m)]
+            for _ in range(60)
+        ]
+        draws += [[rng.randint(1, 80) for _ in range(m)] for _ in range(60)]
+        warm = QueryShape(query)
+        edges = [frozenset(a.attrs) for a in query.atoms]
+        for sizes in draws:
+            weights = [math.log2(s) if s > 1 else 0.0 for s in sizes]
+            value = warm.agm_log2(weights)
+            assert value == QueryShape(query).agm_log2(weights), sizes
+            assert 2.0 ** value == pytest.approx(
+                agm_from_sizes(query, dict(zip(warm.names, sizes))),
+                rel=1e-12,
+            )
+            x, y = _answering_basis(warm, weights)
+            check_pair(query.variables, edges, weights, value, x, y)
+        assert len(warm.bases) < len(draws)

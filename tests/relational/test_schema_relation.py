@@ -29,6 +29,23 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain.for_values(-1)
 
+    def test_depth_is_capped_at_int64(self):
+        """Columns are ``array('q')``: a deeper domain would hold values
+        no column can store, so it is refused where it is declared."""
+        assert Domain(63).size == 2**63
+        with pytest.raises(ValueError, match="int64"):
+            Domain(64)
+        with pytest.raises(ValueError, match="int64"):
+            Domain.for_values(2**63)
+
+    def test_relation_past_int64_is_refused(self):
+        schema = RelationSchema("R", ("A", "B"))
+        with pytest.raises(ValueError, match="int64"):
+            Relation(schema, [(2**65, 0)], Domain(70))
+        top = 2**63 - 1
+        rel = Relation(schema, [(top, 0), (0, top)], Domain(63))
+        assert rel.column_ranges() == {"A": (0, top), "B": (0, top)}
+
 
 class TestRelationSchema:
     def test_basic(self):

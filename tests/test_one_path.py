@@ -615,11 +615,14 @@ def test_a_join_reaches_tetris_through_the_backend_table():
 
 def test_planning_pays_for_a_shape_once(monkeypatch):
     """A query's structure (GYO, treewidth, the fhtw LPs, the GAO) is a
-    function of its signature: after one ``clear_plan_cache()``, new data
-    over a known shape re-plans without re-analysing it."""
+    function of its signature, and so is every optimal basis of its AGM
+    LP: after one ``clear_plan_cache()``, new data over a known shape
+    re-plans without re-analysing it, and the simplex runs only to find
+    a basis the shape has not kept yet.  A second clear forgets both."""
     import random
 
     import repro.engine.planner as planner
+    import repro.engine.stats as stats
     from repro.engine import clear_plan_cache
     from repro.relational.query import (
         Database,
@@ -639,22 +642,45 @@ def test_planning_pays_for_a_shape_once(monkeypatch):
         calls.append(query.signature)
         return structure_of(query)
 
+    solves = []
+    optimal_basis = stats.optimal_basis
+
+    def counting_solves(vertices, edges, weights):
+        solves.append(tuple(weights))
+        return optimal_basis(vertices, edges, weights)
+
     monkeypatch.setattr(planner, "structure_of", counting)
+    monkeypatch.setattr(stats, "optimal_basis", counting_solves)
     shapes = (
         triangle_query(), path_query(2), path_query(3), star_query(3),
         star_query(4), cycle_query(4), cycle_query(5), clique_query(4),
     )
     rng = random.Random(0)
+
+    def plan_draw(query):
+        db = Database([
+            Relation(atom, {(rng.randrange(32), rng.randrange(32))
+                            for _ in range(20)}, Domain(5))
+            for atom in query.atoms
+        ])
+        plan_query(query, db)
+
     clear_plan_cache()
     for _draw in range(3):
         for query in shapes:
-            db = Database([
-                Relation(atom, {(rng.randrange(32), rng.randrange(32))
-                                for _ in range(20)}, Domain(5))
-                for atom in query.atoms
-            ])
-            plan_query(query, db)
+            plan_draw(query)
     assert sorted(calls) == sorted(q.signature for q in shapes)
+    kept = [stats.query_shape(q).bases for q in shapes]
+    assert len(solves) == sum(map(len, kept)) <= 3 * len(shapes)
+    for bases in kept:
+        assert len({frozenset(b.basic) for b in bases}) == len(bases)
+
+    clear_plan_cache()
+    assert len(stats._SHAPE_MEMO) == 0
+    before = len(solves)
+    plan_draw(shapes[0])
+    assert len(solves) == before + 1
+    assert calls[-1] == shapes[0].signature
 
 
 def test_hash_in_query_order_is_sorted_and_compiled_once():
