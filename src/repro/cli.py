@@ -35,6 +35,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.executor import ALGORITHM_ALIASES
+from repro.engine.planner import INDEX_KINDS
 from repro.errors import QueryTimeout
 
 
@@ -361,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="backend to run ('auto' lets the planner choose)",
         )
         p.add_argument(
-            "--index-kind", default=None,
-            choices=("btree", "dyadic", "kdtree"),
+            "--index-kind", default=None, choices=INDEX_KINDS,
             help="index family for the Tetris backends (default btree)",
         )
         p.add_argument(

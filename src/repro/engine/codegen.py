@@ -671,10 +671,11 @@ def _tetris_source(
     :class:`~repro.core.dyadic_tree.MultilevelDyadicTree` and its probe
     is *inlined* — the frontier walk of
     :func:`~repro.core.dyadic_tree.frontier_probe`, ``box_contains`` and
-    ``ResolutionStats.record`` become straight-line code over kernel
-    locals.  Without it (any other store, or a generalized space) every
-    traversal box is probed with ``kb.find_container(b)`` and no
-    frontier is kept.
+    the resolution counting (the reference loop's
+    ``tests/helpers.py::record_resolution``) become straight-line code
+    over kernel locals.  Without it (any other store, or a generalized
+    space) every traversal box is probed with ``kb.find_container(b)``
+    and no frontier is kept.
 
     * **Frontier in locals.**  ``L1..L{n-1}`` are the frontier's node
       lists (``Lj``: tree nodes reachable through prefixes of the

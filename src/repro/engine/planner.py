@@ -55,6 +55,11 @@ from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.query import ContentLRU, Database, JoinQuery
 
+#: The index families a plan can name (``index_kind=``): the planner,
+#: ``make_oracle`` and the CLI's ``--index-kind`` accept exactly these.
+INDEX_KINDS = ("btree", "dyadic", "kdtree")
+
+
 @dataclass(frozen=True, slots=True)
 class Plan:
     """An executable decision: backend + physical knobs + the evidence.
@@ -184,6 +189,11 @@ def _plan_query_impl(
     from repro.engine.executor import BACKEND_TABLE, normalize_algorithm
 
     algorithm = normalize_algorithm(algorithm)
+    if index_kind is not None and index_kind not in INDEX_KINDS:
+        raise ValueError(
+            f"unknown index kind {index_kind!r}; expected one of "
+            f"{', '.join(INDEX_KINDS)}"
+        )
     if gao is not None and sorted(gao) != sorted(query.variables):
         raise ValueError(
             f"GAO {tuple(gao)} is not a permutation of {query.variables}"

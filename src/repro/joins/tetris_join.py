@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import TetrisEngine
+from repro.engine.planner import INDEX_KINDS
 from repro.indexes.oracle import (
     QueryGapOracle,
     build_btree_indexes,
@@ -67,14 +68,17 @@ def make_oracle(
         raise ValueError(
             f"GAO {gao} is not a permutation of {query.variables}"
         )
+    if index_kind not in INDEX_KINDS:
+        raise ValueError(
+            f"unknown index kind {index_kind!r}; expected one of "
+            f"{', '.join(INDEX_KINDS)}"
+        )
     if index_kind == "btree":
         indexes = build_btree_indexes(query, db, gao)
     elif index_kind == "dyadic":
         indexes = build_dyadic_indexes(query, db)
-    elif index_kind == "kdtree":
-        indexes = build_kdtree_indexes(query, db)
     else:
-        raise ValueError(f"unknown index kind {index_kind!r}")
+        indexes = build_kdtree_indexes(query, db)
     return QueryGapOracle(query, indexes), gao
 
 

@@ -462,8 +462,9 @@ class Relation:
     def rows(self) -> List[Tuple_]:
         """The canonical schema-order sorted rows, shared zero-copy.
 
-        This is the same list every schema-order consumer (the dyadic and
-        kd indexes above all) reads — callers must treat it as read-only.
+        This is the same list every schema-order consumer (the hash
+        kernels, the canonical sorted view and the shard clips above all)
+        reads — callers must treat it as read-only.
         After unpickling only the flat buffers exist; the row list is
         re-materialized here in one C-level ``zip`` pass and memoized.
         """

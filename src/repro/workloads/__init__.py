@@ -15,6 +15,8 @@ from repro.workloads.generators import (
 from repro.workloads.hard_instances import (
     covering_pair_instance,
     example_f1,
+    msb_join,
+    msb_relation,
     msb_triangle,
     shared_suffix_instance,
     staircase_instance,
@@ -28,6 +30,8 @@ __all__ = [
     "dense_cycle_db",
     "example_f1",
     "graph_triangle_db",
+    "msb_join",
+    "msb_relation",
     "msb_triangle",
     "power_law_graph_edges",
     "random_graph_edges",

@@ -7,7 +7,9 @@ These box families realize the separations of Figure 2:
   while out-of-order (load-balanced) resolution finishes in Õ(|C|) —
   the phenomenon behind Theorem 5.4's Ω(|C|^{n-1}) bound;
 * :func:`msb_triangle` — the Figure 5 / Figure 6 triangle instances
-  (MSB-complement relations) with empty and non-empty outputs;
+  (MSB-complement relations) with empty and non-empty outputs, as gap
+  boxes; :func:`msb_join` is the same pair as a query and a database of
+  :func:`msb_relation` rows, for the join backends and the indexes;
 * :func:`shared_suffix_instance` — a treewidth-1 supporting hypergraph
   where resolvent caching collapses the proof from Ω(N^{3/2}) to Õ(N)
   (the Theorem 5.2 separation between Tree Ordered and Ordered
@@ -27,10 +29,12 @@ component, :data:`~repro.core.intervals.PLAMBDA` is λ.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA, pmake
+from repro.relational.query import Database, JoinQuery, triangle_query
+from repro.workloads.generators import db_from_tuples
 
 
 def example_f1(d: int) -> List[PackedBox]:
@@ -91,6 +95,42 @@ def msb_triangle(d: int, nonempty: bool = False) -> List[PackedBox]:
             (pmake(1, 1), PLAMBDA, pmake(1, 1)),
         ]
     return boxes
+
+
+
+def msb_relation(d: int, same: bool = False) -> List[Tuple[int, int]]:
+    """Example B.7's MSB-complement relation over ``[2^d]``, sorted.
+
+    The pairs ``(a, b)`` whose most significant bits differ (with
+    ``same=True``, agree).  Its dyadic gap boxes are the two cells
+    ⟨0, 0⟩ and ⟨1, 1⟩ at every d, while either B-tree order needs
+    Ω(2^d) (Figure 3b, Example B.8).
+    """
+    if d < 1:
+        raise ValueError("depth must be at least 1")
+    side, top = 1 << d, d - 1
+    return [
+        (a, b)
+        for a in range(side)
+        for b in range(side)
+        if ((a ^ b) >> top == 0) == same
+    ]
+
+
+def msb_join(d: int, nonempty: bool = False) -> Tuple[JoinQuery, Database]:
+    """:func:`msb_triangle` as relations: ``(triangle_query(), db)``.
+
+    R, S and T are :func:`msb_relation` over ``[2^d]``, so the output is
+    empty (Figure 5: three values cannot pairwise differ in one bit);
+    with ``nonempty`` T holds the same-MSB pairs instead (Figure 6), and
+    the output is every (a, b, c) with MSB(a) = MSB(c) ≠ MSB(b).  Each
+    relation has 2^(2d-1) rows, while the dyadic gap boxes stay at two
+    per relation and the proof at O(1) resolutions.
+    """
+    query = triangle_query()
+    differ = msb_relation(d)
+    rows = {"R": differ, "S": differ, "T": msb_relation(d, same=nonempty)}
+    return query, db_from_tuples(query, rows, d)
 
 
 def shared_suffix_instance(d: int) -> List[PackedBox]:

@@ -316,6 +316,27 @@ def test_unknown_algorithm_rejected():
         plan_query(q, random_db(q, 1), algorithm="quantum")
 
 
+@pytest.mark.parametrize("algorithm", ["auto", "hash", "tetris-reloaded"])
+def test_unknown_index_kind_rejected_at_plan_time(algorithm):
+    """An index kind outside ``INDEX_KINDS`` never reaches a plan, or a
+    run: every backend refuses it, ``auto`` included."""
+    from repro.engine.executor import execute
+    from repro.engine.planner import INDEX_KINDS
+
+    q = triangle_query()
+    db = random_db(q, 1)
+    message = (
+        "unknown index kind 'bogus'; expected one of btree, dyadic, kdtree"
+    )
+    with pytest.raises(ValueError, match=message):
+        plan_query(q, db, algorithm=algorithm, index_kind="bogus")
+    with pytest.raises(ValueError, match=message):
+        execute(q, db, algorithm=algorithm, index_kind="bogus")
+    for kind in INDEX_KINDS:
+        plan = plan_query(q, db, algorithm=algorithm, index_kind=kind)
+        assert plan.index_kind == kind
+
+
 def test_plan_cache_hits_on_identical_stats():
     q = triangle_query()
     db = random_db(q, 1)

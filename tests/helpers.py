@@ -177,6 +177,49 @@ def reference_gap_box_around(index, comps):
     return None
 
 
+
+def cell_rows(cell: PackedBox, rows, depth: int) -> list:
+    """The rows inside the packed ``cell``: the per-level filter the cell
+    indexes ran before they kept a Morton-ordered key column."""
+    unit = 1 << depth
+    return [
+        r for r in rows
+        if all(
+            (unit | v) >> (depth + 1 - p.bit_length()) == p
+            for p, v in zip(cell, r)
+        )
+    ]
+
+
+def reference_cell_gap_box_around(index, comps):
+    """``DyadicTreeIndex`` / ``KDTreeIndex.gap_box_around`` as the
+    descents they were before the Morton key column: re-filter the rows
+    at every level, stop at the first empty cell.  The reference."""
+    from repro.indexes.dyadic_index import DyadicTreeIndex
+
+    rows, depth = index.relation.rows(), index.depth
+    if isinstance(index, DyadicTreeIndex):
+        # Lock-step cells, down to the shortest component.
+        for level in range(min(p.bit_length() for p in comps)):
+            cell = tuple([p >> (p.bit_length() - 1 - level) for p in comps])
+            rows = cell_rows(cell, rows, depth)
+            if not rows:
+                return cell
+        return None
+    # Round-robin halving, until the next axis to halve would cut comps.
+    cell: PackedBox = (PLAMBDA,) * index.arity
+    level = 0
+    while True:
+        rows = cell_rows(cell, rows, depth)
+        if not rows:
+            return cell
+        axis = level % index.arity
+        spare = comps[axis].bit_length() - cell[axis].bit_length()
+        if spare == 0:
+            return None
+        cell = cell[:axis] + (comps[axis] >> (spare - 1),) + cell[axis + 1:]
+        level += 1
+
 def check_container_answer(found, probe, boxes) -> None:
     """What a ``container`` / ``gap_box_around`` answer must be: ``None``
     iff no box of ``boxes`` (packed) contains ``probe``, otherwise a box

@@ -19,10 +19,12 @@ from repro.relational.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Domain, RelationSchema
 from repro.workloads.generators import db_from_tuples
+from repro.workloads.hard_instances import msb_relation
 from tests.helpers import (
     check_container_answer,
     gap_boxes_containing,
     pcovers_point,
+    reference_cell_gap_box_around,
     reference_gap_box_around,
     reference_oracle_container,
 )
@@ -152,13 +154,7 @@ class TestDyadicTreeIndex:
     def test_quadtree_beats_btree_on_msb_relation(self):
         """Footnote 9: the MSB-complement relation of Figure 5a needs 2 gap
         boxes in a dyadic tree but Θ(2^{d-1}) in a B-tree."""
-        tuples = [
-            (a, b)
-            for a in range(DOMAIN)
-            for b in range(DOMAIN)
-            if (a >> (DEPTH - 1)) != (b >> (DEPTH - 1))
-        ]
-        rel = make_relation(tuples)
+        rel = make_relation(msb_relation(DEPTH))
         quad = DyadicTreeIndex(rel).count_gap_boxes()
         bt_ab = BTreeIndex(rel, ("A", "B")).count_gap_boxes()
         assert quad == 2  # ⟨0,0⟩ and ⟨1,1⟩
@@ -230,19 +226,24 @@ def relation_and_boxes(draw):
 @given(case=relation_and_boxes())
 def test_gap_box_around_against_the_materialised_gap_boxes(kind, case):
     """``gap_box_around(b)`` is ``None`` iff no materialised gap box
-    contains ``b``; otherwise it contains ``b`` and lies inside one.  A
-    B-tree's generated walk answers what the hand-written loop did."""
+    contains ``b``; otherwise it contains ``b`` and lies inside one.  The
+    answer is exactly the reference's: a B-tree's generated walk answers
+    what the hand-written loop did, and a cell index's Morton descent
+    the maximal empty cell the per-level row filter finds."""
     rel, order, boxes = case
     idx = {
         "btree": lambda: BTreeIndex(rel, order),
         "dyadic": lambda: DyadicTreeIndex(rel),
         "kdtree": lambda: KDTreeIndex(rel),
     }[kind]()
+    reference = (
+        reference_gap_box_around if kind == "btree"
+        else reference_cell_gap_box_around
+    )
     gap_boxes = [box for box, _attrs in idx.gap_boxes()]
     for b in boxes:
         check_container_answer(idx.gap_box_around(b), b, gap_boxes)
-        if kind == "btree":
-            assert idx.gap_box_around(b) == reference_gap_box_around(idx, b)
+        assert idx.gap_box_around(b) == reference(idx, b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -136,6 +136,15 @@ class TestJoinCommand:
             f"k{i % 3},v{i}" for i in range(9000)
         )
 
+    def test_unknown_index_kind_exits_2(self, triangle_csvs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "explain", "R(A,B)", "--index-kind", "bogus",
+                "--csv", f"R={triangle_csvs / 'r.csv'}",
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_join_variant_flag_is_gone(self, triangle_csvs, capsys):
         with pytest.raises(SystemExit) as exc:
             main([

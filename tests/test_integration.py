@@ -99,16 +99,11 @@ class TestIndexInterchangeability:
         from repro.indexes.btree import BTreeIndex
         from repro.indexes.dyadic_index import DyadicTreeIndex
         from repro.relational.relation import Relation
+        from repro.workloads.hard_instances import msb_relation
 
-        depth, side = 3, 8
-        msb = [
-            (a, b)
-            for a in range(side)
-            for b in range(side)
-            if (a >> 2) != (b >> 2)
-        ]
+        depth = 3
         rel = Relation(
-            RelationSchema("R", ("A", "B")), msb, Domain(depth)
+            RelationSchema("R", ("A", "B")), msb_relation(depth), Domain(depth)
         )
         bt = [b for b, _ in BTreeIndex(rel, ("A", "B")).gap_boxes()]
         quad = [b for b, _ in DyadicTreeIndex(rel).gap_boxes()]
@@ -134,6 +129,37 @@ class TestIndexInterchangeability:
         out = engine.run(multi, preload=True)
         assert sorted(out) == expected
 
+
+
+@pytest.mark.parametrize(
+    "nonempty, depths", [(False, (4, 5, 6)), (True, (4, 5))],
+    ids=["fig5", "fig6"],
+)
+def test_msb_triangle_through_execute(nonempty, depths):
+    """Figures 5 / 6 as relations, through ``execute()``: every Tetris
+    variant over either cell index returns hash's rows, and Preloaded
+    and Reloaded over dyadic boxes do the same resolutions — on the
+    empty Figure 5 triangle the same O(1) count at every d.  (Figure 6
+    has 2^(3d-2) output rows, so it stops at d = 5.)"""
+    from repro.engine.executor import execute
+    from repro.workloads.hard_instances import msb_join
+
+    dyadic = set()
+    for d in depths:
+        query, db = msb_join(d, nonempty=nonempty)
+        expected = sorted(execute(query, db, algorithm="hash").tuples)
+        counts = {}
+        for variant in ("tetris-preloaded", "tetris-reloaded"):
+            for kind in ("dyadic", "kdtree"):
+                result = execute(query, db, algorithm=variant, index_kind=kind)
+                assert sorted(result.tuples) == expected
+                counts[variant, kind] = result.stats.resolutions
+        assert counts["tetris-preloaded", "dyadic"] == (
+            counts["tetris-reloaded", "dyadic"]
+        )
+        dyadic.add(counts["tetris-reloaded", "dyadic"])
+    if not nonempty:
+        assert len(dyadic) == 1 and dyadic.pop() <= 8
 
 def Relation_(atom, rng, depth):
     from repro.relational.relation import Relation

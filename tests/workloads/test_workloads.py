@@ -7,7 +7,7 @@ import pytest
 from repro.core.certificates import minimal_certificate
 from repro.core.resolution import ResolutionStats
 from repro.core.tetris import boolean_box_cover, solve_bcp
-from repro.joins.tetris_join import join_tetris
+from repro.joins.tetris_join import join_tetris, make_oracle
 from repro.relational.query import evaluate_reference
 from repro.workloads.generators import (
     agm_tight_triangle,
@@ -23,6 +23,8 @@ from repro.workloads.generators import (
 from repro.workloads.hard_instances import (
     covering_pair_instance,
     example_f1,
+    msb_join,
+    msb_relation,
     msb_triangle,
     shared_suffix_instance,
     staircase_instance,
@@ -49,6 +51,17 @@ class TestHardInstances:
     def test_msb_triangle_empty(self):
         boxes = msb_triangle(3)
         assert boolean_box_cover(boxes, 3, 3)
+
+    @pytest.mark.parametrize("nonempty", [False, True])
+    def test_msb_join_is_msb_triangle(self, nonempty):
+        """The relations' dyadic gap boxes, lifted, are the hand-written
+        Figure 5 / 6 boxes: two per relation at every d."""
+        for d in (1, 3, 5):
+            query, db = msb_join(d, nonempty=nonempty)
+            oracle, _ = make_oracle(query, db, index_kind="dyadic")
+            assert sorted(oracle.boxes()) == sorted(msb_triangle(d, nonempty))
+            assert set(db["R"]) == set(msb_relation(d))
+            assert len(db["R"]) == 1 << (2 * d - 1)
 
     def test_msb_triangle_nonempty(self):
         boxes = msb_triangle(2, nonempty=True)
