@@ -605,11 +605,12 @@ def execute(
     Observability happens here, once per query, and is O(1) in the
     registry: with tracing on the whole run executes under a ``query``
     span; with the metrics registry enabled the query's wall time lands
-    in ``query.latency`` / ``query.latency.backend.<b>`` and one
-    ``inc_many`` adds ``engine.queries``, ``engine.rows.returned`` and
-    the run's ``ResolutionStats``.  Both checks are per-query flag
-    reads; a caller that wants this query's registry delta brackets the
-    call with ``REGISTRY.snapshot()`` / ``MetricsSnapshot.since``.
+    in ``query.latency`` and one ``inc_many`` adds ``engine.queries``,
+    ``engine.rows.returned`` and, for a Tetris backend (the only ones
+    that count resolutions), the run's ``ResolutionStats``.  Both
+    checks are per-query flag reads; a caller that wants this query's
+    registry delta brackets the call with ``REGISTRY.snapshot()`` /
+    ``MetricsSnapshot.since``.
 
     The whole call — planning, the cursor's drain, the sort — runs with
     the cyclic collector paused (:class:`~repro.relational.io.gc_paused`):
@@ -655,18 +656,11 @@ def execute(
                 qspan.attrs["backend"] = plan.backend
         stats = cursor.stats
         if _METRICS.enabled:
-            wall_s = time.perf_counter() - wall0
-            _METRICS.observe("query.latency", wall_s)
-            _METRICS.observe(
-                f"query.latency.backend.{plan.backend}", wall_s
-            )
-            _METRICS.inc_many(
-                {
-                    "engine.queries": 1,
-                    "engine.rows.returned": len(tuples),
-                    **stats.as_metrics(),
-                }
-            )
+            _METRICS.observe("query.latency", time.perf_counter() - wall0)
+            counts = {"engine.queries": 1, "engine.rows.returned": len(tuples)}
+            if plan.backend.startswith("tetris-"):
+                counts.update(stats.as_metrics())
+            _METRICS.inc_many(counts)
         return ExecutionResult(
             tuples=tuples,
             variables=query.variables,

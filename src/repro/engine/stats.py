@@ -56,9 +56,6 @@ class RelationProfile:
     def distinct_of(self, attr: str) -> int:
         return self.distinct.get(attr, 1)
 
-    def range_of(self, attr: str) -> Optional[Tuple[int, int]]:
-        return self.ranges.get(attr)
-
 
 #: Per variable, in ``query.variables`` order, ``(participants,
 #: distinct, selectivity, overlap)`` — see

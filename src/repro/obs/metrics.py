@@ -61,7 +61,7 @@ _HIST = "histogram"
 #: Every metric the engine emits, declared once: name → (kind, unit,
 #: help).  The kind is the OpenMetrics type and the unit, where there is
 #: one, an OpenMetrics base unit.  A ``<…>`` last segment declares a
-#: family (one metric per axis, per backend); ``worker.<wid>.<counter>``
+#: family (one metric per axis); ``worker.<wid>.<counter>``
 #: repeats any declared counter per pool worker.
 CATALOGUE: Dict[str, Tuple[str, str, str]] = {
     "engine.queries": (_COUNTER, "", "Queries executed."),
@@ -77,7 +77,6 @@ CATALOGUE: Dict[str, Tuple[str, str, str]] = {
     "kernels.compile.evictions": (_COUNTER, "", "Compiled kernels evicted from their cache."),
     "kernels.cache.entries": (_GAUGE, "", "Compiled kernels the kernel caches hold."),
     "query.latency": (_HIST, "seconds", "Wall time of one execute() call."),
-    "query.latency.backend.<backend>": (_HIST, "seconds", "Wall time of one execute() call, per backend."),
     "relation.index.builds": (_COUNTER, "", "Indexes built over a sorted view."),
     "tetris.resolutions": (_COUNTER, "", "Geometric resolutions (Lemma 4.5)."),
     "tetris.ordered_resolutions": (_COUNTER, "", "Resolutions of the ordered shape (Definition 4.3)."),

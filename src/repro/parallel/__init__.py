@@ -39,7 +39,6 @@ from repro.parallel.partition import (
     clip_slice,
     partition_shards,
 )
-from repro.parallel.faults import FaultPlan, InjectedFault, parse_faults
 from repro.parallel.scheduler import (
     QueryTimeout,
     WorkerError,
@@ -59,8 +58,6 @@ from repro.parallel.workers import ShardResult, ShardTask
 
 __all__ = [
     "ARENA",
-    "FaultPlan",
-    "InjectedFault",
     "ParallelReport",
     "QueryTimeout",
     "Shard",
@@ -79,7 +76,6 @@ __all__ = [
     "clip_relation",
     "clip_slice",
     "get_pool",
-    "parse_faults",
     "partition_shards",
     "run_job_in_parent",
     "run_shards",

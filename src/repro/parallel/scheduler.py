@@ -50,7 +50,7 @@ so a shard run in the parent gives the rows any worker retry would:
   worker death (the wait set includes each busy worker's
   ``Process.sentinel``, so a crash or OOM-kill is noticed the moment it
   happens), an unreadable reply, a ``ShardResult.error``, and a worker
-  silent past the stall budget (``REPRO_SHARD_TIMEOUT_MS``, read per
+  silent past the stall budget (:data:`SHARD_STALL_MS`, read per
   run).  A dead or hung worker is also **respawned in place** (its
   arena owners released, its cache mirror reset).  ``workers=N`` is a
   performance hint, never a correctness risk.
@@ -76,11 +76,9 @@ from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import config
 from repro.errors import QueryTimeout, WorkerError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.parallel import faults as _faults
 from repro.parallel import shm as _shm
 from repro.parallel.partition import Shard
 from repro.parallel.workers import (
@@ -96,6 +94,11 @@ from repro.parallel.workers import (
 #: flight).  A worker that doesn't answer within the budget is respawned
 #: instead of wedging the parent.
 DRAIN_TIMEOUT_MS = 5000
+
+#: Per-shard stall budget: a busy worker silent past it is killed and
+#: respawned, and its shard runs in the parent.  0 is off — the
+#: fault-free wait then blocks with no timeout at all.
+SHARD_STALL_MS = 0
 
 
 class _WorkerDied(Exception):
@@ -220,11 +223,6 @@ class WorkerPool:
         self._conns: List = []
         self._procs: List = []
         try:
-            fault_plan = _faults.plan()
-            if fault_plan is not None and fault_plan.take_spawn_failure():
-                raise OSError(
-                    "injected worker pool spawn failure (REPRO_FAULTS)"
-                )
             for i in range(num_workers):
                 conn, proc = self._spawn_worker(i)
                 self._conns.append(conn)
@@ -397,12 +395,7 @@ class WorkerPool:
                 "worker pool is already running a shard set "
                 "(acquire pools via get_pool)"
             )
-        # Per-shard stall budget; 0 disables the check (the fault-free
-        # wait then blocks with no timeout at all).  A busy worker silent
-        # past it is treated as hung.  Read before the pool goes active:
-        # a malformed value raises.
-        stall_ms = config.SHARD_TIMEOUT_MS.get()
-        stall_s = stall_ms / 1000.0 if stall_ms > 0 else None
+        stall_s = SHARD_STALL_MS / 1000.0 if SHARD_STALL_MS > 0 else None
         self.active = True
         self._failed_exports.clear()
         # Heaviest first; only never-dispatched shards are ever here.
@@ -603,11 +596,11 @@ class WorkerPool:
         """``rel``'s arena segment ref, or ``None``: ship a blob instead.
 
         An *exception* from ``export`` (shm exhaustion beyond the
-        arena's own fallback net, injected faults) counts as a ``None``
-        return: shipping is never the reason a query dies.  A content
-        key whose export failed is not tried again in the same run
-        (``_failed_exports``), so a full ``/dev/shm`` costs one failed
-        create per relation, not one per payload.
+        arena's own fallback net) counts as a ``None`` return: shipping
+        is never the reason a query dies.  A content key whose export
+        failed is not tried again in the same run (``_failed_exports``),
+        so a full ``/dev/shm`` costs one failed create per relation, not
+        one per payload.
         """
         content = rel.cache_key()
         if content in self._failed_exports:

@@ -50,14 +50,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.parallel import faults as _faults
 from repro.relational.relation import Relation
 
-
-class ShmExportError(OSError):
-    """A segment export failed by *raising* (injected or truly broken
-    platform state) rather than by the ordinary ``None`` fallback; the
-    scheduler treats it exactly like the fallback — ship a blob."""
 
 #: Relations whose nominal payload (8 bytes × rows × attrs) is below
 #: this ship as pickle blobs: segment create + attach has a fixed cost
@@ -307,18 +301,11 @@ class ShmArena:
         Returns ``None`` — *ship a blob instead* — when the segment
         cannot be created, reserved or written (a ``/dev/shm`` too small
         for it, exotic platforms); a half-made segment is closed and
-        unlinked, and the caller records the fallback.  May also *raise*
-        :class:`ShmExportError` (fault injection stands in for the
-        platform states where ``SharedMemory`` raises something the
-        ``(OSError, ValueError)`` net below doesn't cover); callers must
-        treat a raising export as a fallback, never as query failure.
+        unlinked, and the caller records the fallback.  Callers must
+        treat an export that *raises* (platform states the
+        ``(OSError, ValueError)`` net below doesn't cover) as a
+        fallback too, never as query failure.
         """
-        fault_plan = _faults.plan()
-        if fault_plan is not None and fault_plan.take_shm_export_failure():
-            self.fallbacks += 1
-            raise ShmExportError(
-                "injected shm export failure (REPRO_FAULTS)"
-            )
         key = rel.cache_key()
         seg = self._segments.get(key)
         if seg is None:

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.obs.metrics import REGISTRY as _METRICS, wire_delta
-from repro.parallel import faults as _faults
 
 Row = Tuple[int, ...]
 
@@ -343,12 +342,6 @@ def execute_shard(task: ShardTask, cache: WorkerCache) -> ShardResult:
             tracer.finish(
                 attach_span, attaches=attaches, bytes=attached_bytes
             )
-        fault_plan = _faults.plan()
-        if fault_plan is not None:
-            # After materialization, before compute: a crash here leaves
-            # the scheduler's cache mirror genuinely diverged from the
-            # (dead) worker — the case supervision must clean up.
-            _faults.maybe_fire(fault_plan, task.shard_id)
         query = JoinQuery(task.atoms)
         db = Database(relations)
         blocks, stats, sorted_runs = run_backend(
@@ -428,7 +421,6 @@ def worker_main(conn) -> None:
     A worker forked inside ``execute()`` inherits its paused cyclic
     collector; the loop turns it back on for the worker's lifetime.
     """
-    _faults.mark_worker()
     gc.enable()
     cache = WorkerCache()
     try:
@@ -437,12 +429,6 @@ def worker_main(conn) -> None:
             if task is None:
                 break
             result = execute_shard(task, cache)
-            fault_plan = _faults.plan()
-            if (
-                fault_plan is not None
-                and task.shard_id in fault_plan.unpicklable
-            ):
-                result.stats = _faults.Unpicklable()
             try:
                 conn.send(result)
             except Exception:

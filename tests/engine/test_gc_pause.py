@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.engine import BACKENDS, clear_plan_cache, execute, execute_cursor
 from repro.engine import executor
 from repro.engine.codegen import clear_kernel_caches
-from repro.parallel import faults, workers
+from repro.parallel import workers
 from repro.relational.io import gc_paused
 from repro.workloads.generators import (
     graph_triangle_db,
@@ -214,7 +214,6 @@ def test_worker_main_enables_an_inherited_disabled_collector(
 ):
     # A worker forked inside a paused execute() starts with the
     # collector off; the worker turns it on for its own lifetime.
-    monkeypatch.setattr(faults, "_IN_WORKER", False)
     during = []
 
     def shard(task, cache):

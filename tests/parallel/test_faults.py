@@ -3,10 +3,9 @@ bit-identical to serial execution.
 
 Shards are pure functions of ``(shard, database)``, so a shard whose
 worker fails it runs in the parent instead — the one recovery rule.
-These tests inject every failure mode :mod:`repro.parallel.faults` can
-express (worker crashes, hangs, deterministic errors, unpicklable
-results, pool spawn failures, shm export failures) and assert three
-things each time:
+These tests inject every failure mode ``chaos.arm`` can express
+(worker crashes, hangs, deterministic errors, unpicklable results, pool
+spawn failures, shm export failures) and assert three things each time:
 
 * the query completes with rows **bit-identical** to the serial answer,
 * recovery is visible in the :class:`~repro.parallel.merge.
@@ -14,36 +13,29 @@ things each time:
   and every dispatch either succeeded or sent its shard to the parent,
 * the pool stays serviceable — the same process serves the next query.
 
-Fault specs ride on the environment and are read by *forked* workers,
-so every re-arm must reset the cached plan **and** recycle the pools
-(living workers keep their fork-time environment).  The autouse fixture
-below does both around every test; a SIGALRM backstop guarantees a
-wedged run fails the test instead of hanging the suite (pytest-timeout
-is not a repo dependency).
+Faults are patches that *forked* workers inherit, so arming one
+recycles the pools (living workers keep their fork-time code).  The
+autouse fixture below recycles them around every test too; a SIGALRM
+backstop guarantees a wedged run fails the test instead of hanging the
+suite (pytest-timeout is not a repo dependency).
 """
 
-import os
 import signal
 
 import pytest
 
-from repro import config
 from repro.engine import clear_plan_cache, execute, plan_query
 from repro.obs.metrics import REGISTRY
-from repro.parallel import QueryTimeout, get_pool, shutdown_pools
-from repro.parallel import faults
+from repro.parallel import QueryTimeout, get_pool, scheduler, shutdown_pools
 from repro.parallel.merge import prepare_jobs
 from repro.parallel import shm
 from repro.parallel.shm import ARENA
 from repro.workloads.generators import graph_triangle_db, random_graph_edges
+from tests.parallel.chaos import arm, needs_fork
+
+pytestmark = needs_fork
 
 WORKER_COUNTS = (2, 4)
-
-#: Every knob a chaos test may set; scrubbed before and after each test.
-_CHAOS_ENV = (
-    config.FAULTS.name,
-    config.SHARD_TIMEOUT_MS.name,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -61,41 +53,13 @@ def _hang_backstop():
 
 
 @pytest.fixture(autouse=True)
-def _chaos_isolation(monkeypatch):
-    """Fault-free pools and env on both sides of every test.
-
-    Workers fork with a snapshot of the parent environment, so pools
-    must be recycled whenever the spec changes — a surviving worker
-    would keep honouring its fork-time faults forever.
-    """
-    for var in _CHAOS_ENV:
-        monkeypatch.delenv(var, raising=False)
-    faults.reset()
+def _chaos_isolation():
+    """Fault-free pools on both sides of every test: a surviving worker
+    would keep its fork-time faults forever."""
     shutdown_pools()
     clear_plan_cache()
     yield
-    for var in _CHAOS_ENV:
-        os.environ.pop(var, None)
-    faults.reset()
     shutdown_pools()
-
-
-def _arm(monkeypatch, spec=None, **env):
-    """Install a fault spec (and knobs), then recycle pools so the next
-    pool's workers fork with this environment."""
-    if spec is not None:
-        monkeypatch.setenv(config.FAULTS.name, spec)
-    for key, value in env.items():
-        monkeypatch.setenv(key, str(value))
-    faults.reset()
-    shutdown_pools()
-
-
-def _disarm(monkeypatch):
-    """Clear the fault spec *without* recycling pools — follow-up
-    queries then exercise the same (possibly fault-scarred) pool."""
-    monkeypatch.delenv(config.FAULTS.name, raising=False)
-    faults.reset()
 
 
 @pytest.fixture()
@@ -139,7 +103,7 @@ class TestCrashRecovery:
         shard run there, and the shard is never dealt again."""
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"crash@{sid}")
+        arm(monkeypatch, "crash", {sid})
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.worker_respawns == 1
@@ -156,7 +120,7 @@ class TestCrashRecovery:
         plan = plan_query(query, db, algorithm="hash", workers=workers)
         _, jobs, _ = prepare_jobs(query, db, plan)
         victim = max(jobs, key=lambda j: j.weight)
-        _arm(monkeypatch, f"crash@{victim.shard_id}")
+        arm(monkeypatch, "crash", {victim.shard_id})
         result = execute(query, db, algorithm="hash", workers=workers)
         report = result.parallel
         assert result.tuples == serial
@@ -169,7 +133,7 @@ class TestCrashRecovery:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"crash@{sid}")
+        arm(monkeypatch, "crash", {sid})
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.shards_quarantined >= 1
@@ -180,14 +144,14 @@ class TestCrashRecovery:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"crash@{sid}")
+        disarm = arm(monkeypatch, "crash", {sid})
         execute(query, db, algorithm="hash", workers=workers)
         pool = get_pool(workers)
         assert not pool.closed
-        _disarm(monkeypatch)
-        # Workers respawned while the spec was armed keep their
-        # fork-time environment; a crash still sends its shard to the
-        # parent, so parity must hold on the very same pool object.
+        disarm()
+        # Workers respawned while the fault was armed keep their
+        # fork-time copy; a crash still sends its shard to the parent,
+        # so parity must hold on the very same pool object.
         follow = execute(query, db, algorithm="hash", workers=workers)
         assert follow.tuples == serial
         assert get_pool(workers) is pool
@@ -210,11 +174,8 @@ class TestOneRecoveryRule:
         plan = plan_query(query, db, algorithm="hash", workers=workers)
         _, jobs, _ = prepare_jobs(query, db, plan)
         # Every shard armed: whichever the workers are dealt fails.
-        _arm(
-            monkeypatch,
-            ",".join(f"{kind}@{job.shard_id}" for job in jobs),
-            REPRO_SHARD_TIMEOUT_MS=400,
-        )
+        arm(monkeypatch, kind, {job.shard_id for job in jobs})
+        monkeypatch.setattr(scheduler, "SHARD_STALL_MS", 400)
         result = execute(query, db, algorithm="hash", workers=workers)
         report = result.parallel
         assert result.tuples == serial
@@ -247,7 +208,7 @@ class TestDeterministicErrors:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"error@{sid}")
+        arm(monkeypatch, "error", {sid})
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         # The worker is alive and in protocol: no process churn, the
@@ -260,7 +221,7 @@ class TestDeterministicErrors:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"unpicklable@{sid}")
+        arm(monkeypatch, "unpicklable", {sid})
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         # The send fails *after* a full pickle pass, so no partial
@@ -277,11 +238,8 @@ class TestHangs:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(
-            monkeypatch,
-            f"hang@{sid}",
-            REPRO_SHARD_TIMEOUT_MS=400,
-        )
+        arm(monkeypatch, "hang", {sid})
+        monkeypatch.setattr(scheduler, "SHARD_STALL_MS", 400)
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         # The stalled worker is killed and respawned; its shard runs in
@@ -294,11 +252,8 @@ class TestHangs:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(
-            monkeypatch,
-            f"hang@{sid}",
-            REPRO_SHARD_TIMEOUT_MS=300,
-        )
+        arm(monkeypatch, "hang", {sid})
+        monkeypatch.setattr(scheduler, "SHARD_STALL_MS", 300)
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.shards_quarantined >= 1
@@ -308,7 +263,7 @@ class TestHangs:
     ):
         query, db, serial = instance
         sid = _victim(query, db, workers)
-        _arm(monkeypatch, f"hang@{sid}")
+        disarm = arm(monkeypatch, "hang", {sid})
         with pytest.raises(QueryTimeout) as exc:
             execute(
                 query, db, algorithm="hash", workers=workers,
@@ -319,9 +274,9 @@ class TestHangs:
         assert report.timed_out
         # The other shards finished while the victim hung.
         assert 0 < report.executed_shards < report.num_shards
-        # The abort respawned the hung workers with the spec still in
-        # the parent env; recycle before the parity follow-up.
-        _disarm(monkeypatch)
+        # The abort respawned the hung workers with the fault still
+        # armed; recycle before the parity follow-up.
+        disarm()
         shutdown_pools()
         follow = execute(query, db, algorithm="hash", workers=workers)
         assert follow.tuples == serial
@@ -333,7 +288,7 @@ class TestGracefulDegradation:
         self, instance, workers, monkeypatch
     ):
         query, db, serial = instance
-        _arm(monkeypatch, "spawn*1")
+        arm(monkeypatch, "spawn")
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.serial_fallback_shards > 0
@@ -342,7 +297,7 @@ class TestGracefulDegradation:
             == result.parallel.executed_shards
         )
         assert result.parallel.worker_respawns == 0
-        # The injected spawn budget is spent: the next query gets a
+        # The injected spawn failure is spent: the next query gets a
         # real pool and goes parallel again.
         follow = execute(query, db, algorithm="hash", workers=workers)
         assert follow.tuples == serial
@@ -355,7 +310,7 @@ class TestGracefulDegradation:
         # Force every relation through the arena so the injected
         # export failures actually fire.
         monkeypatch.setattr(shm, "MIN_BYTES", 1)
-        _arm(monkeypatch, "shm-export*2")
+        arm(monkeypatch, "shm_export", times=2)
         result = execute(query, db, algorithm="hash", workers=workers)
         assert result.tuples == serial
         assert result.parallel.shm_export_errors >= 1
@@ -368,7 +323,7 @@ class TestGracefulDegradation:
         clause counts it even when nothing respawned or ran serial."""
         query, db, serial = instance
         monkeypatch.setattr(shm, "MIN_BYTES", 1)
-        _arm(monkeypatch, "shm-export*inf")
+        arm(monkeypatch, "shm_export", times=None)
         result = execute(query, db, algorithm="hash", workers=workers)
         report = result.parallel
         assert result.tuples == serial
@@ -386,7 +341,7 @@ class TestHygiene:
         query, db, serial = instance
         sid = _victim(query, db, 2)
         monkeypatch.setattr(shm, "MIN_BYTES", 1)
-        _arm(monkeypatch, f"crash@{sid}")
+        arm(monkeypatch, "crash", {sid})
         result = execute(query, db, algorithm="hash", workers=2)
         assert result.tuples == serial
         assert result.parallel.worker_respawns == 1
@@ -398,7 +353,7 @@ class TestHygiene:
     ):
         query, db, _serial = instance
         sid = _victim(query, db, 2)
-        _arm(monkeypatch, f"crash@{sid}")
+        arm(monkeypatch, "crash", {sid})
         before = REGISTRY.snapshot()
         execute(query, db, algorithm="hash", workers=2)
         delta = REGISTRY.snapshot().since(before)
@@ -411,7 +366,7 @@ class TestHygiene:
 
         query, db, _serial = instance
         sid = _victim(query, db, 2)
-        _arm(monkeypatch, f"crash@{sid}")
+        arm(monkeypatch, "crash", {sid})
         result = execute(query, db, algorithm="hash", workers=2)
         text = explain_text(result.plan, result)
         assert "faults" in text
@@ -428,65 +383,3 @@ class TestHygiene:
         assert "faults" not in explain_text(result.plan, result)
         assert "respawn" not in result.parallel.summary()
 
-
-class TestFaultSpecParsing:
-    def test_grammar(self):
-        fp = faults.parse_faults(
-            "crash@3,hang@7,error@1,unpicklable@2,spawn*2,shm-export"
-        )
-        assert fp.crash == {3}
-        assert fp.hang == {7}
-        assert fp.error == {1}
-        assert fp.unpicklable == {2}
-        assert fp.spawn == 2
-        assert fp.shm_export == 1
-        always = faults.parse_faults("spawn*inf, shm_export*always")
-        assert always.spawn == always.shm_export == faults.ALWAYS
-
-    def test_shard_faults_are_sets(self):
-        fp = faults.parse_faults("crash@5,crash@0,crash@5,error@5")
-        assert fp.crash == {0, 5}
-        assert fp.error == {5}
-        assert not fp.hang and not fp.unpicklable
-
-    def test_countdowns_consume(self):
-        fp = faults.parse_faults("spawn*2")
-        assert fp.take_spawn_failure()
-        assert fp.take_spawn_failure()
-        assert not fp.take_spawn_failure()
-        always = faults.parse_faults("shm-export*inf")
-        for _ in range(5):
-            assert always.take_shm_export_failure()
-
-    def test_rejects_unknown_kind_and_missing_shard(self):
-        with pytest.raises(ValueError):
-            faults.parse_faults("explode@3")
-        with pytest.raises(ValueError):
-            faults.parse_faults("crash*2")
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "crash@x",       # shard id is not an integer
-            "crash@",        # no shard id
-            "crash@-1",      # negative shard id
-            "crash@3*2",     # a shard fault takes no count
-            "crash@3*0",
-            "hang@1*inf",
-            "error@2*1",
-            "spawn*two",     # count is not an integer
-            "spawn*0",       # count < 1
-            "shm-export*-3",
-            "spawn*",
-            "spawn@1",       # a pool fault takes no shard
-            "explode@3",
-        ],
-    )
-    def test_parse_errors_name_the_variable(self, spec):
-        with pytest.raises(ValueError, match=config.FAULTS.name):
-            faults.parse_faults(spec)
-
-    def test_empty_spec_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv(config.FAULTS.name, raising=False)
-        faults.reset()
-        assert faults.plan() is None

@@ -16,17 +16,16 @@ parent folds it in twice: under the aggregate name, and under a
 * the rules survive crash-respawn recovery.
 """
 
-import os
 import signal
 
 import pytest
 
-from repro import config
 from repro.engine import clear_plan_cache, execute, plan_query
 from repro.obs.metrics import REGISTRY
-from repro.parallel import faults, shutdown_pools
+from repro.parallel import shutdown_pools
 from repro.parallel.merge import prepare_jobs
 from repro.workloads.generators import graph_triangle_db, random_graph_edges
+from tests.parallel.chaos import arm, needs_fork
 
 WORKER_COUNTS = (2, 4)
 
@@ -44,14 +43,10 @@ def _backstop():
 
 
 @pytest.fixture(autouse=True)
-def _isolation(monkeypatch):
-    monkeypatch.delenv(config.FAULTS.name, raising=False)
-    faults.reset()
+def _isolation():
     shutdown_pools()
     clear_plan_cache()
     yield
-    os.environ.pop(config.FAULTS.name, None)
-    faults.reset()
     shutdown_pools()
 
 
@@ -159,6 +154,7 @@ def test_dispatch_accounting_clean_run(instance, workers):
     )
 
 
+@needs_fork
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_quarantine_does_not_double_count_dispatches(
     instance, workers, monkeypatch
@@ -170,9 +166,7 @@ def test_quarantine_does_not_double_count_dispatches(
     plan = plan_query(query, db, algorithm="hash", workers=workers)
     _, jobs, _ = prepare_jobs(query, db, plan)
     sid = max(jobs, key=lambda j: j.weight).shard_id
-    monkeypatch.setenv(config.FAULTS.name, f"error@{sid}")
-    faults.reset()
-    shutdown_pools()
+    arm(monkeypatch, "error", {sid})
     result = execute(query, db, algorithm="hash", workers=workers)
     assert result.tuples == serial
     report = result.parallel
@@ -181,6 +175,7 @@ def test_quarantine_does_not_double_count_dispatches(
     assert failed == report.shards_quarantined
 
 
+@needs_fork
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_crash_respawn_keeps_accounting_consistent(
     instance, workers, monkeypatch
@@ -192,9 +187,7 @@ def test_crash_respawn_keeps_accounting_consistent(
     plan = plan_query(query, db, algorithm="hash", workers=workers)
     _, jobs, _ = prepare_jobs(query, db, plan)
     sid = max(jobs, key=lambda j: j.weight).shard_id
-    monkeypatch.setenv(config.FAULTS.name, f"crash@{sid}")
-    faults.reset()
-    shutdown_pools()
+    arm(monkeypatch, "crash", {sid})
     result, delta = _delta_around(
         lambda: execute(query, db, algorithm="hash", workers=workers)
     )

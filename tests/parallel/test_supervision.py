@@ -8,13 +8,11 @@ closed while a hung worker still owes a reply — and assert the pool
 either recovers in place or is replaced, never wedged.
 """
 
-import os
 import signal
 import time
 
 import pytest
 
-from repro import config
 from repro.engine import clear_plan_cache, execute, execute_cursor, plan_query
 from repro.parallel import (
     ShardTask,
@@ -23,13 +21,12 @@ from repro.parallel import (
     run_job_in_parent,
     shutdown_pools,
 )
-from repro.parallel import faults, scheduler
+from repro.parallel import scheduler
 from repro.parallel.merge import prepare_jobs
 from repro.parallel.scheduler import PendingShard
 from repro.parallel.shm import SlicePlan
 from repro.workloads.generators import graph_triangle_db, random_graph_edges
-
-_CHAOS_ENV = (config.FAULTS.name, config.SHARD_TIMEOUT_MS.name)
+from tests.parallel.chaos import arm, needs_fork
 
 
 @pytest.fixture(autouse=True)
@@ -45,16 +42,10 @@ def _hang_backstop():
 
 
 @pytest.fixture(autouse=True)
-def _isolation(monkeypatch):
-    for var in _CHAOS_ENV:
-        monkeypatch.delenv(var, raising=False)
-    faults.reset()
+def _isolation():
     shutdown_pools()
     clear_plan_cache()
     yield
-    for var in _CHAOS_ENV:
-        os.environ.pop(var, None)
-    faults.reset()
     shutdown_pools()
 
 
@@ -84,16 +75,15 @@ class TestAbandonedCursorDrain:
         assert follow.tuples == serial
         assert get_pool(2) is pool
 
+    @needs_fork
     def test_drain_is_bounded_when_a_worker_hangs(
         self, instance, monkeypatch
     ):
         query, db, serial = instance
         _plan, jobs = _jobs(query, db)
         sid = max(jobs, key=lambda j: j.weight).shard_id
-        monkeypatch.setenv(config.FAULTS.name, f"hang@{sid}")
+        disarm = arm(monkeypatch, "hang", {sid})
         monkeypatch.setattr(scheduler, "DRAIN_TIMEOUT_MS", 300)
-        faults.reset()
-        shutdown_pools()
         cursor = execute_cursor(query, db, algorithm="hash", workers=2)
         next(cursor)  # the hung shard is in flight, others stream
         t0 = time.monotonic()
@@ -105,11 +95,10 @@ class TestAbandonedCursorDrain:
         assert pool.respawns >= 1
         assert not pool.active
         # Same pool, next query: workers forked under the standing hang
-        # spec may still honour it, so a stall budget must be armed —
+        # fault may still honour it, so a stall budget must be armed —
         # the fault is then recovered, not avoided.
-        monkeypatch.delenv(config.FAULTS.name, raising=False)
-        monkeypatch.setenv(config.SHARD_TIMEOUT_MS.name, "400")
-        faults.reset()
+        disarm()
+        monkeypatch.setattr(scheduler, "SHARD_STALL_MS", 400)
         follow = execute(query, db, algorithm="hash", workers=2)
         assert follow.tuples == serial
         assert get_pool(2) is pool

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import sys
 import pytest
 
 import repro
-from repro import config
 from repro.cli import main
+from repro.parallel import shutdown_pools
+from tests.parallel.chaos import arm, needs_fork
 
 
 @pytest.fixture
@@ -180,6 +182,7 @@ class TestClosedPipe:
         assert all(line.startswith("#") for line in err.splitlines()), err
 
 
+@needs_fork
 class TestDeadline:
     """Every query-running subcommand meets a passed ``--timeout-ms``
     the same way: the error and the partial run on stderr, status 3."""
@@ -189,7 +192,6 @@ class TestDeadline:
         """Triangle CSVs plus a worker that hangs on the heaviest shard
         (armed the way ``tests/parallel/test_faults.py::TestHangs`` does)."""
         from repro.engine import clear_plan_cache, plan_query
-        from repro.parallel import faults, shutdown_pools
         from repro.parallel.merge import prepare_jobs
         from repro.relational.io import database_from_csvs, parse_query
         from repro.workloads.generators import random_graph_edges
@@ -207,8 +209,7 @@ class TestDeadline:
         victim = max(jobs, key=lambda j: j.weight).shard_id
         shutdown_pools()
         clear_plan_cache()
-        monkeypatch.setenv(config.FAULTS.name, f"hang@{victim}")
-        faults.reset()
+        arm(monkeypatch, "hang", {victim})
 
         def boom(signum, frame):  # pragma: no cover - only on regression
             raise TimeoutError("the deadline was ignored: 60s backstop")
@@ -223,8 +224,6 @@ class TestDeadline:
         ]
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-        monkeypatch.delenv(config.FAULTS.name)
-        faults.reset()
         shutdown_pools()
 
     @pytest.mark.parametrize("command", [
@@ -243,6 +242,69 @@ class TestDeadline:
         assert "# partial:" in err
         assert "TIMED OUT" in err
         assert "Traceback" not in err
+
+
+@needs_fork
+class TestParallelFaults:
+    """A join on two workers survives a crashed worker and a failed
+    shared-memory export: the rows are the serial join's, and the
+    ``# parallel:`` line says what happened."""
+
+    @pytest.fixture
+    def join(self, tmp_path):
+        r, s = tmp_path / "r.csv", tmp_path / "s.csv"
+        n = range(1, 3001)
+        r.write_text("".join(f"a{i % 97},{i * 7 % 131}\n" for i in n))
+        s.write_text("".join(f"{i * 13 % 131},c{i % 89}\n" for i in n))
+        shutdown_pools()
+        yield [
+            "join", "R(A,B), S(B,C)", f"--csv=R={r}", f"--csv=S={s}",
+            "--algorithm", "leapfrog",
+        ]
+        shutdown_pools()
+
+    @staticmethod
+    def _run(argv, capsys):
+        """The output rows and the stderr lines of one ``main`` call."""
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        rows = [line for line in out.splitlines() if line[:1] != "#"]
+        return rows, err
+
+    def test_a_crashed_shard_runs_in_the_parent(
+        self, join, capsys, monkeypatch
+    ):
+        serial, _ = self._run(join, capsys)
+        assert len(serial) > 1000
+        # Every shard armed: each dispatch kills its worker.
+        arm(monkeypatch, "crash", range(16))
+        rows, err = self._run([*join, "--workers", "2"], capsys)
+        assert rows == serial
+        assert re.search(r"^# parallel:.* faults: ", err, re.M), err
+        assert "retries" not in err
+
+    def test_relations_ship_through_shm_or_as_blobs(
+        self, join, capsys, monkeypatch
+    ):
+        from repro.parallel.shm import ARENA, attach_segment
+
+        argv = [*join, "--workers", "2"]
+        rows, err = self._run(argv, capsys)
+        assert len(rows) > 1000
+        assert re.search(r"^# parallel:.* shm=", err, re.M), err
+        names = ARENA.segment_names()
+        assert names
+        shutdown_pools()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                attach_segment(name)
+        # Every export fails: the relations ship as blobs.
+        arm(monkeypatch, "shm_export", times=None)
+        blob_rows, err = self._run(argv, capsys)
+        assert blob_rows == rows
+        assert re.search(r"^# parallel:", err, re.M), err
+        assert not re.search(r"^# parallel:.* shm=", err, re.M), err
+        assert len(ARENA) == 0
 
 
 class TestBadInput:

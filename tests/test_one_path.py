@@ -32,7 +32,6 @@ import repro.engine
 import repro.joins
 import repro.joins.tetris_join
 import repro.obs
-from repro import config
 from repro.cli import build_parser
 from repro.engine import (
     ALGORITHM_ALIASES,
@@ -50,15 +49,6 @@ from repro.engine import (
 REMOVED_SELECTORS = {"compiled", "one_pass", "mode"}
 
 ROOT = Path(__file__).resolve().parent.parent
-
-#: Every environment variable the program reads, as ``repro.config``
-#: declares them; a third needs two callers that want different values
-#: (and a README row).  There is no shared-memory switch: the arena
-#: reserves a segment's pages before writing them, so a ``/dev/shm`` too
-#: small for one falls back to the pickle wire by itself.  There is no
-#: metrics switch: the registry is on, and only a benchmark turns it off
-#: (``set_enabled``).
-KNOBS = {"REPRO_SHARD_TIMEOUT_MS", "REPRO_FAULTS"}
 
 #: What ``execute`` / ``execute_cursor`` take, in order.  Anything else
 #: a plan is made from goes through ``plan_query`` and arrives as
@@ -129,20 +119,21 @@ def test_runtime_is_standard_library_only():
     assert re.findall(r"^dependencies\s*=\s*(.*)$", pyproject, re.M) == ["[]"]
 
 
-def test_knobs_are_the_documented_set():
-    in_src = set()
+def test_no_environment_knobs():
+    """The program reads no ``REPRO_*`` variable, and the README has no
+    environment table.  The shard stall budget is a module constant;
+    there is no shared-memory switch (the arena reserves a segment's
+    pages before writing them, so a ``/dev/shm`` too small for one falls
+    back to the pickle wire by itself) and no metrics switch (the
+    registry is on, and only a benchmark turns it off with
+    ``set_enabled``)."""
     for path in (ROOT / "src").rglob("*.py"):
-        in_src |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert "REPRO_" not in path.read_text(), path
     readme = (ROOT / "README.md").read_text()
-    table = readme.split("### Environment variables", 1)[1]
-    table = table.split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \| .+ \| (.+) \|$", table, re.M)
-    assert set(config.KNOBS) == in_src == set(dict(rows)) == KNOBS
-    assert len(config.KNOBS) == 2
+    assert "Environment variables" not in readme
+    assert not re.search(r"^\| `[A-Z_]+` \|", readme, re.M)
     shm = importlib.import_module("repro.parallel.shm")
     assert not hasattr(shm, "shm_enabled")
-    # The README's effect column is each knob's declared doc.
-    assert dict(rows) == {k.name: k.doc for k in config.KNOBS.values()}
     submodules = {m.name for m in pkgutil.iter_modules(repro.obs.__path__)}
     assert not {"flight", "slowlog", "calibration"} & submodules
 
@@ -233,10 +224,8 @@ def test_metrics_are_declared_once(monkeypatch):
     assert unmatched == [] and uncovered == []
 
 
-def test_only_config_reads_the_environment():
+def test_nothing_reads_the_environment():
     for path in (ROOT / "src").rglob("*.py"):
-        if path.name == "config.py" and path.parent.name == "repro":
-            continue
         text = path.read_text()
         assert not re.search(r"\benviron\b|\bgetenv\b", text), path
 
@@ -539,7 +528,6 @@ def test_a_failed_shard_runs_in_the_parent():
     """One recovery rule: a shard its worker fails runs in the parent
     and is never dealt again.  No retry count, respawn budget or
     degraded mode is left, and no shard fault counts attempts."""
-    from repro.parallel import faults
     from repro.parallel.scheduler import _InFlight
     from repro.parallel.workers import ShardTask
 
@@ -553,9 +541,6 @@ def test_a_failed_shard_runs_in_the_parent():
             assert name not in text, f"{name} in {path}"
     for cls in (ShardTask, _InFlight):
         assert "attempt" not in {f.name for f in dataclasses.fields(cls)}
-    assert "attempt" not in inspect.signature(faults.maybe_fire).parameters
-    with pytest.raises(ValueError, match=config.FAULTS.name):
-        faults.parse_faults("crash@3*2")
 
 
 def test_planner_options_have_callers():
