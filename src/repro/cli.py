@@ -117,9 +117,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
         lines = map(args.delimiter.join, block)
         sys.stdout.write("\n".join(lines) + "\n")
     limited = f" (limit {args.limit})" if args.limit is not None else ""
+    # Only Tetris counts resolutions: another backend's are all zero.
+    counters = (
+        f" ({result.stats.summary()})"
+        if result.backend.startswith("tetris-")
+        else ""
+    )
     print(
         f"# {len(result)} tuples{limited} in {elapsed:.3f}s "
-        f"via {result.backend} ({result.stats.summary()})",
+        f"via {result.backend}{counters}",
         file=sys.stderr,
     )
     if result.parallel is not None:
@@ -283,18 +289,18 @@ def _cmd_sat(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.relational.agm import fhtw
-    from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
+    from repro.relational.hypergraph import Hypergraph
     from repro.relational.io import parse_query
 
     query = parse_query(args.query)
     h = Hypergraph.of_query(query)
     print(f"query        : {query}")
     print(f"variables    : {', '.join(query.variables)}")
-    acyclic = h.is_alpha_acyclic()
+    gao = h.acyclic_gao()
+    acyclic = gao is not None
     print(f"α-acyclic    : {acyclic}")
     if acyclic:
         print(f"β-acyclic    : {h.is_beta_acyclic()}")
-        gao = gao_for_acyclic(h)
         print(f"GAO (rev-GYO): {', '.join(gao)}")
     width, order = h.treewidth()
     print(f"treewidth    : {width}  (elimination order "

@@ -107,10 +107,11 @@ class KernelCache:
 
     def lookup(self, key: tuple, build: Callable[[], Callable]) -> Callable:
         entries = self._entries
-        if key in entries:
+        kernel = entries.get(key)
+        if kernel is not None:
             self.hits += 1
             entries.move_to_end(key)
-            return entries[key]
+            return kernel
         self.misses += 1
         tracer = _tracing.current_tracer()
         if tracer is not None:
@@ -631,8 +632,12 @@ def hash_kernel(
 
     ``atom_specs`` is the plan-ordered ``(name, attrs)`` sequence; the
     key carries names and attributes, so renamed schemas never collide.
+    A tuple of ``(name, attrs tuple)`` pairs — a plan's
+    :attr:`~repro.engine.planner.Plan.atom_order` — is its own key.
     """
-    key = (tuple((n, tuple(a)) for n, a in atom_specs), tuple(variables))
+    if type(atom_specs) is not tuple:
+        atom_specs = tuple([(n, tuple(a)) for n, a in atom_specs])
+    key = (atom_specs, tuple(variables))
 
     def build() -> Callable:
         return _compile(

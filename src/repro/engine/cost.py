@@ -35,19 +35,20 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.stats import (
     QueryShape,
     QueryStats,
-    RelationProfile,
     VariableTables,
+    frozen_record,
     query_shape,
 )
-from repro.joins.hashjoin import binding_order, left_deep_order
+from repro.joins.hashjoin import connected_order
 from repro.relational.agm import fhtw_of_order
-from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
+from repro.relational.hypergraph import Hypergraph
 from repro.relational.query import JoinQuery
 
 
@@ -105,12 +106,31 @@ CANDIDATES: Tuple[str, ...] = tuple(DEFAULT_CALIBRATION)
 
 @dataclass(frozen=True)
 class StructureProfile:
-    """The structural planning signals of a query (Table 1's row keys)."""
+    """The structural planning signals of a query (Table 1's row keys).
+
+    The planner reads ``acyclic`` and ``gao``: the reverse GYO order of
+    an α-acyclic query, else a treewidth-optimal elimination order.
+    ``treewidth`` and ``fhtw_upper`` only EXPLAIN shows, so they are
+    worked out from the ``hypergraph`` when read, not at planning.
+    """
 
     acyclic: bool
-    treewidth: int
-    fhtw_upper: float
     gao: Tuple[str, ...]
+    hypergraph: Hypergraph = field(compare=False, repr=False)
+
+    @property
+    def treewidth(self) -> int:
+        return self.hypergraph.treewidth()[0]
+
+    @property
+    def fhtw_upper(self) -> float:
+        """fhtw, upper-bounded by the cover number of the GAO's
+        decomposition (1 for an α-acyclic query) — one LP per bag no
+        edge contains instead of the exact-but-exponential search in
+        :func:`repro.relational.agm.fhtw`."""
+        if self.acyclic:
+            return 1.0
+        return fhtw_of_order(self.hypergraph, self.gao)
 
     @property
     def table1_row(self) -> str:
@@ -118,35 +138,22 @@ class StructureProfile:
             return "α-acyclic: Õ(N + Z) [Yannakakis / Thm D.8]"
         if self.treewidth == 1:
             return "treewidth 1: Õ(|C| + Z) [Thm 4.7]"
+        fhtw_upper = self.fhtw_upper
         return (
-            f"fhtw ≤ {self.fhtw_upper:g}: Õ(N^{self.fhtw_upper:g} + Z) "
+            f"fhtw ≤ {fhtw_upper:g}: Õ(N^{fhtw_upper:g} + Z) "
             f"[Thm D.9]"
         )
 
 
 def structure_of(query: JoinQuery) -> StructureProfile:
-    """Analyze a query's hypergraph once, for planning.
-
-    fhtw is upper-bounded by the cover number of the treewidth-optimal
-    elimination order's decomposition — one LP per bag instead of the
-    exact-but-exponential search in :func:`repro.relational.agm.fhtw`,
-    which planning latency cannot afford.
-    """
+    """Analyze a query's hypergraph once, for planning: one GYO run,
+    and the treewidth elimination order only for a cyclic query."""
     h = Hypergraph.of_query(query)
-    acyclic = h.is_alpha_acyclic()
-    width, order = h.treewidth()
-    if acyclic:
-        gao = gao_for_acyclic(h)
-        fhtw_upper = 1.0
-    else:
-        gao = tuple(order)
-        fhtw_upper = fhtw_of_order(h, order)
-    return StructureProfile(
-        acyclic=acyclic,
-        treewidth=width,
-        fhtw_upper=fhtw_upper,
-        gao=gao,
-    )
+    gao = h.acyclic_gao()
+    if gao is not None:
+        return StructureProfile(acyclic=True, gao=gao, hypergraph=h)
+    _, order = h.treewidth()
+    return StructureProfile(acyclic=False, gao=tuple(order), hypergraph=h)
 
 
 def usable_cores() -> int:
@@ -170,21 +177,68 @@ def _gao_indices(shape: QueryShape, gao: Tuple[str, ...]) -> Tuple[int, ...]:
 
 
 def _atom_order(
-    shape: QueryShape, query: JoinQuery, names: Sequence[str]
-) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
-    """An atom order as indices, with the variable order it binds —
-    once per shape and order."""
-    key = tuple(names)
+    shape: QueryShape, indices: Sequence[int]
+) -> Tuple[Tuple, Tuple[str, ...], Tuple]:
+    """An atom order (atom indices): its pricing steps, the variable
+    order it binds (:func:`~repro.joins.hashjoin.binding_order`) and its
+    atoms as ``(name, attrs)`` pairs (what the hash kernel is compiled
+    from) — once per shape and order.
+
+    A step is an atom index and, per attribute, ``(k, j, bound)``: the
+    variable's index, the atom's place among its participants (so the
+    variable table holds its distinct count there) and whether an
+    earlier atom binds it already.
+    """
+    key = tuple(indices)
     entry = shape.atom_orders.get(key)
     if entry is None:
+        variables = shape.variables
+        seen = set()
+        binds = []
+        steps = []
+        for i in key:
+            reads = []
+            for k, j in shape.atom_reads[i]:
+                bound = k in seen
+                reads.append((k, j, bound))
+                if not bound:
+                    seen.add(k)
+                    binds.append(variables[k])
+            steps.append((i, tuple(reads)))
         entry = shape.atom_orders[key] = (
-            tuple(map(shape.names.index, names)),
-            binding_order(query, names),
+            tuple(steps),
+            tuple(binds),
+            tuple(map(shape.signature.__getitem__, key)),
         )
     return entry
 
 
-@dataclass(frozen=True, slots=True)
+def _by_size(
+    shape: QueryShape, cards: Sequence[int]
+) -> Tuple[Tuple, Tuple[str, ...], Tuple]:
+    """:func:`_atom_order` of :func:`~repro.joins.hashjoin.left_deep_order`
+    by size.  That order depends only on how ``cards`` rank the atoms by
+    (size, name) — a stable sort by size of the atoms in name order —
+    so it is worked out once per shape and ranking."""
+    ranking = tuple(sorted(shape.name_order, key=cards.__getitem__))
+    entry = shape.by_size.get(ranking)
+    if entry is None:
+        entry = shape.by_size[ranking] = _atom_order(
+            shape, connected_order(ranking, shape.edges)
+        )
+    return entry
+
+
+#: A variable table's value-range overlap.
+_OVERLAP = itemgetter(3)
+
+#: The candidates' formulas, as ``str.format`` templates.
+_LEAPFROG_FORMULA = "Õ(N + Σ level candidates) ≈ {:g} (AGM {:g})"
+_HASH_FORMULA = "N + Σ intermediates ≈ {:g}"
+_PARALLEL_FORMULA = " ∥ ×{} workers ({} shards, shm)"
+
+
+@frozen_record
 class CostEstimate:
     """One backend's predicted cost on an instance.
 
@@ -193,20 +247,32 @@ class CostEstimate:
     and shipping overheads of :meth:`CostModel.estimate_parallel` (a
     pool of one worker is still a parallel plan — sharded, dealt,
     merged — so the flag is explicit rather than inferred from the
-    count).
+    count).  A hash candidate carries the ``atom_order`` it was priced
+    on, as ``(name, attrs)`` pairs, which a serial plan runs.
 
     A forced-only backend's plan carries an *unpriced* estimate:
     ``quantity`` and ``cost`` are ``None``.
+
+    The :attr:`formula` EXPLAIN prints is kept as a ``str.format``
+    ``template`` and its ``args``, and formatted only when read: most
+    plans are never explained.
     """
 
     backend: str
     quantity: Optional[float]
     cost: Optional[float]
-    formula: str
+    template: str
     workers: int = 1
     parallel: bool = False
     sort: float = 0.0
     gao: Optional[Tuple[str, ...]] = None
+    atom_order: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
+    args: Tuple = ()
+
+    @property
+    def formula(self) -> str:
+        """The instantiated cost formula."""
+        return self.template.format(*self.args)
 
 
 class CostModel:
@@ -314,17 +380,21 @@ class CostModel:
         prices.
         """
         log2 = math.log2
+        prod = math.prod
         spanned = [1.0] * len(cards)  # Π distinct over bound attributes
         factor = [1.0] * len(cards)  # min(|R|, spanned) once bound
         scale = 1.0
         survivors = 1.0
         total = 0.0
         # min(a, b) is ``b if b < a else a`` and max(a, b) is ``b if b > a
-        # else a``, spelled out on this hot path.
+        # else a``, spelled out on this hot path, and the one- and
+        # two-relation levels (every level of a binary query) unrolled.
+        # The smallest fan-out's own term is log₂(1 + f / f) = 1 exactly.
         for k in order:
-            parts, distinct, selectivity, overlap = tables[k]
-            if len(parts) == 1:
-                # A lone relation: log₂(1 + f / f) = 1 seek per candidate.
+            parts, distinct, selectivity, overlap, _ = tables[k]
+            arity = len(parts)
+            if arity == 1:
+                # A lone relation: one seek per candidate.
                 i = parts[0]
                 s = spanned[i] = spanned[i] * distinct[0]
                 c = cards[i]
@@ -332,6 +402,27 @@ class CostModel:
                 fan_out = grown / factor[i] if factor[i] else 0.0
                 factor[i] = grown
                 seeks = 1.0
+            elif arity == 2:
+                i, j = parts
+                s = spanned[i] = spanned[i] * distinct[0]
+                c = cards[i]
+                grown = s if s < c else c
+                fan_i = grown / factor[i] if factor[i] else 0.0
+                factor[i] = grown
+                s = spanned[j] = spanned[j] * distinct[1]
+                c = cards[j]
+                grown = s if s < c else c
+                fan_j = grown / factor[j] if factor[j] else 0.0
+                factor[j] = grown
+                if fan_j < fan_i:
+                    fan_out = fan_j
+                    seeks = log2(1.0 + fan_i / fan_j) + 1.0 if fan_j else 1.0
+                elif fan_i:
+                    fan_out = fan_i
+                    seeks = 1.0 + log2(1.0 + fan_j / fan_i)
+                else:
+                    fan_out = fan_i
+                    seeks = 1.0
             else:
                 fans = []
                 for i, d in zip(parts, distinct):
@@ -343,16 +434,13 @@ class CostModel:
                 fan_out = min(fans)
                 if not fan_out:
                     seeks = 1.0
-                elif len(fans) == 2:
-                    # What sum() gives for two terms, without the list.
-                    seeks = log2(1.0 + fans[0] / fan_out) + log2(
-                        1.0 + fans[1] / fan_out
-                    )
                 else:
-                    seeks = sum([log2(1.0 + f / fan_out) for f in fans])
+                    seeks = 0.0
+                    for f in fans:
+                        seeks += log2(1.0 + f / fan_out)
             scale *= selectivity * overlap
             candidates = survivors * fan_out * overlap * seeks
-            survivors = math.prod(factor) * scale
+            survivors = prod(factor) * scale
             total += candidates if candidates > survivors else survivors
         cap = (
             len(order) * max(stats.agm, 1.0) * max(stats.domain_depth, 1)
@@ -362,39 +450,44 @@ class CostModel:
         return setup + min(total, cap)
 
     def _hash_plan_quantity(
-        self, profiles: Sequence[RelationProfile], order: Sequence[int]
+        self,
+        cards: Sequence[int],
+        tables: VariableTables,
+        steps: Sequence[Tuple],
     ) -> float:
         """Σ (build + probe + intermediate) of the left-deep plan over
-        the atoms in ``order`` (indices into ``profiles``).
+        an atom order, as :func:`_atom_order`'s ``steps``.
 
         Each intermediate is estimated under independence: joining on
         shared variables divides the cross product by the larger
         distinct count per variable.
         """
-        first = profiles[order[0]]
-        acc_size = float(first.cardinality)
-        acc_distinct = dict(first.distinct)
+        first, reads = steps[0]
+        acc_size = float(cards[first])
+        acc = [0] * len(tables)  # per bound variable, its distinct count
+        for k, j, _ in reads:
+            acc[k] = tables[k][1][j]
         total = acc_size
         step = self.STEP_OVERHEAD
-        for i in order[1:]:
+        for i, reads in steps[1:]:
             # One join step: the cross product, divided by the larger
             # distinct count per shared variable (at least 1); the
-            # profile's counts then fold into the accumulator's (the
+            # atom's counts then fold into the accumulator's (the
             # smaller one wins).
-            p = profiles[i]
-            acc_size *= p.cardinality
-            get = p.distinct.get
-            for a in p.attrs:
-                d = get(a, 1)
-                acc = acc_distinct.get(a)
-                if acc is None:
-                    acc_distinct[a] = d
-                elif acc < d:
+            c = cards[i]
+            acc_size *= c
+            for k, j, bound in reads:
+                d = tables[k][1][j]
+                if not bound:
+                    acc[k] = d
+                    continue
+                a = acc[k]
+                if a < d:
                     acc_size /= d if d > 1 else 1
                 else:
-                    acc_size /= acc if acc > 1 else 1
-                    acc_distinct[a] = d
-            total += p.cardinality + acc_size + step
+                    acc_size /= a if a > 1 else 1
+                    acc[k] = d
+            total += c + acc_size + step
         return total
 
     # -- the estimate API ------------------------------------------------------
@@ -410,7 +503,7 @@ class CostModel:
         independence estimate does not see that disjoint ranges join
         to nothing, and an empty output sorts for free.
         """
-        z = stats.output_estimate * math.prod(t[3] for t in tables)
+        z = stats.output_estimate * math.prod(map(_OVERLAP, tables))
         return self.SORT * z * math.log2(z) if z > 1.0 else 0.0
 
     def _estimate(
@@ -420,7 +513,7 @@ class CostModel:
         shape: QueryShape,
         profile: StructureProfile,
         stats: QueryStats,
-        profiles: Sequence[RelationProfile],
+        cards: Sequence[int],
         sort: float,
         tables: VariableTables,
     ) -> CostEstimate:
@@ -436,50 +529,48 @@ class CostModel:
         is priced the same way: the query's own atom order, which binds
         ``query.variables`` and pays no sort, against
         :func:`~repro.joins.hashjoin.left_deep_order` by size plus the
-        sort (unless that order binds ``query.variables`` too, when
-        :func:`~repro.joins.hashjoin.hash_order` runs the query's).
-        Its GAO is the binding order of the order kept.  Orders are
-        priced as index lists, each worked out once per shape.
+        sort (unless that order binds ``query.variables`` too).  Its GAO
+        is the binding order of the order kept, and the order itself is
+        the estimate's ``atom_order``.  Orders are priced as index lists,
+        each worked out once per shape.
         """
         factor = DEFAULT_CALIBRATION[backend]
         if backend == "leapfrog":
-            cards = [float(p.cardinality) for p in profiles]
+            floats = list(map(float, cards))
             gao = profile.gao
             q = self._leapfrog_quantity(
-                cards, stats, _gao_indices(shape, gao), tables
+                floats, stats, _gao_indices(shape, gao), tables
             )
             if gao == query.variables:
                 sort = 0.0
             elif sort:
                 q_ordered = self._leapfrog_quantity(
-                    cards, stats, range(len(tables)), tables
+                    floats, stats, range(len(tables)), tables
                 )
                 if factor * q_ordered <= factor * q + sort:
                     q, gao, sort = q_ordered, query.variables, 0.0
-            formula = (
-                f"Õ(N + Σ level candidates) ≈ {q:g} (AGM {stats.agm:g})"
+            return CostEstimate(
+                backend, q, factor * q + sort, _LEAPFROG_FORMULA,
+                sort=sort, gao=gao, args=(q, stats.agm),
             )
-        else:  # hash
-            gao = query.variables
-            q = self._hash_plan_quantity(profiles, range(len(profiles)))
-            by_size, bound = _atom_order(
-                shape, query,
-                left_deep_order(
-                    query.atoms, lambda name: stats.relation(name).cardinality
-                ),
-            )
-            q_size = (
-                self._hash_plan_quantity(profiles, by_size)
-                if bound != gao
-                else math.inf
-            )
-            if factor * q_size + sort < factor * q:
-                q, gao = q_size, bound
-            else:
-                sort = 0.0
-            formula = f"N + Σ intermediates ≈ {q:g}"
+        # hash
+        gao = query.variables
+        q = self._hash_plan_quantity(
+            cards, tables, _atom_order(shape, range(len(cards)))[0]
+        )
+        steps, bound, atoms = _by_size(shape, cards)
+        q_size = (
+            self._hash_plan_quantity(cards, tables, steps)
+            if bound != gao
+            else math.inf
+        )
+        if factor * q_size + sort < factor * q:
+            q, gao = q_size, bound
+        else:
+            sort, atoms = 0.0, shape.signature
         return CostEstimate(
-            backend, q, factor * q + sort, formula, sort=sort, gao=gao,
+            backend, q, factor * q + sort, _HASH_FORMULA,
+            sort=sort, gao=gao, atom_order=atoms, args=(q,),
         )
 
     # -- parallel-plan candidates ----------------------------------------------
@@ -518,11 +609,13 @@ class CostModel:
             base.backend,
             quantity,
             factor * quantity + overhead + sort,
-            f"{base.formula} ∥ ×{p} workers ({num_shards} shards, shm)",
+            base.template + _PARALLEL_FORMULA,
             workers=workers,
             parallel=True,
             sort=sort,
             gao=base.gao,
+            atom_order=base.atom_order,
+            args=base.args + (p, num_shards),
         )
 
     def estimate_all(
@@ -532,21 +625,25 @@ class CostModel:
         stats: QueryStats,
         workers: Optional[int] = None,
         num_shards: int = 1,
+        shape: Optional[QueryShape] = None,
     ) -> Tuple[CostEstimate, ...]:
         """Every candidate: serial per :data:`CANDIDATES` backend, plus —
         when a worker count is on the table and the split produced > 1
         shard — one parallel candidate per backend at that worker
-        count."""
-        shape = query_shape(query)
-        profiles = [stats.relation(name) for name in shape.names]
+        count.  ``stats`` are the query's (profiles in its atom order);
+        ``shape`` is its :func:`~repro.engine.stats.query_shape`, looked
+        up when not given."""
+        if shape is None:
+            shape = query_shape(query)
+        cards = [p.cardinality for p in stats.relations]
         tables = stats.variable_tables(shape)
         sort = self._sort_cost(stats, tables)
-        serial = tuple(
+        serial = tuple([
             self._estimate(
-                b, query, shape, profile, stats, profiles, sort, tables
+                b, query, shape, profile, stats, cards, sort, tables
             )
             for b in CANDIDATES
-        )
+        ])
         if workers is None or workers < 1 or num_shards <= 1:
             return serial
         parallel = tuple(

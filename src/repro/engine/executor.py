@@ -1,7 +1,7 @@
 """The unified execution engine: one entry point over every join backend.
 
 ``execute(query, db, algorithm="auto")`` plans (or takes the caller's
-``plan=``), opens the plan's cursor, drains and sorts it, and returns an
+``plan=``), drains the plan's rows and sorts them, and returns an
 :class:`ExecutionResult` — the same shape as
 :class:`repro.joins.tetris_join.JoinResult` (``tuples`` / ``variables`` /
 ``stats`` / ``gao``) plus the :class:`~repro.engine.planner.Plan` and the
@@ -21,9 +21,9 @@ A backend that emits in output order says so, and is not sorted again.
 
 The six backends are declared once, in :data:`BACKEND_TABLE`, each as
 a single ``run`` function, and :func:`run_backend` is the only place one
-is entered — by a serial cursor here and by
-:func:`repro.parallel.workers.execute_shard` for every shard of a
-parallel run, whichever process computes it.
+is entered — by a serial run here (``execute``'s drain or a cursor)
+and by :func:`repro.parallel.workers.execute_shard` for every shard of
+a parallel run, whichever process computes it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from typing import (
 )
 
 from repro.core.resolution import ResolutionStats
+from repro.engine.codegen import hash_kernel
 from repro.engine.planner import Plan, plan_query
-from repro.joins.hashjoin import binding_order, hash_blocks, hash_order
+from repro.joins.hashjoin import binding_order, hash_order
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.relational.io import (
@@ -68,9 +69,10 @@ class BackendSpec:
     before the first pull; ``sorted_runs`` declares the stream already
     in output order; ``limit`` is a materialization hint (it sizes the
     blocks, Tetris caps its enumeration with it) — the caller enforces
-    the exact cut-off and sorts what needs it.  ``requires_acyclic``
-    marks a backend that runs only on α-acyclic queries: the planner
-    refuses to plan it on any other.
+    the exact cut-off and sorts what needs it.  A serial hash plan's
+    ``atom_order`` rides along as a sixth argument, to the hash backend
+    only.  ``requires_acyclic`` marks a backend that runs only on
+    α-acyclic queries: the planner refuses to plan it on any other.
     """
 
     name: str
@@ -334,14 +336,25 @@ def _yannakakis(query, db, index_kind, gao, limit):
     return blocks, ResolutionStats(), False
 
 
-def _hash(query, db, index_kind, gao, limit):
-    """The plan's GAO picks the atom order (``hash_order``); a cascade
-    that binds variables in output order emits its rows sorted."""
-    order = hash_order(query, db, gao)
-    blocks = hash_blocks(query, db, order, block_rows_for(limit))
-    return (
-        blocks, ResolutionStats(),
-        binding_order(query, order) == query.variables,
+def _hash(query, db, index_kind, gao, limit, atom_order=None):
+    """A serial plan's cascade joins the atoms in the order its estimate
+    was priced on (``atom_order``: ``(name, attrs)`` pairs, binding the
+    plan's GAO); a shard, or a plan whose GAO the caller set, has the
+    GAO pick it (``hash_order``).  A cascade that binds variables in
+    output order emits its rows sorted."""
+    if atom_order is None:
+        names = hash_order(query, db, gao)
+        atom = query.atom
+        atom_order = tuple([(name, atom(name).attrs) for name in names])
+        gao = binding_order(query, names)
+    blocks = _cascade(db, atom_order, query.variables, block_rows_for(limit))
+    return blocks, ResolutionStats(), gao == query.variables
+
+
+def _cascade(db, atom_order, variables, block_rows):
+    """The compiled hash cascade over ``atom_order``, lazily."""
+    yield from hash_kernel(atom_order, variables)(
+        [db[name].rows() for name, _ in atom_order], block_rows
     )
 
 
@@ -419,18 +432,22 @@ def run_backend(
     index_kind: str,
     gao: Optional[Tuple[str, ...]],
     limit: Optional[int],
+    atom_order: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None,
 ) -> Tuple[Iterator[List[Row]], ResolutionStats, bool]:
     """Enter a backend — the only place one is.
 
     Returns the backend's lazy block stream (its own enumeration order,
     uncut), the :class:`ResolutionStats` the stream fills as it is
     consumed, and whether it is in output order already.  Callers cut
-    at ``limit`` and sort what is not.
+    at ``limit`` and sort what is not.  ``atom_order`` is a serial hash
+    plan's (:attr:`~repro.engine.planner.Plan.atom_order`).
     """
     spec = BACKEND_TABLE.get(backend)
     if spec is None:
         raise ValueError(f"no backend named {backend!r}")
-    return spec.run(query, db, index_kind, gao, limit)
+    if atom_order is None:
+        return spec.run(query, db, index_kind, gao, limit)
+    return spec.run(query, db, index_kind, gao, limit, atom_order)
 
 
 def _open_cursor(
@@ -445,7 +462,8 @@ def _open_cursor(
     if plan.num_shards > 1:
         return _parallel_cursor(query, db, plan, limit, decode, timeout_ms)
     blocks, stats, sorted_runs = run_backend(
-        plan.backend, query, db, plan.index_kind, plan.gao, limit
+        plan.backend, query, db, plan.index_kind, plan.gao, limit,
+        plan.atom_order,
     )
     return ResultCursor(
         None, variables=query.variables, backend=plan.backend, plan=plan,
@@ -505,6 +523,42 @@ def _parallel_cursor(
     )
     cursor.parallel = report
     return cursor
+
+
+def _drain(
+    query: JoinQuery,
+    db: Database,
+    plan: Plan,
+    limit: Optional[int],
+    timeout_ms: Optional[int],
+) -> Tuple[List[Row], ResolutionStats, Optional[object]]:
+    """:func:`execute`'s run: every row, sorted unless they arrived in
+    order, with the run's stats and parallel report.
+
+    A serial plan without a limit has nothing to cut, decode or
+    release, so its backend's blocks are concatenated as they come.
+    Anything else drains the plan's cursor, closed once materialized
+    (with a limit the backend's pipeline is abandoned mid-stream, and a
+    parallel cursor must release its worker pool, draining in-flight
+    shards, for the next run).
+    """
+    if plan.num_shards == 1 and limit is None:
+        blocks, stats, sorted_runs = run_backend(
+            plan.backend, query, db, plan.index_kind, plan.gao, None,
+            plan.atom_order,
+        )
+        tuples, ordered = concat_blocks(blocks, sorted_runs)
+        parallel = None
+    else:
+        with _open_cursor(query, db, plan, limit, None, timeout_ms) as cursor:
+            tuples = cursor.fetchall()
+        stats, parallel, ordered = cursor.stats, cursor.parallel, cursor.ordered
+    if not ordered:
+        # Its own span: ANALYZE fits the backend constant on execute −
+        # sort, as the cost model prices sort separately.
+        with _tracing.span("sort"):
+            tuples.sort()
+    return tuples, stats, parallel
 
 
 def execute_cursor(
@@ -581,8 +635,9 @@ def execute(
     """Plan (unless a plan is supplied) and run a join query.
 
     The single entry point the CLI and benchmarks dispatch through:
-    plan, open the plan's cursor, ``fetchall()``, and sort unless the
-    rows arrived in order.  ``algorithm="auto"`` selects the
+    plan, drain the plan's rows (a serial plan's backend blocks as they
+    come, anything else through its cursor's ``fetchall()``), and sort
+    unless they arrived in order.  ``algorithm="auto"`` selects the
     cost-optimal backend, any backend name forces it; whatever else a
     plan is made from goes through
     :func:`~repro.engine.planner.plan_query` and arrives as ``plan=``.
@@ -612,7 +667,7 @@ def execute(
     registry delta brackets the call with ``REGISTRY.snapshot()`` /
     ``MetricsSnapshot.since``.
 
-    The whole call — planning, the cursor's drain, the sort — runs with
+    The whole call — planning, the drain, the sort — runs with
     the cyclic collector paused (:class:`~repro.relational.io.gc_paused`):
     each output row is a new tracked tuple, and the generation scans
     their allocation would trigger collect nothing.  The collector is
@@ -623,38 +678,38 @@ def execute(
         if tracer is None and _tracing.enabled():
             tracer = _tracing.Tracer()
         wall0 = time.perf_counter()
-        with _tracing.use(tracer), _tracing.span(
-            "query", algorithm=algorithm if plan is None else plan.algorithm
-        ) as qspan:
+        if tracer is None:
+            # Untraced: no span to open, nothing to install.
             if plan is None:
                 plan = plan_query(
                     query, db, algorithm=algorithm, index_kind=index_kind,
                     gao=gao, workers=workers,
                 )
             t0 = time.perf_counter()
-            with _tracing.span(
-                "execute", backend=plan.backend, workers=plan.workers
-            ) as espan:
-                # Close once materialized: with a limit the backend's
-                # pipeline is abandoned mid-stream, and a parallel cursor
-                # must release its worker pool (draining in-flight shards)
-                # for the next run.
-                with _open_cursor(
-                    query, db, plan, limit, None, timeout_ms
-                ) as cursor:
-                    tuples = cursor.fetchall()
-                    if not cursor.ordered:
-                        # Its own span: ANALYZE fits the backend constant
-                        # on execute − sort, as the cost model prices sort
-                        # separately.
-                        with _tracing.span("sort"):
-                            tuples.sort()
-                if espan is not None:
-                    espan.attrs["rows"] = len(tuples)
+            tuples, stats, parallel = _drain(
+                query, db, plan, limit, timeout_ms
+            )
             elapsed = time.perf_counter() - t0
-            if qspan is not None:
+        else:
+            with _tracing.use(tracer), tracer.span(
+                "query",
+                algorithm=algorithm if plan is None else plan.algorithm,
+            ) as qspan:
+                if plan is None:
+                    plan = plan_query(
+                        query, db, algorithm=algorithm,
+                        index_kind=index_kind, gao=gao, workers=workers,
+                    )
+                t0 = time.perf_counter()
+                with tracer.span(
+                    "execute", backend=plan.backend, workers=plan.workers
+                ) as espan:
+                    tuples, stats, parallel = _drain(
+                        query, db, plan, limit, timeout_ms
+                    )
+                    espan.attrs["rows"] = len(tuples)
+                elapsed = time.perf_counter() - t0
                 qspan.attrs["backend"] = plan.backend
-        stats = cursor.stats
         if _METRICS.enabled:
             _METRICS.observe("query.latency", time.perf_counter() - wall0)
             counts = {"engine.queries": 1, "engine.rows.returned": len(tuples)}
@@ -665,12 +720,12 @@ def execute(
             tuples=tuples,
             variables=query.variables,
             stats=stats,
-            gao=cursor.gao,
+            gao=plan.gao,
             backend=plan.backend,
             plan=plan,
             elapsed=elapsed,
             limit=limit,
             decode=decode,
-            parallel=cursor.parallel,
+            parallel=parallel,
             trace=tracer,
         )

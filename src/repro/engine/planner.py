@@ -13,15 +13,16 @@ the ``((name, attrs), …)`` tuple):
 
 - the **plan cache** is keyed on signature + data + options (the stats
   fingerprint, algorithm, index kind, GAO and workers): a hit skips
-  planning entirely;
+  planning entirely, statistics included;
 - the **stats cache** (:func:`collect_stats`) is keyed on signature +
   data: reloading identical data hits it;
 - the **shape memo** (:func:`~repro.engine.stats.query_shape`) is keyed
   on the signature only.  Its :class:`~repro.engine.stats.QueryShape`
   holds what is a pure function of the hypergraph: the
-  :class:`StructureProfile` (acyclicity, treewidth, the fhtw LPs, the
-  GAO), each variable's atoms, the GAOs and atom orders as index lists,
-  and the AGM LP's optimal bases.  A new database over a known shape
+  :class:`StructureProfile` (acyclicity and the GAO; treewidth and the
+  fhtw bound are worked out only when EXPLAIN reads them), each
+  variable's atoms, the GAOs and atom orders as index lists, and the
+  AGM LP's optimal bases.  A new database over a known shape
   pays only the arithmetic on its own numbers: its profiles, an AGM
   read off a kept basis (the simplex runs only for a basis the shape
   has not met), and the cost formulas.
@@ -35,7 +36,7 @@ re-checked against each instance's weights before it is used).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.cost import (
@@ -47,9 +48,11 @@ from repro.engine.cost import (
 from repro.engine.stats import (
     _SHAPE_MEMO,
     QueryStats,
+    _collect,
     assumed_stats,
-    collect_stats,
+    frozen_record,
     query_shape,
+    stats_key,
 )
 from repro.obs import tracing as _tracing
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -59,8 +62,10 @@ from repro.relational.query import ContentLRU, Database, JoinQuery
 #: ``make_oracle`` and the CLI's ``--index-kind`` accept exactly these.
 INDEX_KINDS = ("btree", "dyadic", "kdtree")
 
+_COST = attrgetter("cost")
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_record
 class Plan:
     """An executable decision: backend + physical knobs + the evidence.
 
@@ -68,7 +73,13 @@ class Plan:
     shard-parallel plan: the executor partitions the output space into
     ``num_shards`` dyadic shards on ``split_attrs`` and runs the chosen
     backend on a pool of ``workers`` processes.  A forced-only backend's
-    plan has no ``predicted_cost`` (``None``).
+    plan has no ``predicted_cost`` (``None``).  A serial hash plan
+    carries the ``atom_order`` its estimate was priced on, as
+    ``(name, attrs)`` pairs, and the executor compiles and runs it as
+    is; ``None`` elsewhere, and where a caller's GAO overrode the priced
+    one (the executor then derives the order from the GAO, as a shard of
+    a parallel run does).  The order binds ``gao``, so a copy of a plan
+    with another GAO sets ``atom_order=None``.
     """
 
     backend: str
@@ -84,6 +95,7 @@ class Plan:
     workers: int = 1
     num_shards: int = 1
     split_attrs: Tuple[str, ...] = ()
+    atom_order: Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]] = None
 
     @property
     def variant(self) -> Optional[str]:
@@ -159,18 +171,23 @@ def plan_query(
     a *forced* backend combined with ``workers`` always takes the
     parallel plan (the caller asked for both).
     """
-    with _tracing.span("plan", algorithm=algorithm) as sp:
+    tracer = _tracing.current_tracer()
+    if tracer is None:
+        return _plan_query_impl(
+            query, db, stats, algorithm, index_kind, gao, use_cache,
+            assumed_rows, workers,
+        )
+    with tracer.span("plan", algorithm=algorithm) as sp:
         plan = _plan_query_impl(
             query, db, stats, algorithm, index_kind, gao, use_cache,
             assumed_rows, workers,
         )
-        if sp is not None:
-            sp.attrs.update(
-                backend=plan.backend,
-                cache_hit=plan.cache_hit,
-                predicted_cost=plan.predicted_cost,
-                workers=plan.workers,
-            )
+        sp.attrs.update(
+            backend=plan.backend,
+            cache_hit=plan.cache_hit,
+            predicted_cost=plan.predicted_cost,
+            workers=plan.workers,
+        )
         return plan
 
 
@@ -185,39 +202,47 @@ def _plan_query_impl(
     assumed_rows: int,
     workers: Optional[int],
 ) -> Plan:
-    # The executor imports this module, so its table is read lazily.
-    from repro.engine.executor import BACKEND_TABLE, normalize_algorithm
+    if algorithm != "auto":
+        # The executor imports this module, so its table is read lazily.
+        from repro.engine.executor import BACKEND_TABLE, normalize_algorithm
 
-    algorithm = normalize_algorithm(algorithm)
+        algorithm = normalize_algorithm(algorithm)
     if index_kind is not None and index_kind not in INDEX_KINDS:
         raise ValueError(
             f"unknown index kind {index_kind!r}; expected one of "
             f"{', '.join(INDEX_KINDS)}"
         )
-    if gao is not None and sorted(gao) != sorted(query.variables):
-        raise ValueError(
-            f"GAO {tuple(gao)} is not a permutation of {query.variables}"
-        )
-    if stats is None:
-        if db is not None:
-            stats = collect_stats(query, db)
-        else:
-            stats = assumed_stats(query, rows=assumed_rows)
+    if gao is not None:
+        gao = tuple(gao)
+        if sorted(gao) != sorted(query.variables):
+            raise ValueError(
+                f"GAO {gao} is not a permutation of {query.variables}"
+            )
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    key = (
-        stats.fingerprint,
-        algorithm,
-        index_kind,
-        tuple(gao) if gao is not None else None,
-        workers,
-    )
+    if stats is not None:
+        fingerprint = stats.fingerprint
+    elif db is not None:
+        # The plan cache is keyed on the statistics' content key, so a
+        # hit needs no statistics: they are collected on a miss only.
+        fingerprint = stats_key(query, db)
+    else:
+        stats = assumed_stats(query, rows=assumed_rows)
+        fingerprint = stats.fingerprint
+    key = (fingerprint, algorithm, index_kind, gao, workers)
     if use_cache:
         cached = _PLAN_CACHE.get(key)
         if cached is not None:
-            return dataclasses.replace(cached, cache_hit=True)
+            if not cached.cache_hit:
+                # The first hit keeps the plan it serves, and later hits
+                # return that one as is (a plan is immutable).
+                cached = dataclasses.replace(cached, cache_hit=True)
+                _PLAN_CACHE.put(key, cached)
+            return cached
 
     shape = query_shape(query)
+    if stats is None:
+        stats = _collect(query, db, fingerprint, shape)
     profile = shape.profile
     if profile is None:
         profile = shape.profile = structure_of(query)
@@ -247,11 +272,11 @@ def _plan_query_impl(
             num_shards = default_num_shards(workers)
     candidates = CostModel().estimate_all(
         query, profile, stats,
-        workers=workers, num_shards=num_shards,
+        workers=workers, num_shards=num_shards, shape=shape,
     )
     if algorithm == "auto":
         # min() is stable, so CANDIDATES order breaks exact ties.
-        chosen = min(candidates, key=lambda c: c.cost)
+        chosen = min(candidates, key=_COST)
     else:
         # A forced backend with a worker count takes the parallel
         # candidate; without one, the serial estimate.  A forced-only
@@ -270,7 +295,7 @@ def _plan_query_impl(
     # estimate was priced on (leapfrog's may be ``query.variables``, so
     # its rows arrive sorted), else the structural one.
     if gao is not None:
-        plan_gao = tuple(gao)
+        plan_gao = gao
     else:
         plan_gao = chosen.gao if chosen.gao is not None else profile.gao
     plan = Plan(
@@ -286,6 +311,12 @@ def _plan_query_impl(
         workers=chosen.workers if parallel else 1,
         num_shards=num_shards if parallel else 1,
         split_attrs=split_attrs if parallel else (),
+        # The priced hash order runs where it binds the plan's GAO.
+        atom_order=(
+            chosen.atom_order
+            if not parallel and plan_gao == chosen.gao
+            else None
+        ),
     )
     if use_cache:
         _PLAN_CACHE.put(key, plan)

@@ -60,7 +60,7 @@ from repro.core.boxes import PackedBox
 from repro.core.intervals import PLAMBDA
 from repro.indexes.btree import BTreeIndex
 from repro.indexes.dyadic_index import DyadicTreeIndex, KDTreeIndex
-from repro.relational.hypergraph import Hypergraph, gao_for_acyclic
+from repro.relational.hypergraph import Hypergraph
 from repro.relational.query import Database, JoinQuery
 from repro.relational.relation import Relation
 
@@ -230,7 +230,8 @@ def default_gao(query: JoinQuery) -> Tuple[str, ...]:
     """A good global attribute order: reverse-GYO for α-acyclic queries,
     otherwise a minimum-induced-width elimination order."""
     h = Hypergraph.of_query(query)
-    if h.is_alpha_acyclic():
-        return gao_for_acyclic(h)
+    gao = h.acyclic_gao()
+    if gao is not None:
+        return gao
     _, order = h.treewidth()
     return tuple(order)

@@ -30,7 +30,7 @@ size-ascending :func:`left_deep_order` with one.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.io import BLOCK_ROWS
 from repro.relational.query import Database, JoinQuery
@@ -38,7 +38,7 @@ from repro.relational.schema import RelationSchema
 
 
 def left_deep_order(
-    atoms: Sequence[RelationSchema], size_of: Callable[[str], int]
+    atoms: Sequence[RelationSchema], sizes: Sequence[int]
 ) -> List[str]:
     """The default join order: size-ascending, but connectivity-aware.
 
@@ -47,29 +47,48 @@ def left_deep_order(
     size sort can interleave disconnected atoms and silently insert a
     cross-product stage (clipped shard databases, where relative sizes
     shift, hit this hard).  A cross product only happens when the query
-    hypergraph itself is disconnected.
+    hypergraph itself is disconnected.  Ties in size go by name.
 
-    ``size_of`` maps an atom name to its size: :func:`hash_order` passes
-    the relations' row counts, the cost model the profiled
-    cardinalities — one function, so the order that is priced is the
-    order that runs.  It is the hash plan's order only when it binds
-    variables out of output order and the cost model finds it cheaper
-    than the query's own order plus the sort.
+    ``sizes`` are the atoms' sizes, in ``atoms`` order: :func:`hash_order`
+    passes the relations' row counts.  The cost model ranks the
+    profiled cardinalities the same way and calls
+    :func:`connected_order` on the ranking — one function, so the order
+    that is priced is the order that runs.  It is the hash plan's order
+    only when it binds variables out of output order and the cost model
+    finds it cheaper than the query's own order plus the sort.
     """
-    # Ascending (size, name): the first connected entry is the smallest.
-    remaining = sorted([(size_of(a.name), a.name, a.attrs) for a in atoms])
-    _, first, attrs = remaining.pop(0)
+    names = [a.name for a in atoms]
+    # Ascending (size, name): a stable sort by size of the atoms by name.
+    ranking = sorted(
+        sorted(range(len(names)), key=names.__getitem__),
+        key=sizes.__getitem__,
+    )
+    order = connected_order(ranking, [a.attrs for a in atoms])
+    return [names[i] for i in order]
+
+
+def connected_order(
+    ranking: Sequence[int], attrs: Sequence[Collection[str]]
+) -> List[int]:
+    """The atoms of ``ranking`` (indices into ``attrs``, best first)
+    joined connectivity-first: each step takes the first remaining atom
+    that shares an attribute with those before it, or the first
+    remaining one when none does."""
+    first = ranking[0]
     order = [first]
-    bound = set(attrs)
+    bound = set(attrs[first])
+    remaining = list(ranking[1:])
     while remaining:
-        for k, entry in enumerate(remaining):
-            if not bound.isdisjoint(entry[2]):
+        k = 0
+        for i in remaining:
+            if not bound.isdisjoint(attrs[i]):
                 break
+            k += 1
         else:
             k = 0
-        _, name, attrs = remaining.pop(k)
-        order.append(name)
-        bound.update(attrs)
+        i = remaining.pop(k)
+        order.append(i)
+        bound.update(attrs[i])
     return order
 
 
@@ -86,14 +105,17 @@ def binding_order(
 def hash_order(
     query: JoinQuery, db: Database, gao: Optional[Sequence[str]] = None
 ) -> List[str]:
-    """The atom order the hash backend runs — the one place it is picked.
+    """The atom order the hash backend runs for a GAO.
 
     ``gao`` is a plan's: the :func:`binding_order` of the atom order the
     cost model priced.  Under ``query.variables`` the query's own atom
     order runs, and its rows come out sorted; under any other GAO,
     :func:`left_deep_order` over the relations' sizes.  Without one the
     hash plan of ``(query, db)`` supplies it, so a direct call runs the
-    kernel ``execute(query, db)`` runs when it picks hash.
+    kernel ``execute(query, db)`` runs when it picks hash.  (A serial
+    plan carries the order it priced, ``Plan.atom_order``, and the
+    executor runs that; a shard of a parallel run, whose clipped sizes
+    differ, and a plan whose GAO the caller set come here.)
     """
     if gao is None:
         from repro.engine.planner import plan_query
@@ -101,7 +123,7 @@ def hash_order(
         gao = plan_query(query, db, algorithm="hash").gao
     if tuple(gao) == query.variables:
         return [a.name for a in query.atoms]
-    return left_deep_order(query.atoms, lambda name: len(db[name]))
+    return left_deep_order(query.atoms, [len(db[a.name]) for a in query.atoms])
 
 
 def _plan_order(

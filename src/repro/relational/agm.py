@@ -45,11 +45,14 @@ class OptimalBasis(NamedTuple):
     the rows of ``B⁻¹`` (the final tableau's slack columns, one per
     edge), and ``basic[i]`` names row ``i``'s basic column: vertex
     ``j < n`` takes ``y_j = inverse[i]·w'``, a slack the rest.
+    ``signed`` holds the rows with a negative entry: under weights
+    ``w' ≥ 0`` only they can make ``B⁻¹w'`` negative.
     """
 
     inverse: Tuple[Tuple[float, ...], ...]
     basic: Tuple[int, ...]
     cover: Tuple[float, ...]
+    signed: Tuple[Tuple[float, ...], ...]
 
 
 def _solve_packing(
@@ -125,10 +128,12 @@ def optimal_basis(
     """The basis :func:`_packing_simplex` ends on for weights ``w ≥ 0``."""
     n, m = len(vertices), len(edges)
     rows, cost, basis = _solve_packing(vertices, edges, w)
+    inverse = tuple(tuple(row[n:n + m]) for row in rows)
     return OptimalBasis(
-        inverse=tuple(tuple(row[n:n + m]) for row in rows),
+        inverse=inverse,
         basic=tuple(basis),
         cover=tuple(max(c, 0.0) for c in cost[n:n + m]),
+        signed=tuple(row for row in inverse if min(row) < 0.0),
     )
 
 
@@ -191,7 +196,13 @@ def agm_bound(query, db) -> float:
 def bag_cover_number(
     bag: FrozenSet[str], edges: Sequence[FrozenSet[str]]
 ) -> float:
-    """ρ* of a hypergraph restricted to a bag (edges intersected with it)."""
+    """ρ* of a hypergraph restricted to a bag (edges intersected with it).
+
+    A bag inside one edge is covered by that edge alone, and each of its
+    vertices needs a total weight of 1: its ρ* is 1, with no LP.
+    """
+    if bag and any(bag <= e for e in edges):
+        return 1.0
     restricted = [e & bag for e in edges if e & bag]
     return fractional_edge_cover(sorted(bag), restricted)[0]
 

@@ -100,6 +100,13 @@ class Hypergraph:
         _, residual = self.gyo_elimination()
         return not residual
 
+    def acyclic_gao(self) -> Optional[Tuple[str, ...]]:
+        """The reverse GYO elimination order — the SAO of Theorem D.8 —
+        or ``None`` when the hypergraph is not α-acyclic: one GYO run
+        answers both questions."""
+        order, residual = self.gyo_elimination()
+        return None if residual else tuple(reversed(order))
+
     def is_beta_acyclic(self) -> bool:
         """β-acyclicity: every subset of edges forms an α-acyclic hypergraph.
 
@@ -341,7 +348,7 @@ def gao_for_acyclic(h: Hypergraph) -> Tuple[str, ...]:
 
     Raises when the hypergraph is not α-acyclic.
     """
-    order, residual = h.gyo_elimination()
-    if residual:
+    gao = h.acyclic_gao()
+    if gao is None:
         raise ValueError("hypergraph is not α-acyclic")
-    return tuple(reversed(order))
+    return gao

@@ -65,7 +65,40 @@ class Database:
 
     def stats_fingerprint(self) -> Tuple:
         """Signature of every relation's statistics, for plan-cache keys."""
-        return tuple([rel.stats_fingerprint() for rel in self._sorted])
+        return tuple(map(Relation.stats_fingerprint, self._sorted))
+
+
+class ContentKey:
+    """A content key that hashes once.
+
+    A tuple hashes every element again on each lookup, and a key of
+    nested statistics fingerprints is looked up several times per plan
+    (the statistics and plan caches' ``get`` and ``put``).  This one
+    keeps its hash; equality is the content's.  Unpickling rehashes, as
+    string hashes differ between processes.
+    """
+
+    __slots__ = ("content", "_hash")
+
+    def __init__(self, content: Tuple):
+        self.content = content
+        self._hash = hash(content)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is ContentKey
+            and self._hash == other._hash
+            and self.content == other.content
+        )
+
+    def __reduce__(self):
+        return ContentKey, (self.content,)
+
+    def __repr__(self) -> str:
+        return f"ContentKey({self.content!r})"
 
 
 class ContentLRU:
@@ -95,10 +128,13 @@ class ContentLRU:
         return value
 
     def put(self, key: Tuple, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        size = len(entries)
+        entries[key] = value  # a new key goes last: no second hash
+        if len(entries) == size:
+            entries.move_to_end(key)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
 
     def clear(self) -> None:
         self._entries.clear()

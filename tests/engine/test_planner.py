@@ -55,15 +55,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import codegen, cost, planner, stats
+from repro.engine import codegen, cost, executor, planner, stats
 from repro.engine import (
     Plan,
     clear_plan_cache,
+    execute,
     plan_cache_info,
     plan_query,
     structure_of,
 )
-from repro.joins.hashjoin import binding_order, iter_hash, left_deep_order
+from repro.joins.hashjoin import binding_order, connected_order, iter_hash
 from repro.relational.query import (
     Database,
     JoinQuery,
@@ -258,32 +259,39 @@ def test_priced_hash_order_is_the_order_that_runs(name, monkeypatch):
     """The hash estimate's GAO is the binding order of the atom order
     ``iter_hash`` runs — so the plan priced is the plan run: the
     query's own order with no sort term, or the size-ascending order the
-    cost model ranked with ``left_deep_order`` over the same sizes."""
+    cost model ranked as ``left_deep_order`` ranks the same sizes and
+    joined with the same ``connected_order``.  The plan carries that
+    order, and ``execute(plan=...)`` runs it."""
     case = DECISION_CASES.get(name, _case_disconnected)
     query, db, _ = case()
     priced, ran = [], []
 
-    def pricing(atoms, size_of):
-        priced.append(left_deep_order(atoms, size_of))
-        return priced[-1]
+    def pricing(ranking, attrs):
+        order = connected_order(ranking, attrs)
+        priced.append([query.atoms[i].name for i in order])
+        return order
 
     def building(specs, variables):
         ran.append([atom for atom, _ in specs])
         return hash_kernel(specs, variables)
 
     hash_kernel = codegen.hash_kernel
-    monkeypatch.setattr(cost, "left_deep_order", pricing)
+    monkeypatch.setattr(cost, "connected_order", pricing)
     monkeypatch.setattr(codegen, "hash_kernel", building)
+    monkeypatch.setattr(executor, "hash_kernel", building)
     plan = plan_query(query, db, algorithm="hash")
     next(iter_hash(query, db), None)
     assert len(ran) == 1 and binding_order(query, ran[0]) == plan.gao
+    assert [atom for atom, _ in plan.atom_order] == ran[0]
+    execute(query, db, plan=plan, limit=1)
+    assert ran[1] == ran[0]
     if plan.gao == query.variables:
         assert ran[0] == [a.name for a in query.atoms]
         assert plan.chosen.sort == 0.0
     else:
-        assert ran == priced[:1]
+        assert ran[0] == priced[0]
     if name == "disconnected":
-        assert ran == [["R", "S", "T"]]
+        assert ran[0] == ["R", "S", "T"]
 
 
 @pytest.mark.parametrize(
@@ -356,6 +364,48 @@ def test_plan_cache_hits_on_identical_stats():
     )
     third = plan_query(q, clone)
     assert third.cache_hit
+
+
+@pytest.mark.parametrize(
+    "record", ["Plan", "CostEstimate", "RelationProfile", "QueryStats"]
+)
+def test_planner_records_are_immutable(record):
+    """The planner's records are built through their slots, not the
+    dataclass ``__init__``, yet stay frozen dataclasses: assigning any
+    field raises, ``dataclasses.fields`` / ``replace`` work on a plan
+    and its stats, and a plan served from the cache twice is the first
+    with ``cache_hit`` set."""
+    q = triangle_query()
+    db = random_db(q, 1)
+    first = plan_query(q, db)
+    obj = {
+        "Plan": first,
+        "CostEstimate": first.chosen,
+        "RelationProfile": first.stats.relations[0],
+        "QueryStats": first.stats,
+    }[record]
+    assert type(obj).__name__ == record
+    names = [f.name for f in dataclasses.fields(obj)]
+    assert names
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    copy = dataclasses.replace(obj)
+    assert copy == obj and copy is not obj
+    assert [getattr(copy, n) for n in names] == [
+        getattr(obj, n) for n in names
+    ]
+    if record == "Plan":
+        assert dataclasses.replace(obj, workers=3).workers == 3
+        hits = [plan_query(q, db), plan_query(q, db)]
+        assert not first.cache_hit
+        assert all(hit.cache_hit for hit in hits)
+        assert hits[0] == hits[1] == dataclasses.replace(
+            first, cache_hit=True
+        )
+    if record == "QueryStats":
+        assert dataclasses.replace(obj, agm=1.0).agm == 1.0
+        assert obj.relation(obj.relations[1].name) is obj.relations[1]
 
 
 def test_plan_cache_misses_on_changed_stats():

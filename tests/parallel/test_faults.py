@@ -128,17 +128,6 @@ class TestCrashRecovery:
         assert ran_on[victim.shard.describe()] == -1
         _assert_one_rule(report, failed=1)
 
-    def test_permanent_crash_quarantines_to_serial(
-        self, instance, workers, monkeypatch
-    ):
-        query, db, serial = instance
-        sid = _victim(query, db, workers)
-        arm(monkeypatch, "crash", {sid})
-        result = execute(query, db, algorithm="hash", workers=workers)
-        assert result.tuples == serial
-        assert result.parallel.shards_quarantined >= 1
-        assert result.parallel.worker_respawns >= 1
-
     def test_same_pool_serves_the_next_query(
         self, instance, workers, monkeypatch
     ):
@@ -246,17 +235,6 @@ class TestHangs:
         # the parent and is never dealt again.
         assert result.parallel.worker_respawns == 1
         _assert_one_rule(result.parallel, failed=1)
-
-    def test_permanent_hang_quarantined_by_stall_budget(
-        self, instance, workers, monkeypatch
-    ):
-        query, db, serial = instance
-        sid = _victim(query, db, workers)
-        arm(monkeypatch, "hang", {sid})
-        monkeypatch.setattr(scheduler, "SHARD_STALL_MS", 300)
-        result = execute(query, db, algorithm="hash", workers=workers)
-        assert result.tuples == serial
-        assert result.parallel.shards_quarantined >= 1
 
     def test_deadline_raises_query_timeout_with_partial_report(
         self, instance, workers, monkeypatch

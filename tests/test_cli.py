@@ -86,6 +86,37 @@ class TestJoinCommand:
         assert rc == 0
         assert "via leapfrog" in capsys.readouterr().err
 
+    def test_hash_join_reports_no_resolution_counters(
+        self, triangle_csvs, capsys
+    ):
+        """Only Tetris counts resolutions: a hash join's summary line
+        names the backend and no all-zero counters."""
+        rc = main([
+            "join", "R(A,B), S(B,C), T(A,C)", "--algorithm", "hash",
+            "--csv", f"R={triangle_csvs / 'r.csv'}",
+            "--csv", f"S={triangle_csvs / 's.csv'}",
+            "--csv", f"T={triangle_csvs / 't.csv'}",
+        ])
+        assert rc == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.endswith("via hash")
+        assert "resolutions=" not in summary
+
+    def test_tetris_join_reports_its_resolution_counters(
+        self, triangle_csvs, capsys
+    ):
+        rc = main([
+            "join", "R(A,B), S(B,C), T(A,C)",
+            "--algorithm", "tetris-reloaded",
+            "--csv", f"R={triangle_csvs / 'r.csv'}",
+            "--csv", f"S={triangle_csvs / 's.csv'}",
+            "--csv", f"T={triangle_csvs / 't.csv'}",
+        ])
+        assert rc == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert "via tetris-reloaded (resolutions=" in summary
+        assert "oracle_queries=" in summary
+
     def test_join_inapplicable_backend_errors(self, triangle_csvs, capsys):
         rc = main([
             "join", "R(A,B), S(B,C), T(A,C)", "--algorithm", "yannakakis",
